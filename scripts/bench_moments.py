@@ -3,7 +3,8 @@
 
 Reports wall time per call for the closed forms, the Gaussian engine
 (second- and fourth-order photon readouts plus quadratures), the
-truncated-Fock oracle, and one zero-order uncertainty evaluation, so
+truncated-Fock oracle, the exact mixed phase derivative, and one
+zero-order uncertainty evaluation, so
 regressions in the hot paths show up as numbers rather than as slow
 test suites.
 
@@ -22,7 +23,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from holonoise.config import HolometerConfig
-from holonoise.estimation import EstimatorSpec, u0
+from holonoise.estimation import EstimatorSpec, estimator_mixed_derivative, u0
 from holonoise.fock_oracle import oracle_moments
 from holonoise.holometer import quadrature_readout, readout_moments
 from holonoise.observables import closed_form_moments
@@ -58,6 +59,8 @@ def main() -> int:
           lambda: readout_moments(BRIGHT, max_order=4), repeat)
     clock("engine quadrature readout (bright)",
           lambda: quadrature_readout(BRIGHT), repeat)
+    clock("estimator_mixed_derivative (bright)",
+          lambda: estimator_mixed_derivative(BRIGHT, diff), repeat)
     clock("zero-order uncertainty, difference readout (bright)",
           lambda: u0(BRIGHT, diff), max(1, repeat // 5))
     # the oracle walks a truncated number basis, so it only runs at low

@@ -19,8 +19,6 @@ from .estimation import (
     EstimatorSpec,
     PsiPairingWarning,
     SingularConfigurationError,
-    StepPolicy,
-    StepUnderflowError,
     UncertaintyResult,
     classical_benchmark,
     estimate_phase_covariance,
@@ -58,6 +56,7 @@ from .observables import (
     closed_form_moments,
     closed_form_quadrature,
     detected_correlators,
+    mixed_derivative_terms,
     nrf,
     nrf_asymptotic,
     regime_label,
@@ -111,6 +110,7 @@ __all__ = [
     "detected_correlators",
     "closed_form_moments",
     "closed_form_quadrature",
+    "mixed_derivative_terms",
     "analytic_moments",
     "NrfResult",
     "nrf",
@@ -121,7 +121,6 @@ __all__ = [
     # uncertainty pipeline
     "EstimatorKind",
     "EstimatorSpec",
-    "StepPolicy",
     "UncertaintyResult",
     "u0",
     "u0_asymptotic",
@@ -132,7 +131,6 @@ __all__ = [
     "estimator_mean_curve",
     "estimate_phase_covariance",
     "SingularConfigurationError",
-    "StepUnderflowError",
     "PsiPairingWarning",
     # phase-noise Monte Carlo
     "PhaseNoiseModel",

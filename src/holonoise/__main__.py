@@ -1,0 +1,6 @@
+"""``python3 -m holonoise``: the command-line front end."""
+import sys
+
+from .cli import main
+
+sys.exit(main())

@@ -29,7 +29,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -45,16 +45,6 @@ from .observables import UndefinedResultError, nrf, regime_parameter
 __all__ = ["SweepSpec", "entrypoint", "main"]
 
 SWEEP_VARIABLES = ("phi0", "eta", "lambda", "tau", "psi")
-SWEEP_OUTPUTS = (
-    "nrf_minus",
-    "nrf_plus",
-    "u0_twb",
-    "u0_sq",
-    "u0_twb_sum",
-    "u_cl",
-    "ratios",
-    "regime_k",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -67,26 +57,19 @@ class SweepSpec:
     """One swept variable over a grid, everything else pinned.
 
     ``grid`` is either an explicit sequence of values or a
-    (min, max, points, "linear"|"log") tuple.  ``outputs`` selects the
-    emitted columns; "ratios" expands to the ratio of each uncertainty
-    column to the classical benchmark.
+    (min, max, points, "linear"|"log") tuple.
     """
 
     variable: str
     grid: tuple
     base_config: HolometerConfig
-    outputs: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(
                 f"unknown sweep variable {self.variable!r}; expected one of {SWEEP_VARIABLES}"
             )
-        unknown = [name for name in self.outputs if name not in SWEEP_OUTPUTS]
-        if unknown:
-            raise ValueError(f"unknown outputs {unknown}; expected a subset of {SWEEP_OUTPUTS}")
         object.__setattr__(self, "grid", tuple(self.grid))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
         self.points()  # validate eagerly
 
     def points(self) -> np.ndarray:
@@ -270,7 +253,7 @@ def _cmd_nrf_scan(args: argparse.Namespace) -> int:
     base = _resolve_config(_NRF_BASE, args)
     grid = _parse_grid(args.grid) if args.grid else (0.02, 0.9999, 50, "linear")
     lam_values = (base.lam,) if args.variable == "lambda" else _parse_float_list(args.lambdas)
-    spec = SweepSpec(args.variable, grid, base, outputs=("nrf_minus", "nrf_plus", "regime_k"))
+    spec = SweepSpec(args.variable, grid, base)
 
     psi_minus = args.psi if args.psi is not None else math.pi / 2.0
     psi_plus = args.psi if args.psi is not None else 0.0
@@ -331,7 +314,7 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
         defaults["phi0"] = 1e-8
     base = _resolve_config(defaults, args)
     grid = _parse_grid(args.grid) if args.grid else _UNCERTAINTY_DEFAULT_GRIDS[args.variable]
-    spec = SweepSpec(args.variable, grid, base, outputs=tuple(SWEEP_OUTPUTS[2:]))
+    spec = SweepSpec(args.variable, grid, base)
 
     columns = [
         spec.variable,
@@ -363,7 +346,7 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
             try:
                 result = estimation.u0(cfg, EstimatorSpec(kind=kind))
                 return result.u0, result.ratio
-            except (SingularConfigurationError, estimation.StepUnderflowError):
+            except SingularConfigurationError:
                 flags.append(f"singular:{label}")
                 return math.nan, math.nan
 
@@ -631,3 +614,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> int:
     return main()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

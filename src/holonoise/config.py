@@ -65,8 +65,9 @@ class HolometerConfig:
         for name, value in (("eta", self.eta), ("eta_2", self.eta_2)):
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        for value in (self.mu, self.psi, self.lam, self.eta, self.phi0_1, self.phi0_2):
-            if not math.isfinite(value):
+        for value in (self.mu, self.psi, self.lam, self.eta, self.phi0_1, self.phi0_2,
+                      self.theta, self.theta_xi):
+            if value is not None and not math.isfinite(value):
                 raise ValueError("configuration parameters must be finite")
 
     # -- derived quantities ------------------------------------------------

@@ -18,18 +18,19 @@ covariance is
 
     U0 = sqrt(2 Var[C]) / |d^2 <C> / dphi_1 dphi_2|,
 
-with the variance taken at the working point and the mixed derivative
-evaluated by central finite differences with Richardson extrapolation.
-All statistical inputs come from the Gaussian engine in centered form,
-which survives coherent energies of mu ~ 1e12 in double precision.
+with the variance taken at the working point.  The variance comes from
+the Gaussian engine in centered form, which survives coherent energies
+of mu ~ 1e12 in double precision.  The mixed derivative is exact: every
+estimator mean is a sum of separable products of half-angle sines and
+cosines of the two phases (see observables.mixed_derivative_terms).
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -39,10 +40,8 @@ from .observables import UndefinedResultError, regime_parameter
 
 __all__ = [
     "SingularConfigurationError",
-    "StepUnderflowError",
     "PsiPairingWarning",
     "EstimatorKind",
-    "StepPolicy",
     "EstimatorSpec",
     "UncertaintyResult",
     "classical_benchmark",
@@ -60,10 +59,6 @@ __all__ = [
 
 class SingularConfigurationError(RuntimeError):
     """The estimator has no usable phase response at this working point."""
-
-
-class StepUnderflowError(ValueError):
-    """The finite-difference step is unresolvable next to the base phase."""
 
 
 class PsiPairingWarning(UserWarning):
@@ -90,33 +85,8 @@ _LINEAR_READOUT_ALIASES = {
 
 
 @dataclass(frozen=True)
-class StepPolicy:
-    """Finite-difference step selection for the mixed phase derivative.
-
-    Two central-difference estimates are formed with steps
-    ``relative_steps[i] * max(|phi_0|, phase_floor)`` and combined by
-    Richardson extrapolation, cancelling the leading quadratic
-    truncation term.
-    """
-
-    relative_steps: tuple[float, float] = (1e-3, 1e-4)
-    phase_floor: float = 1e-3
-
-    def __post_init__(self) -> None:
-        large, small = self.relative_steps
-        if not (0.0 < small < large):
-            raise ValueError("relative_steps must be (large, small) with 0 < small < large")
-        if self.phase_floor <= 0.0:
-            raise ValueError("phase_floor must be positive")
-
-    def steps_for(self, phi0: float) -> tuple[float, float]:
-        scale = max(abs(phi0), self.phase_floor)
-        return self.relative_steps[0] * scale, self.relative_steps[1] * scale
-
-
-@dataclass(frozen=True)
 class EstimatorSpec:
-    """Choice of readout estimator plus derivative step policy.
+    """Choice of readout estimator.
 
     ``allow_psi_mismatch`` downgrades the canonical psi-pairing check
     (difference <-> psi=pi/2, sum <-> psi=0, for twin-beam input) from
@@ -124,7 +94,6 @@ class EstimatorSpec:
     """
 
     kind: EstimatorKind
-    derivative_step: StepPolicy = field(default_factory=StepPolicy)
     allow_psi_mismatch: bool = False
 
     def __post_init__(self) -> None:
@@ -222,70 +191,24 @@ def classical_benchmark(config: HolometerConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# mixed derivative (finite differences + Richardson)
+# mixed derivative
 # ---------------------------------------------------------------------------
 
 
-def _cross_moment_function(config: HolometerConfig, spec: EstimatorSpec) -> Callable[[float, float], float]:
-    """<N1 N2> or <Y1 Y2> as a function of the two phases.
-
-    The quadrature angles stay pinned to the working-point signal
-    quadrature while the phases vary.
-    """
-    if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
-        chi = config.signal_quadrature_angle
-
-        def f(phi_1: float, phi_2: float) -> float:
-            qm = holometer.quadrature_readout(config, phi_1, phi_2, chi_1=chi, chi_2=chi)
-            return qm.cov + qm.mean_1 * qm.mean_2
-
-    else:
-
-        def f(phi_1: float, phi_2: float) -> float:
-            m = holometer.readout_moments(config, phi_1, phi_2, max_order=2)
-            return m.cov + m.mean_1 * m.mean_2
-
-    return f
-
-
-def _mixed_derivative_detail(config: HolometerConfig, spec: EstimatorSpec) -> tuple[float, float]:
-    """Richardson-extrapolated mixed derivative and its roundoff floor."""
-    phi0 = _require_symmetric(config, "the mixed derivative")
-    f = _cross_moment_function(config, spec)
-    h_large, h_small = spec.derivative_step.steps_for(phi0)
-    eps = np.finfo(float).eps
-    if abs(phi0) > 0.0 and h_small <= 8.0 * eps * abs(phi0):
-        raise StepUnderflowError(
-            f"finite-difference step {h_small:.3e} is below the resolution of "
-            f"phi_0 = {phi0!r}; increase the relative steps"
-        )
-
-    def cross(h: float) -> tuple[float, float]:
-        values = (
-            f(phi0 + h, phi0 + h),
-            f(phi0 + h, phi0 - h),
-            f(phi0 - h, phi0 + h),
-            f(phi0 - h, phi0 - h),
-        )
-        stencil_scale = max(abs(v) for v in values)
-        return (values[0] - values[1] - values[2] + values[3]) / (4.0 * h * h), stencil_scale
-
-    d_large, scale_large = cross(h_large)
-    d_small, scale_small = cross(h_small)
-    rho2 = (h_large / h_small) ** 2
-    derivative = (rho2 * d_small - d_large) / (rho2 - 1.0)
-    # roundoff on the small-step estimate dominates after extrapolation
-    noise_floor = 500.0 * eps * max(scale_large, scale_small) / (4.0 * h_small * h_small)
-    return derivative, noise_floor
+def _derivative_terms(config: HolometerConfig, spec: EstimatorSpec) -> tuple[float, ...]:
+    _require_symmetric(config, "the mixed derivative")
+    return observables.mixed_derivative_terms(
+        config, quadrature=spec.kind is EstimatorKind.QUADRATURE_PRODUCT
+    )
 
 
 def mixed_derivative(config: HolometerConfig, spec: EstimatorSpec) -> float:
     """d^2 <N1 N2> / dphi_1 dphi_2 (or <Y1 Y2> for the quadrature kind).
 
-    Central finite differences at two step sizes combined by Richardson
-    extrapolation, evaluated on engine moments at the working point.
+    Exact closed form at the working point; the quadrature angles stay
+    pinned to the working-point signal quadrature while the phases vary.
     """
-    return _mixed_derivative_detail(config, spec)[0]
+    return math.fsum(_derivative_terms(config, spec))
 
 
 _ESTIMATOR_DERIVATIVE_FACTOR = {
@@ -410,8 +333,9 @@ def u0(config: HolometerConfig, spec: EstimatorSpec) -> UncertaintyResult:
 
     Numerator: Var[C] at the working point from engine moments
     (fourth-order photon table for the squared kinds, second-order
-    quadrature moments for the product kind).  Denominator: the
-    finite-difference mixed derivative of <C>.
+    quadrature moments for the product kind).  Denominator: the exact
+    mixed derivative of <C>.  Raises SingularConfigurationError where
+    that derivative vanishes or is pure cancellation of its terms.
     """
     phi0 = _require_symmetric(config, "the zero-order uncertainty")
     _check_psi_pairing(config, spec)
@@ -426,14 +350,16 @@ def u0(config: HolometerConfig, spec: EstimatorSpec) -> UncertaintyResult:
         mu4 = m.signed_sum_moment(s, 4)
         numerator_var = mu4 - mu2 * mu2
 
-    raw, noise_floor = _mixed_derivative_detail(config, spec)
-    factor = _ESTIMATOR_DERIVATIVE_FACTOR[spec.kind]
-    denominator = abs(factor * raw)
-    if denominator <= abs(factor) * noise_floor:
+    terms = _derivative_terms(config, spec)
+    derivative = math.fsum(terms)
+    # the same cancellation bound that observables.nrf applies
+    roundoff = 64.0 * math.ulp(1.0) * math.fsum(abs(term) for term in terms)
+    if abs(derivative) <= roundoff:
         raise SingularConfigurationError(
-            f"the estimator mean has no resolvable mixed phase response at phi_0 = {phi0!r} "
-            f"(|derivative| = {denominator:.3e} <= roundoff floor {abs(factor) * noise_floor:.3e})"
+            f"the estimator mean has no mixed phase response at phi_0 = {phi0!r} "
+            f"(|derivative| = {abs(derivative):.3e} <= roundoff {roundoff:.3e})"
         )
+    denominator = abs(_ESTIMATOR_DERIVATIVE_FACTOR[spec.kind] * derivative)
     value = math.sqrt(2.0 * max(numerator_var, 0.0)) / denominator
     u_cl = classical_benchmark(config)
     return UncertaintyResult(

@@ -23,7 +23,6 @@ __all__ = [
     "marginal",
     "purity",
     "mean_photon",
-    "apply_phase",
     "apply_beam_splitter",
     "apply_single_mode_squeeze",
     "apply_two_mode_squeeze",
@@ -118,12 +117,6 @@ def _embed(state: GaussianState, modes: tuple[int, ...], block: np.ndarray) -> G
     idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes]).astype(int)
     s[np.ix_(idx, idx)] = block
     return GaussianState(s @ state.mean, s @ state.cov @ s.T)
-
-
-def apply_phase(state: GaussianState, mode: int, chi: float) -> GaussianState:
-    """Rotate one mode: a -> exp(i chi) a."""
-    c, s = math.cos(chi), math.sin(chi)
-    return _embed(state, (mode,), np.array([[c, -s], [s, c]]))
 
 
 def apply_beam_splitter(
@@ -316,8 +309,9 @@ def centered_photon_moments(
     The fluctuation of each photon number is a quadratic polynomial in
     the centered ladder operators; products expand into at most 4^4
     Wick-evaluated words over a fixed 4x4 contraction matrix.
-    ``max_order=2`` skips the third and fourth orders, which matters
-    inside finite-difference loops.
+    ``max_order=2`` skips the third and fourth orders.  An imaginary
+    part beyond roundoff signals a broken ordering convention and raises
+    ArithmeticError.
     """
     if max_order not in (2, 4):
         raise ValueError("max_order must be 2 or 4")
@@ -344,7 +338,7 @@ def centered_photon_moments(
     factor_1 = ((amp_1.conjugate(), (0,)), (amp_1, (1,)), (1.0, (1, 0)), (-nfl_1, ()))
     factor_2 = ((amp_2.conjugate(), (2,)), (amp_2, (3,)), (1.0, (3, 2)), (-nfl_2, ()))
 
-    def central(p: int, q: int) -> float:
+    def central(p: int, q: int) -> complex:
         total = 0.0 + 0.0j
         for combo in product(*([factor_1] * p + [factor_2] * q)):
             coeff = 1.0 + 0.0j
@@ -354,18 +348,22 @@ def centered_photon_moments(
                 seq += ops
             if coeff != 0.0:
                 total += coeff * _wick(seq, cmat)
-        if abs(total.imag) > 1e-8 * (1.0 + abs(total.real)):
-            raise ArithmeticError(f"moment ({p},{q}) has imaginary residue {total.imag}")
-        return float(total.real)
+        return total
 
-    var_1 = central(2, 0)
-    var_2 = central(0, 2)
-    cov = central(1, 1)
-    table = None
-    if max_order == 4:
-        table = {(p, q): central(p, q) for p, q in CENTERED_KEYS}
+    keys = CENTERED_KEYS if max_order == 4 else ((2, 0), (0, 2), (1, 1))
+    raw = {key: central(*key) for key in keys}
+    # Cross moments of independent inputs are exactly zero, so the residue
+    # is judged against the scale sd_1^p sd_2^q of each moment, with the
+    # standard deviations floored at one photon.
+    sd_1 = math.sqrt(max(raw[(2, 0)].real, 1.0))
+    sd_2 = math.sqrt(max(raw[(0, 2)].real, 1.0))
+    for (p, q), value in raw.items():
+        if abs(value.imag) > 1e-8 * sd_1**p * sd_2**q:
+            raise ArithmeticError(f"moment ({p},{q}) has imaginary residue {value.imag}")
+    table = {key: float(value.real) for key, value in raw.items()}
     return ReadoutMoments(
-        mean_1=mean_1, mean_2=mean_2, var_1=var_1, var_2=var_2, cov=cov, centered=table
+        mean_1=mean_1, mean_2=mean_2, var_1=table[(2, 0)], var_2=table[(0, 2)],
+        cov=table[(1, 1)], centered=table if max_order == 4 else None,
     )
 
 

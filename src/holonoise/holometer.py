@@ -12,7 +12,6 @@ ports.  After propagation only the two detected modes survive.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import gaussian_engine as ge
@@ -54,14 +53,6 @@ class PropagatedState:
     config: HolometerConfig
     phi_1: float
     phi_2: float
-
-    @property
-    def tau_1(self) -> float:
-        return math.cos(0.5 * self.phi_1) ** 2
-
-    @property
-    def tau_2(self) -> float:
-        return math.cos(0.5 * self.phi_2) ** 2
 
 
 def propagate(

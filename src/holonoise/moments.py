@@ -70,11 +70,6 @@ class ReadoutMoments:
     def total_mean(self) -> float:
         return self.mean_1 + self.mean_2
 
-    @property
-    def fourth_order(self) -> Mapping[tuple[int, int], float] | None:
-        """Alias for the centered table under its order-4 reach."""
-        return self.centered
-
     def centered_moment(self, p: int, q: int) -> float:
         """<dN1^p dN2^q>.  Orders 0 and 1 are trivial; order 2 falls back
         to the dedicated fields when no table is present."""

@@ -23,7 +23,9 @@ Detection loss eta maps mean -> eta*mean, Var -> eta^2*Var +
 eta(1-eta)*mean, Cov -> eta_1*eta_2*Cov.  These identities hold exactly
 for displaced Gaussian states; the test-suite checks them against the
 numerical engine at 1e-10 relative and against the truncated-Fock
-oracle at 1e-8.
+oracle at 1e-8.  The same correlators give the mixed phase derivatives
+of <N1 N2> and <Y1 Y2> in closed form, which set the denominator of the
+estimation uncertainty.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ __all__ = [
     "detected_correlators",
     "closed_form_moments",
     "closed_form_quadrature",
+    "mixed_derivative_terms",
     "analytic_moments",
     "nrf",
     "nrf_asymptotic",
@@ -168,6 +171,46 @@ def closed_form_quadrature(
     mean_2, var_2 = port(cor["m2"], cor["n2"], cor["s2"], chi_2, eta_2)
     cov = math.sqrt(eta_1 * eta_2) * np.real(cor["g"] * np.exp(-1j * (chi_1 + chi_2)))
     return {"mean_1": mean_1, "mean_2": mean_2, "var_1": var_1, "var_2": var_2, "cov": cov}
+
+
+def mixed_derivative_terms(config: HolometerConfig, quadrature: bool = False) -> tuple[float, ...]:
+    """Terms of d^2 <N1 N2> / dphi_1 dphi_2 at the working phases.
+
+    With ``quadrature`` they are the terms of d^2 <Y1 Y2> / dphi_1 dphi_2
+    instead, on the signal quadratures with their angles held at the
+    working point.  Both cross moments are sums of separable products
+    f(phi_1) g(phi_2) of half-angle sines and cosines (see
+    detected_correlators), so the derivatives are exact:
+
+        d^2 <N1 N2> = eta_1 eta_2 [(mu - lam_n)^2 sin(phi_1) sin(phi_2) / 4
+                                   - mu A kappa cos(phi_1) cos(phi_2) / 2
+                                   + A^2 sin(phi_1) sin(phi_2) / 4]
+        d^2 <Y1 Y2> = sqrt(eta_1 eta_2) [mu c_1 c_2 / 2 - A kappa s_1 s_2 / 4]
+
+    with s_i, c_i = sin, cos(phi_i / 2), kappa = cos(theta - 2 psi),
+    A = sqrt(lam (1 + lam)) for twin-beam input and 0 otherwise, and
+    lam_n = lam unless the input is coherent only.  The derivative is the
+    sum of the terms; the sum of their magnitudes sets its roundoff.
+    """
+    phi_1, phi_2 = config.phi0_1, config.phi0_2
+    eta_1, eta_2 = config.eta_pair
+    mu, lam = config.mu, config.lam
+    pair = math.sqrt(lam * (1.0 + lam)) if config.input_kind is InputKind.TWB else 0.0
+    kappa = math.cos(config.theta - 2.0 * config.psi)
+    if quadrature:
+        scale = math.sqrt(eta_1 * eta_2)
+        return (
+            scale * 0.5 * mu * math.cos(phi_1 / 2.0) * math.cos(phi_2 / 2.0),
+            -scale * 0.25 * pair * kappa * math.sin(phi_1 / 2.0) * math.sin(phi_2 / 2.0),
+        )
+    lam_n = 0.0 if config.input_kind is InputKind.COHERENT_ONLY else lam
+    sines = math.sin(phi_1) * math.sin(phi_2)
+    scale = eta_1 * eta_2
+    return (
+        scale * 0.25 * (mu - lam_n) ** 2 * sines,
+        -scale * 0.5 * mu * pair * kappa * math.cos(phi_1) * math.cos(phi_2),
+        scale * 0.25 * pair * pair * sines,
+    )
 
 
 def analytic_moments(config: HolometerConfig) -> ReadoutMoments:

@@ -21,9 +21,12 @@ with A_kk = q_kk/2 - h_0 h_kk and A_12 = q_12 - 2 h_0 h_12, where h and
 q are the <C> and <C^2> surfaces and subscripts denote phase
 derivatives at the working point; the law of total variance
 Var_x = E_x[q] - (E_x[h])^2 expanded to second order gives exactly
-these coefficients.  Direct numerical integration (Gauss-Hermite on the
-45-degree decorrelated axes, or Monte Carlo) cross-checks the
-prediction.
+these coefficients.  The <C^2> surface comes from the engine's
+fourth-order moments and has no closed form, so its second partials,
+and those of <C>, are taken by central finite differences with
+Richardson extrapolation.  Direct numerical
+integration (Gauss-Hermite on the 45-degree decorrelated axes, or Monte
+Carlo) cross-checks the prediction.
 """
 from __future__ import annotations
 
@@ -50,6 +53,10 @@ __all__ = [
 
 MIN_MC_SAMPLES = 1_000
 MAX_EXPANSION_SIGMA2 = 1e-4
+# finite-difference steps of the expansion: the two Richardson steps are
+# these fractions of max(|phi_0|, _PHASE_FLOOR)
+_RELATIVE_STEPS = (1e-3, 1e-4)
+_PHASE_FLOOR = 1e-3
 
 
 class Configuration(str, Enum):
@@ -195,9 +202,10 @@ def _surfaces(config: HolometerConfig, spec: EstimatorSpec):
     return surface
 
 
-def _second_partials(surface, phi0: float, policy) -> dict[str, tuple[float, float]]:
+def _second_partials(surface, phi0: float) -> dict[str, tuple[float, float]]:
     """Richardson-extrapolated (h, q) second partials at (phi0, phi0)."""
-    h_large, h_small = policy.steps_for(phi0)
+    scale = max(abs(phi0), _PHASE_FLOOR)
+    h_large, h_small = (step * scale for step in _RELATIVE_STEPS)
     base = surface(phi0, phi0)
 
     def axis(step: float, which: int) -> tuple[float, float]:
@@ -256,7 +264,7 @@ def variance_expansion(
     if config.phi0_2 != phi0:
         raise ValueError("the variance expansion assumes a symmetric working point")
     surface = _surfaces(config, spec)
-    parts = _second_partials(surface, phi0, spec.derivative_step)
+    parts = _second_partials(surface, phi0)
     h0, q0 = parts["base"]
     h11, q11 = parts["d11"]
     h22, q22 = parts["d22"]

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,29 +48,27 @@ def nrf_base_config():
 def test_sweep_spec_validation():
     base = nrf_base_config()
     with pytest.raises(ValueError):
-        cli.SweepSpec("detuning", (0.1, 1.0, 5, "linear"), base, ("nrf_minus",))
+        cli.SweepSpec("detuning", (0.1, 1.0, 5, "linear"), base)
     with pytest.raises(ValueError):
-        cli.SweepSpec("eta", (0.1, 1.0, 5, "linear"), base, ("nrf_cubed",))
+        cli.SweepSpec("eta", (0.0, 1.0, 5, "log"), base)
     with pytest.raises(ValueError):
-        cli.SweepSpec("eta", (0.0, 1.0, 5, "log"), base, ("nrf_minus",))
+        cli.SweepSpec("eta", [], base)
     with pytest.raises(ValueError):
-        cli.SweepSpec("eta", [], base, ("nrf_minus",))
-    with pytest.raises(ValueError):
-        cli.SweepSpec("eta", (0.1, 1.0, 1, "linear"), base, ("nrf_minus",))
+        cli.SweepSpec("eta", (0.1, 1.0, 1, "linear"), base)
 
 
 def test_sweep_spec_points_and_config_mapping():
     base = nrf_base_config()
-    spec = cli.SweepSpec("tau", (0.25, 0.81, 3, "linear"), base, ("nrf_minus",))
+    spec = cli.SweepSpec("tau", (0.25, 0.81, 3, "linear"), base)
     assert list(spec.points()) == pytest.approx([0.25, 0.53, 0.81])
     config = spec.config_at(0.25)
     assert config.tau_1 == pytest.approx(0.25, rel=1e-12)
     assert config.phi0_1 == config.phi0_2
     with pytest.raises(ValueError):
         spec.config_at(2.0)
-    log_spec = cli.SweepSpec("phi0", (1e-4, 1e-2, 3, "log"), base, ("regime_k",))
+    log_spec = cli.SweepSpec("phi0", (1e-4, 1e-2, 3, "log"), base)
     assert list(log_spec.points()) == pytest.approx([1e-4, 1e-3, 1e-2])
-    explicit = cli.SweepSpec("eta", [0.5, 0.7], base, ("nrf_minus",))
+    explicit = cli.SweepSpec("eta", [0.5, 0.7], base)
     assert list(explicit.points()) == [0.5, 0.7]
     assert explicit.config_at(0.7).eta == 0.7
 
@@ -204,6 +206,22 @@ def test_usage_errors_exit_one():
     assert run_usage_error(["mc-estimate", "--estimator", "difference"]) == 1
     assert run_usage_error(["mc-estimate", "--threads", "0"]) == 1
     assert run_usage_error([]) == 1
+
+
+@pytest.mark.parametrize("module", ["holonoise", "holonoise.cli"])
+def test_runs_as_a_module(module):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+
+    done = python_m("nrf-scan", "--grid", "0.5", "--lambdas", "1")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "# holonoise nrf-scan"
+    assert lines[-1].startswith("0.5,1.0,")
+    assert python_m().returncode == 1
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ def test_kind_is_cast_from_string():
         {"eta_2": 2.0},
         {"mu": math.inf},
         {"phi0_1": math.nan},
+        {"theta": math.nan},
+        {"theta_xi": math.inf},
     ],
 )
 def test_rejects_out_of_range(overrides):

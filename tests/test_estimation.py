@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,6 @@ from holonoise.estimation import (
     EstimatorSpec,
     PsiPairingWarning,
     SingularConfigurationError,
-    StepPolicy,
-    StepUnderflowError,
     classical_benchmark,
     estimate_phase_covariance,
     estimator_center,
@@ -22,8 +21,8 @@ from holonoise.estimation import (
     u0,
     u0_asymptotic,
 )
-from holonoise.holometer import readout_moments
-from holonoise.observables import UndefinedResultError, regime_parameter
+from holonoise.holometer import quadrature_readout, readout_moments
+from holonoise.observables import UndefinedResultError, closed_form_moments, regime_parameter
 
 
 def make(**overrides):
@@ -55,17 +54,6 @@ def test_kind_casts_from_string():
 def test_linear_readouts_are_rejected_with_explanation(alias):
     with pytest.raises(ValueError, match="mixed phase derivative"):
         EstimatorSpec(kind=alias.replace(" ", ""))
-
-
-def test_step_policy_validation_and_scaling():
-    with pytest.raises(ValueError):
-        StepPolicy(relative_steps=(1e-4, 1e-3))
-    with pytest.raises(ValueError):
-        StepPolicy(phase_floor=0.0)
-    policy = StepPolicy()
-    assert policy.steps_for(0.5) == (1e-3 * 0.5, 1e-4 * 0.5)
-    # below the floor the step freezes so tiny phases keep usable steps
-    assert policy.steps_for(1e-9) == (1e-3 * 1e-3, 1e-4 * 1e-3)
 
 
 def test_psi_pairing_enforced_for_twin_beam_input():
@@ -128,11 +116,82 @@ def test_estimator_mixed_derivative_sign_factors():
     )
 
 
-def test_mixed_derivative_step_underflow_guard():
-    policy = StepPolicy(relative_steps=(1e-15, 1e-16), phase_floor=1e-3)
-    spec = EstimatorSpec(kind="TwbDifferenceSquared", derivative_step=policy)
-    with pytest.raises(StepUnderflowError):
-        mixed_derivative(make(phi0_1=1.0, phi0_2=1.0), spec)
+def central_cross_difference(cross_moment, phi0, h):
+    """Central-difference estimate of d^2 f / dphi_1 dphi_2 at (phi0, phi0)."""
+    return (
+        cross_moment(phi0 + h, phi0 + h)
+        - cross_moment(phi0 + h, phi0 - h)
+        - cross_moment(phi0 - h, phi0 + h)
+        + cross_moment(phi0 - h, phi0 - h)
+    ) / (4.0 * h * h)
+
+
+def engine_finite_difference(config, spec):
+    """Independent check on mixed_derivative: central differences of the
+    engine's <N1 N2> (or <Y1 Y2>) at steps 1e-3 and 1e-4 times
+    max(|phi_0|, 1e-3), combined by Richardson extrapolation."""
+    chi = config.signal_quadrature_angle
+
+    def cross_moment(phi_1, phi_2):
+        if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
+            q = quadrature_readout(config, phi_1, phi_2, chi_1=chi, chi_2=chi)
+            return q.cov + q.mean_1 * q.mean_2
+        m = readout_moments(config, phi_1, phi_2, max_order=2)
+        return m.cov + m.mean_1 * m.mean_2
+
+    phi0 = config.phi0_1
+    scale = max(abs(phi0), 1e-3)
+    coarse = central_cross_difference(cross_moment, phi0, 1e-3 * scale)
+    fine = central_cross_difference(cross_moment, phi0, 1e-4 * scale)
+    return (100.0 * fine - coarse) / 99.0
+
+
+def closed_form_cross_difference(config, h=1e-3):
+    """Central difference of the closed-form <N1 N2> at step h; its
+    truncation error is (sin h / h)^2 - 1, about 3.3e-7 at h = 1e-3."""
+
+    def cross_moment(phi_1, phi_2):
+        vals = closed_form_moments(config, phi_1, phi_2)
+        return float(vals["cov"] + vals["mean_1"] * vals["mean_2"])
+
+    return central_cross_difference(cross_moment, config.phi0_1, h)
+
+
+@pytest.mark.parametrize("input_kind", ["TWB", "TwoSqueezed", "CoherentOnly"])
+def test_mixed_derivative_matches_engine_finite_differences(input_kind):
+    grid = itertools.product(
+        (1e6, 3e12), (0.1, 1.0, 10.0), (1e-8, 1e-4, 1e-2, 0.5), (math.pi / 2, 0.3), (0.0, 1.1)
+    )
+    for mu, lam, phi0, psi, theta in grid:
+        config = make(mu=mu, lam=lam, phi0_1=phi0, phi0_2=phi0, psi=psi, theta=theta,
+                      input_kind=input_kind)
+        for spec in (DIFF, QUAD):
+            # For independent squeezed inputs <N1 N2> = <N1><N2>, and at
+            # phi_0 < 1e-2 its derivative can sit below the engine's
+            # roundoff on cov divided by h^2: the stencil itself fails
+            # there (1.6e4 relative error at mu = 1e6, phi_0 = 1e-8).
+            if input_kind == "TwoSqueezed" and spec is DIFF and phi0 < 1e-2:
+                continue
+            want = engine_finite_difference(config, spec)
+            got = mixed_derivative(config, spec)
+            assert got == pytest.approx(want, rel=1e-6), (mu, lam, phi0, psi, theta, spec.kind)
+
+
+def test_u0_resolves_a_dim_twin_beam_deep_in_the_quantum_regime():
+    # the finite-difference route called this point singular: engine
+    # roundoff over h^2 swamped the derivative at its floored step
+    config = make(mu=10.0, lam=1.0, phi0_1=1e-4, phi0_2=1e-4)
+    result = u0(config, DIFF)
+    want = 2.0 * abs(closed_form_cross_difference(config))
+    assert result.denominator == pytest.approx(want, rel=1e-6)
+
+
+def test_u0_twin_beam_at_moderate_energy_uses_the_exact_derivative():
+    # the finite-difference route was off by 5.7e-4 relative here
+    config = make(mu=1e3, lam=10.0, phi0_1=10.0**-3.75, phi0_2=10.0**-3.75)
+    result = u0(config, DIFF)
+    want = math.sqrt(2.0 * result.numerator_var) / (2.0 * abs(closed_form_cross_difference(config)))
+    assert result.u0 == pytest.approx(want, rel=1e-6)
 
 
 def test_singular_configuration_raises():
@@ -186,12 +245,14 @@ def test_sum_estimator_centers_on_frozen_offset():
 
 
 def test_u0_at_the_coherent_plateau():
+    # central differences of the closed-form <N1 N2> at h = 1e-5 confirm
+    # the exact derivative behind these values to 3e-11
     result = u0(make(), DIFF)
-    assert result.ratio == pytest.approx(0.10274980228638361, rel=1e-9)
+    assert result.ratio == pytest.approx(0.10274980252371693, rel=1e-9)
     assert result.u_cl == pytest.approx(classical_benchmark(make()), rel=1e-12)
     assert result.regime_k == regime_parameter(make())
     sq = u0(make(input_kind="TwoSqueezed"), QUAD)
-    assert sq.ratio == pytest.approx(0.0726550691349486, rel=1e-9)
+    assert sq.ratio == pytest.approx(0.07265506877680042, rel=1e-9)
 
 
 def test_u0_squeezed_plateau_matches_exact_noise_form():

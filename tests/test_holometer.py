@@ -67,6 +67,30 @@ def test_first_and_second_moments_match_closed_forms():
         assert engine.cov == pytest.approx(closed["cov"], rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(mu=734519263.8334394, psi=1.1330074213207362, lam=2.0974698552000772,
+             eta=0.7486062719079258, phi0_1=0.32644524124576624, phi0_2=0.253643866811585,
+             theta=5.161503432092518),
+        dict(mu=316561304605.78906, psi=3.2763696676647194, lam=0.09742878755294625,
+             eta=0.5492451053005876, phi0_1=1.322832213927209, phi0_2=1.322832213927209,
+             theta=4.743559559428867, eta_2=0.5136162344328989),
+        dict(mu=64889680.203984946, psi=4.314278266360316, lam=5.641042357660584,
+             eta=0.9767577752737463, phi0_1=1.8975586117465109, phi0_2=2.5,
+             theta=2.353501407081778, eta_2=0.9764221377045114),
+    ],
+)
+def test_bright_independent_squeezed_inputs_have_vanishing_cross_moments(overrides):
+    # these once raised "imaginary residue" on the exactly-zero (1, 3)
+    # cross moment, judged against 1 + |real| instead of its scale
+    m = readout_moments(make(input_kind="TwoSqueezed", **overrides))
+    sd_1, sd_2 = math.sqrt(m.var_1), math.sqrt(m.var_2)
+    for p, q in ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3)):
+        assert abs(m.centered[(p, q)]) <= 1e-8 * sd_1**p * sd_2**q, (p, q)
+    assert m.centered[(2, 2)] == pytest.approx(m.var_1 * m.var_2, rel=1e-8)
+
+
 def test_symmetric_configs_have_exchange_symmetric_moments():
     for kind in ("TWB", "TwoSqueezed", "CoherentOnly"):
         moments = readout_moments(make(input_kind=kind))

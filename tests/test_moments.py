@@ -122,12 +122,6 @@ def test_comparison_entries_cover_table_when_present():
     assert len(comparison_entries(short, short)) == 5
 
 
-def test_fourth_order_alias():
-    table = full_table()
-    assert make(centered=table).fourth_order[(2, 2)] == 5.0
-    assert make().fourth_order is None
-
-
 def test_table_is_read_only():
     moments = make(centered=full_table())
     with pytest.raises(TypeError):
