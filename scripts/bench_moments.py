@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Time the moment pipelines at representative configurations.
 
-Reports wall time per call for the closed forms, the Gaussian engine
-(second- and fourth-order photon readouts plus quadratures), the
-truncated-Fock oracle, the exact mixed phase derivative, and one
-zero-order uncertainty evaluation, so
-regressions in the hot paths show up as numbers rather than as slow
-test suites.
+Reports wall time per call for the closed forms, the detected-state
+build, the cumulant photon readouts of second and fourth order and the
+quadrature readout (each including its state build), the exact mixed
+phase derivative, one zero-order uncertainty evaluation and the
+truncated-Fock oracle, so regressions in the hot paths show up as
+numbers rather than as slow test suites.
 
 Usage:
     python3 scripts/bench_moments.py [--repeat 50]
@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from holonoise.config import HolometerConfig
 from holonoise.estimation import EstimatorSpec, estimator_mixed_derivative, u0
 from holonoise.fock_oracle import oracle_moments
-from holonoise.holometer import quadrature_readout, readout_moments
+from holonoise.holometer import propagate, quadrature_readout, readout_moments
 from holonoise.observables import closed_form_moments
 
 BRIGHT = HolometerConfig(mu=1e6, psi=math.pi / 2, lam=10.0, eta=0.95,
@@ -53,11 +53,13 @@ def main() -> int:
 
     clock("closed-form first/second moments (bright)",
           lambda: closed_form_moments(BRIGHT), repeat)
-    clock("engine photon readout, order 2 (bright)",
+    clock("detected two-mode state, propagate (bright)",
+          lambda: propagate(BRIGHT), repeat)
+    clock("state + cumulant photon moments, order 2 (bright)",
           lambda: readout_moments(BRIGHT, max_order=2), repeat)
-    clock("engine photon readout, order 4 (bright)",
+    clock("state + cumulant photon moments, order 4 (bright)",
           lambda: readout_moments(BRIGHT, max_order=4), repeat)
-    clock("engine quadrature readout (bright)",
+    clock("state + quadrature readout (bright)",
           lambda: quadrature_readout(BRIGHT), repeat)
     clock("estimator_mixed_derivative (bright)",
           lambda: estimator_mixed_derivative(BRIGHT, diff), repeat)

@@ -56,7 +56,6 @@ SCANS: dict[str, list[str]] = {
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="results", help="output directory")
-    parser.add_argument("--threads", type=int, default=4, help="worker threads per scan")
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)
@@ -65,7 +64,7 @@ def main() -> int:
     for name, scan_args in SCANS.items():
         target = out_dir / name
         print(f"==> {target}")
-        code = cli.main(scan_args + ["--out", str(target), "--threads", str(args.threads)])
+        code = cli.main(scan_args + ["--out", str(target)])
         if code != 0:
             print(f"scan {name} failed with exit code {code}", file=sys.stderr)
             return code

@@ -17,6 +17,7 @@ from .crosscheck import CrosscheckReport, run_crosscheck, sample_guardrail_confi
 from .estimation import (
     EstimatorKind,
     EstimatorSpec,
+    PsiPairingError,
     PsiPairingWarning,
     SingularConfigurationError,
     UncertaintyResult,
@@ -41,7 +42,7 @@ from .fock_oracle import (
     two_photon_coincidence,
 )
 from .gaussian_engine import GaussianState
-from .holometer import build_input, propagate, quadrature_readout, readout_moments
+from .holometer import propagate, quadrature_readout, readout_moments
 from .moments import (
     CENTERED_KEYS,
     MomentComparison,
@@ -88,7 +89,6 @@ __all__ = [
     "CENTERED_KEYS",
     # Gaussian engine route
     "GaussianState",
-    "build_input",
     "propagate",
     "readout_moments",
     "quadrature_readout",
@@ -132,6 +132,7 @@ __all__ = [
     "estimate_phase_covariance",
     "SingularConfigurationError",
     "PsiPairingWarning",
+    "PsiPairingError",
     # phase-noise Monte Carlo
     "PhaseNoiseModel",
     "Configuration",

@@ -18,7 +18,8 @@ Four subcommands cover the package's workflows:
 
 Common flags: ``--config`` (JSON file whose keys mirror the
 configuration dataclass; explicit flags override it), ``--out`` (CSV
-path; stdout when omitted), ``--seed``, ``--threads``.
+path; stdout when omitted), ``--seed``.  Grids over MAX_GRID_POINTS
+points and ``--n-samples`` over MAX_SAMPLES are usage errors.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure.
 """
@@ -28,23 +29,26 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import estimation, phase_noise
 from .config import HolometerConfig, InputKind
 from .crosscheck import DEFAULT_SEED, run_crosscheck
-from .estimation import EstimatorKind, EstimatorSpec, SingularConfigurationError
+from .estimation import EstimatorKind, EstimatorSpec, PsiPairingError, SingularConfigurationError
 from .fock_oracle import CutoffError
 from .observables import UndefinedResultError, nrf, regime_parameter
 
 __all__ = ["SweepSpec", "entrypoint", "main"]
 
 SWEEP_VARIABLES = ("phi0", "eta", "lambda", "tau", "psi")
+# upper bounds that keep a run's memory bounded; the largest shipped grid
+# has 120 points and mc-estimate defaults to 1e5 samples
+MAX_GRID_POINTS = 10_000
+MAX_SAMPLES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +130,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_grid(text: str) -> tuple:
-    """Either "min:max:points[:scale]" or a comma-separated value list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) == 3:
-            parts.append("linear")
-        if len(parts) != 4:
+    """Either "min:max:points[:scale]" or a comma-separated value list, of
+    at most MAX_GRID_POINTS points; argparse reports a bad grid as a usage
+    error."""
+    parts = text.split(":")
+    try:
+        if len(parts) == 1:
+            grid = tuple(float(part) for part in text.split(",") if part.strip())
+        elif len(parts) in (3, 4):
+            grid = (float(parts[0]), float(parts[1]), int(parts[2]), (parts + ["linear"])[3])
+        else:
             raise ValueError(f"grid {text!r} must be min:max:points[:linear|log]")
-        return (float(parts[0]), float(parts[1]), int(parts[2]), parts[3])
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    points = len(grid) if len(parts) == 1 else grid[2]
+    if points > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} has {points} points; at most {MAX_GRID_POINTS} are allowed"
+        )
+    return grid
+
+
+def _parse_n_samples(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid sample count {text!r}") from None
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"{value} samples; at most {MAX_SAMPLES} are allowed")
+    return value
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -179,7 +203,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON file of configuration fields")
     parser.add_argument("--out", metavar="PATH", help="CSV output path (stdout when omitted)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, *, with_phi0: bool = True) -> None:
@@ -223,14 +246,6 @@ def _write_csv(
         print(f"wrote {out}")
 
 
-def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    """Apply fn over items, optionally threaded; results keep item order."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _config_json(config: HolometerConfig) -> str:
     return json.dumps(config.to_dict(), sort_keys=True)
 
@@ -251,9 +266,8 @@ _NRF_BASE = {
 
 def _cmd_nrf_scan(args: argparse.Namespace) -> int:
     base = _resolve_config(_NRF_BASE, args)
-    grid = _parse_grid(args.grid) if args.grid else (0.02, 0.9999, 50, "linear")
     lam_values = (base.lam,) if args.variable == "lambda" else _parse_float_list(args.lambdas)
-    spec = SweepSpec(args.variable, grid, base)
+    spec = SweepSpec(args.variable, args.grid, base)
 
     psi_minus = args.psi if args.psi is not None else math.pi / 2.0
     psi_plus = args.psi if args.psi is not None else 0.0
@@ -271,7 +285,7 @@ def _cmd_nrf_scan(args: argparse.Namespace) -> int:
         plus = nrf(config.replace(psi=pp)).nrf_plus
         return (value, config.lam, minus, plus, regime_parameter(config))
 
-    rows = _map_ordered(one, tasks, args.threads)
+    rows = [one(task) for task in tasks]
     _write_csv(
         args.out,
         "nrf-scan",
@@ -313,7 +327,7 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
         # deep-quantum working point, where the efficiency dependence is sharpest
         defaults["phi0"] = 1e-8
     base = _resolve_config(defaults, args)
-    grid = _parse_grid(args.grid) if args.grid else _UNCERTAINTY_DEFAULT_GRIDS[args.variable]
+    grid = args.grid if args.grid is not None else _UNCERTAINTY_DEFAULT_GRIDS[args.variable]
     spec = SweepSpec(args.variable, grid, base)
 
     columns = [
@@ -349,6 +363,10 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
             except SingularConfigurationError:
                 flags.append(f"singular:{label}")
                 return math.nan, math.nan
+            except PsiPairingError:
+                # off the canonical psi of this readout (a psi sweep)
+                flags.append(f"psi_mismatch:{label}")
+                return math.nan, math.nan
 
         u_twb, r_twb = guarded(twb, "TwbDifferenceSquared", "twb")
         u_sq, r_sq = guarded(sq, "QuadratureProduct", "sq")
@@ -378,7 +396,7 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
             ";".join(flags),
         )
 
-    rows = _map_ordered(one, list(spec.points()), args.threads)
+    rows = [one(value) for value in spec.points()]
     _write_csv(
         args.out,
         "uncertainty-scan",
@@ -401,7 +419,6 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         n_configs=args.n_configs,
         seed=args.seed,
         rtol=args.rtol,
-        threads=args.threads,
         convention=convention,
     )
     for line in report.summary_lines():
@@ -483,7 +500,7 @@ def _cmd_mc_estimate(args: argparse.Namespace) -> int:
         pull = (eps_hat - epsilon) / se if se > 0.0 else math.nan
         return (epsilon, eps_hat, se, pull)
 
-    rows = _map_ordered(one, list(enumerate(epsilons)), args.threads)
+    rows = [one(task) for task in enumerate(epsilons)]
 
     summary: list[str] = []
     worst_pull = max(abs(row[3]) for row in rows)
@@ -551,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_nrf, with_phi0=False)
     p_nrf.add_argument("--variable", choices=SWEEP_VARIABLES, default="tau",
                        help="swept variable (default tau)")
-    p_nrf.add_argument("--grid", help='sweep grid, "min:max:points[:linear|log]" or "v1,v2,..."')
+    p_nrf.add_argument("--grid", type=_parse_grid, default=(0.02, 0.9999, 50, "linear"),
+                       help='sweep grid, "min:max:points[:linear|log]" or "v1,v2,..."')
     p_nrf.add_argument("--lambdas", default="0.1,1,10",
                        help="comma list of quantum occupancies (default 0.1,1,10)")
     p_nrf.set_defaults(handler=_cmd_nrf_scan)
@@ -564,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_unc)
     p_unc.add_argument("--variable", choices=SWEEP_VARIABLES, default="phi0",
                        help="swept variable (default phi0)")
-    p_unc.add_argument("--grid", help='sweep grid, "min:max:points[:linear|log]" or "v1,v2,..."')
+    p_unc.add_argument("--grid", type=_parse_grid,
+                       help='sweep grid, "min:max:points[:linear|log]" or "v1,v2,..."')
     p_unc.set_defaults(handler=_cmd_uncertainty_scan)
 
     p_oracle = sub.add_parser(
@@ -593,8 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="marginal phase-noise variance (default 1e-5)")
     p_mc.add_argument("--epsilons", default="0,1e-8,1e-7,1e-6",
                       help="comma list of injected covariances")
-    p_mc.add_argument("--n-samples", type=int, default=100_000,
-                      help="Monte-Carlo samples per run (default 100000)")
+    p_mc.add_argument("--n-samples", type=_parse_n_samples, default=100_000,
+                      help=f"Monte-Carlo samples per run (default 100000, at most {MAX_SAMPLES})")
     p_mc.set_defaults(handler=_cmd_mc_estimate)
 
     return parser
@@ -603,8 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.handler(args)
     except (ValueError, OverflowError, OSError, CutoffError, json.JSONDecodeError) as exc:

@@ -2,18 +2,17 @@
 truncated-Fock oracle.
 
 The two routes share nothing but the configuration dataclass and the
-moment carrier: the engine works in phase space via Wick contractions,
-the oracle in a truncated photon-number basis.  Agreement of every
-joint moment up to fourth order over randomly drawn configurations is
-therefore a strong check on both.  A deliberately broken beam-splitter
-convention is wired in as a negative control so the check itself can be
-shown to have teeth.
+moment carrier: the engine works in phase space from the factorial
+cumulants of the detected Gaussian state, the oracle in a truncated
+photon-number basis.  Agreement of every joint moment up to fourth
+order over randomly drawn configurations is therefore a strong check on
+both.  A deliberately broken beam-splitter convention is wired in as a
+negative control so the check itself can be shown to have teeth.
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -143,7 +142,6 @@ def run_crosscheck(
     n_configs: int = 100,
     seed: int = DEFAULT_SEED,
     rtol: float = 1e-8,
-    threads: int = 1,
     convention: str = "i",
 ) -> CrosscheckReport:
     """Draw ``n_configs`` random configurations and compare every joint
@@ -156,24 +154,13 @@ def run_crosscheck(
     """
     if n_configs < 1:
         raise ValueError("need at least one configuration")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     start = time.perf_counter()
     coincidence = two_photon_coincidence(convention)
     coincidence_ok = coincidence < _COINCIDENCE_NULL_TOL
 
     rng = np.random.default_rng(seed)
     configs = [sample_guardrail_config(rng) for _ in range(n_configs)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda pair: _check_one(pair[0], pair[1], rtol, convention),
-                    enumerate(configs),
-                )
-            )
-    else:
-        results = [_check_one(i, cfg, rtol, convention) for i, cfg in enumerate(configs)]
+    results = [_check_one(i, cfg, rtol, convention) for i, cfg in enumerate(configs)]
 
     field_worst: dict[str, float] = {}
     for _, per_field in results:

@@ -19,8 +19,9 @@ covariance is
     U0 = sqrt(2 Var[C]) / |d^2 <C> / dphi_1 dphi_2|,
 
 with the variance taken at the working point.  The variance comes from
-the Gaussian engine in centered form, which survives coherent energies
-of mu ~ 1e12 in double precision.  The mixed derivative is exact: every
+the Gaussian engine's photon-number cumulants, which scale like mu
+rather than its powers, so it survives coherent energies of mu ~ 1e12
+in double precision.  The mixed derivative is exact: every
 estimator mean is a sum of separable products of half-angle sines and
 cosines of the two phases (see observables.mixed_derivative_terms).
 """
@@ -41,6 +42,7 @@ from .observables import UndefinedResultError, regime_parameter
 __all__ = [
     "SingularConfigurationError",
     "PsiPairingWarning",
+    "PsiPairingError",
     "EstimatorKind",
     "EstimatorSpec",
     "UncertaintyResult",
@@ -63,6 +65,11 @@ class SingularConfigurationError(RuntimeError):
 
 class PsiPairingWarning(UserWarning):
     """Estimator kind and coherent phase psi are not the canonical pairing."""
+
+
+class PsiPairingError(ValueError):
+    """Estimator kind and coherent phase psi are not the canonical pairing,
+    and the spec does not allow the mismatch."""
 
 
 class EstimatorKind(str, Enum):
@@ -162,7 +169,7 @@ def _check_psi_pairing(config: HolometerConfig, spec: EstimatorSpec) -> None:
     if spec.allow_psi_mismatch:
         warnings.warn(message, PsiPairingWarning, stacklevel=3)
     else:
-        raise ValueError(message + " Pass allow_psi_mismatch=True to proceed anyway.")
+        raise PsiPairingError(message + " Pass allow_psi_mismatch=True to proceed anyway.")
 
 
 # ---------------------------------------------------------------------------

@@ -6,43 +6,31 @@ transmitting the quantum side with cos(phi/2).  At phi = 0 the readout
 therefore sees only the quantum light, and the coherent beam leaks in
 proportionally to sin^2(phi/2).
 
-Mode layout before propagation (same convention as the Fock oracle):
-0 and 1 quantum ports of readout 1 and 2, modes 2 and 3 the coherent
-ports.  After propagation only the two detected modes survive.
+The detected pair is a two-mode Gaussian state, readout 1 on mode 0 and
+readout 2 on mode 1.  ``propagate`` writes its mean and covariance from
+the detected-mode correlators of ``observables.detected_correlators``
+and applies the detection loss; the Gaussian engine takes the photon and
+quadrature statistics from there.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gaussian_engine as ge
-from .config import HolometerConfig, InputKind
+from .config import HolometerConfig
 from .moments import QuadratureMoments, ReadoutMoments
+from .observables import detected_correlators
 
 __all__ = [
     "HolometerConfig",
-    "InputKind",
     "PropagatedState",
-    "build_input",
     "propagate",
     "readout_moments",
     "quadrature_readout",
 ]
-
-
-def build_input(config: HolometerConfig) -> ge.GaussianState:
-    """Four-mode input state: quantum light on modes 0/1, coherent beams
-    displaced on modes 2/3."""
-    state = ge.vacuum(4)
-    if config.input_kind is InputKind.TWB:
-        state = ge.apply_two_mode_squeeze(state, 0, 1, config.squeeze_r, config.theta)
-    elif config.input_kind is InputKind.TWO_SQUEEZED:
-        chi = config.squeezed_quadrature_angle
-        state = ge.apply_single_mode_squeeze(state, 0, config.squeeze_r, chi)
-        state = ge.apply_single_mode_squeeze(state, 1, config.squeeze_r, chi)
-    alpha = config.coherent_amplitude
-    state = ge.displace(state, 2, alpha)
-    state = ge.displace(state, 3, alpha)
-    return state
 
 
 @dataclass(frozen=True)
@@ -55,29 +43,43 @@ class PropagatedState:
     phi_2: float
 
 
+def _quadrature_block(z: complex) -> np.ndarray:
+    """Symmetrized quadrature covariance contributed by a correlator
+    <da db> = z: [[Re z, Im z], [Im z, -Re z]]."""
+    return np.array([[z.real, z.imag], [z.imag, -z.real]])
+
+
 def propagate(
     config: HolometerConfig,
     phi_1: float | None = None,
     phi_2: float | None = None,
 ) -> PropagatedState:
-    """Run the input through both readout beam splitters and the loss.
+    """Detected two-mode state after both readout beam splitters and the loss.
 
     phi_1/phi_2 override the configured working phases; derivative code
-    leans on that.  The returned state keeps only the detected modes,
-    readout 1 on mode 0 and readout 2 on mode 1.
+    leans on that.  With m = <d>, n = <dd+ dd>, s = <dd^2> per mode and
+    g = <dd1 dd2> (the only cross correlator of these inputs), the
+    quadrature mean is sqrt(2) (Re m, Im m), each diagonal block is
+    n I + [[Re s, Im s], [Im s, -Re s]] + I/2 and the cross block is
+    [[Re g, Im g], [Im g, -Re g]].  Loss eta_i scales the mean by
+    sqrt(eta_i), the fluctuations by eta_i and the cross block by
+    sqrt(eta_1 eta_2).
     """
     p1 = config.phi0_1 if phi_1 is None else phi_1
     p2 = config.phi0_2 if phi_2 is None else phi_2
-    eta1, eta2 = config.eta_pair
-    state = build_input(config)
-    state = ge.apply_beam_splitter(state, 0, 2, phi=p1)
-    state = ge.apply_beam_splitter(state, 1, 3, phi=p2)
-    if eta1 == eta2:
-        state = ge.apply_loss(state, eta1, (0, 1))
-    else:
-        state = ge.apply_loss(state, eta1, (0,))
-        state = ge.apply_loss(state, eta2, (1,))
-    return PropagatedState(ge.marginal(state, (0, 1)), config, p1, p2)
+    cor = {key: complex(value) for key, value in detected_correlators(config, p1, p2).items()}
+    etas = config.eta_pair
+    mean = np.zeros(4)
+    cov = 0.5 * np.eye(4)
+    for k, eta in enumerate(etas):
+        m, n, s = cor[f"m{k + 1}"], cor[f"n{k + 1}"].real, cor[f"s{k + 1}"]
+        block = slice(2 * k, 2 * k + 2)
+        mean[block] = math.sqrt(2.0 * eta) * m.real, math.sqrt(2.0 * eta) * m.imag
+        cov[block, block] += eta * (n * np.eye(2) + _quadrature_block(s))
+    cross = math.sqrt(etas[0] * etas[1]) * _quadrature_block(cor["g"])
+    cov[0:2, 2:4] = cross
+    cov[2:4, 0:2] = cross.T
+    return PropagatedState(ge.GaussianState(mean, cov), config, p1, p2)
 
 
 def readout_moments(

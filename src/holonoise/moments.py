@@ -1,8 +1,10 @@
 """Shared carrier for joint photon-number moments of the two readout modes.
 
-Both computation routes (the Gaussian engine and the truncated-Fock
-oracle) produce this structure, so results can be compared field by
-field without either route importing the other's numerics.
+Both computation routes produce this structure: the Gaussian engine,
+from the factorial cumulants of the detected two-mode state, and the
+truncated-Fock oracle, from photon-number distributions.  Results can
+therefore be compared field by field without either route importing the
+other's numerics.
 """
 from __future__ import annotations
 

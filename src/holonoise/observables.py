@@ -21,10 +21,11 @@ nonzero cross correlator for the inputs modeled here):
 
 Detection loss eta maps mean -> eta*mean, Var -> eta^2*Var +
 eta(1-eta)*mean, Cov -> eta_1*eta_2*Cov.  These identities hold exactly
-for displaced Gaussian states; the test-suite checks them against the
-numerical engine at 1e-10 relative and against the truncated-Fock
-oracle at 1e-8.  The same correlators give the mixed phase derivatives
-of <N1 N2> and <Y1 Y2> in closed form, which set the denominator of the
+for displaced Gaussian states.  The Gaussian engine builds its detected
+state from the same correlators (holometer.propagate), so the
+independent check of both is the truncated-Fock oracle, at 1e-8
+relative.  The same correlators give the mixed phase derivatives of
+<N1 N2> and <Y1 Y2> in closed form, which set the denominator of the
 estimation uncertainty.
 """
 from __future__ import annotations

@@ -68,7 +68,7 @@ def twb_ratio(eta: float, lam: float, phi0: float, mu: float = 3e12) -> float:
 
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
-    report = run_crosscheck(n_configs=100, seed=DEFAULT_SEED, rtol=1e-8, threads=2)
+    report = run_crosscheck(n_configs=100, seed=DEFAULT_SEED, rtol=1e-8)
     runtime = time.perf_counter() - start
     ok = report.ok and report.coincidence_ok and runtime < 120.0
     check(

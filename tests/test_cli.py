@@ -83,8 +83,8 @@ def test_nrf_scan_writes_deterministic_csv(tmp_path):
     out_b = tmp_path / "b.csv"
     args = ["nrf-scan", "--variable", "tau", "--grid", "0.5:0.9:5",
             "--lambdas", "1,10"]
-    assert run(args + ["--out", str(out_a), "--threads", "1"]) == 0
-    assert run(args + ["--out", str(out_b), "--threads", "4"]) == 0
+    assert run(args + ["--out", str(out_a)]) == 0
+    assert run(args + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     comments, columns, rows = read_csv(out_a)
     assert comments[0] == "# holonoise nrf-scan"
@@ -153,6 +153,25 @@ def test_uncertainty_scan_flags_singular_rows(tmp_path):
     assert rows[0]["u0_twb"] == "nan"
 
 
+def test_uncertainty_scan_psi_sweep_flags_off_pairing_rows(tmp_path):
+    # the twin-beam readouts pair with one psi each; elsewhere their cells
+    # are nan and flagged instead of aborting the sweep
+    out = tmp_path / "psi.csv"
+    assert run([
+        "uncertainty-scan", "--variable", "psi", "--grid", "0,1.5707963267948966",
+        "--out", str(out),
+    ]) == 0
+    _, _, rows = read_csv(out)
+    off, on = rows
+    assert off["flag"] == "psi_mismatch:twb;psi_mismatch:twb_sum"
+    for name in ("u0_twb", "ratio_twb", "u0_twb_sum", "ratio_twb_sum"):
+        assert off[name] == "nan"
+    assert float(off["u0_sq"]) > 0.0 and float(off["ratio_sq"]) > 0.0
+    assert on["flag"] == ""
+    for name in ("u0_twb", "ratio_twb", "u0_twb_sum", "ratio_twb_sum", "u0_sq"):
+        assert float(on[name]) > 0.0
+
+
 def test_uncertainty_scan_eta_defaults_to_deep_quantum_phase(tmp_path):
     out = tmp_path / "eta.csv"
     assert run([
@@ -204,8 +223,18 @@ def test_usage_errors_exit_one():
     assert run_usage_error(["nrf-scan", "--variable", "banana"]) == 1
     assert run_usage_error(["nrf-scan", "--unknown-flag"]) == 1
     assert run_usage_error(["mc-estimate", "--estimator", "difference"]) == 1
-    assert run_usage_error(["mc-estimate", "--threads", "0"]) == 1
+    assert run_usage_error(["mc-estimate", "--threads", "2"]) == 1
     assert run_usage_error([]) == 1
+
+
+def test_grid_and_sample_caps_are_usage_errors(capsys):
+    # one past each cap is rejected while parsing, before any allocation
+    too_many = f"0.1:0.9:{cli.MAX_GRID_POINTS + 1}"
+    assert run_usage_error(["nrf-scan", "--grid", too_many]) == 1
+    assert f"at most {cli.MAX_GRID_POINTS}" in capsys.readouterr().err
+    assert run_usage_error(["uncertainty-scan", "--grid", too_many]) == 1
+    assert run_usage_error(["mc-estimate", "--n-samples", str(cli.MAX_SAMPLES + 1)]) == 1
+    assert f"at most {cli.MAX_SAMPLES}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["holonoise", "holonoise.cli"])

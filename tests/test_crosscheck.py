@@ -10,7 +10,7 @@ from holonoise.crosscheck import (
 
 
 def test_small_crosscheck_passes_and_aggregates():
-    report = run_crosscheck(n_configs=6, seed=DEFAULT_SEED, threads=2)
+    report = run_crosscheck(n_configs=6, seed=DEFAULT_SEED)
     assert report.ok
     assert report.coincidence_ok
     assert report.n_failed == 0
@@ -18,7 +18,6 @@ def test_small_crosscheck_passes_and_aggregates():
     assert report.max_relative < report.rtol
     assert report.field_worst
     assert all(len(lines) > 0 for lines in [report.summary_lines()])
-    # indices preserved in order despite the thread pool
     assert [check.index for check in report.checks] == list(range(6))
 
 
@@ -52,5 +51,3 @@ def test_sampled_configs_stay_inside_the_guardrail_domain():
 def test_run_crosscheck_argument_guards():
     with pytest.raises(ValueError):
         run_crosscheck(n_configs=0)
-    with pytest.raises(ValueError):
-        run_crosscheck(n_configs=2, threads=0)

@@ -6,195 +6,125 @@ import pytest
 from holonoise import gaussian_engine as ge
 from holonoise.config import HolometerConfig
 from holonoise.fock_oracle import apply_bs_unitary, build_fock_input
-from holonoise.holometer import build_input
+from holonoise.holometer import propagate, readout_moments
 
 
-def coherent_state(alpha: complex, n_modes: int = 1, mode: int = 0) -> ge.GaussianState:
-    return ge.displace(ge.vacuum(n_modes), mode, alpha)
+def two_mode_state(mean=(0.0, 0.0, 0.0, 0.0), block_1=None, block_2=None, cross=None):
+    """Two-mode state from its quadrature blocks; vacuum where omitted."""
+    cov = 0.5 * np.eye(4)
+    if block_1 is not None:
+        cov[0:2, 0:2] = block_1
+    if block_2 is not None:
+        cov[2:4, 2:4] = block_2
+    if cross is not None:
+        cov[0:2, 2:4] = cross
+        cov[2:4, 0:2] = np.transpose(cross)
+    return ge.GaussianState(np.array(mean, dtype=float), cov)
+
+
+def lossy(state: ge.GaussianState, eta: float) -> ge.GaussianState:
+    """Pure loss eta on both modes: mean sqrt(eta), fluctuations eta."""
+    return ge.GaussianState(
+        math.sqrt(eta) * state.mean, eta * state.cov + 0.5 * (1.0 - eta) * np.eye(4)
+    )
 
 
 # ---------------------------------------------------------------------------
-# elementary states and channels
+# photon statistics of elementary states
 # ---------------------------------------------------------------------------
 
 
 def test_vacuum_is_pure_and_empty():
-    state = ge.vacuum(2)
-    assert ge.purity(state) == pytest.approx(1.0, abs=1e-12)
-    assert ge.mean_photon(state, 0) == pytest.approx(0.0, abs=1e-14)
+    state = two_mode_state()
+    assert 4.0 * math.sqrt(np.linalg.det(state.cov)) == pytest.approx(1.0, abs=1e-12)
+    moments = ge.centered_photon_moments(state)
+    assert moments.mean_1 == moments.mean_2 == 0.0
+    assert all(value == 0.0 for value in moments.centered.values())
 
 
 def test_displaced_mode_occupancy_and_variance():
+    # coherent light is Poissonian: central moments |alpha|^2, |alpha|^2,
+    # |alpha|^2 + 3 |alpha|^4 at orders 2, 3, 4
     alpha = 0.7 - 1.1j
-    state = ge.displace(ge.vacuum(2), 0, alpha)
-    assert ge.mean_photon(state, 0) == pytest.approx(abs(alpha) ** 2, rel=1e-12)
-    n = (ge.creation(0), ge.annihilation(0))
-    nn = n + n
-    mean = ge.expectation(state, n).real
-    second = ge.expectation(state, nn).real
-    assert second - mean**2 == pytest.approx(abs(alpha) ** 2, rel=1e-12)
+    n = abs(alpha) ** 2
+    state = two_mode_state(mean=(math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag, 0.0, 0.0))
+    moments = ge.centered_photon_moments(state)
+    assert moments.mean_1 == pytest.approx(n, rel=1e-12)
+    assert moments.var_1 == pytest.approx(n, rel=1e-12)
+    assert moments.centered[(3, 0)] == pytest.approx(n, rel=1e-12)
+    assert moments.centered[(4, 0)] == pytest.approx(n + 3 * n * n, rel=1e-12)
+    assert moments.mean_2 == 0.0 and moments.centered[(2, 2)] == 0.0
 
 
 def test_single_mode_squeeze_variances():
     r, chi = 0.6, 0.3
-    state = ge.apply_single_mode_squeeze(ge.vacuum(1), 0, r, chi)
-    assert ge.mean_photon(state, 0) == pytest.approx(math.sinh(r) ** 2, rel=1e-12)
+    rot = np.array([[math.cos(chi), -math.sin(chi)], [math.sin(chi), math.cos(chi)]])
+    state = two_mode_state(block_1=rot @ np.diag([math.exp(-2 * r), math.exp(2 * r)]) @ rot.T / 2)
     (mean,), cov = ge.quadrature_mean_cov(state, ((0, chi),))
     assert mean == pytest.approx(0.0, abs=1e-14)
     assert cov[0, 0] == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-12)
     (_,), anti = ge.quadrature_mean_cov(state, ((0, chi + math.pi / 2),))
     assert anti[0, 0] == pytest.approx(0.5 * math.exp(2 * r), rel=1e-12)
+    moments = ge.centered_photon_moments(state)
+    assert moments.mean_1 == pytest.approx(math.sinh(r) ** 2, rel=1e-12)
+    assert moments.var_1 == pytest.approx(2 * (math.sinh(r) * math.cosh(r)) ** 2, rel=1e-12)
 
 
 def test_two_mode_squeeze_gives_thermal_marginals_with_perfect_correlation():
     lam = 0.8
     r = math.asinh(math.sqrt(lam))
-    state = ge.apply_two_mode_squeeze(ge.vacuum(2), 0, 1, r, 0.0)
+    ch, sh = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
+    state = two_mode_state(block_1=ch * np.eye(2), block_2=ch * np.eye(2),
+                           cross=sh * np.diag([1.0, -1.0]))
     moments = ge.centered_photon_moments(state, (0, 1))
     assert moments.mean_1 == pytest.approx(lam, rel=1e-12)
     assert moments.var_1 == pytest.approx(lam * (1 + lam), rel=1e-12)
     assert moments.cov == pytest.approx(lam * (1 + lam), rel=1e-12)
     assert moments.difference_variance() == pytest.approx(0.0, abs=1e-12)
-    # thermal marginal: <N^2> = 2 lam^2 + lam
-    ops = (ge.creation(0), ge.annihilation(0), ge.creation(0), ge.annihilation(0))
-    n2 = ge.expectation(state, ops).real
-    assert n2 == pytest.approx(2 * lam**2 + lam, rel=1e-11)
+    # N1 = N2 on a twin beam, so every joint moment of order p + q is the
+    # geometric (thermal) central moment of that order
+    thermal = {2: lam * (1 + lam), 3: lam * (1 + lam) * (1 + 2 * lam),
+               4: lam * (1 + lam) * (1 + 9 * lam * (1 + lam))}
+    for (p, q), value in moments.centered.items():
+        assert value == pytest.approx(thermal[p + q], rel=1e-12), (p, q)
+
+
+def test_state_below_the_vacuum_limit_is_rejected():
+    with pytest.raises(ValueError):
+        two_mode_state(block_1=0.4 * np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# detection loss of the detected pair
+# ---------------------------------------------------------------------------
 
 
 def test_loss_composes_multiplicatively():
-    state = ge.displace(ge.apply_single_mode_squeeze(ge.vacuum(1), 0, 0.5, 0.2), 0, 1.3j)
-    twice = ge.apply_loss(ge.apply_loss(state, 0.8, (0,)), 0.7, (0,))
-    once = ge.apply_loss(state, 0.56, (0,))
+    config = HolometerConfig(mu=3.0, psi=0.4, lam=0.7, eta=0.8, phi0_1=0.9, phi0_2=0.9,
+                             input_kind="TwoSqueezed", theta_xi=0.2)
+    twice = lossy(propagate(config).state, 0.7)
+    once = propagate(config.replace(eta=0.56)).state
     assert np.allclose(twice.cov, once.cov, atol=1e-12)
     assert np.allclose(twice.mean, once.mean, atol=1e-12)
 
 
 def test_loss_interpolates_to_vacuum():
-    state = ge.displace(ge.vacuum(1), 0, 2.0)
-    dark = ge.apply_loss(state, 0.0, (0,))
+    config = HolometerConfig(mu=4.0, psi=0.4, lam=0.7, eta=0.0, phi0_1=0.9, phi0_2=1.3,
+                             input_kind="TWB", theta=0.3)
+    dark = propagate(config).state
     assert np.allclose(dark.mean, 0.0, atol=1e-14)
-    assert np.allclose(dark.cov, ge.vacuum(1).cov, atol=1e-14)
-
-
-def test_beam_splitter_preserves_total_photons_and_purity():
-    state = ge.displace(ge.apply_two_mode_squeeze(ge.vacuum(2), 0, 1, 0.7, 0.4), 0, 1.0 + 0.5j)
-    before = ge.mean_photon(state, 0) + ge.mean_photon(state, 1)
-    mixed = ge.apply_beam_splitter(state, 0, 1, tau=0.37)
-    after = ge.mean_photon(mixed, 0) + ge.mean_photon(mixed, 1)
-    assert after == pytest.approx(before, rel=1e-10)
-    assert ge.purity(mixed) == pytest.approx(ge.purity(state), rel=1e-10)
-
-
-def test_beam_splitter_tau_parameterization_matches_phi():
-    state = ge.displace(ge.vacuum(2), 0, 1.2)
-    tau = 0.43
-    phi = 2 * math.acos(math.sqrt(tau))
-    a = ge.apply_beam_splitter(state, 0, 1, tau=tau)
-    b = ge.apply_beam_splitter(state, 0, 1, phi=phi)
-    assert np.allclose(a.mean, b.mean, atol=1e-14)
-    assert np.allclose(a.cov, b.cov, atol=1e-14)
-    with pytest.raises(ValueError):
-        ge.apply_beam_splitter(state, 0, 1, tau=0.4, phi=0.3)
-    with pytest.raises(ValueError):
-        ge.apply_beam_splitter(state, 0, 0, tau=0.4)
+    assert np.allclose(dark.cov, 0.5 * np.eye(4), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
-# Wick-expectation machinery
+# moment extraction
 # ---------------------------------------------------------------------------
-
-
-def test_odd_fluctuation_words_vanish_exactly_without_displacement():
-    state = ge.apply_two_mode_squeeze(ge.vacuum(2), 0, 1, 0.9, 0.1)
-    word = (ge.creation(0), ge.annihilation(1), ge.annihilation(0))
-    assert ge.expectation(state, word) == 0.0
-
-
-def test_word_length_guard():
-    state = ge.vacuum(1)
-    word = (ge.annihilation(0),) * (ge.MAX_WORD_LEN + 1)
-    with pytest.raises(ValueError):
-        ge.expectation(state, word)
-
-
-def test_empty_word_is_unity():
-    assert ge.expectation(ge.vacuum(1), ()) == 1.0 + 0.0j
-
-
-def _fock_word_expectation(state, word):
-    """<state| word |state> on a dense photon-number amplitude tensor.
-
-    word is a sequence of ("a"|"ad", mode), leftmost operator applied
-    last; axes are padded so raising never truncates.
-    """
-    amp = state.amplitudes
-    pad = [(0, len(word))] * amp.ndim
-    vec = np.pad(amp, pad)
-    for name, mode in reversed(word):
-        n = np.arange(vec.shape[mode], dtype=float)
-        shaped = n.reshape([-1 if ax == mode else 1 for ax in range(vec.ndim)])
-        out = np.zeros_like(vec)
-        if name == "ad":
-            src = np.take(vec, np.arange(vec.shape[mode] - 1), axis=mode)
-            factor = np.take(np.sqrt(shaped), np.arange(1, vec.shape[mode]), axis=mode)
-            index = [slice(None)] * vec.ndim
-            index[mode] = slice(1, None)
-            out[tuple(index)] = src * factor
-        else:
-            src = np.take(vec, np.arange(1, vec.shape[mode]), axis=mode)
-            factor = np.take(np.sqrt(shaped), np.arange(1, vec.shape[mode]), axis=mode)
-            index = [slice(None)] * vec.ndim
-            index[mode] = slice(0, vec.shape[mode] - 1)
-            out[tuple(index)] = src * factor
-        vec = out
-    bra = np.pad(amp, pad)
-    return complex(np.vdot(bra, vec))
-
-
-def _engine_word(word):
-    return tuple(ge.creation(m) if name == "ad" else ge.annihilation(m) for name, m in word)
-
-
-@pytest.mark.parametrize("kind", ["TWB", "TwoSqueezed"])
-def test_words_up_to_length_eight_match_fock_oracle(kind):
-    config = HolometerConfig(
-        mu=1.2, psi=0.7, lam=0.45 if kind == "TWB" else 0.2, eta=1.0,
-        phi0_1=0.9, phi0_2=0.6, input_kind=kind,
-        theta=0.5 if kind == "TWB" else 0.0,
-    )
-    engine_state = ge.apply_beam_splitter(
-        ge.apply_beam_splitter(build_input(config), 0, 2, phi=config.phi0_1),
-        1, 3, phi=config.phi0_2,
-    )
-    fock_state = apply_bs_unitary(
-        apply_bs_unitary(build_fock_input(config), 0, 2, phi=config.phi0_1),
-        1, 3, phi=config.phi0_2,
-    )
-    rng = np.random.default_rng(7)
-    words = [
-        [("ad", 0), ("a", 0)],
-        [("ad", 0), ("ad", 1), ("a", 1), ("a", 0)],
-        [("a", 2), ("ad", 3)],
-    ]
-    for length in (3, 5, 6, 8):
-        word = []
-        for _ in range(length):
-            mode = int(rng.integers(0, 4))
-            word.append(("ad" if rng.random() < 0.5 else "a", mode))
-        words.append(word)
-    for word in words:
-        reference = _fock_word_expectation(fock_state, word)
-        value = ge.expectation(engine_state, _engine_word(word))
-        scale = max(abs(reference), abs(value))
-        assert abs(value - reference) <= 1e-8 * scale + 1e-10, word
 
 
 def test_centered_moments_symmetric_under_exchange():
     config = HolometerConfig(
         mu=2.0, psi=0.4, lam=0.6, eta=0.85, phi0_1=0.8, phi0_2=0.8, input_kind="TWB"
     )
-    from holonoise.holometer import propagate
-
     state = propagate(config).state
     forward = ge.centered_photon_moments(state, (0, 1))
     swapped = ge.centered_photon_moments(state, (1, 0))
@@ -205,6 +135,61 @@ def test_centered_moments_symmetric_under_exchange():
         assert swapped.centered[(q, p)] == pytest.approx(value, rel=1e-10, abs=1e-12)
 
 
+def test_second_order_readout_is_the_head_of_the_fourth_order_one():
+    config = HolometerConfig(mu=5.0, psi=1.0, lam=0.3, eta=0.9, phi0_1=0.6, phi0_2=1.1,
+                             input_kind="TWB", theta=2.0, eta_2=0.7)
+    state = propagate(config).state
+    low = ge.centered_photon_moments(state, max_order=2)
+    high = ge.centered_photon_moments(state, max_order=4)
+    assert low.centered is None
+    for name in ("mean_1", "mean_2", "var_1", "var_2", "cov"):
+        assert getattr(low, name) == pytest.approx(getattr(high, name), rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["TWB", "TwoSqueezed"])
+def test_words_up_to_length_eight_match_fock_oracle(kind):
+    # the factorial moment <N1^(k) N2^(l)> is the normally ordered word
+    # a1+^k a2+^l a2^l a1^k, of length up to eight for k + l <= 4; it is
+    # diagonal in the photon-number basis, where it weighs the joint
+    # distribution of the dense state with n1 (n1 - 1) ... (n1 - k + 1)
+    # n2 (n2 - 1) ... (n2 - l + 1)
+    config = HolometerConfig(
+        mu=1.2, psi=0.7, lam=0.45 if kind == "TWB" else 0.2, eta=1.0,
+        phi0_1=0.9, phi0_2=0.6, input_kind=kind,
+        theta=0.5 if kind == "TWB" else 0.0,
+    )
+    fock_state = apply_bs_unitary(
+        apply_bs_unitary(build_fock_input(config), 0, 2, phi=config.phi0_1),
+        1, 3, phi=config.phi0_2,
+    )
+    m = readout_moments(config)
+
+    def raw(i: int, j: int) -> float:
+        return sum(
+            math.comb(i, a) * math.comb(j, b) * m.centered_moment(a, b)
+            * m.mean_1 ** (i - a) * m.mean_2 ** (j - b)
+            for a in range(i + 1) for b in range(j + 1)
+        )
+
+    pmf = (np.abs(fock_state.amplitudes) ** 2).sum(axis=(2, 3))
+    counts = np.arange(pmf.shape[0], dtype=float)
+
+    def falling(k: int) -> np.ndarray:
+        weights = np.ones_like(counts)
+        for r in range(k):
+            weights *= counts - r
+        return weights
+
+    for k in range(5):
+        for l in range(5 - k):
+            # falling factorials x (x - 1) ... (x - k + 1) as power series in x
+            f1 = np.atleast_1d(np.poly(np.arange(k)))[::-1]
+            f2 = np.atleast_1d(np.poly(np.arange(l)))[::-1]
+            value = sum(f1[i] * f2[j] * raw(i, j) for i in range(k + 1) for j in range(l + 1))
+            reference = float(falling(k) @ pmf @ falling(l))
+            assert abs(value - reference) <= 1e-8 * abs(reference) + 1e-10, (k, l)
+
+
 def test_centered_photon_moments_rejects_odd_orders():
     with pytest.raises(ValueError):
-        ge.centered_photon_moments(ge.vacuum(2), (0, 1), max_order=3)
+        ge.centered_photon_moments(two_mode_state(), (0, 1), max_order=3)
