@@ -3,10 +3,11 @@
 
 Reports wall time per call for the closed forms, the detected-state
 build, the cumulant photon readouts of second and fourth order and the
-quadrature readout (each including its state build), the exact mixed
-phase derivative, one zero-order uncertainty evaluation and the
-truncated-Fock oracle, so regressions in the hot paths show up as
-numbers rather than as slow test suites.
+quadrature readout (each including its state build), one stacked
+fourth-order readout over 1 000 phase pairs, the exact mixed phase
+derivative, one zero-order uncertainty evaluation, the Gauss-Hermite
+phase-noise variance and the truncated-Fock oracle, so regressions in
+the hot paths show up as numbers rather than as slow test suites.
 
 Usage:
     python3 scripts/bench_moments.py [--repeat 50]
@@ -22,11 +23,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np
+
 from holonoise.config import HolometerConfig
 from holonoise.estimation import EstimatorSpec, estimator_mixed_derivative, u0
 from holonoise.fock_oracle import oracle_moments
 from holonoise.holometer import propagate, quadrature_readout, readout_moments
 from holonoise.observables import closed_form_moments
+from holonoise.phase_noise import PhaseNoiseModel, direct_variance
 
 BRIGHT = HolometerConfig(mu=1e6, psi=math.pi / 2, lam=10.0, eta=0.95,
                          phi0_1=0.2, phi0_2=0.2, input_kind="TWB")
@@ -61,10 +65,17 @@ def main() -> int:
           lambda: readout_moments(BRIGHT, max_order=4), repeat)
     clock("state + quadrature readout (bright)",
           lambda: quadrature_readout(BRIGHT), repeat)
+    phases = BRIGHT.phi0_1 + 1e-3 * np.random.default_rng(0).standard_normal((2, 1000))
+    clock("order-4 readout over 1 000 phase pairs (bright)",
+          lambda: readout_moments(BRIGHT, phases[0], phases[1], max_order=4),
+          max(1, repeat // 10))
     clock("estimator_mixed_derivative (bright)",
           lambda: estimator_mixed_derivative(BRIGHT, diff), repeat)
     clock("zero-order uncertainty, difference readout (bright)",
           lambda: u0(BRIGHT, diff), max(1, repeat // 5))
+    noise = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="parallel")
+    clock("direct_variance GH-9, difference (bright)",
+          lambda: direct_variance(BRIGHT, diff, noise), max(1, repeat // 10))
     # the oracle walks a truncated number basis, so it only runs at low
     # occupancy; this is the guardrail-domain cost, not the bright one
     clock("fock oracle end-to-end, order 4 (dim)",

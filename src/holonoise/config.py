@@ -85,11 +85,6 @@ class HolometerConfig:
         return (self.eta, self.eta if self.eta_2 is None else self.eta_2)
 
     @property
-    def squeeze_r(self) -> float:
-        """Squeeze parameter r with lam = sinh^2(r)."""
-        return math.asinh(math.sqrt(self.lam))
-
-    @property
     def theta_xi_effective(self) -> float:
         return 2.0 * self.psi if self.theta_xi is None else self.theta_xi
 

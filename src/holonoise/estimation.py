@@ -289,11 +289,13 @@ def estimator_mean_curve(
 def estimator_mean_and_square(
     config: HolometerConfig,
     spec: EstimatorSpec,
-    phi_1: float,
-    phi_2: float,
+    phi_1: Any,
+    phi_2: Any,
     center: tuple[float, ...] | None = None,
-) -> tuple[float, float]:
-    """Engine-exact (<C>, <C^2>) at one phase pair.
+) -> tuple[Any, Any]:
+    """Engine-exact (<C>, <C^2>) at one phase pair, as floats, or over
+    phase arrays (broadcast together), as arrays from one stacked engine
+    call.
 
     For the squared photocurrent kinds the fourth-order centered table
     supplies <C^2> = mu4 + 4 d mu3 + 6 d^2 mu2 + d^4 with d the offset
@@ -316,7 +318,7 @@ def estimator_mean_and_square(
             + 2.0 * q.cov * q.cov
             + 4.0 * q.cov * d1 * d2
         )
-        return float(mean), float(square)
+        return mean, square
     sign = -1.0 if spec.kind is EstimatorKind.TWB_DIFFERENCE_SQUARED else +1.0
     c0 = 0.0 if not center else center[0]
     m = holometer.readout_moments(config, phi_1, phi_2, max_order=4)
@@ -327,7 +329,7 @@ def estimator_mean_and_square(
     d = m.mean_1 + sign * m.mean_2 - c0
     mean = mu2 + d * d
     square = mu4 + 4.0 * d * mu3 + 6.0 * d * d * mu2 + d ** 4
-    return float(mean), float(square)
+    return mean, square
 
 
 # ---------------------------------------------------------------------------

@@ -430,16 +430,17 @@ def _schmidt_arms(config: HolometerConfig, convention: str = "i"):
 def _joint_pmf_from_arms(
     weights: np.ndarray, arm1: np.ndarray, arm2: np.ndarray
 ) -> np.ndarray:
-    # p(n1, n2) = sum_{m m'} c_m conj(c_m') W1[m, m', n1] W2[m, m', n2],
-    # W_i[m, m', n] tracing the discarded port of arm i
-    w1 = np.einsum("mnk,Mnk->mMn", arm1, arm1.conj())
-    w2 = np.einsum("mnk,Mnk->mMn", arm2, arm2.conj())
+    # p(n1, n2) = sum_{m m'} c_m conj(c_m') W1[n1, m, m'] W2[n2, m, m'],
+    # W_i[n] = A_i[n] A_i[n]^H with A_i[n][m, k] = arm_i[m, n, k] tracing
+    # the discarded port k of arm i
+    a1 = arm1.transpose(1, 0, 2)
+    a2 = arm2.transpose(1, 0, 2)
+    w1 = a1 @ a1.conj().transpose(0, 2, 1)
+    w2 = a2 @ a2.conj().transpose(0, 2, 1)
     cc = np.multiply.outer(weights, weights.conj())
-    rank, _, t1 = w1.shape
-    t2 = w2.shape[2]
-    lhs = (cc[:, :, None] * w1).reshape(rank * rank, t1)
-    rhs = w2.reshape(rank * rank, t2)
-    return (lhs.T @ rhs).real
+    lhs = (cc * w1).reshape(len(w1), -1)
+    rhs = w2.reshape(len(w2), -1)
+    return (lhs @ rhs.T).real
 
 
 def fock_joint_pmf(

@@ -1,7 +1,10 @@
-"""Covariance-matrix Gaussian states and their photon and quadrature statistics.
+"""Two-mode Gaussian states and their photon and quadrature statistics.
 
-Quadratures are ordered (x_1, y_1, x_2, y_2, ...) with x = (a + a+)/sqrt(2)
-and y = (a - a+)/(i sqrt(2)), so the vacuum covariance is I/2.
+Quadratures are ordered (x_1, y_1, x_2, y_2) with x = (a + a+)/sqrt(2)
+and y = (a - a+)/(i sqrt(2)), so the vacuum covariance is I/2.  A state
+may also be a stack of states over leading axes, mean (..., 4) and
+covariance (..., 4, 4); every function here works on the whole stack at
+once, and a single state is the 0-d case of the same code.
 
 Photon-number moments come from the factorial-cumulant generating
 function of the state.  Normally ordered moments are the moments of a
@@ -36,6 +39,8 @@ __all__ = [
 ]
 
 _HEISENBERG_SLACK = 1e-10
+# symplectic form of two modes, J = [[0, 1], [-1, 0]] on each (x, y) pair
+_OMEGA = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
 
 # Stirling numbers of the second kind S(m, k), 0 <= k <= m <= 4
 _STIRLING2 = np.array(
@@ -48,11 +53,21 @@ _STIRLING2 = np.array(
     ],
     dtype=float,
 )
+# P1 and P2, the projectors onto the quadratures of mode 1 and of mode 2
+_PROJ = np.zeros((2, 4, 4))
+_PROJ[0, 0, 0] = _PROJ[0, 1, 1] = _PROJ[1, 2, 2] = _PROJ[1, 3, 3] = 1.0
+# k! l!, turning generating-function coefficients into factorial cumulants
+_FACTORIAL_WEIGHTS = np.outer([1.0, 1.0, 2.0, 6.0, 24.0], [1.0, 1.0, 2.0, 6.0, 24.0])
 
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector and covariance matrix over the quadrature basis."""
+    """Mean vector and covariance matrix of a two-mode state, or a stack
+    of them: mean of shape (..., 4), covariance of shape (..., 4, 4).
+
+    Every member of a stack must be a physical state: a single one below
+    the vacuum limit rejects the whole stack.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -60,76 +75,76 @@ class GaussianState:
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
-            raise ValueError("mean must be a flat vector of length 2 * n_modes")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"covariance shape {cov.shape} does not match mean {mean.shape}")
+        if mean.shape[-1:] != (4,) or cov.shape != mean.shape + (4,):
+            raise ValueError(f"shapes {mean.shape}, {cov.shape} are not (..., 4), (..., 4, 4)")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("state contains non-finite entries")
-        asym = np.max(np.abs(cov - cov.T))
-        scale = 1.0 + np.max(np.abs(cov))
-        if asym > 1e-10 * scale:
-            raise ValueError(f"covariance asymmetric by {asym}")
-        cov = 0.5 * (cov + cov.T)
+        transposed = np.swapaxes(cov, -1, -2)
+        scale = 1.0 + np.max(np.abs(cov), axis=(-2, -1))
+        asym = np.max(np.abs(cov - transposed), axis=(-2, -1))
+        if np.any(asym > 1e-10 * scale):
+            raise ValueError(f"covariance asymmetric by {np.max(asym)}")
+        cov = 0.5 * (cov + transposed)
         # uncertainty principle: symplectic eigenvalues may not dip below 1/2
-        omega = np.kron(np.eye(mean.size // 2), [[0.0, 1.0], [-1.0, 0.0]])
-        nu_min = float(np.min(np.abs(np.linalg.eigvals(omega @ cov))))
-        if nu_min < 0.5 - _HEISENBERG_SLACK * scale:
-            raise ValueError(f"symplectic eigenvalue {nu_min} below vacuum limit")
+        nu_min = np.min(np.abs(np.linalg.eigvals(_OMEGA @ cov)), axis=-1)
+        if np.any(nu_min < 0.5 - _HEISENBERG_SLACK * scale):
+            raise ValueError(f"symplectic eigenvalue {np.min(nu_min)} below vacuum limit")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    @property
-    def n_modes(self) -> int:
-        return self.mean.size // 2
-
 
 def _factorial_cumulants(mean: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
-    """kappa[k, l], the factorial cumulants of (N1, N2) for k + l <= order,
-    from the two-mode mean r and normally ordered covariance W.
+    """kappa[b, k, l], the factorial cumulants of (N1, N2) for k + l <=
+    order, from the two-mode means r (..., 4) and normally ordered
+    covariances W (..., 4, 4), over the stack flattened to b.
 
     Expands (W B)^n over its 2^n words in the projectors; a word with k
     letters P1 contributes to the t1^k t2^(n-k) coefficient."""
-    proj = np.zeros((2, 4, 4))
-    proj[0, 0, 0] = proj[0, 1, 1] = proj[1, 2, 2] = proj[1, 3, 3] = 1.0
-    steps = w @ proj  # W P_j
-    heads = proj @ mean  # P_j r
+    r = mean.reshape(-1, 4)
+    steps = w.reshape(-1, 1, 4, 4) @ _PROJ  # W P_j
+    heads = _PROJ @ r[:, None, :, None]  # P_j r
     first = np.array([1, 0])  # letters P_j that are P1
-    coeff = np.zeros((order + 1, order + 1))
-    words = np.eye(4)[None]  # products of W P_j over every word of length n - 1
+    coeff = np.zeros((len(r), order + 1, order + 1))
+    words = np.eye(4)[None, None]  # products of W P_j over every word of length n - 1
     ones = np.zeros(1, dtype=int)  # count of P1 letters in each word
     for n in range(1, order + 1):
         # r^T P_j (W P ...)^(n-1) r: head letter j, then a word of length n - 1
         k = (first[:, None] + ones[None, :]).ravel()
-        np.add.at(coeff, (k, n - k), 0.5 * (heads @ (words @ mean).T).ravel())
-        words = (words[:, None] @ steps[None]).reshape(-1, 4, 4)
+        tails = words @ r[:, None, :, None]
+        quad = heads[..., 0] @ tails[..., 0].swapaxes(-1, -2)
+        np.add.at(coeff, (slice(None), k, n - k), 0.5 * quad.reshape(len(r), -1))
+        words = (words[:, :, None] @ steps[:, None]).reshape(len(steps), -1, 4, 4)
         ones = (ones[:, None] + first[None, :]).ravel()
-        traces = np.trace(words, axis1=1, axis2=2)
-        np.add.at(coeff, (ones, n - ones), 0.5 * traces / n)
-    factorials = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
-    return coeff * np.outer(factorials, factorials)
+        traces = words.trace(axis1=-2, axis2=-1)
+        np.add.at(coeff, (slice(None), ones, n - ones), 0.5 * traces / n)
+    return coeff * _FACTORIAL_WEIGHTS[: order + 1, : order + 1]
 
 
 def centered_photon_moments(
     state: GaussianState, modes: tuple[int, int] = (0, 1), max_order: int = 4
 ) -> ReadoutMoments:
-    """Joint centered photon-number moments of two modes.
+    """Joint centered photon-number moments of the two modes, in the
+    order ``modes`` lists them.
 
     Builds the factorial cumulants from the generating function in the
     module docstring, converts them to cumulants kappa = S kappa_[.] S^T
     and those to central moments (mu_4 = kappa_4 + 3 kappa_2^2, mu_22 =
     kappa_22 + kappa_20 kappa_02 + 2 kappa_11^2, ...).  ``max_order=2``
-    skips the third and fourth orders.
+    skips the third and fourth orders.  A single state gives floats, a
+    stack gives arrays over its leading axes.
     """
     if max_order not in (2, 4):
         raise ValueError("max_order must be 2 or 4")
     i, j = modes
     idx = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])
-    w = state.cov[np.ix_(idx, idx)] - 0.5 * np.eye(4)
-    factorial = _factorial_cumulants(state.mean[idx], w, max_order)
+    w = state.cov[..., idx[:, None], idx] - 0.5 * np.eye(4)
+    factorial = _factorial_cumulants(state.mean[..., idx], w, max_order)
     stirling = _STIRLING2[: max_order + 1, : max_order + 1]
     k = stirling @ factorial @ stirling.T
-    table = {(2, 0): k[2, 0], (1, 1): k[1, 1], (0, 2): k[0, 2]}
+    lead = state.mean.shape[:-1]
+    # orders first: k[p, q] is a scalar for one state, a (batch,) array for a stack
+    k = np.moveaxis(k, 0, -1) if lead else k[0]
+    table = {(1, 0): k[1, 0], (0, 1): k[0, 1], (2, 0): k[2, 0], (1, 1): k[1, 1], (0, 2): k[0, 2]}
     if max_order == 4:
         for p in range(4):
             table[(p, 3 - p)] = k[p, 3 - p]
@@ -138,21 +153,23 @@ def centered_photon_moments(
         table[(2, 2)] = k[2, 2] + k[2, 0] * k[0, 2] + 2.0 * k[1, 1] ** 2
         table[(1, 3)] = k[1, 3] + 3.0 * k[0, 2] * k[1, 1]
         table[(0, 4)] = k[0, 4] + 3.0 * k[0, 2] ** 2
-    table = {key: float(value) for key, value in table.items()}
+    table = {key: value.reshape(lead) if lead else float(value) for key, value in table.items()}
+    mean_1, mean_2 = table.pop((1, 0)), table.pop((0, 1))
     return ReadoutMoments(
-        mean_1=float(k[1, 0]), mean_2=float(k[0, 1]), var_1=table[(2, 0)],
-        var_2=table[(0, 2)], cov=table[(1, 1)], centered=table if max_order == 4 else None,
+        mean_1=mean_1, mean_2=mean_2, var_1=table[(2, 0)], var_2=table[(0, 2)],
+        cov=table[(1, 1)], centered=table if max_order == 4 else None,
     )
 
 
 def quadrature_mean_cov(
     state: GaussianState, specs: tuple[tuple[int, float], ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Means and covariance matrix of the quadratures
-    X_chi = x cos(chi) + y sin(chi) listed as (mode, chi) pairs."""
-    w = np.zeros((len(specs), state.mean.size))
+    """Means (..., S) and covariance matrices (..., S, S) of the
+    quadratures X_chi = x cos(chi) + y sin(chi) listed as S (mode, chi)
+    pairs."""
+    w = np.zeros((len(specs), 4))
     for row, (mode, chi) in enumerate(specs):
-        if not 0 <= mode < state.n_modes:
-            raise ValueError(f"mode {mode} out of range for {state.n_modes}-mode state")
+        if mode not in (0, 1):
+            raise ValueError(f"mode {mode} out of range for a two-mode state")
         w[row, 2 * mode : 2 * mode + 2] = math.cos(chi), math.sin(chi)
-    return w @ state.mean, w @ state.cov @ w.T
+    return (w @ state.mean[..., None])[..., 0], w @ state.cov @ w.T

@@ -10,7 +10,8 @@ The detected pair is a two-mode Gaussian state, readout 1 on mode 0 and
 readout 2 on mode 1.  ``propagate`` writes its mean and covariance from
 the detected-mode correlators of ``observables.detected_correlators``
 and applies the detection loss; the Gaussian engine takes the photon and
-quadrature statistics from there.
+quadrature statistics from there.  Phase arrays give a stack of detected
+states, and the readouts then hold arrays over it.
 """
 from __future__ import annotations
 
@@ -35,81 +36,82 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PropagatedState:
-    """Two-mode state of the detected ports at given working phases."""
+    """Two-mode state of the detected ports at given working phases; a
+    stack of states when the phases are arrays."""
 
     state: ge.GaussianState
     config: HolometerConfig
-    phi_1: float
-    phi_2: float
-
-
-def _quadrature_block(z: complex) -> np.ndarray:
-    """Symmetrized quadrature covariance contributed by a correlator
-    <da db> = z: [[Re z, Im z], [Im z, -Re z]]."""
-    return np.array([[z.real, z.imag], [z.imag, -z.real]])
+    phi_1: float | np.ndarray
+    phi_2: float | np.ndarray
 
 
 def propagate(
     config: HolometerConfig,
-    phi_1: float | None = None,
-    phi_2: float | None = None,
+    phi_1: float | np.ndarray | None = None,
+    phi_2: float | np.ndarray | None = None,
 ) -> PropagatedState:
     """Detected two-mode state after both readout beam splitters and the loss.
 
-    phi_1/phi_2 override the configured working phases; derivative code
-    leans on that.  With m = <d>, n = <dd+ dd>, s = <dd^2> per mode and
-    g = <dd1 dd2> (the only cross correlator of these inputs), the
-    quadrature mean is sqrt(2) (Re m, Im m), each diagonal block is
-    n I + [[Re s, Im s], [Im s, -Re s]] + I/2 and the cross block is
-    [[Re g, Im g], [Im g, -Re g]].  Loss eta_i scales the mean by
-    sqrt(eta_i), the fluctuations by eta_i and the cross block by
-    sqrt(eta_1 eta_2).
+    phi_1/phi_2 override the configured working phases; phase-noise code
+    leans on that.  Arrays broadcast together and give a stack of states,
+    mean (..., 4) and covariance (..., 4, 4).  With m = <d>, n = <dd+ dd>,
+    s = <dd^2> per mode and g = <dd1 dd2> (the only cross correlator of
+    these inputs), the quadrature mean is sqrt(2) (Re m, Im m), each
+    diagonal block is n I + [[Re s, Im s], [Im s, -Re s]] + I/2 and the
+    cross block is [[Re g, Im g], [Im g, -Re g]].  Loss eta_i scales the
+    mean by sqrt(eta_i), the fluctuations by eta_i and the cross block
+    by sqrt(eta_1 eta_2).
     """
     p1 = config.phi0_1 if phi_1 is None else phi_1
     p2 = config.phi0_2 if phi_2 is None else phi_2
-    cor = {key: complex(value) for key, value in detected_correlators(config, p1, p2).items()}
+    cor = detected_correlators(config, p1, p2)
     etas = config.eta_pair
-    mean = np.zeros(4)
-    cov = 0.5 * np.eye(4)
+    shape = np.shape(cor["m1"])
+    mean = np.empty(shape + (4,))
+    cov = np.empty(shape + (4, 4))
     for k, eta in enumerate(etas):
-        m, n, s = cor[f"m{k + 1}"], cor[f"n{k + 1}"].real, cor[f"s{k + 1}"]
-        block = slice(2 * k, 2 * k + 2)
-        mean[block] = math.sqrt(2.0 * eta) * m.real, math.sqrt(2.0 * eta) * m.imag
-        cov[block, block] += eta * (n * np.eye(2) + _quadrature_block(s))
-    cross = math.sqrt(etas[0] * etas[1]) * _quadrature_block(cor["g"])
-    cov[0:2, 2:4] = cross
-    cov[2:4, 0:2] = cross.T
+        m, n, s = cor[f"m{k + 1}"], cor[f"n{k + 1}"], cor[f"s{k + 1}"]
+        x, y = 2 * k, 2 * k + 1
+        mean[..., x] = math.sqrt(2.0 * eta) * m.real
+        mean[..., y] = math.sqrt(2.0 * eta) * m.imag
+        cov[..., x, x] = 0.5 + eta * (n + s.real)
+        cov[..., y, y] = 0.5 + eta * (n - s.real)
+        cov[..., x, y] = cov[..., y, x] = eta * s.imag
+    root = math.sqrt(etas[0] * etas[1])
+    g = cor["g"]
+    cov[..., 0, 2] = cov[..., 2, 0] = root * g.real
+    cov[..., 0, 3] = cov[..., 3, 0] = cov[..., 1, 2] = cov[..., 2, 1] = root * g.imag
+    cov[..., 1, 3] = cov[..., 3, 1] = root * -g.real
     return PropagatedState(ge.GaussianState(mean, cov), config, p1, p2)
 
 
 def readout_moments(
     config: HolometerConfig,
-    phi_1: float | None = None,
-    phi_2: float | None = None,
+    phi_1: float | np.ndarray | None = None,
+    phi_2: float | np.ndarray | None = None,
     max_order: int = 4,
 ) -> ReadoutMoments:
-    """Joint photon-number moments of the two readouts via the engine."""
+    """Joint photon-number moments of the two readouts via the engine;
+    floats at one phase pair, arrays over a stack of them."""
     prop = propagate(config, phi_1, phi_2)
     return ge.centered_photon_moments(prop.state, (0, 1), max_order=max_order)
 
 
 def quadrature_readout(
     config: HolometerConfig,
-    phi_1: float | None = None,
-    phi_2: float | None = None,
+    phi_1: float | np.ndarray | None = None,
+    phi_2: float | np.ndarray | None = None,
     chi_1: float | None = None,
     chi_2: float | None = None,
 ) -> QuadratureMoments:
     """First and second moments of one quadrature per readout, default
-    the quadrature that carries the phase signal."""
+    the quadrature that carries the phase signal; floats at one phase
+    pair, arrays over a stack of them."""
     chi1 = config.signal_quadrature_angle if chi_1 is None else chi_1
     chi2 = config.signal_quadrature_angle if chi_2 is None else chi_2
     prop = propagate(config, phi_1, phi_2)
     means, cov = ge.quadrature_mean_cov(prop.state, ((0, chi1), (1, chi2)))
-    return QuadratureMoments(
-        mean_1=float(means[0]),
-        mean_2=float(means[1]),
-        var_1=float(cov[0, 0]),
-        var_2=float(cov[1, 1]),
-        cov=float(cov[0, 1]),
-    )
+    values = (means[..., 0], means[..., 1], cov[..., 0, 0], cov[..., 1, 1], cov[..., 0, 1])
+    if means.ndim == 1:
+        values = tuple(map(float, values))
+    return QuadratureMoments(*values)

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 __all__ = [
     "ReadoutMoments",
     "QuadratureMoments",
@@ -30,6 +32,22 @@ CENTERED_KEYS: tuple[tuple[int, int], ...] = tuple(
 _CS_SLACK = 1e-10  # Cauchy-Schwarz slack, relative
 
 
+def _anywhere(flags) -> bool:
+    """np.any of a bool or a bool array, without its slow dispatch on scalars."""
+    return bool(np.logical_or.reduce(flags, axis=None))
+
+
+def _check_second_moments(var_1, var_2, cov, what: str) -> None:
+    """Reject a negative variance or a covariance above the
+    Cauchy-Schwarz bound in any element of a float or a stack."""
+    vscale = 1.0 + abs(var_1) + abs(var_2)
+    if _anywhere((var_1 < -1e-10 * vscale) | (var_2 < -1e-10 * vscale)):
+        raise ValueError(f"negative {what} variance: {var_1}, {var_2}")
+    bound = np.sqrt(np.maximum(var_1, 0.0) * np.maximum(var_2, 0.0))
+    if _anywhere(abs(cov) > bound * (1.0 + _CS_SLACK) + 1e-12 * vscale):
+        raise ValueError(f"covariance {cov} violates |cov| <= sqrt(var_1 var_2) = {bound}")
+
+
 @dataclass(frozen=True)
 class ReadoutMoments:
     """Joint centered photon-number moments of the two readout modes.
@@ -37,7 +55,9 @@ class ReadoutMoments:
     ``centered`` maps (p, q) -> <dN1^p dN2^q> for 2 <= p+q <= 4 and is
     ``None`` when only second-order information was computed (the
     closed-form route).  Second-order entries duplicate var_1/var_2/cov
-    so the table can be consumed uniformly.
+    so the table can be consumed uniformly.  Every value is a float for
+    one phase pair, or an array over a stack of them; the comparison
+    helpers below take single points.
     """
 
     mean_1: float
@@ -49,16 +69,9 @@ class ReadoutMoments:
 
     def __post_init__(self) -> None:
         scale = 1.0 + abs(self.mean_1) + abs(self.mean_2)
-        if self.mean_1 < -1e-10 * scale or self.mean_2 < -1e-10 * scale:
+        if _anywhere((self.mean_1 < -1e-10 * scale) | (self.mean_2 < -1e-10 * scale)):
             raise ValueError(f"negative mean photon number: {self.mean_1}, {self.mean_2}")
-        vscale = 1.0 + abs(self.var_1) + abs(self.var_2)
-        if self.var_1 < -1e-10 * vscale or self.var_2 < -1e-10 * vscale:
-            raise ValueError(f"negative photon-number variance: {self.var_1}, {self.var_2}")
-        bound = math.sqrt(max(self.var_1, 0.0) * max(self.var_2, 0.0))
-        if abs(self.cov) > bound * (1.0 + _CS_SLACK) + 1e-12 * vscale:
-            raise ValueError(
-                f"covariance {self.cov} violates |cov| <= sqrt(var_1 var_2) = {bound}"
-            )
+        _check_second_moments(self.var_1, self.var_2, self.cov, "photon-number")
         if self.centered is not None:
             table = dict(self.centered)
             missing = [k for k in CENTERED_KEYS if k not in table]
@@ -115,7 +128,8 @@ class QuadratureMoments:
     """First and second moments of one selected quadrature per readout
     mode.  Means may be negative, unlike photon counts.  ``centered`` is
     always None; the field exists so the comparison helper can treat
-    both carriers uniformly."""
+    both carriers uniformly.  Values are floats or arrays, as for
+    ReadoutMoments."""
 
     mean_1: float
     mean_2: float
@@ -125,14 +139,7 @@ class QuadratureMoments:
     centered: None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        vscale = 1.0 + abs(self.var_1) + abs(self.var_2)
-        if self.var_1 < -1e-10 * vscale or self.var_2 < -1e-10 * vscale:
-            raise ValueError(f"negative quadrature variance: {self.var_1}, {self.var_2}")
-        bound = math.sqrt(max(self.var_1, 0.0) * max(self.var_2, 0.0))
-        if abs(self.cov) > bound * (1.0 + _CS_SLACK) + 1e-12 * vscale:
-            raise ValueError(
-                f"covariance {self.cov} violates |cov| <= sqrt(var_1 var_2) = {bound}"
-            )
+        _check_second_moments(self.var_1, self.var_2, self.cov, "quadrature")
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,11 @@ Var_x = E_x[q] - (E_x[h])^2 expanded to second order gives exactly
 these coefficients.  The <C^2> surface comes from the engine's
 fourth-order moments and has no closed form, so its second partials,
 and those of <C>, are taken by central finite differences with
-Richardson extrapolation.  Direct numerical
-integration (Gauss-Hermite on the 45-degree decorrelated axes, or Monte
-Carlo) cross-checks the prediction.
+Richardson extrapolation.  Direct numerical integration (Gauss-Hermite
+on the 45-degree decorrelated axes, or Monte Carlo) cross-checks the
+prediction.  Both evaluate the engine surfaces as stacked calls over
+whole phase arrays (estimation.estimator_mean_and_square), never one
+call per phase point.
 """
 from __future__ import annotations
 
@@ -36,9 +38,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import estimation, observables
+from . import estimation
 from .config import HolometerConfig
-from .estimation import EstimatorKind, EstimatorSpec
+from .estimation import EstimatorSpec
 
 __all__ = [
     "Configuration",
@@ -57,6 +59,12 @@ MAX_EXPANSION_SIGMA2 = 1e-4
 # these fractions of max(|phi_0|, _PHASE_FLOOR)
 _RELATIVE_STEPS = (1e-3, 1e-4)
 _PHASE_FLOOR = 1e-3
+# the stencil at each step h, in units of h: the axis points (+-h, 0) and
+# (0, +-h), then the diagonal points (+-h, +-h)
+_STENCIL = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], float)
+# phase points per stacked engine call in direct_variance: an order-4
+# photon readout holds about 4.5 KB of intermediates per point
+_CHUNK = 1024
 
 
 class Configuration(str, Enum):
@@ -193,55 +201,6 @@ class VarianceExpansion:
         return self.var_zero + (self.a_11 + self.a_22) * sigma2 + self.a_12 * epsilon
 
 
-def _surfaces(config: HolometerConfig, spec: EstimatorSpec):
-    center = estimation.estimator_center(config, spec)
-
-    def surface(phi_1: float, phi_2: float) -> tuple[float, float]:
-        return estimation.estimator_mean_and_square(config, spec, phi_1, phi_2, center=center)
-
-    return surface
-
-
-def _second_partials(surface, phi0: float) -> dict[str, tuple[float, float]]:
-    """Richardson-extrapolated (h, q) second partials at (phi0, phi0)."""
-    scale = max(abs(phi0), _PHASE_FLOOR)
-    h_large, h_small = (step * scale for step in _RELATIVE_STEPS)
-    base = surface(phi0, phi0)
-
-    def axis(step: float, which: int) -> tuple[float, float]:
-        if which == 0:
-            plus, minus = surface(phi0 + step, phi0), surface(phi0 - step, phi0)
-        else:
-            plus, minus = surface(phi0, phi0 + step), surface(phi0, phi0 - step)
-        return tuple(
-            (plus[i] - 2.0 * base[i] + minus[i]) / (step * step) for i in range(2)
-        )
-
-    def cross(step: float) -> tuple[float, float]:
-        pp = surface(phi0 + step, phi0 + step)
-        pm = surface(phi0 + step, phi0 - step)
-        mp = surface(phi0 - step, phi0 + step)
-        mm = surface(phi0 - step, phi0 - step)
-        return tuple(
-            (pp[i] - pm[i] - mp[i] + mm[i]) / (4.0 * step * step) for i in range(2)
-        )
-
-    rho2 = (h_large / h_small) ** 2
-
-    def richardson(f) -> tuple[float, float]:
-        d_large, d_small = f(h_large), f(h_small)
-        return tuple(
-            (rho2 * d_small[i] - d_large[i]) / (rho2 - 1.0) for i in range(2)
-        )
-
-    return {
-        "base": base,
-        "d11": richardson(lambda h: axis(h, 0)),
-        "d22": richardson(lambda h: axis(h, 1)),
-        "d12": richardson(cross),
-    }
-
-
 def variance_expansion(
     config: HolometerConfig,
     spec: EstimatorSpec,
@@ -263,17 +222,31 @@ def variance_expansion(
     phi0 = config.phi0_1
     if config.phi0_2 != phi0:
         raise ValueError("the variance expansion assumes a symmetric working point")
-    surface = _surfaces(config, spec)
-    parts = _second_partials(surface, phi0)
-    h0, q0 = parts["base"]
-    h11, q11 = parts["d11"]
-    h22, q22 = parts["d22"]
-    h12, q12 = parts["d12"]
+    # one stacked engine call over the 17-point stencil: the working
+    # point, then _STENCIL at each Richardson step
+    steps = np.array([step * max(abs(phi0), _PHASE_FLOOR) for step in _RELATIVE_STEPS])
+    offsets = np.concatenate([np.zeros((1, 2)), (steps[:, None, None] * _STENCIL).reshape(-1, 2)])
+    center = estimation.estimator_center(config, spec)
+    surfaces = np.array(estimation.estimator_mean_and_square(
+        config, spec, phi0 + offsets[:, 0], phi0 + offsets[:, 1], center=center
+    ))
+    (h0, q0), base = surfaces[:, 0], surfaces[:, :1]
+    f = surfaces[:, 1:].reshape(2, len(steps), len(_STENCIL))  # [h or q, step, point]
+    square = steps * steps
+    rho2 = (steps[0] / steps[1]) ** 2
+    (h11, q11), (h22, q22), (h12, q12) = (
+        (rho2 * d[:, 1] - d[:, 0]) / (rho2 - 1.0)
+        for d in (
+            (f[..., 0] - 2.0 * base + f[..., 1]) / square,
+            (f[..., 2] - 2.0 * base + f[..., 3]) / square,
+            (f[..., 4] - f[..., 5] - f[..., 6] + f[..., 7]) / (4.0 * square),
+        )
+    )
     return VarianceExpansion(
-        a_11=0.5 * q11 - h0 * h11,
-        a_22=0.5 * q22 - h0 * h22,
-        a_12=q12 - 2.0 * h0 * h12,
-        var_zero=q0 - h0 * h0,
+        a_11=float(0.5 * q11 - h0 * h11),
+        a_22=float(0.5 * q22 - h0 * h22),
+        a_12=float(q12 - 2.0 * h0 * h12),
+        var_zero=float(q0 - h0 * h0),
     )
 
 
@@ -291,40 +264,13 @@ def direct_variance(
     Var_x[C] = E_x[<C^2>] - (E_x[<C>])^2.  ``gauss_hermite`` integrates
     on the 45-degree decorrelated axes (variances sigma2 +- epsilon) and
     returns standard error 0; ``mc`` samples phases and reports a
-    delta-method standard error.  The quadrature-product kind evaluates
-    its surfaces in vectorized closed form; the squared photocurrent
-    kinds walk the engine per node or sample.
+    delta-method standard error.  Every kind takes its surfaces from
+    stacked engine calls over the nodes or samples, _CHUNK points at a
+    time, so memory stays bounded at any sample count.
     """
     phi0 = config.phi0_1
     if config.phi0_2 != phi0:
         raise ValueError("the noise model shifts a symmetric working point; phases must match")
-    center = estimation.estimator_center(config, spec)
-
-    if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
-
-        def batch(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            q = observables.closed_form_quadrature(config, phi0 + d1, phi0 + d2)
-            o1 = q["mean_1"] - center[0]
-            o2 = q["mean_2"] - center[1]
-            mean = q["cov"] + o1 * o2
-            square = (
-                (q["var_1"] + o1 * o1) * (q["var_2"] + o2 * o2)
-                + 2.0 * q["cov"] * q["cov"]
-                + 4.0 * q["cov"] * o1 * o2
-            )
-            return np.asarray(mean, float), np.asarray(square, float)
-
-    else:
-
-        def batch(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            means = np.empty(d1.shape, float)
-            squares = np.empty(d1.shape, float)
-            for idx in np.ndindex(d1.shape):
-                means[idx], squares[idx] = estimation.estimator_mean_and_square(
-                    config, spec, phi0 + float(d1[idx]), phi0 + float(d2[idx]), center=center
-                )
-            return means, squares
-
     if method == "gauss_hermite":
         nodes, weights = np.polynomial.hermite_e.hermegauss(gh_order)
         weights = weights / math.sqrt(2.0 * math.pi)
@@ -332,21 +278,30 @@ def direct_variance(
         scale_v = math.sqrt(max(noise.sigma2 - noise.epsilon, 0.0))
         u = scale_u * nodes[:, None] * np.ones_like(nodes)[None, :]
         v = scale_v * np.ones_like(nodes)[:, None] * nodes[None, :]
-        d1 = (u + v) / math.sqrt(2.0)
-        d2 = (u - v) / math.sqrt(2.0)
-        w = weights[:, None] * weights[None, :]
-        means, squares = batch(d1, d2)
+        d1 = ((u + v) / math.sqrt(2.0)).ravel()
+        d2 = ((u - v) / math.sqrt(2.0)).ravel()
+        w = (weights[:, None] * weights[None, :]).ravel()
+    elif method == "mc":
+        if n_samples is None or n_samples < MIN_MC_SAMPLES:
+            raise ValueError(f"mc direct variance needs n_samples >= {MIN_MC_SAMPLES}")
+        d1, d2 = sample_phase_offsets(noise, n_samples).T
+    else:
+        raise ValueError(f"unknown method {method!r}; expected 'gauss_hermite' or 'mc'")
+
+    center = estimation.estimator_center(config, spec)
+    means = np.empty(d1.size)
+    squares = np.empty(d1.size)
+    for start in range(0, d1.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        means[part], squares[part] = estimation.estimator_mean_and_square(
+            config, spec, phi0 + d1[part], phi0 + d2[part], center=center
+        )
+    if method == "gauss_hermite":
         e_h = float(np.sum(w * means))
         e_q = float(np.sum(w * squares))
         return e_q - e_h * e_h, 0.0
-    if method == "mc":
-        if n_samples is None or n_samples < MIN_MC_SAMPLES:
-            raise ValueError(f"mc direct variance needs n_samples >= {MIN_MC_SAMPLES}")
-        offsets = sample_phase_offsets(noise, n_samples)
-        means, squares = batch(offsets[:, 0], offsets[:, 1])
-        e_h = float(np.mean(means))
-        variance = float(np.mean(squares)) - e_h * e_h
-        influence = squares - 2.0 * e_h * means
-        std_error = float(np.std(influence, ddof=1) / math.sqrt(n_samples))
-        return variance, std_error
-    raise ValueError(f"unknown method {method!r}; expected 'gauss_hermite' or 'mc'")
+    e_h = float(np.mean(means))
+    variance = float(np.mean(squares)) - e_h * e_h
+    influence = squares - 2.0 * e_h * means
+    std_error = float(np.std(influence, ddof=1) / math.sqrt(d1.size))
+    return variance, std_error

@@ -44,11 +44,6 @@ def test_transmissivity_is_cosine_squared_of_half_phase():
     assert config.tau_2 == math.cos(0.55) ** 2
 
 
-def test_squeeze_parameter_matches_occupancy():
-    config = make(lam=0.7)
-    assert math.sinh(config.squeeze_r) ** 2 == pytest.approx(0.7, rel=1e-14)
-
-
 def test_default_squeezing_angle_tracks_coherent_phase():
     config = make(input_kind="TwoSqueezed", psi=0.4, theta_xi=None)
     assert config.theta_xi_effective == pytest.approx(0.8)

@@ -92,6 +92,14 @@ def test_two_mode_squeeze_gives_thermal_marginals_with_perfect_correlation():
 def test_state_below_the_vacuum_limit_is_rejected():
     with pytest.raises(ValueError):
         two_mode_state(block_1=0.4 * np.eye(2))
+    # one unphysical member rejects the whole stack
+    vacuum = two_mode_state().cov
+    squeezed = two_mode_state(block_1=np.diag([0.1, 2.5])).cov
+    below = vacuum.copy()
+    below[0:2, 0:2] = 0.4 * np.eye(2)
+    ge.GaussianState(np.zeros((2, 4)), np.stack([vacuum, squeezed]))
+    with pytest.raises(ValueError, match="vacuum limit"):
+        ge.GaussianState(np.zeros((3, 4)), np.stack([vacuum, below, squeezed]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from holonoise import gaussian_engine as ge
 from holonoise.config import HolometerConfig
 from holonoise.crosscheck import sample_guardrail_config
+from holonoise.estimation import EstimatorKind, EstimatorSpec, estimator_mean_and_square
 from holonoise.fock_oracle import fock_quadrature_moments, oracle_moments
 from holonoise.holometer import propagate, quadrature_readout, readout_moments
 from holonoise.moments import compare_moments
@@ -43,12 +44,58 @@ def test_one_readout_builds_one_state(monkeypatch):
     assert len(built) == 1
     quadrature_readout(make())
     assert len(built) == 2
+    # a stack of phase pairs is one state too
+    phases = np.linspace(0.1, 2.0, 1_000)
+    readout_moments(make(eta_2=0.6), phases, phases[::-1], max_order=4)
+    assert len(built) == 3
+
+
+STACK_CONFIGS = [
+    make(mu=3e12, lam=10.0, eta=0.95, psi=math.pi / 2, phi0_1=1e-8, phi0_2=1e-8),
+    make(mu=3e12, lam=0.5, psi=0.0, phi0_1=1e-8, phi0_2=3e-8, eta_2=0.6, theta=4.0),
+    make(input_kind="TwoSqueezed", mu=1e6, lam=3.0, psi=0.7, phi0_1=0.8, phi0_2=0.3, eta_2=0.6),
+    make(input_kind="CoherentOnly", lam=0.0, mu=3e12, psi=2.5, phi0_1=1e-8, phi0_2=0.8,
+         eta=0.75, eta_2=0.95),
+]
+
+
+def _close(stacked, scalar, rtol=1e-13) -> bool:
+    return abs(stacked - scalar) <= rtol * max(abs(stacked), abs(scalar))
+
+
+@pytest.mark.parametrize("config", STACK_CONFIGS)
+def test_stacked_readouts_equal_the_per_point_calls(config):
+    # phase arrays broadcast to a (3, 2) stack of unequal phase pairs; the
+    # scalar calls at each pair return Python floats
+    phi_1 = config.phi0_1 * np.array([[1.0], [1.7], [0.4]])
+    phi_2 = config.phi0_2 * np.array([[1.0, 2.3]])
+    moments = readout_moments(config, phi_1, phi_2)
+    quadratures = quadrature_readout(config, phi_1, phi_2)
+    specs = [EstimatorSpec(kind=kind) for kind in EstimatorKind]
+    surfaces = [estimator_mean_and_square(config, spec, phi_1, phi_2) for spec in specs]
+    assert moments.mean_1.shape == quadratures.cov.shape == surfaces[0][1].shape == (3, 2)
+    for i, j in np.ndindex(3, 2):
+        p1, p2 = float(phi_1[i, 0]), float(phi_2[0, j])
+        single = readout_moments(config, p1, p2)
+        assert type(single.mean_1) is float and type(single.centered[(2, 2)]) is float
+        for name in ("mean_1", "mean_2", "var_1", "var_2", "cov"):
+            assert _close(getattr(moments, name)[i, j], getattr(single, name)), name
+        for key, value in single.centered.items():
+            assert _close(moments.centered[key][i, j], value), key
+        single_q = quadrature_readout(config, p1, p2)
+        for name in ("mean_1", "mean_2", "var_1", "var_2", "cov"):
+            assert type(getattr(single_q, name)) is float
+            assert _close(getattr(quadratures, name)[i, j], getattr(single_q, name)), name
+        for spec, (mean, square) in zip(specs, surfaces, strict=True):
+            single_mean, single_square = estimator_mean_and_square(config, spec, p1, p2)
+            assert type(single_mean) is float and type(single_square) is float
+            assert _close(mean[i, j], single_mean) and _close(square[i, j], single_square)
 
 
 def test_propagate_keeps_detected_pair_and_phase_overrides():
     config = make()
     prop = propagate(config, phi_1=0.3, phi_2=0.5)
-    assert prop.state.n_modes == 2
+    assert prop.state.mean.shape == (4,) and prop.state.cov.shape == (4, 4)
     assert prop.phi_1 == 0.3 and prop.phi_2 == 0.5
     default = propagate(config)
     assert default.phi_1 == config.phi0_1

@@ -1,10 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from holonoise.config import HolometerConfig
-from holonoise.estimation import EstimatorSpec, estimator_mean_curve, u0
+from holonoise.estimation import (
+    EstimatorSpec,
+    estimator_center,
+    estimator_mean_and_square,
+    estimator_mean_curve,
+    u0,
+)
 from holonoise.phase_noise import (
     MAX_EXPANSION_SIGMA2,
     MIN_MC_SAMPLES,
@@ -142,6 +149,7 @@ def test_expansion_symmetry_and_zero_order():
         # so agreement is limited by second-derivative roundoff, not physics
         assert expansion.a_11 == pytest.approx(expansion.a_22, rel=1e-6)
         assert expansion.predict(0.0, 0.0) == expansion.var_zero
+        assert all(type(value) is float for value in dataclasses.astuple(expansion))
         assert expansion.var_zero == pytest.approx(
             u0(config, spec).numerator_var, rel=1e-12
         )
@@ -176,6 +184,56 @@ def test_direct_variance_photon_kind_agrees_with_gh():
     gh, _ = direct_variance(TWB_DESK, DIFF, noise, method="gauss_hermite", gh_order=7)
     expansion = variance_expansion(TWB_DESK, DIFF, 1e-6, 0.0)
     assert gh == pytest.approx(expansion.predict(1e-6, 0.0), rel=5e-3)
+
+
+SUM = EstimatorSpec(kind="TwbSumSquared")
+
+
+def _per_point_surfaces(config, spec, d1, d2):
+    """The engine walked one phase pair at a time: the reference for the
+    stacked evaluation in direct_variance."""
+    center = estimator_center(config, spec)
+    phi0 = config.phi0_1
+    means = np.empty(d1.shape)
+    squares = np.empty(d1.shape)
+    for idx in np.ndindex(d1.shape):
+        means[idx], squares[idx] = estimator_mean_and_square(
+            config, spec, phi0 + float(d1[idx]), phi0 + float(d2[idx]), center=center
+        )
+    return means, squares
+
+
+@pytest.mark.parametrize("spec", [DIFF, SUM], ids=["difference", "sum"])
+def test_direct_variance_gh_matches_the_per_node_loop(spec):
+    noise = PhaseNoiseModel(sigma2=1e-5, epsilon=4e-6, configuration="parallel")
+    nodes, weights = np.polynomial.hermite_e.hermegauss(9)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    u = math.sqrt(noise.sigma2 + noise.epsilon) * nodes[:, None] * np.ones(9)[None, :]
+    v = math.sqrt(noise.sigma2 - noise.epsilon) * np.ones(9)[:, None] * nodes[None, :]
+    means, squares = _per_point_surfaces(
+        TWB_DESK, spec, (u + v) / math.sqrt(2.0), (u - v) / math.sqrt(2.0)
+    )
+    w = weights[:, None] * weights[None, :]
+    e_h = float(np.sum(w * means))
+    reference = float(np.sum(w * squares)) - e_h * e_h
+    gh, gh_err = direct_variance(TWB_DESK, spec, noise, method="gauss_hermite")
+    assert type(gh) is float and gh_err == 0.0
+    assert gh == pytest.approx(reference, rel=1e-12)
+
+
+def test_direct_variance_mc_chunks_match_a_per_sample_reference():
+    # 2 500 samples span three chunks of the stacked evaluation
+    noise = PhaseNoiseModel(sigma2=1e-5, epsilon=4e-6, configuration="parallel", sampler_seed=2)
+    offsets = sample_phase_offsets(noise, 2_500)
+    means, squares = _per_point_surfaces(TWB_DESK, DIFF, offsets[:, 0], offsets[:, 1])
+    e_h = float(np.mean(means))
+    reference = float(np.mean(squares)) - e_h * e_h
+    influence = squares - 2.0 * e_h * means
+    reference_err = float(np.std(influence, ddof=1) / math.sqrt(2_500))
+    mc, mc_err = direct_variance(TWB_DESK, DIFF, noise, method="mc", n_samples=2_500)
+    assert type(mc) is float and type(mc_err) is float
+    assert mc == pytest.approx(reference, rel=1e-12)
+    assert mc_err == pytest.approx(reference_err, rel=1e-12)
 
 
 def test_direct_variance_guards():
