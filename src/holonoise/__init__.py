@@ -32,11 +32,7 @@ from .estimation import (
 )
 from .fock_oracle import (
     CutoffError,
-    FockState,
-    apply_bs_unitary,
-    build_fock_input,
     fock_joint_pmf,
-    fock_moments,
     fock_quadrature_moments,
     oracle_moments,
     two_photon_coincidence,
@@ -93,13 +89,9 @@ __all__ = [
     "readout_moments",
     "quadrature_readout",
     # truncated-Fock oracle route
-    "FockState",
     "CutoffError",
-    "build_fock_input",
-    "apply_bs_unitary",
     "two_photon_coincidence",
     "fock_joint_pmf",
-    "fock_moments",
     "oracle_moments",
     "fock_quadrature_moments",
     # cross-validation

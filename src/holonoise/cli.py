@@ -223,7 +223,10 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, with_phi0: bool = True
 def _format_cell(value: object) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    text = str(value)
+    # quoted as RFC 4180 asks, so a moment name such as centered[1,3]
+    # stays one cell
+    return f'"{text}"' if "," in text else text
 
 
 def _write_csv(
@@ -439,6 +442,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
                 check.config.eta,
                 check.config.psi,
                 check.comparison.max_relative,
+                check.comparison.worst_margin,
+                check.comparison.worst_field,
                 "pass" if check.ok else "fail",
             )
             for check in report.checks
@@ -447,7 +452,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             args.out,
             "oracle-check",
             [f"convention: {convention}", f"seed: {args.seed}", f"rtol: {report.rtol!r}"],
-            ["index", "kind", "mu", "lambda", "tau", "eta", "psi", "max_relative", "verdict"],
+            ["index", "kind", "mu", "lambda", "tau", "eta", "psi", "max_relative",
+             "worst_margin", "worst_field", "verdict"],
             rows,
         )
     return 0 if report.ok else 2

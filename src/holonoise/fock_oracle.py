@@ -7,23 +7,23 @@ moments come from the joint photon-number distribution.  Agreement
 between this route and the covariance-matrix route is the main
 correctness check of the package.
 
-Two internal representations are used.  The dense route keeps the full
-four-mode amplitude tensor and exists for small cross-checks and the
-deliberately broken beam-splitter convention.  The production route
-exploits that every supported input factorizes across the two
-interferometers up to a single sum over the pair-correlation index
-(rank one for independent inputs), which keeps arrays two-mode sized.
+Every supported input factorizes across the two interferometers up to a
+single sum over the pair-correlation index (rank one for independent
+inputs), so the oracle never forms a four-mode tensor: each beam
+splitter acts on a (rank, two-mode) block of its own arm, and the joint
+distribution of the detected pair is a contraction of the two arms.
+Detection loss scales the joint falling-factorial moments by eta per
+order, which is exact for binomial loss.
 
-Mode layout, fixed throughout: 0 and 1 are the quantum ports feeding
-readout 1 and 2, modes 2 and 3 the corresponding coherent ports.  The
-detected output of each readout beam splitter is the transformed
-quantum-port mode, so a closed interferometer (tau = 1) sends all
-quantum light and no coherent light to the detector.
+Mode layout, fixed throughout: each arm pairs a quantum port with the
+coherent port of the same readout.  The detected output of each readout
+beam splitter is the transformed quantum-port mode, so a closed
+interferometer (tau = 1) sends all quantum light and no coherent light
+to the detector.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +32,7 @@ from .moments import CENTERED_KEYS, QuadratureMoments, ReadoutMoments
 
 __all__ = [
     "CutoffError",
-    "FockState",
-    "build_fock_input",
-    "apply_bs_unitary",
-    "trim",
     "two_photon_coincidence",
-    "fock_moments",
     "oracle_moments",
     "fock_joint_pmf",
     "fock_quadrature_moments",
@@ -49,17 +44,15 @@ MAX_MEAN_QUANTUM = 1.0
 # so the cap must sit above that; the factorized route never builds
 # anything larger than a two-mode block at this size.
 _CUTOFF_CAP = 160
-_DENSE_ELEMENT_CAP = 2**23
 _TAIL_TOL = 1e-10  # weighted relative tail kept below this
 _WEIGHT_POWER = 4  # moments up to fourth order are requested downstream
-_NORM_TOL = 3e-10
 
 _CONVENTIONS = ("i", "real-symmetric", "real-orthogonal")
 
 
 class CutoffError(RuntimeError):
     """Raised when a requested computation cannot be represented at the
-    supported truncation, or when norm accounting reveals leakage."""
+    supported truncation, or when the joint distribution loses mass."""
 
 
 # ---------------------------------------------------------------------------
@@ -171,81 +164,6 @@ def _twb_weights(lam: float, theta: float, cut: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dense multimode states
-
-
-@dataclass(frozen=True)
-class FockState:
-    """Dense photon-number amplitudes over a fixed number of modes."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amp)
-        if amp.ndim < 1:
-            raise ValueError("amplitude array must have at least one mode axis")
-        norm = self.norm
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise CutoffError(f"state norm {norm} drifted from 1 beyond {_NORM_TOL}")
-
-    @property
-    def n_modes(self) -> int:
-        return self.amplitudes.ndim
-
-    @property
-    def cuts(self) -> tuple[int, ...]:
-        return self.amplitudes.shape
-
-    @property
-    def norm(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def joint_pmf(self, keep: tuple[int, int]) -> np.ndarray:
-        """Photon-number distribution of two modes, others traced out."""
-        prob = np.abs(self.amplitudes) ** 2
-        axes = tuple(k for k in range(self.n_modes) if k not in keep)
-        pmf = prob.sum(axis=axes)
-        if keep[0] > keep[1]:
-            pmf = pmf.T
-        return pmf
-
-
-def build_fock_input(config: HolometerConfig, cutoff: int | None = None) -> FockState:
-    """Four-mode input state in the fixed layout (quantum 1, quantum 2,
-    coherent 1, coherent 2).  ``cutoff`` overrides the per-mode automatic
-    choice, mainly for convergence tests."""
-    _check_envelope(config)
-    if cutoff is not None:
-        cq = cc = cutoff
-    else:
-        probe = _CUTOFF_CAP + 257
-        cc = _auto_cutoff(_poisson_pmf(config.mu, probe), "coherent port")
-        if config.input_kind is InputKind.TWB:
-            cq = _auto_cutoff(_geometric_pmf(config.lam, probe), "pair-correlated port")
-        elif config.input_kind is InputKind.TWO_SQUEEZED:
-            cq = _auto_cutoff(_squeezed_pmf(config.lam, probe), "squeezed port")
-        else:
-            cq = 1
-    coh = _coherent_vector(config.mu, config.psi, cc)
-    if config.input_kind is InputKind.TWB:
-        pair = _twb_weights(config.lam, config.theta, cq)
-        quantum = np.zeros((cq, cq), dtype=complex)
-        np.fill_diagonal(quantum, pair)
-    elif config.input_kind is InputKind.TWO_SQUEEZED:
-        sq = _squeezed_vector(config.lam, config.squeezed_quadrature_angle, cq)
-        quantum = np.multiply.outer(sq, sq)
-    else:
-        quantum = np.ones((1, 1), dtype=complex)
-    amp = np.multiply.outer(np.multiply.outer(quantum, coh), coh)
-    if amp.size > _DENSE_ELEMENT_CAP:
-        raise CutoffError(
-            f"dense four-mode tensor of {amp.size} elements; use the factorized route"
-        )
-    return FockState(amp)
-
-
-# ---------------------------------------------------------------------------
 # beam splitter, sector by sector
 
 # The two-mode transform conserves total photon number, so on each
@@ -274,9 +192,11 @@ def _bs_pair_transform(
 ) -> np.ndarray:
     """Apply the beam splitter on a (n_a, n_b, batch) amplitude block.
 
-    Output axes are allocated to the full sector reach n_a + n_b - 1, so
-    the transform itself is exact; truncation decisions stay with the
-    caller."""
+    Under the "i" convention the transformed mode a is
+    cos(phi/2) a + i sin(phi/2) b, the port that keeps mode a's content
+    at phi = 0.  Output axes are allocated to the full sector reach
+    n_a + n_b - 1, so the transform itself is exact; truncation
+    decisions stay with the caller."""
     alpha, beta, gamma, delta = _pair_coefficients(phi, convention)
     na, nb, batch = block.shape
     smax = na + nb - 2
@@ -305,92 +225,26 @@ def _bs_pair_transform(
     return out
 
 
-def apply_bs_unitary(
-    state: FockState,
-    mode_a: int,
-    mode_b: int,
-    *,
-    phi: float | None = None,
-    tau: float | None = None,
-    convention: str = "i",
-) -> FockState:
-    """Beam splitter on two modes of a dense state.
-
-    The transformed ``mode_a`` is cos(phi/2) a + i sin(phi/2) b, so it is
-    the port that keeps mode a's content at phi = 0.  ``tau`` is the
-    equivalent transmissivity cos^2(phi/2) of the a -> a channel.  The
-    non-unitary "real-symmetric" convention renormalizes its output and
-    exists only to demonstrate what breaks without the i.
-    """
-    if (phi is None) == (tau is None):
-        raise ValueError("specify exactly one of phi or tau")
-    if phi is None:
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {tau}")
-        phi = 2.0 * math.acos(math.sqrt(tau))
-    if mode_a == mode_b:
-        raise ValueError("beam splitter needs two distinct modes")
-
-    amp = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
-    na, nb = amp.shape[:2]
-    rest_shape = amp.shape[2:]
-    out_elements = (na + nb - 1) ** 2 * int(np.prod(rest_shape, dtype=np.int64))
-    if out_elements > 4 * _DENSE_ELEMENT_CAP:
-        raise CutoffError(
-            f"beam splitter output would hold {out_elements} elements; "
-            "use the factorized route"
-        )
-    block = amp.reshape(na, nb, -1)
-    out = _bs_pair_transform(block, phi, convention)
-    no = out.shape[0]
-    out = out.reshape((no, no) + rest_shape)
-    out = np.moveaxis(out, (0, 1), (mode_a, mode_b))
-
-    leak = abs(float(np.vdot(out, out).real) - state.norm)
-    if convention == "real-symmetric":
-        out = out / math.sqrt(float(np.vdot(out, out).real))
-    elif leak > _NORM_TOL:
-        raise CutoffError(f"beam splitter leaked norm {leak}, sector allocation bug")
-    return FockState(out)
-
-
 def two_photon_coincidence(convention: str = "i", tau: float = 0.5) -> float:
     """Coincidence probability for one photon in each port of a single
-    beam splitter.
+    beam splitter of transmissivity tau = cos^2(phi/2).
 
     At tau = 1/2 any unitary convention sends both photons out the same
     side, so the coincidence must vanish; the deliberately broken
     "real-symmetric" convention leaves it at 1/2.  Used as a negative
     control on the beam-splitter phase convention.
     """
-    amp = np.zeros((2, 2), dtype=complex)
-    amp[1, 1] = 1.0
-    out = apply_bs_unitary(FockState(amp), 0, 1, tau=tau, convention=convention)
-    pmf = out.joint_pmf((0, 1))
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    block = np.zeros((2, 2, 1), dtype=complex)
+    block[1, 1, 0] = 1.0
+    out = _bs_pair_transform(block, 2.0 * math.acos(math.sqrt(tau)), convention)
+    pmf = np.abs(out[:, :, 0]) ** 2
     return float(pmf[1, 1] / pmf.sum())
 
 
-def trim(state: FockState, tol: float = 1e-14) -> FockState:
-    """Drop trailing slices whose moment-weighted mass is below tol.
-
-    Trimming removes probability at most tol * (weighted total) per
-    axis, well inside the norm drift the state validator accepts."""
-    amp = state.amplitudes
-    prob = np.abs(amp) ** 2
-    slices = []
-    for axis in range(amp.ndim):
-        marg = prob.sum(axis=tuple(k for k in range(amp.ndim) if k != axis))
-        w = (1.0 + np.arange(len(marg), dtype=float)) ** _WEIGHT_POWER
-        weighted = marg * w
-        tail = np.cumsum(weighted[::-1])[::-1]
-        keep = np.nonzero(tail > tol * weighted.sum())[0]
-        cut = int(keep[-1]) + 1 if len(keep) else 1
-        slices.append(slice(0, cut))
-    return FockState(amp[tuple(slices)])
-
-
 # ---------------------------------------------------------------------------
-# production route: factorized across the two interferometers
+# factorized across the two interferometers
 
 # Every supported input is  sum_m c_m |arm1_m> |arm2_m>  with arm_i a
 # two-mode (quantum port, coherent port) product state: the pair index m
@@ -443,24 +297,10 @@ def _joint_pmf_from_arms(
     return (lhs @ rhs.T).real
 
 
-def fock_joint_pmf(
-    config: HolometerConfig,
-    *,
-    method: str = "schmidt",
-    convention: str = "i",
-) -> np.ndarray:
+def fock_joint_pmf(config: HolometerConfig, *, convention: str = "i") -> np.ndarray:
     """Joint photon-number distribution of the two detected ports before
     detection loss."""
-    if method == "schmidt":
-        pmf = _joint_pmf_from_arms(*_schmidt_arms(config, convention))
-    elif method == "dense":
-        state = build_fock_input(config)
-        state = trim(apply_bs_unitary(state, 0, 2, phi=config.phi0_1, convention=convention))
-        state = trim(apply_bs_unitary(state, 1, 3, phi=config.phi0_2, convention=convention))
-        pmf = state.joint_pmf((0, 1))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    pmf = _joint_pmf_from_arms(*_schmidt_arms(config, convention))
     total = pmf.sum()
     if convention == "real-symmetric":
         return np.clip(pmf, 0.0, None) / total
@@ -494,21 +334,6 @@ def _falling_factorial_matrix(length: int) -> np.ndarray:
     return ff
 
 
-def _thinning_matrix(eta: float, length: int) -> np.ndarray:
-    if eta == 1.0:
-        return np.eye(length)
-    out = np.zeros((length, length))
-    if eta == 0.0:
-        out[0, :] = 1.0
-        return out
-    lg = _log_factorials(length)
-    for n in range(length):
-        k = np.arange(n + 1)
-        logs = lg[n] - lg[k] - lg[n - k] + k * math.log(eta) + (n - k) * math.log1p(-eta)
-        out[k, n] = np.exp(logs)
-    return out
-
-
 def _centered_from_raw(raw: np.ndarray) -> dict[tuple[int, int], float]:
     m1, m2 = raw[1, 0], raw[0, 1]
     u1 = np.zeros((5, 5))
@@ -521,27 +346,14 @@ def _centered_from_raw(raw: np.ndarray) -> dict[tuple[int, int], float]:
     return {(p, q): float(cen[p, q]) for p, q in CENTERED_KEYS}
 
 
-def _pmf_to_readout(
-    pmf: np.ndarray, eta_pair: tuple[float, float], loss_method: str
-) -> ReadoutMoments:
+def _pmf_to_readout(pmf: np.ndarray, eta_pair: tuple[float, float]) -> ReadoutMoments:
+    # loss scales joint falling-factorial moments by eta^order
     eta1, eta2 = eta_pair
-    if loss_method == "factorial":
-        # loss scales joint falling-factorial moments by eta^order
-        ff1 = _falling_factorial_matrix(pmf.shape[0])
-        ff2 = _falling_factorial_matrix(pmf.shape[1])
-        fact = ff1 @ pmf @ ff2.T
-        fact *= np.multiply.outer(eta1 ** np.arange(5.0), eta2 ** np.arange(5.0))
-        raw = _STIRLING @ fact @ _STIRLING.T
-    elif loss_method == "thinning":
-        thinned = _thinning_matrix(eta1, pmf.shape[0]) @ pmf @ _thinning_matrix(
-            eta2, pmf.shape[1]
-        ).T
-        pow1 = np.arange(thinned.shape[0], dtype=float) ** np.arange(5.0)[:, None]
-        pow2 = np.arange(thinned.shape[1], dtype=float) ** np.arange(5.0)[:, None]
-        raw = pow1 @ thinned @ pow2.T
-    else:
-        raise ValueError(f"unknown loss method {loss_method!r}")
-
+    ff1 = _falling_factorial_matrix(pmf.shape[0])
+    ff2 = _falling_factorial_matrix(pmf.shape[1])
+    fact = ff1 @ pmf @ ff2.T
+    fact *= np.multiply.outer(eta1 ** np.arange(5.0), eta2 ** np.arange(5.0))
+    raw = _STIRLING @ fact @ _STIRLING.T
     cen = _centered_from_raw(raw)
     return ReadoutMoments(
         mean_1=float(raw[1, 0]),
@@ -553,68 +365,15 @@ def _pmf_to_readout(
     )
 
 
-def fock_moments(
-    state: FockState,
-    modes: tuple[int, int] = (0, 1),
-    max_order: int = 4,
-    eta: float | tuple[float, float] = 1.0,
-    *,
-    loss_method: str = "factorial",
-) -> ReadoutMoments:
-    """Joint photon-number moments of two modes of a dense state.
-
-    ``eta`` is the detection efficiency applied to the selected modes,
-    either one shared value or a per-mode pair.  ``max_order`` in
-    {2, 3, 4} limits the attached centered table; below 4 the named
-    second-order fields are always populated.  ``loss_method="thinning"``
-    routes the loss through explicit binomial thinning of the joint
-    distribution instead of falling-factorial scaling; the two must
-    agree and the tests hold them to that.
-    """
-    if len(set(modes)) != 2:
-        raise ValueError(f"need two distinct modes, got {modes}")
-    for k in modes:
-        if not 0 <= k < state.n_modes:
-            raise ValueError(f"mode {k} outside the state's {state.n_modes} modes")
-    if max_order not in (2, 3, 4):
-        raise ValueError(f"max_order must be 2, 3 or 4, got {max_order}")
-    eta_pair = (float(eta), float(eta)) if isinstance(eta, (int, float)) else (
-        float(eta[0]),
-        float(eta[1]),
-    )
-    for value in eta_pair:
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"efficiency {value} outside [0, 1]")
-    pmf = state.joint_pmf(keep=modes)
-    readout = _pmf_to_readout(pmf, eta_pair, loss_method)
-    if max_order == 2:
-        return ReadoutMoments(
-            mean_1=readout.mean_1,
-            mean_2=readout.mean_2,
-            var_1=readout.var_1,
-            var_2=readout.var_2,
-            cov=readout.cov,
-        )
-    return readout
-
-
-def oracle_moments(
-    config: HolometerConfig,
-    *,
-    method: str = "schmidt",
-    loss_method: str = "factorial",
-    convention: str = "i",
-) -> ReadoutMoments:
+def oracle_moments(config: HolometerConfig, *, convention: str = "i") -> ReadoutMoments:
     """Joint photon-number moments of the two readouts, loss included.
 
     End-to-end truncated-Fock reference for a full configuration:
     builds the input, applies both beam splitters, traces to the
-    detected pair and applies the detection loss.  ``method="dense"``
-    propagates the four-mode tensor instead of the factorized pair
-    decomposition; both must agree.
+    detected pair and applies the detection loss.
     """
-    pmf = fock_joint_pmf(config, method=method, convention=convention)
-    return _pmf_to_readout(pmf, config.eta_pair, loss_method)
+    pmf = fock_joint_pmf(config, convention=convention)
+    return _pmf_to_readout(pmf, config.eta_pair)
 
 
 def fock_quadrature_moments(

@@ -65,6 +65,8 @@ _STENCIL = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1],
 # phase points per stacked engine call in direct_variance: an order-4
 # photon readout holds about 4.5 KB of intermediates per point
 _CHUNK = 1024
+# Gauss-Hermite nodes per decorrelated axis in direct_variance
+_GH_ORDER = 9
 
 
 class Configuration(str, Enum):
@@ -213,12 +215,12 @@ def variance_expansion(
     of the expansion (sigma2 <= 1e-4) but the returned coefficients are
     noise-independent; use ``predict`` to evaluate the expansion.
     """
-    if sigma2 < 0.0 or sigma2 > MAX_EXPANSION_SIGMA2:
+    if not (math.isfinite(sigma2) and 0.0 <= sigma2 <= MAX_EXPANSION_SIGMA2):
         raise ValueError(
             f"the second-order expansion is valid for 0 <= sigma2 <= {MAX_EXPANSION_SIGMA2}"
         )
-    if abs(epsilon) > max(sigma2, 0.0):
-        raise ValueError("|epsilon| must not exceed sigma2")
+    if not (math.isfinite(epsilon) and abs(epsilon) <= sigma2):
+        raise ValueError("epsilon must be finite with |epsilon| <= sigma2")
     phi0 = config.phi0_1
     if config.phi0_2 != phi0:
         raise ValueError("the variance expansion assumes a symmetric working point")
@@ -257,14 +259,13 @@ def direct_variance(
     *,
     method: str = "gauss_hermite",
     n_samples: int | None = None,
-    gh_order: int = 9,
 ) -> tuple[float, float]:
     """Total estimator variance under phase noise, without expansion.
 
     Var_x[C] = E_x[<C^2>] - (E_x[<C>])^2.  ``gauss_hermite`` integrates
-    on the 45-degree decorrelated axes (variances sigma2 +- epsilon) and
-    returns standard error 0; ``mc`` samples phases and reports a
-    delta-method standard error.  Every kind takes its surfaces from
+    on the 45-degree decorrelated axes (variances sigma2 +- epsilon),
+    _GH_ORDER nodes per axis, and returns standard error 0; ``mc``
+    samples phases and reports a delta-method standard error.  Every kind takes its surfaces from
     stacked engine calls over the nodes or samples, _CHUNK points at a
     time, so memory stays bounded at any sample count.
     """
@@ -272,7 +273,7 @@ def direct_variance(
     if config.phi0_2 != phi0:
         raise ValueError("the noise model shifts a symmetric working point; phases must match")
     if method == "gauss_hermite":
-        nodes, weights = np.polynomial.hermite_e.hermegauss(gh_order)
+        nodes, weights = np.polynomial.hermite_e.hermegauss(_GH_ORDER)
         weights = weights / math.sqrt(2.0 * math.pi)
         scale_u = math.sqrt(max(noise.sigma2 + noise.epsilon, 0.0))
         scale_v = math.sqrt(max(noise.sigma2 - noise.epsilon, 0.0))

@@ -1,0 +1,135 @@
+"""Dense four-mode truncated-Fock reference for the oracle's tests.
+
+``holonoise.fock_oracle`` factorizes every input across the two
+interferometers and applies each beam splitter by polynomial
+convolution.  This module does neither.  It keeps the full four-mode
+amplitude tensor, and it applies a beam splitter on each
+total-photon-number sector s = m + n as the SU(2) rotation
+exp(i phi/2 (a+ b + a b+)) (Campos, Saleh and Teich, PRA 40, 1371
+(1989)), exponentiated through the eigen-decomposition of the
+(s+1) x (s+1) tridiagonal generator.  Detection loss is explicit
+binomial thinning of the joint distribution, and the moments are
+centred sums over the thinned distribution.
+
+Only the input amplitudes and the cutoff rule come from the oracle;
+they have closed-form tests of their own.
+
+Mode layout: 0 and 1 are the quantum ports feeding readout 1 and 2,
+2 and 3 the corresponding coherent ports.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from holonoise import fock_oracle as fo
+from holonoise.config import HolometerConfig, InputKind
+from holonoise.moments import CENTERED_KEYS, ReadoutMoments
+
+# trailing slices below this probability change no double-precision
+# moment, so dropping them keeps the dense tensors small at no cost
+_TRIM_TOL = 1e-30
+
+
+def ports(config: HolometerConfig, cutoff: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Quantum-port amplitudes over (port 1, port 2) and the coherent-port
+    vector shared by both readouts.  ``cutoff`` pins every mode's cutoff;
+    by default each port takes the oracle's automatic one."""
+    probe = fo._CUTOFF_CAP + 257
+    cc = cutoff or fo._auto_cutoff(fo._poisson_pmf(config.mu, probe), "coherent port")
+    coherent = fo._coherent_vector(config.mu, config.psi, cc)
+    if config.input_kind is InputKind.TWB:
+        cq = cutoff or fo._auto_cutoff(fo._geometric_pmf(config.lam, probe), "pair port")
+        return np.diag(fo._twb_weights(config.lam, config.theta, cq)), coherent
+    if config.input_kind is InputKind.TWO_SQUEEZED:
+        cq = cutoff or fo._auto_cutoff(fo._squeezed_pmf(config.lam, probe), "squeezed port")
+        sq = fo._squeezed_vector(config.lam, config.squeezed_quadrature_angle, cq)
+        return np.multiply.outer(sq, sq), coherent
+    return np.ones((1, 1), dtype=complex), coherent
+
+
+def input_state(config: HolometerConfig, cutoff: int | None = None) -> np.ndarray:
+    """Four-mode input amplitudes in the module's mode layout."""
+    quantum, coherent = ports(config, cutoff)
+    return np.multiply.outer(np.multiply.outer(quantum, coherent), coherent)
+
+
+def sector_beam_splitter(block: np.ndarray, phi: float) -> np.ndarray:
+    """exp(i phi/2 (a+ b + a b+)) on an (n_a, n_b, batch) amplitude block.
+
+    The output axes reach n_a + n_b - 1, every sector the input touches."""
+    na, nb, batch = block.shape
+    smax = na + nb - 2
+    out = np.zeros((smax + 1, smax + 1, batch), dtype=complex)
+    for s in range(smax + 1):
+        # a+ b takes |m, s - m> to sqrt((m + 1)(s - m)) |m + 1, s - m - 1>
+        m = np.arange(s)
+        generator = np.diag(np.sqrt((m + 1.0) * (s - m)), -1)
+        w, v = np.linalg.eigh(generator + generator.T)
+        rotation = (v * np.exp(0.5j * phi * w)) @ v.T
+        ms = np.arange(max(0, s - nb + 1), min(na - 1, s) + 1)
+        ps = np.arange(s + 1)
+        out[ps, s - ps] = rotation[:, ms] @ block[ms, s - ms]
+    return out
+
+
+def beam_splitter(amp: np.ndarray, mode_a: int, mode_b: int, phi: float) -> np.ndarray:
+    """The sector beam splitter on two modes of a dense state; the
+    transformed ``mode_a`` is the detected port."""
+    moved = np.moveaxis(amp, (mode_a, mode_b), (0, 1))
+    rest = moved.shape[2:]
+    out = sector_beam_splitter(moved.reshape(moved.shape[:2] + (-1,)), phi)
+    return np.moveaxis(out.reshape(out.shape[:2] + rest), (0, 1), (mode_a, mode_b))
+
+
+def trim(amp: np.ndarray) -> np.ndarray:
+    """Drop trailing slices, along every axis, whose probability is below
+    _TRIM_TOL."""
+    prob = np.abs(amp) ** 2
+    keep = []
+    for axis in range(amp.ndim):
+        marginal = prob.sum(axis=tuple(k for k in range(amp.ndim) if k != axis))
+        kept = np.nonzero(marginal >= _TRIM_TOL)[0]
+        keep.append(slice(0, int(kept[-1]) + 1 if len(kept) else 1))
+    return amp[tuple(keep)]
+
+
+def detected_pmf(config: HolometerConfig, cutoff: int | None = None) -> np.ndarray:
+    """Joint photon-number distribution of the two detected ports before
+    loss, normalized as the oracle normalizes it."""
+    amp = trim(input_state(config, cutoff))
+    amp = trim(beam_splitter(amp, 0, 2, config.phi0_1))
+    amp = trim(beam_splitter(amp, 1, 3, config.phi0_2))
+    pmf = (np.abs(amp) ** 2).sum(axis=(2, 3))
+    return pmf / pmf.sum()
+
+
+def _thinning(eta: float, length: int) -> np.ndarray:
+    # [k, n]: probability that k of n photons survive
+    return np.array([
+        [math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k) if k <= n else 0.0
+         for n in range(length)]
+        for k in range(length)
+    ])
+
+
+def thinned_moments(pmf: np.ndarray, eta_pair: tuple[float, float]) -> ReadoutMoments:
+    """Joint moments of a two-port distribution after binomial loss."""
+    thinned = _thinning(eta_pair[0], pmf.shape[0]) @ pmf @ _thinning(eta_pair[1], pmf.shape[1]).T
+    n1 = np.arange(thinned.shape[0], dtype=float)
+    n2 = np.arange(thinned.shape[1], dtype=float)
+    mean_1 = float(n1 @ thinned.sum(axis=1))
+    mean_2 = float(thinned.sum(axis=0) @ n2)
+    centered = {
+        (p, q): float((n1 - mean_1) ** p @ thinned @ (n2 - mean_2) ** q)
+        for p, q in CENTERED_KEYS
+    }
+    return ReadoutMoments(
+        mean_1=mean_1,
+        mean_2=mean_2,
+        var_1=centered[(2, 0)],
+        var_2=centered[(0, 2)],
+        cov=centered[(1, 1)],
+        centered=centered,
+    )

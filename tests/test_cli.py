@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from holonoise import cli
 from holonoise.config import HolometerConfig
+from holonoise.moments import CENTERED_KEYS
 
 
 def run(argv):
@@ -32,7 +34,7 @@ def read_csv(path):
         elif line.startswith("#"):
             comments.append(line)
         else:
-            rows.append(dict(zip(columns, line.split(","), strict=True)))
+            rows.append(dict(zip(columns, next(csv.reader([line])), strict=True)))
     return comments, columns, rows
 
 
@@ -263,10 +265,18 @@ def test_oracle_check_passes_and_writes_csv(tmp_path, capsys):
     assert run(["oracle-check", "--n-configs", "3", "--out", str(out)]) == 0
     _, columns, rows = read_csv(out)
     assert columns == ["index", "kind", "mu", "lambda", "tau", "eta", "psi",
-                       "max_relative", "verdict"]
+                       "max_relative", "worst_margin", "worst_field", "verdict"]
     assert len(rows) == 3
     assert {row["verdict"] for row in rows} == {"pass"}
     assert [int(row["index"]) for row in rows] == [0, 1, 2]
+    # the margin is |engine - oracle| over the allowance of the field that
+    # came closest to failing, centered[p,q] names included
+    fields = {"mean_1", "mean_2", "var_1", "var_2", "cov"} | {
+        f"centered[{p},{q}]" for p, q in CENTERED_KEYS
+    }
+    for row in rows:
+        assert 0.0 < float(row["worst_margin"]) <= 1.0
+        assert row["worst_field"] in fields
 
 
 def test_oracle_check_broken_convention_exits_two(capsys):

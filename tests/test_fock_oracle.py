@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from holonoise.config import HolometerConfig
+import fock_reference as reference
+from holonoise import fock_oracle
+from holonoise.config import HolometerConfig, InputKind
 from holonoise.fock_oracle import (
     CutoffError,
-    FockState,
-    apply_bs_unitary,
-    build_fock_input,
+    _bs_pair_transform,
     fock_joint_pmf,
-    fock_moments,
     fock_quadrature_moments,
     oracle_moments,
-    trim,
     two_photon_coincidence,
 )
 from holonoise.holometer import quadrature_readout, readout_moments
@@ -37,8 +35,7 @@ def test_twin_beam_amplitudes_are_geometric():
     # pair amplitude c_m = (lam/(1+lam))^{m/2} / sqrt(1+lam)
     lam = 0.5
     config = make(mu=0.0, lam=lam)
-    state = build_fock_input(config, cutoff=25)
-    amp = state.amplitudes[:, :, 0, 0]
+    amp = reference.input_state(config, cutoff=25)[:, :, 0, 0]
     base = 1.0 / math.sqrt(1.0 + lam)
     ratio = math.sqrt(lam / (1.0 + lam))
     for m in range(6):
@@ -49,30 +46,34 @@ def test_twin_beam_amplitudes_are_geometric():
 
 def test_coherent_amplitudes_are_poissonian():
     config = make(mu=1.0, lam=0.0, input_kind="CoherentOnly", psi=0.0)
-    state = build_fock_input(config, cutoff=30)
-    marginal = state.joint_pmf(keep=(2, 3)).sum(axis=1)
+    prob = np.abs(reference.input_state(config, cutoff=30)) ** 2
+    marginal = prob.sum(axis=(0, 1, 3))
     for n in range(6):
         assert marginal[n] == pytest.approx(math.exp(-1.0) / math.factorial(n), rel=1e-10)
 
 
 def test_input_norm_is_one():
     for kind in ("TWB", "TwoSqueezed", "CoherentOnly"):
-        state = build_fock_input(make(input_kind=kind))
-        assert state.norm == pytest.approx(1.0, abs=3e-10)
+        amp = reference.input_state(make(input_kind=kind))
+        assert np.vdot(amp, amp).real == pytest.approx(1.0, abs=3e-10)
 
 
 def test_envelope_guard_raises_beyond_tractable_means():
     with pytest.raises(CutoffError):
-        build_fock_input(make(mu=25.0))
+        oracle_moments(make(mu=25.0))
     with pytest.raises(CutoffError):
-        build_fock_input(make(lam=3.0))
+        fock_joint_pmf(make(lam=3.0))
 
 
-def test_fock_state_rejects_norm_drift():
-    amp = np.zeros((3, 3), dtype=complex)
-    amp[0, 0] = 0.7
-    with pytest.raises(CutoffError):
-        FockState(amp)
+def test_joint_pmf_rejects_mass_drift(monkeypatch):
+    # pair amplitudes that lost 19% of their norm leave the joint
+    # distribution with total mass 0.81
+    twb_weights = fock_oracle._twb_weights
+    monkeypatch.setattr(
+        fock_oracle, "_twb_weights", lambda *args: 0.9 * twb_weights(*args)
+    )
+    with pytest.raises(CutoffError, match="mass"):
+        fock_joint_pmf(make())
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +81,38 @@ def test_fock_state_rejects_norm_drift():
 # ---------------------------------------------------------------------------
 
 
+# the oracle's arm blocks: (quantum port, coherent port, pair index),
+# each pair index unweighted as the oracle transforms it
+ARM_CONFIGS = [
+    make(),
+    make(input_kind="TwoSqueezed", phi0_1=2.5),
+    make(input_kind="CoherentOnly"),
+    make(mu=0.8, lam=0.3),
+    make(mu=4.0, lam=1.0, phi0_1=0.9, phi0_2=2.1),
+]
+
+
+def arm_block(config):
+    quantum, coherent = reference.ports(config)
+    if config.input_kind is InputKind.TWB:
+        quantum = np.eye(len(quantum))
+    return np.multiply.outer(quantum, coherent).transpose(0, 2, 1)
+
+
 def test_beam_splitter_preserves_norm():
-    state = build_fock_input(make())
-    out = apply_bs_unitary(state, 0, 2, phi=0.9)
-    assert out.norm == pytest.approx(1.0, abs=1e-10)
+    block = arm_block(make())
+    out = _bs_pair_transform(block, 0.9)
+    assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(block), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "config", ARM_CONFIGS, ids=["twb", "squeezed", "coherent", "twb-dim", "twb-edge"]
+)
+def test_sector_beam_splitter_matches_pair_transform(config):
+    block = arm_block(config)
+    for phi in (config.phi0_1, config.phi0_2):
+        expected = reference.sector_beam_splitter(block, phi)
+        assert np.max(np.abs(_bs_pair_transform(block, phi) - expected)) < 1e-11
 
 
 def test_two_photon_coincidence_null_for_unitary_conventions():
@@ -104,21 +133,11 @@ def test_unbalanced_coincidence_matches_closed_form():
 
 def test_schmidt_and_dense_routes_agree():
     config = make()
-    schmidt = fock_joint_pmf(config, method="schmidt")
-    dense = fock_joint_pmf(config, method="dense")
+    schmidt = fock_joint_pmf(config)
+    dense = reference.detected_pmf(config)
     r = min(schmidt.shape[0], dense.shape[0])
     c = min(schmidt.shape[1], dense.shape[1])
     assert np.max(np.abs(schmidt[:r, :c] - dense[:r, :c])) < 1e-13
-    with pytest.raises(ValueError):
-        fock_joint_pmf(config, method="magic")
-
-
-def test_trim_drops_negligible_tail_without_changing_moments():
-    config = make()
-    state = apply_bs_unitary(build_fock_input(config), 0, 2, phi=config.phi0_1)
-    slim = trim(state)
-    assert slim.cuts <= state.cuts
-    assert slim.norm == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +156,11 @@ def test_coherent_only_moments_stay_poissonian_under_loss():
 
 
 def test_factorial_and_thinning_loss_agree():
-    config = make(eta=0.65)
-    a = oracle_moments(config, loss_method="factorial")
-    b = oracle_moments(config, loss_method="thinning")
+    config = make(eta=0.65, eta_2=0.4)
+    a = oracle_moments(config)
+    b = reference.thinned_moments(fock_joint_pmf(config), config.eta_pair)
     result = compare_moments(a, b, rtol=1e-10)
     assert result.ok, (result.worst_field, result.max_relative)
-    with pytest.raises(ValueError):
-        oracle_moments(config, loss_method="evaporation")
 
 
 def test_lossy_twin_beam_difference_fourth_moment():
@@ -162,25 +179,10 @@ def test_lossy_twin_beam_difference_fourth_moment():
 
 def test_state_level_moments_match_config_level():
     config = make()
-    state = trim(apply_bs_unitary(build_fock_input(config), 0, 2, phi=config.phi0_1))
-    state = trim(apply_bs_unitary(state, 1, 3, phi=config.phi0_2))
-    via_state = fock_moments(state, modes=(0, 1), max_order=4, eta=config.eta)
+    via_state = reference.thinned_moments(reference.detected_pmf(config), config.eta_pair)
     via_config = oracle_moments(config)
     result = compare_moments(via_state, via_config, rtol=1e-10)
     assert result.ok, (result.worst_field, result.max_relative)
-
-
-def test_state_level_moments_validation():
-    state = build_fock_input(make())
-    with pytest.raises(ValueError):
-        fock_moments(state, modes=(0, 0))
-    with pytest.raises(ValueError):
-        fock_moments(state, modes=(0, 7))
-    with pytest.raises(ValueError):
-        fock_moments(state, max_order=5)
-    with pytest.raises(ValueError):
-        fock_moments(state, eta=1.0001)
-    assert fock_moments(state, max_order=2).centered is None
 
 
 def test_asymmetric_efficiencies_scale_each_port():
@@ -194,10 +196,7 @@ def test_asymmetric_efficiencies_scale_each_port():
 
 def test_cutoff_override_converges():
     config = make(mu=0.8, lam=0.3)
-    state = build_fock_input(config, cutoff=50)
-    state = trim(apply_bs_unitary(state, 0, 2, phi=config.phi0_1))
-    state = trim(apply_bs_unitary(state, 1, 3, phi=config.phi0_2))
-    pinned = fock_moments(state, eta=config.eta)
+    pinned = reference.thinned_moments(reference.detected_pmf(config, cutoff=50), config.eta_pair)
     auto = oracle_moments(config)
     result = compare_moments(pinned, auto, rtol=1e-7)
     assert result.ok, (result.worst_field, result.max_relative)

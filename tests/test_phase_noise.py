@@ -139,6 +139,10 @@ def test_expansion_guards():
     with pytest.raises(ValueError):
         variance_expansion(DESK, QUAD, sigma2=1e-6, epsilon=2e-6)
     with pytest.raises(ValueError):
+        variance_expansion(DESK, QUAD, sigma2=math.nan)
+    with pytest.raises(ValueError):
+        variance_expansion(DESK, QUAD, sigma2=1e-6, epsilon=math.nan)
+    with pytest.raises(ValueError):
         variance_expansion(DESK.replace(phi0_2=0.2), QUAD)
 
 
@@ -181,7 +185,7 @@ def test_direct_variance_quadrature_gh_matches_mc():
 
 def test_direct_variance_photon_kind_agrees_with_gh():
     noise = PhaseNoiseModel(sigma2=1e-6, epsilon=0.0, configuration="parallel")
-    gh, _ = direct_variance(TWB_DESK, DIFF, noise, method="gauss_hermite", gh_order=7)
+    gh, _ = direct_variance(TWB_DESK, DIFF, noise, method="gauss_hermite")
     expansion = variance_expansion(TWB_DESK, DIFF, 1e-6, 0.0)
     assert gh == pytest.approx(expansion.predict(1e-6, 0.0), rel=5e-3)
 
