@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Time the moment pipelines at representative configurations.
 
-Reports wall time per call for the closed forms, the detected-state
-build, the cumulant photon readouts of second and fourth order and the
-quadrature readout (each including its state build), one stacked
-fourth-order readout over 1 000 phase pairs, the exact mixed phase
-derivative, one zero-order uncertainty evaluation, the Gauss-Hermite
-phase-noise variance and the truncated-Fock oracle, so regressions in
-the hot paths show up as numbers rather than as slow test suites.
+Reports wall time per call for the closed forms (at one phase pair and
+over 1e5 phase pairs), the detected-state build, the cumulant photon
+readouts of second and fourth order and the quadrature readout (each
+including its state build), one stacked fourth-order readout over 1 000
+phase pairs, the exact mixed phase derivative, one zero-order
+uncertainty evaluation, the Gauss-Hermite phase-noise variance, one
+Monte-Carlo covariance recovery (quadrature product at the mc-estimate
+defaults, epsilon = 1e-6, 1e5 samples) and the truncated-Fock oracle,
+so regressions in the hot paths show up as numbers rather than as slow
+test suites.
 
 Usage:
     python3 scripts/bench_moments.py [--repeat 50]
@@ -30,10 +33,12 @@ from holonoise.estimation import EstimatorSpec, estimator_mixed_derivative, u0
 from holonoise.fock_oracle import oracle_moments
 from holonoise.holometer import propagate, quadrature_readout, readout_moments
 from holonoise.observables import closed_form_moments
-from holonoise.phase_noise import PhaseNoiseModel, direct_variance
+from holonoise.phase_noise import PhaseNoiseModel, direct_variance, recover_covariance
 
 BRIGHT = HolometerConfig(mu=1e6, psi=math.pi / 2, lam=10.0, eta=0.95,
                          phi0_1=0.2, phi0_2=0.2, input_kind="TWB")
+DESK = HolometerConfig(mu=1e3, psi=math.pi / 2, lam=1.0, eta=0.9,
+                       phi0_1=0.1, phi0_2=0.1, input_kind="TwoSqueezed")
 DIM = HolometerConfig(mu=1.5, psi=math.pi / 2, lam=0.4, eta=0.9,
                       phi0_1=0.8, phi0_2=0.8, input_kind="TWB")
 
@@ -57,6 +62,9 @@ def main() -> int:
 
     clock("closed-form first/second moments (bright)",
           lambda: closed_form_moments(BRIGHT), repeat)
+    wide = BRIGHT.phi0_1 + 3e-3 * np.random.default_rng(1).standard_normal((2, 100_000))
+    clock("closed_form_moments over 1e5 phase pairs (bright)",
+          lambda: closed_form_moments(BRIGHT, wide[0], wide[1]), max(1, repeat // 5))
     clock("detected two-mode state, propagate (bright)",
           lambda: propagate(BRIGHT), repeat)
     clock("state + cumulant photon moments, order 2 (bright)",
@@ -76,6 +84,11 @@ def main() -> int:
     noise = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="parallel")
     clock("direct_variance GH-9, difference (bright)",
           lambda: direct_variance(BRIGHT, diff, noise), max(1, repeat // 10))
+    par = PhaseNoiseModel(sigma2=1e-5, epsilon=1e-6, configuration="parallel")
+    perp = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="perpendicular")
+    quad = EstimatorSpec(kind="QuadratureProduct")
+    clock("recover_covariance, quadrature product, 1e5 samples",
+          lambda: recover_covariance(DESK, quad, par, perp, 100_000), max(1, repeat // 10))
     # the oracle walks a truncated number basis, so it only runs at low
     # occupancy; this is the guardrail-domain cost, not the bright one
     clock("fock oracle end-to-end, order 4 (dim)",

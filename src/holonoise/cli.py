@@ -161,6 +161,17 @@ def _parse_n_samples(text: str) -> int:
     return value
 
 
+def _parse_sigma2(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid variance {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        # at 0 no phase noise is injected: the runs coincide and nothing is recovered
+        raise argparse.ArgumentTypeError(f"sigma2 must be finite and positive, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     values = tuple(float(part) for part in text.split(",") if part.strip())
     if not values:
@@ -614,8 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_mc)
     p_mc.add_argument("--estimator", choices=sorted(_ESTIMATOR_CHOICES),
                       default="quadrature-product", help="readout estimator")
-    p_mc.add_argument("--sigma2", type=float, default=1e-5,
-                      help="marginal phase-noise variance (default 1e-5)")
+    p_mc.add_argument("--sigma2", type=_parse_sigma2, default=1e-5,
+                      help="marginal phase-noise variance, > 0 (default 1e-5)")
     p_mc.add_argument("--epsilons", default="0,1e-8,1e-7,1e-6",
                       help="comma list of injected covariances")
     p_mc.add_argument("--n-samples", type=_parse_n_samples, default=100_000,

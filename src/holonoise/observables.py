@@ -22,11 +22,18 @@ nonzero cross correlator for the inputs modeled here):
 Detection loss eta maps mean -> eta*mean, Var -> eta^2*Var +
 eta(1-eta)*mean, Cov -> eta_1*eta_2*Cov.  These identities hold exactly
 for displaced Gaussian states.  The Gaussian engine builds its detected
-state from the same correlators (holometer.propagate), so the
-independent check of both is the truncated-Fock oracle, at 1e-8
-relative.  The same correlators give the mixed phase derivatives of
-<N1 N2> and <Y1 Y2> in closed form, which set the denominator of the
-estimation uncertainty.
+state from the correlators (holometer.propagate), so the independent
+check of both is the truncated-Fock oracle, at 1e-8 relative.
+
+With the correlators written out, every moment is a real polynomial in
+the half-angle cosines and sines of the two phases, with coefficients
+folded from mu, lam, psi, theta and the quadrature angles.
+closed_form_moments and closed_form_quadrature evaluate those real
+products directly, skipping the terms that vanish for the input kind;
+the Monte-Carlo layer calls them over 1e5-sample phase arrays.  The
+same products give the mixed phase derivatives of <N1 N2> and <Y1 Y2>
+in closed form (mixed_derivative_terms), which set the denominator of
+the estimation uncertainty.
 """
 from __future__ import annotations
 
@@ -71,6 +78,15 @@ class UndefinedResultError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _half_angles(config: HolometerConfig, phi_1: Any, phi_2: Any) -> tuple[Any, ...]:
+    """cos and sin of phi_i / 2, with the phases defaulted and broadcast."""
+    phi_1 = config.phi0_1 if phi_1 is None else phi_1
+    phi_2 = config.phi0_2 if phi_2 is None else phi_2
+    phi_1, phi_2 = np.broadcast_arrays(np.asarray(phi_1, float), np.asarray(phi_2, float))
+    half_1, half_2 = phi_1 / 2.0, phi_2 / 2.0
+    return np.cos(half_1), np.sin(half_1), np.cos(half_2), np.sin(half_2)
+
+
 def detected_correlators(
     config: HolometerConfig,
     phi_1: Any = None,
@@ -79,19 +95,14 @@ def detected_correlators(
     """Pre-loss Gaussian correlators of the two detected modes.
 
     ``phi_1``/``phi_2`` override the configured operating phases and may
-    be numpy arrays (broadcast together), which the Monte-Carlo layer
-    uses to evaluate whole phase-sample batches at once.
+    be numpy arrays (broadcast together); holometer.propagate builds the
+    engine's detected state from them.
 
     Returns a dict with keys ``m1, m2`` (complex displacement), ``n1,
     n2`` (thermal occupancy), ``s1, s2`` (self-anomalous ``<dd^2>``) and
     ``g`` (cross-anomalous ``<dd1 dd2>``).
     """
-    phi_1 = config.phi0_1 if phi_1 is None else phi_1
-    phi_2 = config.phi0_2 if phi_2 is None else phi_2
-    phi_1, phi_2 = np.broadcast_arrays(np.asarray(phi_1, float), np.asarray(phi_2, float))
-
-    c1, s1 = np.cos(phi_1 / 2.0), np.sin(phi_1 / 2.0)
-    c2, s2 = np.cos(phi_2 / 2.0), np.sin(phi_2 / 2.0)
+    c1, s1, c2, s2 = _half_angles(config, phi_1, phi_2)
     alpha = config.coherent_amplitude  # sqrt(mu) e^{i psi}
     m1 = 1j * s1 * alpha
     m2 = 1j * s2 * alpha
@@ -125,22 +136,45 @@ def closed_form_moments(
     """Vectorized first/second photon-number moments after detection loss.
 
     Returns a dict with keys ``mean_1, mean_2, var_1, var_2, cov`` whose
-    values broadcast like the phase inputs (scalars in, 0-d arrays out).
-    """
-    cor = detected_correlators(config, phi_1, phi_2)
-    eta_1, eta_2 = config.eta_pair
+    values are real float64 and broadcast like the phase inputs.  With
+    c_i, s_i = cos, sin(phi_i / 2), A = sqrt(lam (1 + lam)) and lam_n =
+    lam (0 for coherent-only input), the pre-loss moments are
 
-    def port(m: Any, n: Any, s: Any, eta: float) -> tuple[Any, Any]:
-        amp2 = np.abs(m) ** 2
-        mean = amp2 + n
-        var = amp2 * (1.0 + 2.0 * n) + 2.0 * np.real(np.conj(m) ** 2 * s) + n * (1.0 + n) + np.abs(s) ** 2
+        <N_i>      = mu s_i^2 + lam_n c_i^2
+        Var(N_i)   = mu s_i^2 (1 + 2 w c_i^2) + c_i^2 (lam_n + v c_i^2)
+        Cov(N1,N2) = A c_1 c_2 (A c_1 c_2 - 2 mu kappa s_1 s_2)   (twin beam)
+
+    with w = lam_n and v = lam_n^2, plus A cos 2(chi - psi) in w and A^2
+    in v for squeezed input (chi its squeezed quadrature angle), and
+    kappa = cos(theta - 2 psi).  These are the correlator identities of
+    the module docstring in real arithmetic; terms that vanish for the
+    input kind are never formed.
+    """
+    c1, s1, c2, s2 = _half_angles(config, phi_1, phi_2)
+    eta_1, eta_2 = config.eta_pair
+    kind, mu, lam = config.input_kind, config.mu, config.lam
+    pair = math.sqrt(lam * (1.0 + lam))
+    weight, quartic = lam, lam * lam
+    if kind is InputKind.TWO_SQUEEZED:
+        weight += pair * math.cos(2.0 * (config.squeezed_quadrature_angle - config.psi))
+        quartic += pair * pair
+
+    def port(c: Any, s: Any, eta: float) -> tuple[Any, Any]:
+        amp2 = mean = var = mu * s * s  # |m_i|^2
+        if kind is not InputKind.COHERENT_ONLY:
+            cc = c * c
+            mean = amp2 + lam * cc
+            var = amp2 * (1.0 + 2.0 * weight * cc) + cc * (lam + quartic * cc)
         return eta * mean, eta * eta * var + eta * (1.0 - eta) * mean
 
-    mean_1, var_1 = port(cor["m1"], cor["n1"], cor["s1"], eta_1)
-    mean_2, var_2 = port(cor["m2"], cor["n2"], cor["s2"], eta_2)
-    cov = eta_1 * eta_2 * (
-        2.0 * np.real(np.conj(cor["m1"]) * np.conj(cor["m2"]) * cor["g"]) + np.abs(cor["g"]) ** 2
-    )
+    mean_1, var_1 = port(c1, s1, eta_1)
+    mean_2, var_2 = port(c2, s2, eta_2)
+    if kind is InputKind.TWB:
+        pair_cc = pair * c1 * c2
+        kappa = math.cos(config.theta - 2.0 * config.psi)
+        cov = eta_1 * eta_2 * pair_cc * (pair_cc - 2.0 * mu * kappa * s1 * s2)
+    else:
+        cov = np.zeros_like(c1)
     return {"mean_1": mean_1, "mean_2": mean_2, "var_1": var_1, "var_2": var_2, "cov": cov}
 
 
@@ -156,21 +190,38 @@ def closed_form_quadrature(
     ``chi_1``/``chi_2`` pick the measured quadrature angle per detector
     and default to the signal angle psi + pi/2 where the coherent leak
     carries the phase information.  Returns ``mean_1, mean_2, var_1,
-    var_2, cov`` for Y_chi = (a e^{-i chi} + a^+ e^{i chi})/sqrt(2).
+    var_2, cov`` for Y_chi = (a e^{-i chi} + a^+ e^{i chi})/sqrt(2), as
+    real float64 values that broadcast like the phase inputs.  Before
+    loss, in the notation of closed_form_moments,
+
+        <Y_i>      = sqrt(2 mu) sin(chi_i - psi) s_i
+        Var(Y_i)   = 1/2 + (lam_n - A cos 2(chi_sq - chi_i)) c_i^2
+        Cov(Y1,Y2) = A cos(theta - chi_1 - chi_2) c_1 c_2   (twin beam)
+
+    where the A term of the variance is present for squeezed input only.
     """
     chi_1 = config.signal_quadrature_angle if chi_1 is None else chi_1
     chi_2 = config.signal_quadrature_angle if chi_2 is None else chi_2
-    cor = detected_correlators(config, phi_1, phi_2)
+    c1, s1, c2, s2 = _half_angles(config, phi_1, phi_2)
     eta_1, eta_2 = config.eta_pair
+    kind, lam = config.input_kind, config.lam
+    pair = math.sqrt(lam * (1.0 + lam))
 
-    def port(m: Any, n: Any, s: Any, chi: float, eta: float) -> tuple[Any, Any]:
-        mean = math.sqrt(2.0) * np.real(m * np.exp(-1j * chi))
-        var = 0.5 + n + np.real(s * np.exp(-2j * chi))
-        return math.sqrt(eta) * mean, eta * var + (1.0 - eta) / 2.0
+    def port(c: Any, s: Any, chi: float, eta: float) -> tuple[Any, Any]:
+        mean = math.sqrt(2.0 * eta * config.mu) * math.sin(chi - config.psi) * s
+        if kind is InputKind.COHERENT_ONLY:
+            return mean, np.full_like(c, 0.5 * eta + (1.0 - eta) / 2.0)
+        weight = lam
+        if kind is InputKind.TWO_SQUEEZED:
+            weight -= pair * math.cos(2.0 * (config.squeezed_quadrature_angle - chi))
+        return mean, eta * (0.5 + weight * c * c) + (1.0 - eta) / 2.0
 
-    mean_1, var_1 = port(cor["m1"], cor["n1"], cor["s1"], chi_1, eta_1)
-    mean_2, var_2 = port(cor["m2"], cor["n2"], cor["s2"], chi_2, eta_2)
-    cov = math.sqrt(eta_1 * eta_2) * np.real(cor["g"] * np.exp(-1j * (chi_1 + chi_2)))
+    mean_1, var_1 = port(c1, s1, chi_1, eta_1)
+    mean_2, var_2 = port(c2, s2, chi_2, eta_2)
+    if kind is InputKind.TWB:
+        cov = math.sqrt(eta_1 * eta_2) * pair * math.cos(config.theta - chi_1 - chi_2) * c1 * c2
+    else:
+        cov = np.zeros_like(c1)
     return {"mean_1": mean_1, "mean_2": mean_2, "var_1": var_1, "var_2": var_2, "cov": cov}
 
 

@@ -11,6 +11,15 @@ distribution, and the injected covariance is recovered from the
 parallel/perpendicular mean difference divided by the estimator's mixed
 phase derivative.
 
+The offsets are standard normals from the model's seed times the SVD
+covariance factor, the stream of numpy's
+multivariate_normal(method="svd").  A recovery draws the normals once
+per distinct seed: the runs share them at a common seed (common random
+numbers), and where the perpendicular run would repeat the parallel
+one (epsilon = 0) its result is reused rather than recomputed.  The
+per-sample means come from the real-valued closed forms of
+observables, one array evaluation per run.
+
 The module also evaluates the second-order expansion of the total
 estimator variance under phase noise,
 
@@ -111,17 +120,49 @@ class PhaseNoiseModel:
         return np.array([[self.sigma2, self.epsilon], [self.epsilon, self.sigma2]])
 
 
+def _phase_offsets(model: PhaseNoiseModel, normals: np.ndarray) -> np.ndarray:
+    """Offsets from standard normals of shape (n, 2): the normals times
+    the covariance factor u sqrt(s) of the SVD u s v^T of the model's
+    covariance, the factor numpy's multivariate_normal(method="svd")
+    applies to the same normals."""
+    u, s, _ = np.linalg.svd(model.covariance_matrix)
+    return normals @ (u * np.sqrt(np.abs(s))).T
+
+
 def sample_phase_offsets(
     model: PhaseNoiseModel,
     n_samples: int,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """(n_samples, 2) phase offsets; identical seeds give identical streams."""
+    """(n_samples, 2) phase offsets; identical seeds give identical streams.
+
+    The stream is that of ``rng.multivariate_normal(..., method="svd")``
+    with ``rng`` defaulting to ``default_rng(model.sampler_seed)``.
+    """
     if rng is None:
         rng = np.random.default_rng(model.sampler_seed)
-    return rng.multivariate_normal(
-        np.zeros(2), model.covariance_matrix, size=int(n_samples), method="svd"
+    return _phase_offsets(model, rng.standard_normal((int(n_samples), 2)))
+
+
+def _check_mc_run(config: HolometerConfig, n_samples: int) -> None:
+    if n_samples < MIN_MC_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
+    if config.phi0_2 != config.phi0_1:
+        raise ValueError("the noise model shifts a symmetric working point; phases must match")
+
+
+def _sample_mean(
+    config: HolometerConfig,
+    spec: EstimatorSpec,
+    center: tuple[float, ...],
+    offsets: np.ndarray,
+) -> tuple[float, float]:
+    """Sample mean and standard error of <C> over the offset samples."""
+    phi0 = config.phi0_1
+    values = estimation.estimator_mean_curve(
+        config, spec, phi0 + offsets[:, 0], phi0 + offsets[:, 1], center=center
     )
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
 def mc_expectation(
@@ -132,24 +173,15 @@ def mc_expectation(
 ) -> tuple[float, float]:
     """Sample mean and standard error of E_x[<C>] under the noise model.
 
-    Per-sample expectations come from the closed-form mean surface with
-    centering constants frozen at the working point.  Accumulation uses
-    numpy's pairwise mean, so the result is independent of any batch
-    split of the same stream.
+    Per-sample expectations come from the real-valued closed-form mean
+    surface (estimation.estimator_mean_curve) with centering constants
+    frozen at the working point, over the offsets of
+    sample_phase_offsets.  Accumulation uses numpy's pairwise mean, so
+    the result is independent of any batch split of the same stream.
     """
-    if n_samples < MIN_MC_SAMPLES:
-        raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
-    phi0 = config.phi0_1
-    if config.phi0_2 != phi0:
-        raise ValueError("the noise model shifts a symmetric working point; phases must match")
+    _check_mc_run(config, n_samples)
     center = estimation.estimator_center(config, spec)
-    offsets = sample_phase_offsets(noise, n_samples)
-    values = estimation.estimator_mean_curve(
-        config, spec, phi0 + offsets[:, 0], phi0 + offsets[:, 1], center=center
-    )
-    mean = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / math.sqrt(n_samples))
-    return mean, std_error
+    return _sample_mean(config, spec, center, sample_phase_offsets(noise, n_samples))
 
 
 def recover_covariance(
@@ -162,7 +194,12 @@ def recover_covariance(
     """Recovered phase covariance and its Monte-Carlo standard error.
 
     epsilon_hat = (E_par[C] - E_perp[C]) / (d^2<C>/dphi_1 dphi_2); the
-    standard error combines the two run errors as independent.
+    standard error combines the two run errors as independent.  Each
+    run equals an mc_expectation call on its model, bit for bit, but
+    the standard normals are drawn once per distinct sampler seed, and
+    where the perpendicular run repeats the parallel one (same seed and
+    marginal variance, epsilon = 0) its surface is not evaluated again:
+    the parallel result is reused and epsilon_hat is exactly 0.
     """
     if noise_par.configuration is not Configuration.PARALLEL:
         raise ValueError("noise_par must use the parallel configuration")
@@ -173,8 +210,17 @@ def recover_covariance(
             "mismatched marginal variances would leak single-detector differences into "
             f"the recovery: {noise_par.sigma2!r} vs {noise_perp.sigma2!r}"
         )
-    mean_par, se_par = mc_expectation(config, spec, noise_par, n_samples)
-    mean_perp, se_perp = mc_expectation(config, spec, noise_perp, n_samples)
+    _check_mc_run(config, n_samples)
+    center = estimation.estimator_center(config, spec)
+    normals = np.random.default_rng(noise_par.sampler_seed).standard_normal((int(n_samples), 2))
+    mean_par, se_par = _sample_mean(config, spec, center, _phase_offsets(noise_par, normals))
+    if noise_perp.sampler_seed != noise_par.sampler_seed:
+        offsets = sample_phase_offsets(noise_perp, n_samples)
+        mean_perp, se_perp = _sample_mean(config, spec, center, offsets)
+    elif noise_par.epsilon == 0.0 and noise_par.sigma2 == noise_perp.sigma2:
+        mean_perp, se_perp = mean_par, se_par
+    else:
+        mean_perp, se_perp = _sample_mean(config, spec, center, _phase_offsets(noise_perp, normals))
     denominator = estimation.estimator_mixed_derivative(config, spec)
     epsilon_hat = estimation.estimate_phase_covariance(mean_par, mean_perp, denominator)
     std_error = math.hypot(se_par, se_perp) / abs(denominator)

@@ -320,3 +320,20 @@ def test_mc_estimate_sum_estimator_defaults_to_its_phase(capsys):
     printed = capsys.readouterr().out
     assert '"psi": 0.0' in printed
     assert '"input_kind": "TWB"' in printed
+
+
+@pytest.mark.parametrize("estimator", ["quadrature-product", "difference-squared"])
+@pytest.mark.parametrize("sigma2", ["0", "-1", "nan", "inf"])
+def test_mc_estimate_rejects_a_non_positive_variance(tmp_path, capsys, estimator, sigma2):
+    # at sigma2 = 0 the runs coincide and a pull is nan or roundoff, so the
+    # flag fails before any run and names sigma2, not the epsilon bound
+    # that -1 would also violate
+    out = tmp_path / "mc.csv"
+    assert run_usage_error([
+        "mc-estimate", "--estimator", estimator, "--sigma2", sigma2,
+        "--epsilons", "0", "--n-samples", "1000", "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "sigma2 must be finite and positive" in err
+    assert "exceeds" not in err
+    assert not out.exists()

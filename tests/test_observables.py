@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from closed_form_reference import complex_moments, complex_quadrature
 from holonoise.config import HolometerConfig
 from holonoise.fock_oracle import oracle_moments
 from holonoise.holometer import readout_moments
@@ -148,6 +150,53 @@ def test_squeezed_signal_quadrature_variance():
     r = math.asinh(math.sqrt(lam))
     expected = (1.0 - eta * tau + eta * tau * math.exp(-2 * r)) / 2.0
     assert closed_form_quadrature(config)["var_1"] == pytest.approx(expected, rel=1e-12)
+
+
+def _reference_gaps(got, want):
+    """Relative gaps per key; cov is measured against sqrt(var_1 var_2)."""
+    gaps = {}
+    for key in ("mean_1", "mean_2", "var_1", "var_2", "cov"):
+        a, b = np.asarray(got[key]), np.asarray(want[key])
+        assert a.dtype == np.float64 and a.shape == b.shape, key
+        scale = np.sqrt(want["var_1"] * want["var_2"]) if key == "cov" else np.abs(b)
+        gaps[key] = float(np.max(np.abs(a - b) / scale))
+    return gaps
+
+
+def test_real_closed_forms_match_complex_correlator_algebra():
+    phases = ((1e-8, 1e-8), (0.3, 1.2), (2.5, 1e-8))
+    angles = ((math.pi / 2, 0.0, None), (0.4, 1.3, 0.7))  # psi, theta, theta_xi
+    worst = 0.0
+    for kind, mu, lam, (phi_1, phi_2), (psi, theta, theta_xi), eta_2 in itertools.product(
+        ("TWB", "TwoSqueezed", "CoherentOnly"), (0.1, 37.0, 3e12), (1e-3, 1.0, 10.0),
+        phases, angles, (None, 0.6),
+    ):
+        config = HolometerConfig(
+            mu=mu, psi=psi, lam=lam, eta=0.9, eta_2=eta_2, phi0_1=phi_1, phi0_2=phi_2,
+            input_kind=kind, theta=theta, theta_xi=theta_xi,
+        )
+        pairs = [
+            (closed_form_moments(config), complex_moments(config)),
+            (closed_form_quadrature(config), complex_quadrature(config)),
+            (closed_form_quadrature(config, chi_1=0.3, chi_2=1.1),
+             complex_quadrature(config, chi_1=0.3, chi_2=1.1)),
+        ]
+        for got, want in pairs:
+            worst = max(worst, *_reference_gaps(got, want).values())
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["TWB", "TwoSqueezed", "CoherentOnly"])
+def test_real_closed_forms_broadcast_like_the_phases(kind):
+    config = make(mu=2e3, lam=3.0, eta=0.8, eta_2=0.7, input_kind=kind, theta=0.5)
+    phi_1 = np.array([[1e-8], [0.2], [1.7]])
+    phi_2 = np.array([1e-6, 0.1, 0.9, 2.4])
+    for got, want in (
+        (closed_form_moments(config, phi_1, phi_2), complex_moments(config, phi_1, phi_2)),
+        (closed_form_quadrature(config, phi_1, phi_2), complex_quadrature(config, phi_1, phi_2)),
+    ):
+        assert all(np.shape(got[key]) == (3, 4) for key in got)
+        assert max(_reference_gaps(got, want).values()) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from holonoise import estimation
 from holonoise.config import HolometerConfig
 from holonoise.estimation import (
     EstimatorSpec,
@@ -126,6 +127,60 @@ def test_recover_covariance_pull_at_desk_scale():
     # the common seed correlates the two runs, so the quoted (independent)
     # standard error over-covers; 4 se is a conservative window
     assert abs(eps_hat - epsilon) <= 4.0 * se
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [QUAD, DIFF], ids=["quadrature", "difference"])
+def test_recovery_at_zero_covariance_evaluates_the_surface_once(monkeypatch, spec):
+    config = DESK if spec is QUAD else TWB_DESK
+    surfaces = _count_calls(monkeypatch, estimation, "estimator_mean_curve")
+    draws = _count_calls(monkeypatch, np.random, "default_rng")
+    par = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="parallel", sampler_seed=8)
+    perp = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="perpendicular", sampler_seed=8)
+    eps_hat, se = recover_covariance(config, spec, par, perp, 5_000)
+    assert eps_hat == 0.0
+    assert se > 0.0
+    assert (len(surfaces), len(draws)) == (1, 1)
+    # a nonzero covariance needs the second surface, still on the same draw
+    par = dataclasses.replace(par, epsilon=1e-6)
+    recover_covariance(config, spec, par, perp, 5_000)
+    assert (len(surfaces), len(draws)) == (3, 2)
+
+
+def test_recovery_with_distinct_seeds_equals_two_independent_runs():
+    par = PhaseNoiseModel(sigma2=1e-5, epsilon=2e-6, configuration="parallel", sampler_seed=21)
+    perp = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="perpendicular", sampler_seed=22)
+    mean_par, se_par = mc_expectation(DESK, QUAD, par, 4_000)
+    mean_perp, se_perp = mc_expectation(DESK, QUAD, perp, 4_000)
+    denominator = estimation.estimator_mixed_derivative(DESK, QUAD)
+    eps_hat, se = recover_covariance(DESK, QUAD, par, perp, 4_000)
+    assert eps_hat == (mean_par - mean_perp) / denominator
+    assert se == math.hypot(se_par, se_perp) / abs(denominator)
+
+
+@pytest.mark.parametrize("sigma2, epsilon", [
+    (1e-5, 0.0), (1e-5, 1e-6), (1e-5, -3e-6), (1e-4, 6e-5), (1e-5, 1e-5), (0.0, 0.0),
+])
+def test_offsets_match_numpy_svd_multivariate_normal(sigma2, epsilon):
+    model = PhaseNoiseModel(sigma2=sigma2, epsilon=epsilon, configuration="parallel",
+                            sampler_seed=13)
+    want = np.random.default_rng(13).multivariate_normal(
+        np.zeros(2), model.covariance_matrix, size=3_000, method="svd"
+    )
+    got = sample_phase_offsets(model, 3_000)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 # ---------------------------------------------------------------------------
