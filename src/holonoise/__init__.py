@@ -18,7 +18,6 @@ from .estimation import (
     EstimatorKind,
     EstimatorSpec,
     PsiPairingError,
-    PsiPairingWarning,
     SingularConfigurationError,
     UncertaintyResult,
     classical_benchmark,
@@ -123,7 +122,6 @@ __all__ = [
     "estimator_mean_curve",
     "estimate_phase_covariance",
     "SingularConfigurationError",
-    "PsiPairingWarning",
     "PsiPairingError",
     # phase-noise Monte Carlo
     "PhaseNoiseModel",

@@ -172,6 +172,17 @@ def _parse_sigma2(text: str) -> float:
     return value
 
 
+def _parse_rtol(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        # a nan, infinite or negative tolerance would pass any disagreement
+        raise argparse.ArgumentTypeError(f"rtol must be finite and non-negative, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     values = tuple(float(part) for part in text.split(",") if part.strip())
     if not values:
@@ -533,12 +544,9 @@ def _cmd_mc_estimate(args: argparse.Namespace) -> int:
         r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else math.nan
         summary.append(f"linearity of recovered vs injected: slope {coef[0]:.4f}, R^2 {r2:.6f}")
     try:
-        expansion = phase_noise.variance_expansion(config, spec, sigma2=sigma2)
-        predicted = expansion.predict(sigma2, 0.0)
-        direct, _ = phase_noise.direct_variance(
-            config,
-            spec,
-            phase_noise.PhaseNoiseModel(sigma2, 0.0, "parallel", sampler_seed=args.seed),
+        predicted = phase_noise.variance_expansion(config, spec).predict(sigma2, 0.0)
+        direct = phase_noise.direct_variance(
+            config, spec, phase_noise.PhaseNoiseModel(sigma2, 0.0, "parallel")
         )
         rel = predicted / direct - 1.0
         summary.append(
@@ -610,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_oracle)
     p_oracle.add_argument("--n-configs", type=int, default=100,
                           help="number of random configurations (default 100)")
-    p_oracle.add_argument("--rtol", type=float, default=1e-8,
+    p_oracle.add_argument("--rtol", type=_parse_rtol, default=1e-8,
                           help="relative tolerance on every moment (default 1e-8)")
     p_oracle.add_argument("--broken-convention", action="store_true",
                           help="run with the deliberately broken beam-splitter "

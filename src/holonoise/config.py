@@ -41,8 +41,9 @@ class HolometerConfig:
              the squeezed quadrature on the one that carries the phase
              signal (for psi = 0 that is the y quadrature)
     eta_2    optional second-detector efficiency; None means symmetric.
-             No closed form covers the asymmetric case; it is served by
-             the engine route only.
+             The engine, the oracle and both closed forms take the
+             pair from ``eta_pair``; u0, nrf and the classical
+             benchmark need a symmetric working point and require None.
     """
 
     mu: float

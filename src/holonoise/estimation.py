@@ -28,7 +28,6 @@ cosines of the two phases (see observables.mixed_derivative_terms).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -41,7 +40,6 @@ from .observables import UndefinedResultError, regime_parameter
 
 __all__ = [
     "SingularConfigurationError",
-    "PsiPairingWarning",
     "PsiPairingError",
     "EstimatorKind",
     "EstimatorSpec",
@@ -63,13 +61,8 @@ class SingularConfigurationError(RuntimeError):
     """The estimator has no usable phase response at this working point."""
 
 
-class PsiPairingWarning(UserWarning):
-    """Estimator kind and coherent phase psi are not the canonical pairing."""
-
-
 class PsiPairingError(ValueError):
-    """Estimator kind and coherent phase psi are not the canonical pairing,
-    and the spec does not allow the mismatch."""
+    """Estimator kind and coherent phase psi are not the canonical pairing."""
 
 
 class EstimatorKind(str, Enum):
@@ -95,13 +88,12 @@ _LINEAR_READOUT_ALIASES = {
 class EstimatorSpec:
     """Choice of readout estimator.
 
-    ``allow_psi_mismatch`` downgrades the canonical psi-pairing check
-    (difference <-> psi=pi/2, sum <-> psi=0, for twin-beam input) from
-    an error to a PsiPairingWarning.
+    On twin-beam input the squared photocurrent kinds pair with a
+    canonical coherent phase (difference <-> psi=pi/2, sum <-> psi=0);
+    u0 raises PsiPairingError off that pairing.
     """
 
     kind: EstimatorKind
-    allow_psi_mismatch: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, EstimatorKind):
@@ -161,15 +153,11 @@ def _check_psi_pairing(config: HolometerConfig, spec: EstimatorSpec) -> None:
         return
     if abs(math.cos(2.0 * config.psi) - target) <= 1e-6:
         return
-    message = (
+    raise PsiPairingError(
         f"{spec.kind.value} pairs with cos(2 psi) = {target:+.0f} "
         f"(psi = {'pi/2' if target < 0 else '0'}); got psi = {config.psi!r}. "
         "The photon cross covariance then has the wrong sign for this readout."
     )
-    if spec.allow_psi_mismatch:
-        warnings.warn(message, PsiPairingWarning, stacklevel=3)
-    else:
-        raise PsiPairingError(message + " Pass allow_psi_mismatch=True to proceed anyway.")
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class CutoffError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# photon-number distributions of the inputs and the cutoff rule
+# input amplitudes and the cutoff rule
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -66,42 +66,9 @@ def _log_factorials(n: int) -> np.ndarray:
     return out
 
 
-def _poisson_pmf(mu: float, length: int) -> np.ndarray:
-    if mu == 0.0:
-        out = np.zeros(length)
-        out[0] = 1.0
-        return out
-    n = np.arange(length, dtype=float)
-    return np.exp(-mu + n * math.log(mu) - _log_factorials(length))
-
-
-def _geometric_pmf(lam: float, length: int) -> np.ndarray:
-    if lam == 0.0:
-        out = np.zeros(length)
-        out[0] = 1.0
-        return out
-    x = lam / (1.0 + lam)
-    return (1.0 - x) * x ** np.arange(length, dtype=float)
-
-
-def _squeezed_pmf(lam: float, length: int) -> np.ndarray:
-    # only even photon numbers are populated
-    out = np.zeros(length)
-    if lam == 0.0:
-        out[0] = 1.0
-        return out
-    r = math.asinh(math.sqrt(lam))
-    t2 = math.tanh(r) ** 2
-    ks = np.arange((length + 1) // 2, dtype=float)
-    lg = _log_factorials(length)
-    even = np.arange(0, length, 2)
-    logs = lg[even] - 2.0 * lg[even // 2] + ks[: len(even)] * (math.log(t2) - math.log(4.0))
-    out[even] = np.exp(logs) / math.cosh(r)
-    return out
-
-
 def _auto_cutoff(pmf: np.ndarray, label: str) -> int:
-    """Smallest cutoff whose moment-weighted tail is negligible.
+    """Smallest cutoff whose moment-weighted tail of the photon-number
+    distribution ``pmf`` is negligible.
 
     The weight (1 + n)^4 makes the criterion track the worst moment the
     package reports rather than bare probability mass."""
@@ -115,6 +82,12 @@ def _auto_cutoff(pmf: np.ndarray, label: str) -> int:
             f"{label}: needs cutoff beyond {_CUTOFF_CAP} for weighted tail {_TAIL_TOL}"
         )
     return max(int(ok[0]), 1)
+
+
+def _truncated(amplitudes: np.ndarray, label: str) -> np.ndarray:
+    """Amplitudes built at a probe length, cut at the automatic cutoff of
+    their photon-number distribution |amplitude|^2."""
+    return amplitudes[: _auto_cutoff(np.abs(amplitudes) ** 2, label)]
 
 
 def _check_envelope(config: HolometerConfig) -> None:
@@ -257,17 +230,15 @@ def _schmidt_arms(config: HolometerConfig, convention: str = "i"):
     """Pair weights and transformed arm amplitudes (rank, detected, discarded)."""
     _check_envelope(config)
     probe = _CUTOFF_CAP + 257
-    cc = _auto_cutoff(_poisson_pmf(config.mu, probe), "coherent port")
-    coh = _coherent_vector(config.mu, config.psi, cc)
+    coh = _truncated(_coherent_vector(config.mu, config.psi, probe), "coherent port")
 
     if config.input_kind is InputKind.TWB:
-        cq = _auto_cutoff(_geometric_pmf(config.lam, probe), "pair-correlated port")
-        weights = _twb_weights(config.lam, config.theta, cq)
-        q_vecs = np.eye(cq, dtype=complex)
+        weights = _truncated(_twb_weights(config.lam, config.theta, probe), "pair-correlated port")
+        q_vecs = np.eye(len(weights), dtype=complex)
     elif config.input_kind is InputKind.TWO_SQUEEZED:
-        cq = _auto_cutoff(_squeezed_pmf(config.lam, probe), "squeezed port")
+        squeezed = _squeezed_vector(config.lam, config.squeezed_quadrature_angle, probe)
         weights = np.ones(1, dtype=complex)
-        q_vecs = _squeezed_vector(config.lam, config.squeezed_quadrature_angle, cq)[None, :]
+        q_vecs = _truncated(squeezed, "squeezed port")[None, :]
     else:
         weights = np.ones(1, dtype=complex)
         q_vecs = np.ones((1, 1), dtype=complex)

@@ -120,11 +120,8 @@ def _factorial_cumulants(mean: np.ndarray, w: np.ndarray, order: int) -> np.ndar
     return coeff * _FACTORIAL_WEIGHTS[: order + 1, : order + 1]
 
 
-def centered_photon_moments(
-    state: GaussianState, modes: tuple[int, int] = (0, 1), max_order: int = 4
-) -> ReadoutMoments:
-    """Joint centered photon-number moments of the two modes, in the
-    order ``modes`` lists them.
+def centered_photon_moments(state: GaussianState, max_order: int = 4) -> ReadoutMoments:
+    """Joint centered photon-number moments of the two modes.
 
     Builds the factorial cumulants from the generating function in the
     module docstring, converts them to cumulants kappa = S kappa_[.] S^T
@@ -135,10 +132,8 @@ def centered_photon_moments(
     """
     if max_order not in (2, 4):
         raise ValueError("max_order must be 2 or 4")
-    i, j = modes
-    idx = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])
-    w = state.cov[..., idx[:, None], idx] - 0.5 * np.eye(4)
-    factorial = _factorial_cumulants(state.mean[..., idx], w, max_order)
+    w = state.cov - 0.5 * np.eye(4)
+    factorial = _factorial_cumulants(state.mean, w, max_order)
     stirling = _STIRLING2[: max_order + 1, : max_order + 1]
     k = stirling @ factorial @ stirling.T
     lead = state.mean.shape[:-1]

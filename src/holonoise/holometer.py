@@ -16,7 +16,6 @@ states, and the readouts then hold arrays over it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,29 +26,17 @@ from .observables import detected_correlators
 
 __all__ = [
     "HolometerConfig",
-    "PropagatedState",
     "propagate",
     "readout_moments",
     "quadrature_readout",
 ]
 
 
-@dataclass(frozen=True)
-class PropagatedState:
-    """Two-mode state of the detected ports at given working phases; a
-    stack of states when the phases are arrays."""
-
-    state: ge.GaussianState
-    config: HolometerConfig
-    phi_1: float | np.ndarray
-    phi_2: float | np.ndarray
-
-
 def propagate(
     config: HolometerConfig,
     phi_1: float | np.ndarray | None = None,
     phi_2: float | np.ndarray | None = None,
-) -> PropagatedState:
+) -> ge.GaussianState:
     """Detected two-mode state after both readout beam splitters and the loss.
 
     phi_1/phi_2 override the configured working phases; phase-noise code
@@ -82,7 +69,7 @@ def propagate(
     cov[..., 0, 2] = cov[..., 2, 0] = root * g.real
     cov[..., 0, 3] = cov[..., 3, 0] = cov[..., 1, 2] = cov[..., 2, 1] = root * g.imag
     cov[..., 1, 3] = cov[..., 3, 1] = root * -g.real
-    return PropagatedState(ge.GaussianState(mean, cov), config, p1, p2)
+    return ge.GaussianState(mean, cov)
 
 
 def readout_moments(
@@ -93,8 +80,7 @@ def readout_moments(
 ) -> ReadoutMoments:
     """Joint photon-number moments of the two readouts via the engine;
     floats at one phase pair, arrays over a stack of them."""
-    prop = propagate(config, phi_1, phi_2)
-    return ge.centered_photon_moments(prop.state, (0, 1), max_order=max_order)
+    return ge.centered_photon_moments(propagate(config, phi_1, phi_2), max_order=max_order)
 
 
 def quadrature_readout(
@@ -109,8 +95,8 @@ def quadrature_readout(
     pair, arrays over a stack of them."""
     chi1 = config.signal_quadrature_angle if chi_1 is None else chi_1
     chi2 = config.signal_quadrature_angle if chi_2 is None else chi_2
-    prop = propagate(config, phi_1, phi_2)
-    means, cov = ge.quadrature_mean_cov(prop.state, ((0, chi1), (1, chi2)))
+    state = propagate(config, phi_1, phi_2)
+    means, cov = ge.quadrature_mean_cov(state, ((0, chi1), (1, chi2)))
     values = (means[..., 0], means[..., 1], cov[..., 0, 0], cov[..., 1, 1], cov[..., 0, 1])
     if means.ndim == 1:
         values = tuple(map(float, values))

@@ -192,7 +192,14 @@ def compare_moments(
     few 1e-13 on entries whose exact value is zero (measured across the
     oracle envelope), while a real convention bug sits ten or more
     decades higher.
+
+    A field whose margin is not finite (a nan or infinite entry) fails
+    the comparison with ``worst_margin = max_relative = inf``; a
+    tolerance or floor that is negative or not finite is a ValueError.
     """
+    for name, value in (("rtol", rtol), ("abs_floor", abs_floor)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
     entries = comparison_entries(a, b, abs_floor)
 
     worst_margin = 0.0
@@ -200,7 +207,10 @@ def compare_moments(
     max_rel = 0.0
     for name, x, y, floor in entries:
         allowance = rtol * max(abs(x), abs(y)) + floor
-        margin = abs(x - y) / allowance
+        deviation = abs(x - y)
+        margin = deviation / allowance if allowance > 0.0 else (math.inf if deviation else 0.0)
+        if not math.isfinite(margin):
+            margin = max_rel = math.inf
         if margin > worst_margin:
             worst_margin = margin
             worst_field = name

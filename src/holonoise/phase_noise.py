@@ -33,11 +33,10 @@ Var_x = E_x[q] - (E_x[h])^2 expanded to second order gives exactly
 these coefficients.  The <C^2> surface comes from the engine's
 fourth-order moments and has no closed form, so its second partials,
 and those of <C>, are taken by central finite differences with
-Richardson extrapolation.  Direct numerical integration (Gauss-Hermite
-on the 45-degree decorrelated axes, or Monte Carlo) cross-checks the
-prediction.  Both evaluate the engine surfaces as stacked calls over
-whole phase arrays (estimation.estimator_mean_and_square), never one
-call per phase point.
+Richardson extrapolation.  Direct Gauss-Hermite integration on the
+45-degree decorrelated axes cross-checks the prediction, evaluating the
+engine surfaces as one stacked call over all nodes
+(estimation.estimator_mean_and_square), never one call per phase point.
 """
 from __future__ import annotations
 
@@ -71,9 +70,6 @@ _PHASE_FLOOR = 1e-3
 # the stencil at each step h, in units of h: the axis points (+-h, 0) and
 # (0, +-h), then the diagonal points (+-h, +-h)
 _STENCIL = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], float)
-# phase points per stacked engine call in direct_variance: an order-4
-# photon readout holds about 4.5 KB of intermediates per point
-_CHUNK = 1024
 # Gauss-Hermite nodes per decorrelated axis in direct_variance
 _GH_ORDER = 9
 
@@ -129,19 +125,14 @@ def _phase_offsets(model: PhaseNoiseModel, normals: np.ndarray) -> np.ndarray:
     return normals @ (u * np.sqrt(np.abs(s))).T
 
 
-def sample_phase_offsets(
-    model: PhaseNoiseModel,
-    n_samples: int,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def sample_phase_offsets(model: PhaseNoiseModel, n_samples: int) -> np.ndarray:
     """(n_samples, 2) phase offsets; identical seeds give identical streams.
 
-    The stream is that of ``rng.multivariate_normal(..., method="svd")``
-    with ``rng`` defaulting to ``default_rng(model.sampler_seed)``.
+    The stream is that of ``default_rng(model.sampler_seed)``'s
+    ``multivariate_normal(..., method="svd")``.
     """
-    if rng is None:
-        rng = np.random.default_rng(model.sampler_seed)
-    return _phase_offsets(model, rng.standard_normal((int(n_samples), 2)))
+    normals = np.random.default_rng(model.sampler_seed).standard_normal((int(n_samples), 2))
+    return _phase_offsets(model, normals)
 
 
 def _check_mc_run(config: HolometerConfig, n_samples: int) -> None:
@@ -237,7 +228,9 @@ class VarianceExpansion:
     """Second-order expansion of the total estimator variance.
 
     ``predict(sigma2, epsilon)`` evaluates var_zero + (a_11 + a_22) *
-    sigma2 + a_12 * epsilon.
+    sigma2 + a_12 * epsilon inside the small-noise domain of the
+    expansion, 0 <= sigma2 <= MAX_EXPANSION_SIGMA2 and |epsilon| <=
+    sigma2; noise outside it is a ValueError.
     """
 
     a_11: float
@@ -246,27 +239,18 @@ class VarianceExpansion:
     var_zero: float
 
     def predict(self, sigma2: float, epsilon: float) -> float:
+        if not (math.isfinite(sigma2) and 0.0 <= sigma2 <= MAX_EXPANSION_SIGMA2):
+            raise ValueError(
+                f"the second-order expansion is valid for 0 <= sigma2 <= {MAX_EXPANSION_SIGMA2}"
+            )
+        if not (math.isfinite(epsilon) and abs(epsilon) <= sigma2):
+            raise ValueError("epsilon must be finite with |epsilon| <= sigma2")
         return self.var_zero + (self.a_11 + self.a_22) * sigma2 + self.a_12 * epsilon
 
 
-def variance_expansion(
-    config: HolometerConfig,
-    spec: EstimatorSpec,
-    sigma2: float = 0.0,
-    epsilon: float = 0.0,
-) -> VarianceExpansion:
-    """Expansion coefficients of Var_x[C] around the working point.
-
-    ``sigma2``/``epsilon`` are validated against the small-noise domain
-    of the expansion (sigma2 <= 1e-4) but the returned coefficients are
-    noise-independent; use ``predict`` to evaluate the expansion.
-    """
-    if not (math.isfinite(sigma2) and 0.0 <= sigma2 <= MAX_EXPANSION_SIGMA2):
-        raise ValueError(
-            f"the second-order expansion is valid for 0 <= sigma2 <= {MAX_EXPANSION_SIGMA2}"
-        )
-    if not (math.isfinite(epsilon) and abs(epsilon) <= sigma2):
-        raise ValueError("epsilon must be finite with |epsilon| <= sigma2")
+def variance_expansion(config: HolometerConfig, spec: EstimatorSpec) -> VarianceExpansion:
+    """Expansion coefficients of Var_x[C] around the working point; they
+    do not depend on the noise, which ``predict`` takes."""
     phi0 = config.phi0_1
     if config.phi0_2 != phi0:
         raise ValueError("the variance expansion assumes a symmetric working point")
@@ -299,56 +283,30 @@ def variance_expansion(
 
 
 def direct_variance(
-    config: HolometerConfig,
-    spec: EstimatorSpec,
-    noise: PhaseNoiseModel,
-    *,
-    method: str = "gauss_hermite",
-    n_samples: int | None = None,
-) -> tuple[float, float]:
+    config: HolometerConfig, spec: EstimatorSpec, noise: PhaseNoiseModel
+) -> float:
     """Total estimator variance under phase noise, without expansion.
 
-    Var_x[C] = E_x[<C^2>] - (E_x[<C>])^2.  ``gauss_hermite`` integrates
-    on the 45-degree decorrelated axes (variances sigma2 +- epsilon),
-    _GH_ORDER nodes per axis, and returns standard error 0; ``mc``
-    samples phases and reports a delta-method standard error.  Every kind takes its surfaces from
-    stacked engine calls over the nodes or samples, _CHUNK points at a
-    time, so memory stays bounded at any sample count.
+    Var_x[C] = E_x[<C^2>] - (E_x[<C>])^2, integrated by Gauss-Hermite
+    quadrature on the 45-degree decorrelated axes (variances sigma2 +-
+    epsilon), _GH_ORDER nodes per axis, with the surfaces from one
+    stacked engine call over all nodes.
     """
     phi0 = config.phi0_1
     if config.phi0_2 != phi0:
         raise ValueError("the noise model shifts a symmetric working point; phases must match")
-    if method == "gauss_hermite":
-        nodes, weights = np.polynomial.hermite_e.hermegauss(_GH_ORDER)
-        weights = weights / math.sqrt(2.0 * math.pi)
-        scale_u = math.sqrt(max(noise.sigma2 + noise.epsilon, 0.0))
-        scale_v = math.sqrt(max(noise.sigma2 - noise.epsilon, 0.0))
-        u = scale_u * nodes[:, None] * np.ones_like(nodes)[None, :]
-        v = scale_v * np.ones_like(nodes)[:, None] * nodes[None, :]
-        d1 = ((u + v) / math.sqrt(2.0)).ravel()
-        d2 = ((u - v) / math.sqrt(2.0)).ravel()
-        w = (weights[:, None] * weights[None, :]).ravel()
-    elif method == "mc":
-        if n_samples is None or n_samples < MIN_MC_SAMPLES:
-            raise ValueError(f"mc direct variance needs n_samples >= {MIN_MC_SAMPLES}")
-        d1, d2 = sample_phase_offsets(noise, n_samples).T
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'gauss_hermite' or 'mc'")
-
-    center = estimation.estimator_center(config, spec)
-    means = np.empty(d1.size)
-    squares = np.empty(d1.size)
-    for start in range(0, d1.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        means[part], squares[part] = estimation.estimator_mean_and_square(
-            config, spec, phi0 + d1[part], phi0 + d2[part], center=center
-        )
-    if method == "gauss_hermite":
-        e_h = float(np.sum(w * means))
-        e_q = float(np.sum(w * squares))
-        return e_q - e_h * e_h, 0.0
-    e_h = float(np.mean(means))
-    variance = float(np.mean(squares)) - e_h * e_h
-    influence = squares - 2.0 * e_h * means
-    std_error = float(np.std(influence, ddof=1) / math.sqrt(d1.size))
-    return variance, std_error
+    nodes, weights = np.polynomial.hermite_e.hermegauss(_GH_ORDER)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    scale_u = math.sqrt(max(noise.sigma2 + noise.epsilon, 0.0))
+    scale_v = math.sqrt(max(noise.sigma2 - noise.epsilon, 0.0))
+    u = scale_u * nodes[:, None] * np.ones_like(nodes)[None, :]
+    v = scale_v * np.ones_like(nodes)[:, None] * nodes[None, :]
+    d1 = ((u + v) / math.sqrt(2.0)).ravel()
+    d2 = ((u - v) / math.sqrt(2.0)).ravel()
+    w = (weights[:, None] * weights[None, :]).ravel()
+    means, squares = estimation.estimator_mean_and_square(
+        config, spec, phi0 + d1, phi0 + d2, center=estimation.estimator_center(config, spec)
+    )
+    e_h = float(np.sum(w * means))
+    e_q = float(np.sum(w * squares))
+    return e_q - e_h * e_h

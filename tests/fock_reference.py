@@ -36,15 +36,18 @@ def ports(config: HolometerConfig, cutoff: int | None = None) -> tuple[np.ndarra
     """Quantum-port amplitudes over (port 1, port 2) and the coherent-port
     vector shared by both readouts.  ``cutoff`` pins every mode's cutoff;
     by default each port takes the oracle's automatic one."""
-    probe = fo._CUTOFF_CAP + 257
-    cc = cutoff or fo._auto_cutoff(fo._poisson_pmf(config.mu, probe), "coherent port")
-    coherent = fo._coherent_vector(config.mu, config.psi, cc)
+    length = cutoff or fo._CUTOFF_CAP + 257
+
+    def cut(amplitudes: np.ndarray, label: str) -> np.ndarray:
+        return amplitudes if cutoff else fo._truncated(amplitudes, label)
+
+    coherent = cut(fo._coherent_vector(config.mu, config.psi, length), "coherent port")
     if config.input_kind is InputKind.TWB:
-        cq = cutoff or fo._auto_cutoff(fo._geometric_pmf(config.lam, probe), "pair port")
-        return np.diag(fo._twb_weights(config.lam, config.theta, cq)), coherent
+        pairs = cut(fo._twb_weights(config.lam, config.theta, length), "pair port")
+        return np.diag(pairs), coherent
     if config.input_kind is InputKind.TWO_SQUEEZED:
-        cq = cutoff or fo._auto_cutoff(fo._squeezed_pmf(config.lam, probe), "squeezed port")
-        sq = fo._squeezed_vector(config.lam, config.squeezed_quadrature_angle, cq)
+        sq = fo._squeezed_vector(config.lam, config.squeezed_quadrature_angle, length)
+        sq = cut(sq, "squeezed port")
         return np.multiply.outer(sq, sq), coherent
     return np.ones((1, 1), dtype=complex), coherent
 

@@ -18,13 +18,13 @@ from scipy.optimize import brentq
 
 from holonoise.config import HolometerConfig
 from holonoise.crosscheck import DEFAULT_SEED, run_crosscheck
-from holonoise.estimation import EstimatorSpec, mixed_derivative, u0
+from holonoise.estimation import EstimatorSpec, estimator_mean_and_square, mixed_derivative, u0
 from holonoise.holometer import readout_moments
 from holonoise.observables import nrf
 from holonoise.phase_noise import (
     PhaseNoiseModel,
-    direct_variance,
     recover_covariance,
+    sample_phase_offsets,
     variance_expansion,
 )
 
@@ -295,9 +295,13 @@ def test_criterion_9_mc_recovery():
     fitted = design @ coef
     r2 = 1.0 - float(np.sum((hats - fitted) ** 2) / np.sum((hats - hats.mean()) ** 2))
 
-    predicted = variance_expansion(config, QUAD, sigma2, 0.0).predict(sigma2, 0.0)
+    predicted = variance_expansion(config, QUAD).predict(sigma2, 0.0)
     noise = PhaseNoiseModel(sigma2, 0.0, "parallel", sampler_seed=DEFAULT_SEED)
-    mc_var, mc_se = direct_variance(config, QUAD, noise, method="mc", n_samples=n_samples)
+    offsets = config.phi0_1 + sample_phase_offsets(noise, n_samples)
+    means, squares = estimator_mean_and_square(config, QUAD, offsets[:, 0], offsets[:, 1])
+    e_h = float(np.mean(means))
+    mc_var = float(np.mean(squares)) - e_h * e_h
+    mc_se = float(np.std(squares - 2.0 * e_h * means, ddof=1) / math.sqrt(n_samples))
     var_ok = abs(predicted - mc_var) <= 0.05 * mc_var + 3.0 * mc_se
 
     ok = max(pulls) <= 3.0 and r2 >= 0.99 and var_ok

@@ -279,6 +279,20 @@ def test_oracle_check_passes_and_writes_csv(tmp_path, capsys):
         assert row["worst_field"] in fields
 
 
+@pytest.mark.parametrize("rtol, message", [
+    ("nan", "rtol must be finite and non-negative"),
+    ("inf", "rtol must be finite and non-negative"),
+    ("-1", "rtol must be finite and non-negative"),
+    ("tight", "invalid tolerance"),
+])
+def test_oracle_check_rejects_a_tolerance_that_passes_anything(capsys, rtol, message):
+    # parsed before any configuration is drawn, so no RESULT line is printed
+    assert run_usage_error(["oracle-check", "--n-configs", "2", "--rtol", rtol]) == 1
+    captured = capsys.readouterr()
+    assert "RESULT" not in captured.out
+    assert message in captured.err
+
+
 def test_oracle_check_broken_convention_exits_two(capsys):
     assert run(["oracle-check", "--n-configs", "2", "--broken-convention"]) == 2
     printed = capsys.readouterr().out
@@ -337,3 +351,17 @@ def test_mc_estimate_rejects_a_non_positive_variance(tmp_path, capsys, estimator
     assert "sigma2 must be finite and positive" in err
     assert "exceeds" not in err
     assert not out.exists()
+
+
+def test_mc_estimate_skips_the_expansion_outside_its_domain(capsys):
+    # sigma2 above the expansion's small-noise bound still runs the
+    # recovery; only the variance summary line is replaced
+    code = run([
+        "mc-estimate", "--estimator", "quadrature-product", "--sigma2", "2e-4",
+        "--epsilons", "0,1e-6", "--n-samples", "2000",
+    ])
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "worst |pull|" in printed
+    assert "variance expansion skipped: the second-order expansion is valid for" in printed
+    assert "direct quadrature" not in printed

@@ -9,7 +9,6 @@ from holonoise.estimation import (
     U0_ASYMPTOTIC_BRANCHES,
     EstimatorKind,
     EstimatorSpec,
-    PsiPairingWarning,
     SingularConfigurationError,
     classical_benchmark,
     estimate_phase_covariance,
@@ -61,9 +60,8 @@ def test_psi_pairing_enforced_for_twin_beam_input():
         u0(make(psi=0.0), DIFF)
     with pytest.raises(ValueError):
         u0(make(psi=math.pi / 2), SUM)
-    relaxed = EstimatorSpec(kind="TwbDifferenceSquared", allow_psi_mismatch=True)
-    with pytest.warns(PsiPairingWarning):
-        u0(make(psi=0.3), relaxed)
+    with pytest.raises(ValueError, match="cos\\(2 psi\\)"):
+        u0(make(psi=0.3), DIFF)
 
 
 def test_psi_pairing_not_applied_to_other_inputs():

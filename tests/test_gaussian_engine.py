@@ -76,7 +76,7 @@ def test_two_mode_squeeze_gives_thermal_marginals_with_perfect_correlation():
     ch, sh = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
     state = two_mode_state(block_1=ch * np.eye(2), block_2=ch * np.eye(2),
                            cross=sh * np.diag([1.0, -1.0]))
-    moments = ge.centered_photon_moments(state, (0, 1))
+    moments = ge.centered_photon_moments(state)
     assert moments.mean_1 == pytest.approx(lam, rel=1e-12)
     assert moments.var_1 == pytest.approx(lam * (1 + lam), rel=1e-12)
     assert moments.cov == pytest.approx(lam * (1 + lam), rel=1e-12)
@@ -110,8 +110,8 @@ def test_state_below_the_vacuum_limit_is_rejected():
 def test_loss_composes_multiplicatively():
     config = HolometerConfig(mu=3.0, psi=0.4, lam=0.7, eta=0.8, phi0_1=0.9, phi0_2=0.9,
                              input_kind="TwoSqueezed", theta_xi=0.2)
-    twice = lossy(propagate(config).state, 0.7)
-    once = propagate(config.replace(eta=0.56)).state
+    twice = lossy(propagate(config), 0.7)
+    once = propagate(config.replace(eta=0.56))
     assert np.allclose(twice.cov, once.cov, atol=1e-12)
     assert np.allclose(twice.mean, once.mean, atol=1e-12)
 
@@ -119,7 +119,7 @@ def test_loss_composes_multiplicatively():
 def test_loss_interpolates_to_vacuum():
     config = HolometerConfig(mu=4.0, psi=0.4, lam=0.7, eta=0.0, phi0_1=0.9, phi0_2=1.3,
                              input_kind="TWB", theta=0.3)
-    dark = propagate(config).state
+    dark = propagate(config)
     assert np.allclose(dark.mean, 0.0, atol=1e-14)
     assert np.allclose(dark.cov, 0.5 * np.eye(4), atol=1e-14)
 
@@ -133,9 +133,12 @@ def test_centered_moments_symmetric_under_exchange():
     config = HolometerConfig(
         mu=2.0, psi=0.4, lam=0.6, eta=0.85, phi0_1=0.8, phi0_2=0.8, input_kind="TWB"
     )
-    state = propagate(config).state
-    forward = ge.centered_photon_moments(state, (0, 1))
-    swapped = ge.centered_photon_moments(state, (1, 0))
+    state = propagate(config)
+    order = [2, 3, 0, 1]  # readout 2's quadratures first
+    forward = ge.centered_photon_moments(state)
+    swapped = ge.centered_photon_moments(
+        ge.GaussianState(state.mean[order], state.cov[np.ix_(order, order)])
+    )
     assert forward.mean_1 == pytest.approx(swapped.mean_2, rel=1e-12)
     assert forward.var_1 == pytest.approx(swapped.var_2, rel=1e-12)
     assert forward.cov == pytest.approx(swapped.cov, rel=1e-12)
@@ -146,7 +149,7 @@ def test_centered_moments_symmetric_under_exchange():
 def test_second_order_readout_is_the_head_of_the_fourth_order_one():
     config = HolometerConfig(mu=5.0, psi=1.0, lam=0.3, eta=0.9, phi0_1=0.6, phi0_2=1.1,
                              input_kind="TWB", theta=2.0, eta_2=0.7)
-    state = propagate(config).state
+    state = propagate(config)
     low = ge.centered_photon_moments(state, max_order=2)
     high = ge.centered_photon_moments(state, max_order=4)
     assert low.centered is None
@@ -196,4 +199,4 @@ def test_words_up_to_length_eight_match_fock_oracle(kind):
 
 def test_centered_photon_moments_rejects_odd_orders():
     with pytest.raises(ValueError):
-        ge.centered_photon_moments(two_mode_state(), (0, 1), max_order=3)
+        ge.centered_photon_moments(two_mode_state(), max_order=3)

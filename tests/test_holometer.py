@@ -94,11 +94,12 @@ def test_stacked_readouts_equal_the_per_point_calls(config):
 
 def test_propagate_keeps_detected_pair_and_phase_overrides():
     config = make()
-    prop = propagate(config, phi_1=0.3, phi_2=0.5)
-    assert prop.state.mean.shape == (4,) and prop.state.cov.shape == (4, 4)
-    assert prop.phi_1 == 0.3 and prop.phi_2 == 0.5
+    state = propagate(config, phi_1=0.3, phi_2=0.5)
+    assert state.mean.shape == (4,) and state.cov.shape == (4, 4)
+    pinned = propagate(config.replace(phi0_1=0.3, phi0_2=0.5))
+    assert np.array_equal(state.mean, pinned.mean) and np.array_equal(state.cov, pinned.cov)
     default = propagate(config)
-    assert default.phi_1 == config.phi0_1
+    assert not np.array_equal(default.cov, state.cov)
 
 
 def test_engine_matches_oracle_across_kinds_and_asymmetries():

@@ -189,14 +189,24 @@ def test_offsets_match_numpy_svd_multivariate_normal(sigma2, epsilon):
 
 
 def test_expansion_guards():
+    expansion = variance_expansion(DESK, QUAD)
+    # the domain's edge is inside it
+    edge = MAX_EXPANSION_SIGMA2
+    assert expansion.predict(edge, -edge) == (
+        expansion.var_zero + (expansion.a_11 + expansion.a_22) * edge - expansion.a_12 * edge
+    )
     with pytest.raises(ValueError):
-        variance_expansion(DESK, QUAD, sigma2=2.0 * MAX_EXPANSION_SIGMA2)
+        expansion.predict(2.0 * MAX_EXPANSION_SIGMA2, 0.0)
     with pytest.raises(ValueError):
-        variance_expansion(DESK, QUAD, sigma2=1e-6, epsilon=2e-6)
+        expansion.predict(-1e-6, 0.0)
     with pytest.raises(ValueError):
-        variance_expansion(DESK, QUAD, sigma2=math.nan)
+        expansion.predict(1e-6, 2e-6)
     with pytest.raises(ValueError):
-        variance_expansion(DESK, QUAD, sigma2=1e-6, epsilon=math.nan)
+        expansion.predict(math.nan, 0.0)
+    with pytest.raises(ValueError):
+        expansion.predict(math.inf, 0.0)
+    with pytest.raises(ValueError):
+        expansion.predict(1e-6, math.nan)
     with pytest.raises(ValueError):
         variance_expansion(DESK.replace(phi0_2=0.2), QUAD)
 
@@ -217,8 +227,8 @@ def test_expansion_symmetry_and_zero_order():
 def test_expansion_predicts_direct_variance():
     sigma2, epsilon = 1e-6, 3e-7
     noise = PhaseNoiseModel(sigma2=sigma2, epsilon=epsilon, configuration="parallel")
-    expansion = variance_expansion(DESK, QUAD, sigma2, epsilon)
-    direct, _ = direct_variance(DESK, QUAD, noise, method="gauss_hermite")
+    expansion = variance_expansion(DESK, QUAD)
+    direct = direct_variance(DESK, QUAD, noise)
     assert expansion.predict(sigma2, epsilon) == pytest.approx(direct, rel=5e-3)
 
 
@@ -231,17 +241,25 @@ def test_direct_variance_quadrature_gh_matches_mc():
     noise = PhaseNoiseModel(
         sigma2=1e-5, epsilon=4e-6, configuration="parallel", sampler_seed=17
     )
-    gh, gh_err = direct_variance(DESK, QUAD, noise, method="gauss_hermite")
-    assert gh_err == 0.0
-    mc, mc_err = direct_variance(DESK, QUAD, noise, method="mc", n_samples=50_000)
+    gh = direct_variance(DESK, QUAD, noise)
+    assert type(gh) is float
+    # Monte-Carlo reference with a delta-method standard error
+    n_samples = 50_000
+    offsets = sample_phase_offsets(noise, n_samples)
+    means, squares = estimator_mean_and_square(
+        DESK, QUAD, DESK.phi0_1 + offsets[:, 0], DESK.phi0_2 + offsets[:, 1]
+    )
+    e_h = float(np.mean(means))
+    mc = float(np.mean(squares)) - e_h * e_h
+    mc_err = float(np.std(squares - 2.0 * e_h * means, ddof=1) / math.sqrt(n_samples))
     assert mc_err > 0.0
     assert abs(gh - mc) <= 5.0 * mc_err
 
 
 def test_direct_variance_photon_kind_agrees_with_gh():
     noise = PhaseNoiseModel(sigma2=1e-6, epsilon=0.0, configuration="parallel")
-    gh, _ = direct_variance(TWB_DESK, DIFF, noise, method="gauss_hermite")
-    expansion = variance_expansion(TWB_DESK, DIFF, 1e-6, 0.0)
+    gh = direct_variance(TWB_DESK, DIFF, noise)
+    expansion = variance_expansion(TWB_DESK, DIFF)
     assert gh == pytest.approx(expansion.predict(1e-6, 0.0), rel=5e-3)
 
 
@@ -275,31 +293,12 @@ def test_direct_variance_gh_matches_the_per_node_loop(spec):
     w = weights[:, None] * weights[None, :]
     e_h = float(np.sum(w * means))
     reference = float(np.sum(w * squares)) - e_h * e_h
-    gh, gh_err = direct_variance(TWB_DESK, spec, noise, method="gauss_hermite")
-    assert type(gh) is float and gh_err == 0.0
+    gh = direct_variance(TWB_DESK, spec, noise)
+    assert type(gh) is float
     assert gh == pytest.approx(reference, rel=1e-12)
-
-
-def test_direct_variance_mc_chunks_match_a_per_sample_reference():
-    # 2 500 samples span three chunks of the stacked evaluation
-    noise = PhaseNoiseModel(sigma2=1e-5, epsilon=4e-6, configuration="parallel", sampler_seed=2)
-    offsets = sample_phase_offsets(noise, 2_500)
-    means, squares = _per_point_surfaces(TWB_DESK, DIFF, offsets[:, 0], offsets[:, 1])
-    e_h = float(np.mean(means))
-    reference = float(np.mean(squares)) - e_h * e_h
-    influence = squares - 2.0 * e_h * means
-    reference_err = float(np.std(influence, ddof=1) / math.sqrt(2_500))
-    mc, mc_err = direct_variance(TWB_DESK, DIFF, noise, method="mc", n_samples=2_500)
-    assert type(mc) is float and type(mc_err) is float
-    assert mc == pytest.approx(reference, rel=1e-12)
-    assert mc_err == pytest.approx(reference_err, rel=1e-12)
 
 
 def test_direct_variance_guards():
     noise = PhaseNoiseModel(sigma2=1e-6, epsilon=0.0, configuration="parallel")
-    with pytest.raises(ValueError):
-        direct_variance(DESK, QUAD, noise, method="trapezoid")
-    with pytest.raises(ValueError):
-        direct_variance(DESK, QUAD, noise, method="mc")
     with pytest.raises(ValueError):
         direct_variance(DESK.replace(phi0_2=0.2), QUAD, noise)
