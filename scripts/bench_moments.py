@@ -8,9 +8,10 @@ including its state build), one stacked fourth-order readout over 1 000
 phase pairs, the exact mixed phase derivative, one zero-order
 uncertainty evaluation, the Gauss-Hermite phase-noise variance, one
 Monte-Carlo covariance recovery (quadrature product at the mc-estimate
-defaults, epsilon = 1e-6, 1e5 samples) and the truncated-Fock oracle,
-so regressions in the hot paths show up as numbers rather than as slow
-test suites.
+defaults, epsilon = 1e-6, 1e5 samples), the truncated-Fock oracle and
+its beam-splitter transform alone on the largest arm block of the
+oracle's envelope, so regressions in the hot paths show up as numbers
+rather than as slow test suites.
 
 Usage:
     python3 scripts/bench_moments.py [--repeat 50]
@@ -30,7 +31,7 @@ import numpy as np
 
 from holonoise.config import HolometerConfig
 from holonoise.estimation import EstimatorSpec, estimator_mixed_derivative, u0
-from holonoise.fock_oracle import oracle_moments
+from holonoise.fock_oracle import _arm_block, _bs_pair_transform, oracle_moments
 from holonoise.holometer import propagate, quadrature_readout, readout_moments
 from holonoise.observables import closed_form_moments
 from holonoise.phase_noise import PhaseNoiseModel, direct_variance, recover_covariance
@@ -41,6 +42,9 @@ DESK = HolometerConfig(mu=1e3, psi=math.pi / 2, lam=1.0, eta=0.9,
                        phi0_1=0.1, phi0_2=0.1, input_kind="TwoSqueezed")
 DIM = HolometerConfig(mu=1.5, psi=math.pi / 2, lam=0.4, eta=0.9,
                       phi0_1=0.8, phi0_2=0.8, input_kind="TWB")
+# the oracle's envelope edge: mean coherent 4, mean pair occupancy 1
+EDGE = HolometerConfig(mu=4.0, psi=math.pi / 2, lam=1.0, eta=0.9,
+                       phi0_1=0.8, phi0_2=0.8, input_kind="TWB")
 
 
 def clock(label: str, fn, repeat: int) -> None:
@@ -93,6 +97,9 @@ def main() -> int:
     # occupancy; this is the guardrail-domain cost, not the bright one
     clock("fock oracle end-to-end, order 4 (dim)",
           lambda: oracle_moments(DIM), max(1, repeat // 10))
+    _, edge_block = _arm_block(EDGE)
+    clock("beam-splitter transform, one arm block (edge twb)",
+          lambda: _bs_pair_transform(edge_block, EDGE.phi0_1), max(1, repeat // 10))
     return 0
 
 

@@ -26,7 +26,7 @@ from .fock_oracle import (
     two_photon_coincidence,
 )
 from .holometer import readout_moments
-from .moments import MomentComparison, compare_moments, comparison_entries
+from .moments import MomentComparison, compare_moments, comparison_entries, relative_deviation
 
 __all__ = [
     "ConfigCheck",
@@ -131,10 +131,10 @@ def _check_one(
     engine = readout_moments(config)
     oracle = oracle_moments(config, convention=convention)
     comparison = compare_moments(engine, oracle, rtol=rtol)
-    per_field: dict[str, float] = {}
-    for name, x, y, floor in comparison_entries(engine, oracle):
-        denom = max(abs(x), abs(y))
-        per_field[name] = abs(x - y) / denom if denom > floor else 0.0
+    per_field = {
+        name: relative_deviation(x, y, floor)
+        for name, x, y, floor in comparison_entries(engine, oracle)
+    }
     return ConfigCheck(index, config, comparison), per_field
 
 

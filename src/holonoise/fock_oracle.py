@@ -2,10 +2,10 @@
 
 Everything here is deliberately independent of the Gaussian engine: the
 input states are written out as photon-number amplitudes, the readout
-beam splitters act sector by sector through polynomial convolution, and
-moments come from the joint photon-number distribution.  Agreement
-between this route and the covariance-matrix route is the main
-correctness check of the package.
+beam splitters act sector by sector through a one-photon recurrence
+(Risbo, J. Geodesy 70, 383 (1996)), and moments come from the joint
+photon-number distribution.  Agreement between this route and the
+covariance-matrix route is the main correctness check of the package.
 
 Every supported input factorizes across the two interferometers up to a
 single sum over the pair-correlation index (rank one for independent
@@ -140,9 +140,18 @@ def _twb_weights(lam: float, theta: float, cut: int) -> np.ndarray:
 # beam splitter, sector by sector
 
 # The two-mode transform conserves total photon number, so on each
-# sector s = m + n it is a small dense block.  Matrix elements follow
-# from expanding (alpha a+ + beta b+)^m (gamma a+ + delta b+)^n, i.e.
-# from one polynomial convolution per input column.
+# sector s = m + n it is a small dense block T_s[p, m] = <p, s-p|U|m, s-m>.
+# Blocks are built sector by sector from the one-photon step
+#   |m, s-m> = (sqrt(m) a+ |m-1, s-m> + sqrt(s-m) b+ |m, s-m-1>) / s
+# with U a+ U^-1 = alpha a+ + beta b+ and U b+ U^-1 = gamma a+ + delta b+,
+# the SU(2) recurrence of Risbo (J. Geodesy 70, 383 (1996)).  Every
+# column is built from unit columns of the sector below with weights of
+# modulus at most one, so no large intermediate values arise and the
+# sectors stay unitary to about 1e-14 up to s = 200; expanding the
+# products (alpha a+ + beta b+)^m (gamma a+ + delta b+)^n term by term
+# instead cancels away every digit by s ~ 160.  The step is a
+# polynomial identity and needs no unitarity, so the non-unitary
+# convention goes through it too.
 
 
 def _pair_coefficients(phi: float, convention: str) -> tuple[complex, complex, complex, complex]:
@@ -167,34 +176,40 @@ def _bs_pair_transform(
 
     Under the "i" convention the transformed mode a is
     cos(phi/2) a + i sin(phi/2) b, the port that keeps mode a's content
-    at phi = 0.  Output axes are allocated to the full sector reach
-    n_a + n_b - 1, so the transform itself is exact; truncation
-    decisions stay with the caller."""
+    at phi = 0.  Sector s of the transform comes from sector s - 1 by
+    the one-photon step above, and only the input columns m the block
+    reaches, max(0, s - n_b + 1) <= m <= min(n_a - 1, s), are kept: that
+    band is closed under the step.  Output axes are allocated to the
+    full sector reach n_a + n_b - 1, so the transform itself is exact;
+    truncation decisions stay with the caller."""
     alpha, beta, gamma, delta = _pair_coefficients(phi, convention)
     na, nb, batch = block.shape
     smax = na + nb - 2
     out = np.zeros((smax + 1, smax + 1, batch), dtype=complex)
+    out[0, 0] = block[0, 0]
 
-    rows_a: list[np.ndarray] = [np.ones(1, dtype=complex)]
-    for _ in range(1, na):
-        rows_a.append(np.convolve(rows_a[-1], np.array([beta, alpha])))
-    rows_b: list[np.ndarray] = [np.ones(1, dtype=complex)]
-    for _ in range(1, nb):
-        rows_b.append(np.convolve(rows_b[-1], np.array([delta, gamma])))
-
-    lg = _log_factorials(smax + 1)
-    for s in range(smax + 1):
-        m_lo = max(0, s - (nb - 1))
-        m_hi = min(na - 1, s)
-        ms = np.arange(m_lo, m_hi + 1)
-        seg = block[ms, s - ms, :]
-        tmat = np.empty((s + 1, len(ms)), dtype=complex)
-        for idx, m in enumerate(ms):
-            tmat[:, idx] = np.convolve(rows_a[m], rows_b[s - m])
+    roots = np.sqrt(np.arange(smax + 1, dtype=float))
+    band = np.ones((1, 1), dtype=complex)  # sector 0: the vacuum column m = 0
+    lo_prev = 0
+    for s in range(1, smax + 1):
+        lo, hi = max(0, s - nb + 1), min(na - 1, s)
+        ms = np.arange(lo, hi + 1)
+        # columns lo - 1 ... hi of sector s - 1, zero outside its band,
+        # raised into sector s: (a+ v)[p] = sqrt(p) v[p - 1] and
+        # (b+ v)[p] = sqrt(s - p) v[p]
+        cols = slice(lo_prev - lo + 1, lo_prev - lo + 1 + band.shape[1])
+        up = np.zeros((s + 1, len(ms) + 1), dtype=complex)
+        down = np.zeros_like(up)
+        up[1:, cols] = roots[1 : s + 1, None] * band
+        down[:-1, cols] = roots[s:0:-1, None] * band
+        # column m takes sqrt(m)/s (alpha a+ + beta b+) of column m - 1
+        # and sqrt(s - m)/s (gamma a+ + delta b+) of column m
+        band = (alpha * up[:, :-1] + beta * down[:, :-1]) * (roots[ms] / s) + (
+            gamma * up[:, 1:] + delta * down[:, 1:]
+        ) * (roots[s - ms] / s)
+        lo_prev = lo
         ps = np.arange(s + 1)
-        tmat *= np.exp(0.5 * (lg[ps] + lg[s - ps]))[:, None]
-        tmat *= np.exp(-0.5 * (lg[ms] + lg[s - ms]))[None, :]
-        out[ps, s - ps, :] = tmat @ seg
+        out[ps, s - ps, :] = band @ block[ms, s - ms, :]
     return out
 
 
@@ -226,8 +241,9 @@ def two_photon_coincidence(convention: str = "i", tau: float = 0.5) -> float:
 # arrays stay (rank, two-mode) sized and no four-mode tensor is formed.
 
 
-def _schmidt_arms(config: HolometerConfig, convention: str = "i"):
-    """Pair weights and transformed arm amplitudes (rank, detected, discarded)."""
+def _arm_block(config: HolometerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Pair weights and the input block (quantum, coherent, rank) that
+    both arms share, each pair index unweighted."""
     _check_envelope(config)
     probe = _CUTOFF_CAP + 257
     coh = _truncated(_coherent_vector(config.mu, config.psi, probe), "coherent port")
@@ -243,13 +259,22 @@ def _schmidt_arms(config: HolometerConfig, convention: str = "i"):
         weights = np.ones(1, dtype=complex)
         q_vecs = np.ones((1, 1), dtype=complex)
 
-    arms = []
-    for phi in (config.phi0_1, config.phi0_2):
-        pre = q_vecs[:, :, None] * coh[None, None, :]  # (rank, quantum, coherent)
-        block = pre.transpose(1, 2, 0)
-        post = _bs_pair_transform(block, phi, convention)
-        arms.append(post.transpose(2, 0, 1))  # (rank, detected, discarded)
-    return weights, arms[0], arms[1]
+    pre = q_vecs[:, :, None] * coh[None, None, :]  # (rank, quantum, coherent)
+    return weights, pre.transpose(1, 2, 0)
+
+
+def _schmidt_arms(config: HolometerConfig, convention: str = "i"):
+    """Pair weights and transformed arm amplitudes (rank, detected, discarded)."""
+    weights, block = _arm_block(config)
+
+    def arm(phi: float) -> np.ndarray:
+        return _bs_pair_transform(block, phi, convention).transpose(2, 0, 1)
+
+    # both arms see the same input block, so equal phases share one
+    # transform and the second arm is the first one's array
+    arm1 = arm(config.phi0_1)
+    arm2 = arm1 if config.phi0_2 == config.phi0_1 else arm(config.phi0_2)
+    return weights, arm1, arm2  # each (rank, detected, discarded)
 
 
 def _joint_pmf_from_arms(
@@ -258,10 +283,12 @@ def _joint_pmf_from_arms(
     # p(n1, n2) = sum_{m m'} c_m conj(c_m') W1[n1, m, m'] W2[n2, m, m'],
     # W_i[n] = A_i[n] A_i[n]^H with A_i[n][m, k] = arm_i[m, n, k] tracing
     # the discarded port k of arm i
-    a1 = arm1.transpose(1, 0, 2)
-    a2 = arm2.transpose(1, 0, 2)
-    w1 = a1 @ a1.conj().transpose(0, 2, 1)
-    w2 = a2 @ a2.conj().transpose(0, 2, 1)
+    def gram(arm: np.ndarray) -> np.ndarray:
+        a = arm.transpose(1, 0, 2)
+        return a @ a.conj().transpose(0, 2, 1)
+
+    w1 = gram(arm1)
+    w2 = w1 if arm2 is arm1 else gram(arm2)
     cc = np.multiply.outer(weights, weights.conj())
     lhs = (cc * w1).reshape(len(w1), -1)
     rhs = w2.reshape(len(w2), -1)

@@ -21,6 +21,7 @@ __all__ = [
     "MomentComparison",
     "compare_moments",
     "comparison_entries",
+    "relative_deviation",
     "CENTERED_KEYS",
 ]
 
@@ -177,6 +178,17 @@ def comparison_entries(
     return entries
 
 
+def relative_deviation(x: float, y: float, floor: float) -> float:
+    """|x - y| / max(|x|, |y|) where that scale is above ``floor``, else 0;
+    ``inf`` where the deviation is not finite (a nan or infinite entry),
+    so a broken entry can never read as agreement."""
+    deviation = abs(x - y)
+    if not math.isfinite(deviation):
+        return math.inf
+    denom = max(abs(x), abs(y))
+    return deviation / denom if denom > floor else 0.0
+
+
 def compare_moments(
     a: "ReadoutMoments | QuadratureMoments",
     b: "ReadoutMoments | QuadratureMoments",
@@ -210,11 +222,9 @@ def compare_moments(
         deviation = abs(x - y)
         margin = deviation / allowance if allowance > 0.0 else (math.inf if deviation else 0.0)
         if not math.isfinite(margin):
-            margin = max_rel = math.inf
+            margin = math.inf
         if margin > worst_margin:
             worst_margin = margin
             worst_field = name
-        denom = max(abs(x), abs(y))
-        if denom > floor:
-            max_rel = max(max_rel, abs(x - y) / denom)
+        max_rel = max(max_rel, relative_deviation(x, y, floor))
     return MomentComparison(worst_margin <= 1.0, worst_margin, worst_field, max_rel)

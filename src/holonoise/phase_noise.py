@@ -116,6 +116,12 @@ class PhaseNoiseModel:
         return np.array([[self.sigma2, self.epsilon], [self.epsilon, self.sigma2]])
 
 
+def _standard_normals(seed: int, n_samples: int) -> np.ndarray:
+    """(n_samples, 2) standard normals of ``default_rng(seed)``: the one
+    stream every Monte-Carlo run draws from."""
+    return np.random.default_rng(seed).standard_normal((int(n_samples), 2))
+
+
 def _phase_offsets(model: PhaseNoiseModel, normals: np.ndarray) -> np.ndarray:
     """Offsets from standard normals of shape (n, 2): the normals times
     the covariance factor u sqrt(s) of the SVD u s v^T of the model's
@@ -131,8 +137,7 @@ def sample_phase_offsets(model: PhaseNoiseModel, n_samples: int) -> np.ndarray:
     The stream is that of ``default_rng(model.sampler_seed)``'s
     ``multivariate_normal(..., method="svd")``.
     """
-    normals = np.random.default_rng(model.sampler_seed).standard_normal((int(n_samples), 2))
-    return _phase_offsets(model, normals)
+    return _phase_offsets(model, _standard_normals(model.sampler_seed, n_samples))
 
 
 def _check_mc_run(config: HolometerConfig, n_samples: int) -> None:
@@ -203,7 +208,7 @@ def recover_covariance(
         )
     _check_mc_run(config, n_samples)
     center = estimation.estimator_center(config, spec)
-    normals = np.random.default_rng(noise_par.sampler_seed).standard_normal((int(n_samples), 2))
+    normals = _standard_normals(noise_par.sampler_seed, n_samples)
     mean_par, se_par = _sample_mean(config, spec, center, _phase_offsets(noise_par, normals))
     if noise_perp.sampler_seed != noise_par.sampler_seed:
         offsets = sample_phase_offsets(noise_perp, n_samples)

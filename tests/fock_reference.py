@@ -1,8 +1,8 @@
 """Dense four-mode truncated-Fock reference for the oracle's tests.
 
 ``holonoise.fock_oracle`` factorizes every input across the two
-interferometers and applies each beam splitter by polynomial
-convolution.  This module does neither.  It keeps the full four-mode
+interferometers and builds each beam splitter by a one-photon sector
+recurrence.  This module does neither.  It keeps the full four-mode
 amplitude tensor, and it applies a beam splitter on each
 total-photon-number sector s = m + n as the SU(2) rotation
 exp(i phi/2 (a+ b + a b+)) (Campos, Saleh and Teich, PRA 40, 1371

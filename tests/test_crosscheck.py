@@ -1,6 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from holonoise import crosscheck
 from holonoise.config import InputKind
 from holonoise.crosscheck import (
     DEFAULT_SEED,
@@ -51,3 +55,19 @@ def test_sampled_configs_stay_inside_the_guardrail_domain():
 def test_run_crosscheck_argument_guards():
     with pytest.raises(ValueError):
         run_crosscheck(n_configs=0)
+
+
+def test_a_nan_centred_entry_reads_inf_and_fails(monkeypatch):
+    # the per-field table must not read a nan deviation as agreement
+    oracle = crosscheck.oracle_moments
+
+    def poisoned(config, **kwargs):
+        moments = oracle(config, **kwargs)
+        return replace(moments, centered={**moments.centered, (1, 3): math.nan})
+
+    monkeypatch.setattr(crosscheck, "oracle_moments", poisoned)
+    report = run_crosscheck(n_configs=1, seed=DEFAULT_SEED)
+    assert report.n_failed == 1
+    assert report.field_worst["centered[1,3]"] == math.inf
+    [line] = [line for line in report.summary_lines() if "centered[1,3]" in line]
+    assert line.endswith("FAIL")

@@ -112,7 +112,34 @@ def test_sector_beam_splitter_matches_pair_transform(config):
     block = arm_block(config)
     for phi in (config.phi0_1, config.phi0_2):
         expected = reference.sector_beam_splitter(block, phi)
-        assert np.max(np.abs(_bs_pair_transform(block, phi) - expected)) < 1e-11
+        assert np.max(np.abs(_bs_pair_transform(block, phi) - expected)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "shape", [(40, 40), (80, 80), (120, 120), (4, 120), (120, 4)],
+    ids=["n40", "n80", "n120", "narrow-a", "narrow-b"],
+)
+def test_pair_transform_matches_reference_on_non_decaying_blocks(shape):
+    # random normalized amplitudes that do not decay along either axis:
+    # every sector up to n_a + n_b - 2 carries weight
+    rng = np.random.default_rng(sum(shape))
+    block = rng.standard_normal(shape + (2,)) + 1j * rng.standard_normal(shape + (2,))
+    block /= np.linalg.norm(block)
+    expected = reference.sector_beam_splitter(block, 0.9)
+    assert np.max(np.abs(_bs_pair_transform(block, 0.9) - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("phi0_2, phases", [(0.7, [0.7]), (1.9, [0.7, 1.9])])
+def test_each_distinct_phase_is_transformed_once(monkeypatch, phi0_2, phases):
+    calls = []
+
+    def counted(block, phi, *args):
+        calls.append(phi)
+        return _bs_pair_transform(block, phi, *args)
+
+    monkeypatch.setattr(fock_oracle, "_bs_pair_transform", counted)
+    fock_joint_pmf(make(phi0_1=0.7, phi0_2=phi0_2))
+    assert calls == phases
 
 
 def test_two_photon_coincidence_null_for_unitary_conventions():
@@ -132,12 +159,14 @@ def test_unbalanced_coincidence_matches_closed_form():
 
 
 def test_schmidt_and_dense_routes_agree():
-    config = make()
-    schmidt = fock_joint_pmf(config)
-    dense = reference.detected_pmf(config)
-    r = min(schmidt.shape[0], dense.shape[0])
-    c = min(schmidt.shape[1], dense.shape[1])
-    assert np.max(np.abs(schmidt[:r, :c] - dense[:r, :c])) < 1e-13
+    # equal phases share one transform; unequal ones take one per arm
+    for phi0_2 in (0.7, 2.1):
+        config = make(phi0_2=phi0_2)
+        schmidt = fock_joint_pmf(config)
+        dense = reference.detected_pmf(config)
+        r = min(schmidt.shape[0], dense.shape[0])
+        c = min(schmidt.shape[1], dense.shape[1])
+        assert np.max(np.abs(schmidt[:r, :c] - dense[:r, :c])) < 1e-13, phi0_2
 
 
 # ---------------------------------------------------------------------------
