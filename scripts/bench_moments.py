@@ -34,7 +34,7 @@ from holonoise.estimation import EstimatorSpec, estimator_mixed_derivative, u0
 from holonoise.fock_oracle import _arm_block, _bs_pair_transform, oracle_moments
 from holonoise.holometer import propagate, quadrature_readout, readout_moments
 from holonoise.observables import closed_form_moments
-from holonoise.phase_noise import PhaseNoiseModel, direct_variance, recover_covariance
+from holonoise.phase_noise import direct_variance, recover_covariance
 
 BRIGHT = HolometerConfig(mu=1e6, psi=math.pi / 2, lam=10.0, eta=0.95,
                          phi0_1=0.2, phi0_2=0.2, input_kind="TWB")
@@ -85,14 +85,11 @@ def main() -> int:
           lambda: estimator_mixed_derivative(BRIGHT, diff), repeat)
     clock("zero-order uncertainty, difference readout (bright)",
           lambda: u0(BRIGHT, diff), max(1, repeat // 5))
-    noise = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="parallel")
     clock("direct_variance GH-9, difference (bright)",
-          lambda: direct_variance(BRIGHT, diff, noise), max(1, repeat // 10))
-    par = PhaseNoiseModel(sigma2=1e-5, epsilon=1e-6, configuration="parallel")
-    perp = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="perpendicular")
+          lambda: direct_variance(BRIGHT, diff, 1e-5, 0.0), max(1, repeat // 10))
     quad = EstimatorSpec(kind="QuadratureProduct")
     clock("recover_covariance, quadrature product, 1e5 samples",
-          lambda: recover_covariance(DESK, quad, par, perp, 100_000), max(1, repeat // 10))
+          lambda: recover_covariance(DESK, quad, 1e-5, 1e-6, 100_000, 0), max(1, repeat // 10))
     # the oracle walks a truncated number basis, so it only runs at low
     # occupancy; this is the guardrail-domain cost, not the bright one
     clock("fock oracle end-to-end, order 4 (dim)",

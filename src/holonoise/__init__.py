@@ -24,7 +24,6 @@ from .estimation import (
     estimate_phase_covariance,
     estimator_mean_curve,
     estimator_mixed_derivative,
-    mixed_derivative,
     u0,
     u0_asymptotic,
     U0_ASYMPTOTIC_BRANCHES,
@@ -59,8 +58,6 @@ from .observables import (
     regime_parameter,
 )
 from .phase_noise import (
-    Configuration,
-    PhaseNoiseModel,
     VarianceExpansion,
     direct_variance,
     mc_expectation,
@@ -117,15 +114,12 @@ __all__ = [
     "u0_asymptotic",
     "U0_ASYMPTOTIC_BRANCHES",
     "classical_benchmark",
-    "mixed_derivative",
     "estimator_mixed_derivative",
     "estimator_mean_curve",
     "estimate_phase_covariance",
     "SingularConfigurationError",
     "PsiPairingError",
     # phase-noise Monte Carlo
-    "PhaseNoiseModel",
-    "Configuration",
     "sample_phase_offsets",
     "mc_expectation",
     "recover_covariance",

@@ -29,7 +29,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -42,77 +41,13 @@ from .estimation import EstimatorKind, EstimatorSpec, PsiPairingError, SingularC
 from .fock_oracle import CutoffError
 from .observables import UndefinedResultError, nrf, regime_parameter
 
-__all__ = ["SweepSpec", "entrypoint", "main"]
+__all__ = ["entrypoint", "main"]
 
 SWEEP_VARIABLES = ("phi0", "eta", "lambda", "tau", "psi")
 # upper bounds that keep a run's memory bounded; the largest shipped grid
 # has 120 points and mc-estimate defaults to 1e5 samples
 MAX_GRID_POINTS = 10_000
 MAX_SAMPLES = 1_000_000
-
-
-# ---------------------------------------------------------------------------
-# sweep specification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept variable over a grid, everything else pinned.
-
-    ``grid`` is either an explicit sequence of values or a
-    (min, max, points, "linear"|"log") tuple.
-    """
-
-    variable: str
-    grid: tuple
-    base_config: HolometerConfig
-
-    def __post_init__(self) -> None:
-        if self.variable not in SWEEP_VARIABLES:
-            raise ValueError(
-                f"unknown sweep variable {self.variable!r}; expected one of {SWEEP_VARIABLES}"
-            )
-        object.__setattr__(self, "grid", tuple(self.grid))
-        self.points()  # validate eagerly
-
-    def points(self) -> np.ndarray:
-        """Resolve the grid to an array of sweep values."""
-        grid = self.grid
-        if (
-            len(grid) == 4
-            and isinstance(grid[3], str)
-            and not isinstance(grid[0], (list, tuple))
-        ):
-            lo, hi, n, scale = float(grid[0]), float(grid[1]), int(grid[2]), grid[3]
-            if n < 2:
-                raise ValueError("a (min, max, points, scale) grid needs at least 2 points")
-            if scale == "linear":
-                return np.linspace(lo, hi, n)
-            if scale == "log":
-                if lo <= 0.0 or hi <= 0.0:
-                    raise ValueError("log grids need strictly positive endpoints")
-                return np.geomspace(lo, hi, n)
-            raise ValueError(f"unknown grid scale {scale!r}; expected 'linear' or 'log'")
-        values = np.asarray([float(v) for v in grid], dtype=float)
-        if values.size == 0:
-            raise ValueError("empty sweep grid")
-        return values
-
-    def config_at(self, value: float) -> HolometerConfig:
-        """The base configuration with the swept variable set to ``value``."""
-        if self.variable == "phi0":
-            return self.base_config.replace(phi0_1=value, phi0_2=value)
-        if self.variable == "eta":
-            return self.base_config.replace(eta=value)
-        if self.variable == "lambda":
-            return self.base_config.replace(lam=value)
-        if self.variable == "tau":
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"tau must lie in (0, 1], got {value}")
-            phi = 2.0 * math.acos(math.sqrt(value))
-            return self.base_config.replace(phi0_1=phi, phi0_2=phi)
-        return self.base_config.replace(psi=value)
 
 
 # ---------------------------------------------------------------------------
@@ -129,26 +64,53 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_grid(text: str) -> tuple:
-    """Either "min:max:points[:scale]" or a comma-separated value list, of
-    at most MAX_GRID_POINTS points; argparse reports a bad grid as a usage
-    error."""
+def _parse_grid(text: str) -> np.ndarray:
+    """The sweep values of "min:max:points[:linear|log]" (at least 2
+    points) or of a comma-separated value list, at most MAX_GRID_POINTS
+    of them; argparse reports a bad grid as a usage error."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            grid = tuple(float(part) for part in text.split(",") if part.strip())
+            values = [float(part) for part in text.split(",") if part.strip()]
+            if not values:
+                raise ValueError("empty sweep grid")
+            points = len(values)
         elif len(parts) in (3, 4):
-            grid = (float(parts[0]), float(parts[1]), int(parts[2]), (parts + ["linear"])[3])
+            lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
+            scale = (parts + ["linear"])[3]
+            if points < 2:
+                raise ValueError("a min:max:points grid needs at least 2 points")
+            if scale not in ("linear", "log"):
+                raise ValueError(f"unknown grid scale {scale!r}; expected 'linear' or 'log'")
+            if scale == "log" and (lo <= 0.0 or hi <= 0.0):
+                raise ValueError("log grids need strictly positive endpoints")
         else:
             raise ValueError(f"grid {text!r} must be min:max:points[:linear|log]")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    points = len(grid) if len(parts) == 1 else grid[2]
     if points > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"grid {text!r} has {points} points; at most {MAX_GRID_POINTS} are allowed"
         )
-    return grid
+    if len(parts) == 1:
+        return np.asarray(values, dtype=float)
+    return (np.geomspace if scale == "log" else np.linspace)(lo, hi, points)
+
+
+def _config_at(base: HolometerConfig, variable: str, value: float) -> HolometerConfig:
+    """The base configuration with the swept variable set to ``value``."""
+    if variable == "phi0":
+        return base.replace(phi0_1=value, phi0_2=value)
+    if variable == "eta":
+        return base.replace(eta=value)
+    if variable == "lambda":
+        return base.replace(lam=value)
+    if variable == "tau":
+        if not 0.0 < value <= 1.0:
+            raise ValueError(f"tau must lie in (0, 1], got {value}")
+        phi = 2.0 * math.acos(math.sqrt(value))
+        return base.replace(phi0_1=phi, phi0_2=phi)
+    return base.replace(psi=value)
 
 
 def _parse_n_samples(text: str) -> int:
@@ -292,20 +254,18 @@ _NRF_BASE = {
 def _cmd_nrf_scan(args: argparse.Namespace) -> int:
     base = _resolve_config(_NRF_BASE, args)
     lam_values = (base.lam,) if args.variable == "lambda" else _parse_float_list(args.lambdas)
-    spec = SweepSpec(args.variable, args.grid, base)
-
     psi_minus = args.psi if args.psi is not None else math.pi / 2.0
     psi_plus = args.psi if args.psi is not None else 0.0
 
-    tasks = [(value, lam) for value in spec.points() for lam in lam_values]
+    tasks = [(value, lam) for value in args.grid for lam in lam_values]
 
     def one(task: tuple[float, float]) -> tuple:
         value, lam = task
-        config = spec.config_at(value)
-        if spec.variable != "lambda":
+        config = _config_at(base, args.variable, value)
+        if args.variable != "lambda":
             config = config.replace(lam=lam)
-        pm = psi_minus if spec.variable != "psi" else value
-        pp = psi_plus if spec.variable != "psi" else value
+        pm = psi_minus if args.variable != "psi" else value
+        pp = psi_plus if args.variable != "psi" else value
         minus = nrf(config.replace(psi=pm)).nrf_minus
         plus = nrf(config.replace(psi=pp)).nrf_plus
         return (value, config.lam, minus, plus, regime_parameter(config))
@@ -318,7 +278,7 @@ def _cmd_nrf_scan(args: argparse.Namespace) -> int:
             f"base: {_config_json(base)}",
             f"difference column at psi={psi_minus!r}, sum column at psi={psi_plus!r}",
         ],
-        [spec.variable, "lambda", "nrf_minus", "nrf_plus", "regime_k"],
+        [args.variable, "lambda", "nrf_minus", "nrf_plus", "regime_k"],
         rows,
     )
     return 0
@@ -338,11 +298,11 @@ _UNCERTAINTY_BASE = {
 }
 
 _UNCERTAINTY_DEFAULT_GRIDS = {
-    "phi0": (1e-5, 1e-1, 41, "log"),
-    "eta": (0.80, 0.999, 41, "linear"),
-    "lambda": (1e-3, 10.0, 41, "log"),
-    "tau": (0.5, 0.9999, 41, "linear"),
-    "psi": (0.0, math.pi, 41, "linear"),
+    "phi0": "1e-5:1e-1:41:log",
+    "eta": "0.80:0.999:41",
+    "lambda": "1e-3:10:41:log",
+    "tau": "0.5:0.9999:41",
+    "psi": f"0:{math.pi!r}:41",
 }
 
 
@@ -352,11 +312,12 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
         # deep-quantum working point, where the efficiency dependence is sharpest
         defaults["phi0"] = 1e-8
     base = _resolve_config(defaults, args)
-    grid = args.grid if args.grid is not None else _UNCERTAINTY_DEFAULT_GRIDS[args.variable]
-    spec = SweepSpec(args.variable, grid, base)
+    grid = args.grid
+    if grid is None:
+        grid = _parse_grid(_UNCERTAINTY_DEFAULT_GRIDS[args.variable])
 
     columns = [
-        spec.variable,
+        args.variable,
         "u0_twb",
         "u0_sq",
         "u0_twb_sum",
@@ -373,7 +334,7 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
     ]
 
     def one(value: float) -> tuple:
-        config = spec.config_at(value)
+        config = _config_at(base, args.variable, value)
         twb = config.replace(input_kind="TWB")
         sq = config.replace(input_kind="TwoSqueezed")
         # the sum readout pairs with the coherent phase rotated a quarter
@@ -421,7 +382,7 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
             ";".join(flags),
         )
 
-    rows = [one(value) for value in spec.points()]
+    rows = [one(value) for value in grid]
     _write_csv(
         args.out,
         "uncertainty-scan",
@@ -513,18 +474,14 @@ def _cmd_mc_estimate(args: argparse.Namespace) -> int:
     epsilons = _parse_float_list(args.epsilons)
     sigma2 = args.sigma2
     n_samples = args.n_samples
-    for epsilon in epsilons:
-        if abs(epsilon) > sigma2:
-            raise ValueError(f"injected covariance {epsilon} exceeds the variance {sigma2}")
 
     def one(task: tuple[int, float]) -> tuple:
         index, epsilon = task
         # the parallel and perpendicular runs share one seed: common random
         # numbers cancel most of the sampling noise in their difference
-        seed = args.seed + index
-        par = phase_noise.PhaseNoiseModel(sigma2, epsilon, "parallel", sampler_seed=seed)
-        perp = phase_noise.PhaseNoiseModel(sigma2, 0.0, "perpendicular", sampler_seed=seed)
-        eps_hat, se = phase_noise.recover_covariance(config, spec, par, perp, n_samples)
+        eps_hat, se = phase_noise.recover_covariance(
+            config, spec, sigma2, epsilon, n_samples, args.seed + index
+        )
         pull = (eps_hat - epsilon) / se if se > 0.0 else math.nan
         return (epsilon, eps_hat, se, pull)
 
@@ -545,9 +502,7 @@ def _cmd_mc_estimate(args: argparse.Namespace) -> int:
         summary.append(f"linearity of recovered vs injected: slope {coef[0]:.4f}, R^2 {r2:.6f}")
     try:
         predicted = phase_noise.variance_expansion(config, spec).predict(sigma2, 0.0)
-        direct = phase_noise.direct_variance(
-            config, spec, phase_noise.PhaseNoiseModel(sigma2, 0.0, "parallel")
-        )
+        direct = phase_noise.direct_variance(config, spec, sigma2, 0.0)
         rel = predicted / direct - 1.0
         summary.append(
             f"estimator variance at sigma2={sigma2!r}: expansion {predicted!r} "
@@ -593,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_nrf, with_phi0=False)
     p_nrf.add_argument("--variable", choices=SWEEP_VARIABLES, default="tau",
                        help="swept variable (default tau)")
-    p_nrf.add_argument("--grid", type=_parse_grid, default=(0.02, 0.9999, 50, "linear"),
+    p_nrf.add_argument("--grid", type=_parse_grid, default="0.02:0.9999:50",
                        help='sweep grid, "min:max:points[:linear|log]" or "v1,v2,..."')
     p_nrf.add_argument("--lambdas", default="0.1,1,10",
                        help="comma list of quantum occupancies (default 0.1,1,10)")

@@ -45,7 +45,6 @@ __all__ = [
     "EstimatorSpec",
     "UncertaintyResult",
     "classical_benchmark",
-    "mixed_derivative",
     "estimator_mixed_derivative",
     "estimator_center",
     "estimator_mean_curve",
@@ -197,15 +196,6 @@ def _derivative_terms(config: HolometerConfig, spec: EstimatorSpec) -> tuple[flo
     )
 
 
-def mixed_derivative(config: HolometerConfig, spec: EstimatorSpec) -> float:
-    """d^2 <N1 N2> / dphi_1 dphi_2 (or <Y1 Y2> for the quadrature kind).
-
-    Exact closed form at the working point; the quadrature angles stay
-    pinned to the working-point signal quadrature while the phases vary.
-    """
-    return math.fsum(_derivative_terms(config, spec))
-
-
 _ESTIMATOR_DERIVATIVE_FACTOR = {
     EstimatorKind.TWB_DIFFERENCE_SQUARED: -2.0,
     EstimatorKind.TWB_SUM_SQUARED: +2.0,
@@ -214,14 +204,16 @@ _ESTIMATOR_DERIVATIVE_FACTOR = {
 
 
 def estimator_mixed_derivative(config: HolometerConfig, spec: EstimatorSpec) -> float:
-    """Mixed phase derivative of the estimator mean <C>.
+    """Mixed phase derivative of the estimator mean <C>, exact at the
+    working point.
 
     The squared readouts contribute their cross term only: the mixed
     derivative of <N_i^2> terms vanishes, leaving -+2 d^2<N1 N2> for the
-    difference/sum kinds and d^2<Y1 Y2> for the quadrature product
+    difference/sum kinds and d^2<Y1 Y2> for the quadrature product, whose
+    quadrature angles stay pinned to the working-point signal quadrature
     (centering constants are held fixed, so they drop out).
     """
-    return _ESTIMATOR_DERIVATIVE_FACTOR[spec.kind] * mixed_derivative(config, spec)
+    return _ESTIMATOR_DERIVATIVE_FACTOR[spec.kind] * math.fsum(_derivative_terms(config, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ _CUTOFF_CAP = 160
 _TAIL_TOL = 1e-10  # weighted relative tail kept below this
 _WEIGHT_POWER = 4  # moments up to fourth order are requested downstream
 
-_CONVENTIONS = ("i", "real-symmetric", "real-orthogonal")
+_CONVENTIONS = ("i", "real-symmetric")
 
 
 class CutoffError(RuntimeError):
@@ -161,8 +161,6 @@ def _pair_coefficients(phi: float, convention: str) -> tuple[complex, complex, c
     s = math.sin(0.5 * phi)
     if convention == "i":
         return (c, 1j * s, 1j * s, c)
-    if convention == "real-orthogonal":
-        return (c, -s, s, c)
     # not unitary; kept as a loud negative control
     return (c, complex(s), complex(s), c)
 
@@ -213,20 +211,18 @@ def _bs_pair_transform(
     return out
 
 
-def two_photon_coincidence(convention: str = "i", tau: float = 0.5) -> float:
-    """Coincidence probability for one photon in each port of a single
-    beam splitter of transmissivity tau = cos^2(phi/2).
+def two_photon_coincidence(convention: str = "i") -> float:
+    """Coincidence probability for one photon in each port of a
+    balanced beam splitter.
 
-    At tau = 1/2 any unitary convention sends both photons out the same
-    side, so the coincidence must vanish; the deliberately broken
-    "real-symmetric" convention leaves it at 1/2.  Used as a negative
-    control on the beam-splitter phase convention.
+    Any unitary convention sends both photons out the same side, so the
+    coincidence must vanish; the deliberately broken "real-symmetric"
+    convention leaves it at 1/2.  Used as a negative control on the
+    beam-splitter phase convention.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
     block = np.zeros((2, 2, 1), dtype=complex)
     block[1, 1, 0] = 1.0
-    out = _bs_pair_transform(block, 2.0 * math.acos(math.sqrt(tau)), convention)
+    out = _bs_pair_transform(block, math.pi / 2.0, convention)
     pmf = np.abs(out[:, :, 0]) ** 2
     return float(pmf[1, 1] / pmf.sum())
 

@@ -11,14 +11,15 @@ distribution, and the injected covariance is recovered from the
 parallel/perpendicular mean difference divided by the estimator's mixed
 phase derivative.
 
-The offsets are standard normals from the model's seed times the SVD
+recover_covariance takes the noise as (sigma2, epsilon) and a seed.  It
+draws one set of standard normals from default_rng(seed), which both
+runs share (common random numbers), and runs two steps per
+configuration: sample_phase_offsets scales the normals by the SVD
 covariance factor, the stream of numpy's
-multivariate_normal(method="svd").  A recovery draws the normals once
-per distinct seed: the runs share them at a common seed (common random
-numbers), and where the perpendicular run would repeat the parallel
-one (epsilon = 0) its result is reused rather than recomputed.  The
-per-sample means come from the real-valued closed forms of
-observables, one array evaluation per run.
+multivariate_normal(method="svd"), and mc_expectation averages the
+real-valued closed-form mean surface of observables over the offsets in
+one array evaluation.  At epsilon = 0 the perpendicular run would repeat
+the parallel one, so its result is reused rather than recomputed.
 
 The module also evaluates the second-order expansion of the total
 estimator variance under phase noise,
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -51,8 +51,6 @@ from .config import HolometerConfig
 from .estimation import EstimatorSpec
 
 __all__ = [
-    "Configuration",
-    "PhaseNoiseModel",
     "VarianceExpansion",
     "sample_phase_offsets",
     "mc_expectation",
@@ -74,86 +72,43 @@ _STENCIL = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1],
 _GH_ORDER = 9
 
 
-class Configuration(str, Enum):
-    """Relative orientation of the two interferometers."""
-
-    PARALLEL = "parallel"
-    PERPENDICULAR = "perpendicular"
-
-
-@dataclass(frozen=True)
-class PhaseNoiseModel:
-    """Bivariate-normal phase-fluctuation model for one configuration.
-
-    ``sigma2`` is the marginal variance of each phase offset (rad^2) and
-    is identical in both configurations by construction; ``epsilon`` is
-    their covariance and must vanish in the perpendicular configuration,
-    where the fluctuations are uncorrelated.
-    """
-
-    sigma2: float
-    epsilon: float
-    configuration: Configuration
-    sampler_seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "configuration", Configuration(self.configuration))
-        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
-            raise ValueError(f"sigma2 must be finite and non-negative, got {self.sigma2!r}")
-        if not math.isfinite(self.epsilon) or abs(self.epsilon) > self.sigma2:
-            raise ValueError(
-                f"|epsilon| = {abs(self.epsilon)!r} exceeds the marginal variance "
-                f"sigma2 = {self.sigma2!r}; the covariance matrix would not be positive"
-            )
-        if self.configuration is Configuration.PERPENDICULAR and self.epsilon != 0.0:
-            raise ValueError(
-                "the perpendicular configuration has uncorrelated fluctuations; "
-                "epsilon must be 0"
-            )
-
-    @property
-    def covariance_matrix(self) -> np.ndarray:
-        return np.array([[self.sigma2, self.epsilon], [self.epsilon, self.sigma2]])
-
-
-def _standard_normals(seed: int, n_samples: int) -> np.ndarray:
-    """(n_samples, 2) standard normals of ``default_rng(seed)``: the one
-    stream every Monte-Carlo run draws from."""
-    return np.random.default_rng(seed).standard_normal((int(n_samples), 2))
-
-
-def _phase_offsets(model: PhaseNoiseModel, normals: np.ndarray) -> np.ndarray:
-    """Offsets from standard normals of shape (n, 2): the normals times
-    the covariance factor u sqrt(s) of the SVD u s v^T of the model's
-    covariance, the factor numpy's multivariate_normal(method="svd")
-    applies to the same normals."""
-    u, s, _ = np.linalg.svd(model.covariance_matrix)
-    return normals @ (u * np.sqrt(np.abs(s))).T
-
-
-def sample_phase_offsets(model: PhaseNoiseModel, n_samples: int) -> np.ndarray:
-    """(n_samples, 2) phase offsets; identical seeds give identical streams.
-
-    The stream is that of ``default_rng(model.sampler_seed)``'s
-    ``multivariate_normal(..., method="svd")``.
-    """
-    return _phase_offsets(model, _standard_normals(model.sampler_seed, n_samples))
-
-
-def _check_mc_run(config: HolometerConfig, n_samples: int) -> None:
-    if n_samples < MIN_MC_SAMPLES:
-        raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
+def _check_noise(config: HolometerConfig, sigma2: float, epsilon: float) -> None:
+    """The noise is a bivariate normal of marginal variance sigma2 and
+    covariance epsilon about a symmetric working point."""
+    if not (math.isfinite(sigma2) and sigma2 >= 0.0):
+        raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
+    if not math.isfinite(epsilon) or abs(epsilon) > sigma2:
+        raise ValueError(
+            f"|epsilon| = {abs(epsilon)!r} exceeds the marginal variance "
+            f"sigma2 = {sigma2!r}; the covariance matrix would not be positive"
+        )
     if config.phi0_2 != config.phi0_1:
         raise ValueError("the noise model shifts a symmetric working point; phases must match")
 
 
-def _sample_mean(
+def sample_phase_offsets(sigma2: float, epsilon: float, normals: np.ndarray) -> np.ndarray:
+    """Phase offsets from standard normals of shape (n, 2): the normals
+    times the covariance factor u sqrt(s) of the SVD u s v^T of
+    [[sigma2, epsilon], [epsilon, sigma2]], the factor numpy's
+    multivariate_normal(method="svd") applies to the same normals."""
+    u, s, _ = np.linalg.svd(np.array([[sigma2, epsilon], [epsilon, sigma2]]))
+    return normals @ (u * np.sqrt(np.abs(s))).T
+
+
+def mc_expectation(
     config: HolometerConfig,
     spec: EstimatorSpec,
     center: tuple[float, ...],
     offsets: np.ndarray,
 ) -> tuple[float, float]:
-    """Sample mean and standard error of <C> over the offset samples."""
+    """Sample mean and standard error of <C> over the offset samples.
+
+    Per-sample expectations come from the real-valued closed-form mean
+    surface (estimation.estimator_mean_curve) with the centering
+    constants ``center`` frozen at the working point.  Accumulation uses
+    numpy's pairwise mean, so the result is independent of any batch
+    split of the same offsets.
+    """
     phi0 = config.phi0_1
     values = estimation.estimator_mean_curve(
         config, spec, phi0 + offsets[:, 0], phi0 + offsets[:, 1], center=center
@@ -161,62 +116,37 @@ def _sample_mean(
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
-def mc_expectation(
-    config: HolometerConfig,
-    spec: EstimatorSpec,
-    noise: PhaseNoiseModel,
-    n_samples: int,
-) -> tuple[float, float]:
-    """Sample mean and standard error of E_x[<C>] under the noise model.
-
-    Per-sample expectations come from the real-valued closed-form mean
-    surface (estimation.estimator_mean_curve) with centering constants
-    frozen at the working point, over the offsets of
-    sample_phase_offsets.  Accumulation uses numpy's pairwise mean, so
-    the result is independent of any batch split of the same stream.
-    """
-    _check_mc_run(config, n_samples)
-    center = estimation.estimator_center(config, spec)
-    return _sample_mean(config, spec, center, sample_phase_offsets(noise, n_samples))
-
-
 def recover_covariance(
     config: HolometerConfig,
     spec: EstimatorSpec,
-    noise_par: PhaseNoiseModel,
-    noise_perp: PhaseNoiseModel,
+    sigma2: float,
+    epsilon: float,
     n_samples: int,
+    seed: int,
 ) -> tuple[float, float]:
     """Recovered phase covariance and its Monte-Carlo standard error.
 
-    epsilon_hat = (E_par[C] - E_perp[C]) / (d^2<C>/dphi_1 dphi_2); the
-    standard error combines the two run errors as independent.  Each
-    run equals an mc_expectation call on its model, bit for bit, but
-    the standard normals are drawn once per distinct sampler seed, and
-    where the perpendicular run repeats the parallel one (same seed and
-    marginal variance, epsilon = 0) its surface is not evaluated again:
+    epsilon_hat = (E_par[C] - E_perp[C]) / (d^2<C>/dphi_1 dphi_2), where
+    the parallel run has covariance epsilon and the perpendicular run
+    none, both at marginal variance sigma2 and on the same n_samples
+    standard normals of default_rng(seed).  The standard error combines
+    the two run errors as independent.  At epsilon = 0 the runs coincide:
     the parallel result is reused and epsilon_hat is exactly 0.
     """
-    if noise_par.configuration is not Configuration.PARALLEL:
-        raise ValueError("noise_par must use the parallel configuration")
-    if noise_perp.configuration is not Configuration.PERPENDICULAR:
-        raise ValueError("noise_perp must use the perpendicular configuration")
-    if not math.isclose(noise_par.sigma2, noise_perp.sigma2, rel_tol=1e-12, abs_tol=0.0):
-        raise ValueError(
-            "mismatched marginal variances would leak single-detector differences into "
-            f"the recovery: {noise_par.sigma2!r} vs {noise_perp.sigma2!r}"
-        )
-    _check_mc_run(config, n_samples)
+    _check_noise(config, sigma2, epsilon)
+    if n_samples < MIN_MC_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
     center = estimation.estimator_center(config, spec)
-    normals = _standard_normals(noise_par.sampler_seed, n_samples)
-    mean_par, se_par = _sample_mean(config, spec, center, _phase_offsets(noise_par, normals))
-    if noise_perp.sampler_seed != noise_par.sampler_seed:
-        offsets = sample_phase_offsets(noise_perp, n_samples)
-        mean_perp, se_perp = _sample_mean(config, spec, center, offsets)
-    elif noise_par.epsilon == 0.0 and noise_par.sigma2 == noise_perp.sigma2:
+    normals = np.random.default_rng(seed).standard_normal((int(n_samples), 2))
+    mean_par, se_par = mc_expectation(
+        config, spec, center, sample_phase_offsets(sigma2, epsilon, normals)
+    )
+    if epsilon == 0.0:
         mean_perp, se_perp = mean_par, se_par
     else:
-        mean_perp, se_perp = _sample_mean(config, spec, center, _phase_offsets(noise_perp, normals))
+        mean_perp, se_perp = mc_expectation(
+            config, spec, center, sample_phase_offsets(sigma2, 0.0, normals)
+        )
     denominator = estimation.estimator_mixed_derivative(config, spec)
     epsilon_hat = estimation.estimate_phase_covariance(mean_par, mean_perp, denominator)
     std_error = math.hypot(se_par, se_perp) / abs(denominator)
@@ -233,9 +163,12 @@ class VarianceExpansion:
     """Second-order expansion of the total estimator variance.
 
     ``predict(sigma2, epsilon)`` evaluates var_zero + (a_11 + a_22) *
-    sigma2 + a_12 * epsilon inside the small-noise domain of the
-    expansion, 0 <= sigma2 <= MAX_EXPANSION_SIGMA2 and |epsilon| <=
-    sigma2; noise outside it is a ValueError.
+    sigma2 + a_12 * epsilon for 0 <= sigma2 <= MAX_EXPANSION_SIGMA2 and
+    |epsilon| <= sigma2; noise outside that is a ValueError.  The bound
+    is only a guard, not an accuracy domain: the neglected fourth-order
+    term grows with mu and with phi_0, so at mu = 1e6, lam = 10,
+    eta = 0.95, phi_0 = 0.2 the predicted increment over var_zero is
+    already 5.4% below Gauss-Hermite (direct_variance) at sigma2 = 1e-8.
     """
 
     a_11: float
@@ -288,7 +221,7 @@ def variance_expansion(config: HolometerConfig, spec: EstimatorSpec) -> Variance
 
 
 def direct_variance(
-    config: HolometerConfig, spec: EstimatorSpec, noise: PhaseNoiseModel
+    config: HolometerConfig, spec: EstimatorSpec, sigma2: float, epsilon: float
 ) -> float:
     """Total estimator variance under phase noise, without expansion.
 
@@ -297,13 +230,12 @@ def direct_variance(
     epsilon), _GH_ORDER nodes per axis, with the surfaces from one
     stacked engine call over all nodes.
     """
+    _check_noise(config, sigma2, epsilon)
     phi0 = config.phi0_1
-    if config.phi0_2 != phi0:
-        raise ValueError("the noise model shifts a symmetric working point; phases must match")
     nodes, weights = np.polynomial.hermite_e.hermegauss(_GH_ORDER)
     weights = weights / math.sqrt(2.0 * math.pi)
-    scale_u = math.sqrt(max(noise.sigma2 + noise.epsilon, 0.0))
-    scale_v = math.sqrt(max(noise.sigma2 - noise.epsilon, 0.0))
+    scale_u = math.sqrt(max(sigma2 + epsilon, 0.0))
+    scale_v = math.sqrt(max(sigma2 - epsilon, 0.0))
     u = scale_u * nodes[:, None] * np.ones_like(nodes)[None, :]
     v = scale_v * np.ones_like(nodes)[:, None] * nodes[None, :]
     d1 = ((u + v) / math.sqrt(2.0)).ravel()

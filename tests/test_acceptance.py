@@ -18,15 +18,15 @@ from scipy.optimize import brentq
 
 from holonoise.config import HolometerConfig
 from holonoise.crosscheck import DEFAULT_SEED, run_crosscheck
-from holonoise.estimation import EstimatorSpec, estimator_mean_and_square, mixed_derivative, u0
+from holonoise.estimation import (
+    EstimatorSpec,
+    estimator_mean_and_square,
+    estimator_mixed_derivative,
+    u0,
+)
 from holonoise.holometer import readout_moments
 from holonoise.observables import nrf
-from holonoise.phase_noise import (
-    PhaseNoiseModel,
-    recover_covariance,
-    sample_phase_offsets,
-    variance_expansion,
-)
+from holonoise.phase_noise import recover_covariance, sample_phase_offsets, variance_expansion
 
 DIFF = EstimatorSpec(kind="TwbDifferenceSquared")
 QUAD = EstimatorSpec(kind="QuadratureProduct")
@@ -282,10 +282,9 @@ def test_criterion_9_mc_recovery():
     epsilons = (0.0, 1e-8, 1e-7, 1e-6)
     pulls, hats = [], []
     for index, epsilon in enumerate(epsilons):
-        seed = DEFAULT_SEED + index
-        par = PhaseNoiseModel(sigma2, epsilon, "parallel", sampler_seed=seed)
-        perp = PhaseNoiseModel(sigma2, 0.0, "perpendicular", sampler_seed=seed)
-        eps_hat, se = recover_covariance(config, QUAD, par, perp, n_samples)
+        eps_hat, se = recover_covariance(
+            config, QUAD, sigma2, epsilon, n_samples, DEFAULT_SEED + index
+        )
         pulls.append(abs(eps_hat - epsilon) / se)
         hats.append(eps_hat)
     eps = np.asarray(epsilons)
@@ -296,8 +295,8 @@ def test_criterion_9_mc_recovery():
     r2 = 1.0 - float(np.sum((hats - fitted) ** 2) / np.sum((hats - hats.mean()) ** 2))
 
     predicted = variance_expansion(config, QUAD).predict(sigma2, 0.0)
-    noise = PhaseNoiseModel(sigma2, 0.0, "parallel", sampler_seed=DEFAULT_SEED)
-    offsets = config.phi0_1 + sample_phase_offsets(noise, n_samples)
+    normals = np.random.default_rng(DEFAULT_SEED).standard_normal((n_samples, 2))
+    offsets = config.phi0_1 + sample_phase_offsets(sigma2, 0.0, normals)
     means, squares = estimator_mean_and_square(config, QUAD, offsets[:, 0], offsets[:, 1])
     e_h = float(np.mean(means))
     mc_var = float(np.mean(squares)) - e_h * e_h
@@ -326,7 +325,8 @@ def test_criterion_10_mixed_derivative_closed_form():
         config = cfg(mu=mu, eta=eta, lam=0.0, phi0=float(phi0),
                      input_kind="CoherentOnly")
         expected = (eta * mu * math.sin(phi0)) ** 2 / 4.0
-        got = mixed_derivative(config, DIFF)
+        # the difference estimator's derivative is -2 d^2<N1 N2>
+        got = -0.5 * estimator_mixed_derivative(config, DIFF)
         worst = max(worst, abs(got - expected) / expected)
     check(
         "10", "mixed derivative vs coherent-only closed form",

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -48,31 +49,24 @@ def nrf_base_config():
 
 
 def test_sweep_spec_validation():
-    base = nrf_base_config()
-    with pytest.raises(ValueError):
-        cli.SweepSpec("detuning", (0.1, 1.0, 5, "linear"), base)
-    with pytest.raises(ValueError):
-        cli.SweepSpec("eta", (0.0, 1.0, 5, "log"), base)
-    with pytest.raises(ValueError):
-        cli.SweepSpec("eta", [], base)
-    with pytest.raises(ValueError):
-        cli.SweepSpec("eta", (0.1, 1.0, 1, "linear"), base)
+    # an unknown variable is an argparse choice error; bad grids fail in
+    # _parse_grid, before any configuration is built
+    for grid in ("0:1:5:log", ",", "0.1:1.0:1", "0.1:1.0:5:cubic", "0.1:1.0"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._parse_grid(grid)
 
 
 def test_sweep_spec_points_and_config_mapping():
     base = nrf_base_config()
-    spec = cli.SweepSpec("tau", (0.25, 0.81, 3, "linear"), base)
-    assert list(spec.points()) == pytest.approx([0.25, 0.53, 0.81])
-    config = spec.config_at(0.25)
+    assert list(cli._parse_grid("0.25:0.81:3")) == pytest.approx([0.25, 0.53, 0.81])
+    config = cli._config_at(base, "tau", 0.25)
     assert config.tau_1 == pytest.approx(0.25, rel=1e-12)
     assert config.phi0_1 == config.phi0_2
     with pytest.raises(ValueError):
-        spec.config_at(2.0)
-    log_spec = cli.SweepSpec("phi0", (1e-4, 1e-2, 3, "log"), base)
-    assert list(log_spec.points()) == pytest.approx([1e-4, 1e-3, 1e-2])
-    explicit = cli.SweepSpec("eta", [0.5, 0.7], base)
-    assert list(explicit.points()) == [0.5, 0.7]
-    assert explicit.config_at(0.7).eta == 0.7
+        cli._config_at(base, "tau", 2.0)
+    assert list(cli._parse_grid("1e-4:1e-2:3:log")) == pytest.approx([1e-4, 1e-3, 1e-2])
+    assert list(cli._parse_grid("0.5,0.7")) == [0.5, 0.7]
+    assert cli._config_at(base, "eta", 0.7).eta == 0.7
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +205,8 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 
 def test_handler_errors_return_one(tmp_path):
-    # grid with too few points fails sweep validation inside the handler
-    assert run(["nrf-scan", "--variable", "tau", "--grid", "0.5:0.9:1"]) == 1
+    # a tau outside (0, 1] fails inside the handler
+    assert run(["nrf-scan", "--variable", "tau", "--grid", "1.5"]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["nrf-scan", "--config", str(bad)]) == 1
@@ -223,6 +217,8 @@ def test_handler_errors_return_one(tmp_path):
 
 def test_usage_errors_exit_one():
     assert run_usage_error(["nrf-scan", "--variable", "banana"]) == 1
+    # a grid with too few points fails while parsing
+    assert run_usage_error(["nrf-scan", "--variable", "tau", "--grid", "0.5:0.9:1"]) == 1
     assert run_usage_error(["nrf-scan", "--unknown-flag"]) == 1
     assert run_usage_error(["mc-estimate", "--estimator", "difference"]) == 1
     assert run_usage_error(["mc-estimate", "--threads", "2"]) == 1

@@ -16,12 +16,16 @@ from holonoise.estimation import (
     estimator_mean_and_square,
     estimator_mean_curve,
     estimator_mixed_derivative,
-    mixed_derivative,
     u0,
     u0_asymptotic,
 )
 from holonoise.holometer import quadrature_readout, readout_moments
-from holonoise.observables import UndefinedResultError, closed_form_moments, regime_parameter
+from holonoise.observables import (
+    UndefinedResultError,
+    closed_form_moments,
+    mixed_derivative_terms,
+    regime_parameter,
+)
 
 
 def make(**overrides):
@@ -36,6 +40,14 @@ def make(**overrides):
 DIFF = EstimatorSpec(kind="TwbDifferenceSquared")
 SUM = EstimatorSpec(kind="TwbSumSquared")
 QUAD = EstimatorSpec(kind="QuadratureProduct")
+
+
+def cross_derivative(config, spec):
+    """d^2 <N1 N2> / dphi_1 dphi_2 (d^2 <Y1 Y2> for the quadrature kind):
+    the estimator's mixed derivative without its fixed readout factor,
+    -2 for the difference and 1 for the quadrature product."""
+    factor = -2.0 if spec.kind is EstimatorKind.TWB_DIFFERENCE_SQUARED else 1.0
+    return estimator_mixed_derivative(config, spec) / factor
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +112,20 @@ def test_mixed_derivative_matches_coherent_closed_form():
         config = make(mu=1e6, eta=0.9, lam=0.0, input_kind="CoherentOnly",
                       phi0_1=phi0, phi0_2=phi0)
         expected = (0.9 * 1e6 * math.sin(phi0)) ** 2 / 4.0
-        got = mixed_derivative(config, DIFF)
+        got = cross_derivative(config, DIFF)
         assert got == pytest.approx(expected, rel=1e-6), phi0
 
 
 def test_estimator_mixed_derivative_sign_factors():
     config = make(mu=1e4)
-    base = mixed_derivative(config, DIFF)
+    base = math.fsum(mixed_derivative_terms(config))
     assert estimator_mixed_derivative(config, DIFF) == pytest.approx(-2.0 * base, rel=1e-12)
     sum_config = config.replace(psi=0.0)
     assert estimator_mixed_derivative(sum_config, SUM) == pytest.approx(
-        2.0 * mixed_derivative(sum_config, SUM), rel=1e-12
+        2.0 * math.fsum(mixed_derivative_terms(sum_config)), rel=1e-12
+    )
+    assert estimator_mixed_derivative(config, QUAD) == pytest.approx(
+        math.fsum(mixed_derivative_terms(config, quadrature=True)), rel=1e-12
     )
 
 
@@ -125,7 +140,7 @@ def central_cross_difference(cross_moment, phi0, h):
 
 
 def engine_finite_difference(config, spec):
-    """Independent check on mixed_derivative: central differences of the
+    """Independent check on cross_derivative: central differences of the
     engine's <N1 N2> (or <Y1 Y2>) at steps 1e-3 and 1e-4 times
     max(|phi_0|, 1e-3), combined by Richardson extrapolation."""
     chi = config.signal_quadrature_angle
@@ -171,7 +186,7 @@ def test_mixed_derivative_matches_engine_finite_differences(input_kind):
             if input_kind == "TwoSqueezed" and spec is DIFF and phi0 < 1e-2:
                 continue
             want = engine_finite_difference(config, spec)
-            got = mixed_derivative(config, spec)
+            got = cross_derivative(config, spec)
             assert got == pytest.approx(want, rel=1e-6), (mu, lam, phi0, psi, theta, spec.kind)
 
 

@@ -144,18 +144,19 @@ def test_each_distinct_phase_is_transformed_once(monkeypatch, phi0_2, phases):
 
 def test_two_photon_coincidence_null_for_unitary_conventions():
     assert two_photon_coincidence("i") == pytest.approx(0.0, abs=1e-12)
-    assert two_photon_coincidence("real-orthogonal") == pytest.approx(0.0, abs=1e-12)
     assert two_photon_coincidence("real-symmetric") == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         two_photon_coincidence("nonsense")
 
 
 def test_unbalanced_coincidence_matches_closed_form():
-    # for |1,1> input: P(1,1) = (1 - 2 tau)^2 under any unitary convention
+    # for |1,1> input: P(1,1) = (1 - 2 tau)^2 under a unitary convention
+    block = np.zeros((2, 2, 1), dtype=complex)
+    block[1, 1, 0] = 1.0
     for tau in (0.2, 0.35, 0.8):
-        assert two_photon_coincidence("i", tau=tau) == pytest.approx(
-            (1.0 - 2.0 * tau) ** 2, rel=1e-12
-        )
+        out = _bs_pair_transform(block, 2.0 * math.acos(math.sqrt(tau)))
+        pmf = np.abs(out[:, :, 0]) ** 2
+        assert pmf[1, 1] / pmf.sum() == pytest.approx((1.0 - 2.0 * tau) ** 2, rel=1e-12)
 
 
 def test_schmidt_and_dense_routes_agree():

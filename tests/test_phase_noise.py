@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from holonoise import estimation
+from holonoise import estimation, phase_noise
 from holonoise.config import HolometerConfig
 from holonoise.estimation import (
     EstimatorSpec,
@@ -16,8 +16,6 @@ from holonoise.estimation import (
 from holonoise.phase_noise import (
     MAX_EXPANSION_SIGMA2,
     MIN_MC_SAMPLES,
-    Configuration,
-    PhaseNoiseModel,
     direct_variance,
     mc_expectation,
     recover_covariance,
@@ -34,46 +32,38 @@ DIFF = EstimatorSpec(kind="TwbDifferenceSquared")
 TWB_DESK = DESK.replace(input_kind="TWB")
 
 
+def normals(seed, n_samples):
+    """The standard normals recover_covariance draws at ``seed``."""
+    return np.random.default_rng(seed).standard_normal((n_samples, 2))
+
+
 # ---------------------------------------------------------------------------
 # noise model
 # ---------------------------------------------------------------------------
 
 
+# noise no bivariate normal has: a nan or negative marginal variance, and
+# a covariance larger than the marginal variance
+BAD_NOISE = [(math.nan, 0.0), (-1e-6, 0.0), (1e-6, 2e-6), (1e-6, math.nan)]
+
+
 def test_model_validation():
-    with pytest.raises(ValueError):
-        PhaseNoiseModel(sigma2=-1e-6, epsilon=0.0, configuration="parallel")
-    with pytest.raises(ValueError):
-        PhaseNoiseModel(sigma2=1e-6, epsilon=2e-6, configuration="parallel")
-    with pytest.raises(ValueError):
-        PhaseNoiseModel(sigma2=1e-6, epsilon=1e-7, configuration="perpendicular")
-    with pytest.raises(ValueError):
-        PhaseNoiseModel(sigma2=math.nan, epsilon=0.0, configuration="parallel")
-    with pytest.raises(ValueError):
-        PhaseNoiseModel(sigma2=1e-6, epsilon=0.0, configuration="diagonal")
-
-
-def test_covariance_matrix_layout():
-    par = PhaseNoiseModel(sigma2=4e-6, epsilon=1e-6, configuration="parallel")
-    assert np.array_equal(par.covariance_matrix, [[4e-6, 1e-6], [1e-6, 4e-6]])
-    perp = PhaseNoiseModel(sigma2=4e-6, epsilon=0.0, configuration=Configuration.PERPENDICULAR)
-    assert np.array_equal(perp.covariance_matrix, [[4e-6, 0.0], [0.0, 4e-6]])
+    for sigma2, epsilon in BAD_NOISE:
+        with pytest.raises(ValueError):
+            recover_covariance(DESK, QUAD, sigma2, epsilon, 2_000, 0)
+        with pytest.raises(ValueError):
+            direct_variance(DESK, QUAD, sigma2, epsilon)
 
 
 def test_sampling_is_seed_deterministic():
-    par = PhaseNoiseModel(sigma2=1e-5, epsilon=5e-6, configuration="parallel", sampler_seed=7)
-    a = sample_phase_offsets(par, 500)
-    b = sample_phase_offsets(par, 500)
+    a = sample_phase_offsets(1e-5, 5e-6, normals(7, 500))
+    b = sample_phase_offsets(1e-5, 5e-6, normals(7, 500))
     assert np.array_equal(a, b)
     assert a.shape == (500, 2)
-    # with epsilon = 0 the parallel and perpendicular streams coincide
-    p0 = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="parallel", sampler_seed=3)
-    q0 = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="perpendicular", sampler_seed=3)
-    assert np.array_equal(sample_phase_offsets(p0, 200), sample_phase_offsets(q0, 200))
 
 
 def test_sample_statistics_track_the_model():
-    par = PhaseNoiseModel(sigma2=1e-4, epsilon=6e-5, configuration="parallel", sampler_seed=11)
-    draws = sample_phase_offsets(par, 200_000)
+    draws = sample_phase_offsets(1e-4, 6e-5, normals(11, 200_000))
     cov = np.cov(draws.T)
     assert cov[0, 0] == pytest.approx(1e-4, rel=0.03)
     assert cov[1, 1] == pytest.approx(1e-4, rel=0.03)
@@ -86,19 +76,11 @@ def test_sample_statistics_track_the_model():
 
 
 def test_mc_expectation_at_zero_noise_is_the_working_point_mean():
-    noise = PhaseNoiseModel(sigma2=0.0, epsilon=0.0, configuration="parallel")
-    mean, se = mc_expectation(DESK, QUAD, noise, 2_000)
+    offsets = sample_phase_offsets(0.0, 0.0, normals(0, 2_000))
+    mean, se = mc_expectation(DESK, QUAD, estimator_center(DESK, QUAD), offsets)
     exact = float(estimator_mean_curve(DESK, QUAD, DESK.phi0_1, DESK.phi0_2))
     assert mean == exact
     assert se == 0.0
-
-
-def test_mc_expectation_guards():
-    noise = PhaseNoiseModel(sigma2=1e-6, epsilon=0.0, configuration="parallel")
-    with pytest.raises(ValueError):
-        mc_expectation(DESK, QUAD, noise, MIN_MC_SAMPLES - 1)
-    with pytest.raises(ValueError):
-        mc_expectation(DESK.replace(phi0_2=0.2), QUAD, noise, 2_000)
 
 
 # ---------------------------------------------------------------------------
@@ -106,23 +88,16 @@ def test_mc_expectation_guards():
 # ---------------------------------------------------------------------------
 
 
-def test_recover_covariance_configuration_checks():
-    par = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="parallel")
-    perp = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="perpendicular")
-    with pytest.raises(ValueError):
-        recover_covariance(DESK, QUAD, perp, perp, 2_000)
-    with pytest.raises(ValueError):
-        recover_covariance(DESK, QUAD, par, par, 2_000)
-    mismatched = PhaseNoiseModel(sigma2=2e-5, epsilon=0.0, configuration="perpendicular")
-    with pytest.raises(ValueError, match="mismatched marginal variances"):
-        recover_covariance(DESK, QUAD, par, mismatched, 2_000)
+def test_recover_covariance_guards():
+    with pytest.raises(ValueError, match=f"at least {MIN_MC_SAMPLES}"):
+        recover_covariance(DESK, QUAD, 1e-6, 0.0, MIN_MC_SAMPLES - 1, 0)
+    with pytest.raises(ValueError, match="phases must match"):
+        recover_covariance(DESK.replace(phi0_2=0.2), QUAD, 1e-6, 0.0, 2_000, 0)
 
 
 def test_recover_covariance_pull_at_desk_scale():
     epsilon = 1e-6
-    par = PhaseNoiseModel(sigma2=1e-5, epsilon=epsilon, configuration="parallel", sampler_seed=5)
-    perp = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="perpendicular", sampler_seed=5)
-    eps_hat, se = recover_covariance(DESK, QUAD, par, perp, 20_000)
+    eps_hat, se = recover_covariance(DESK, QUAD, 1e-5, epsilon, 20_000, 5)
     assert se > 0.0
     # the common seed correlates the two runs, so the quoted (independent)
     # standard error over-covers; 4 se is a conservative window
@@ -146,25 +121,29 @@ def test_recovery_at_zero_covariance_evaluates_the_surface_once(monkeypatch, spe
     config = DESK if spec is QUAD else TWB_DESK
     surfaces = _count_calls(monkeypatch, estimation, "estimator_mean_curve")
     draws = _count_calls(monkeypatch, np.random, "default_rng")
-    par = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="parallel", sampler_seed=8)
-    perp = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="perpendicular", sampler_seed=8)
-    eps_hat, se = recover_covariance(config, spec, par, perp, 5_000)
+    offsets = _count_calls(monkeypatch, phase_noise, "sample_phase_offsets")
+    means = _count_calls(monkeypatch, phase_noise, "mc_expectation")
+    eps_hat, se = recover_covariance(config, spec, 1e-5, 0.0, 5_000, 8)
     assert eps_hat == 0.0
     assert se > 0.0
-    assert (len(surfaces), len(draws)) == (1, 1)
-    # a nonzero covariance needs the second surface, still on the same draw
-    par = dataclasses.replace(par, epsilon=1e-6)
-    recover_covariance(config, spec, par, perp, 5_000)
-    assert (len(surfaces), len(draws)) == (3, 2)
+    assert (len(surfaces), len(draws), len(offsets), len(means)) == (1, 1, 1, 1)
+    # a nonzero covariance needs the second run, still on the same draw
+    recover_covariance(config, spec, 1e-5, 1e-6, 5_000, 8)
+    assert (len(surfaces), len(draws), len(offsets), len(means)) == (3, 2, 3, 3)
 
 
-def test_recovery_with_distinct_seeds_equals_two_independent_runs():
-    par = PhaseNoiseModel(sigma2=1e-5, epsilon=2e-6, configuration="parallel", sampler_seed=21)
-    perp = PhaseNoiseModel(sigma2=1e-5, epsilon=0.0, configuration="perpendicular", sampler_seed=22)
-    mean_par, se_par = mc_expectation(DESK, QUAD, par, 4_000)
-    mean_perp, se_perp = mc_expectation(DESK, QUAD, perp, 4_000)
+def test_recovery_equals_its_two_steps():
+    sigma2, epsilon, n_samples, seed = 1e-5, 2e-6, 4_000, 21
+    center = estimator_center(DESK, QUAD)
+    draw = normals(seed, n_samples)
+    mean_par, se_par = mc_expectation(
+        DESK, QUAD, center, sample_phase_offsets(sigma2, epsilon, draw)
+    )
+    mean_perp, se_perp = mc_expectation(
+        DESK, QUAD, center, sample_phase_offsets(sigma2, 0.0, draw)
+    )
     denominator = estimation.estimator_mixed_derivative(DESK, QUAD)
-    eps_hat, se = recover_covariance(DESK, QUAD, par, perp, 4_000)
+    eps_hat, se = recover_covariance(DESK, QUAD, sigma2, epsilon, n_samples, seed)
     assert eps_hat == (mean_par - mean_perp) / denominator
     assert se == math.hypot(se_par, se_perp) / abs(denominator)
 
@@ -173,12 +152,10 @@ def test_recovery_with_distinct_seeds_equals_two_independent_runs():
     (1e-5, 0.0), (1e-5, 1e-6), (1e-5, -3e-6), (1e-4, 6e-5), (1e-5, 1e-5), (0.0, 0.0),
 ])
 def test_offsets_match_numpy_svd_multivariate_normal(sigma2, epsilon):
-    model = PhaseNoiseModel(sigma2=sigma2, epsilon=epsilon, configuration="parallel",
-                            sampler_seed=13)
     want = np.random.default_rng(13).multivariate_normal(
-        np.zeros(2), model.covariance_matrix, size=3_000, method="svd"
+        np.zeros(2), [[sigma2, epsilon], [epsilon, sigma2]], size=3_000, method="svd"
     )
-    got = sample_phase_offsets(model, 3_000)
+    got = sample_phase_offsets(sigma2, epsilon, normals(13, 3_000))
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -226,9 +203,8 @@ def test_expansion_symmetry_and_zero_order():
 
 def test_expansion_predicts_direct_variance():
     sigma2, epsilon = 1e-6, 3e-7
-    noise = PhaseNoiseModel(sigma2=sigma2, epsilon=epsilon, configuration="parallel")
     expansion = variance_expansion(DESK, QUAD)
-    direct = direct_variance(DESK, QUAD, noise)
+    direct = direct_variance(DESK, QUAD, sigma2, epsilon)
     assert expansion.predict(sigma2, epsilon) == pytest.approx(direct, rel=5e-3)
 
 
@@ -238,14 +214,11 @@ def test_expansion_predicts_direct_variance():
 
 
 def test_direct_variance_quadrature_gh_matches_mc():
-    noise = PhaseNoiseModel(
-        sigma2=1e-5, epsilon=4e-6, configuration="parallel", sampler_seed=17
-    )
-    gh = direct_variance(DESK, QUAD, noise)
+    gh = direct_variance(DESK, QUAD, 1e-5, 4e-6)
     assert type(gh) is float
     # Monte-Carlo reference with a delta-method standard error
     n_samples = 50_000
-    offsets = sample_phase_offsets(noise, n_samples)
+    offsets = sample_phase_offsets(1e-5, 4e-6, normals(17, n_samples))
     means, squares = estimator_mean_and_square(
         DESK, QUAD, DESK.phi0_1 + offsets[:, 0], DESK.phi0_2 + offsets[:, 1]
     )
@@ -257,8 +230,7 @@ def test_direct_variance_quadrature_gh_matches_mc():
 
 
 def test_direct_variance_photon_kind_agrees_with_gh():
-    noise = PhaseNoiseModel(sigma2=1e-6, epsilon=0.0, configuration="parallel")
-    gh = direct_variance(TWB_DESK, DIFF, noise)
+    gh = direct_variance(TWB_DESK, DIFF, 1e-6, 0.0)
     expansion = variance_expansion(TWB_DESK, DIFF)
     assert gh == pytest.approx(expansion.predict(1e-6, 0.0), rel=5e-3)
 
@@ -282,23 +254,22 @@ def _per_point_surfaces(config, spec, d1, d2):
 
 @pytest.mark.parametrize("spec", [DIFF, SUM], ids=["difference", "sum"])
 def test_direct_variance_gh_matches_the_per_node_loop(spec):
-    noise = PhaseNoiseModel(sigma2=1e-5, epsilon=4e-6, configuration="parallel")
+    sigma2, epsilon = 1e-5, 4e-6
     nodes, weights = np.polynomial.hermite_e.hermegauss(9)
     weights = weights / math.sqrt(2.0 * math.pi)
-    u = math.sqrt(noise.sigma2 + noise.epsilon) * nodes[:, None] * np.ones(9)[None, :]
-    v = math.sqrt(noise.sigma2 - noise.epsilon) * np.ones(9)[:, None] * nodes[None, :]
+    u = math.sqrt(sigma2 + epsilon) * nodes[:, None] * np.ones(9)[None, :]
+    v = math.sqrt(sigma2 - epsilon) * np.ones(9)[:, None] * nodes[None, :]
     means, squares = _per_point_surfaces(
         TWB_DESK, spec, (u + v) / math.sqrt(2.0), (u - v) / math.sqrt(2.0)
     )
     w = weights[:, None] * weights[None, :]
     e_h = float(np.sum(w * means))
     reference = float(np.sum(w * squares)) - e_h * e_h
-    gh = direct_variance(TWB_DESK, spec, noise)
+    gh = direct_variance(TWB_DESK, spec, sigma2, epsilon)
     assert type(gh) is float
     assert gh == pytest.approx(reference, rel=1e-12)
 
 
 def test_direct_variance_guards():
-    noise = PhaseNoiseModel(sigma2=1e-6, epsilon=0.0, configuration="parallel")
-    with pytest.raises(ValueError):
-        direct_variance(DESK.replace(phi0_2=0.2), QUAD, noise)
+    with pytest.raises(ValueError, match="phases must match"):
+        direct_variance(DESK.replace(phi0_2=0.2), QUAD, 1e-6, 0.0)
