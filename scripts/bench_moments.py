@@ -6,7 +6,7 @@ over 1e5 phase pairs), the detected-state build, the cumulant photon
 readouts of second and fourth order and the quadrature readout (each
 including its state build), one stacked fourth-order readout over 1 000
 phase pairs, the exact mixed phase derivative, one zero-order
-uncertainty evaluation, the Gauss-Hermite phase-noise variance, one
+uncertainty evaluation per estimator kind, the Gauss-Hermite phase-noise variance, one
 Monte-Carlo covariance recovery (quadrature product at the mc-estimate
 defaults, epsilon = 1e-6, 1e5 samples), the truncated-Fock oracle and
 its beam-splitter transform alone on the largest arm block of the
@@ -63,6 +63,11 @@ def main() -> int:
     repeat = max(1, args.repeat)
 
     diff = EstimatorSpec(kind="TwbDifferenceSquared")
+    plus = EstimatorSpec(kind="TwbSumSquared")
+    quad = EstimatorSpec(kind="QuadratureProduct")
+    # the sum readout pairs with psi = 0; the product reads squeezed input
+    bright_sum = BRIGHT.replace(psi=0.0)
+    bright_sq = BRIGHT.replace(input_kind="TwoSqueezed")
 
     clock("closed-form first/second moments (bright)",
           lambda: closed_form_moments(BRIGHT), repeat)
@@ -85,9 +90,12 @@ def main() -> int:
           lambda: estimator_mixed_derivative(BRIGHT, diff), repeat)
     clock("zero-order uncertainty, difference readout (bright)",
           lambda: u0(BRIGHT, diff), max(1, repeat // 5))
+    clock("zero-order uncertainty, sum readout (bright)",
+          lambda: u0(bright_sum, plus), max(1, repeat // 5))
+    clock("zero-order uncertainty, quadrature product (bright)",
+          lambda: u0(bright_sq, quad), max(1, repeat // 5))
     clock("direct_variance GH-9, difference (bright)",
           lambda: direct_variance(BRIGHT, diff, 1e-5, 0.0), max(1, repeat // 10))
-    quad = EstimatorSpec(kind="QuadratureProduct")
     clock("recover_covariance, quadrature product, 1e5 samples",
           lambda: recover_covariance(DESK, quad, 1e-5, 1e-6, 100_000, 0), max(1, repeat // 10))
     # the oracle walks a truncated number basis, so it only runs at low

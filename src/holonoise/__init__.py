@@ -19,7 +19,6 @@ from .estimation import (
     EstimatorSpec,
     PsiPairingError,
     SingularConfigurationError,
-    UncertaintyResult,
     classical_benchmark,
     estimate_phase_covariance,
     estimator_mean_curve,
@@ -54,7 +53,6 @@ from .observables import (
     mixed_derivative_terms,
     nrf,
     nrf_asymptotic,
-    regime_label,
     regime_parameter,
 )
 from .phase_noise import (
@@ -104,12 +102,10 @@ __all__ = [
     "nrf",
     "nrf_asymptotic",
     "regime_parameter",
-    "regime_label",
     "UndefinedResultError",
     # uncertainty pipeline
     "EstimatorKind",
     "EstimatorSpec",
-    "UncertaintyResult",
     "u0",
     "u0_asymptotic",
     "U0_ASYMPTOTIC_BRANCHES",

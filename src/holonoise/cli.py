@@ -341,11 +341,12 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
         # turn from the difference readout's pairing
         twb_sum = twb.replace(psi=twb.psi - math.pi / 2.0)
         flags: list[str] = []
+        u_cl = estimation.classical_benchmark(config)
 
         def guarded(cfg: HolometerConfig, kind: str, label: str) -> tuple[float, float]:
             try:
-                result = estimation.u0(cfg, EstimatorSpec(kind=kind))
-                return result.u0, result.ratio
+                value = estimation.u0(cfg, EstimatorSpec(kind=kind))
+                return value, value / u_cl
             except SingularConfigurationError:
                 flags.append(f"singular:{label}")
                 return math.nan, math.nan
@@ -357,7 +358,6 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
         u_twb, r_twb = guarded(twb, "TwbDifferenceSquared", "twb")
         u_sq, r_sq = guarded(sq, "QuadratureProduct", "sq")
         u_sum, r_sum = guarded(twb_sum, "TwbSumSquared", "twb_sum")
-        u_cl = estimation.classical_benchmark(config)
 
         def asym(branch: str) -> float:
             try:

@@ -18,12 +18,13 @@ covariance is
 
     U0 = sqrt(2 Var[C]) / |d^2 <C> / dphi_1 dphi_2|,
 
-with the variance taken at the working point.  The variance comes from
-the Gaussian engine's photon-number cumulants, which scale like mu
-rather than its powers, so it survives coherent energies of mu ~ 1e12
-in double precision.  The mixed derivative is exact: every
-estimator mean is a sum of separable products of half-angle sines and
-cosines of the two phases (see observables.mixed_derivative_terms).
+with Var[C] = <C^2> - <C>^2 at the working point read from
+estimator_mean_and_square, the engine surface the phase-noise layer
+averages.  Its photon-number cumulants scale like mu rather than its
+powers, so it survives coherent energies of mu ~ 1e12 in double
+precision.  The mixed derivative is exact: every estimator mean is a
+sum of separable products of half-angle sines and cosines of the two
+phases (see observables.mixed_derivative_terms).
 """
 from __future__ import annotations
 
@@ -36,14 +37,13 @@ import numpy as np
 
 from . import holometer, observables
 from .config import HolometerConfig, InputKind
-from .observables import UndefinedResultError, regime_parameter
+from .observables import UndefinedResultError
 
 __all__ = [
     "SingularConfigurationError",
     "PsiPairingError",
     "EstimatorKind",
     "EstimatorSpec",
-    "UncertaintyResult",
     "classical_benchmark",
     "estimator_mixed_derivative",
     "estimator_center",
@@ -112,21 +112,13 @@ class EstimatorSpec:
                 ) from None
 
 
-@dataclass(frozen=True)
-class UncertaintyResult:
-    """Zero-order uncertainty of the phase-covariance estimate.
-
-    ``u0`` is the photon-noise-limited uncertainty, ``u_cl`` the
-    coherent-light benchmark at the same working point, ``ratio`` their
-    quotient, and ``regime_k`` the readout-port dominance parameter.
-    """
-
-    u0: float
-    u_cl: float
-    ratio: float
-    numerator_var: float
-    denominator: float
-    regime_k: float
+# photocurrent sign of each squared readout, C = (N1 + sign N2 - center)^2;
+# on twin beams it is also the cos(2 psi) the readout pairs with, and half
+# the factor from d^2<N1 N2> to the mixed derivative of <C>
+_PHOTOCURRENT_SIGN = {
+    EstimatorKind.TWB_DIFFERENCE_SQUARED: -1,
+    EstimatorKind.TWB_SUM_SQUARED: +1,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +133,8 @@ def _require_symmetric(config: HolometerConfig, what: str) -> float:
 
 
 def _check_psi_pairing(config: HolometerConfig, spec: EstimatorSpec) -> None:
-    if config.input_kind is not InputKind.TWB:
-        return
-    targets = {
-        EstimatorKind.TWB_DIFFERENCE_SQUARED: -1.0,
-        EstimatorKind.TWB_SUM_SQUARED: +1.0,
-    }
-    target = targets.get(spec.kind)
-    if target is None:
+    target = _PHOTOCURRENT_SIGN.get(spec.kind)
+    if config.input_kind is not InputKind.TWB or target is None:
         return
     if abs(math.cos(2.0 * config.psi) - target) <= 1e-6:
         return
@@ -196,11 +182,9 @@ def _derivative_terms(config: HolometerConfig, spec: EstimatorSpec) -> tuple[flo
     )
 
 
-_ESTIMATOR_DERIVATIVE_FACTOR = {
-    EstimatorKind.TWB_DIFFERENCE_SQUARED: -2.0,
-    EstimatorKind.TWB_SUM_SQUARED: +2.0,
-    EstimatorKind.QUADRATURE_PRODUCT: 1.0,
-}
+def _derivative_factor(spec: EstimatorSpec) -> float:
+    sign = _PHOTOCURRENT_SIGN.get(spec.kind)
+    return 1.0 if sign is None else 2.0 * sign
 
 
 def estimator_mixed_derivative(config: HolometerConfig, spec: EstimatorSpec) -> float:
@@ -213,7 +197,7 @@ def estimator_mixed_derivative(config: HolometerConfig, spec: EstimatorSpec) -> 
     quadrature angles stay pinned to the working-point signal quadrature
     (centering constants are held fixed, so they drop out).
     """
-    return _ESTIMATOR_DERIVATIVE_FACTOR[spec.kind] * math.fsum(_derivative_terms(config, spec))
+    return _derivative_factor(spec) * math.fsum(_derivative_terms(config, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +242,7 @@ def estimator_mean_curve(
         d1 = q["mean_1"] - center[0]
         d2 = q["mean_2"] - center[1]
         return np.asarray(q["cov"] + d1 * d2)
-    sign = -1.0 if spec.kind is EstimatorKind.TWB_DIFFERENCE_SQUARED else +1.0
+    sign = _PHOTOCURRENT_SIGN[spec.kind]
     c0 = 0.0 if not center else center[0]
     vals = observables.closed_form_moments(config, phi_1, phi_2)
     var_t = vals["var_1"] + vals["var_2"] + 2.0 * sign * vals["cov"]
@@ -287,10 +271,7 @@ def estimator_mean_and_square(
     if center is None:
         center = estimator_center(config, spec)
     if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
-        q = holometer.quadrature_readout(
-            config, phi_1, phi_2,
-            chi_1=config.signal_quadrature_angle, chi_2=config.signal_quadrature_angle,
-        )
+        q = holometer.quadrature_readout(config, phi_1, phi_2)
         d1, d2 = q.mean_1 - center[0], q.mean_2 - center[1]
         mean = q.cov + d1 * d2
         square = (
@@ -299,13 +280,12 @@ def estimator_mean_and_square(
             + 4.0 * q.cov * d1 * d2
         )
         return mean, square
-    sign = -1.0 if spec.kind is EstimatorKind.TWB_DIFFERENCE_SQUARED else +1.0
+    sign = _PHOTOCURRENT_SIGN[spec.kind]
     c0 = 0.0 if not center else center[0]
     m = holometer.readout_moments(config, phi_1, phi_2, max_order=4)
-    s = int(sign)
-    mu2 = m.signed_sum_moment(s, 2)
-    mu3 = m.signed_sum_moment(s, 3)
-    mu4 = m.signed_sum_moment(s, 4)
+    mu2 = m.signed_sum_moment(sign, 2)
+    mu3 = m.signed_sum_moment(sign, 3)
+    mu4 = m.signed_sum_moment(sign, 4)
     d = m.mean_1 + sign * m.mean_2 - c0
     mean = mu2 + d * d
     square = mu4 + 4.0 * d * mu3 + 6.0 * d * d * mu2 + d ** 4
@@ -317,27 +297,21 @@ def estimator_mean_and_square(
 # ---------------------------------------------------------------------------
 
 
-def u0(config: HolometerConfig, spec: EstimatorSpec) -> UncertaintyResult:
-    """Photon-noise-limited uncertainty of the covariance estimate.
+def u0(config: HolometerConfig, spec: EstimatorSpec) -> float:
+    """Photon-noise-limited uncertainty of the covariance estimate,
+    sqrt(2 Var[C]) / |d^2 <C> / dphi_1 dphi_2|.
 
-    Numerator: Var[C] at the working point from engine moments
-    (fourth-order photon table for the squared kinds, second-order
-    quadrature moments for the product kind).  Denominator: the exact
-    mixed derivative of <C>.  Raises SingularConfigurationError where
-    that derivative vanishes or is pure cancellation of its terms.
+    Numerator: Var[C] = <C^2> - <C>^2 at the working point, from one
+    estimator_mean_and_square call (the surface the phase-noise layer
+    reads).  Denominator: the exact mixed derivative of <C>.  Raises
+    SingularConfigurationError where that derivative vanishes or is
+    pure cancellation of its terms.  Divide by classical_benchmark for
+    the ratio to coherent light.
     """
     phi0 = _require_symmetric(config, "the zero-order uncertainty")
     _check_psi_pairing(config, spec)
-
-    if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
-        q = holometer.quadrature_readout(config)
-        numerator_var = q.var_1 * q.var_2 + q.cov * q.cov
-    else:
-        m = holometer.readout_moments(config, max_order=4)
-        s = -1 if spec.kind is EstimatorKind.TWB_DIFFERENCE_SQUARED else +1
-        mu2 = m.signed_sum_moment(s, 2)
-        mu4 = m.signed_sum_moment(s, 4)
-        numerator_var = mu4 - mu2 * mu2
+    mean, square = estimator_mean_and_square(config, spec, phi0, phi0)
+    variance = square - mean * mean
 
     terms = _derivative_terms(config, spec)
     derivative = math.fsum(terms)
@@ -348,17 +322,8 @@ def u0(config: HolometerConfig, spec: EstimatorSpec) -> UncertaintyResult:
             f"the estimator mean has no mixed phase response at phi_0 = {phi0!r} "
             f"(|derivative| = {abs(derivative):.3e} <= roundoff {roundoff:.3e})"
         )
-    denominator = abs(_ESTIMATOR_DERIVATIVE_FACTOR[spec.kind] * derivative)
-    value = math.sqrt(2.0 * max(numerator_var, 0.0)) / denominator
-    u_cl = classical_benchmark(config)
-    return UncertaintyResult(
-        u0=value,
-        u_cl=u_cl,
-        ratio=value / u_cl,
-        numerator_var=numerator_var,
-        denominator=denominator,
-        regime_k=regime_parameter(config),
-    )
+    denominator = abs(_derivative_factor(spec) * derivative)
+    return math.sqrt(2.0 * max(variance, 0.0)) / denominator
 
 
 # ---------------------------------------------------------------------------
@@ -414,4 +379,6 @@ def estimate_phase_covariance(mean_parallel: float, mean_perp: float, denominato
         raise SingularConfigurationError(
             "covariance recovery needs a finite nonzero estimator phase response"
         )
-    return (mean_parallel - mean_perp) / denominator
+    difference = mean_parallel - mean_perp
+    # equal means recover +0.0, never the -0.0 of a negative response
+    return difference / denominator if difference else 0.0

@@ -370,19 +370,14 @@ def oracle_moments(config: HolometerConfig, *, convention: str = "i") -> Readout
     return _pmf_to_readout(pmf, config.eta_pair)
 
 
-def fock_quadrature_moments(
-    config: HolometerConfig,
-    chi_1: float | None = None,
-    chi_2: float | None = None,
-) -> QuadratureMoments:
-    """Means and covariance of one quadrature per detected port.
+def fock_quadrature_moments(config: HolometerConfig) -> QuadratureMoments:
+    """Means and covariance of the quadrature that carries the phase
+    signal, per detected port.
 
-    Defaults to the quadrature that carries the phase signal.  Loss is
-    applied analytically: means scale with sqrt(eta), variances mix with
-    vacuum noise, the cross covariance scales with sqrt(eta1 eta2).
+    Loss is applied analytically: means scale with sqrt(eta), variances
+    mix with vacuum noise, the cross covariance scales with sqrt(eta1 eta2).
     """
-    chi1 = config.signal_quadrature_angle if chi_1 is None else chi_1
-    chi2 = config.signal_quadrature_angle if chi_2 is None else chi_2
+    chi = config.signal_quadrature_angle
     weights, arm1, arm2 = _schmidt_arms(config)
     cc = np.multiply.outer(weights, weights.conj())
 
@@ -407,12 +402,12 @@ def fock_quadrature_moments(
 
     d1 = expval(g1_a, g2_id)
     d2 = expval(g1_id, g2_a)
-    mean1 = math.sqrt(2.0) * (d1 * np.exp(-1j * chi1)).real
-    mean2 = math.sqrt(2.0) * (d2 * np.exp(-1j * chi2)).real
-    x1_sq = (expval(g1_aa, g2_id) * np.exp(-2j * chi1)).real + expval(g1_n, g2_id).real + 0.5
-    x2_sq = (expval(g1_id, g2_aa) * np.exp(-2j * chi2)).real + expval(g1_id, g2_n).real + 0.5
-    both = (expval(g1_a, g2_a) * np.exp(-1j * (chi1 + chi2))).real
-    cross = (expval(g1_a.conj().T, g2_a) * np.exp(1j * (chi1 - chi2))).real
+    mean1 = math.sqrt(2.0) * (d1 * np.exp(-1j * chi)).real
+    mean2 = math.sqrt(2.0) * (d2 * np.exp(-1j * chi)).real
+    x1_sq = (expval(g1_aa, g2_id) * np.exp(-2j * chi)).real + expval(g1_n, g2_id).real + 0.5
+    x2_sq = (expval(g1_id, g2_aa) * np.exp(-2j * chi)).real + expval(g1_id, g2_n).real + 0.5
+    both = (expval(g1_a, g2_a) * np.exp(-1j * (chi + chi))).real
+    cross = expval(g1_a.conj().T, g2_a).real  # the e^{i(chi - chi)} phase is 1
     cov0 = both + cross - mean1 * mean2
 
     eta1, eta2 = config.eta_pair

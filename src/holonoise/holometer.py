@@ -87,16 +87,13 @@ def quadrature_readout(
     config: HolometerConfig,
     phi_1: float | np.ndarray | None = None,
     phi_2: float | np.ndarray | None = None,
-    chi_1: float | None = None,
-    chi_2: float | None = None,
 ) -> QuadratureMoments:
-    """First and second moments of one quadrature per readout, default
-    the quadrature that carries the phase signal; floats at one phase
-    pair, arrays over a stack of them."""
-    chi1 = config.signal_quadrature_angle if chi_1 is None else chi_1
-    chi2 = config.signal_quadrature_angle if chi_2 is None else chi_2
+    """First and second moments of the quadrature that carries the phase
+    signal, per readout; floats at one phase pair, arrays over a stack
+    of them."""
+    chi = config.signal_quadrature_angle
     state = propagate(config, phi_1, phi_2)
-    means, cov = ge.quadrature_mean_cov(state, ((0, chi1), (1, chi2)))
+    means, cov = ge.quadrature_mean_cov(state, ((0, chi), (1, chi)))
     values = (means[..., 0], means[..., 1], cov[..., 0, 0], cov[..., 1, 1], cov[..., 0, 1])
     if means.ndim == 1:
         values = tuple(map(float, values))

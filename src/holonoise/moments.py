@@ -31,6 +31,7 @@ CENTERED_KEYS: tuple[tuple[int, int], ...] = tuple(
 )
 
 _CS_SLACK = 1e-10  # Cauchy-Schwarz slack, relative
+_ABS_FLOOR = 1e-13  # absolute part of every comparison floor
 
 
 def _anywhere(flags) -> bool:
@@ -156,7 +157,6 @@ class MomentComparison:
 def comparison_entries(
     a: "ReadoutMoments | QuadratureMoments",
     b: "ReadoutMoments | QuadratureMoments",
-    abs_floor: float = 1e-13,
 ) -> list[tuple[str, float, float, float]]:
     """(field name, value in a, value in b, absolute floor) for every
     moment the two carriers share, including the centered table when
@@ -165,15 +165,15 @@ def comparison_entries(
     sd1 = math.sqrt(max(a.var_1, b.var_1, 0.0))
     sd2 = math.sqrt(max(a.var_2, b.var_2, 0.0))
     entries: list[tuple[str, float, float, float]] = [
-        ("mean_1", a.mean_1, b.mean_1, abs_floor),
-        ("mean_2", a.mean_2, b.mean_2, abs_floor),
-        ("var_1", a.var_1, b.var_1, abs_floor),
-        ("var_2", a.var_2, b.var_2, abs_floor),
-        ("cov", a.cov, b.cov, abs_floor + 1e-11 * sd1 * sd2),
+        ("mean_1", a.mean_1, b.mean_1, _ABS_FLOOR),
+        ("mean_2", a.mean_2, b.mean_2, _ABS_FLOOR),
+        ("var_1", a.var_1, b.var_1, _ABS_FLOOR),
+        ("var_2", a.var_2, b.var_2, _ABS_FLOOR),
+        ("cov", a.cov, b.cov, _ABS_FLOOR + 1e-11 * sd1 * sd2),
     ]
     if a.centered is not None and b.centered is not None:
         for p, q in CENTERED_KEYS:
-            floor = abs_floor + 1e-11 * sd1**p * sd2**q
+            floor = _ABS_FLOOR + 1e-11 * sd1**p * sd2**q
             entries.append((f"centered[{p},{q}]", a.centered[(p, q)], b.centered[(p, q)], floor))
     return entries
 
@@ -193,34 +193,30 @@ def compare_moments(
     a: "ReadoutMoments | QuadratureMoments",
     b: "ReadoutMoments | QuadratureMoments",
     rtol: float = 1e-8,
-    abs_floor: float = 1e-13,
 ) -> MomentComparison:
     """Compare two moment sets at a relative tolerance with a scale-aware
     absolute floor.
 
     For the order-(p, q) centered entry the floor is
-    ``abs_floor + 1e-11 * sd1^p * sd2^q``.  The coefficient is set by the
+    ``1e-13 + 1e-11 * sd1^p * sd2^q``, so every allowance is positive
+    even at ``rtol = 0``.  The coefficient is set by the
     truncated-Fock route: its weighted-tail rule leaves residues up to a
     few 1e-13 on entries whose exact value is zero (measured across the
     oracle envelope), while a real convention bug sits ten or more
     decades higher.
 
     A field whose margin is not finite (a nan or infinite entry) fails
-    the comparison with ``worst_margin = max_relative = inf``; a
-    tolerance or floor that is negative or not finite is a ValueError.
+    the comparison with ``worst_margin = max_relative = inf``; an
+    ``rtol`` that is negative or not finite is a ValueError.
     """
-    for name, value in (("rtol", rtol), ("abs_floor", abs_floor)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-    entries = comparison_entries(a, b, abs_floor)
+    if not (math.isfinite(rtol) and rtol >= 0.0):
+        raise ValueError(f"rtol must be finite and non-negative, got {rtol!r}")
 
     worst_margin = 0.0
     worst_field = "none"
     max_rel = 0.0
-    for name, x, y, floor in entries:
-        allowance = rtol * max(abs(x), abs(y)) + floor
-        deviation = abs(x - y)
-        margin = deviation / allowance if allowance > 0.0 else (math.inf if deviation else 0.0)
+    for name, x, y, floor in comparison_entries(a, b):
+        margin = abs(x - y) / (rtol * max(abs(x), abs(y)) + floor)
         if not math.isfinite(margin):
             margin = math.inf
         if margin > worst_margin:

@@ -57,16 +57,7 @@ __all__ = [
     "nrf",
     "nrf_asymptotic",
     "regime_parameter",
-    "regime_label",
-    "REGIME_A_MAX_K",
-    "REGIME_B_MIN_K",
 ]
-
-# readout-port dominance thresholds on k = mu(1-tau)/(tau*lambda):
-# below the first the quantum light dominates the detected port ("A"),
-# above the second the coherent leak dominates ("B").
-REGIME_A_MAX_K = 1e-2
-REGIME_B_MIN_K = 1e2
 
 
 class UndefinedResultError(ValueError):
@@ -182,32 +173,29 @@ def closed_form_quadrature(
     config: HolometerConfig,
     phi_1: Any = None,
     phi_2: Any = None,
-    chi_1: float | None = None,
-    chi_2: float | None = None,
 ) -> dict[str, Any]:
     """Vectorized closed-form quadrature readout after detection loss.
 
-    ``chi_1``/``chi_2`` pick the measured quadrature angle per detector
-    and default to the signal angle psi + pi/2 where the coherent leak
-    carries the phase information.  Returns ``mean_1, mean_2, var_1,
-    var_2, cov`` for Y_chi = (a e^{-i chi} + a^+ e^{i chi})/sqrt(2), as
-    real float64 values that broadcast like the phase inputs.  Before
-    loss, in the notation of closed_form_moments,
+    Both detectors measure the signal quadrature chi = psi + pi/2,
+    where the coherent leak carries the phase information.  Returns
+    ``mean_1, mean_2, var_1, var_2, cov`` for Y_chi = (a e^{-i chi} +
+    a^+ e^{i chi})/sqrt(2), as real float64 values that broadcast like
+    the phase inputs.  Before loss, in the notation of
+    closed_form_moments,
 
-        <Y_i>      = sqrt(2 mu) sin(chi_i - psi) s_i
-        Var(Y_i)   = 1/2 + (lam_n - A cos 2(chi_sq - chi_i)) c_i^2
-        Cov(Y1,Y2) = A cos(theta - chi_1 - chi_2) c_1 c_2   (twin beam)
+        <Y_i>      = sqrt(2 mu) sin(chi - psi) s_i
+        Var(Y_i)   = 1/2 + (lam_n - A cos 2(chi_sq - chi)) c_i^2
+        Cov(Y1,Y2) = A cos(theta - 2 chi) c_1 c_2   (twin beam)
 
     where the A term of the variance is present for squeezed input only.
     """
-    chi_1 = config.signal_quadrature_angle if chi_1 is None else chi_1
-    chi_2 = config.signal_quadrature_angle if chi_2 is None else chi_2
+    chi = config.signal_quadrature_angle
     c1, s1, c2, s2 = _half_angles(config, phi_1, phi_2)
     eta_1, eta_2 = config.eta_pair
     kind, lam = config.input_kind, config.lam
     pair = math.sqrt(lam * (1.0 + lam))
 
-    def port(c: Any, s: Any, chi: float, eta: float) -> tuple[Any, Any]:
+    def port(c: Any, s: Any, eta: float) -> tuple[Any, Any]:
         mean = math.sqrt(2.0 * eta * config.mu) * math.sin(chi - config.psi) * s
         if kind is InputKind.COHERENT_ONLY:
             return mean, np.full_like(c, 0.5 * eta + (1.0 - eta) / 2.0)
@@ -216,10 +204,10 @@ def closed_form_quadrature(
             weight -= pair * math.cos(2.0 * (config.squeezed_quadrature_angle - chi))
         return mean, eta * (0.5 + weight * c * c) + (1.0 - eta) / 2.0
 
-    mean_1, var_1 = port(c1, s1, chi_1, eta_1)
-    mean_2, var_2 = port(c2, s2, chi_2, eta_2)
+    mean_1, var_1 = port(c1, s1, eta_1)
+    mean_2, var_2 = port(c2, s2, eta_2)
     if kind is InputKind.TWB:
-        cov = math.sqrt(eta_1 * eta_2) * pair * math.cos(config.theta - chi_1 - chi_2) * c1 * c2
+        cov = math.sqrt(eta_1 * eta_2) * pair * math.cos(config.theta - chi - chi) * c1 * c2
     else:
         cov = np.zeros_like(c1)
     return {"mean_1": mean_1, "mean_2": mean_2, "var_1": var_1, "var_2": var_2, "cov": cov}
@@ -291,15 +279,11 @@ class NrfResult:
     """Noise reduction factors of the difference and sum photocurrents.
 
     ``nrf_minus``/``nrf_plus`` are Var(N1 -+ N2) / <N1 + N2>; values
-    below 1 certify nonclassical correlation.  ``regime_k`` is the
-    readout-port dominance parameter mu(1-tau)/(tau*lambda) and
-    ``regime_label`` its classification ("A", "transition", "B").
+    below 1 certify nonclassical correlation.
     """
 
     nrf_minus: float
     nrf_plus: float
-    regime_k: float
-    regime_label: str
 
 
 def regime_parameter(config: HolometerConfig) -> float:
@@ -320,14 +304,6 @@ def regime_parameter(config: HolometerConfig) -> float:
     return coherent / quantum
 
 
-def regime_label(k: float) -> str:
-    if k < REGIME_A_MAX_K:
-        return "A"
-    if k > REGIME_B_MIN_K:
-        return "B"
-    return "transition"
-
-
 def nrf(config: HolometerConfig) -> NrfResult:
     """Noise reduction factors at the configured operating point.
 
@@ -345,7 +321,6 @@ def nrf(config: HolometerConfig) -> NrfResult:
         raise UndefinedResultError(
             "no photons reach the detectors; the noise reduction factor is undefined"
         )
-    k = regime_parameter(config)
     # Var(N1 - N2) vanishes identically for lossless fully transmitted twin
     # beams, so the subtraction var_1 + var_2 - 2 cov can leave pure
     # cancellation noise; clamp only that, never a genuinely negative value.
@@ -361,8 +336,6 @@ def nrf(config: HolometerConfig) -> NrfResult:
     return NrfResult(
         nrf_minus=ratio(moments.difference_variance()),
         nrf_plus=ratio(moments.sum_variance()),
-        regime_k=k,
-        regime_label=regime_label(k),
     )
 
 

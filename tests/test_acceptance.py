@@ -20,6 +20,7 @@ from holonoise.config import HolometerConfig
 from holonoise.crosscheck import DEFAULT_SEED, run_crosscheck
 from holonoise.estimation import (
     EstimatorSpec,
+    classical_benchmark,
     estimator_mean_and_square,
     estimator_mixed_derivative,
     u0,
@@ -53,12 +54,12 @@ def cfg(**kw) -> HolometerConfig:
 
 def sq_ratio(eta: float, lam: float, phi0: float, mu: float = 3e12) -> float:
     config = cfg(mu=mu, eta=eta, lam=lam, phi0=phi0, input_kind="TwoSqueezed")
-    return u0(config, QUAD).ratio
+    return u0(config, QUAD) / classical_benchmark(config)
 
 
 def twb_ratio(eta: float, lam: float, phi0: float, mu: float = 3e12) -> float:
     config = cfg(mu=mu, eta=eta, lam=lam, phi0=phi0, input_kind="TWB")
-    return u0(config, DIFF).ratio
+    return u0(config, DIFF) / classical_benchmark(config)
 
 
 # ---------------------------------------------------------------------------

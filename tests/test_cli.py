@@ -321,6 +321,19 @@ def test_mc_estimate_small_run(tmp_path, capsys):
     assert "expansion" in printed
 
 
+def test_mc_estimate_difference_reads_positive_zero_at_zero_covariance(tmp_path):
+    # the reused run gives equal means, and the difference readout's
+    # derivative is negative: the recovered covariance is +0.0, not -0.0
+    out = tmp_path / "mc.csv"
+    assert run([
+        "mc-estimate", "--estimator", "difference-squared",
+        "--n-samples", "1000", "--epsilons", "0,1e-6", "--out", str(out),
+    ]) == 0
+    _, _, rows = read_csv(out)
+    assert float(rows[0]["epsilon_hat"]) == 0.0
+    assert not [cell for row in rows for cell in row.values() if cell == "-0.0"]
+
+
 def test_mc_estimate_sum_estimator_defaults_to_its_phase(capsys):
     code = run([
         "mc-estimate", "--estimator", "sum-squared",

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from holonoise import holometer
 from holonoise.config import HolometerConfig
 from holonoise.estimation import (
     U0_ASYMPTOTIC_BRANCHES,
@@ -24,8 +25,8 @@ from holonoise.observables import (
     UndefinedResultError,
     closed_form_moments,
     mixed_derivative_terms,
-    regime_parameter,
 )
+from holonoise.phase_noise import variance_expansion
 
 
 def make(**overrides):
@@ -77,8 +78,7 @@ def test_psi_pairing_enforced_for_twin_beam_input():
 
 
 def test_psi_pairing_not_applied_to_other_inputs():
-    result = u0(make(input_kind="TwoSqueezed", psi=0.0, mu=1e4), QUAD)
-    assert result.u0 > 0.0
+    assert u0(make(input_kind="TwoSqueezed", psi=0.0, mu=1e4), QUAD) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def engine_finite_difference(config, spec):
 
     def cross_moment(phi_1, phi_2):
         if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
-            q = quadrature_readout(config, phi_1, phi_2, chi_1=chi, chi_2=chi)
+            q = quadrature_readout(config, phi_1, phi_2)
             return q.cov + q.mean_1 * q.mean_2
         m = readout_moments(config, phi_1, phi_2, max_order=2)
         return m.cov + m.mean_1 * m.mean_2
@@ -194,17 +194,17 @@ def test_u0_resolves_a_dim_twin_beam_deep_in_the_quantum_regime():
     # the finite-difference route called this point singular: engine
     # roundoff over h^2 swamped the derivative at its floored step
     config = make(mu=10.0, lam=1.0, phi0_1=1e-4, phi0_2=1e-4)
-    result = u0(config, DIFF)
+    assert u0(config, DIFF) > 0.0
     want = 2.0 * abs(closed_form_cross_difference(config))
-    assert result.denominator == pytest.approx(want, rel=1e-6)
+    assert abs(estimator_mixed_derivative(config, DIFF)) == pytest.approx(want, rel=1e-6)
 
 
 def test_u0_twin_beam_at_moderate_energy_uses_the_exact_derivative():
     # the finite-difference route was off by 5.7e-4 relative here
     config = make(mu=1e3, lam=10.0, phi0_1=10.0**-3.75, phi0_2=10.0**-3.75)
-    result = u0(config, DIFF)
-    want = math.sqrt(2.0 * result.numerator_var) / (2.0 * abs(closed_form_cross_difference(config)))
-    assert result.u0 == pytest.approx(want, rel=1e-6)
+    numerator_var = variance_expansion(config, DIFF).var_zero
+    want = math.sqrt(2.0 * numerator_var) / (2.0 * abs(closed_form_cross_difference(config)))
+    assert u0(config, DIFF) == pytest.approx(want, rel=1e-6)
 
 
 def test_singular_configuration_raises():
@@ -260,12 +260,10 @@ def test_sum_estimator_centers_on_frozen_offset():
 def test_u0_at_the_coherent_plateau():
     # central differences of the closed-form <N1 N2> at h = 1e-5 confirm
     # the exact derivative behind these values to 3e-11
-    result = u0(make(), DIFF)
-    assert result.ratio == pytest.approx(0.10274980252371693, rel=1e-9)
-    assert result.u_cl == pytest.approx(classical_benchmark(make()), rel=1e-12)
-    assert result.regime_k == regime_parameter(make())
-    sq = u0(make(input_kind="TwoSqueezed"), QUAD)
-    assert sq.ratio == pytest.approx(0.07265506877680042, rel=1e-9)
+    ratio = u0(make(), DIFF) / classical_benchmark(make())
+    assert ratio == pytest.approx(0.10274980252371693, rel=1e-9)
+    sq = make(input_kind="TwoSqueezed")
+    assert u0(sq, QUAD) / classical_benchmark(sq) == pytest.approx(0.07265506877680042, rel=1e-9)
 
 
 def test_u0_squeezed_plateau_matches_exact_noise_form():
@@ -275,7 +273,7 @@ def test_u0_squeezed_plateau_matches_exact_noise_form():
     tau = config.tau_1
     e2r = math.exp(-2.0 * math.asinh(math.sqrt(3.0)))
     expected = 1.0 - 0.9 * tau + 0.9 * tau * e2r
-    assert u0(config, QUAD).ratio == pytest.approx(expected, rel=2e-4)
+    assert u0(config, QUAD) / classical_benchmark(config) == pytest.approx(expected, rel=2e-4)
 
 
 def test_u0_invariants_over_random_domain():
@@ -289,10 +287,40 @@ def test_u0_invariants_over_random_domain():
         )
         phi = float(rng.uniform(1e-3, 1.5))
         config = config.replace(phi0_1=phi, phi0_2=phi)
-        result = u0(config, DIFF)
-        assert result.u0 >= 0.0
-        assert result.ratio >= 0.0
-        assert result.denominator != 0.0
+        value = u0(config, DIFF)
+        assert value >= 0.0
+        assert value / classical_benchmark(config) >= 0.0
+        assert estimator_mixed_derivative(config, DIFF) != 0.0
+
+
+def _count_readouts(monkeypatch):
+    """Record (name, max_order) for every engine readout made through
+    the holometer module, in the style of tests/test_phase_noise.py."""
+    calls = []
+    for name in ("readout_moments", "quadrature_readout"):
+        original = getattr(holometer, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, kwargs.get("max_order")))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(holometer, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("spec", "overrides", "readout"),
+    [
+        (DIFF, {}, ("readout_moments", 4)),
+        (SUM, {"psi": 0.0}, ("readout_moments", 4)),
+        (QUAD, {"input_kind": "TwoSqueezed"}, ("quadrature_readout", None)),
+    ],
+    ids=["difference", "sum", "quadrature"],
+)
+def test_u0_makes_exactly_one_engine_readout(monkeypatch, spec, overrides, readout):
+    calls = _count_readouts(monkeypatch)
+    assert u0(make(**overrides), spec) > 0.0
+    assert calls == [readout]
 
 
 def test_u0_requires_symmetric_working_point():

@@ -379,14 +379,3 @@ def test_quadrature_readout_matches_oracle():
     oracle = fock_quadrature_moments(config)
     result = compare_moments(engine, oracle, rtol=1e-8)
     assert result.ok, (result.worst_field, result.max_relative)
-
-
-def test_quadrature_angle_override():
-    config = make()
-    default = quadrature_readout(config)
-    pinned = quadrature_readout(
-        config, chi_1=config.signal_quadrature_angle, chi_2=config.signal_quadrature_angle
-    )
-    assert default == pinned
-    rotated = quadrature_readout(config, chi_1=0.0, chi_2=0.0)
-    assert rotated != default

@@ -140,18 +140,9 @@ def test_compare_fails_on_a_non_finite_entry(bad):
     assert (result.ok, result.worst_margin, result.worst_field) == (False, math.inf, "centered[3,1]")
 
 
-@pytest.mark.parametrize("name", ["rtol", "abs_floor"])
+@pytest.mark.parametrize("name", ["rtol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
 def test_compare_rejects_a_tolerance_that_passes_anything(name, value):
     far = make(cov=0.0, centered=full_table({(1, 1): 0.0}))
     with pytest.raises(ValueError, match=name):
         compare_moments(make(centered=full_table()), far, **{name: value})
-
-
-def test_compare_at_zero_tolerance_is_exact():
-    # dark readouts: every allowance is zero, so only equal entries pass
-    dark = ReadoutMoments(mean_1=0.0, mean_2=0.0, var_1=0.0, var_2=0.0, cov=0.0)
-    assert compare_moments(dark, dark, rtol=0.0, abs_floor=0.0).ok
-    lit = ReadoutMoments(mean_1=1e-300, mean_2=0.0, var_1=0.0, var_2=0.0, cov=0.0)
-    result = compare_moments(dark, lit, rtol=0.0, abs_floor=0.0)
-    assert (result.ok, result.worst_margin, result.worst_field) == (False, math.inf, "mean_1")

@@ -196,9 +196,10 @@ def test_expansion_symmetry_and_zero_order():
         assert expansion.a_11 == pytest.approx(expansion.a_22, rel=1e-6)
         assert expansion.predict(0.0, 0.0) == expansion.var_zero
         assert all(type(value) is float for value in dataclasses.astuple(expansion))
-        assert expansion.var_zero == pytest.approx(
-            u0(config, spec).numerator_var, rel=1e-12
-        )
+        # u0's numerator, recovered from u0 and the exact derivative
+        derivative = estimation.estimator_mixed_derivative(config, spec)
+        numerator_var = 0.5 * (u0(config, spec) * derivative) ** 2
+        assert expansion.var_zero == pytest.approx(numerator_var, rel=1e-12)
 
 
 def test_expansion_predicts_direct_variance():
