@@ -20,7 +20,6 @@ from .estimation import (
     PsiPairingError,
     SingularConfigurationError,
     classical_benchmark,
-    estimate_phase_covariance,
     estimator_mean_curve,
     estimator_mixed_derivative,
     u0,
@@ -50,7 +49,6 @@ from .observables import (
     closed_form_moments,
     closed_form_quadrature,
     detected_correlators,
-    mixed_derivative_terms,
     nrf,
     nrf_asymptotic,
     regime_parameter,
@@ -96,7 +94,6 @@ __all__ = [
     "detected_correlators",
     "closed_form_moments",
     "closed_form_quadrature",
-    "mixed_derivative_terms",
     "analytic_moments",
     "NrfResult",
     "nrf",
@@ -112,7 +109,6 @@ __all__ = [
     "classical_benchmark",
     "estimator_mixed_derivative",
     "estimator_mean_curve",
-    "estimate_phase_covariance",
     "SingularConfigurationError",
     "PsiPairingError",
     # phase-noise Monte Carlo

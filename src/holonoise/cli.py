@@ -16,10 +16,11 @@ Four subcommands cover the package's workflows:
     Monte-Carlo recovery of an injected phase covariance from the
     difference of parallel- and perpendicular-noise expectations.
 
-Common flags: ``--config`` (JSON file whose keys mirror the
-configuration dataclass; explicit flags override it), ``--out`` (CSV
-path; stdout when omitted), ``--seed``.  Grids over MAX_GRID_POINTS
-points and ``--n-samples`` over MAX_SAMPLES are usage errors.
+Common flags: ``--out`` (CSV path; stdout when omitted) and ``--seed``.
+The three commands that build a configuration also take ``--config``
+(JSON file whose keys mirror the configuration dataclass; explicit flags
+override it).  Grids over MAX_GRID_POINTS points and ``--n-samples``
+over MAX_SAMPLES are usage errors.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure.
 """
@@ -184,19 +185,24 @@ def _resolve_config(defaults: Mapping[str, object], args: argparse.Namespace) ->
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON file of configuration fields")
     parser.add_argument("--out", metavar="PATH", help="CSV output path (stdout when omitted)")
+    # the scans draw no random numbers but take --seed too: perfbench
+    # appends one seed to every subcommand it runs
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, *, with_phi0: bool = True) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, *, with_phi0_lam: bool = True) -> None:
+    """Flags of the configuration fields; nrf-scan goes without --phi0
+    and --lam, taking the phase from its sweep and lambda from
+    --lambdas or the lambda grid."""
+    parser.add_argument("--config", metavar="PATH", help="JSON file of configuration fields")
     parser.add_argument("--mu", type=float, help="mean photon number of each coherent input")
-    parser.add_argument("--lam", "--lambda", dest="lam", type=float,
-                        help="mean photon number of each quantum input")
+    if with_phi0_lam:
+        parser.add_argument("--lam", "--lambda", dest="lam", type=float,
+                            help="mean photon number of each quantum input")
+        parser.add_argument("--phi0", type=float, help="central interferometer phase (radians)")
     parser.add_argument("--eta", type=float, help="detection efficiency")
     parser.add_argument("--psi", type=float, help="coherent phase (radians)")
-    if with_phi0:
-        parser.add_argument("--phi0", type=float, help="central interferometer phase (radians)")
     parser.add_argument("--theta", type=float, help="pair-correlation phase (radians)")
     parser.add_argument("--theta-xi", dest="theta_xi", type=float,
                         help="squeezing phase (radians)")
@@ -249,11 +255,17 @@ _NRF_BASE = {
     "phi0": 2.0 * math.acos(math.sqrt(0.9)),
     "input_kind": "TWB",
 }
+_NRF_LAMBDAS = "0.1,1,10"
 
 
 def _cmd_nrf_scan(args: argparse.Namespace) -> int:
     base = _resolve_config(_NRF_BASE, args)
-    lam_values = (base.lam,) if args.variable == "lambda" else _parse_float_list(args.lambdas)
+    if args.variable == "lambda":
+        if args.lambdas is not None:
+            raise ValueError("--lambdas does not apply to --variable lambda; the grid sets lambda")
+        lam_values = (base.lam,)
+    else:
+        lam_values = _parse_float_list(_NRF_LAMBDAS if args.lambdas is None else args.lambdas)
     psi_minus = args.psi if args.psi is not None else math.pi / 2.0
     psi_plus = args.psi if args.psi is not None else 0.0
 
@@ -540,18 +552,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    # without prefix matching, so --lam and --lambda are refused rather
+    # than read as --lambdas
     p_nrf = sub.add_parser(
         "nrf-scan",
         help="noise-reduction factors of the count difference and sum over a sweep",
+        allow_abbrev=False,
     )
     _add_common_flags(p_nrf)
-    _add_config_flags(p_nrf, with_phi0=False)
+    _add_config_flags(p_nrf, with_phi0_lam=False)
     p_nrf.add_argument("--variable", choices=SWEEP_VARIABLES, default="tau",
                        help="swept variable (default tau)")
     p_nrf.add_argument("--grid", type=_parse_grid, default="0.02:0.9999:50",
                        help='sweep grid, "min:max:points[:linear|log]" or "v1,v2,..."')
-    p_nrf.add_argument("--lambdas", default="0.1,1,10",
-                       help="comma list of quantum occupancies (default 0.1,1,10)")
+    p_nrf.add_argument("--lambdas",
+                       help=f"comma list of quantum occupancies (default {_NRF_LAMBDAS}); "
+                       "not with --variable lambda")
     p_nrf.set_defaults(handler=_cmd_nrf_scan)
 
     p_unc = sub.add_parser(
@@ -604,7 +620,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OverflowError, OSError, CutoffError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, CutoffError, SingularConfigurationError) as exc:
         print(f"holonoise {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -78,10 +78,6 @@ class HolometerConfig:
         return math.cos(0.5 * self.phi0_1) ** 2
 
     @property
-    def tau_2(self) -> float:
-        return math.cos(0.5 * self.phi0_2) ** 2
-
-    @property
     def eta_pair(self) -> tuple[float, float]:
         return (self.eta, self.eta if self.eta_2 is None else self.eta_2)
 

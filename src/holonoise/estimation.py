@@ -24,7 +24,12 @@ averages.  Its photon-number cumulants scale like mu rather than its
 powers, so it survives coherent energies of mu ~ 1e12 in double
 precision.  The mixed derivative is exact: every estimator mean is a
 sum of separable products of half-angle sines and cosines of the two
-phases (see observables.mixed_derivative_terms).
+phases.  estimator_mixed_derivative is the one estimator phase response:
+u0 and the Monte-Carlo covariance recovery (phase_noise) both divide by
+it, and it raises SingularConfigurationError where it vanishes or is
+pure cancellation of its terms.  The estimator surfaces freeze their
+centering constants (estimator_center) at the working point themselves,
+so no caller passes them.
 """
 from __future__ import annotations
 
@@ -52,7 +57,6 @@ __all__ = [
     "u0",
     "u0_asymptotic",
     "U0_ASYMPTOTIC_BRANCHES",
-    "estimate_phase_covariance",
 ]
 
 
@@ -127,7 +131,7 @@ _PHOTOCURRENT_SIGN = {
 
 
 def _require_symmetric(config: HolometerConfig, what: str) -> float:
-    if not config.is_symmetric() or config.phi0_1 != config.phi0_2:
+    if not config.is_symmetric():
         raise ValueError(f"{what} requires a symmetric working point (equal phases and efficiencies)")
     return config.phi0_1
 
@@ -176,28 +180,67 @@ def classical_benchmark(config: HolometerConfig) -> float:
 
 
 def _derivative_terms(config: HolometerConfig, spec: EstimatorSpec) -> tuple[float, ...]:
-    _require_symmetric(config, "the mixed derivative")
-    return observables.mixed_derivative_terms(
-        config, quadrature=spec.kind is EstimatorKind.QUADRATURE_PRODUCT
-    )
+    """Terms of d^2 <C> / dphi_1 dphi_2 at the working point phi_0.
 
+    The squared readouts contribute their cross term only: the mixed
+    derivative of the <N_i^2> terms vanishes, leaving 2 sign d^2<N1 N2>
+    (sign -1 for the difference, +1 for the sum).  The quadrature
+    product gives d^2<Y1 Y2>, with the quadrature angles pinned to the
+    working-point signal quadrature; centering constants are held fixed,
+    so they drop out.  Both cross moments are sums of separable products
+    f(phi_1) g(phi_2) of half-angle sines and cosines (see
+    observables.detected_correlators), so the terms are exact:
 
-def _derivative_factor(spec: EstimatorSpec) -> float:
+        d^2 <N1 N2> = eta^2 [(mu - lam_n)^2 sin^2(phi_0) / 4
+                             - mu A kappa cos^2(phi_0) / 2
+                             + A^2 sin^2(phi_0) / 4]
+        d^2 <Y1 Y2> = eta [mu c^2 / 2 - A kappa s^2 / 4]
+
+    with s, c = sin, cos(phi_0 / 2), kappa = cos(theta - 2 psi),
+    A = sqrt(lam (1 + lam)) for twin-beam input and 0 otherwise, and
+    lam_n = lam unless the input is coherent only.  The readout factor
+    2 sign is a power of two, so folding it into the terms is exact.
+    """
+    phi0 = _require_symmetric(config, "the mixed derivative")
+    eta, mu, lam = config.eta, config.mu, config.lam
+    pair = math.sqrt(lam * (1.0 + lam)) if config.input_kind is InputKind.TWB else 0.0
+    kappa = math.cos(config.theta - 2.0 * config.psi)
     sign = _PHOTOCURRENT_SIGN.get(spec.kind)
-    return 1.0 if sign is None else 2.0 * sign
+    if sign is None:
+        half_cos, half_sin = math.cos(phi0 / 2.0), math.sin(phi0 / 2.0)
+        return (
+            eta * 0.5 * mu * half_cos * half_cos,
+            -eta * 0.25 * pair * kappa * half_sin * half_sin,
+        )
+    lam_n = 0.0 if config.input_kind is InputKind.COHERENT_ONLY else lam
+    sine, cosine = math.sin(phi0), math.cos(phi0)
+    sines = sine * sine
+    scale = 2.0 * sign * (eta * eta)
+    return (
+        scale * 0.25 * (mu - lam_n) ** 2 * sines,
+        -scale * 0.5 * mu * pair * kappa * cosine * cosine,
+        scale * 0.25 * pair * pair * sines,
+    )
 
 
 def estimator_mixed_derivative(config: HolometerConfig, spec: EstimatorSpec) -> float:
     """Mixed phase derivative of the estimator mean <C>, exact at the
-    working point.
+    working point: the phase response by which u0 and the covariance
+    recovery divide.
 
-    The squared readouts contribute their cross term only: the mixed
-    derivative of <N_i^2> terms vanishes, leaving -+2 d^2<N1 N2> for the
-    difference/sum kinds and d^2<Y1 Y2> for the quadrature product, whose
-    quadrature angles stay pinned to the working-point signal quadrature
-    (centering constants are held fixed, so they drop out).
+    Raises SingularConfigurationError where it vanishes or is pure
+    cancellation of its terms (within 64 ulp of the sum of their
+    magnitudes, the bound observables.nrf applies), or is not finite.
     """
-    return _derivative_factor(spec) * math.fsum(_derivative_terms(config, spec))
+    terms = _derivative_terms(config, spec)
+    derivative = math.fsum(terms)
+    roundoff = 64.0 * math.ulp(1.0) * math.fsum(abs(term) for term in terms)
+    if not abs(derivative) > roundoff:
+        raise SingularConfigurationError(
+            f"the estimator mean has no mixed phase response at phi_0 = {config.phi0_1!r} "
+            f"(|derivative| = {abs(derivative):.3e} <= roundoff {roundoff:.3e})"
+        )
+    return derivative
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +266,15 @@ def estimator_center(config: HolometerConfig, spec: EstimatorSpec) -> tuple[floa
 
 
 def estimator_mean_curve(
-    config: HolometerConfig,
-    spec: EstimatorSpec,
-    phi_1: Any,
-    phi_2: Any,
-    center: tuple[float, ...] | None = None,
+    config: HolometerConfig, spec: EstimatorSpec, phi_1: Any, phi_2: Any
 ) -> np.ndarray:
-    """Vectorized closed-form <C(phi_1, phi_2)> surface.
+    """Vectorized closed-form <C(phi_1, phi_2)> surface, centered at the
+    working point of ``config``.
 
     Exact for all kinds (Gaussian statistics); the engine reproduces it
-    pointwise, which the test-suite checks.  ``center`` defaults to the
-    working-point centering constants of ``config``.
+    pointwise, which the test-suite checks.
     """
-    if center is None:
-        center = estimator_center(config, spec)
+    center = estimator_center(config, spec)
     if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
         q = observables.closed_form_quadrature(config, phi_1, phi_2)
         d1 = q["mean_1"] - center[0]
@@ -251,11 +289,7 @@ def estimator_mean_curve(
 
 
 def estimator_mean_and_square(
-    config: HolometerConfig,
-    spec: EstimatorSpec,
-    phi_1: Any,
-    phi_2: Any,
-    center: tuple[float, ...] | None = None,
+    config: HolometerConfig, spec: EstimatorSpec, phi_1: Any, phi_2: Any
 ) -> tuple[Any, Any]:
     """Engine-exact (<C>, <C^2>) at one phase pair, as floats, or over
     phase arrays (broadcast together), as arrays from one stacked engine
@@ -266,10 +300,10 @@ def estimator_mean_and_square(
     of the (un)centered combination from its frozen center; for the
     quadrature product the Gaussian identity
     E[(Y1-c1)^2 (Y2-c2)^2] = (V1+d1^2)(V2+d2^2) + 2 Cov^2 + 4 Cov d1 d2
-    closes at second order.
+    closes at second order.  Centers are those of the working point of
+    ``config``.
     """
-    if center is None:
-        center = estimator_center(config, spec)
+    center = estimator_center(config, spec)
     if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
         q = holometer.quadrature_readout(config, phi_1, phi_2)
         d1, d2 = q.mean_1 - center[0], q.mean_2 - center[1]
@@ -303,27 +337,16 @@ def u0(config: HolometerConfig, spec: EstimatorSpec) -> float:
 
     Numerator: Var[C] = <C^2> - <C>^2 at the working point, from one
     estimator_mean_and_square call (the surface the phase-noise layer
-    reads).  Denominator: the exact mixed derivative of <C>.  Raises
-    SingularConfigurationError where that derivative vanishes or is
-    pure cancellation of its terms.  Divide by classical_benchmark for
-    the ratio to coherent light.
+    reads).  Denominator: estimator_mixed_derivative, which raises
+    SingularConfigurationError where the estimator has no phase
+    response.  Divide by classical_benchmark for the ratio to coherent
+    light.
     """
     phi0 = _require_symmetric(config, "the zero-order uncertainty")
     _check_psi_pairing(config, spec)
     mean, square = estimator_mean_and_square(config, spec, phi0, phi0)
     variance = square - mean * mean
-
-    terms = _derivative_terms(config, spec)
-    derivative = math.fsum(terms)
-    # the same cancellation bound that observables.nrf applies
-    roundoff = 64.0 * math.ulp(1.0) * math.fsum(abs(term) for term in terms)
-    if abs(derivative) <= roundoff:
-        raise SingularConfigurationError(
-            f"the estimator mean has no mixed phase response at phi_0 = {phi0!r} "
-            f"(|derivative| = {abs(derivative):.3e} <= roundoff {roundoff:.3e})"
-        )
-    denominator = abs(_derivative_factor(spec) * derivative)
-    return math.sqrt(2.0 * max(variance, 0.0)) / denominator
+    return math.sqrt(2.0 * max(variance, 0.0)) / abs(estimator_mixed_derivative(config, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +391,3 @@ def u0_asymptotic(config: HolometerConfig, branch: str) -> float:
         return math.sqrt(2.0 * (1.0 - eta) / eta)
     return math.sqrt(2.0) * u0_asymptotic(config, "SQ_large_lambda")
 
-
-def estimate_phase_covariance(mean_parallel: float, mean_perp: float, denominator: float) -> float:
-    """Recovered phase covariance (E_par[C] - E_perp[C]) / denominator.
-
-    ``denominator`` is the mixed phase derivative of <C> at the working
-    point (see estimator_mixed_derivative).
-    """
-    if denominator == 0.0 or not math.isfinite(denominator):
-        raise SingularConfigurationError(
-            "covariance recovery needs a finite nonzero estimator phase response"
-        )
-    difference = mean_parallel - mean_perp
-    # equal means recover +0.0, never the -0.0 of a negative response
-    return difference / denominator if difference else 0.0

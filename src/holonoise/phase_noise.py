@@ -17,9 +17,13 @@ runs share (common random numbers), and runs two steps per
 configuration: sample_phase_offsets scales the normals by the SVD
 covariance factor, the stream of numpy's
 multivariate_normal(method="svd"), and mc_expectation averages the
-real-valued closed-form mean surface of observables over the offsets in
-one array evaluation.  At epsilon = 0 the perpendicular run would repeat
-the parallel one, so its result is reused rather than recomputed.
+real-valued closed-form mean surface over the offsets in one array
+evaluation.  At epsilon = 0 the perpendicular run would repeat the
+parallel one, so its result is reused rather than recomputed.  The
+estimator's centering constants and its phase response, the divisor
+of the recovery, come from estimation; an estimator without a phase
+response at the working point raises SingularConfigurationError there
+before any sample is drawn.
 
 The module also evaluates the second-order expansion of the total
 estimator variance under phase noise,
@@ -96,22 +100,18 @@ def sample_phase_offsets(sigma2: float, epsilon: float, normals: np.ndarray) -> 
 
 
 def mc_expectation(
-    config: HolometerConfig,
-    spec: EstimatorSpec,
-    center: tuple[float, ...],
-    offsets: np.ndarray,
+    config: HolometerConfig, spec: EstimatorSpec, offsets: np.ndarray
 ) -> tuple[float, float]:
     """Sample mean and standard error of <C> over the offset samples.
 
     Per-sample expectations come from the real-valued closed-form mean
-    surface (estimation.estimator_mean_curve) with the centering
-    constants ``center`` frozen at the working point.  Accumulation uses
-    numpy's pairwise mean, so the result is independent of any batch
-    split of the same offsets.
+    surface (estimation.estimator_mean_curve), centered at the working
+    point.  Accumulation uses numpy's pairwise mean, so the result is
+    independent of any batch split of the same offsets.
     """
     phi0 = config.phi0_1
     values = estimation.estimator_mean_curve(
-        config, spec, phi0 + offsets[:, 0], phi0 + offsets[:, 1], center=center
+        config, spec, phi0 + offsets[:, 0], phi0 + offsets[:, 1]
     )
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
 
@@ -131,26 +131,26 @@ def recover_covariance(
     none, both at marginal variance sigma2 and on the same n_samples
     standard normals of default_rng(seed).  The standard error combines
     the two run errors as independent.  At epsilon = 0 the runs coincide:
-    the parallel result is reused and epsilon_hat is exactly 0.
+    the parallel result is reused and epsilon_hat is exactly +0.0.
+    Raises SingularConfigurationError where the estimator has no phase
+    response (estimation.estimator_mixed_derivative).
     """
     _check_noise(config, sigma2, epsilon)
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
-    center = estimation.estimator_center(config, spec)
+    denominator = estimation.estimator_mixed_derivative(config, spec)
     normals = np.random.default_rng(seed).standard_normal((int(n_samples), 2))
-    mean_par, se_par = mc_expectation(
-        config, spec, center, sample_phase_offsets(sigma2, epsilon, normals)
-    )
+    mean_par, se_par = mc_expectation(config, spec, sample_phase_offsets(sigma2, epsilon, normals))
     if epsilon == 0.0:
         mean_perp, se_perp = mean_par, se_par
     else:
         mean_perp, se_perp = mc_expectation(
-            config, spec, center, sample_phase_offsets(sigma2, 0.0, normals)
+            config, spec, sample_phase_offsets(sigma2, 0.0, normals)
         )
-    denominator = estimation.estimator_mixed_derivative(config, spec)
-    epsilon_hat = estimation.estimate_phase_covariance(mean_par, mean_perp, denominator)
-    std_error = math.hypot(se_par, se_perp) / abs(denominator)
-    return epsilon_hat, std_error
+    difference = mean_par - mean_perp
+    # equal means recover +0.0, never the -0.0 of a negative response
+    epsilon_hat = difference / denominator if difference else 0.0
+    return epsilon_hat, math.hypot(se_par, se_perp) / abs(denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +196,8 @@ def variance_expansion(config: HolometerConfig, spec: EstimatorSpec) -> Variance
     # point, then _STENCIL at each Richardson step
     steps = np.array([step * max(abs(phi0), _PHASE_FLOOR) for step in _RELATIVE_STEPS])
     offsets = np.concatenate([np.zeros((1, 2)), (steps[:, None, None] * _STENCIL).reshape(-1, 2)])
-    center = estimation.estimator_center(config, spec)
     surfaces = np.array(estimation.estimator_mean_and_square(
-        config, spec, phi0 + offsets[:, 0], phi0 + offsets[:, 1], center=center
+        config, spec, phi0 + offsets[:, 0], phi0 + offsets[:, 1]
     ))
     (h0, q0), base = surfaces[:, 0], surfaces[:, :1]
     f = surfaces[:, 1:].reshape(2, len(steps), len(_STENCIL))  # [h or q, step, point]
@@ -241,9 +240,7 @@ def direct_variance(
     d1 = ((u + v) / math.sqrt(2.0)).ravel()
     d2 = ((u - v) / math.sqrt(2.0)).ravel()
     w = (weights[:, None] * weights[None, :]).ravel()
-    means, squares = estimation.estimator_mean_and_square(
-        config, spec, phi0 + d1, phi0 + d2, center=estimation.estimator_center(config, spec)
-    )
+    means, squares = estimation.estimator_mean_and_square(config, spec, phi0 + d1, phi0 + d2)
     e_h = float(np.sum(w * means))
     e_q = float(np.sum(w * squares))
     return e_q - e_h * e_h

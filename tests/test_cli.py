@@ -215,6 +215,16 @@ def test_handler_errors_return_one(tmp_path):
     assert run(["mc-estimate", "--epsilons", "1e-3", "--sigma2", "1e-5"]) == 1
 
 
+def test_nrf_scan_takes_lambda_from_its_lambdas_or_grid_only(capsys):
+    # --lam would be overwritten on every row, so nrf-scan does not take it
+    for flag in ("--lam", "--lambda"):
+        assert run_usage_error(["nrf-scan", flag, "7"]) == 1
+        assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+    # under --variable lambda the grid sets lambda, so --lambdas is refused
+    assert run(["nrf-scan", "--variable", "lambda", "--grid", "1,2", "--lambdas", "5"]) == 1
+    assert "--lambdas does not apply to --variable lambda" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one():
     assert run_usage_error(["nrf-scan", "--variable", "banana"]) == 1
     # a grid with too few points fails while parsing
@@ -289,6 +299,14 @@ def test_oracle_check_rejects_a_tolerance_that_passes_anything(capsys, rtol, mes
     assert message in captured.err
 
 
+def test_oracle_check_takes_no_config_file(capsys):
+    # the oracle draws its own configurations, so a config file is refused
+    assert run_usage_error(["oracle-check", "--n-configs", "2", "--config", "x.json"]) == 1
+    captured = capsys.readouterr()
+    assert "RESULT" not in captured.out
+    assert "unrecognized arguments: --config x.json" in captured.err
+
+
 def test_oracle_check_broken_convention_exits_two(capsys):
     assert run(["oracle-check", "--n-configs", "2", "--broken-convention"]) == 2
     printed = capsys.readouterr().out
@@ -332,6 +350,19 @@ def test_mc_estimate_difference_reads_positive_zero_at_zero_covariance(tmp_path)
     _, _, rows = read_csv(out)
     assert float(rows[0]["epsilon_hat"]) == 0.0
     assert not [cell for row in rows for cell in row.values() if cell == "-0.0"]
+
+
+def test_mc_estimate_reports_an_estimator_without_phase_response(capsys):
+    # coherent readouts at phi_0 = 0 have no mixed phase response: a
+    # one-line error and exit 1, as for any other bad input
+    assert run([
+        "mc-estimate", "--estimator", "difference-squared", "--kind", "CoherentOnly",
+        "--lam", "0", "--phi0", "0", "--n-samples", "1000",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("holonoise mc-estimate: the estimator mean has no mixed phase response")
 
 
 def test_mc_estimate_sum_estimator_defaults_to_its_phase(capsys):

@@ -41,7 +41,6 @@ def test_rejects_out_of_range(overrides):
 def test_transmissivity_is_cosine_squared_of_half_phase():
     config = make(phi0_1=0.8, phi0_2=1.1)
     assert config.tau_1 == math.cos(0.4) ** 2
-    assert config.tau_2 == math.cos(0.55) ** 2
 
 
 def test_default_squeezing_angle_tracks_coherent_phase():

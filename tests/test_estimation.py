@@ -12,7 +12,6 @@ from holonoise.estimation import (
     EstimatorSpec,
     SingularConfigurationError,
     classical_benchmark,
-    estimate_phase_covariance,
     estimator_center,
     estimator_mean_and_square,
     estimator_mean_curve,
@@ -21,11 +20,7 @@ from holonoise.estimation import (
     u0_asymptotic,
 )
 from holonoise.holometer import quadrature_readout, readout_moments
-from holonoise.observables import (
-    UndefinedResultError,
-    closed_form_moments,
-    mixed_derivative_terms,
-)
+from holonoise.observables import UndefinedResultError, closed_form_moments
 from holonoise.phase_noise import variance_expansion
 
 
@@ -117,16 +112,12 @@ def test_mixed_derivative_matches_coherent_closed_form():
 
 
 def test_estimator_mixed_derivative_sign_factors():
-    config = make(mu=1e4)
-    base = math.fsum(mixed_derivative_terms(config))
-    assert estimator_mixed_derivative(config, DIFF) == pytest.approx(-2.0 * base, rel=1e-12)
-    sum_config = config.replace(psi=0.0)
-    assert estimator_mixed_derivative(sum_config, SUM) == pytest.approx(
-        2.0 * math.fsum(mixed_derivative_terms(sum_config)), rel=1e-12
-    )
-    assert estimator_mixed_derivative(config, QUAD) == pytest.approx(
-        math.fsum(mixed_derivative_terms(config, quadrature=True)), rel=1e-12
-    )
+    # the difference and sum readouts scale one cross derivative
+    # d^2<N1 N2> by -2 and +2; scaling by a power of two is exact
+    for config in (make(mu=1e4), make(mu=1e4, psi=0.0)):
+        diff = estimator_mixed_derivative(config, DIFF)
+        assert estimator_mixed_derivative(config, SUM) == -diff
+        assert diff == pytest.approx(-2.0 * closed_form_cross_difference(config), rel=1e-6)
 
 
 def central_cross_difference(cross_moment, phi0, h):
@@ -211,8 +202,18 @@ def test_singular_configuration_raises():
     # independent coherent readouts at phi_0 = 0 sit at an extremum of
     # <N_i>(phi), so the mixed derivative vanishes identically
     config = make(input_kind="CoherentOnly", lam=0.0, mu=1e4, phi0_1=0.0, phi0_2=0.0)
-    with pytest.raises(SingularConfigurationError):
+    with pytest.raises(SingularConfigurationError, match="no mixed phase response"):
+        estimator_mixed_derivative(config, DIFF)
+    with pytest.raises(SingularConfigurationError, match="no mixed phase response"):
         u0(config, DIFF)
+
+
+def test_non_finite_phase_response_raises():
+    # at lam = 1e200 the pair amplitude overflows to inf, and at phi_0 = 0
+    # its quadrature term is inf * 0 = nan
+    config = make(lam=1e200, phi0_1=0.0, phi0_2=0.0)
+    with pytest.raises(SingularConfigurationError, match="no mixed phase response"):
+        estimator_mixed_derivative(config, QUAD)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +223,8 @@ def test_singular_configuration_raises():
 
 def test_mean_curve_matches_engine_moments():
     config = make(mu=1e4, lam=2.0)
-    center = estimator_center(config, DIFF)
     phis = np.array([config.phi0_1, config.phi0_1 * 1.5, config.phi0_1 * 0.5])
-    curve = estimator_mean_curve(config, DIFF, phis, phis, center=center)
+    curve = estimator_mean_curve(config, DIFF, phis, phis)
     for value, phi in zip(curve, phis, strict=True):
         moments = readout_moments(config, phi, phi, max_order=2)
         assert value == pytest.approx(moments.difference_variance(), rel=1e-8)
@@ -233,13 +233,9 @@ def test_mean_curve_matches_engine_moments():
 def test_mean_and_square_consistent_with_curve():
     config = make(mu=1e4, lam=2.0)
     for spec, cfg in ((DIFF, config), (QUAD, config.replace(input_kind="TwoSqueezed"))):
-        center = estimator_center(cfg, spec)
-        mean, square = estimator_mean_and_square(
-            cfg, spec, cfg.phi0_1 * 1.2, cfg.phi0_2 * 1.2, center=center
-        )
+        mean, square = estimator_mean_and_square(cfg, spec, cfg.phi0_1 * 1.2, cfg.phi0_2 * 1.2)
         curve = estimator_mean_curve(
-            cfg, spec, np.array([cfg.phi0_1 * 1.2]), np.array([cfg.phi0_2 * 1.2]),
-            center=center,
+            cfg, spec, np.array([cfg.phi0_1 * 1.2]), np.array([cfg.phi0_2 * 1.2])
         )
         assert mean == pytest.approx(float(curve[0]), rel=1e-8)
         assert square >= mean**2
@@ -367,15 +363,3 @@ def test_asymptotic_guards():
     with pytest.raises(ValueError):
         u0_asymptotic(make(phi0_2=0.5), "TWB_B")
 
-
-# ---------------------------------------------------------------------------
-# covariance recovery arithmetic
-# ---------------------------------------------------------------------------
-
-
-def test_estimate_phase_covariance_is_a_plain_quotient():
-    assert estimate_phase_covariance(3.0, 1.0, 4.0) == pytest.approx(0.5)
-    with pytest.raises(SingularConfigurationError):
-        estimate_phase_covariance(1.0, 0.0, 0.0)
-    with pytest.raises(SingularConfigurationError):
-        estimate_phase_covariance(1.0, 0.0, math.nan)

@@ -8,7 +8,7 @@ from holonoise import estimation, phase_noise
 from holonoise.config import HolometerConfig
 from holonoise.estimation import (
     EstimatorSpec,
-    estimator_center,
+    SingularConfigurationError,
     estimator_mean_and_square,
     estimator_mean_curve,
     u0,
@@ -77,7 +77,7 @@ def test_sample_statistics_track_the_model():
 
 def test_mc_expectation_at_zero_noise_is_the_working_point_mean():
     offsets = sample_phase_offsets(0.0, 0.0, normals(0, 2_000))
-    mean, se = mc_expectation(DESK, QUAD, estimator_center(DESK, QUAD), offsets)
+    mean, se = mc_expectation(DESK, QUAD, offsets)
     exact = float(estimator_mean_curve(DESK, QUAD, DESK.phi0_1, DESK.phi0_2))
     assert mean == exact
     assert se == 0.0
@@ -134,18 +134,23 @@ def test_recovery_at_zero_covariance_evaluates_the_surface_once(monkeypatch, spe
 
 def test_recovery_equals_its_two_steps():
     sigma2, epsilon, n_samples, seed = 1e-5, 2e-6, 4_000, 21
-    center = estimator_center(DESK, QUAD)
     draw = normals(seed, n_samples)
-    mean_par, se_par = mc_expectation(
-        DESK, QUAD, center, sample_phase_offsets(sigma2, epsilon, draw)
-    )
-    mean_perp, se_perp = mc_expectation(
-        DESK, QUAD, center, sample_phase_offsets(sigma2, 0.0, draw)
-    )
+    mean_par, se_par = mc_expectation(DESK, QUAD, sample_phase_offsets(sigma2, epsilon, draw))
+    mean_perp, se_perp = mc_expectation(DESK, QUAD, sample_phase_offsets(sigma2, 0.0, draw))
     denominator = estimation.estimator_mixed_derivative(DESK, QUAD)
     eps_hat, se = recover_covariance(DESK, QUAD, sigma2, epsilon, n_samples, seed)
     assert eps_hat == (mean_par - mean_perp) / denominator
     assert se == math.hypot(se_par, se_perp) / abs(denominator)
+
+
+def test_recovery_rejects_an_estimator_without_phase_response(monkeypatch):
+    # coherent readouts at phi_0 = 0 have no mixed phase response: the
+    # recovery divides by nothing, and says so before drawing a sample
+    config = DESK.replace(input_kind="CoherentOnly", lam=0.0, phi0_1=0.0, phi0_2=0.0)
+    draws = _count_calls(monkeypatch, np.random, "default_rng")
+    with pytest.raises(SingularConfigurationError, match="no mixed phase response"):
+        recover_covariance(config, DIFF, 1e-5, 1e-6, 2_000, 0)
+    assert draws == []
 
 
 @pytest.mark.parametrize("sigma2, epsilon", [
@@ -242,13 +247,12 @@ SUM = EstimatorSpec(kind="TwbSumSquared")
 def _per_point_surfaces(config, spec, d1, d2):
     """The engine walked one phase pair at a time: the reference for the
     stacked evaluation in direct_variance."""
-    center = estimator_center(config, spec)
     phi0 = config.phi0_1
     means = np.empty(d1.shape)
     squares = np.empty(d1.shape)
     for idx in np.ndindex(d1.shape):
         means[idx], squares[idx] = estimator_mean_and_square(
-            config, spec, phi0 + float(d1[idx]), phi0 + float(d2[idx]), center=center
+            config, spec, phi0 + float(d1[idx]), phi0 + float(d2[idx])
         )
     return means, squares
 
