@@ -1,40 +1,58 @@
 #!/usr/bin/env python3
 """Time the moment pipelines at representative configurations.
 
-Reports wall time per call for the closed forms (at one phase pair and
-over 1e5 phase pairs), the detected-state build, the cumulant photon
-readouts of second and fourth order and the quadrature readout (each
-including its state build), one stacked fourth-order readout over 1 000
-phase pairs, the exact mixed phase derivative, one zero-order
-uncertainty evaluation per estimator kind, the Gauss-Hermite phase-noise variance, one
-Monte-Carlo covariance recovery (quadrature product at the mc-estimate
-defaults, epsilon = 1e-6, 1e5 samples), the truncated-Fock oracle and
-its beam-splitter transform alone on the largest arm block of the
-oracle's envelope, so regressions in the hot paths show up as numbers
-rather than as slow test suites.
+Reports the median wall time per call for the closed forms (at one
+phase pair and over 1e5 phase pairs), the detected-state build, the
+cumulant photon readouts of second and fourth order and the quadrature
+readout (each including its state build), one stacked fourth-order
+readout over 1 000 phase pairs, the exact mixed phase derivative, one
+zero-order uncertainty evaluation per estimator kind, the Gauss-Hermite
+phase-noise variance, one Monte-Carlo covariance recovery (quadrature
+product at the mc-estimate defaults, epsilon = 1e-6, 1e5 samples), the
+truncated-Fock oracle and its beam-splitter transform alone on the
+largest arm block of the oracle's envelope, and, end to end through
+the CLI in-process, the four figure sweeps of run_figure_scans.py and
+the phi0 sweep at the grid cap.  Regressions in the hot paths show up
+as numbers rather than as slow test suites.
+
+``--json PATH`` also writes the record: per row the median and the
+minimum over the timed calls and the inputs, and for the run the git
+revision, the Python and numpy versions, the processor count and the
+BLAS thread variables.  ``--quick`` times one call per row on small
+inputs, to check that every row runs.
 
 Usage:
-    python3 scripts/bench_moments.py [--repeat 50]
+    python3 scripts/bench_moments.py [--repeat 50] [--json BENCH.json] [--quick]
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
 import math
+import os
+import platform
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
+from holonoise import cli
 from holonoise.config import HolometerConfig
 from holonoise.estimation import EstimatorSpec, estimator_mixed_derivative, u0
 from holonoise.fock_oracle import _arm_block, _bs_pair_transform, oracle_moments
 from holonoise.holometer import propagate, quadrature_readout, readout_moments
 from holonoise.observables import closed_form_moments
 from holonoise.phase_noise import direct_variance, recover_covariance
+from run_figure_scans import SCANS
 
 BRIGHT = HolometerConfig(mu=1e6, psi=math.pi / 2, lam=10.0, eta=0.95,
                          phi0_1=0.2, phi0_2=0.2, input_kind="TWB")
@@ -45,22 +63,62 @@ DIM = HolometerConfig(mu=1.5, psi=math.pi / 2, lam=0.4, eta=0.9,
 # the oracle's envelope edge: mean coherent 4, mean pair occupancy 1
 EDGE = HolometerConfig(mu=4.0, psi=math.pi / 2, lam=1.0, eta=0.9,
                        phi0_1=0.8, phi0_2=0.8, input_kind="TWB")
+# the largest grid a sweep accepts
+CAP_SCAN = ["uncertainty-scan", "--variable", "phi0",
+            "--grid", f"1e-8:1e-1:{cli.MAX_GRID_POINTS}:log"]
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def clock(label: str, fn, repeat: int) -> None:
-    fn()  # warm up caches and allocations outside the timed loop
-    start = time.perf_counter()
+def clock(label: str, fn, repeat: int, inputs: dict) -> dict:
+    fn()  # warm up caches and allocations outside the timed calls
+    times = []
     for _ in range(repeat):
+        start = time.perf_counter()
         fn()
-    per_call = (time.perf_counter() - start) / repeat
-    print(f"{label:<52s} {1e3 * per_call:9.3f} ms/call")
+        times.append(time.perf_counter() - start)
+    median = statistics.median(times)
+    print(f"{label:<52s} {1e3 * median:9.3f} ms/call")
+    return {"label": label, "repeat": repeat, "median_ms": 1e3 * median,
+            "min_ms": 1e3 * min(times), "inputs": inputs}
+
+
+def count(n: int) -> str:
+    return f"{n:,}".replace(",", " ")
+
+
+def with_points(argv: list[str], points: int) -> list[str]:
+    """A sweep's argv with its "min:max:points[:scale]" grid resized."""
+    at = argv.index("--grid") + 1
+    lo, hi, _, *scale = argv[at].split(":")
+    return argv[:at] + [":".join([lo, hi, str(points), *scale])] + argv[at + 1:]
+
+
+def scan(argv: list[str]):
+    def run() -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"holonoise {' '.join(argv)} failed")
+    return run
+
+
+def git_revision() -> str:
+    try:
+        done = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                              cwd=ROOT, capture_output=True, text=True)
+    except OSError:
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown (not a git checkout)"
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=50, help="timed calls per row")
+    parser.add_argument("--json", metavar="PATH", help="also write the record to PATH")
+    parser.add_argument("--quick", action="store_true",
+                        help="one timed call per row, on small inputs")
     args = parser.parse_args()
-    repeat = max(1, args.repeat)
+    repeat = 1 if args.quick else max(1, args.repeat)
+    wide_n, pairs_n, samples_n = (1000, 10, 1000) if args.quick else (100_000, 1000, 100_000)
 
     diff = EstimatorSpec(kind="TwbDifferenceSquared")
     plus = EstimatorSpec(kind="TwbSumSquared")
@@ -68,43 +126,74 @@ def main() -> int:
     # the sum readout pairs with psi = 0; the product reads squeezed input
     bright_sum = BRIGHT.replace(psi=0.0)
     bright_sq = BRIGHT.replace(input_kind="TwoSqueezed")
+    bright = {"config": BRIGHT.to_dict()}
 
-    clock("closed-form first/second moments (bright)",
-          lambda: closed_form_moments(BRIGHT), repeat)
-    wide = BRIGHT.phi0_1 + 3e-3 * np.random.default_rng(1).standard_normal((2, 100_000))
-    clock("closed_form_moments over 1e5 phase pairs (bright)",
-          lambda: closed_form_moments(BRIGHT, wide[0], wide[1]), max(1, repeat // 5))
-    clock("detected two-mode state, propagate (bright)",
-          lambda: propagate(BRIGHT), repeat)
-    clock("state + cumulant photon moments, order 2 (bright)",
-          lambda: readout_moments(BRIGHT, max_order=2), repeat)
-    clock("state + cumulant photon moments, order 4 (bright)",
-          lambda: readout_moments(BRIGHT, max_order=4), repeat)
-    clock("state + quadrature readout (bright)",
-          lambda: quadrature_readout(BRIGHT), repeat)
-    phases = BRIGHT.phi0_1 + 1e-3 * np.random.default_rng(0).standard_normal((2, 1000))
-    clock("order-4 readout over 1 000 phase pairs (bright)",
-          lambda: readout_moments(BRIGHT, phases[0], phases[1], max_order=4),
-          max(1, repeat // 10))
-    clock("estimator_mixed_derivative (bright)",
-          lambda: estimator_mixed_derivative(BRIGHT, diff), repeat)
-    clock("zero-order uncertainty, difference readout (bright)",
-          lambda: u0(BRIGHT, diff), max(1, repeat // 5))
-    clock("zero-order uncertainty, sum readout (bright)",
-          lambda: u0(bright_sum, plus), max(1, repeat // 5))
-    clock("zero-order uncertainty, quadrature product (bright)",
-          lambda: u0(bright_sq, quad), max(1, repeat // 5))
-    clock("direct_variance GH-9, difference (bright)",
-          lambda: direct_variance(BRIGHT, diff, 1e-5, 0.0), max(1, repeat // 10))
-    clock("recover_covariance, quadrature product, 1e5 samples",
-          lambda: recover_covariance(DESK, quad, 1e-5, 1e-6, 100_000, 0), max(1, repeat // 10))
+    rows = [
+        clock("closed-form first/second moments (bright)",
+              lambda: closed_form_moments(BRIGHT), repeat, bright),
+    ]
+    wide = BRIGHT.phi0_1 + 3e-3 * np.random.default_rng(1).standard_normal((2, wide_n))
+    rows.append(clock(f"closed_form_moments over {count(wide_n)} phase pairs (bright)",
+                      lambda: closed_form_moments(BRIGHT, wide[0], wide[1]),
+                      max(1, repeat // 5), {**bright, "phase_pairs": wide_n, "sigma": 3e-3}))
+    rows.append(clock("detected two-mode state, propagate (bright)",
+                      lambda: propagate(BRIGHT), repeat, bright))
+    rows.append(clock("state + cumulant photon moments, order 2 (bright)",
+                      lambda: readout_moments(BRIGHT, max_order=2), repeat, bright))
+    rows.append(clock("state + cumulant photon moments, order 4 (bright)",
+                      lambda: readout_moments(BRIGHT, max_order=4), repeat, bright))
+    rows.append(clock("state + quadrature readout (bright)",
+                      lambda: quadrature_readout(BRIGHT), repeat, bright))
+    phases = BRIGHT.phi0_1 + 1e-3 * np.random.default_rng(0).standard_normal((2, pairs_n))
+    rows.append(clock(f"order-4 readout over {count(pairs_n)} phase pairs (bright)",
+                      lambda: readout_moments(BRIGHT, phases[0], phases[1], max_order=4),
+                      max(1, repeat // 10), {**bright, "phase_pairs": pairs_n, "sigma": 1e-3}))
+    rows.append(clock("estimator_mixed_derivative (bright)",
+                      lambda: estimator_mixed_derivative(BRIGHT, diff), repeat,
+                      {**bright, "estimator": diff.kind.value}))
+    for label, config, spec in (("difference readout", BRIGHT, diff),
+                                ("sum readout", bright_sum, plus),
+                                ("quadrature product", bright_sq, quad)):
+        rows.append(clock(f"zero-order uncertainty, {label} (bright)",
+                          lambda config=config, spec=spec: u0(config, spec),
+                          max(1, repeat // 5),
+                          {"config": config.to_dict(), "estimator": spec.kind.value}))
+    rows.append(clock("direct_variance GH-9, difference (bright)",
+                      lambda: direct_variance(BRIGHT, diff, 1e-5, 0.0), max(1, repeat // 10),
+                      {**bright, "estimator": diff.kind.value, "sigma2": 1e-5, "epsilon": 0.0}))
+    rows.append(clock(f"recover_covariance, quadrature product, {count(samples_n)} samples",
+                      lambda: recover_covariance(DESK, quad, 1e-5, 1e-6, samples_n, 0),
+                      max(1, repeat // 10),
+                      {"config": DESK.to_dict(), "estimator": quad.kind.value, "sigma2": 1e-5,
+                       "epsilon": 1e-6, "samples": samples_n, "seed": 0}))
     # the oracle walks a truncated number basis, so it only runs at low
     # occupancy; this is the guardrail-domain cost, not the bright one
-    clock("fock oracle end-to-end, order 4 (dim)",
-          lambda: oracle_moments(DIM), max(1, repeat // 10))
+    rows.append(clock("fock oracle end-to-end, order 4 (dim)",
+                      lambda: oracle_moments(DIM), max(1, repeat // 10),
+                      {"config": DIM.to_dict()}))
     _, edge_block = _arm_block(EDGE)
-    clock("beam-splitter transform, one arm block (edge twb)",
-          lambda: _bs_pair_transform(edge_block, EDGE.phi0_1), max(1, repeat // 10))
+    rows.append(clock("beam-splitter transform, one arm block (edge twb)",
+                      lambda: _bs_pair_transform(edge_block, EDGE.phi0_1), max(1, repeat // 10),
+                      {"config": EDGE.to_dict(), "block_shape": list(edge_block.shape)}))
+    sweeps = {name.removesuffix(".csv"): argv for name, argv in SCANS.items()
+              if argv[0] in ("nrf-scan", "uncertainty-scan")}
+    sweeps["uncertainty_vs_phi0 at the grid cap"] = CAP_SCAN
+    for name, argv in sweeps.items():
+        argv = with_points(argv, 3) if args.quick else argv
+        rows.append(clock(f"scan {name}, in-process", scan(argv), max(1, repeat // 10),
+                          {"argv": argv}))
+
+    if args.json:
+        record = {
+            "git_revision": git_revision(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "nproc": os.cpu_count(),
+            "blas_threads": {name: os.environ.get(name, "unset") for name in BLAS_VARIABLES},
+            "quick": args.quick,
+            "rows": rows,
+        }
+        Path(args.json).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

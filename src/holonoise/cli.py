@@ -4,7 +4,9 @@ Four subcommands cover the package's workflows:
 
 ``nrf-scan``
     Noise-reduction factors of the photon-count difference and sum over
-    a parameter sweep, one row per (grid point, quantum occupancy).
+    a parameter sweep, one row per (grid point, quantum occupancy).  The
+    occupancies are the default list, or the config file's lambda as
+    the one trace, or an explicit ``--lambdas``, in rising precedence.
 ``uncertainty-scan``
     Photon-noise-limited uncertainty of the phase-covariance estimators,
     their ratios to the coherent-only benchmark, and the closed-form
@@ -22,6 +24,10 @@ The three commands that build a configuration also take ``--config``
 override it).  Grids over MAX_GRID_POINTS points and ``--n-samples``
 over MAX_SAMPLES are usage errors.
 
+The two scans evaluate a whole grid at once: the swept field of the
+configuration holds the grid (a stacked configuration, see config.py),
+each CSV column is one array call, and Python only formats the rows.
+
 Exit codes: 0 success, 1 invalid input, 2 verification failure.
 """
 from __future__ import annotations
@@ -38,13 +44,16 @@ import numpy as np
 from . import estimation, phase_noise
 from .config import HolometerConfig, InputKind
 from .crosscheck import DEFAULT_SEED, run_crosscheck
-from .estimation import EstimatorKind, EstimatorSpec, PsiPairingError, SingularConfigurationError
+from .estimation import EstimatorKind, EstimatorSpec, SingularConfigurationError
 from .fock_oracle import CutoffError
-from .observables import UndefinedResultError, nrf, regime_parameter
+from .observables import nrf, regime_parameter
 
 __all__ = ["entrypoint", "main"]
 
 SWEEP_VARIABLES = ("phi0", "eta", "lambda", "tau", "psi")
+# the configuration fields each sweep variable sets (tau through phi0)
+_SWEPT_FIELDS = {"phi0": ("phi0_1", "phi0_2"), "tau": ("phi0_1", "phi0_2"),
+                 "eta": ("eta",), "lambda": ("lam",), "psi": ("psi",)}
 # upper bounds that keep a run's memory bounded; the largest shipped grid
 # has 120 points and mc-estimate defaults to 1e5 samples
 MAX_GRID_POINTS = 10_000
@@ -98,20 +107,15 @@ def _parse_grid(text: str) -> np.ndarray:
     return (np.geomspace if scale == "log" else np.linspace)(lo, hi, points)
 
 
-def _config_at(base: HolometerConfig, variable: str, value: float) -> HolometerConfig:
-    """The base configuration with the swept variable set to ``value``."""
-    if variable == "phi0":
-        return base.replace(phi0_1=value, phi0_2=value)
-    if variable == "eta":
-        return base.replace(eta=value)
-    if variable == "lambda":
-        return base.replace(lam=value)
+def _config_at(base: HolometerConfig, variable: str, grid: np.ndarray) -> HolometerConfig:
+    """The base configuration stacked over the grid of the swept variable."""
+    grid = np.asarray(grid, dtype=float)
     if variable == "tau":
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"tau must lie in (0, 1], got {value}")
-        phi = 2.0 * math.acos(math.sqrt(value))
-        return base.replace(phi0_1=phi, phi0_2=phi)
-    return base.replace(psi=value)
+        outside = ~((0.0 < grid) & (grid <= 1.0))
+        if np.any(outside):
+            raise ValueError(f"tau must lie in (0, 1], got {grid[outside].flat[0]}")
+        grid = 2.0 * np.arccos(np.sqrt(grid))
+    return base.replace(**dict.fromkeys(_SWEPT_FIELDS[variable], grid))
 
 
 def _parse_n_samples(text: str) -> int:
@@ -165,10 +169,10 @@ def _load_config_file(path: str | None) -> dict:
 _CONFIG_FLAG_FIELDS = ("mu", "psi", "lam", "eta", "phi0", "theta", "theta_xi", "kind")
 
 
-def _resolve_config(defaults: Mapping[str, object], args: argparse.Namespace) -> HolometerConfig:
-    """defaults < config file < explicit flags, then build the dataclass."""
-    data = dict(defaults)
-    data.update(_load_config_file(args.config))
+def _resolve_config(data: Mapping[str, object], args: argparse.Namespace) -> HolometerConfig:
+    """``data`` (the defaults updated by the config file) < explicit
+    flags, then build the dataclass."""
+    data = dict(data)
     for name in _CONFIG_FLAG_FIELDS:
         value = getattr(args, name, None)
         if value is None:
@@ -243,6 +247,12 @@ def _config_json(config: HolometerConfig) -> str:
     return json.dumps(config.to_dict(), sort_keys=True)
 
 
+def _columns_to_rows(*columns: object) -> Iterable[Sequence[object]]:
+    """CSV rows from whole columns: arrays, or scalars repeated on every row."""
+    shape = np.broadcast_shapes(*(np.shape(column) for column in columns))
+    return zip(*(np.broadcast_to(column, shape).tolist() for column in columns))
+
+
 # ---------------------------------------------------------------------------
 # nrf-scan
 # ---------------------------------------------------------------------------
@@ -259,30 +269,33 @@ _NRF_LAMBDAS = "0.1,1,10"
 
 
 def _cmd_nrf_scan(args: argparse.Namespace) -> int:
-    base = _resolve_config(_NRF_BASE, args)
+    config_file = _load_config_file(args.config)
+    base = _resolve_config({**_NRF_BASE, **config_file}, args)
     if args.variable == "lambda":
         if args.lambdas is not None:
             raise ValueError("--lambdas does not apply to --variable lambda; the grid sets lambda")
-        lam_values = (base.lam,)
+        values = args.grid
+        config = _config_at(base, "lambda", values)
     else:
-        lam_values = _parse_float_list(_NRF_LAMBDAS if args.lambdas is None else args.lambdas)
+        if args.lambdas is not None:
+            lam_values = _parse_float_list(args.lambdas)
+        elif "lambda" in config_file or "lam" in config_file:
+            lam_values = (base.lam,)
+        else:
+            lam_values = _parse_float_list(_NRF_LAMBDAS)
+        # one row per (grid point, lambda), the lambdas varying fastest
+        values = np.repeat(args.grid, len(lam_values))
+        config = _config_at(base, args.variable, values)
+        config = config.replace(lam=np.tile(lam_values, len(args.grid)))
     psi_minus = args.psi if args.psi is not None else math.pi / 2.0
     psi_plus = args.psi if args.psi is not None else 0.0
-
-    tasks = [(value, lam) for value in args.grid for lam in lam_values]
-
-    def one(task: tuple[float, float]) -> tuple:
-        value, lam = task
-        config = _config_at(base, args.variable, value)
-        if args.variable != "lambda":
-            config = config.replace(lam=lam)
-        pm = psi_minus if args.variable != "psi" else value
-        pp = psi_plus if args.variable != "psi" else value
-        minus = nrf(config.replace(psi=pm)).nrf_minus
-        plus = nrf(config.replace(psi=pp)).nrf_plus
-        return (value, config.lam, minus, plus, regime_parameter(config))
-
-    rows = [one(task) for task in tasks]
+    if args.variable == "psi":
+        both = nrf(config)
+        minus, plus = both.nrf_minus, both.nrf_plus
+    else:
+        minus = nrf(config.replace(psi=psi_minus)).nrf_minus
+        plus = nrf(config.replace(psi=psi_plus)).nrf_plus
+    rows = _columns_to_rows(values, config.lam, minus, plus, regime_parameter(config))
     _write_csv(
         args.out,
         "nrf-scan",
@@ -323,7 +336,7 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
     if args.variable == "eta" and args.phi0 is None:
         # deep-quantum working point, where the efficiency dependence is sharpest
         defaults["phi0"] = 1e-8
-    base = _resolve_config(defaults, args)
+    base = _resolve_config({**defaults, **_load_config_file(args.config)}, args)
     grid = args.grid
     if grid is None:
         grid = _parse_grid(_UNCERTAINTY_DEFAULT_GRIDS[args.variable])
@@ -345,56 +358,41 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
         "flag",
     ]
 
-    def one(value: float) -> tuple:
-        config = _config_at(base, args.variable, value)
-        twb = config.replace(input_kind="TWB")
-        sq = config.replace(input_kind="TwoSqueezed")
-        # the sum readout pairs with the coherent phase rotated a quarter
-        # turn from the difference readout's pairing
-        twb_sum = twb.replace(psi=twb.psi - math.pi / 2.0)
-        flags: list[str] = []
-        u_cl = estimation.classical_benchmark(config)
+    config = _config_at(base, args.variable, grid)
+    twb = config.replace(input_kind="TWB")
+    sq = config.replace(input_kind="TwoSqueezed")
+    # the sum readout pairs with the coherent phase rotated a quarter
+    # turn from the difference readout's pairing
+    twb_sum = twb.replace(psi=twb.psi - math.pi / 2.0)
+    u_cl = estimation.classical_benchmark(config)
 
-        def guarded(cfg: HolometerConfig, kind: str, label: str) -> tuple[float, float]:
-            try:
-                value = estimation.u0(cfg, EstimatorSpec(kind=kind))
-                return value, value / u_cl
-            except SingularConfigurationError:
-                flags.append(f"singular:{label}")
-                return math.nan, math.nan
-            except PsiPairingError:
-                # off the canonical psi of this readout (a psi sweep)
-                flags.append(f"psi_mismatch:{label}")
-                return math.nan, math.nan
+    def readout(cfg: HolometerConfig, kind: str, label: str) -> tuple[np.ndarray, list[str]]:
+        """u0 over the grid, and the flag of each row where it is nan: off
+        the readout's psi pairing (a psi sweep) or without phase response."""
+        spec = EstimatorSpec(kind=kind)
+        value = estimation.u0(cfg, spec)
+        singular = np.where(np.isnan(value), f"singular:{label}", "")
+        return value, np.where(estimation.off_pairing(cfg, spec), f"psi_mismatch:{label}",
+                               singular).tolist()
 
-        u_twb, r_twb = guarded(twb, "TwbDifferenceSquared", "twb")
-        u_sq, r_sq = guarded(sq, "QuadratureProduct", "sq")
-        u_sum, r_sum = guarded(twb_sum, "TwbSumSquared", "twb_sum")
-
-        def asym(branch: str) -> float:
-            try:
-                return estimation.u0_asymptotic(config, branch)
-            except (UndefinedResultError, ValueError):
-                return math.nan
-
-        return (
-            value,
-            u_twb,
-            u_sq,
-            u_sum,
-            u_cl,
-            r_twb,
-            r_sq,
-            r_sum,
-            regime_parameter(config),
-            asym("SQ_large_lambda"),
-            asym("TWB_B"),
-            asym("TWB_A_large_lambda"),
-            asym("TWB_A_small_lambda"),
-            ";".join(flags),
-        )
-
-    rows = [one(value) for value in grid]
+    u_twb, flag_twb = readout(twb, "TwbDifferenceSquared", "twb")
+    u_sq, flag_sq = readout(sq, "QuadratureProduct", "sq")
+    u_sum, flag_sum = readout(twb_sum, "TwbSumSquared", "twb_sum")
+    flag = [";".join(filter(None, row)) for row in zip(flag_twb, flag_sq, flag_sum)]
+    rows = _columns_to_rows(
+        grid,
+        u_twb,
+        u_sq,
+        u_sum,
+        u_cl,
+        u_twb / u_cl,
+        u_sq / u_cl,
+        u_sum / u_cl,
+        regime_parameter(config),
+        *(estimation.u0_asymptotic(config, branch) for branch in (
+            "SQ_large_lambda", "TWB_B", "TWB_A_large_lambda", "TWB_A_small_lambda")),
+        flag,
+    )
     _write_csv(
         args.out,
         "uncertainty-scan",
@@ -481,7 +479,7 @@ def _cmd_mc_estimate(args: argparse.Namespace) -> int:
         defaults["input_kind"] = "TWB"
     if kind is EstimatorKind.TWB_SUM_SQUARED:
         defaults["psi"] = 0.0
-    config = _resolve_config(defaults, args)
+    config = _resolve_config({**defaults, **_load_config_file(args.config)}, args)
     spec = EstimatorSpec(kind=kind)
     epsilons = _parse_float_list(args.epsilons)
     sigma2 = args.sigma2

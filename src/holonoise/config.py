@@ -1,8 +1,15 @@
 """Physical configuration of the two-interferometer setup.
 
-Kept free of any numerics so that both computation routes (Gaussian
+Kept free of the statistics so that both computation routes (Gaussian
 engine and truncated-Fock oracle) can consume it without depending on
 each other.
+
+A configuration may also be a stack: its numeric fields (STACK_FIELDS)
+may hold arrays of one common shape, one configuration per element.
+The closed forms, the engine readouts, nrf and the estimation layer
+then return arrays over the stack, which is how the CLI sweeps a whole
+grid in one call per column.  A scalar configuration keeps its plain
+numbers, and those functions return floats for it.
 """
 from __future__ import annotations
 
@@ -11,7 +18,26 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Mapping
 
-__all__ = ["InputKind", "HolometerConfig"]
+import numpy as np
+
+__all__ = ["InputKind", "HolometerConfig", "STACK_FIELDS"]
+
+# the fields that may hold an array over a stack of configurations
+STACK_FIELDS = ("mu", "psi", "lam", "eta", "phi0_1", "phi0_2")
+
+
+def _everywhere(flags: Any) -> bool:
+    """all() of a bool or of a bool array, cheap on scalars."""
+    return bool(flags.all() if isinstance(flags, np.ndarray) else flags)
+
+
+def _require(ok: Any, value: Any, message: str) -> None:
+    """Raise ValueError(f"{message}, got {value}") unless ``ok`` holds
+    everywhere, naming the first failing element of an array."""
+    if not _everywhere(ok):
+        if isinstance(value, np.ndarray):
+            value = value[~ok][0]
+        raise ValueError(f"{message}, got {value}")
 
 
 class InputKind(str, Enum):
@@ -44,6 +70,9 @@ class HolometerConfig:
              The engine, the oracle and both closed forms take the
              pair from ``eta_pair``; u0, nrf and the classical
              benchmark need a symmetric working point and require None.
+
+    The STACK_FIELDS may hold arrays of one shape (see the module
+    docstring); they are validated element by element.
     """
 
     mu: float
@@ -59,23 +88,47 @@ class HolometerConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "input_kind", InputKind(self.input_kind))
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        shapes = set()
+        for name in STACK_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, (int, float)):  # np.float64 included
+                continue
+            value = np.array(value, dtype=float)
+            if value.ndim:
+                value.flags.writeable = False
+                shapes.add(value.shape)
+            object.__setattr__(self, name, value if value.ndim else float(value))
+        if len(shapes) > 1:
+            raise ValueError(f"stacked fields must share one shape, got {sorted(shapes)}")
+        object.__setattr__(self, "_shape", shapes.pop() if shapes else ())
+        _require(np.logical_not(self.mu < 0.0), self.mu, "mu must be >= 0")
+        _require(np.logical_not(self.lam < 0.0), self.lam, "lam must be >= 0")
         for name, value in (("eta", self.eta), ("eta_2", self.eta_2)):
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+            if value is not None:
+                _require((0.0 <= value) & (value <= 1.0), value, f"{name} must lie in [0, 1]")
         for value in (self.mu, self.psi, self.lam, self.eta, self.phi0_1, self.phi0_2,
                       self.theta, self.theta_xi):
-            if value is not None and not math.isfinite(value):
+            if value is None:
+                continue
+            if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
+                    else math.isfinite(value)):
                 raise ValueError("configuration parameters must be finite")
 
     # -- derived quantities ------------------------------------------------
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """Shape of the stack; () for a single configuration."""
+        return self._shape
+
+    def per_row(self, value: Any) -> Any:
+        """``value`` as a float for a single configuration, or as an
+        array over the whole stack."""
+        return np.broadcast_to(value, self.shape) if self.shape else float(value)
+
+    @property
     def tau_1(self) -> float:
-        return math.cos(0.5 * self.phi0_1) ** 2
+        return np.cos(0.5 * self.phi0_1) ** 2
 
     @property
     def eta_pair(self) -> tuple[float, float]:
@@ -97,10 +150,10 @@ class HolometerConfig:
 
     @property
     def coherent_amplitude(self) -> complex:
-        return math.sqrt(self.mu) * complex(math.cos(self.psi), math.sin(self.psi))
+        return np.sqrt(self.mu) * (np.cos(self.psi) + 1j * np.sin(self.psi))
 
     def is_symmetric(self) -> bool:
-        return self.phi0_1 == self.phi0_2 and self.eta_2 is None
+        return self.eta_2 is None and _everywhere(self.phi0_1 == self.phi0_2)
 
     def replace(self, **changes: Any) -> "HolometerConfig":
         return replace(self, **changes)

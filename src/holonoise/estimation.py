@@ -30,6 +30,13 @@ it, and it raises SingularConfigurationError where it vanishes or is
 pure cancellation of its terms.  The estimator surfaces freeze their
 centering constants (estimator_center) at the working point themselves,
 so no caller passes them.
+
+Every function here also takes a stacked configuration (config.py) and
+then returns arrays over its stack, from one engine readout per call.
+Where a single configuration raises SingularConfigurationError,
+PsiPairingError or UndefinedResultError, a stack member reads nan
+instead; off_pairing tells the two u0 cases apart.  The other errors
+stop a stack as they stop a single configuration.
 """
 from __future__ import annotations
 
@@ -50,6 +57,7 @@ __all__ = [
     "EstimatorKind",
     "EstimatorSpec",
     "classical_benchmark",
+    "off_pairing",
     "estimator_mixed_derivative",
     "estimator_center",
     "estimator_mean_curve",
@@ -136,17 +144,15 @@ def _require_symmetric(config: HolometerConfig, what: str) -> float:
     return config.phi0_1
 
 
-def _check_psi_pairing(config: HolometerConfig, spec: EstimatorSpec) -> None:
+def off_pairing(config: HolometerConfig, spec: EstimatorSpec) -> Any:
+    """Where a twin-beam photocurrent readout is off its canonical psi:
+    a bool, or a bool array over a stack of coherent phases.  u0 raises
+    PsiPairingError there for a single configuration and reads nan on a
+    stack."""
     target = _PHOTOCURRENT_SIGN.get(spec.kind)
     if config.input_kind is not InputKind.TWB or target is None:
-        return
-    if abs(math.cos(2.0 * config.psi) - target) <= 1e-6:
-        return
-    raise PsiPairingError(
-        f"{spec.kind.value} pairs with cos(2 psi) = {target:+.0f} "
-        f"(psi = {'pi/2' if target < 0 else '0'}); got psi = {config.psi!r}. "
-        "The photon cross covariance then has the wrong sign for this readout."
-    )
+        return False
+    return np.abs(np.cos(2.0 * config.psi) - target) > 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -158,20 +164,21 @@ def classical_benchmark(config: HolometerConfig) -> float:
     """Coherent-light uncertainty sqrt(2)/(eta mu cos^2(phi_0/2)).
 
     This is the photon-noise floor of the same covariance estimation
-    performed with coherent light alone at equal detected energy.
+    performed with coherent light alone at equal detected energy.  A
+    stack with one member out of the domain raises, as that member would.
     """
     phi0 = _require_symmetric(config, "the classical benchmark")
-    if config.mu <= 0.0 or config.eta <= 0.0:
+    if np.any(np.less_equal(config.mu, 0.0) | np.less_equal(config.eta, 0.0)):
         raise ValueError("the classical benchmark requires mu > 0 and eta > 0")
-    transmitted = math.cos(phi0 / 2.0) ** 2
+    transmitted = np.cos(phi0 / 2.0) ** 2
     # cos(pi/2) never rounds to exactly zero in floats, so catch the dark
     # fringe within a few ulps of it rather than by equality
-    if transmitted <= (4.0 * math.ulp(1.0)) ** 2:
+    if np.any(transmitted <= (4.0 * math.ulp(1.0)) ** 2):
         raise OverflowError(
             "phi_0 = pi sends no coherent light to the detector; the classical "
             "benchmark diverges"
         )
-    return math.sqrt(2.0) / (config.eta * config.mu * transmitted)
+    return config.per_row(np.sqrt(2.0) / (config.eta * config.mu * transmitted))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +186,7 @@ def classical_benchmark(config: HolometerConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _derivative_terms(config: HolometerConfig, spec: EstimatorSpec) -> tuple[float, ...]:
+def _derivative_terms(config: HolometerConfig, spec: EstimatorSpec) -> tuple[Any, ...]:
     """Terms of d^2 <C> / dphi_1 dphi_2 at the working point phi_0.
 
     The squared readouts contribute their cross term only: the mixed
@@ -203,17 +210,17 @@ def _derivative_terms(config: HolometerConfig, spec: EstimatorSpec) -> tuple[flo
     """
     phi0 = _require_symmetric(config, "the mixed derivative")
     eta, mu, lam = config.eta, config.mu, config.lam
-    pair = math.sqrt(lam * (1.0 + lam)) if config.input_kind is InputKind.TWB else 0.0
-    kappa = math.cos(config.theta - 2.0 * config.psi)
+    pair = np.sqrt(lam * (1.0 + lam)) if config.input_kind is InputKind.TWB else 0.0
+    kappa = np.cos(config.theta - 2.0 * config.psi)
     sign = _PHOTOCURRENT_SIGN.get(spec.kind)
     if sign is None:
-        half_cos, half_sin = math.cos(phi0 / 2.0), math.sin(phi0 / 2.0)
+        half_cos, half_sin = np.cos(phi0 / 2.0), np.sin(phi0 / 2.0)
         return (
             eta * 0.5 * mu * half_cos * half_cos,
             -eta * 0.25 * pair * kappa * half_sin * half_sin,
         )
     lam_n = 0.0 if config.input_kind is InputKind.COHERENT_ONLY else lam
-    sine, cosine = math.sin(phi0), math.cos(phi0)
+    sine, cosine = np.sin(phi0), np.cos(phi0)
     sines = sine * sine
     scale = 2.0 * sign * (eta * eta)
     return (
@@ -223,6 +230,20 @@ def _derivative_terms(config: HolometerConfig, spec: EstimatorSpec) -> tuple[flo
     )
 
 
+def _compensated_sum(terms: tuple[Any, ...]) -> Any:
+    """Sum of the terms with each addition's rounding error carried
+    along (Knuth's TwoSum; Ogita, Rump and Oishi, SIAM J. Sci. Comput.
+    26, 1955 (2005)), element-wise over arrays.  Where the sum is not
+    cancellation noise it is within about one ulp of the exact sum."""
+    total, carried = terms[0], 0.0
+    for term in terms[1:]:
+        partial = total + term
+        back = partial - total
+        carried = carried + ((total - (partial - back)) + (term - back))
+        total = partial
+    return total + carried
+
+
 def estimator_mixed_derivative(config: HolometerConfig, spec: EstimatorSpec) -> float:
     """Mixed phase derivative of the estimator mean <C>, exact at the
     working point: the phase response by which u0 and the covariance
@@ -230,17 +251,20 @@ def estimator_mixed_derivative(config: HolometerConfig, spec: EstimatorSpec) -> 
 
     Raises SingularConfigurationError where it vanishes or is pure
     cancellation of its terms (within 64 ulp of the sum of their
-    magnitudes, the bound observables.nrf applies), or is not finite.
+    magnitudes, the bound observables.nrf applies), or is not finite;
+    such members of a stack read nan.
     """
-    terms = _derivative_terms(config, spec)
-    derivative = math.fsum(terms)
-    roundoff = 64.0 * math.ulp(1.0) * math.fsum(abs(term) for term in terms)
-    if not abs(derivative) > roundoff:
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _derivative_terms(config, spec)
+        derivative = _compensated_sum(terms)
+        roundoff = 64.0 * math.ulp(1.0) * sum(np.abs(term) for term in terms)
+    singular = ~(np.abs(derivative) > roundoff)
+    if not config.shape and singular:
         raise SingularConfigurationError(
             f"the estimator mean has no mixed phase response at phi_0 = {config.phi0_1!r} "
             f"(|derivative| = {abs(derivative):.3e} <= roundoff {roundoff:.3e})"
         )
-    return derivative
+    return config.per_row(np.where(singular, np.nan, derivative))
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +277,17 @@ def estimator_center(config: HolometerConfig, spec: EstimatorSpec) -> tuple[floa
 
     Empty for the difference kind (the symmetric working point centers
     it automatically), (s0,) for the sum kind, and the two quadrature
-    means for the product kind.  Centers are frozen at the working point
-    and do not follow the phases during derivative or noise averaging.
+    means for the product kind, each a float or an array over a stack.
+    Centers are frozen at the working point and do not follow the phases
+    during derivative or noise averaging.
     """
     if spec.kind is EstimatorKind.TWB_DIFFERENCE_SQUARED:
         return ()
     if spec.kind is EstimatorKind.TWB_SUM_SQUARED:
         vals = observables.closed_form_moments(config)
-        return (float(vals["mean_1"] + vals["mean_2"]),)
+        return (config.per_row(vals["mean_1"] + vals["mean_2"]),)
     qvals = observables.closed_form_quadrature(config)
-    return (float(qvals["mean_1"]), float(qvals["mean_2"]))
+    return (config.per_row(qvals["mean_1"]), config.per_row(qvals["mean_2"]))
 
 
 def estimator_mean_curve(
@@ -341,12 +366,25 @@ def u0(config: HolometerConfig, spec: EstimatorSpec) -> float:
     SingularConfigurationError where the estimator has no phase
     response.  Divide by classical_benchmark for the ratio to coherent
     light.
+
+    A stack gives an array from one engine readout; its members without
+    a phase response or off the psi pairing (off_pairing) read nan.
     """
     phi0 = _require_symmetric(config, "the zero-order uncertainty")
-    _check_psi_pairing(config, spec)
+    off = off_pairing(config, spec)
+    if not config.shape and off:
+        target = _PHOTOCURRENT_SIGN[spec.kind]
+        raise PsiPairingError(
+            f"{spec.kind.value} pairs with cos(2 psi) = {target:+.0f} "
+            f"(psi = {'pi/2' if target < 0 else '0'}); got psi = {config.psi!r}. "
+            "The photon cross covariance then has the wrong sign for this readout."
+        )
     mean, square = estimator_mean_and_square(config, spec, phi0, phi0)
     variance = square - mean * mean
-    return math.sqrt(2.0 * max(variance, 0.0)) / abs(estimator_mixed_derivative(config, spec))
+    value = np.sqrt(2.0 * np.maximum(variance, 0.0)) / np.abs(
+        estimator_mixed_derivative(config, spec)
+    )
+    return config.per_row(np.where(off, np.nan, value))
 
 
 # ---------------------------------------------------------------------------
@@ -370,24 +408,32 @@ def u0_asymptotic(config: HolometerConfig, branch: str) -> float:
     ``TWB_A_*`` hold deep in the quantum-dominated regime (phi_0 -> 0),
     ``*_large_lambda`` for lam >> 1, ``*_small_lambda`` for lam << 1,
     and ``TWB_B`` is sqrt(2) times the SQ plateau in the
-    coherent-dominated regime.
+    coherent-dominated regime.  Members of a stack outside a branch's
+    domain read nan.
     """
     if branch not in U0_ASYMPTOTIC_BRANCHES:
         raise ValueError(f"unknown branch {branch!r}; expected one of {U0_ASYMPTOTIC_BRANCHES}")
     phi0 = _require_symmetric(config, "the asymptotic uncertainty")
     eta, lam = config.eta, config.lam
-    if branch in ("SQ_large_lambda", "TWB_B") and lam <= 0.0:
-        raise UndefinedResultError("the large-lam plateau requires lam > 0")
-    if branch == "TWB_A_small_lambda" and eta <= 0.0:
-        raise UndefinedResultError("the small-lam quantum-regime limit requires eta > 0")
-    if branch == "SQ_large_lambda":
-        return 1.0 - eta * (1.0 + math.cos(phi0)) / 2.0 + eta * math.cos(phi0 / 2.0) ** 2 / (4.0 * lam)
-    if branch == "SQ_small_lambda":
-        root = math.sqrt(lam)
-        return 1.0 - eta * (1.0 + math.cos(phi0)) * root * (1.0 - root)
-    if branch == "TWB_A_large_lambda":
-        return 2.0 * math.sqrt(5.0) * (1.0 - eta)
+    undefined, reason = False, ""
+    if branch in ("SQ_large_lambda", "TWB_B"):
+        undefined, reason = np.less_equal(lam, 0.0), "the large-lam plateau requires lam > 0"
     if branch == "TWB_A_small_lambda":
-        return math.sqrt(2.0 * (1.0 - eta) / eta)
-    return math.sqrt(2.0) * u0_asymptotic(config, "SQ_large_lambda")
+        undefined = np.less_equal(eta, 0.0)
+        reason = "the small-lam quantum-regime limit requires eta > 0"
+    if not config.shape and undefined:
+        raise UndefinedResultError(reason)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if branch == "SQ_large_lambda":
+            value = 1.0 - eta * (1.0 + np.cos(phi0)) / 2.0 + eta * np.cos(phi0 / 2.0) ** 2 / (4.0 * lam)
+        elif branch == "SQ_small_lambda":
+            root = np.sqrt(lam)
+            value = 1.0 - eta * (1.0 + np.cos(phi0)) * root * (1.0 - root)
+        elif branch == "TWB_A_large_lambda":
+            value = 2.0 * math.sqrt(5.0) * (1.0 - eta)
+        elif branch == "TWB_A_small_lambda":
+            value = np.sqrt(2.0 * (1.0 - eta) / eta)
+        else:
+            value = math.sqrt(2.0) * u0_asymptotic(config, "SQ_large_lambda")
+    return config.per_row(np.where(undefined, np.nan, value))
 

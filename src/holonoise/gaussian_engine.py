@@ -25,7 +25,6 @@ route stays accurate for bright beams.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +84,16 @@ class GaussianState:
         if np.any(asym > 1e-10 * scale):
             raise ValueError(f"covariance asymmetric by {np.max(asym)}")
         cov = 0.5 * (cov + transposed)
-        # uncertainty principle: symplectic eigenvalues may not dip below 1/2
-        nu_min = np.min(np.abs(np.linalg.eigvals(_OMEGA @ cov)), axis=-1)
-        if np.any(nu_min < 0.5 - _HEISENBERG_SLACK * scale):
-            raise ValueError(f"symplectic eigenvalue {np.min(nu_min)} below vacuum limit")
+        # uncertainty principle V + i Omega / 2 >= 0 (Simon, Mukunda and
+        # Dutta, PRA 49, 1567 (1994)): one Cholesky factorization of the
+        # stack, shifted by the slack so that pure states, which put an
+        # exact zero eigenvalue there, pass
+        slack = np.expand_dims(_HEISENBERG_SLACK * scale, (-2, -1)) * np.eye(4)
+        try:
+            np.linalg.cholesky(cov + 0.5j * _OMEGA + slack)
+        except np.linalg.LinAlgError:
+            nu_min = np.min(np.abs(np.linalg.eigvals(_OMEGA @ cov)))
+            raise ValueError(f"symplectic eigenvalue {nu_min} below vacuum limit") from None
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -161,10 +166,12 @@ def quadrature_mean_cov(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Means (..., S) and covariance matrices (..., S, S) of the
     quadratures X_chi = x cos(chi) + y sin(chi) listed as S (mode, chi)
-    pairs."""
-    w = np.zeros((len(specs), 4))
+    pairs; an angle may be an array over the stack."""
+    angles = np.broadcast_shapes(*(np.shape(chi) for _, chi in specs))
+    w = np.zeros(angles + (len(specs), 4))
     for row, (mode, chi) in enumerate(specs):
         if mode not in (0, 1):
             raise ValueError(f"mode {mode} out of range for a two-mode state")
-        w[row, 2 * mode : 2 * mode + 2] = math.cos(chi), math.sin(chi)
-    return (w @ state.mean[..., None])[..., 0], w @ state.cov @ w.T
+        w[..., row, 2 * mode] = np.cos(chi)
+        w[..., row, 2 * mode + 1] = np.sin(chi)
+    return (w @ state.mean[..., None])[..., 0], w @ state.cov @ np.swapaxes(w, -1, -2)

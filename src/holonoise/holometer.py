@@ -10,12 +10,11 @@ The detected pair is a two-mode Gaussian state, readout 1 on mode 0 and
 readout 2 on mode 1.  ``propagate`` writes its mean and covariance from
 the detected-mode correlators of ``observables.detected_correlators``
 and applies the detection loss; the Gaussian engine takes the photon and
-quadrature statistics from there.  Phase arrays give a stack of detected
-states, and the readouts then hold arrays over it.
+quadrature statistics from there.  Phase arrays, or a stacked
+configuration, give a stack of detected states, and the readouts then
+hold arrays over it.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -40,7 +39,8 @@ def propagate(
     """Detected two-mode state after both readout beam splitters and the loss.
 
     phi_1/phi_2 override the configured working phases; phase-noise code
-    leans on that.  Arrays broadcast together and give a stack of states,
+    leans on that.  Arrays, and the stack of a stacked configuration,
+    broadcast together and give a stack of states,
     mean (..., 4) and covariance (..., 4, 4).  With m = <d>, n = <dd+ dd>,
     s = <dd^2> per mode and g = <dd1 dd2> (the only cross correlator of
     these inputs), the quadrature mean is sqrt(2) (Re m, Im m), each
@@ -59,12 +59,12 @@ def propagate(
     for k, eta in enumerate(etas):
         m, n, s = cor[f"m{k + 1}"], cor[f"n{k + 1}"], cor[f"s{k + 1}"]
         x, y = 2 * k, 2 * k + 1
-        mean[..., x] = math.sqrt(2.0 * eta) * m.real
-        mean[..., y] = math.sqrt(2.0 * eta) * m.imag
+        mean[..., x] = np.sqrt(2.0 * eta) * m.real
+        mean[..., y] = np.sqrt(2.0 * eta) * m.imag
         cov[..., x, x] = 0.5 + eta * (n + s.real)
         cov[..., y, y] = 0.5 + eta * (n - s.real)
         cov[..., x, y] = cov[..., y, x] = eta * s.imag
-    root = math.sqrt(etas[0] * etas[1])
+    root = np.sqrt(etas[0] * etas[1])
     g = cor["g"]
     cov[..., 0, 2] = cov[..., 2, 0] = root * g.real
     cov[..., 0, 3] = cov[..., 3, 0] = cov[..., 1, 2] = cov[..., 2, 1] = root * g.imag

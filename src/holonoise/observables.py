@@ -33,6 +33,10 @@ products directly, skipping the terms that vanish for the input kind;
 the Monte-Carlo layer calls them over 1e5-sample phase arrays.  The
 estimators' exact mixed phase derivatives, taken from the same products,
 live with the estimators (estimation.estimator_mixed_derivative).
+
+Everything here also takes a stacked configuration (config.py) and
+then returns arrays over its stack; nrf raises only where a whole
+sweep must stop, as for a scalar configuration.
 """
 from __future__ import annotations
 
@@ -68,10 +72,13 @@ class UndefinedResultError(ValueError):
 
 
 def _half_angles(config: HolometerConfig, phi_1: Any, phi_2: Any) -> tuple[Any, ...]:
-    """cos and sin of phi_i / 2, with the phases defaulted and broadcast."""
+    """cos and sin of phi_i / 2, with the phases defaulted and broadcast
+    together and over the configuration's stack."""
     phi_1 = config.phi0_1 if phi_1 is None else phi_1
     phi_2 = config.phi0_2 if phi_2 is None else phi_2
-    phi_1, phi_2 = np.broadcast_arrays(np.asarray(phi_1, float), np.asarray(phi_2, float))
+    phi_1, phi_2, _ = np.broadcast_arrays(
+        np.asarray(phi_1, float), np.asarray(phi_2, float), np.empty(config.shape)
+    )
     half_1, half_2 = phi_1 / 2.0, phi_2 / 2.0
     return np.cos(half_1), np.sin(half_1), np.cos(half_2), np.sin(half_2)
 
@@ -106,12 +113,12 @@ def detected_correlators(
     if config.input_kind is InputKind.TWB:
         n1 = c1 * c1 * lam
         n2 = c2 * c2 * lam
-        g_anom = c1 * c2 * math.sqrt(lam * (1.0 + lam)) * np.exp(1j * config.theta)
+        g_anom = c1 * c2 * np.sqrt(lam * (1.0 + lam)) * np.exp(1j * config.theta)
     elif config.input_kind is InputKind.TWO_SQUEEZED:
         n1 = c1 * c1 * lam
         n2 = c2 * c2 * lam
         chi = config.squeezed_quadrature_angle
-        b_sq = -math.sqrt(lam * (1.0 + lam)) * np.exp(2j * chi)
+        b_sq = -np.sqrt(lam * (1.0 + lam)) * np.exp(2j * chi)
         s_anom_1 = c1 * c1 * b_sq
         s_anom_2 = c2 * c2 * b_sq
     return {"m1": m1, "m2": m2, "n1": n1, "n2": n2, "s1": s_anom_1, "s2": s_anom_2, "g": g_anom}
@@ -142,11 +149,11 @@ def closed_form_moments(
     c1, s1, c2, s2 = _half_angles(config, phi_1, phi_2)
     eta_1, eta_2 = config.eta_pair
     kind, mu, lam = config.input_kind, config.mu, config.lam
-    pair = math.sqrt(lam * (1.0 + lam))
+    pair = np.sqrt(lam * (1.0 + lam))
     weight, quartic = lam, lam * lam
     if kind is InputKind.TWO_SQUEEZED:
-        weight += pair * math.cos(2.0 * (config.squeezed_quadrature_angle - config.psi))
-        quartic += pair * pair
+        weight = weight + pair * np.cos(2.0 * (config.squeezed_quadrature_angle - config.psi))
+        quartic = quartic + pair * pair
 
     def port(c: Any, s: Any, eta: float) -> tuple[Any, Any]:
         amp2 = mean = var = mu * s * s  # |m_i|^2
@@ -160,7 +167,7 @@ def closed_form_moments(
     mean_2, var_2 = port(c2, s2, eta_2)
     if kind is InputKind.TWB:
         pair_cc = pair * c1 * c2
-        kappa = math.cos(config.theta - 2.0 * config.psi)
+        kappa = np.cos(config.theta - 2.0 * config.psi)
         cov = eta_1 * eta_2 * pair_cc * (pair_cc - 2.0 * mu * kappa * s1 * s2)
     else:
         cov = np.zeros_like(c1)
@@ -191,21 +198,21 @@ def closed_form_quadrature(
     c1, s1, c2, s2 = _half_angles(config, phi_1, phi_2)
     eta_1, eta_2 = config.eta_pair
     kind, lam = config.input_kind, config.lam
-    pair = math.sqrt(lam * (1.0 + lam))
+    pair = np.sqrt(lam * (1.0 + lam))
 
     def port(c: Any, s: Any, eta: float) -> tuple[Any, Any]:
-        mean = math.sqrt(2.0 * eta * config.mu) * math.sin(chi - config.psi) * s
+        mean = np.sqrt(2.0 * eta * config.mu) * np.sin(chi - config.psi) * s
         if kind is InputKind.COHERENT_ONLY:
             return mean, np.full_like(c, 0.5 * eta + (1.0 - eta) / 2.0)
         weight = lam
         if kind is InputKind.TWO_SQUEEZED:
-            weight -= pair * math.cos(2.0 * (config.squeezed_quadrature_angle - chi))
+            weight = weight - pair * np.cos(2.0 * (config.squeezed_quadrature_angle - chi))
         return mean, eta * (0.5 + weight * c * c) + (1.0 - eta) / 2.0
 
     mean_1, var_1 = port(c1, s1, eta_1)
     mean_2, var_2 = port(c2, s2, eta_2)
     if kind is InputKind.TWB:
-        cov = math.sqrt(eta_1 * eta_2) * pair * math.cos(config.theta - chi - chi) * c1 * c2
+        cov = np.sqrt(eta_1 * eta_2) * pair * np.cos(config.theta - chi - chi) * c1 * c2
     else:
         cov = np.zeros_like(c1)
     return {"mean_1": mean_1, "mean_2": mean_2, "var_1": var_1, "var_2": var_2, "cov": cov}
@@ -216,15 +223,10 @@ def analytic_moments(config: HolometerConfig) -> ReadoutMoments:
 
     Exact for all three input kinds and for unequal interferometer
     phases; the returned carrier holds no third/fourth-order table.
+    Floats for a single configuration, arrays over a stack.
     """
     vals = closed_form_moments(config)
-    return ReadoutMoments(
-        mean_1=float(vals["mean_1"]),
-        mean_2=float(vals["mean_2"]),
-        var_1=float(vals["var_1"]),
-        var_2=float(vals["var_2"]),
-        cov=float(vals["cov"]),
-    )
+    return ReadoutMoments(**{name: config.per_row(value) for name, value in vals.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +255,13 @@ def regime_parameter(config: HolometerConfig) -> float:
     rounding step of cos^2.
     """
     half = 0.5 * config.phi0_1
-    coherent = config.mu * math.sin(half) ** 2
-    quantum = math.cos(half) ** 2 * config.lam
+    coherent = config.mu * np.sin(half) ** 2
+    quantum = np.cos(half) ** 2 * config.lam
     if config.input_kind is InputKind.COHERENT_ONLY:
-        return math.inf if coherent > 0.0 else 0.0
-    if quantum == 0.0:
-        return math.inf if coherent > 0.0 else 0.0
-    return coherent / quantum
+        quantum = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = coherent / quantum
+    return config.per_row(np.where(quantum == 0.0, np.where(coherent > 0.0, np.inf, 0.0), ratio))
 
 
 def nrf(config: HolometerConfig) -> NrfResult:
@@ -267,7 +269,8 @@ def nrf(config: HolometerConfig) -> NrfResult:
 
     Requires equal interferometer phases and efficiencies (the
     difference/sum photocurrents are only balanced then).  Raises
-    UndefinedResultError when no light reaches the detectors.
+    UndefinedResultError when no light reaches the detectors, on a
+    stack when that holds for any of its members.
     """
     if not config.is_symmetric():
         raise UndefinedResultError(
@@ -275,7 +278,7 @@ def nrf(config: HolometerConfig) -> NrfResult:
         )
     moments = analytic_moments(config)
     total = moments.total_mean
-    if total <= 0.0:
+    if np.any(total <= 0.0):
         raise UndefinedResultError(
             "no photons reach the detectors; the noise reduction factor is undefined"
         )
@@ -286,10 +289,9 @@ def nrf(config: HolometerConfig) -> NrfResult:
         moments.var_1 + moments.var_2 + 2.0 * abs(moments.cov)
     )
 
-    def ratio(variance: float) -> float:
-        if variance < 0.0 and -variance <= cancellation:
-            return 0.0
-        return variance / total
+    def ratio(variance: Any) -> Any:
+        clamped = (variance < 0.0) & (-variance <= cancellation)
+        return config.per_row(np.where(clamped, 0.0, variance) / total)
 
     return NrfResult(
         nrf_minus=ratio(moments.difference_variance()),

@@ -7,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from holonoise import cli
-from holonoise.config import HolometerConfig
+from holonoise import cli, estimation, holometer
+from holonoise.config import STACK_FIELDS, HolometerConfig
+from holonoise.estimation import EstimatorSpec, PsiPairingError, SingularConfigurationError
 from holonoise.moments import CENTERED_KEYS
+from holonoise.observables import UndefinedResultError, nrf, regime_parameter
 
 
 def run(argv):
@@ -184,6 +187,152 @@ def test_uncertainty_scan_eta_defaults_to_deep_quantum_phase(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# whole-grid sweeps against the same rows computed one configuration at a time
+# ---------------------------------------------------------------------------
+
+
+def base_from_header(comments):
+    line = next(line for line in comments if line.startswith("# base: "))
+    return HolometerConfig.from_dict(json.loads(line.removeprefix("# base: ")))
+
+
+def member(stack, index):
+    """The single configuration at ``index`` of a stacked configuration."""
+    return stack.replace(**{
+        name: float(getattr(stack, name)[index])
+        for name in STACK_FIELDS if np.ndim(getattr(stack, name))
+    })
+
+
+def uncertainty_row(config):
+    """One uncertainty-scan row from scalar calls, as the scan built it
+    before it evaluated whole grids."""
+    twb = config.replace(input_kind="TWB")
+    sq = config.replace(input_kind="TwoSqueezed")
+    twb_sum = twb.replace(psi=twb.psi - math.pi / 2.0)
+    u_cl = estimation.classical_benchmark(config)
+    flags, values = [], []
+    for cfg, kind, label in ((twb, "TwbDifferenceSquared", "twb"),
+                             (sq, "QuadratureProduct", "sq"),
+                             (twb_sum, "TwbSumSquared", "twb_sum")):
+        try:
+            values.append(estimation.u0(cfg, EstimatorSpec(kind=kind)))
+        except SingularConfigurationError:
+            flags.append(f"singular:{label}")
+            values.append(math.nan)
+        except PsiPairingError:
+            flags.append(f"psi_mismatch:{label}")
+            values.append(math.nan)
+
+    def asym(branch):
+        try:
+            return estimation.u0_asymptotic(config, branch)
+        except UndefinedResultError:
+            return math.nan
+
+    return [*values, u_cl, *(value / u_cl for value in values), regime_parameter(config),
+            *map(asym, ("SQ_large_lambda", "TWB_B", "TWB_A_large_lambda",
+                        "TWB_A_small_lambda")),
+            ";".join(flags)]
+
+
+def assert_rows_match(rows, columns, expected):
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        for name, value in zip(columns, want, strict=True):
+            if name == "flag":
+                assert row[name] == value
+            elif math.isnan(value):
+                assert row[name] == "nan", name
+            else:
+                assert float(row[name]) == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["--variable", "phi0"],
+    ["--variable", "eta"],
+    ["--variable", "lambda"],
+    ["--variable", "tau"],
+    ["--variable", "psi"],
+    ["--variable", "phi0", "--grid", "0,1e-3", "--lam", "0"],
+], ids=["phi0", "eta", "lambda", "tau", "psi", "singular"])
+def test_uncertainty_scan_matches_its_rows_one_configuration_at_a_time(tmp_path, argv):
+    out = tmp_path / "u.csv"
+    assert run(["uncertainty-scan", *argv, "--out", str(out)]) == 0
+    comments, columns, rows = read_csv(out)
+    grid = np.array([float(row[columns[0]]) for row in rows])
+    stack = cli._config_at(base_from_header(comments), columns[0], grid)
+    expected = [[value, *uncertainty_row(member(stack, index))]
+                for index, value in enumerate(grid)]
+    assert_rows_match(rows, columns, expected)
+    flags = [row["flag"] for row in rows]
+    if argv[1] == "psi":
+        assert sum("psi_mismatch" in flag for flag in flags) == 40
+    if "--lam" in argv:
+        assert flags == ["singular:twb;singular:twb_sum", ""]
+
+
+def test_nrf_scan_matches_its_rows_one_configuration_at_a_time(tmp_path):
+    out = tmp_path / "nrf.csv"
+    assert run(["nrf-scan", "--out", str(out)]) == 0
+    comments, columns, rows = read_csv(out)
+    base = base_from_header(comments)
+    expected = []
+    for row in rows:
+        tau, lam = float(row["tau"]), float(row["lambda"])
+        config = member(cli._config_at(base, "tau", np.array([tau])), 0).replace(lam=lam)
+        expected.append([tau, lam, nrf(config.replace(psi=math.pi / 2.0)).nrf_minus,
+                         nrf(config.replace(psi=0.0)).nrf_plus, regime_parameter(config)])
+    assert len(rows) == 150  # 50 grid points x the 3 default lambdas, lambda fastest
+    assert [float(row["lambda"]) for row in rows[:4]] == [0.1, 1.0, 10.0, 0.1]
+    assert_rows_match(rows, columns, expected)
+
+
+def test_sweep_input_errors_still_stop_the_scan(tmp_path, capsys):
+    out = tmp_path / "u.csv"
+    assert run(["uncertainty-scan", "--variable", "tau", "--grid", "2.0",
+                "--out", str(out)]) == 1
+    assert "tau must lie in (0, 1], got 2.0" in capsys.readouterr().err
+    assert run(["uncertainty-scan", "--variable", "eta", "--grid", "0.5,1.5,0.9",
+                "--out", str(out)]) == 1
+    assert "eta must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    # the dark fringe has no classical benchmark, and no light no NRF
+    assert run(["uncertainty-scan", "--variable", "phi0", "--grid", "1,3.141592653589793",
+                "--out", str(out)]) == 1
+    assert "classical benchmark diverges" in capsys.readouterr().err
+    assert run(["nrf-scan", "--grid", "0.5,1.0", "--mu", "0", "--lambdas", "1,0",
+                "--out", str(out)]) == 1
+    assert "no photons reach the detectors" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _count_calls(monkeypatch, module, names):
+    """Record (name, max_order) for every call of ``module.<name>``."""
+    calls = []
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, kwargs.get("max_order")))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("points", [5, 50])
+def test_scans_make_a_fixed_number_of_engine_calls(monkeypatch, tmp_path, points):
+    readouts = _count_calls(monkeypatch, holometer, ("readout_moments", "quadrature_readout"))
+    nrf_calls = _count_calls(monkeypatch, cli, ("nrf",))
+    grid = f"1e-6:1e-1:{points}:log"
+    assert run(["uncertainty-scan", "--grid", grid, "--out", str(tmp_path / "u.csv")]) == 0
+    assert sorted(readouts) == [("quadrature_readout", None),
+                                ("readout_moments", 4), ("readout_moments", 4)]
+    assert run(["nrf-scan", "--grid", f"0.1:0.9:{points}", "--out", str(tmp_path / "n.csv")]) == 0
+    assert nrf_calls == [("nrf", None)] * 2
+
+
+# ---------------------------------------------------------------------------
 # config files and flag precedence
 # ---------------------------------------------------------------------------
 
@@ -202,6 +351,23 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert base["mu"] == 1e5  # from the file
     assert base["eta"] == 0.9  # flag overrides the file's 0.8
     assert float(rows[0]["regime_k"]) == pytest.approx(1e5 * 0.1 / (0.9 * 2.0), rel=1e-6)
+
+
+def test_nrf_scan_takes_lambda_from_a_config_file(tmp_path):
+    # defaults < the config file's lambda as the one trace < --lambdas
+    def scan(lam, *flags):
+        config_path = tmp_path / f"lambda_{lam}.json"
+        config_path.write_text(json.dumps({"lambda": lam}))
+        out = tmp_path / "scan.csv"
+        assert run(["nrf-scan", "--grid", "0.5", "--config", str(config_path), *flags,
+                    "--out", str(out)]) == 0
+        return read_csv(out)[2]
+
+    seven, one = scan(7), scan(1)
+    assert [float(row["lambda"]) for row in seven] == [7.0]
+    assert [float(row["lambda"]) for row in one] == [1.0]
+    assert seven[0]["nrf_minus"] != one[0]["nrf_minus"]
+    assert [float(row["lambda"]) for row in scan(7, "--lambdas", "2,3")] == [2.0, 3.0]
 
 
 def test_handler_errors_return_one(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from holonoise.config import HolometerConfig, InputKind
@@ -36,6 +37,30 @@ def test_kind_is_cast_from_string():
 def test_rejects_out_of_range(overrides):
     with pytest.raises(ValueError):
         make(**overrides)
+
+
+def test_stacked_fields_are_validated_element_by_element():
+    with pytest.raises(ValueError, match=r"^eta must lie in \[0, 1\], got 1.5$"):
+        make(eta=np.array([0.5, 1.5, 0.9]))
+    with pytest.raises(ValueError, match=r"^mu must be >= 0, got -2.0$"):
+        make(mu=[1.0, -2.0])
+    with pytest.raises(ValueError, match="must be finite"):
+        make(phi0_1=np.array([0.1, math.nan]), phi0_2=np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match="share one shape"):
+        make(eta=np.array([0.5, 0.6]), lam=np.array([1.0, 2.0, 3.0]))
+
+
+def test_a_stack_holds_read_only_arrays_and_a_single_config_plain_numbers():
+    grid = np.array([0.1, 0.2, 0.3])
+    stack = make(phi0_1=grid, phi0_2=grid)
+    assert stack.shape == (3,) and stack.is_symmetric()
+    assert not stack.phi0_1.flags.writeable and grid.flags.writeable
+    assert list(stack.per_row(2.0)) == [2.0] * 3
+    single = make()
+    assert single.shape == () and type(single.mu) is float
+    assert type(single.per_row(np.float64(2.0))) is float
+    # plain numbers pass through as given, so a JSON header reads as before
+    assert type(make(mu=3).to_dict()["mu"]) is int
 
 
 def test_transmissivity_is_cosine_squared_of_half_phase():

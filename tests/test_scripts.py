@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/: they run against the
 current API and print what they promise.  No timing is asserted."""
+import json
 import os
 import subprocess
 import sys
@@ -8,18 +9,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_moments_runs_every_row_once():
+def test_bench_moments_runs_every_row_once(tmp_path):
+    record_path = tmp_path / "bench.json"
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_moments.py"), "--repeat", "1"],
+        [sys.executable, str(ROOT / "scripts" / "bench_moments.py"), "--quick",
+         "--json", str(record_path)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    # one "label  time ms/call" line per row of the script
-    source = (ROOT / "scripts" / "bench_moments.py").read_text()
-    assert len(lines) == source.count("    clock(\"")
+    # one "label  time ms/call" line per row, and the same rows in the record
     assert all(line.endswith(" ms/call") for line in lines)
+    record = json.loads(record_path.read_text())
+    assert len(record["rows"]) == len(lines)
+    assert all(line.startswith(row["label"]) for row, line in zip(record["rows"], lines))
+    assert {"git_revision", "python", "numpy", "nproc", "blas_threads"} <= set(record)
+    for row in record["rows"]:
+        assert row["repeat"] == 1 and row["min_ms"] <= row["median_ms"] and row["inputs"]
+    scans = [row["inputs"]["argv"] for row in record["rows"] if row["label"].startswith("scan ")]
+    assert len(scans) == 5
 
 
 def test_size_report_totals_its_module_rows():
