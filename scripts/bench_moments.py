@@ -6,14 +6,16 @@ phase pair and over 1e5 phase pairs), the detected-state build, the
 cumulant photon readouts of second and fourth order and the quadrature
 readout (each including its state build), one stacked fourth-order
 readout over 1 000 phase pairs, the exact mixed phase derivative, one
-zero-order uncertainty evaluation per estimator kind, the Gauss-Hermite
-phase-noise variance, one Monte-Carlo covariance recovery (quadrature
-product at the mc-estimate defaults, epsilon = 1e-6, 1e5 samples), the
-truncated-Fock oracle and its beam-splitter transform alone on the
-largest arm block of the oracle's envelope, and, end to end through
-the CLI in-process, the four figure sweeps of run_figure_scans.py and
-the phi0 sweep at the grid cap.  Regressions in the hot paths show up
-as numbers rather than as slow test suites.
+zero-order uncertainty evaluation and one variance expansion per
+estimator kind, the Gauss-Hermite phase-noise variance, the Monte-Carlo
+expectation over 1e5 phase offsets per estimator kind and one
+covariance recovery (quadrature product at the mc-estimate defaults,
+epsilon = 1e-6, 1e5 samples), the truncated-Fock oracle and its
+beam-splitter transform alone on the largest arm block of the oracle's
+envelope, and, end to end through the CLI in-process, the four figure
+sweeps of run_figure_scans.py, the phi0 sweep at the grid cap and
+mc-estimate for each estimator at its default flags.  Regressions in
+the hot paths show up as numbers rather than as slow test suites.
 
 ``--json PATH`` also writes the record: per row the median and the
 minimum over the timed calls and the inputs, and for the run the git
@@ -51,7 +53,10 @@ from holonoise.estimation import EstimatorSpec, estimator_mixed_derivative, u0
 from holonoise.fock_oracle import _arm_block, _bs_pair_transform, oracle_moments
 from holonoise.holometer import propagate, quadrature_readout, readout_moments
 from holonoise.observables import closed_form_moments
-from holonoise.phase_noise import direct_variance, recover_covariance
+from holonoise.phase_noise import (
+    direct_variance, mc_expectation, recover_covariance, sample_phase_offsets,
+    variance_expansion,
+)
 from run_figure_scans import SCANS
 
 BRIGHT = HolometerConfig(mu=1e6, psi=math.pi / 2, lam=10.0, eta=0.95,
@@ -158,9 +163,29 @@ def main() -> int:
                           lambda config=config, spec=spec: u0(config, spec),
                           max(1, repeat // 5),
                           {"config": config.to_dict(), "estimator": spec.kind.value}))
+    for label, config, spec in (("difference readout", BRIGHT, diff),
+                                ("sum readout", bright_sum, plus),
+                                ("quadrature product", bright_sq, quad)):
+        rows.append(clock(f"variance_expansion, {label} (bright)",
+                          lambda config=config, spec=spec: variance_expansion(config, spec),
+                          max(1, repeat // 5),
+                          {"config": config.to_dict(), "estimator": spec.kind.value}))
     rows.append(clock("direct_variance GH-9, difference (bright)",
                       lambda: direct_variance(BRIGHT, diff, 1e-5, 0.0), max(1, repeat // 10),
                       {**bright, "estimator": diff.kind.value, "sigma2": 1e-5, "epsilon": 0.0}))
+    # the mc-estimate defaults of each estimator: twin beams for the photon
+    # readouts (the sum one at psi = 0), squeezed input for the product
+    offsets = sample_phase_offsets(1e-5, 1e-6, np.random.default_rng(0).standard_normal(
+        (samples_n, 2)))
+    desk_twb = DESK.replace(input_kind="TWB")
+    for label, config, spec in (("difference readout", desk_twb, diff),
+                                ("sum readout", desk_twb.replace(psi=0.0), plus),
+                                ("quadrature product", DESK, quad)):
+        rows.append(clock(f"mc_expectation {count(samples_n)} offsets, {label}",
+                          lambda config=config, spec=spec: mc_expectation(config, spec, offsets),
+                          max(1, repeat // 10),
+                          {"config": config.to_dict(), "estimator": spec.kind.value,
+                           "sigma2": 1e-5, "epsilon": 1e-6, "samples": samples_n, "seed": 0}))
     rows.append(clock(f"recover_covariance, quadrature product, {count(samples_n)} samples",
                       lambda: recover_covariance(DESK, quad, 1e-5, 1e-6, samples_n, 0),
                       max(1, repeat // 10),
@@ -182,6 +207,11 @@ def main() -> int:
         argv = with_points(argv, 3) if args.quick else argv
         rows.append(clock(f"scan {name}, in-process", scan(argv), max(1, repeat // 10),
                           {"argv": argv}))
+    for estimator in ("difference-squared", "sum-squared", "quadrature-product"):
+        argv = ["mc-estimate", "--estimator", estimator]
+        argv += ["--n-samples", str(samples_n)] if args.quick else []
+        rows.append(clock(f"mc-estimate {estimator}, in-process", scan(argv),
+                          max(1, repeat // 10), {"argv": argv}))
 
     if args.json:
         record = {

@@ -33,6 +33,7 @@ Exit codes: 0 success, 1 invalid input, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -287,22 +288,25 @@ def _cmd_nrf_scan(args: argparse.Namespace) -> int:
         values = np.repeat(args.grid, len(lam_values))
         config = _config_at(base, args.variable, values)
         config = config.replace(lam=np.tile(lam_values, len(args.grid)))
-    psi_minus = args.psi if args.psi is not None else math.pi / 2.0
-    psi_plus = args.psi if args.psi is not None else 0.0
     if args.variable == "psi":
         both = nrf(config)
         minus, plus = both.nrf_minus, both.nrf_plus
+        psi_line = "both columns at the swept psi"
     else:
+        # each column at its own best coherent phase, unless a flag or the
+        # config file sets psi (base.psi), which then holds for both
+        if args.psi is None and "psi" not in config_file:
+            psi_minus, psi_plus = math.pi / 2.0, 0.0
+        else:
+            psi_minus = psi_plus = base.psi
         minus = nrf(config.replace(psi=psi_minus)).nrf_minus
         plus = nrf(config.replace(psi=psi_plus)).nrf_plus
+        psi_line = f"difference column at psi={psi_minus!r}, sum column at psi={psi_plus!r}"
     rows = _columns_to_rows(values, config.lam, minus, plus, regime_parameter(config))
     _write_csv(
         args.out,
         "nrf-scan",
-        [
-            f"base: {_config_json(base)}",
-            f"difference column at psi={psi_minus!r}, sum column at psi={psi_plus!r}",
-        ],
+        [f"base: {_config_json(base)}", psi_line],
         [args.variable, "lambda", "nrf_minus", "nrf_plus", "regime_k"],
         rows,
     )
@@ -542,7 +546,10 @@ def _cmd_mc_estimate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by
+    every later main call: parsing leaves it unchanged."""
     parser = _Parser(
         prog="holonoise",
         description="Photon statistics and phase-covariance estimation for a pair "
@@ -614,8 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OverflowError, OSError, CutoffError, SingularConfigurationError) as exc:

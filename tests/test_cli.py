@@ -370,6 +370,47 @@ def test_nrf_scan_takes_lambda_from_a_config_file(tmp_path):
     assert [float(row["lambda"]) for row in scan(7, "--lambdas", "2,3")] == [2.0, 3.0]
 
 
+def nrf_psi_scan(tmp_path, *flags):
+    """The psi header line and the one row of nrf-scan at tau 0.5, lambda 1."""
+    out = tmp_path / "scan.csv"
+    assert run(["nrf-scan", "--grid", "0.5", "--lambdas", "1", *flags, "--out", str(out)]) == 0
+    comments, _, rows = read_csv(out)
+    (psi_line,) = [line for line in comments if "column at psi=" in line]
+    return psi_line, rows[0]
+
+
+def test_nrf_scan_takes_psi_from_a_config_file(tmp_path):
+    # defaults (pi/2 and 0, one per column) < the config file's psi for
+    # both columns < --psi for both columns
+    config_path = tmp_path / "psi.json"
+    config_path.write_text(json.dumps({"psi": 0.3}))
+    config = cli._config_at(nrf_base_config(), "tau", np.array([0.5]))
+
+    def expected(psi):
+        both = nrf(config.replace(psi=psi))
+        return float(both.nrf_minus[0]), float(both.nrf_plus[0])
+
+    header, row = nrf_psi_scan(tmp_path, "--config", str(config_path))
+    assert header == "# difference column at psi=0.3, sum column at psi=0.3"
+    assert (float(row["nrf_minus"]), float(row["nrf_plus"])) == expected(0.3)
+    header, row = nrf_psi_scan(tmp_path, "--config", str(config_path), "--psi", "0.7")
+    assert header == "# difference column at psi=0.7, sum column at psi=0.7"
+    assert (float(row["nrf_minus"]), float(row["nrf_plus"])) == expected(0.7)
+    out = tmp_path / "psi_sweep.csv"
+    assert run(["nrf-scan", "--variable", "psi", "--grid", "0.3", "--lambdas", "1",
+                "--config", str(config_path), "--out", str(out)]) == 0
+    assert "# both columns at the swept psi" in read_csv(out)[0]
+
+
+def test_main_calls_do_not_leak_flags_into_each_other(tmp_path):
+    # the parser is built once and reused; a flag of one call must not
+    # become the default of the next
+    assert nrf_psi_scan(tmp_path, "--psi", "0.3")[0] == (
+        "# difference column at psi=0.3, sum column at psi=0.3")
+    assert nrf_psi_scan(tmp_path)[0] == (
+        f"# difference column at psi={math.pi / 2.0!r}, sum column at psi=0.0")
+
+
 def test_handler_errors_return_one(tmp_path):
     # a tau outside (0, 1] fails inside the handler
     assert run(["nrf-scan", "--variable", "tau", "--grid", "1.5"]) == 1

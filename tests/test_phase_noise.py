@@ -83,6 +83,23 @@ def test_mc_expectation_at_zero_noise_is_the_working_point_mean():
     assert se == 0.0
 
 
+BLOCK = phase_noise._MC_BLOCK
+
+
+@pytest.mark.parametrize("n_samples", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 100_000])
+@pytest.mark.parametrize("spec", [QUAD, DIFF], ids=["quadrature", "difference"])
+def test_mc_expectation_is_independent_of_its_blocks(spec, n_samples):
+    # the reference: one surface evaluation over every offset, then the
+    # same whole-array reductions
+    config = DESK if spec is QUAD else TWB_DESK
+    offsets = sample_phase_offsets(1e-5, 3e-6, normals(17, n_samples))
+    values = estimator_mean_curve(
+        config, spec, config.phi0_1 + offsets[:, 0], config.phi0_1 + offsets[:, 1]
+    )
+    want = (float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_samples)))
+    assert mc_expectation(config, spec, offsets) == want
+
+
 # ---------------------------------------------------------------------------
 # covariance recovery
 # ---------------------------------------------------------------------------
