@@ -12,10 +12,13 @@ expectation over 1e5 phase offsets per estimator kind and one
 covariance recovery (quadrature product at the mc-estimate defaults,
 epsilon = 1e-6, 1e5 samples), the truncated-Fock oracle and its
 beam-splitter transform alone on the largest arm block of the oracle's
-envelope, and, end to end through the CLI in-process, the four figure
-sweeps of run_figure_scans.py, the phi0 sweep at the grid cap and
-mc-estimate for each estimator at its default flags.  Regressions in
-the hot paths show up as numbers rather than as slow test suites.
+envelope, the oracle's joint photon-number distribution there and its
+quadrature moments at low occupancy, and, end to end through the CLI
+in-process, the four figure sweeps of run_figure_scans.py, the phi0
+sweep at the grid cap, oracle-check over 100 configurations at seed
+1000 and mc-estimate for each estimator at its default flags.
+Regressions in the hot paths show up as numbers rather than as slow
+test suites.
 
 ``--json PATH`` also writes the record: per row the median and the
 minimum over the timed calls and the inputs, and for the run the git
@@ -50,7 +53,9 @@ import numpy as np
 from holonoise import cli
 from holonoise.config import HolometerConfig
 from holonoise.estimation import EstimatorSpec, estimator_mixed_derivative, u0
-from holonoise.fock_oracle import _arm_block, _bs_pair_transform, oracle_moments
+from holonoise.fock_oracle import (
+    _arm_block, _bs_pair_transform, fock_joint_pmf, fock_quadrature_moments, oracle_moments,
+)
 from holonoise.holometer import propagate, quadrature_readout, readout_moments
 from holonoise.observables import closed_form_moments
 from holonoise.phase_noise import (
@@ -98,10 +103,10 @@ def with_points(argv: list[str], points: int) -> list[str]:
     return argv[:at] + [":".join([lo, hi, str(points), *scale])] + argv[at + 1:]
 
 
-def scan(argv: list[str]):
+def scan(argv: list[str], verdicts: tuple[int, ...] = (0,)):
     def run() -> None:
         with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(argv) != 0:
+            if cli.main(argv) not in verdicts:
                 raise RuntimeError(f"holonoise {' '.join(argv)} failed")
     return run
 
@@ -196,6 +201,12 @@ def main() -> int:
     rows.append(clock("fock oracle end-to-end, order 4 (dim)",
                       lambda: oracle_moments(DIM), max(1, repeat // 10),
                       {"config": DIM.to_dict()}))
+    rows.append(clock("fock_joint_pmf (edge twb)",
+                      lambda: fock_joint_pmf(EDGE), max(1, repeat // 10),
+                      {"config": EDGE.to_dict()}))
+    rows.append(clock("fock_quadrature_moments (dim)",
+                      lambda: fock_quadrature_moments(DIM), max(1, repeat // 10),
+                      {"config": DIM.to_dict()}))
     _, edge_block = _arm_block(EDGE)
     rows.append(clock("beam-splitter transform, one arm block (edge twb)",
                       lambda: _bs_pair_transform(edge_block, EDGE.phi0_1), max(1, repeat // 10),
@@ -207,6 +218,11 @@ def main() -> int:
         argv = with_points(argv, 3) if args.quick else argv
         rows.append(clock(f"scan {name}, in-process", scan(argv), max(1, repeat // 10),
                           {"argv": argv}))
+    # seed 1000 fails one configuration by Fock truncation, so exit 2 is
+    # the expected verdict there
+    argv = ["oracle-check", "--n-configs", "2" if args.quick else "100", "--seed", "1000"]
+    rows.append(clock(f"oracle-check --n-configs {argv[2]} --seed 1000, in-process",
+                      scan(argv, verdicts=(0, 2)), max(1, repeat // 10), {"argv": argv}))
     for estimator in ("difference-squared", "sum-squared", "quadrature-product"):
         argv = ["mc-estimate", "--estimator", estimator]
         argv += ["--n-samples", str(samples_n)] if args.quick else []

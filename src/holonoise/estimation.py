@@ -299,7 +299,14 @@ def estimator_mean_curve(
     Exact for all kinds (Gaussian statistics); the engine reproduces it
     pointwise, which the test-suite checks.
     """
-    center = estimator_center(config, spec)
+    return _centered_mean_curve(config, spec, estimator_center(config, spec), phi_1, phi_2)
+
+
+def _centered_mean_curve(
+    config: HolometerConfig, spec: EstimatorSpec, center: tuple[Any, ...], phi_1: Any, phi_2: Any
+) -> np.ndarray:
+    """estimator_mean_curve about a given estimator_center, so that a
+    caller evaluating the surface in parts centers it once."""
     if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
         q = observables.closed_form_quadrature(config, phi_1, phi_2)
         d1 = q["mean_1"] - center[0]

@@ -12,6 +12,15 @@ single sum over the pair-correlation index (rank one for independent
 inputs), so the oracle never forms a four-mode tensor: each beam
 splitter acts on a (rank, two-mode) block of its own arm, and the joint
 distribution of the detected pair is a contraction of the two arms.
+
+The recurrence is real.  The beam splitter's mode matrix
+M = [[c, i s], [i s, c]] (c, s the cosine and sine of phi/2) is
+diag(1, -i) R diag(1, i) with R = [[c, s], [-s, c]] (equally
+diag(1, i) R^T diag(1, -i)), so its sector block is
+T_s[p, m] = i^(m-p) R_s[p, m] with R_s real.  Twin-beam and
+coherent-only inputs carry phases linear in photon number, which fold
+into a real kernel over the pair index; their arms, Grams and joint
+distribution are real arrays.  Squeezed input keeps one complex arm.
 Detection loss scales the joint falling-factorial moments by eta per
 order, which is exact for binomial loss.
 
@@ -152,17 +161,80 @@ def _twb_weights(lam: float, theta: float, cut: int) -> np.ndarray:
 # instead cancels away every digit by s ~ 160.  The step is a
 # polynomial identity and needs no unitarity, so the non-unitary
 # convention goes through it too.
+#
+# The recurrence runs in real arithmetic.  The "i" convention's mode
+# matrix [[c, i s], [i s, c]] (c = cos(phi/2), s = sin(phi/2)) is
+# diag(1, -i) R diag(1, i) with R = [[c, s], [-s, c]] real: substituting
+# b'+ = i b+ turns (c a+ + i s b+)^m (i s a+ + c b+)^n into
+# (-i)^n (c a+ + s b'+)^m (-s a+ + c b'+)^n, and each a+^p b'+^(s-p) is
+# i^(s-p) a+^p b+^(s-p), so with n = s - m
+#   T_s[p, m] = i^(m-p) R_s[p, m],
+# R_s the block of (alpha, beta, gamma, delta) = (c, s, -s, c).  The
+# "real-symmetric" convention is real already, (c, s, s, c).
 
 
-def _pair_coefficients(phi: float, convention: str) -> tuple[complex, complex, complex, complex]:
+def _pair_coefficients(phi: float, convention: str) -> tuple[float, float, float, float]:
+    """Real (alpha, beta, gamma, delta) of the convention's recurrence."""
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown beam-splitter convention {convention!r}")
     c = math.cos(0.5 * phi)
     s = math.sin(0.5 * phi)
     if convention == "i":
-        return (c, 1j * s, 1j * s, c)
+        return (c, s, -s, c)  # the transform is i^(m - p) times this one
     # not unitary; kept as a loud negative control
-    return (c, complex(s), complex(s), c)
+    return (c, s, s, c)
+
+
+def _real_pair_transform(block: np.ndarray, phi: float, convention: str) -> np.ndarray:
+    """The real recurrence of the convention on a real (n_a, n_b, batch)
+    block: sum_m R_s[p, m] block[m, s - m] into out[p, s - p].
+
+    Sector s comes from sector s - 1 by the one-photon step above, and
+    only the input columns m the block reaches, max(0, s - n_b + 1) <= m
+    <= min(n_a - 1, s), are kept: that band is closed under the step.
+    Output axes are allocated to the full sector reach n_a + n_b - 1, so
+    the transform itself is exact; truncation decisions stay with the
+    caller."""
+    alpha, beta, gamma, delta = _pair_coefficients(phi, convention)
+    na, nb, batch = block.shape
+    smax = na + nb - 2
+    out = np.zeros((smax + 1, smax + 1, batch))
+    out[0, 0] = block[0, 0]
+
+    roots = np.sqrt(np.arange(smax + 1, dtype=float))
+    # entry (m, s - m) of an (n_a, n_b) block sits at s + m (n_b - 1) once
+    # flattened, so each sector is one strided slice, of the input and of
+    # the (smax + 1, smax + 1) output alike
+    sources = block.reshape(na * nb, batch)
+    targets = out.reshape(-1, batch)
+    band = np.ones((1, 1))  # sector 0: the vacuum column m = 0
+    lo_prev = 0
+    for s in range(1, smax + 1):
+        lo, hi = max(0, s - nb + 1), min(na - 1, s)
+        # columns lo - 1 ... hi of sector s - 1, zero outside its band and
+        # framed by zero rows, raised into sector s:
+        # (a+ v)[p] = sqrt(p) v[p - 1] and (b+ v)[p] = sqrt(s - p) v[p]
+        frame = np.zeros((s + 2, hi - lo + 2))
+        frame[1:-1, lo_prev - lo + 1 : lo_prev - lo + 1 + band.shape[1]] = band
+        up = roots[: s + 1, None] * frame[:-1]
+        down = roots[s::-1, None] * frame[1:]
+        # column m takes sqrt(m)/s (alpha a+ + beta b+) of column m - 1
+        # and sqrt(s - m)/s (gamma a+ + delta b+) of column m
+        left = (alpha / s) * up[:, :-1]
+        left += (beta / s) * down[:, :-1]
+        left *= roots[lo : hi + 1]
+        band = (gamma / s) * up[:, 1:]
+        band += (delta / s) * down[:, 1:]
+        band *= roots[s - hi : s - lo + 1][::-1]
+        band += left
+        lo_prev = lo
+        columns = sources[s + lo * (nb - 1) : s + hi * (nb - 1) + 1 : max(nb - 1, 1)]
+        targets[s : s * (smax + 1) + 1 : smax] = band @ columns
+    return out
+
+
+# i^k for k mod 4, exact: multiplying by one swaps or negates parts
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 def _bs_pair_transform(
@@ -170,44 +242,22 @@ def _bs_pair_transform(
     phi: float,
     convention: str = "i",
 ) -> np.ndarray:
-    """Apply the beam splitter on a (n_a, n_b, batch) amplitude block.
+    """Apply the beam splitter on a complex (n_a, n_b, batch) amplitude
+    block.
 
     Under the "i" convention the transformed mode a is
     cos(phi/2) a + i sin(phi/2) b, the port that keeps mode a's content
-    at phi = 0.  Sector s of the transform comes from sector s - 1 by
-    the one-photon step above, and only the input columns m the block
-    reaches, max(0, s - n_b + 1) <= m <= min(n_a - 1, s), are kept: that
-    band is closed under the step.  Output axes are allocated to the
-    full sector reach n_a + n_b - 1, so the transform itself is exact;
-    truncation decisions stay with the caller."""
-    alpha, beta, gamma, delta = _pair_coefficients(phi, convention)
-    na, nb, batch = block.shape
-    smax = na + nb - 2
-    out = np.zeros((smax + 1, smax + 1, batch), dtype=complex)
-    out[0, 0] = block[0, 0]
-
-    roots = np.sqrt(np.arange(smax + 1, dtype=float))
-    band = np.ones((1, 1), dtype=complex)  # sector 0: the vacuum column m = 0
-    lo_prev = 0
-    for s in range(1, smax + 1):
-        lo, hi = max(0, s - nb + 1), min(na - 1, s)
-        ms = np.arange(lo, hi + 1)
-        # columns lo - 1 ... hi of sector s - 1, zero outside its band,
-        # raised into sector s: (a+ v)[p] = sqrt(p) v[p - 1] and
-        # (b+ v)[p] = sqrt(s - p) v[p]
-        cols = slice(lo_prev - lo + 1, lo_prev - lo + 1 + band.shape[1])
-        up = np.zeros((s + 1, len(ms) + 1), dtype=complex)
-        down = np.zeros_like(up)
-        up[1:, cols] = roots[1 : s + 1, None] * band
-        down[:-1, cols] = roots[s:0:-1, None] * band
-        # column m takes sqrt(m)/s (alpha a+ + beta b+) of column m - 1
-        # and sqrt(s - m)/s (gamma a+ + delta b+) of column m
-        band = (alpha * up[:, :-1] + beta * down[:, :-1]) * (roots[ms] / s) + (
-            gamma * up[:, 1:] + delta * down[:, 1:]
-        ) * (roots[s - ms] / s)
-        lo_prev = lo
-        ps = np.arange(s + 1)
-        out[ps, s - ps, :] = band @ block[ms, s - ms, :]
+    at phi = 0.  The real recurrence acts on the real and imaginary
+    parts together (the complex block viewed as reals, batch doubled);
+    under "i" the input rows m are first multiplied by i^m and the
+    output rows p by i^(-p), which is T_s[p, m] = i^(m-p) R_s[p, m]."""
+    block = np.ascontiguousarray(block, dtype=complex)
+    phases = convention == "i"
+    if phases:
+        block = block * _I_POWERS[np.arange(block.shape[0]) % 4, None, None]
+    out = _real_pair_transform(block.view(float), phi, convention).view(complex)
+    if phases:
+        out *= _I_POWERS[-np.arange(out.shape[0]) % 4, None, None]
     return out
 
 
@@ -230,11 +280,27 @@ def two_photon_coincidence(convention: str = "i") -> float:
 # ---------------------------------------------------------------------------
 # factorized across the two interferometers
 
-# Every supported input is  sum_m c_m |arm1_m> |arm2_m>  with arm_i a
-# two-mode (quantum port, coherent port) product state: the pair index m
+# Every supported input is  sum_r c_r |arm1_r> |arm2_r>  with arm_i a
+# two-mode (quantum port, coherent port) product state: the pair index r
 # is the photon number of the shared two-mode squeezed vacuum (rank one
 # for independent inputs).  Beam splitters act inside one arm, so all
 # arrays stay (rank, two-mode) sized and no four-mode tensor is formed.
+#
+# Twin-beam and coherent-only input is pair-diagonal: arm r starts as
+# |r> (x) |coherent>, and both c_r = |c_r| e^{i theta r} and the coherent
+# amplitudes |b_k| e^{i psi k} carry phases linear in photon number.
+# Under "i" the transformed arm r is, at detected p and discarded p',
+#   i^(r-p) e^{i psi (p+p'-r)} R_{p+p'}[p, r] |b_{p+p'-r}|,
+# so its Gram over the discarded port, W[n][r, r'], is the real Gram G of
+# the arm run on magnitudes times e^{i (r-r') (pi/2 - psi)}.  With
+# p(n1, n2) = sum_{r r'} c_r conj(c_r') W1[n1][r, r'] W2[n2][r, r'] the
+# phases collect into e^{i (r-r') (theta + pi - 2 psi)}, and G being
+# symmetric leaves the real kernel
+#   K[r, r'] = |c_r| |c_r'| cos((r - r') (theta + pi - 2 psi)),
+# p = (K o G1) . G2^T over the flattened pair axes.  "real-symmetric" has
+# no i^(r-p) factor, so its kernel angle is theta - 2 psi.  Squeezed
+# input is rank one, but its phases interfere inside its one arm, so
+# that arm stays complex and its kernel is 1.
 
 
 def _arm_block(config: HolometerConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -255,46 +321,44 @@ def _arm_block(config: HolometerConfig) -> tuple[np.ndarray, np.ndarray]:
         weights = np.ones(1, dtype=complex)
         q_vecs = np.ones((1, 1), dtype=complex)
 
-    pre = q_vecs[:, :, None] * coh[None, None, :]  # (rank, quantum, coherent)
-    return weights, pre.transpose(1, 2, 0)
+    return weights, q_vecs.T[:, None, :] * coh[None, :, None]  # (quantum, coherent, rank)
 
 
-def _schmidt_arms(config: HolometerConfig, convention: str = "i"):
-    """Pair weights and transformed arm amplitudes (rank, detected, discarded)."""
+def _per_arm(config: HolometerConfig, fn):
+    """fn at each arm's phase.  Both arms see the same input block, so
+    equal phases share one call and the second result is the first's."""
+    first = fn(config.phi0_1)
+    return first, first if config.phi0_2 == config.phi0_1 else fn(config.phi0_2)
+
+
+def _arm_grams(config: HolometerConfig, convention: str):
+    """The pair kernel K (rank, rank) and each arm's real Gram
+    (detected, pair, pair) over its discarded port."""
     weights, block = _arm_block(config)
+    if config.input_kind is InputKind.TWO_SQUEEZED:
+        # its phases interfere inside the one arm, which stays complex
+        kernel = np.ones((1, 1))
+        transform = _bs_pair_transform
+    else:
+        # pair-diagonal: the phase per unit of r - r', derived above
+        turn = config.theta - 2.0 * config.psi + (math.pi if convention == "i" else 0.0)
+        pairs = np.arange(len(weights))
+        moduli = np.abs(weights)
+        kernel = np.outer(moduli, moduli) * np.cos(np.subtract.outer(pairs, pairs) * turn)
+        transform, block = _real_pair_transform, np.abs(block)
 
-    def arm(phi: float) -> np.ndarray:
-        return _bs_pair_transform(block, phi, convention).transpose(2, 0, 1)
+    def gram(phi: float) -> np.ndarray:
+        arm = transform(block, phi, convention).swapaxes(1, 2)  # (detected, pair, discarded)
+        return (arm @ arm.conj().swapaxes(-1, -2)).real
 
-    # both arms see the same input block, so equal phases share one
-    # transform and the second arm is the first one's array
-    arm1 = arm(config.phi0_1)
-    arm2 = arm1 if config.phi0_2 == config.phi0_1 else arm(config.phi0_2)
-    return weights, arm1, arm2  # each (rank, detected, discarded)
-
-
-def _joint_pmf_from_arms(
-    weights: np.ndarray, arm1: np.ndarray, arm2: np.ndarray
-) -> np.ndarray:
-    # p(n1, n2) = sum_{m m'} c_m conj(c_m') W1[n1, m, m'] W2[n2, m, m'],
-    # W_i[n] = A_i[n] A_i[n]^H with A_i[n][m, k] = arm_i[m, n, k] tracing
-    # the discarded port k of arm i
-    def gram(arm: np.ndarray) -> np.ndarray:
-        a = arm.transpose(1, 0, 2)
-        return a @ a.conj().transpose(0, 2, 1)
-
-    w1 = gram(arm1)
-    w2 = w1 if arm2 is arm1 else gram(arm2)
-    cc = np.multiply.outer(weights, weights.conj())
-    lhs = (cc * w1).reshape(len(w1), -1)
-    rhs = w2.reshape(len(w2), -1)
-    return (lhs @ rhs.T).real
+    return kernel, *_per_arm(config, gram)
 
 
 def fock_joint_pmf(config: HolometerConfig, *, convention: str = "i") -> np.ndarray:
     """Joint photon-number distribution of the two detected ports before
     detection loss."""
-    pmf = _joint_pmf_from_arms(*_schmidt_arms(config, convention))
+    kernel, gram1, gram2 = _arm_grams(config, convention)
+    pmf = (kernel * gram1).reshape(len(gram1), -1) @ gram2.reshape(len(gram2), -1).T
     total = pmf.sum()
     if convention == "real-symmetric":
         return np.clip(pmf, 0.0, None) / total
@@ -378,24 +442,25 @@ def fock_quadrature_moments(config: HolometerConfig) -> QuadratureMoments:
     mix with vacuum noise, the cross covariance scales with sqrt(eta1 eta2).
     """
     chi = config.signal_quadrature_angle
-    weights, arm1, arm2 = _schmidt_arms(config)
+    weights, block = _arm_block(config)
     cc = np.multiply.outer(weights, weights.conj())
 
     def lower(arm: np.ndarray) -> np.ndarray:
+        # the detected port's annihilator, on axis 0
         out = np.zeros_like(arm)
-        n = arm.shape[1]
-        out[:, : n - 1, :] = arm[:, 1:, :] * np.sqrt(np.arange(1.0, n))[None, :, None]
+        out[:-1] = arm[1:] * np.sqrt(np.arange(1.0, len(arm)))[:, None, None]
         return out
 
     def gram(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-        return np.einsum("Mnk,mnk->Mm", bra.conj(), ket)
+        # <bra_M|ket_m> over the detected and discarded ports
+        return np.tensordot(bra.conj(), ket, axes=([0, 1], [0, 1]))
 
-    a1, a2 = lower(arm1), lower(arm2)
-    g1_id, g2_id = gram(arm1, arm1), gram(arm2, arm2)
-    g1_a, g2_a = gram(arm1, a1), gram(arm2, a2)
-    g1_aa = gram(arm1, lower(a1))
-    g2_aa = gram(arm2, lower(a2))
-    g1_n, g2_n = gram(a1, a1), gram(a2, a2)
+    def grams(phi: float) -> tuple[np.ndarray, ...]:
+        arm = _bs_pair_transform(block, phi)  # (detected, discarded, rank)
+        a = lower(arm)
+        return gram(arm, arm), gram(arm, a), gram(arm, lower(a)), gram(a, a)
+
+    (g1_id, g1_a, g1_aa, g1_n), (g2_id, g2_a, g2_aa, g2_n) = _per_arm(config, grams)
 
     def expval(ga: np.ndarray, gb: np.ndarray) -> complex:
         return complex(np.einsum("mM,Mm,Mm->", cc, ga, gb))

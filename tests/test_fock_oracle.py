@@ -132,12 +132,13 @@ def test_pair_transform_matches_reference_on_non_decaying_blocks(shape):
 @pytest.mark.parametrize("phi0_2, phases", [(0.7, [0.7]), (1.9, [0.7, 1.9])])
 def test_each_distinct_phase_is_transformed_once(monkeypatch, phi0_2, phases):
     calls = []
+    recurrence = fock_oracle._real_pair_transform
 
     def counted(block, phi, *args):
         calls.append(phi)
-        return _bs_pair_transform(block, phi, *args)
+        return recurrence(block, phi, *args)
 
-    monkeypatch.setattr(fock_oracle, "_bs_pair_transform", counted)
+    monkeypatch.setattr(fock_oracle, "_real_pair_transform", counted)
     fock_joint_pmf(make(phi0_1=0.7, phi0_2=phi0_2))
     assert calls == phases
 
@@ -168,6 +169,61 @@ def test_schmidt_and_dense_routes_agree():
         r = min(schmidt.shape[0], dense.shape[0])
         c = min(schmidt.shape[1], dense.shape[1])
         assert np.max(np.abs(schmidt[:r, :c] - dense[:r, :c])) < 1e-13, phi0_2
+
+
+def padded_difference(a, b):
+    shape = np.maximum(a.shape, b.shape)
+    pad = [np.pad(x, [(0, shape[0] - x.shape[0]), (0, shape[1] - x.shape[1])]) for x in (a, b)]
+    return np.max(np.abs(pad[0] - pad[1]))
+
+
+# the real twin-beam route folds the pair phase theta and the coherent
+# phase psi into one kernel angle theta + pi - 2 psi; the grid puts
+# theta - 2 psi at 0, pi/2, pi and off those points
+PHASE_GRID = [
+    (0.0, 0.0), (0.5 * math.pi, 0.0), (math.pi, 0.0), (1.3, 0.65),
+    (0.5 * math.pi + 1.0, 0.5), (math.pi + 0.6, 0.3), (2.1, 0.5), (0.4, 1.2),
+]
+
+
+@pytest.mark.parametrize("phi0_2", [0.7, 2.1], ids=["equal-phases", "unequal-phases"])
+@pytest.mark.parametrize("theta, psi", PHASE_GRID)
+def test_twin_beam_phases_fold_into_the_kernel(theta, psi, phi0_2):
+    config = make(mu=0.8, lam=0.3, theta=theta, psi=psi, phi0_2=phi0_2)
+    assert padded_difference(fock_joint_pmf(config), reference.detected_pmf(config)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "config",
+    [make(mu=4.0, lam=1.0, theta=0.9, psi=1.7, phi0_1=0.9, phi0_2=2.1),
+     make(mu=1.0, lam=0.0, input_kind="CoherentOnly", phi0_2=2.1)],
+    ids=["envelope-edge", "coherent-only"],
+)
+def test_pair_diagonal_pmf_matches_dense_reference(config):
+    assert padded_difference(fock_joint_pmf(config), reference.detected_pmf(config)) < 1e-13
+
+
+def complex_arm_pmf(config, convention):
+    # p(n1, n2) = sum_{m m'} c_m conj(c_m') W1[n1, m, m'] W2[n2, m, m'] on
+    # the complex arms, normalized as fock_joint_pmf normalizes
+    weights, block = fock_oracle._arm_block(config)
+    arms = (_bs_pair_transform(block, phi, convention) for phi in (config.phi0_1, config.phi0_2))
+    w1, w2 = (np.einsum("nkm,nkM->nmM", arm, arm.conj()) for arm in arms)
+    pmf = np.einsum("m,M,nmM,NmM->nN", weights, weights.conj(), w1, w2).real
+    return np.clip(pmf, 0.0, None) / pmf.sum()
+
+
+@pytest.mark.parametrize("convention", ["real-symmetric", "i"])
+@pytest.mark.parametrize(
+    "config",
+    [make(theta=0.4, phi0_2=2.1), make(mu=4.0, lam=1.0, psi=0.3, phi0_1=0.9, phi0_2=0.9),
+     make(input_kind="CoherentOnly", phi0_2=1.3)],
+    ids=["twb", "twb-edge", "coherent"],
+)
+def test_real_route_matches_complex_arm_contraction(config, convention):
+    expected = complex_arm_pmf(config, convention)
+    got = fock_joint_pmf(config, convention=convention)
+    assert np.max(np.abs(got - expected)) < 1e-12 * np.max(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ DESK = HolometerConfig(
 )
 QUAD = EstimatorSpec(kind="QuadratureProduct")
 DIFF = EstimatorSpec(kind="TwbDifferenceSquared")
+SUM = EstimatorSpec(kind="TwbSumSquared")
 TWB_DESK = DESK.replace(input_kind="TWB")
 
 
@@ -133,20 +134,34 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+@pytest.mark.parametrize("spec", [QUAD, SUM], ids=["quadrature", "sum"])
+def test_mc_expectation_centers_the_surface_once(monkeypatch, spec):
+    # three blocks of offsets, one working-point centre
+    config = DESK if spec is QUAD else TWB_DESK.replace(psi=0.0)
+    offsets = sample_phase_offsets(1e-5, 3e-6, normals(3, 2 * BLOCK + 3))
+    surfaces = _count_calls(monkeypatch, estimation, "_centered_mean_curve")
+    centers = _count_calls(monkeypatch, estimation, "estimator_center")
+    mc_expectation(config, spec, offsets)
+    assert (len(surfaces), len(centers)) == (3, 1)
+
+
 @pytest.mark.parametrize("spec", [QUAD, DIFF], ids=["quadrature", "difference"])
 def test_recovery_at_zero_covariance_evaluates_the_surface_once(monkeypatch, spec):
     config = DESK if spec is QUAD else TWB_DESK
-    surfaces = _count_calls(monkeypatch, estimation, "estimator_mean_curve")
+    surfaces = _count_calls(monkeypatch, estimation, "_centered_mean_curve")
+    centers = _count_calls(monkeypatch, estimation, "estimator_center")
     draws = _count_calls(monkeypatch, np.random, "default_rng")
     offsets = _count_calls(monkeypatch, phase_noise, "sample_phase_offsets")
     means = _count_calls(monkeypatch, phase_noise, "mc_expectation")
     eps_hat, se = recover_covariance(config, spec, 1e-5, 0.0, 5_000, 8)
     assert eps_hat == 0.0
     assert se > 0.0
-    assert (len(surfaces), len(draws), len(offsets), len(means)) == (1, 1, 1, 1)
+    counts = (len(surfaces), len(centers), len(draws), len(offsets), len(means))
+    assert counts == (1, 1, 1, 1, 1)
     # a nonzero covariance needs the second run, still on the same draw
     recover_covariance(config, spec, 1e-5, 1e-6, 5_000, 8)
-    assert (len(surfaces), len(draws), len(offsets), len(means)) == (3, 2, 3, 3)
+    counts = (len(surfaces), len(centers), len(draws), len(offsets), len(means))
+    assert counts == (3, 3, 2, 3, 3)
 
 
 def test_recovery_equals_its_two_steps():
@@ -256,9 +271,6 @@ def test_direct_variance_photon_kind_agrees_with_gh():
     gh = direct_variance(TWB_DESK, DIFF, 1e-6, 0.0)
     expansion = variance_expansion(TWB_DESK, DIFF)
     assert gh == pytest.approx(expansion.predict(1e-6, 0.0), rel=5e-3)
-
-
-SUM = EstimatorSpec(kind="TwbSumSquared")
 
 
 def _per_point_surfaces(config, spec, d1, d2):
