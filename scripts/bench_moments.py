@@ -143,8 +143,9 @@ def main() -> int:
               lambda: closed_form_moments(BRIGHT), repeat, bright),
     ]
     wide = BRIGHT.phi0_1 + 3e-3 * np.random.default_rng(1).standard_normal((2, wide_n))
+    bright_wide = BRIGHT.replace(phi0_1=wide[0], phi0_2=wide[1])
     rows.append(clock(f"closed_form_moments over {count(wide_n)} phase pairs (bright)",
-                      lambda: closed_form_moments(BRIGHT, wide[0], wide[1]),
+                      lambda: closed_form_moments(bright_wide),
                       max(1, repeat // 5), {**bright, "phase_pairs": wide_n, "sigma": 3e-3}))
     rows.append(clock("detected two-mode state, propagate (bright)",
                       lambda: propagate(BRIGHT), repeat, bright))
@@ -155,8 +156,9 @@ def main() -> int:
     rows.append(clock("state + quadrature readout (bright)",
                       lambda: quadrature_readout(BRIGHT), repeat, bright))
     phases = BRIGHT.phi0_1 + 1e-3 * np.random.default_rng(0).standard_normal((2, pairs_n))
+    bright_pairs = BRIGHT.replace(phi0_1=phases[0], phi0_2=phases[1])
     rows.append(clock(f"order-4 readout over {count(pairs_n)} phase pairs (bright)",
-                      lambda: readout_moments(BRIGHT, phases[0], phases[1], max_order=4),
+                      lambda: readout_moments(bright_pairs, max_order=4),
                       max(1, repeat // 10), {**bright, "phase_pairs": pairs_n, "sigma": 1e-3}))
     rows.append(clock("estimator_mixed_derivative (bright)",
                       lambda: estimator_mixed_derivative(BRIGHT, diff), repeat,

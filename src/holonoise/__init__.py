@@ -20,7 +20,6 @@ from .estimation import (
     PsiPairingError,
     SingularConfigurationError,
     classical_benchmark,
-    estimator_mean_curve,
     estimator_mixed_derivative,
     u0,
     u0_asymptotic,
@@ -108,7 +107,6 @@ __all__ = [
     "U0_ASYMPTOTIC_BRANCHES",
     "classical_benchmark",
     "estimator_mixed_derivative",
-    "estimator_mean_curve",
     "SingularConfigurationError",
     "PsiPairingError",
     # phase-noise Monte Carlo

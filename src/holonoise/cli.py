@@ -372,12 +372,15 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
 
     def readout(cfg: HolometerConfig, kind: str, label: str) -> tuple[np.ndarray, list[str]]:
         """u0 over the grid, and the flag of each row where it is nan: off
-        the readout's psi pairing (a psi sweep) or without phase response."""
+        the readout's psi pairing (a psi sweep), without phase response,
+        or else with a negative computed Var[C]."""
         spec = EstimatorSpec(kind=kind)
         value = estimation.u0(cfg, spec)
-        singular = np.where(np.isnan(value), f"singular:{label}", "")
+        flag = np.where(np.isnan(value), f"negative_variance:{label}", "")
+        flag = np.where(np.isnan(estimation.estimator_mixed_derivative(cfg, spec)),
+                        f"singular:{label}", flag)
         return value, np.where(estimation.off_pairing(cfg, spec), f"psi_mismatch:{label}",
-                               singular).tolist()
+                               flag).tolist()
 
     u_twb, flag_twb = readout(twb, "TwbDifferenceSquared", "twb")
     u_sq, flag_sq = readout(sq, "QuadratureProduct", "sq")

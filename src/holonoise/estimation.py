@@ -27,16 +27,18 @@ sum of separable products of half-angle sines and cosines of the two
 phases.  estimator_mixed_derivative is the one estimator phase response:
 u0 and the Monte-Carlo covariance recovery (phase_noise) both divide by
 it, and it raises SingularConfigurationError where it vanishes or is
-pure cancellation of its terms.  The estimator surfaces freeze their
-centering constants (estimator_center) at the working point themselves,
-so no caller passes them.
+pure cancellation of its terms.  Only the two estimator surfaces
+evaluate away from the working point: each builds that point with
+config.replace and freezes its centering constants (estimator_center)
+at the working point of ``config`` itself, so no caller passes them.
 
 Every function here also takes a stacked configuration (config.py) and
 then returns arrays over its stack, from one engine readout per call.
 Where a single configuration raises SingularConfigurationError,
 PsiPairingError or UndefinedResultError, a stack member reads nan
-instead; off_pairing tells the two u0 cases apart.  The other errors
-stop a stack as they stop a single configuration.
+instead; off_pairing and a nan estimator_mixed_derivative tell the u0
+cases apart.  The other errors stop a stack as they stop a single
+configuration.
 """
 from __future__ import annotations
 
@@ -60,7 +62,6 @@ __all__ = [
     "off_pairing",
     "estimator_mixed_derivative",
     "estimator_center",
-    "estimator_mean_curve",
     "estimator_mean_and_square",
     "u0",
     "u0_asymptotic",
@@ -290,31 +291,25 @@ def estimator_center(config: HolometerConfig, spec: EstimatorSpec) -> tuple[floa
     return (config.per_row(qvals["mean_1"]), config.per_row(qvals["mean_2"]))
 
 
-def estimator_mean_curve(
+def _centered_mean_curve(
     config: HolometerConfig, spec: EstimatorSpec, phi_1: Any, phi_2: Any
 ) -> np.ndarray:
-    """Vectorized closed-form <C(phi_1, phi_2)> surface, centered at the
-    working point of ``config``.
+    """Closed-form <C(phi_1, phi_2)> surface, centered at the working
+    point of ``config``, over phase arrays of one shape.
 
     Exact for all kinds (Gaussian statistics); the engine reproduces it
     pointwise, which the test-suite checks.
     """
-    return _centered_mean_curve(config, spec, estimator_center(config, spec), phi_1, phi_2)
-
-
-def _centered_mean_curve(
-    config: HolometerConfig, spec: EstimatorSpec, center: tuple[Any, ...], phi_1: Any, phi_2: Any
-) -> np.ndarray:
-    """estimator_mean_curve about a given estimator_center, so that a
-    caller evaluating the surface in parts centers it once."""
+    center = estimator_center(config, spec)
+    point = config.replace(phi0_1=phi_1, phi0_2=phi_2)
     if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
-        q = observables.closed_form_quadrature(config, phi_1, phi_2)
+        q = observables.closed_form_quadrature(point)
         d1 = q["mean_1"] - center[0]
         d2 = q["mean_2"] - center[1]
         return np.asarray(q["cov"] + d1 * d2)
     sign = _PHOTOCURRENT_SIGN[spec.kind]
     c0 = 0.0 if not center else center[0]
-    vals = observables.closed_form_moments(config, phi_1, phi_2)
+    vals = observables.closed_form_moments(point)
     var_t = vals["var_1"] + vals["var_2"] + 2.0 * sign * vals["cov"]
     offset = vals["mean_1"] + sign * vals["mean_2"] - c0
     return np.asarray(var_t + offset * offset)
@@ -324,8 +319,7 @@ def estimator_mean_and_square(
     config: HolometerConfig, spec: EstimatorSpec, phi_1: Any, phi_2: Any
 ) -> tuple[Any, Any]:
     """Engine-exact (<C>, <C^2>) at one phase pair, as floats, or over
-    phase arrays (broadcast together), as arrays from one stacked engine
-    call.
+    phase arrays of one shape, as arrays from one stacked engine call.
 
     For the squared photocurrent kinds the fourth-order centered table
     supplies <C^2> = mu4 + 4 d mu3 + 6 d^2 mu2 + d^4 with d the offset
@@ -336,8 +330,9 @@ def estimator_mean_and_square(
     ``config``.
     """
     center = estimator_center(config, spec)
+    point = config.replace(phi0_1=phi_1, phi0_2=phi_2)
     if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
-        q = holometer.quadrature_readout(config, phi_1, phi_2)
+        q = holometer.quadrature_readout(point)
         d1, d2 = q.mean_1 - center[0], q.mean_2 - center[1]
         mean = q.cov + d1 * d2
         square = (
@@ -348,7 +343,7 @@ def estimator_mean_and_square(
         return mean, square
     sign = _PHOTOCURRENT_SIGN[spec.kind]
     c0 = 0.0 if not center else center[0]
-    m = holometer.readout_moments(config, phi_1, phi_2, max_order=4)
+    m = holometer.readout_moments(point, max_order=4)
     mu2 = m.signed_sum_moment(sign, 2)
     mu3 = m.signed_sum_moment(sign, 3)
     mu4 = m.signed_sum_moment(sign, 4)
@@ -374,8 +369,10 @@ def u0(config: HolometerConfig, spec: EstimatorSpec) -> float:
     response.  Divide by classical_benchmark for the ratio to coherent
     light.
 
-    A stack gives an array from one engine readout; its members without
-    a phase response or off the psi pairing (off_pairing) read nan.
+    Raises UndefinedResultError where roundoff in <C^2> leaves a
+    negative Var[C], as for twin beams at eta = 1.  A stack gives an array from one engine readout; its members without
+    a phase response, with a negative Var[C] or off the psi pairing
+    (off_pairing) read nan.
     """
     phi0 = _require_symmetric(config, "the zero-order uncertainty")
     off = off_pairing(config, spec)
@@ -388,7 +385,13 @@ def u0(config: HolometerConfig, spec: EstimatorSpec) -> float:
         )
     mean, square = estimator_mean_and_square(config, spec, phi0, phi0)
     variance = square - mean * mean
-    value = np.sqrt(2.0 * np.maximum(variance, 0.0)) / np.abs(
+    negative = variance < 0.0
+    if not config.shape and negative:
+        raise UndefinedResultError(
+            f"the estimator variance Var[C] = <C^2> - <C>^2 = {variance:.3e} is negative "
+            f"at phi_0 = {phi0!r}; roundoff in <C^2> exceeds it"
+        )
+    value = np.sqrt(2.0 * np.where(negative, np.nan, variance)) / np.abs(
         estimator_mixed_derivative(config, spec)
     )
     return config.per_row(np.where(off, np.nan, value))

@@ -161,17 +161,11 @@ def centered_photon_moments(state: GaussianState, max_order: int = 4) -> Readout
     )
 
 
-def quadrature_mean_cov(
-    state: GaussianState, specs: tuple[tuple[int, float], ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Means (..., S) and covariance matrices (..., S, S) of the
-    quadratures X_chi = x cos(chi) + y sin(chi) listed as S (mode, chi)
-    pairs; an angle may be an array over the stack."""
-    angles = np.broadcast_shapes(*(np.shape(chi) for _, chi in specs))
-    w = np.zeros(angles + (len(specs), 4))
-    for row, (mode, chi) in enumerate(specs):
-        if mode not in (0, 1):
-            raise ValueError(f"mode {mode} out of range for a two-mode state")
-        w[..., row, 2 * mode] = np.cos(chi)
-        w[..., row, 2 * mode + 1] = np.sin(chi)
+def quadrature_mean_cov(state: GaussianState, chi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Means (..., 2) and covariance matrices (..., 2, 2) of the
+    quadratures X_chi = x cos(chi) + y sin(chi) of both modes; chi may
+    be an array over the stack."""
+    w = np.zeros(np.shape(chi) + (2, 4))
+    w[..., 0, 0] = w[..., 1, 2] = np.cos(chi)
+    w[..., 0, 1] = w[..., 1, 3] = np.sin(chi)
     return (w @ state.mean[..., None])[..., 0], w @ state.cov @ np.swapaxes(w, -1, -2)

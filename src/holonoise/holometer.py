@@ -10,9 +10,10 @@ The detected pair is a two-mode Gaussian state, readout 1 on mode 0 and
 readout 2 on mode 1.  ``propagate`` writes its mean and covariance from
 the detected-mode correlators of ``observables.detected_correlators``
 and applies the detection loss; the Gaussian engine takes the photon and
-quadrature statistics from there.  Phase arrays, or a stacked
-configuration, give a stack of detected states, and the readouts then
-hold arrays over it.
+quadrature statistics from there.  Everything is evaluated at the
+configured phases; a stacked configuration, over the phases or any other
+of its STACK_FIELDS, gives a stack of detected states, and the readouts
+then hold arrays over it.
 """
 from __future__ import annotations
 
@@ -31,17 +32,11 @@ __all__ = [
 ]
 
 
-def propagate(
-    config: HolometerConfig,
-    phi_1: float | np.ndarray | None = None,
-    phi_2: float | np.ndarray | None = None,
-) -> ge.GaussianState:
+def propagate(config: HolometerConfig) -> ge.GaussianState:
     """Detected two-mode state after both readout beam splitters and the loss.
 
-    phi_1/phi_2 override the configured working phases; phase-noise code
-    leans on that.  Arrays, and the stack of a stacked configuration,
-    broadcast together and give a stack of states,
-    mean (..., 4) and covariance (..., 4, 4).  With m = <d>, n = <dd+ dd>,
+    A stacked configuration gives a stack of states, mean (..., 4) and
+    covariance (..., 4, 4).  With m = <d>, n = <dd+ dd>,
     s = <dd^2> per mode and g = <dd1 dd2> (the only cross correlator of
     these inputs), the quadrature mean is sqrt(2) (Re m, Im m), each
     diagonal block is n I + [[Re s, Im s], [Im s, -Re s]] + I/2 and the
@@ -49,9 +44,7 @@ def propagate(
     mean by sqrt(eta_i), the fluctuations by eta_i and the cross block
     by sqrt(eta_1 eta_2).
     """
-    p1 = config.phi0_1 if phi_1 is None else phi_1
-    p2 = config.phi0_2 if phi_2 is None else phi_2
-    cor = detected_correlators(config, p1, p2)
+    cor = detected_correlators(config)
     etas = config.eta_pair
     shape = np.shape(cor["m1"])
     mean = np.empty(shape + (4,))
@@ -72,28 +65,17 @@ def propagate(
     return ge.GaussianState(mean, cov)
 
 
-def readout_moments(
-    config: HolometerConfig,
-    phi_1: float | np.ndarray | None = None,
-    phi_2: float | np.ndarray | None = None,
-    max_order: int = 4,
-) -> ReadoutMoments:
+def readout_moments(config: HolometerConfig, max_order: int = 4) -> ReadoutMoments:
     """Joint photon-number moments of the two readouts via the engine;
-    floats at one phase pair, arrays over a stack of them."""
-    return ge.centered_photon_moments(propagate(config, phi_1, phi_2), max_order=max_order)
+    floats for a single configuration, arrays over a stack."""
+    return ge.centered_photon_moments(propagate(config), max_order=max_order)
 
 
-def quadrature_readout(
-    config: HolometerConfig,
-    phi_1: float | np.ndarray | None = None,
-    phi_2: float | np.ndarray | None = None,
-) -> QuadratureMoments:
+def quadrature_readout(config: HolometerConfig) -> QuadratureMoments:
     """First and second moments of the quadrature that carries the phase
-    signal, per readout; floats at one phase pair, arrays over a stack
-    of them."""
-    chi = config.signal_quadrature_angle
-    state = propagate(config, phi_1, phi_2)
-    means, cov = ge.quadrature_mean_cov(state, ((0, chi), (1, chi)))
+    signal, per readout; floats for a single configuration, arrays over
+    a stack."""
+    means, cov = ge.quadrature_mean_cov(propagate(config), config.signal_quadrature_angle)
     values = (means[..., 0], means[..., 1], cov[..., 0, 0], cov[..., 1, 1], cov[..., 0, 1])
     if means.ndim == 1:
         values = tuple(map(float, values))

@@ -58,7 +58,7 @@ class ReadoutMoments:
     ``None`` when only second-order information was computed (the
     closed-form route).  Second-order entries duplicate var_1/var_2/cov
     so the table can be consumed uniformly.  Every value is a float for
-    one phase pair, or an array over a stack of them; the comparison
+    a single configuration, or an array over a stack; the comparison
     helpers below take single points.
     """
 
@@ -88,26 +88,20 @@ class ReadoutMoments:
         return self.mean_1 + self.mean_2
 
     def centered_moment(self, p: int, q: int) -> float:
-        """<dN1^p dN2^q>.  Orders 0 and 1 are trivial; order 2 falls back
-        to the dedicated fields when no table is present."""
+        """<dN1^p dN2^q>.  Orders 0 and 1 are trivial; the others need
+        the centered table."""
         if p < 0 or q < 0:
             raise ValueError("moment orders must be non-negative")
         if p + q == 0:
             return 1.0
         if p + q == 1:
             return 0.0
-        if self.centered is not None:
-            try:
-                return self.centered[(p, q)]
-            except KeyError:
-                raise ValueError(f"moment order ({p}, {q}) not available") from None
-        if (p, q) == (2, 0):
-            return self.var_1
-        if (p, q) == (0, 2):
-            return self.var_2
-        if (p, q) == (1, 1):
-            return self.cov
-        raise ValueError("orders above 2 require the full centered table")
+        if self.centered is None:
+            raise ValueError("orders of 2 and above require the centered table")
+        try:
+            return self.centered[(p, q)]
+        except KeyError:
+            raise ValueError(f"moment order ({p}, {q}) not available") from None
 
     def signed_sum_moment(self, sign: int, order: int) -> float:
         """<(dN1 + sign*dN2)^order> for order <= 4, sign in {+1, -1}."""

@@ -30,13 +30,15 @@ the half-angle cosines and sines of the two phases, with coefficients
 folded from mu, lam, psi, theta and the quadrature angles.
 closed_form_moments and closed_form_quadrature evaluate those real
 products directly, skipping the terms that vanish for the input kind;
-the Monte-Carlo layer calls them over 1e5-sample phase arrays.  The
-estimators' exact mixed phase derivatives, taken from the same products,
-live with the estimators (estimation.estimator_mixed_derivative).
+the Monte-Carlo layer calls them on configurations stacked over sampled
+phase pairs.  The estimators' exact mixed phase derivatives, taken from
+the same products, live with the estimators
+(estimation.estimator_mixed_derivative).
 
-Everything here also takes a stacked configuration (config.py) and
-then returns arrays over its stack; nrf raises only where a whole
-sweep must stop, as for a scalar configuration.
+Everything here evaluates at the configuration's phases.  A stacked
+configuration (config.py) gives arrays over its stack, so a stack over
+phi0_1 and phi0_2 evaluates many phase pairs at once; nrf raises only
+where a whole sweep must stop, as for a scalar configuration.
 """
 from __future__ import annotations
 
@@ -71,34 +73,24 @@ class UndefinedResultError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _half_angles(config: HolometerConfig, phi_1: Any, phi_2: Any) -> tuple[Any, ...]:
-    """cos and sin of phi_i / 2, with the phases defaulted and broadcast
-    together and over the configuration's stack."""
-    phi_1 = config.phi0_1 if phi_1 is None else phi_1
-    phi_2 = config.phi0_2 if phi_2 is None else phi_2
-    phi_1, phi_2, _ = np.broadcast_arrays(
-        np.asarray(phi_1, float), np.asarray(phi_2, float), np.empty(config.shape)
-    )
-    half_1, half_2 = phi_1 / 2.0, phi_2 / 2.0
+def _half_angles(config: HolometerConfig) -> tuple[Any, ...]:
+    """cos and sin of phi0_i / 2 over the configuration's whole stack,
+    also where only other fields (lam, eta, ...) are stacked."""
+    half_1 = np.full(config.shape, config.phi0_1 / 2.0)
+    half_2 = np.full(config.shape, config.phi0_2 / 2.0)
     return np.cos(half_1), np.sin(half_1), np.cos(half_2), np.sin(half_2)
 
 
-def detected_correlators(
-    config: HolometerConfig,
-    phi_1: Any = None,
-    phi_2: Any = None,
-) -> dict[str, Any]:
-    """Pre-loss Gaussian correlators of the two detected modes.
-
-    ``phi_1``/``phi_2`` override the configured operating phases and may
-    be numpy arrays (broadcast together); holometer.propagate builds the
-    engine's detected state from them.
+def detected_correlators(config: HolometerConfig) -> dict[str, Any]:
+    """Pre-loss Gaussian correlators of the two detected modes at the
+    configured phases; holometer.propagate builds the engine's detected
+    state from them.
 
     Returns a dict with keys ``m1, m2`` (complex displacement), ``n1,
     n2`` (thermal occupancy), ``s1, s2`` (self-anomalous ``<dd^2>``) and
     ``g`` (cross-anomalous ``<dd1 dd2>``).
     """
-    c1, s1, c2, s2 = _half_angles(config, phi_1, phi_2)
+    c1, s1, c2, s2 = _half_angles(config)
     alpha = config.coherent_amplitude  # sqrt(mu) e^{i psi}
     m1 = 1j * s1 * alpha
     m2 = 1j * s2 * alpha
@@ -124,15 +116,11 @@ def detected_correlators(
     return {"m1": m1, "m2": m2, "n1": n1, "n2": n2, "s1": s_anom_1, "s2": s_anom_2, "g": g_anom}
 
 
-def closed_form_moments(
-    config: HolometerConfig,
-    phi_1: Any = None,
-    phi_2: Any = None,
-) -> dict[str, Any]:
+def closed_form_moments(config: HolometerConfig) -> dict[str, Any]:
     """Vectorized first/second photon-number moments after detection loss.
 
     Returns a dict with keys ``mean_1, mean_2, var_1, var_2, cov`` whose
-    values are real float64 and broadcast like the phase inputs.  With
+    values are real float64, arrays over a stacked configuration.  With
     c_i, s_i = cos, sin(phi_i / 2), A = sqrt(lam (1 + lam)) and lam_n =
     lam (0 for coherent-only input), the pre-loss moments are
 
@@ -146,7 +134,7 @@ def closed_form_moments(
     the module docstring in real arithmetic; terms that vanish for the
     input kind are never formed.
     """
-    c1, s1, c2, s2 = _half_angles(config, phi_1, phi_2)
+    c1, s1, c2, s2 = _half_angles(config)
     eta_1, eta_2 = config.eta_pair
     kind, mu, lam = config.input_kind, config.mu, config.lam
     pair = np.sqrt(lam * (1.0 + lam))
@@ -174,18 +162,14 @@ def closed_form_moments(
     return {"mean_1": mean_1, "mean_2": mean_2, "var_1": var_1, "var_2": var_2, "cov": cov}
 
 
-def closed_form_quadrature(
-    config: HolometerConfig,
-    phi_1: Any = None,
-    phi_2: Any = None,
-) -> dict[str, Any]:
+def closed_form_quadrature(config: HolometerConfig) -> dict[str, Any]:
     """Vectorized closed-form quadrature readout after detection loss.
 
     Both detectors measure the signal quadrature chi = psi + pi/2,
     where the coherent leak carries the phase information.  Returns
     ``mean_1, mean_2, var_1, var_2, cov`` for Y_chi = (a e^{-i chi} +
-    a^+ e^{i chi})/sqrt(2), as real float64 values that broadcast like
-    the phase inputs.  Before loss, in the notation of
+    a^+ e^{i chi})/sqrt(2), as real float64 values, arrays over a
+    stacked configuration.  Before loss, in the notation of
     closed_form_moments,
 
         <Y_i>      = sqrt(2 mu) sin(chi - psi) s_i
@@ -195,7 +179,7 @@ def closed_form_quadrature(
     where the A term of the variance is present for squeezed input only.
     """
     chi = config.signal_quadrature_angle
-    c1, s1, c2, s2 = _half_angles(config, phi_1, phi_2)
+    c1, s1, c2, s2 = _half_angles(config)
     eta_1, eta_2 = config.eta_pair
     kind, lam = config.input_kind, config.lam
     pair = np.sqrt(lam * (1.0 + lam))

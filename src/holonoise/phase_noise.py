@@ -114,20 +114,18 @@ def mc_expectation(
     """Sample mean and standard error of <C> over the offset samples.
 
     Per-sample expectations come from the real-valued closed-form mean
-    surface (estimation.estimator_mean_curve), centered once per call at
-    the working point (estimation.estimator_center) and evaluated
-    _MC_BLOCK rows of offsets at a time into one array.
+    surface, centered at the working point, evaluated _MC_BLOCK rows of
+    offsets at a time into one array.
     The surface is element-wise and numpy's pairwise mean and std run
     over that whole array, so the result is bit for bit that of one
     evaluation over all offsets, independent of the block length.
     """
     phi0 = config.phi0_1
-    center = estimation.estimator_center(config, spec)
     values = np.empty(len(offsets))
     for start in range(0, len(offsets), _MC_BLOCK):
         part = offsets[start:start + _MC_BLOCK]
         values[start:start + len(part)] = estimation._centered_mean_curve(
-            config, spec, center, phi0 + part[:, 0], phi0 + part[:, 1]
+            config, spec, phi0 + part[:, 0], phi0 + part[:, 1]
         )
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
 

@@ -27,9 +27,9 @@ from holonoise.config import HolometerConfig
 from holonoise.observables import detected_correlators
 
 
-def complex_moments(config: HolometerConfig, phi_1: Any = None, phi_2: Any = None) -> dict[str, Any]:
+def complex_moments(config: HolometerConfig) -> dict[str, Any]:
     """Photon-number mean, variance and covariance after detection loss."""
-    cor = detected_correlators(config, phi_1, phi_2)
+    cor = detected_correlators(config)
     eta_1, eta_2 = config.eta_pair
 
     def port(m: Any, n: Any, s: Any, eta: float) -> tuple[Any, Any]:
@@ -46,17 +46,11 @@ def complex_moments(config: HolometerConfig, phi_1: Any = None, phi_2: Any = Non
     return {"mean_1": mean_1, "mean_2": mean_2, "var_1": var_1, "var_2": var_2, "cov": cov}
 
 
-def complex_quadrature(
-    config: HolometerConfig,
-    phi_1: Any = None,
-    phi_2: Any = None,
-    chi_1: float | None = None,
-    chi_2: float | None = None,
-) -> dict[str, Any]:
-    """Quadrature mean, variance and covariance after detection loss."""
-    chi_1 = config.signal_quadrature_angle if chi_1 is None else chi_1
-    chi_2 = config.signal_quadrature_angle if chi_2 is None else chi_2
-    cor = detected_correlators(config, phi_1, phi_2)
+def complex_quadrature(config: HolometerConfig) -> dict[str, Any]:
+    """Signal-quadrature mean, variance and covariance after detection
+    loss, both readouts at chi_1 = chi_2 = psi + pi/2."""
+    chi_1 = chi_2 = config.signal_quadrature_angle
+    cor = detected_correlators(config)
     eta_1, eta_2 = config.eta_pair
 
     def port(m: Any, n: Any, s: Any, chi: float, eta: float) -> tuple[Any, Any]:

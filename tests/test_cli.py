@@ -223,6 +223,9 @@ def uncertainty_row(config):
         except PsiPairingError:
             flags.append(f"psi_mismatch:{label}")
             values.append(math.nan)
+        except UndefinedResultError:
+            flags.append(f"negative_variance:{label}")
+            values.append(math.nan)
 
     def asym(branch):
         try:
@@ -255,7 +258,8 @@ def assert_rows_match(rows, columns, expected):
     ["--variable", "tau"],
     ["--variable", "psi"],
     ["--variable", "phi0", "--grid", "0,1e-3", "--lam", "0"],
-], ids=["phi0", "eta", "lambda", "tau", "psi", "singular"])
+    ["--variable", "eta", "--grid", "0.95,1.0", "--mu", "1e6"],
+], ids=["phi0", "eta", "lambda", "tau", "psi", "singular", "negative_variance"])
 def test_uncertainty_scan_matches_its_rows_one_configuration_at_a_time(tmp_path, argv):
     out = tmp_path / "u.csv"
     assert run(["uncertainty-scan", *argv, "--out", str(out)]) == 0
@@ -270,6 +274,11 @@ def test_uncertainty_scan_matches_its_rows_one_configuration_at_a_time(tmp_path,
         assert sum("psi_mismatch" in flag for flag in flags) == 40
     if "--lam" in argv:
         assert flags == ["singular:twb;singular:twb_sum", ""]
+    if "--mu" in argv:
+        # twin beams at eta = 1: roundoff leaves the difference readout a
+        # negative Var[C], which reads nan rather than a u0 of 0
+        assert flags == ["", "negative_variance:twb"]
+        assert rows[1]["u0_twb"] == "nan" and float(rows[0]["u0_twb"]) > 0.0
 
 
 def test_nrf_scan_matches_its_rows_one_configuration_at_a_time(tmp_path):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from holonoise import holometer
+from holonoise import estimation, holometer
 from holonoise.config import HolometerConfig
 from holonoise.estimation import (
     U0_ASYMPTOTIC_BRANCHES,
@@ -14,7 +14,6 @@ from holonoise.estimation import (
     classical_benchmark,
     estimator_center,
     estimator_mean_and_square,
-    estimator_mean_curve,
     estimator_mixed_derivative,
     u0,
     u0_asymptotic,
@@ -137,10 +136,11 @@ def engine_finite_difference(config, spec):
     chi = config.signal_quadrature_angle
 
     def cross_moment(phi_1, phi_2):
+        point = config.replace(phi0_1=phi_1, phi0_2=phi_2)
         if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
-            q = quadrature_readout(config, phi_1, phi_2)
+            q = quadrature_readout(point)
             return q.cov + q.mean_1 * q.mean_2
-        m = readout_moments(config, phi_1, phi_2, max_order=2)
+        m = readout_moments(point, max_order=2)
         return m.cov + m.mean_1 * m.mean_2
 
     phi0 = config.phi0_1
@@ -155,7 +155,7 @@ def closed_form_cross_difference(config, h=1e-3):
     truncation error is (sin h / h)^2 - 1, about 3.3e-7 at h = 1e-3."""
 
     def cross_moment(phi_1, phi_2):
-        vals = closed_form_moments(config, phi_1, phi_2)
+        vals = closed_form_moments(config.replace(phi0_1=phi_1, phi0_2=phi_2))
         return float(vals["cov"] + vals["mean_1"] * vals["mean_2"])
 
     return central_cross_difference(cross_moment, config.phi0_1, h)
@@ -208,6 +208,20 @@ def test_singular_configuration_raises():
         u0(config, DIFF)
 
 
+@pytest.mark.parametrize("mu, lam", [(1e6, 10.0), (1e3, 1.0)])
+def test_negative_estimator_variance_raises_and_reads_nan_on_a_stack(mu, lam):
+    # twin beams at eta = 1 and phi_0 = 1e-8: the difference photocurrent
+    # barely fluctuates, and roundoff in <C^2> leaves Var[C] < 0; u0 must
+    # not clip that to an uncertainty of 0
+    config = make(mu=mu, lam=lam, eta=1.0, phi0_1=1e-8, phi0_2=1e-8)
+    mean, square = estimator_mean_and_square(config, DIFF, 1e-8, 1e-8)
+    assert square - mean * mean < 0.0
+    with pytest.raises(UndefinedResultError, match=r"Var\[C\]"):
+        u0(config, DIFF)
+    stack = u0(config.replace(eta=np.array([0.95, 1.0])), DIFF)
+    assert stack[0] == u0(config.replace(eta=0.95), DIFF) and np.isnan(stack[1])
+
+
 def test_non_finite_phase_response_raises():
     # at lam = 1e200 the pair amplitude overflows to inf, and at phi_0 = 0
     # its quadrature term is inf * 0 = nan
@@ -224,9 +238,9 @@ def test_non_finite_phase_response_raises():
 def test_mean_curve_matches_engine_moments():
     config = make(mu=1e4, lam=2.0)
     phis = np.array([config.phi0_1, config.phi0_1 * 1.5, config.phi0_1 * 0.5])
-    curve = estimator_mean_curve(config, DIFF, phis, phis)
+    curve = estimation._centered_mean_curve(config, DIFF, phis, phis)
     for value, phi in zip(curve, phis, strict=True):
-        moments = readout_moments(config, phi, phi, max_order=2)
+        moments = readout_moments(config.replace(phi0_1=phi, phi0_2=phi), max_order=2)
         assert value == pytest.approx(moments.difference_variance(), rel=1e-8)
 
 
@@ -234,7 +248,7 @@ def test_mean_and_square_consistent_with_curve():
     config = make(mu=1e4, lam=2.0)
     for spec, cfg in ((DIFF, config), (QUAD, config.replace(input_kind="TwoSqueezed"))):
         mean, square = estimator_mean_and_square(cfg, spec, cfg.phi0_1 * 1.2, cfg.phi0_2 * 1.2)
-        curve = estimator_mean_curve(
+        curve = estimation._centered_mean_curve(
             cfg, spec, np.array([cfg.phi0_1 * 1.2]), np.array([cfg.phi0_2 * 1.2])
         )
         assert mean == pytest.approx(float(curve[0]), rel=1e-8)

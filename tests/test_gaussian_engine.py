@@ -60,10 +60,12 @@ def test_single_mode_squeeze_variances():
     r, chi = 0.6, 0.3
     rot = np.array([[math.cos(chi), -math.sin(chi)], [math.sin(chi), math.cos(chi)]])
     state = two_mode_state(block_1=rot @ np.diag([math.exp(-2 * r), math.exp(2 * r)]) @ rot.T / 2)
-    (mean,), cov = ge.quadrature_mean_cov(state, ((0, chi),))
-    assert mean == pytest.approx(0.0, abs=1e-14)
+    mean, cov = ge.quadrature_mean_cov(state, chi)
+    assert mean[0] == pytest.approx(0.0, abs=1e-14)
     assert cov[0, 0] == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-12)
-    (_,), anti = ge.quadrature_mean_cov(state, ((0, chi + math.pi / 2),))
+    # mode 2 is vacuum, uncorrelated with mode 1
+    assert cov[1, 1] == pytest.approx(0.5, rel=1e-12) and cov[0, 1] == 0.0
+    _, anti = ge.quadrature_mean_cov(state, chi + math.pi / 2)
     assert anti[0, 0] == pytest.approx(0.5 * math.exp(2 * r), rel=1e-12)
     moments = ge.centered_photon_moments(state)
     assert moments.mean_1 == pytest.approx(math.sinh(r) ** 2, rel=1e-12)

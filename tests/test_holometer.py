@@ -46,7 +46,7 @@ def test_one_readout_builds_one_state(monkeypatch):
     assert len(built) == 2
     # a stack of phase pairs is one state too
     phases = np.linspace(0.1, 2.0, 1_000)
-    readout_moments(make(eta_2=0.6), phases, phases[::-1], max_order=4)
+    readout_moments(make(eta_2=0.6, phi0_1=phases, phi0_2=phases[::-1]), max_order=4)
     assert len(built) == 3
 
 
@@ -65,24 +65,26 @@ def _close(stacked, scalar, rtol=1e-13) -> bool:
 
 @pytest.mark.parametrize("config", STACK_CONFIGS)
 def test_stacked_readouts_equal_the_per_point_calls(config):
-    # phase arrays broadcast to a (3, 2) stack of unequal phase pairs; the
-    # scalar calls at each pair return Python floats
-    phi_1 = config.phi0_1 * np.array([[1.0], [1.7], [0.4]])
-    phi_2 = config.phi0_2 * np.array([[1.0, 2.3]])
-    moments = readout_moments(config, phi_1, phi_2)
-    quadratures = quadrature_readout(config, phi_1, phi_2)
+    # a configuration stacked over a (3, 2) grid of unequal phase pairs;
+    # the single configurations at each pair return Python floats
+    phi_1, phi_2 = np.broadcast_arrays(config.phi0_1 * np.array([[1.0], [1.7], [0.4]]),
+                                       config.phi0_2 * np.array([[1.0, 2.3]]))
+    stack = config.replace(phi0_1=phi_1, phi0_2=phi_2)
+    moments = readout_moments(stack)
+    quadratures = quadrature_readout(stack)
     specs = [EstimatorSpec(kind=kind) for kind in EstimatorKind]
     surfaces = [estimator_mean_and_square(config, spec, phi_1, phi_2) for spec in specs]
     assert moments.mean_1.shape == quadratures.cov.shape == surfaces[0][1].shape == (3, 2)
     for i, j in np.ndindex(3, 2):
-        p1, p2 = float(phi_1[i, 0]), float(phi_2[0, j])
-        single = readout_moments(config, p1, p2)
+        p1, p2 = float(phi_1[i, j]), float(phi_2[i, j])
+        point = config.replace(phi0_1=p1, phi0_2=p2)
+        single = readout_moments(point)
         assert type(single.mean_1) is float and type(single.centered[(2, 2)]) is float
         for name in ("mean_1", "mean_2", "var_1", "var_2", "cov"):
             assert _close(getattr(moments, name)[i, j], getattr(single, name)), name
         for key, value in single.centered.items():
             assert _close(moments.centered[key][i, j], value), key
-        single_q = quadrature_readout(config, p1, p2)
+        single_q = quadrature_readout(point)
         for name in ("mean_1", "mean_2", "var_1", "var_2", "cov"):
             assert type(getattr(single_q, name)) is float
             assert _close(getattr(quadratures, name)[i, j], getattr(single_q, name)), name
@@ -92,14 +94,16 @@ def test_stacked_readouts_equal_the_per_point_calls(config):
             assert _close(mean[i, j], single_mean) and _close(square[i, j], single_square)
 
 
-def test_propagate_keeps_detected_pair_and_phase_overrides():
+def test_propagate_keeps_detected_pair_over_a_phase_stack():
+    # one detected pair per configuration: a stack over the phases holds,
+    # member by member, the state of each phase pair alone
     config = make()
-    state = propagate(config, phi_1=0.3, phi_2=0.5)
+    state = propagate(config.replace(phi0_1=0.3, phi0_2=0.5))
     assert state.mean.shape == (4,) and state.cov.shape == (4, 4)
-    pinned = propagate(config.replace(phi0_1=0.3, phi0_2=0.5))
-    assert np.array_equal(state.mean, pinned.mean) and np.array_equal(state.cov, pinned.cov)
-    default = propagate(config)
-    assert not np.array_equal(default.cov, state.cov)
+    assert not np.array_equal(propagate(config).cov, state.cov)
+    stack = propagate(config.replace(phi0_1=np.array([0.9, 0.3]), phi0_2=np.array([0.9, 0.5])))
+    assert stack.mean.shape == (2, 4) and stack.cov.shape == (2, 4, 4)
+    assert np.array_equal(stack.mean[1], state.mean) and np.array_equal(stack.cov[1], state.cov)
 
 
 def test_engine_matches_oracle_across_kinds_and_asymmetries():

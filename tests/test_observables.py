@@ -183,15 +183,23 @@ def test_real_closed_forms_match_complex_correlator_algebra():
 
 @pytest.mark.parametrize("kind", ["TWB", "TwoSqueezed", "CoherentOnly"])
 def test_real_closed_forms_broadcast_like_the_phases(kind):
+    # a configuration stacked over a (3, 4) grid of unequal phase pairs
+    # gives (3, 4) arrays, equal to the complex reference on the stack and
+    # to the real closed forms of each member alone
     config = make(mu=2e3, lam=3.0, eta=0.8, eta_2=0.7, input_kind=kind, theta=0.5)
-    phi_1 = np.array([[1e-8], [0.2], [1.7]])
-    phi_2 = np.array([1e-6, 0.1, 0.9, 2.4])
-    for got, want in (
-        (closed_form_moments(config, phi_1, phi_2), complex_moments(config, phi_1, phi_2)),
-        (closed_form_quadrature(config, phi_1, phi_2), complex_quadrature(config, phi_1, phi_2)),
+    phi_1, phi_2 = np.broadcast_arrays(
+        np.array([[1e-8], [0.2], [1.7]]), np.array([1e-6, 0.1, 0.9, 2.4])
+    )
+    stack = config.replace(phi0_1=phi_1, phi0_2=phi_2)
+    for closed_form, reference in (
+        (closed_form_moments, complex_moments), (closed_form_quadrature, complex_quadrature)
     ):
+        got = closed_form(stack)
         assert all(np.shape(got[key]) == (3, 4) for key in got)
-        assert max(_reference_gaps(got, want).values()) <= 1e-12
+        assert max(_reference_gaps(got, reference(stack)).values()) <= 1e-12
+        for idx in np.ndindex(3, 4):
+            single = closed_form(config.replace(phi0_1=phi_1[idx], phi0_2=phi_2[idx]))
+            assert all(got[key][idx] == single[key] for key in got)
 
 
 # ---------------------------------------------------------------------------

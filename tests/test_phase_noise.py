@@ -10,7 +10,6 @@ from holonoise.estimation import (
     EstimatorSpec,
     SingularConfigurationError,
     estimator_mean_and_square,
-    estimator_mean_curve,
     u0,
 )
 from holonoise.phase_noise import (
@@ -79,7 +78,7 @@ def test_sample_statistics_track_the_model():
 def test_mc_expectation_at_zero_noise_is_the_working_point_mean():
     offsets = sample_phase_offsets(0.0, 0.0, normals(0, 2_000))
     mean, se = mc_expectation(DESK, QUAD, offsets)
-    exact = float(estimator_mean_curve(DESK, QUAD, DESK.phi0_1, DESK.phi0_2))
+    exact = float(estimation._centered_mean_curve(DESK, QUAD, DESK.phi0_1, DESK.phi0_2))
     assert mean == exact
     assert se == 0.0
 
@@ -94,7 +93,7 @@ def test_mc_expectation_is_independent_of_its_blocks(spec, n_samples):
     # same whole-array reductions
     config = DESK if spec is QUAD else TWB_DESK
     offsets = sample_phase_offsets(1e-5, 3e-6, normals(17, n_samples))
-    values = estimator_mean_curve(
+    values = estimation._centered_mean_curve(
         config, spec, config.phi0_1 + offsets[:, 0], config.phi0_1 + offsets[:, 1]
     )
     want = (float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_samples)))
@@ -135,14 +134,15 @@ def _count_calls(monkeypatch, owner, name):
 
 
 @pytest.mark.parametrize("spec", [QUAD, SUM], ids=["quadrature", "sum"])
-def test_mc_expectation_centers_the_surface_once(monkeypatch, spec):
-    # three blocks of offsets, one working-point centre
+def test_mc_expectation_leaves_the_centre_to_each_block_surface(monkeypatch, spec):
+    # three blocks of offsets, three surfaces, each centred by itself at
+    # the working point; mc_expectation computes no centre of its own
     config = DESK if spec is QUAD else TWB_DESK.replace(psi=0.0)
     offsets = sample_phase_offsets(1e-5, 3e-6, normals(3, 2 * BLOCK + 3))
     surfaces = _count_calls(monkeypatch, estimation, "_centered_mean_curve")
     centers = _count_calls(monkeypatch, estimation, "estimator_center")
     mc_expectation(config, spec, offsets)
-    assert (len(surfaces), len(centers)) == (3, 1)
+    assert (len(surfaces), len(centers)) == (3, 3)
 
 
 @pytest.mark.parametrize("spec", [QUAD, DIFF], ids=["quadrature", "difference"])
