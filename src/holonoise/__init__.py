@@ -47,7 +47,6 @@ from .observables import (
     analytic_moments,
     closed_form_moments,
     closed_form_quadrature,
-    detected_correlators,
     nrf,
     nrf_asymptotic,
     regime_parameter,
@@ -90,7 +89,6 @@ __all__ = [
     "run_crosscheck",
     "sample_guardrail_config",
     # closed-form observables
-    "detected_correlators",
     "closed_form_moments",
     "closed_form_quadrature",
     "analytic_moments",

@@ -211,8 +211,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, with_phi0_lam: bool = 
     parser.add_argument("--theta", type=float, help="pair-correlation phase (radians)")
     parser.add_argument("--theta-xi", dest="theta_xi", type=float,
                         help="squeezing phase (radians)")
-    parser.add_argument("--kind", choices=[k.value for k in InputKind],
-                        help="what is injected at the quantum ports")
 
 
 def _format_cell(value: object) -> str:
@@ -340,7 +338,10 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
     if args.variable == "eta" and args.phi0 is None:
         # deep-quantum working point, where the efficiency dependence is sharpest
         defaults["phi0"] = 1e-8
-    base = _resolve_config({**defaults, **_load_config_file(args.config)}, args)
+    config_file = _load_config_file(args.config)
+    if "input_kind" in config_file:
+        raise ValueError("the config file takes no input_kind: each readout sets its own input")
+    base = _resolve_config({**defaults, **config_file}, args)
     grid = args.grid
     if grid is None:
         grid = _parse_grid(_UNCERTAINTY_DEFAULT_GRIDS[args.variable])
@@ -362,13 +363,13 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
         "flag",
     ]
 
-    config = _config_at(base, args.variable, grid)
-    twb = config.replace(input_kind="TWB")
-    sq = config.replace(input_kind="TwoSqueezed")
+    # the base input is the twin beam, which the regime and limit columns describe
+    twb = _config_at(base, args.variable, grid)
+    sq = twb.replace(input_kind="TwoSqueezed")
     # the sum readout pairs with the coherent phase rotated a quarter
     # turn from the difference readout's pairing
     twb_sum = twb.replace(psi=twb.psi - math.pi / 2.0)
-    u_cl = estimation.classical_benchmark(config)
+    u_cl = estimation.classical_benchmark(twb)
 
     def readout(cfg: HolometerConfig, kind: str, label: str) -> tuple[np.ndarray, list[str]]:
         """u0 over the grid, and the flag of each row where it is nan: off
@@ -395,8 +396,8 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
         u_twb / u_cl,
         u_sq / u_cl,
         u_sum / u_cl,
-        regime_parameter(config),
-        *(estimation.u0_asymptotic(config, branch) for branch in (
+        regime_parameter(twb),
+        *(estimation.u0_asymptotic(twb, branch) for branch in (
             "SQ_large_lambda", "TWB_B", "TWB_A_large_lambda", "TWB_A_small_lambda")),
         flag,
     )
@@ -619,6 +620,11 @@ def _parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--n-samples", type=_parse_n_samples, default=100_000,
                       help=f"Monte-Carlo samples per run (default 100000, at most {MAX_SAMPLES})")
     p_mc.set_defaults(handler=_cmd_mc_estimate)
+
+    # uncertainty-scan sets the input of each of its readouts itself
+    for command in (p_nrf, p_mc):
+        command.add_argument("--kind", choices=[k.value for k in InputKind],
+                             help="what is injected at the quantum ports")
 
     return parser
 

@@ -148,10 +148,6 @@ class HolometerConfig:
         """Readout quadrature orthogonal to the coherent displacement."""
         return self.psi + 0.5 * math.pi
 
-    @property
-    def coherent_amplitude(self) -> complex:
-        return np.sqrt(self.mu) * (np.cos(self.psi) + 1j * np.sin(self.psi))
-
     def is_symmetric(self) -> bool:
         return self.eta_2 is None and _everywhere(self.phi0_1 == self.phi0_2)
 

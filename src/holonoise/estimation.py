@@ -196,8 +196,8 @@ def _derivative_terms(config: HolometerConfig, spec: EstimatorSpec) -> tuple[Any
     product gives d^2<Y1 Y2>, with the quadrature angles pinned to the
     working-point signal quadrature; centering constants are held fixed,
     so they drop out.  Both cross moments are sums of separable products
-    f(phi_1) g(phi_2) of half-angle sines and cosines (see
-    observables.detected_correlators), so the terms are exact:
+    f(phi_1) g(phi_2) of half-angle sines and cosines (the correlators of
+    observables' module docstring), so the terms are exact:
 
         d^2 <N1 N2> = eta^2 [(mu - lam_n)^2 sin^2(phi_0) / 4
                              - mu A kappa cos^2(phi_0) / 2

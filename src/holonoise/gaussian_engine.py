@@ -85,12 +85,16 @@ class GaussianState:
             raise ValueError(f"covariance asymmetric by {np.max(asym)}")
         cov = 0.5 * (cov + transposed)
         # uncertainty principle V + i Omega / 2 >= 0 (Simon, Mukunda and
-        # Dutta, PRA 49, 1567 (1994)): one Cholesky factorization of the
-        # stack, shifted by the slack so that pure states, which put an
-        # exact zero eigenvalue there, pass
-        slack = np.expand_dims(_HEISENBERG_SLACK * scale, (-2, -1)) * np.eye(4)
+        # Dutta, PRA 49, 1567 (1994)), which holds exactly where its real
+        # form [[V, -Omega/2], [Omega/2, V]] does: one Cholesky factorization
+        # over the stack, shifted by the slack so that pure states, with an
+        # exact zero eigenvalue, pass
+        real_form = np.empty(cov.shape[:-2] + (8, 8))
+        real_form[..., :4, :4] = real_form[..., 4:, 4:] = (
+            cov + np.expand_dims(_HEISENBERG_SLACK * scale, (-2, -1)) * np.eye(4))
+        real_form[..., :4, 4:], real_form[..., 4:, :4] = -0.5 * _OMEGA, 0.5 * _OMEGA
         try:
-            np.linalg.cholesky(cov + 0.5j * _OMEGA + slack)
+            np.linalg.cholesky(real_form)
         except np.linalg.LinAlgError:
             nu_min = np.min(np.abs(np.linalg.eigvals(_OMEGA @ cov)))
             raise ValueError(f"symplectic eigenvalue {nu_min} below vacuum limit") from None

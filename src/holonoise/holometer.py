@@ -6,23 +6,27 @@ transmitting the quantum side with cos(phi/2).  At phi = 0 the readout
 therefore sees only the quantum light, and the coherent beam leaks in
 proportionally to sin^2(phi/2).
 
-The detected pair is a two-mode Gaussian state, readout 1 on mode 0 and
-readout 2 on mode 1.  ``propagate`` writes its mean and covariance from
-the detected-mode correlators of ``observables.detected_correlators``
-and applies the detection loss; the Gaussian engine takes the photon and
-quadrature statistics from there.  Everything is evaluated at the
-configured phases; a stacked configuration, over the phases or any other
-of its STACK_FIELDS, gives a stack of detected states, and the readouts
-then hold arrays over it.
+The detected pair is a two-mode Gaussian state, readout i on the
+quadratures (x_i, y_i).  With the detected-mode correlators m_i, n_i,
+S_i and G of observables' docstring and the detection loss, its mean is
+sqrt(2 eta_i) (Re m_i, Im m_i), its diagonal blocks are I/2 + eta_i (n_i
+I + [[Re S_i, Im S_i], [Im S_i, -Re S_i]]) and its cross block is
+sqrt(eta_1 eta_2) [[Re G, Im G], [Im G, -Re G]].  ``propagate`` writes
+each entry as the real product of half-angle cosines and sines with the
+configuration's scalars that the closed forms use, and leaves the terms
+the input kind lacks at zero; the Gaussian engine takes the photon and
+quadrature statistics from there.  A stacked configuration, over the
+phases or any other of its STACK_FIELDS, gives a stack of detected
+states, and the readouts then hold arrays over it.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import gaussian_engine as ge
-from .config import HolometerConfig
+from .config import HolometerConfig, InputKind
 from .moments import QuadratureMoments, ReadoutMoments
-from .observables import detected_correlators
+from .observables import _half_angles
 
 __all__ = [
     "HolometerConfig",
@@ -33,35 +37,38 @@ __all__ = [
 
 
 def propagate(config: HolometerConfig) -> ge.GaussianState:
-    """Detected two-mode state after both readout beam splitters and the loss.
-
-    A stacked configuration gives a stack of states, mean (..., 4) and
-    covariance (..., 4, 4).  With m = <d>, n = <dd+ dd>,
-    s = <dd^2> per mode and g = <dd1 dd2> (the only cross correlator of
-    these inputs), the quadrature mean is sqrt(2) (Re m, Im m), each
-    diagonal block is n I + [[Re s, Im s], [Im s, -Re s]] + I/2 and the
-    cross block is [[Re g, Im g], [Im g, -Re g]].  Loss eta_i scales the
-    mean by sqrt(eta_i), the fluctuations by eta_i and the cross block
-    by sqrt(eta_1 eta_2).
-    """
-    cor = detected_correlators(config)
-    etas = config.eta_pair
-    shape = np.shape(cor["m1"])
-    mean = np.empty(shape + (4,))
-    cov = np.empty(shape + (4, 4))
-    for k, eta in enumerate(etas):
-        m, n, s = cor[f"m{k + 1}"], cor[f"n{k + 1}"], cor[f"s{k + 1}"]
-        x, y = 2 * k, 2 * k + 1
-        mean[..., x] = np.sqrt(2.0 * eta) * m.real
-        mean[..., y] = np.sqrt(2.0 * eta) * m.imag
-        cov[..., x, x] = 0.5 + eta * (n + s.real)
-        cov[..., y, y] = 0.5 + eta * (n - s.real)
-        cov[..., x, y] = cov[..., y, x] = eta * s.imag
-    root = np.sqrt(etas[0] * etas[1])
-    g = cor["g"]
-    cov[..., 0, 2] = cov[..., 2, 0] = root * g.real
-    cov[..., 0, 3] = cov[..., 3, 0] = cov[..., 1, 2] = cov[..., 2, 1] = root * g.imag
-    cov[..., 1, 3] = cov[..., 3, 1] = root * -g.real
+    """Detected two-mode state after both readout beam splitters and the loss."""
+    c1, s1, c2, s2 = _half_angles(config)
+    kind, lam = config.input_kind, config.lam
+    eta_1, eta_2 = config.eta_pair
+    amp = np.sqrt(config.mu)
+    amp_cos, amp_sin = amp * np.cos(config.psi), amp * np.sin(config.psi)
+    pair = np.sqrt(lam * (1.0 + lam))
+    if kind is InputKind.TWO_SQUEEZED:
+        two_chi = 2.0 * config.squeezed_quadrature_angle
+        squeeze_cos, squeeze_sin = -pair * np.cos(two_chi), -pair * np.sin(two_chi)
+    mean = np.empty(c1.shape + (4,))
+    cov = np.zeros(c1.shape + (4, 4))
+    for x, c, s, eta in ((0, c1, s1, eta_1), (2, c2, s2, eta_2)):
+        y, scale, cc = x + 1, np.sqrt(2.0 * eta), c * c
+        mean[..., x], mean[..., y] = scale * -(s * amp_sin), scale * (s * amp_cos)
+        n = 0.0 if kind is InputKind.COHERENT_ONLY else cc * lam
+        if kind is InputKind.TWO_SQUEEZED:
+            cov[..., x, x] = 0.5 + eta * (n + cc * squeeze_cos)
+            cov[..., y, y] = 0.5 + eta * (n - cc * squeeze_cos)
+            cov[..., x, y] = cov[..., y, x] = eta * (cc * squeeze_sin)
+        else:
+            cov[..., x, x] = cov[..., y, y] = 0.5 + eta * n
+    root = np.sqrt(eta_1 * eta_2)
+    if kind is InputKind.TWB:
+        term = c1 * c2 * pair
+        g_cos, g_sin = term * np.cos(config.theta), term * np.sin(config.theta)
+        cov[..., 0, 2] = cov[..., 2, 0] = root * g_cos
+        cov[..., 0, 3] = cov[..., 3, 0] = cov[..., 1, 2] = cov[..., 2, 1] = root * g_sin
+        cov[..., 1, 3] = cov[..., 3, 1] = root * -g_cos
+    else:
+        # -(G cos theta) at G = 0, as the twin-beam branch writes it
+        cov[..., 1, 3] = cov[..., 3, 1] = -0.0
     return ge.GaussianState(mean, cov)
 
 

@@ -21,18 +21,19 @@ nonzero cross correlator for the inputs modeled here):
 
 Detection loss eta maps mean -> eta*mean, Var -> eta^2*Var +
 eta(1-eta)*mean, Cov -> eta_1*eta_2*Cov.  These identities hold exactly
-for displaced Gaussian states.  The Gaussian engine builds its detected
-state from the correlators (holometer.propagate), so the independent
-check of both is the truncated-Fock oracle, at 1e-8 relative.
-
-With the correlators written out, every moment is a real polynomial in
-the half-angle cosines and sines of the two phases, with coefficients
-folded from mu, lam, psi, theta and the quadrature angles.
-closed_form_moments and closed_form_quadrature evaluate those real
-products directly, skipping the terms that vanish for the input kind;
-the Monte-Carlo layer calls them on configurations stacked over sampled
-phase pairs.  The estimators' exact mixed phase derivatives, taken from
-the same products, live with the estimators
+for displaced Gaussian states.  Here m_i = i s_i sqrt(mu) e^{i psi},
+n_i = lam c_i^2, S_i = -A c_i^2 e^{2 i chi} for squeezed input (chi its
+squeezed quadrature angle) and G = A c_1 c_2 e^{i theta} for twin beams,
+with c_i, s_i = cos, sin(phi_i / 2) and A = sqrt(lam (1 + lam)), so
+every moment is a real polynomial in the half-angle cosines and sines,
+with coefficients folded from mu, lam, psi, theta and the quadrature
+angles.  closed_form_moments and closed_form_quadrature evaluate those
+real products directly, skipping the terms that vanish for the input
+kind; the Monte-Carlo layer calls them on configurations stacked over
+sampled phase pairs.  holometer.propagate writes the engine's detected
+state from the same products, so the independent check of both is the
+truncated-Fock oracle, at 1e-8 relative.  The estimators' exact mixed
+phase derivatives live with the estimators
 (estimation.estimator_mixed_derivative).
 
 Everything here evaluates at the configuration's phases.  A stacked
@@ -54,7 +55,6 @@ from .moments import ReadoutMoments
 __all__ = [
     "UndefinedResultError",
     "NrfResult",
-    "detected_correlators",
     "closed_form_moments",
     "closed_form_quadrature",
     "analytic_moments",
@@ -69,7 +69,7 @@ class UndefinedResultError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# correlator primitives
+# closed forms
 # ---------------------------------------------------------------------------
 
 
@@ -79,41 +79,6 @@ def _half_angles(config: HolometerConfig) -> tuple[Any, ...]:
     half_1 = np.full(config.shape, config.phi0_1 / 2.0)
     half_2 = np.full(config.shape, config.phi0_2 / 2.0)
     return np.cos(half_1), np.sin(half_1), np.cos(half_2), np.sin(half_2)
-
-
-def detected_correlators(config: HolometerConfig) -> dict[str, Any]:
-    """Pre-loss Gaussian correlators of the two detected modes at the
-    configured phases; holometer.propagate builds the engine's detected
-    state from them.
-
-    Returns a dict with keys ``m1, m2`` (complex displacement), ``n1,
-    n2`` (thermal occupancy), ``s1, s2`` (self-anomalous ``<dd^2>``) and
-    ``g`` (cross-anomalous ``<dd1 dd2>``).
-    """
-    c1, s1, c2, s2 = _half_angles(config)
-    alpha = config.coherent_amplitude  # sqrt(mu) e^{i psi}
-    m1 = 1j * s1 * alpha
-    m2 = 1j * s2 * alpha
-
-    lam = config.lam
-    zeros = np.zeros_like(c1, dtype=complex)
-    n1 = np.zeros_like(c1)
-    n2 = np.zeros_like(c2)
-    s_anom_1 = zeros.copy()
-    s_anom_2 = zeros.copy()
-    g_anom = zeros.copy()
-    if config.input_kind is InputKind.TWB:
-        n1 = c1 * c1 * lam
-        n2 = c2 * c2 * lam
-        g_anom = c1 * c2 * np.sqrt(lam * (1.0 + lam)) * np.exp(1j * config.theta)
-    elif config.input_kind is InputKind.TWO_SQUEEZED:
-        n1 = c1 * c1 * lam
-        n2 = c2 * c2 * lam
-        chi = config.squeezed_quadrature_angle
-        b_sq = -np.sqrt(lam * (1.0 + lam)) * np.exp(2j * chi)
-        s_anom_1 = c1 * c1 * b_sq
-        s_anom_2 = c2 * c2 * b_sq
-    return {"m1": m1, "m2": m2, "n1": n1, "n2": n2, "s1": s_anom_1, "s2": s_anom_2, "g": g_anom}
 
 
 def closed_form_moments(config: HolometerConfig) -> dict[str, Any]:

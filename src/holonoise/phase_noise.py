@@ -57,6 +57,7 @@ import numpy as np
 from . import estimation
 from .config import HolometerConfig
 from .estimation import EstimatorSpec
+from .observables import UndefinedResultError
 
 __all__ = [
     "VarianceExpansion",
@@ -202,7 +203,9 @@ class VarianceExpansion:
 
 def variance_expansion(config: HolometerConfig, spec: EstimatorSpec) -> VarianceExpansion:
     """Expansion coefficients of Var_x[C] around the working point; they
-    do not depend on the noise, which ``predict`` takes."""
+    do not depend on the noise, which ``predict`` takes.  Raises
+    UndefinedResultError where roundoff leaves a negative var_zero, as
+    estimation.u0 does on the same Var[C]."""
     phi0 = config.phi0_1
     if config.phi0_2 != phi0:
         raise ValueError("the variance expansion assumes a symmetric working point")
@@ -225,11 +228,15 @@ def variance_expansion(config: HolometerConfig, spec: EstimatorSpec) -> Variance
             (f[..., 4] - f[..., 5] - f[..., 6] + f[..., 7]) / (4.0 * square),
         )
     )
+    var_zero = float(q0 - h0 * h0)
+    if var_zero < 0.0:
+        raise UndefinedResultError(f"Var[C] = {var_zero:.3e} at phi_0 = {phi0!r} is negative; "
+                                   "roundoff in <C^2> exceeds it")
     return VarianceExpansion(
         a_11=float(0.5 * q11 - h0 * h11),
         a_22=float(0.5 * q22 - h0 * h22),
         a_12=float(q12 - 2.0 * h0 * h12),
-        var_zero=float(q0 - h0 * h0),
+        var_zero=var_zero,
     )
 
 
@@ -241,7 +248,8 @@ def direct_variance(
     Var_x[C] = E_x[<C^2>] - (E_x[<C>])^2, integrated by Gauss-Hermite
     quadrature on the 45-degree decorrelated axes (variances sigma2 +-
     epsilon), _GH_ORDER nodes per axis, with the surfaces from one
-    stacked engine call over all nodes.
+    stacked engine call over all nodes.  Raises UndefinedResultError
+    where roundoff leaves a negative result.
     """
     _check_noise(config, sigma2, epsilon)
     phi0 = config.phi0_1
@@ -257,4 +265,8 @@ def direct_variance(
     means, squares = estimation.estimator_mean_and_square(config, spec, phi0 + d1, phi0 + d2)
     e_h = float(np.sum(w * means))
     e_q = float(np.sum(w * squares))
-    return e_q - e_h * e_h
+    variance = e_q - e_h * e_h
+    if variance < 0.0:
+        raise UndefinedResultError(f"Var_x[C] = {variance:.3e} under phase noise is negative; "
+                                   "roundoff in <C^2> exceeds it")
+    return variance

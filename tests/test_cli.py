@@ -143,13 +143,23 @@ def test_uncertainty_scan_flags_singular_rows(tmp_path):
     out = tmp_path / "sing.csv"
     code = run([
         "uncertainty-scan", "--variable", "phi0", "--grid", "0",
-        "--kind", "CoherentOnly", "--lam", "0", "--out", str(out),
+        "--lam", "0", "--out", str(out),
     ])
     assert code == 0
     _, _, rows = read_csv(out)
     assert len(rows) == 1
     assert "singular" in rows[0]["flag"]
     assert rows[0]["u0_twb"] == "nan"
+
+
+def test_uncertainty_scan_takes_no_input_kind(tmp_path, capsys):
+    # each of its readouts sets its own input, so a chosen kind would be ignored
+    assert run_usage_error(["uncertainty-scan", "--kind", "TWB"]) == 1
+    assert "unrecognized arguments: --kind TWB" in capsys.readouterr().err
+    config = tmp_path / "kind.json"
+    config.write_text(json.dumps({"input_kind": "CoherentOnly"}))
+    assert run(["uncertainty-scan", "--config", str(config)]) == 1
+    assert "takes no input_kind" in capsys.readouterr().err
 
 
 def test_uncertainty_scan_psi_sweep_flags_off_pairing_rows(tmp_path):
@@ -620,4 +630,18 @@ def test_mc_estimate_skips_the_expansion_outside_its_domain(capsys):
     printed = capsys.readouterr().out
     assert "worst |pull|" in printed
     assert "variance expansion skipped: the second-order expansion is valid for" in printed
+    assert "direct quadrature" not in printed
+
+
+def test_mc_estimate_skips_the_expansion_at_a_negative_variance(capsys):
+    # twin beams at eta = 1 and phi_0 = 1e-8: roundoff leaves Var[C] < 0,
+    # which the summary reports instead of predicting from it
+    code = run([
+        "mc-estimate", "--estimator", "difference-squared", "--mu", "1e6", "--lam", "10",
+        "--eta", "1", "--phi0", "1e-8", "--epsilons", "0,1e-6", "--n-samples", "1000",
+    ])
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "worst |pull|" in printed
+    assert "variance expansion skipped: Var[C] = -" in printed
     assert "direct quadrature" not in printed

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from closed_form_reference import complex_state
 from holonoise import gaussian_engine as ge
 from holonoise.config import HolometerConfig
 from holonoise.crosscheck import sample_guardrail_config
@@ -104,6 +105,35 @@ def test_propagate_keeps_detected_pair_over_a_phase_stack():
     stack = propagate(config.replace(phi0_1=np.array([0.9, 0.3]), phi0_2=np.array([0.9, 0.5])))
     assert stack.mean.shape == (2, 4) and stack.cov.shape == (2, 4, 4)
     assert np.array_equal(stack.mean[1], state.mean) and np.array_equal(stack.cov[1], state.cov)
+
+
+KINDS = ("TWB", "TwoSqueezed", "CoherentOnly")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("overrides", [
+    {}, {"mu": 0.0}, {"lam": 0.0}, {"phi0_1": 0.0, "phi0_2": 0.0}, {"psi": 0.0},
+    {"phi0_2": 0.4, "eta_2": 0.6, "theta": 2.2, "theta_xi": 0.3},
+], ids=["base", "mu0", "lam0", "phi0", "psi0", "asymmetric"])
+def test_propagate_equals_the_complex_correlator_state(kind, overrides):
+    # the real products give the state the complex correlators assemble,
+    # bit for bit, also where a term vanishes
+    config = make(input_kind=kind, **overrides)
+    state = propagate(config)
+    mean, cov = complex_state(config)
+    assert np.array_equal(state.mean, mean) and np.array_equal(state.cov, cov)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_propagate_equals_the_complex_correlator_state_on_a_stack(kind):
+    rng = np.random.default_rng(5)
+    config = make(input_kind=kind, mu=10.0 ** rng.uniform(-1.0, 12.0, 40),
+                  lam=10.0 ** rng.uniform(-3.0, 1.0, 40), psi=rng.uniform(0.0, 6.3, 40),
+                  phi0_1=rng.uniform(-3.0, 3.0, 40), phi0_2=rng.uniform(-3.0, 3.0, 40),
+                  eta_2=0.6, theta=1.3)
+    state = propagate(config)
+    mean, cov = complex_state(config)
+    assert np.array_equal(state.mean, mean) and np.array_equal(state.cov, cov)
 
 
 def test_engine_matches_oracle_across_kinds_and_asymmetries():

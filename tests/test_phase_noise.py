@@ -6,6 +6,7 @@ import pytest
 
 from holonoise import estimation, phase_noise
 from holonoise.config import HolometerConfig
+from holonoise.observables import UndefinedResultError
 from holonoise.estimation import (
     EstimatorSpec,
     SingularConfigurationError,
@@ -307,3 +308,17 @@ def test_direct_variance_gh_matches_the_per_node_loop(spec):
 def test_direct_variance_guards():
     with pytest.raises(ValueError, match="phases must match"):
         direct_variance(DESK.replace(phi0_2=0.2), QUAD, 1e-6, 0.0)
+
+
+@pytest.mark.parametrize("mu, lam", [(1e6, 10.0), (1e3, 1.0)])
+def test_negative_estimator_variance_raises(mu, lam):
+    # twin beams at eta = 1 and phi_0 = 1e-8, where roundoff in <C^2> leaves
+    # Var[C] < 0 (u0 raises there too): neither the expansion's var_zero
+    # nor the direct variance at zero noise hands that out as a variance
+    config = TWB_DESK.replace(mu=mu, lam=lam, eta=1.0, phi0_1=1e-8, phi0_2=1e-8)
+    mean, square = estimator_mean_and_square(config, DIFF, 1e-8, 1e-8)
+    assert square - mean * mean < 0.0
+    with pytest.raises(UndefinedResultError, match=r"Var\[C\] = -"):
+        variance_expansion(config, DIFF)
+    with pytest.raises(UndefinedResultError, match="is negative"):
+        direct_variance(config, DIFF, 0.0, 0.0)
