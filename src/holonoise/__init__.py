@@ -44,7 +44,6 @@ from .moments import (
 from .observables import (
     NrfResult,
     UndefinedResultError,
-    analytic_moments,
     closed_form_moments,
     closed_form_quadrature,
     nrf,
@@ -91,7 +90,6 @@ __all__ = [
     # closed-form observables
     "closed_form_moments",
     "closed_form_quadrature",
-    "analytic_moments",
     "NrfResult",
     "nrf",
     "nrf_asymptotic",

@@ -435,19 +435,19 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.out:
         rows = [
             (
-                check.index,
-                check.config.input_kind.value,
-                check.config.mu,
-                check.config.lam,
-                check.config.tau_1,
-                check.config.eta,
-                check.config.psi,
-                check.comparison.max_relative,
-                check.comparison.worst_margin,
-                check.comparison.worst_field,
-                "pass" if check.ok else "fail",
+                index,
+                config.input_kind.value,
+                config.mu,
+                config.lam,
+                config.tau_1,
+                config.eta,
+                config.psi,
+                comparison.max_relative,
+                comparison.worst_margin,
+                comparison.worst_field,
+                "pass" if comparison.ok else "fail",
             )
-            for check in report.checks
+            for index, (config, comparison) in enumerate(zip(report.configs, report.comparisons))
         ]
         _write_csv(
             args.out,

@@ -26,10 +26,9 @@ from .fock_oracle import (
     two_photon_coincidence,
 )
 from .holometer import readout_moments
-from .moments import MomentComparison, compare_moments, comparison_entries, relative_deviation
+from .moments import MomentComparison, compare_moments
 
 __all__ = [
-    "ConfigCheck",
     "CrosscheckReport",
     "sample_guardrail_config",
     "run_crosscheck",
@@ -72,25 +71,14 @@ def sample_guardrail_config(rng: np.random.Generator) -> HolometerConfig:
 
 
 @dataclass(frozen=True)
-class ConfigCheck:
-    """Engine-versus-oracle comparison for one drawn configuration."""
-
-    index: int
-    config: HolometerConfig
-    comparison: MomentComparison
-
-    @property
-    def ok(self) -> bool:
-        return self.comparison.ok
-
-
-@dataclass(frozen=True)
 class CrosscheckReport:
-    """Outcome of the full validation run."""
+    """Outcome of the full validation run: the drawn configurations and
+    their engine-versus-oracle comparisons, position for position."""
 
     coincidence: float  # two-photon coincidence under the active convention
     coincidence_ok: bool
-    checks: tuple[ConfigCheck, ...]
+    configs: tuple[HolometerConfig, ...]
+    comparisons: tuple[MomentComparison, ...]
     field_worst: Mapping[str, float]  # per-moment max relative deviation
     rtol: float
     convention: str
@@ -98,7 +86,7 @@ class CrosscheckReport:
 
     @property
     def n_failed(self) -> int:
-        return sum(1 for check in self.checks if not check.ok)
+        return sum(1 for comparison in self.comparisons if not comparison.ok)
 
     @property
     def ok(self) -> bool:
@@ -106,14 +94,14 @@ class CrosscheckReport:
 
     @property
     def max_relative(self) -> float:
-        return max((check.comparison.max_relative for check in self.checks), default=0.0)
+        return max(self.field_worst.values())
 
     def summary_lines(self) -> list[str]:
         lines = [
             f"beam-splitter convention: {self.convention}",
             "two-photon coincidence at balanced splitter: "
             f"{self.coincidence:.3e} ({'null ok' if self.coincidence_ok else 'NULL VIOLATED'})",
-            f"configurations checked: {len(self.checks)}, failed: {self.n_failed} "
+            f"configurations checked: {len(self.configs)}, failed: {self.n_failed} "
             f"(relative tolerance {self.rtol:g})",
         ]
         for name, rel in self.field_worst.items():
@@ -123,19 +111,6 @@ class CrosscheckReport:
         lines.append(f"runtime: {self.runtime_seconds:.1f} s")
         lines.append("RESULT: " + ("PASS" if self.ok else "FAIL"))
         return lines
-
-
-def _check_one(
-    index: int, config: HolometerConfig, rtol: float, convention: str
-) -> tuple[ConfigCheck, dict[str, float]]:
-    engine = readout_moments(config)
-    oracle = oracle_moments(config, convention=convention)
-    comparison = compare_moments(engine, oracle, rtol=rtol)
-    per_field = {
-        name: relative_deviation(x, y, floor)
-        for name, x, y, floor in comparison_entries(engine, oracle)
-    }
-    return ConfigCheck(index, config, comparison), per_field
 
 
 def run_crosscheck(
@@ -159,19 +134,20 @@ def run_crosscheck(
     coincidence_ok = coincidence < _COINCIDENCE_NULL_TOL
 
     rng = np.random.default_rng(seed)
-    configs = [sample_guardrail_config(rng) for _ in range(n_configs)]
-    results = [_check_one(i, cfg, rtol, convention) for i, cfg in enumerate(configs)]
-
-    field_worst: dict[str, float] = {}
-    for _, per_field in results:
-        for name, rel in per_field.items():
-            field_worst[name] = max(field_worst.get(name, 0.0), rel)
-
+    configs = tuple(sample_guardrail_config(rng) for _ in range(n_configs))
+    comparisons = tuple(
+        compare_moments(readout_moments(cfg), oracle_moments(cfg, convention=convention), rtol=rtol)
+        for cfg in configs
+    )
     return CrosscheckReport(
         coincidence=coincidence,
         coincidence_ok=coincidence_ok,
-        checks=tuple(check for check, _ in results),
-        field_worst=field_worst,
+        configs=configs,
+        comparisons=comparisons,
+        field_worst={
+            name: max(comparison.relative[name] for comparison in comparisons)
+            for name in comparisons[0].relative
+        },
         rtol=rtol,
         convention=convention,
         runtime_seconds=time.perf_counter() - start,

@@ -83,19 +83,6 @@ class EstimatorKind(str, Enum):
     QUADRATURE_PRODUCT = "QuadratureProduct"
 
 
-# requests for an uncentered linear readout are rejected with an
-# explanation rather than silently mapped to a squared kind
-_LINEAR_READOUT_ALIASES = {
-    "difference",
-    "plaindifference",
-    "lineardifference",
-    "twbdifference",
-    "m1",
-    "sum",
-    "plainsum",
-}
-
-
 @dataclass(frozen=True)
 class EstimatorSpec:
     """Choice of readout estimator.
@@ -108,21 +95,13 @@ class EstimatorSpec:
     kind: EstimatorKind
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, EstimatorKind):
-            label = str(self.kind)
-            if label.strip().lower() in _LINEAR_READOUT_ALIASES:
-                raise ValueError(
-                    f"estimator kind {label!r} denotes an uncentered linear readout, whose "
-                    "mean has no mixed phase derivative at the working point; use one of "
-                    f"{[k.value for k in EstimatorKind]}"
-                )
-            try:
-                object.__setattr__(self, "kind", EstimatorKind(label))
-            except ValueError:
-                raise ValueError(
-                    f"unknown estimator kind {label!r}; expected one of "
-                    f"{[k.value for k in EstimatorKind]}"
-                ) from None
+        try:
+            object.__setattr__(self, "kind", EstimatorKind(self.kind))
+        except ValueError:
+            raise ValueError(
+                f"unknown estimator kind {self.kind!r}; expected one of "
+                f"{[k.value for k in EstimatorKind]}"
+            ) from None
 
 
 # photocurrent sign of each squared readout, C = (N1 + sign N2 - center)^2;

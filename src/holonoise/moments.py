@@ -9,7 +9,7 @@ other's numerics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -20,8 +20,6 @@ __all__ = [
     "QuadratureMoments",
     "MomentComparison",
     "compare_moments",
-    "comparison_entries",
-    "relative_deviation",
     "CENTERED_KEYS",
 ]
 
@@ -55,11 +53,11 @@ class ReadoutMoments:
     """Joint centered photon-number moments of the two readout modes.
 
     ``centered`` maps (p, q) -> <dN1^p dN2^q> for 2 <= p+q <= 4 and is
-    ``None`` when only second-order information was computed (the
-    closed-form route).  Second-order entries duplicate var_1/var_2/cov
-    so the table can be consumed uniformly.  Every value is a float for
-    a single configuration, or an array over a stack; the comparison
-    helpers below take single points.
+    ``None`` when only second-order moments were computed (the engine
+    readout at max_order=2).  Second-order entries duplicate
+    var_1/var_2/cov so the table can be consumed uniformly.  Every value
+    is a float for a single configuration, or an array over a stack;
+    compare_moments takes single points.
     """
 
     mean_1: float
@@ -81,58 +79,28 @@ class ReadoutMoments:
                 raise ValueError(f"centered moment table missing orders {missing}")
             object.__setattr__(self, "centered", MappingProxyType(table))
 
-    # -- simple accessors -------------------------------------------------
-
-    @property
-    def total_mean(self) -> float:
-        return self.mean_1 + self.mean_2
-
-    def centered_moment(self, p: int, q: int) -> float:
-        """<dN1^p dN2^q>.  Orders 0 and 1 are trivial; the others need
-        the centered table."""
-        if p < 0 or q < 0:
-            raise ValueError("moment orders must be non-negative")
-        if p + q == 0:
-            return 1.0
-        if p + q == 1:
-            return 0.0
-        if self.centered is None:
-            raise ValueError("orders of 2 and above require the centered table")
-        try:
-            return self.centered[(p, q)]
-        except KeyError:
-            raise ValueError(f"moment order ({p}, {q}) not available") from None
-
     def signed_sum_moment(self, sign: int, order: int) -> float:
-        """<(dN1 + sign*dN2)^order> for order <= 4, sign in {+1, -1}."""
+        """<(dN1 + sign*dN2)^order> for 2 <= order <= 4, sign in {+1, -1},
+        from the centered table."""
         if sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
         return sum(
-            math.comb(order, j) * sign ** (order - j) * self.centered_moment(j, order - j)
+            math.comb(order, j) * sign ** (order - j) * self.centered[(j, order - j)]
             for j in range(order + 1)
         )
-
-    def difference_variance(self) -> float:
-        return self.var_1 + self.var_2 - 2.0 * self.cov
-
-    def sum_variance(self) -> float:
-        return self.var_1 + self.var_2 + 2.0 * self.cov
 
 
 @dataclass(frozen=True)
 class QuadratureMoments:
     """First and second moments of one selected quadrature per readout
-    mode.  Means may be negative, unlike photon counts.  ``centered`` is
-    always None; the field exists so the comparison helper can treat
-    both carriers uniformly.  Values are floats or arrays, as for
-    ReadoutMoments."""
+    mode.  Means may be negative, unlike photon counts.  Values are
+    floats or arrays, as for ReadoutMoments."""
 
     mean_1: float
     mean_2: float
     var_1: float
     var_2: float
     cov: float
-    centered: None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         _check_second_moments(self.var_1, self.var_2, self.cov, "quadrature")
@@ -140,15 +108,19 @@ class QuadratureMoments:
 
 @dataclass(frozen=True)
 class MomentComparison:
-    """Result of a field-by-field comparison of two ReadoutMoments."""
+    """Result of a field-by-field comparison of two moment carriers."""
 
     ok: bool
     worst_margin: float  # |a-b| / allowance, max over fields; <= 1 means ok
     worst_field: str
-    max_relative: float  # plain |a-b| / max(|a|,|b|) over fields above floor
+    relative: Mapping[str, float]  # per field, |a-b| / max(|a|,|b|) above its floor
+
+    @property
+    def max_relative(self) -> float:
+        return max(self.relative.values())
 
 
-def comparison_entries(
+def _comparison_entries(
     a: "ReadoutMoments | QuadratureMoments",
     b: "ReadoutMoments | QuadratureMoments",
 ) -> list[tuple[str, float, float, float]]:
@@ -165,14 +137,15 @@ def comparison_entries(
         ("var_2", a.var_2, b.var_2, _ABS_FLOOR),
         ("cov", a.cov, b.cov, _ABS_FLOOR + 1e-11 * sd1 * sd2),
     ]
-    if a.centered is not None and b.centered is not None:
+    table_a, table_b = getattr(a, "centered", None), getattr(b, "centered", None)
+    if table_a is not None and table_b is not None:
         for p, q in CENTERED_KEYS:
             floor = _ABS_FLOOR + 1e-11 * sd1**p * sd2**q
-            entries.append((f"centered[{p},{q}]", a.centered[(p, q)], b.centered[(p, q)], floor))
+            entries.append((f"centered[{p},{q}]", table_a[(p, q)], table_b[(p, q)], floor))
     return entries
 
 
-def relative_deviation(x: float, y: float, floor: float) -> float:
+def _relative_deviation(x: float, y: float, floor: float) -> float:
     """|x - y| / max(|x|, |y|) where that scale is above ``floor``, else 0;
     ``inf`` where the deviation is not finite (a nan or infinite entry),
     so a broken entry can never read as agreement."""
@@ -189,7 +162,7 @@ def compare_moments(
     rtol: float = 1e-8,
 ) -> MomentComparison:
     """Compare two moment sets at a relative tolerance with a scale-aware
-    absolute floor.
+    absolute floor, in one pass over the shared fields.
 
     For the order-(p, q) centered entry the floor is
     ``1e-13 + 1e-11 * sd1^p * sd2^q``, so every allowance is positive
@@ -208,13 +181,13 @@ def compare_moments(
 
     worst_margin = 0.0
     worst_field = "none"
-    max_rel = 0.0
-    for name, x, y, floor in comparison_entries(a, b):
+    relative: dict[str, float] = {}
+    for name, x, y, floor in _comparison_entries(a, b):
         margin = abs(x - y) / (rtol * max(abs(x), abs(y)) + floor)
         if not math.isfinite(margin):
             margin = math.inf
         if margin > worst_margin:
             worst_margin = margin
             worst_field = name
-        max_rel = max(max_rel, relative_deviation(x, y, floor))
-    return MomentComparison(worst_margin <= 1.0, worst_margin, worst_field, max_rel)
+        relative[name] = _relative_deviation(x, y, floor)
+    return MomentComparison(worst_margin <= 1.0, worst_margin, worst_field, relative)

@@ -50,14 +50,12 @@ from typing import Any
 import numpy as np
 
 from .config import HolometerConfig, InputKind
-from .moments import ReadoutMoments
 
 __all__ = [
     "UndefinedResultError",
     "NrfResult",
     "closed_form_moments",
     "closed_form_quadrature",
-    "analytic_moments",
     "nrf",
     "nrf_asymptotic",
     "regime_parameter",
@@ -167,17 +165,6 @@ def closed_form_quadrature(config: HolometerConfig) -> dict[str, Any]:
     return {"mean_1": mean_1, "mean_2": mean_2, "var_1": var_1, "var_2": var_2, "cov": cov}
 
 
-def analytic_moments(config: HolometerConfig) -> ReadoutMoments:
-    """Closed-form second-order readout moments at the operating phases.
-
-    Exact for all three input kinds and for unequal interferometer
-    phases; the returned carrier holds no third/fourth-order table.
-    Floats for a single configuration, arrays over a stack.
-    """
-    vals = closed_form_moments(config)
-    return ReadoutMoments(**{name: config.per_row(value) for name, value in vals.items()})
-
-
 # ---------------------------------------------------------------------------
 # noise reduction factor
 # ---------------------------------------------------------------------------
@@ -225,8 +212,8 @@ def nrf(config: HolometerConfig) -> NrfResult:
         raise UndefinedResultError(
             "noise reduction factors are defined for equal phases and efficiencies"
         )
-    moments = analytic_moments(config)
-    total = moments.total_mean
+    moments = closed_form_moments(config)
+    total = moments["mean_1"] + moments["mean_2"]
     if np.any(total <= 0.0):
         raise UndefinedResultError(
             "no photons reach the detectors; the noise reduction factor is undefined"
@@ -234,18 +221,14 @@ def nrf(config: HolometerConfig) -> NrfResult:
     # Var(N1 - N2) vanishes identically for lossless fully transmitted twin
     # beams, so the subtraction var_1 + var_2 - 2 cov can leave pure
     # cancellation noise; clamp only that, never a genuinely negative value.
-    cancellation = 64.0 * math.ulp(1.0) * (
-        moments.var_1 + moments.var_2 + 2.0 * abs(moments.cov)
-    )
+    var_sum, cov = moments["var_1"] + moments["var_2"], moments["cov"]
+    cancellation = 64.0 * math.ulp(1.0) * (var_sum + 2.0 * abs(cov))
 
     def ratio(variance: Any) -> Any:
         clamped = (variance < 0.0) & (-variance <= cancellation)
         return config.per_row(np.where(clamped, 0.0, variance) / total)
 
-    return NrfResult(
-        nrf_minus=ratio(moments.difference_variance()),
-        nrf_plus=ratio(moments.sum_variance()),
-    )
+    return NrfResult(nrf_minus=ratio(var_sum - 2.0 * cov), nrf_plus=ratio(var_sum + 2.0 * cov))
 
 
 def nrf_asymptotic(config: HolometerConfig, regime: str, sign: str) -> float:
@@ -259,13 +242,9 @@ def nrf_asymptotic(config: HolometerConfig, regime: str, sign: str) -> float:
     taken verbatim from the limit expressions; no interpolation between
     regimes is attempted.
     """
-    regime_key = str(regime).strip().upper()
-    if regime_key not in ("A", "B"):
+    if regime not in ("A", "B"):
         raise ValueError(f"regime must be 'A' or 'B', got {regime!r}")
-    sign_key = {"+": "+", "-": "-", "plus": "+", "minus": "-", "1": "+", "-1": "-"}.get(
-        str(sign).strip().lower()
-    )
-    if sign_key is None:
+    if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     if not config.is_symmetric():
         raise UndefinedResultError("asymptotic forms assume equal phases and efficiencies")
@@ -274,8 +253,8 @@ def nrf_asymptotic(config: HolometerConfig, regime: str, sign: str) -> float:
             "asymptotic noise-reduction forms assume quantum light present (lambda > 0)"
         )
     eta, tau, lam = config.eta, config.tau_1, config.lam
-    if regime_key == "A":
-        if sign_key == "+":
+    if regime == "A":
+        if sign == "+":
             return 1.0 + eta * tau * (2.0 * lam + 1.0)
         k = regime_parameter(config)
         squeeze_factor = 1.0 + 2.0 * lam - 2.0 * math.sqrt(lam * (1.0 + lam))

@@ -96,8 +96,7 @@ def _check_noise(config: HolometerConfig, sigma2: float, epsilon: float) -> None
             f"|epsilon| = {abs(epsilon)!r} exceeds the marginal variance "
             f"sigma2 = {sigma2!r}; the covariance matrix would not be positive"
         )
-    if config.phi0_2 != config.phi0_1:
-        raise ValueError("the noise model shifts a symmetric working point; phases must match")
+    estimation._require_symmetric(config, "the phase-noise model")
 
 
 def sample_phase_offsets(sigma2: float, epsilon: float, normals: np.ndarray) -> np.ndarray:
@@ -202,13 +201,12 @@ class VarianceExpansion:
 
 
 def variance_expansion(config: HolometerConfig, spec: EstimatorSpec) -> VarianceExpansion:
-    """Expansion coefficients of Var_x[C] around the working point; they
-    do not depend on the noise, which ``predict`` takes.  Raises
+    """Expansion coefficients of Var_x[C] around the working point, which
+    must be symmetric (equal phases and efficiencies); they do not
+    depend on the noise, which ``predict`` takes.  Raises
     UndefinedResultError where roundoff leaves a negative var_zero, as
     estimation.u0 does on the same Var[C]."""
-    phi0 = config.phi0_1
-    if config.phi0_2 != phi0:
-        raise ValueError("the variance expansion assumes a symmetric working point")
+    phi0 = estimation._require_symmetric(config, "the variance expansion")
     # one stacked engine call over the 17-point stencil: the working
     # point, then _STENCIL at each Richardson step
     steps = np.array([step * max(abs(phi0), _PHASE_FLOOR) for step in _RELATIVE_STEPS])

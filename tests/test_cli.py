@@ -511,6 +511,17 @@ def test_oracle_check_passes_and_writes_csv(tmp_path, capsys):
         assert row["worst_field"] in fields
 
 
+def test_oracle_check_rows_agree_with_the_summary(tmp_path, capsys):
+    # one comparison pass feeds both the rows and the summary lines
+    out = tmp_path / "oracle.csv"
+    assert run(["oracle-check", "--n-configs", "3", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    worst = max(float(row["max_relative"]) for row in rows)
+    assert f"worst relative deviation overall: {worst:.3e}" in capsys.readouterr().out.splitlines()
+    for row in rows:
+        assert row["verdict"] == ("pass" if float(row["worst_margin"]) <= 1.0 else "fail")
+
+
 @pytest.mark.parametrize("rtol, message", [
     ("nan", "rtol must be finite and non-negative"),
     ("inf", "rtol must be finite and non-negative"),

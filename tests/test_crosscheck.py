@@ -11,6 +11,7 @@ from holonoise.crosscheck import (
     run_crosscheck,
     sample_guardrail_config,
 )
+from holonoise.moments import CENTERED_KEYS
 
 
 def test_small_crosscheck_passes_and_aggregates():
@@ -18,11 +19,19 @@ def test_small_crosscheck_passes_and_aggregates():
     assert report.ok
     assert report.coincidence_ok
     assert report.n_failed == 0
-    assert len(report.checks) == 6
+    assert len(report.configs) == len(report.comparisons) == 6
     assert report.max_relative < report.rtol
     assert report.field_worst
     assert all(len(lines) > 0 for lines in [report.summary_lines()])
-    assert [check.index for check in report.checks] == list(range(6))
+
+
+def test_field_worst_is_the_maximum_of_the_per_field_deviations():
+    report = run_crosscheck(n_configs=6, seed=DEFAULT_SEED)
+    assert len(report.field_worst) == 5 + len(CENTERED_KEYS)
+    for name, worst in report.field_worst.items():
+        assert worst == max(comparison.relative[name] for comparison in report.comparisons)
+    assert report.max_relative == max(report.field_worst.values())
+    assert report.max_relative == max(c.max_relative for c in report.comparisons)
 
 
 def test_broken_convention_is_caught():
@@ -30,7 +39,7 @@ def test_broken_convention_is_caught():
     assert not report.ok
     assert not report.coincidence_ok
     assert report.coincidence == pytest.approx(0.5, abs=1e-9)
-    assert report.n_failed == len(report.checks)
+    assert report.n_failed == len(report.comparisons)
 
 
 def test_sampled_configs_stay_inside_the_guardrail_domain():

@@ -7,7 +7,6 @@ from holonoise.moments import (
     QuadratureMoments,
     ReadoutMoments,
     compare_moments,
-    comparison_entries,
 )
 
 
@@ -52,40 +51,26 @@ def test_rejects_incomplete_table():
         make(centered=table)
 
 
-def test_second_order_accessors_without_table():
-    # without a table only the trivial orders 0 and 1 are defined
-    moments = make()
-    assert moments.total_mean == 6.0
-    assert moments.centered_moment(0, 0) == 1.0
-    assert moments.centered_moment(1, 0) == 0.0
-    for p, q in ((2, 0), (1, 1), (3, 1)):
-        with pytest.raises(ValueError, match="centered table"):
-            moments.centered_moment(p, q)
-    with pytest.raises(ValueError):
-        moments.centered_moment(-1, 2)
-
-
 def test_signed_sum_moment_expands_binomially():
     moments = make(centered=full_table())
     assert moments.signed_sum_moment(-1, 2) == pytest.approx(2.0 + 2.0 - 2.0)
     assert moments.signed_sum_moment(+1, 2) == pytest.approx(2.0 + 2.0 + 2.0)
     # order 4: 12 + 6*5 + 12 with vanishing odd entries
     assert moments.signed_sum_moment(+1, 4) == pytest.approx(12.0 + 30.0 + 12.0)
-    assert moments.difference_variance() == pytest.approx(2.0)
-    assert moments.sum_variance() == pytest.approx(6.0)
     with pytest.raises(ValueError):
         moments.signed_sum_moment(2, 2)
 
 
 def test_variance_helpers_match_signed_sums():
+    # the order-2 signed sums are Var(N1 -+ N2) from the second-order fields
     moments = make(centered=full_table())
-    assert moments.difference_variance() == moments.signed_sum_moment(-1, 2)
-    assert moments.sum_variance() == moments.signed_sum_moment(+1, 2)
+    assert moments.var_1 + moments.var_2 - 2.0 * moments.cov == moments.signed_sum_moment(-1, 2)
+    assert moments.var_1 + moments.var_2 + 2.0 * moments.cov == moments.signed_sum_moment(+1, 2)
 
 
 def test_quadrature_moments_allow_negative_means():
     quads = QuadratureMoments(-1.0, 2.0, 0.5, 0.5, 0.1)
-    assert quads.centered is None
+    assert quads.mean_1 == -1.0
     with pytest.raises(ValueError):
         QuadratureMoments(0.0, 0.0, 0.5, 0.5, 0.9)
 
@@ -95,6 +80,7 @@ def test_compare_equal_moments_passes():
     result = compare_moments(a, a)
     assert result.ok
     assert result.max_relative == 0.0
+    assert set(result.relative.values()) == {0.0}
 
 
 def test_compare_flags_large_relative_deviation():
@@ -104,6 +90,8 @@ def test_compare_flags_large_relative_deviation():
     assert not result.ok
     assert result.worst_field in ("cov", "centered[1,1]")
     assert result.max_relative == pytest.approx(1e-5, rel=1e-3)
+    assert result.max_relative == max(result.relative["cov"], result.relative["centered[1,1]"])
+    assert result.relative["var_1"] == result.relative["centered[2,2]"] == 0.0
 
 
 def test_compare_tolerates_tiny_absolute_residue_on_zero_entries():
@@ -114,12 +102,15 @@ def test_compare_tolerates_tiny_absolute_residue_on_zero_entries():
 
 
 def test_comparison_entries_cover_table_when_present():
+    # one relative deviation per compared field, the table's only when
+    # both carriers have one
     a = make(centered=full_table())
-    names = [name for name, *_ in comparison_entries(a, a)]
+    names = list(compare_moments(a, a).relative)
     assert names[:5] == ["mean_1", "mean_2", "var_1", "var_2", "cov"]
-    assert len(names) == 5 + len(CENTERED_KEYS)
-    short = make()
-    assert len(comparison_entries(short, short)) == 5
+    assert names[5:] == [f"centered[{p},{q}]" for p, q in CENTERED_KEYS]
+    assert list(compare_moments(make(), a).relative) == names[:5]
+    quads = QuadratureMoments(-1.0, 2.0, 0.5, 0.5, 0.1)
+    assert list(compare_moments(quads, quads).relative) == names[:5]
 
 
 def test_table_is_read_only():

@@ -12,7 +12,6 @@ from holonoise.fock_oracle import oracle_moments
 from holonoise.holometer import propagate, readout_moments
 from holonoise.observables import (
     UndefinedResultError,
-    analytic_moments,
     closed_form_moments,
     closed_form_quadrature,
     nrf,
@@ -47,23 +46,23 @@ def make(**overrides):
     kind=st.sampled_from(["TWB", "TwoSqueezed", "CoherentOnly"]),
     theta=st.floats(0.0, 2 * math.pi),
 )
-def test_analytic_moments_match_engine(mu, psi, lam, eta, tau1, tau2, kind, theta):
+def test_closed_form_moments_match_engine(mu, psi, lam, eta, tau1, tau2, kind, theta):
     config = HolometerConfig(
         mu=mu, psi=psi, lam=0.0 if kind == "CoherentOnly" else lam, eta=eta,
         phi0_1=2.0 * math.acos(math.sqrt(tau1)), phi0_2=2.0 * math.acos(math.sqrt(tau2)),
         input_kind=kind, theta=theta,
     )
-    analytic = analytic_moments(config)
+    closed = {name: float(value) for name, value in closed_form_moments(config).items()}
     engine = readout_moments(config, max_order=2)
-    scale = 1.0 + analytic.total_mean
-    assert analytic.mean_1 == pytest.approx(engine.mean_1, rel=1e-10, abs=1e-10 * scale)
-    assert analytic.mean_2 == pytest.approx(engine.mean_2, rel=1e-10, abs=1e-10 * scale)
-    assert analytic.var_1 == pytest.approx(engine.var_1, rel=1e-10, abs=1e-10 * scale**2)
-    assert analytic.var_2 == pytest.approx(engine.var_2, rel=1e-10, abs=1e-10 * scale**2)
-    assert analytic.cov == pytest.approx(engine.cov, rel=1e-10, abs=1e-10 * scale**2)
+    scale = 1.0 + closed["mean_1"] + closed["mean_2"]
+    assert closed["mean_1"] == pytest.approx(engine.mean_1, rel=1e-10, abs=1e-10 * scale)
+    assert closed["mean_2"] == pytest.approx(engine.mean_2, rel=1e-10, abs=1e-10 * scale)
+    assert closed["var_1"] == pytest.approx(engine.var_1, rel=1e-10, abs=1e-10 * scale**2)
+    assert closed["var_2"] == pytest.approx(engine.var_2, rel=1e-10, abs=1e-10 * scale**2)
+    assert closed["cov"] == pytest.approx(engine.cov, rel=1e-10, abs=1e-10 * scale**2)
 
 
-def test_analytic_moments_match_oracle_at_small_occupancy():
+def test_closed_form_moments_match_oracle_at_small_occupancy():
     rng = np.random.default_rng(5)
     for _ in range(8):
         kind = ("TWB", "TwoSqueezed", "CoherentOnly")[int(rng.integers(0, 3))]
@@ -77,10 +76,10 @@ def test_analytic_moments_match_oracle_at_small_occupancy():
             phi0_2=2.0 * math.acos(math.sqrt(tau)),
             input_kind=kind,
         )
-        analytic = analytic_moments(config)
+        closed = closed_form_moments(config)
         oracle = oracle_moments(config)
         for field in ("mean_1", "mean_2", "var_1", "var_2", "cov"):
-            a, b = getattr(analytic, field), getattr(oracle, field)
+            a, b = float(closed[field]), getattr(oracle, field)
             assert abs(a - b) <= 1e-8 * max(abs(a), abs(b)) + 1e-12, (config, field)
 
 
@@ -235,7 +234,8 @@ def test_nrf_of_bare_twin_beam_is_loss_limited():
 def test_nrf_minus_below_one_at_matched_phase(eta, tau, lam, mu):
     phi = 2.0 * math.acos(math.sqrt(tau))
     config = make(mu=mu, lam=lam, eta=eta, phi0_1=phi, phi0_2=phi, psi=math.pi / 2)
-    assume(analytic_moments(config).total_mean > 1e-12)
+    closed = closed_form_moments(config)
+    assume(closed["mean_1"] + closed["mean_2"] > 1e-12)
     result = nrf(config)
     assert result.nrf_minus < 1.0 + 1e-12
     assert result.nrf_minus >= 0.0
@@ -303,7 +303,10 @@ def test_asymptotic_regime_b_formula():
     expected = 1.0 - 0.9 + 0.9 / 40.0
     assert nrf_asymptotic(config, "B", "-") == pytest.approx(expected, rel=1e-12)
     assert nrf_asymptotic(config, "B", "+") == pytest.approx(expected, rel=1e-12)
-    assert nrf_asymptotic(config, "b", "minus") == nrf_asymptotic(config, "B", "-")
+    # only the spellings "A"/"B" and "+"/"-" are taken
+    for regime, sign in (("b", "-"), ("B", "minus")):
+        with pytest.raises(ValueError, match="must be"):
+            nrf_asymptotic(config, regime, sign)
 
 
 def test_asymptotic_rejects_bad_arguments():

@@ -109,7 +109,7 @@ def test_mc_expectation_is_independent_of_its_blocks(spec, n_samples):
 def test_recover_covariance_guards():
     with pytest.raises(ValueError, match=f"at least {MIN_MC_SAMPLES}"):
         recover_covariance(DESK, QUAD, 1e-6, 0.0, MIN_MC_SAMPLES - 1, 0)
-    with pytest.raises(ValueError, match="phases must match"):
+    with pytest.raises(ValueError, match="symmetric working point"):
         recover_covariance(DESK.replace(phi0_2=0.2), QUAD, 1e-6, 0.0, 2_000, 0)
 
 
@@ -306,8 +306,28 @@ def test_direct_variance_gh_matches_the_per_node_loop(spec):
 
 
 def test_direct_variance_guards():
-    with pytest.raises(ValueError, match="phases must match"):
+    with pytest.raises(ValueError, match="symmetric working point"):
         direct_variance(DESK.replace(phi0_2=0.2), QUAD, 1e-6, 0.0)
+
+
+@pytest.mark.parametrize(
+    "config, spec",
+    [(TWB_DESK, DIFF), (TWB_DESK.replace(psi=0.0), SUM), (DESK, QUAD)],
+    ids=["difference", "sum", "quadrature"],
+)
+def test_asymmetric_efficiency_is_refused_by_every_route(config, spec):
+    # unequal efficiencies leave the working point as asymmetric as unequal
+    # phases do: the variance routes refuse it as u0 and the recovery do
+    lopsided = config.replace(eta_2=0.6)
+    routes = (
+        lambda: u0(lopsided, spec),
+        lambda: recover_covariance(lopsided, spec, 1e-5, 0.0, 2_000, 0),
+        lambda: variance_expansion(lopsided, spec),
+        lambda: direct_variance(lopsided, spec, 1e-5, 0.0),
+    )
+    for route in routes:
+        with pytest.raises(ValueError, match="symmetric working point"):
+            route()
 
 
 @pytest.mark.parametrize("mu, lam", [(1e6, 10.0), (1e3, 1.0)])

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/: they run against the
 current API and print what they promise.  No timing is asserted."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -46,3 +47,19 @@ def test_size_report_totals_its_module_rows():
     assert int(total.split()[1]) == sum(lines for lines, _ in rows.values())
     assert int(total.split()[2]) == sum(values for _, values in rows.values())
     assert rows["config.py"][0] == (package / "config.py").read_text().count("\n")
+
+
+def test_snapshot_outputs_commands_parse_and_one_runs(tmp_path):
+    path = ROOT / "scripts" / "snapshot_outputs.py"
+    spec = importlib.util.spec_from_file_location("snapshot_outputs", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    parser = script.cli._parser()
+    for argv in script.COMMANDS.values():
+        parser.parse_args(argv + ["--out", str(tmp_path / "unused.csv")])
+    assert len(script.COMMANDS) == 22
+    # the "wrote" line is dropped and the exit code appended
+    argv = ["nrf-scan", "--grid", "0.5", "--lambdas", "1"]
+    assert script.snapshot("nrf", argv, tmp_path) == 0
+    assert (tmp_path / "nrf.txt").read_text() == "exit code: 0\n"
+    assert (tmp_path / "nrf.csv").read_text().splitlines()[-1].startswith("0.5,1.0,")
