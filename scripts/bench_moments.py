@@ -2,12 +2,13 @@
 """Time the moment pipelines at representative configurations.
 
 Reports the median wall time per call for the closed forms (at one
-phase pair and over 1e5 phase pairs), the detected-state build, the
-cumulant photon readouts of second and fourth order and the quadrature
-readout (each including its state build), one stacked fourth-order
-readout over 1 000 phase pairs, the exact mixed phase derivative, one
-zero-order uncertainty evaluation and one variance expansion per
-estimator kind, the Gauss-Hermite phase-noise variance, the Monte-Carlo
+phase pair and over 1e5 phase pairs), the detected-state build (one
+state and a stack of 1 000), the cumulant photon readouts of second
+and fourth order and the quadrature readout (each including its state
+build), one stacked fourth-order readout over 1 000 phase pairs, the
+exact mixed phase derivative, one zero-order uncertainty evaluation and
+one variance expansion per estimator kind, the Gauss-Hermite
+phase-noise variance, the Monte-Carlo
 expectation over 1e5 phase offsets per estimator kind and one
 covariance recovery (quadrature product at the mc-estimate defaults,
 epsilon = 1e-6, 1e5 samples), the truncated-Fock oracle and its
@@ -149,17 +150,20 @@ def main() -> int:
                       max(1, repeat // 5), {**bright, "phase_pairs": wide_n, "sigma": 3e-3}))
     rows.append(clock("detected two-mode state, propagate (bright)",
                       lambda: propagate(BRIGHT), repeat, bright))
+    phases = BRIGHT.phi0_1 + 1e-3 * np.random.default_rng(0).standard_normal((2, pairs_n))
+    bright_pairs = BRIGHT.replace(phi0_1=phases[0], phi0_2=phases[1])
+    pairs = {**bright, "phase_pairs": pairs_n, "sigma": 1e-3}
+    rows.append(clock(f"propagate over {count(pairs_n)} states (bright)",
+                      lambda: propagate(bright_pairs), max(1, repeat // 10), pairs))
     rows.append(clock("state + cumulant photon moments, order 2 (bright)",
                       lambda: readout_moments(BRIGHT, max_order=2), repeat, bright))
     rows.append(clock("state + cumulant photon moments, order 4 (bright)",
                       lambda: readout_moments(BRIGHT, max_order=4), repeat, bright))
     rows.append(clock("state + quadrature readout (bright)",
                       lambda: quadrature_readout(BRIGHT), repeat, bright))
-    phases = BRIGHT.phi0_1 + 1e-3 * np.random.default_rng(0).standard_normal((2, pairs_n))
-    bright_pairs = BRIGHT.replace(phi0_1=phases[0], phi0_2=phases[1])
     rows.append(clock(f"order-4 readout over {count(pairs_n)} phase pairs (bright)",
                       lambda: readout_moments(bright_pairs, max_order=4),
-                      max(1, repeat // 10), {**bright, "phase_pairs": pairs_n, "sigma": 1e-3}))
+                      max(1, repeat // 10), pairs))
     rows.append(clock("estimator_mixed_derivative (bright)",
                       lambda: estimator_mixed_derivative(BRIGHT, diff), repeat,
                       {**bright, "estimator": diff.kind.value}))

@@ -32,7 +32,6 @@ from .fock_oracle import (
     oracle_moments,
     two_photon_coincidence,
 )
-from .gaussian_engine import GaussianState
 from .holometer import propagate, quadrature_readout, readout_moments
 from .moments import (
     CENTERED_KEYS,
@@ -73,7 +72,6 @@ __all__ = [
     "compare_moments",
     "CENTERED_KEYS",
     # Gaussian engine route
-    "GaussianState",
     "propagate",
     "readout_moments",
     "quadrature_readout",

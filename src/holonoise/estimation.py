@@ -349,8 +349,9 @@ def u0(config: HolometerConfig, spec: EstimatorSpec) -> float:
     light.
 
     Raises UndefinedResultError where roundoff in <C^2> leaves a
-    negative Var[C], as for twin beams at eta = 1.  A stack gives an array from one engine readout; its members without
-    a phase response, with a negative Var[C] or off the psi pairing
+    negative Var[C], as for twin beams at eta = 1.  A stack gives an
+    array from one engine readout; its members without a phase
+    response, with a negative Var[C] or off the psi pairing
     (off_pairing) read nan.
     """
     phi0 = _require_symmetric(config, "the zero-order uncertainty")

@@ -2,9 +2,11 @@
 
 Quadratures are ordered (x_1, y_1, x_2, y_2) with x = (a + a+)/sqrt(2)
 and y = (a - a+)/(i sqrt(2)), so the vacuum covariance is I/2.  A state
-may also be a stack of states over leading axes, mean (..., 4) and
-covariance (..., 4, 4); every function here works on the whole stack at
-once, and a single state is the 0-d case of the same code.
+is two arrays, its mean (..., 4) and its covariance (..., 4, 4), over
+any leading stack axes; every function here works on the whole stack at
+once, and a single state is the 0-d case of the same code.  The states
+come from holometer.propagate, physical by construction, so nothing
+here re-checks the uncertainty principle; the tests pin it.
 
 Photon-number moments come from the factorial-cumulant generating
 function of the state.  Normally ordered moments are the moments of a
@@ -25,21 +27,14 @@ route stays accurate for bright beams.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .moments import ReadoutMoments
 
 __all__ = [
-    "GaussianState",
     "centered_photon_moments",
     "quadrature_mean_cov",
 ]
-
-_HEISENBERG_SLACK = 1e-10
-# symplectic form of two modes, J = [[0, 1], [-1, 0]] on each (x, y) pair
-_OMEGA = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
 
 # Stirling numbers of the second kind S(m, k), 0 <= k <= m <= 4
 _STIRLING2 = np.array(
@@ -57,49 +52,6 @@ _PROJ = np.zeros((2, 4, 4))
 _PROJ[0, 0, 0] = _PROJ[0, 1, 1] = _PROJ[1, 2, 2] = _PROJ[1, 3, 3] = 1.0
 # k! l!, turning generating-function coefficients into factorial cumulants
 _FACTORIAL_WEIGHTS = np.outer([1.0, 1.0, 2.0, 6.0, 24.0], [1.0, 1.0, 2.0, 6.0, 24.0])
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    """Mean vector and covariance matrix of a two-mode state, or a stack
-    of them: mean of shape (..., 4), covariance of shape (..., 4, 4).
-
-    Every member of a stack must be a physical state: a single one below
-    the vacuum limit rejects the whole stack.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.shape[-1:] != (4,) or cov.shape != mean.shape + (4,):
-            raise ValueError(f"shapes {mean.shape}, {cov.shape} are not (..., 4), (..., 4, 4)")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("state contains non-finite entries")
-        transposed = np.swapaxes(cov, -1, -2)
-        scale = 1.0 + np.max(np.abs(cov), axis=(-2, -1))
-        asym = np.max(np.abs(cov - transposed), axis=(-2, -1))
-        if np.any(asym > 1e-10 * scale):
-            raise ValueError(f"covariance asymmetric by {np.max(asym)}")
-        cov = 0.5 * (cov + transposed)
-        # uncertainty principle V + i Omega / 2 >= 0 (Simon, Mukunda and
-        # Dutta, PRA 49, 1567 (1994)), which holds exactly where its real
-        # form [[V, -Omega/2], [Omega/2, V]] does: one Cholesky factorization
-        # over the stack, shifted by the slack so that pure states, with an
-        # exact zero eigenvalue, pass
-        real_form = np.empty(cov.shape[:-2] + (8, 8))
-        real_form[..., :4, :4] = real_form[..., 4:, 4:] = (
-            cov + np.expand_dims(_HEISENBERG_SLACK * scale, (-2, -1)) * np.eye(4))
-        real_form[..., :4, 4:], real_form[..., 4:, :4] = -0.5 * _OMEGA, 0.5 * _OMEGA
-        try:
-            np.linalg.cholesky(real_form)
-        except np.linalg.LinAlgError:
-            nu_min = np.min(np.abs(np.linalg.eigvals(_OMEGA @ cov)))
-            raise ValueError(f"symplectic eigenvalue {nu_min} below vacuum limit") from None
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
 
 
 def _factorial_cumulants(mean: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
@@ -129,7 +81,9 @@ def _factorial_cumulants(mean: np.ndarray, w: np.ndarray, order: int) -> np.ndar
     return coeff * _FACTORIAL_WEIGHTS[: order + 1, : order + 1]
 
 
-def centered_photon_moments(state: GaussianState, max_order: int = 4) -> ReadoutMoments:
+def centered_photon_moments(
+    mean: np.ndarray, cov: np.ndarray, max_order: int = 4
+) -> ReadoutMoments:
     """Joint centered photon-number moments of the two modes.
 
     Builds the factorial cumulants from the generating function in the
@@ -141,11 +95,10 @@ def centered_photon_moments(state: GaussianState, max_order: int = 4) -> Readout
     """
     if max_order not in (2, 4):
         raise ValueError("max_order must be 2 or 4")
-    w = state.cov - 0.5 * np.eye(4)
-    factorial = _factorial_cumulants(state.mean, w, max_order)
+    factorial = _factorial_cumulants(mean, cov - 0.5 * np.eye(4), max_order)
     stirling = _STIRLING2[: max_order + 1, : max_order + 1]
     k = stirling @ factorial @ stirling.T
-    lead = state.mean.shape[:-1]
+    lead = mean.shape[:-1]
     # orders first: k[p, q] is a scalar for one state, a (batch,) array for a stack
     k = np.moveaxis(k, 0, -1) if lead else k[0]
     table = {(1, 0): k[1, 0], (0, 1): k[0, 1], (2, 0): k[2, 0], (1, 1): k[1, 1], (0, 2): k[0, 2]}
@@ -165,11 +118,13 @@ def centered_photon_moments(state: GaussianState, max_order: int = 4) -> Readout
     )
 
 
-def quadrature_mean_cov(state: GaussianState, chi: float) -> tuple[np.ndarray, np.ndarray]:
+def quadrature_mean_cov(
+    mean: np.ndarray, cov: np.ndarray, chi: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Means (..., 2) and covariance matrices (..., 2, 2) of the
     quadratures X_chi = x cos(chi) + y sin(chi) of both modes; chi may
     be an array over the stack."""
     w = np.zeros(np.shape(chi) + (2, 4))
     w[..., 0, 0] = w[..., 1, 2] = np.cos(chi)
     w[..., 0, 1] = w[..., 1, 3] = np.sin(chi)
-    return (w @ state.mean[..., None])[..., 0], w @ state.cov @ np.swapaxes(w, -1, -2)
+    return (w @ mean[..., None])[..., 0], w @ cov @ np.swapaxes(w, -1, -2)

@@ -36,8 +36,9 @@ __all__ = [
 ]
 
 
-def propagate(config: HolometerConfig) -> ge.GaussianState:
-    """Detected two-mode state after both readout beam splitters and the loss."""
+def propagate(config: HolometerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Mean (..., 4) and covariance (..., 4, 4) of the detected two-mode
+    state after both readout beam splitters and the loss."""
     c1, s1, c2, s2 = _half_angles(config)
     kind, lam = config.input_kind, config.lam
     eta_1, eta_2 = config.eta_pair
@@ -69,20 +70,20 @@ def propagate(config: HolometerConfig) -> ge.GaussianState:
     else:
         # -(G cos theta) at G = 0, as the twin-beam branch writes it
         cov[..., 1, 3] = cov[..., 3, 1] = -0.0
-    return ge.GaussianState(mean, cov)
+    return mean, cov
 
 
 def readout_moments(config: HolometerConfig, max_order: int = 4) -> ReadoutMoments:
     """Joint photon-number moments of the two readouts via the engine;
     floats for a single configuration, arrays over a stack."""
-    return ge.centered_photon_moments(propagate(config), max_order=max_order)
+    return ge.centered_photon_moments(*propagate(config), max_order=max_order)
 
 
 def quadrature_readout(config: HolometerConfig) -> QuadratureMoments:
     """First and second moments of the quadrature that carries the phase
     signal, per readout; floats for a single configuration, arrays over
     a stack."""
-    means, cov = ge.quadrature_mean_cov(propagate(config), config.signal_quadrature_angle)
+    means, cov = ge.quadrature_mean_cov(*propagate(config), config.signal_quadrature_angle)
     values = (means[..., 0], means[..., 1], cov[..., 0, 0], cov[..., 1, 1], cov[..., 0, 1])
     if means.ndim == 1:
         values = tuple(map(float, values))

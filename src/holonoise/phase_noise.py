@@ -91,7 +91,9 @@ def _check_noise(config: HolometerConfig, sigma2: float, epsilon: float) -> None
     covariance epsilon about a symmetric working point."""
     if not (math.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
-    if not math.isfinite(epsilon) or abs(epsilon) > sigma2:
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
+    if abs(epsilon) > sigma2:
         raise ValueError(
             f"|epsilon| = {abs(epsilon)!r} exceeds the marginal variance "
             f"sigma2 = {sigma2!r}; the covariance matrix would not be positive"

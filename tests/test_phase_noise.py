@@ -50,9 +50,11 @@ BAD_NOISE = [(math.nan, 0.0), (-1e-6, 0.0), (1e-6, 2e-6), (1e-6, math.nan)]
 
 def test_model_validation():
     for sigma2, epsilon in BAD_NOISE:
-        with pytest.raises(ValueError):
+        # a nan covariance is reported as itself, not as a size violation
+        message = "epsilon must be finite, got nan" if math.isnan(epsilon) else None
+        with pytest.raises(ValueError, match=message):
             recover_covariance(DESK, QUAD, sigma2, epsilon, 2_000, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             direct_variance(DESK, QUAD, sigma2, epsilon)
 
 
