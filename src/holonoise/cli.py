@@ -21,12 +21,14 @@ Four subcommands cover the package's workflows:
 Common flags: ``--out`` (CSV path; stdout when omitted) and ``--seed``.
 The three commands that build a configuration also take ``--config``
 (JSON file whose keys mirror the configuration dataclass; explicit flags
-override it).  Grids over MAX_GRID_POINTS points and ``--n-samples``
-over MAX_SAMPLES are usage errors.
+override it).  Grids over MAX_GRID_POINTS points, ``--n-configs`` over
+MAX_GRID_POINTS, ``--n-samples`` over MAX_SAMPLES and counts below 1 are
+usage errors.
 
 The two scans evaluate a whole grid at once: the swept field of the
-configuration holds the grid (a stacked configuration, see config.py),
-each CSV column is one array call, and Python only formats the rows.
+configuration holds the grid (a stacked configuration, see config.py)
+and each CSV column is one array call.  Every subcommand hands the
+writer named columns, and the writer formats each column in one pass.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure.
 """
@@ -38,7 +40,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,7 +58,8 @@ SWEEP_VARIABLES = ("phi0", "eta", "lambda", "tau", "psi")
 _SWEPT_FIELDS = {"phi0": ("phi0_1", "phi0_2"), "tau": ("phi0_1", "phi0_2"),
                  "eta": ("eta",), "lambda": ("lam",), "psi": ("psi",)}
 # upper bounds that keep a run's memory bounded; the largest shipped grid
-# has 120 points and mc-estimate defaults to 1e5 samples
+# has 120 points, mc-estimate defaults to 1e5 samples and oracle-check
+# to 100 configurations (MAX_GRID_POINTS caps those too)
 MAX_GRID_POINTS = 10_000
 MAX_SAMPLES = 1_000_000
 
@@ -119,13 +122,14 @@ def _config_at(base: HolometerConfig, variable: str, grid: np.ndarray) -> Holome
     return base.replace(**dict.fromkeys(_SWEPT_FIELDS[variable], grid))
 
 
-def _parse_n_samples(text: str) -> int:
+def _parse_count(text: str, cap: int) -> int:
+    """A count of samples or configurations, from 1 to cap."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid sample count {text!r}") from None
-    if value > MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"{value} samples; at most {MAX_SAMPLES} are allowed")
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
+    if not 1 <= value <= cap:
+        raise argparse.ArgumentTypeError(f"count {value}; at least 1 and at most {cap} allowed")
     return value
 
 
@@ -213,27 +217,31 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, with_phi0_lam: bool = 
                         help="squeezing phase (radians)")
 
 
-def _format_cell(value: object) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    text = str(value)
+def _column_cells(column: object, shape: tuple[int, ...]) -> list[str]:
+    """The CSV cells of one column, a scalar repeated over the rows."""
+    values = np.broadcast_to(column, shape)
+    if values.dtype.kind == "f":
+        # a float list's repr is each cell's repr(float), joined by ", "
+        return repr(values.tolist())[1:-1].split(", ")
     # quoted as RFC 4180 asks, so a moment name such as centered[1,3]
     # stays one cell
-    return f'"{text}"' if "," in text else text
+    return [f'"{text}"' if "," in text else text for text in map(str, values.tolist())]
 
 
 def _write_csv(
     out: str | None,
     command: str,
     header_extra: Sequence[str],
-    columns: Sequence[str],
-    rows: Iterable[Sequence[object]],
+    columns: Mapping[str, object],
 ) -> None:
+    """Write the named columns (arrays, lists, or scalars repeated on
+    every row) under the ``#`` header lines."""
+    shape = np.broadcast_shapes(*map(np.shape, columns.values()))
+    cells = [_column_cells(column, shape) for column in columns.values()]
     lines = [f"# holonoise {command}"]
     lines.extend(f"# {extra}" for extra in header_extra)
     lines.append("# columns: " + ",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
+    lines.extend(map(",".join, zip(*cells)))
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -244,12 +252,6 @@ def _write_csv(
 
 def _config_json(config: HolometerConfig) -> str:
     return json.dumps(config.to_dict(), sort_keys=True)
-
-
-def _columns_to_rows(*columns: object) -> Iterable[Sequence[object]]:
-    """CSV rows from whole columns: arrays, or scalars repeated on every row."""
-    shape = np.broadcast_shapes(*(np.shape(column) for column in columns))
-    return zip(*(np.broadcast_to(column, shape).tolist() for column in columns))
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +302,10 @@ def _cmd_nrf_scan(args: argparse.Namespace) -> int:
         minus = nrf(config.replace(psi=psi_minus)).nrf_minus
         plus = nrf(config.replace(psi=psi_plus)).nrf_plus
         psi_line = f"difference column at psi={psi_minus!r}, sum column at psi={psi_plus!r}"
-    rows = _columns_to_rows(values, config.lam, minus, plus, regime_parameter(config))
-    _write_csv(
-        args.out,
-        "nrf-scan",
-        [f"base: {_config_json(base)}", psi_line],
-        [args.variable, "lambda", "nrf_minus", "nrf_plus", "regime_k"],
-        rows,
-    )
+    # under --variable lambda the swept column is the lambda column
+    columns = {args.variable: values, "lambda": config.lam, "nrf_minus": minus,
+               "nrf_plus": plus, "regime_k": regime_parameter(config)}
+    _write_csv(args.out, "nrf-scan", [f"base: {_config_json(base)}", psi_line], columns)
     return 0
 
 
@@ -346,23 +344,6 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
     if grid is None:
         grid = _parse_grid(_UNCERTAINTY_DEFAULT_GRIDS[args.variable])
 
-    columns = [
-        args.variable,
-        "u0_twb",
-        "u0_sq",
-        "u0_twb_sum",
-        "u_cl",
-        "ratio_twb",
-        "ratio_sq",
-        "ratio_twb_sum",
-        "regime_k",
-        "asym_sq_plateau",
-        "asym_twb_plateau",
-        "asym_twb_deep_quantum",
-        "asym_twb_deep_quantum_small_lam",
-        "flag",
-    ]
-
     # the base input is the twin beam, which the regime and limit columns describe
     twb = _config_at(base, args.variable, grid)
     sq = twb.replace(input_kind="TwoSqueezed")
@@ -386,28 +367,29 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
     u_twb, flag_twb = readout(twb, "TwbDifferenceSquared", "twb")
     u_sq, flag_sq = readout(sq, "QuadratureProduct", "sq")
     u_sum, flag_sum = readout(twb_sum, "TwbSumSquared", "twb_sum")
-    flag = [";".join(filter(None, row)) for row in zip(flag_twb, flag_sq, flag_sum)]
-    rows = _columns_to_rows(
-        grid,
-        u_twb,
-        u_sq,
-        u_sum,
-        u_cl,
-        u_twb / u_cl,
-        u_sq / u_cl,
-        u_sum / u_cl,
-        regime_parameter(twb),
-        *(estimation.u0_asymptotic(twb, branch) for branch in (
-            "SQ_large_lambda", "TWB_B", "TWB_A_large_lambda", "TWB_A_small_lambda")),
-        flag,
-    )
+    asymptote = functools.partial(estimation.u0_asymptotic, twb)
+    columns = {
+        args.variable: grid,
+        "u0_twb": u_twb,
+        "u0_sq": u_sq,
+        "u0_twb_sum": u_sum,
+        "u_cl": u_cl,
+        "ratio_twb": u_twb / u_cl,
+        "ratio_sq": u_sq / u_cl,
+        "ratio_twb_sum": u_sum / u_cl,
+        "regime_k": regime_parameter(twb),
+        "asym_sq_plateau": asymptote("SQ_large_lambda"),
+        "asym_twb_plateau": asymptote("TWB_B"),
+        "asym_twb_deep_quantum": asymptote("TWB_A_large_lambda"),
+        "asym_twb_deep_quantum_small_lam": asymptote("TWB_A_small_lambda"),
+        "flag": [";".join(filter(None, row)) for row in zip(flag_twb, flag_sq, flag_sum)],
+    }
     _write_csv(
         args.out,
         "uncertainty-scan",
         [f"base: {_config_json(base)}",
          "uncertainties are absolute; ratio columns divide by the coherent-only benchmark"],
         columns,
-        rows,
     )
     return 0
 
@@ -433,29 +415,25 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             + ("it did" if not report.ok else "IT DID NOT")
         )
     if args.out:
-        rows = [
-            (
-                index,
-                config.input_kind.value,
-                config.mu,
-                config.lam,
-                config.tau_1,
-                config.eta,
-                config.psi,
-                comparison.max_relative,
-                comparison.worst_margin,
-                comparison.worst_field,
-                "pass" if comparison.ok else "fail",
-            )
-            for index, (config, comparison) in enumerate(zip(report.configs, report.comparisons))
-        ]
+        configs, comparisons = report.configs, report.comparisons
+        columns = {
+            "index": np.arange(len(configs)),
+            "kind": [config.input_kind.value for config in configs],
+            "mu": [config.mu for config in configs],
+            "lambda": [config.lam for config in configs],
+            "tau": [config.tau_1 for config in configs],
+            "eta": [config.eta for config in configs],
+            "psi": [config.psi for config in configs],
+            "max_relative": [comparison.max_relative for comparison in comparisons],
+            "worst_margin": [comparison.worst_margin for comparison in comparisons],
+            "worst_field": [comparison.worst_field for comparison in comparisons],
+            "verdict": ["pass" if comparison.ok else "fail" for comparison in comparisons],
+        }
         _write_csv(
             args.out,
             "oracle-check",
             [f"convention: {convention}", f"seed: {args.seed}", f"rtol: {report.rtol!r}"],
-            ["index", "kind", "mu", "lambda", "tau", "eta", "psi", "max_relative",
-             "worst_margin", "worst_field", "verdict"],
-            rows,
+            columns,
         )
     return 0 if report.ok else 2
 
@@ -489,28 +467,22 @@ def _cmd_mc_estimate(args: argparse.Namespace) -> int:
         defaults["psi"] = 0.0
     config = _resolve_config({**defaults, **_load_config_file(args.config)}, args)
     spec = EstimatorSpec(kind=kind)
-    epsilons = _parse_float_list(args.epsilons)
+    eps = np.array(_parse_float_list(args.epsilons))
     sigma2 = args.sigma2
     n_samples = args.n_samples
-
-    def one(task: tuple[int, float]) -> tuple:
-        index, epsilon = task
-        # the parallel and perpendicular runs share one seed: common random
-        # numbers cancel most of the sampling noise in their difference
-        eps_hat, se = phase_noise.recover_covariance(
-            config, spec, sigma2, epsilon, n_samples, args.seed + index
-        )
-        pull = (eps_hat - epsilon) / se if se > 0.0 else math.nan
-        return (epsilon, eps_hat, se, pull)
-
-    rows = [one(task) for task in enumerate(epsilons)]
+    # the parallel and perpendicular runs share one seed: common random
+    # numbers cancel most of the sampling noise in their difference
+    hats, errors = np.array([
+        phase_noise.recover_covariance(config, spec, sigma2, epsilon, n_samples, args.seed + index)
+        for index, epsilon in enumerate(eps.tolist())
+    ]).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pull = np.where(errors > 0.0, (hats - eps) / errors, math.nan)
 
     summary: list[str] = []
-    worst_pull = max(abs(row[3]) for row in rows)
-    summary.append(f"worst |pull| over {len(rows)} injected covariances: {worst_pull:.2f}")
-    if len(rows) >= 3:
-        eps = np.array([row[0] for row in rows])
-        hats = np.array([row[1] for row in rows])
+    worst_pull = max(map(abs, pull.tolist()))
+    summary.append(f"worst |pull| over {len(eps)} injected covariances: {worst_pull:.2f}")
+    if len(eps) >= 3:
         design = np.column_stack([eps, np.ones_like(eps)])
         coef, _, _, _ = np.linalg.lstsq(design, hats, rcond=None)
         fitted = design @ coef
@@ -537,8 +509,7 @@ def _cmd_mc_estimate(args: argparse.Namespace) -> int:
             f"estimator: {args.estimator}, sigma2: {sigma2!r}, "
             f"n_samples: {n_samples}, seed: {args.seed}",
         ],
-        ["epsilon", "epsilon_hat", "std_error", "pull"],
-        rows,
+        {"epsilon": eps, "epsilon_hat": hats, "std_error": errors, "pull": pull},
     )
     for line in summary:
         print(line)
@@ -596,8 +567,10 @@ def _parser() -> argparse.ArgumentParser:
         help="cross-validate the Gaussian engine against the truncated-Fock oracle",
     )
     _add_common_flags(p_oracle)
-    p_oracle.add_argument("--n-configs", type=int, default=100,
-                          help="number of random configurations (default 100)")
+    # capped because every configuration is drawn before the first is compared
+    p_oracle.add_argument("--n-configs", type=functools.partial(_parse_count, cap=MAX_GRID_POINTS),
+                          default=100, help="number of random configurations "
+                          f"(default 100, at most {MAX_GRID_POINTS})")
     p_oracle.add_argument("--rtol", type=_parse_rtol, default=1e-8,
                           help="relative tolerance on every moment (default 1e-8)")
     p_oracle.add_argument("--broken-convention", action="store_true",
@@ -617,7 +590,8 @@ def _parser() -> argparse.ArgumentParser:
                       help="marginal phase-noise variance, > 0 (default 1e-5)")
     p_mc.add_argument("--epsilons", default="0,1e-8,1e-7,1e-6",
                       help="comma list of injected covariances")
-    p_mc.add_argument("--n-samples", type=_parse_n_samples, default=100_000,
+    p_mc.add_argument("--n-samples", type=functools.partial(_parse_count, cap=MAX_SAMPLES),
+                      default=100_000,
                       help=f"Monte-Carlo samples per run (default 100000, at most {MAX_SAMPLES})")
     p_mc.set_defaults(handler=_cmd_mc_estimate)
 

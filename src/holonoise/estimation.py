@@ -150,10 +150,8 @@ def classical_benchmark(config: HolometerConfig) -> float:
     phi0 = _require_symmetric(config, "the classical benchmark")
     if np.any(np.less_equal(config.mu, 0.0) | np.less_equal(config.eta, 0.0)):
         raise ValueError("the classical benchmark requires mu > 0 and eta > 0")
-    transmitted = np.cos(phi0 / 2.0) ** 2
-    # cos(pi/2) never rounds to exactly zero in floats, so catch the dark
-    # fringe within a few ulps of it rather than by equality
-    if np.any(transmitted <= (4.0 * math.ulp(1.0)) ** 2):
+    transmitted = observables.half_angle_cos(phi0) ** 2
+    if np.any(transmitted == 0.0):
         raise OverflowError(
             "phi_0 = pi sends no coherent light to the detector; the classical "
             "benchmark diverges"
@@ -186,21 +184,25 @@ def _derivative_terms(config: HolometerConfig, spec: EstimatorSpec) -> tuple[Any
     with s, c = sin, cos(phi_0 / 2), kappa = cos(theta - 2 psi),
     A = sqrt(lam (1 + lam)) for twin-beam input and 0 otherwise, and
     lam_n = lam unless the input is coherent only.  The readout factor
-    2 sign is a power of two, so folding it into the terms is exact.
+    2 sign is a power of two, so folding it into the terms is exact.  At
+    phi_0 = pi (observables.half_angle_cos) c and sin(phi_0) read 0, so
+    the rounding residue of cos(pi/2) gives no phase response.
     """
     phi0 = _require_symmetric(config, "the mixed derivative")
     eta, mu, lam = config.eta, config.mu, config.lam
     pair = np.sqrt(lam * (1.0 + lam)) if config.input_kind is InputKind.TWB else 0.0
     kappa = np.cos(config.theta - 2.0 * config.psi)
     sign = _PHOTOCURRENT_SIGN.get(spec.kind)
+    half_cos = observables.half_angle_cos(phi0)
     if sign is None:
-        half_cos, half_sin = np.cos(phi0 / 2.0), np.sin(phi0 / 2.0)
+        half_sin = np.sin(phi0 / 2.0)
         return (
             eta * 0.5 * mu * half_cos * half_cos,
             -eta * 0.25 * pair * kappa * half_sin * half_sin,
         )
     lam_n = 0.0 if config.input_kind is InputKind.COHERENT_ONLY else lam
-    sine, cosine = np.sin(phi0), np.cos(phi0)
+    # sin(phi_0) = 2 sin(phi_0/2) cos(phi_0/2) vanishes with the half-angle cosine
+    sine, cosine = np.where(half_cos == 0.0, 0.0, np.sin(phi0)), np.cos(phi0)
     sines = sine * sine
     scale = 2.0 * sign * (eta * eta)
     return (

@@ -182,17 +182,27 @@ class NrfResult:
     nrf_plus: float
 
 
+def half_angle_cos(phi: Any) -> Any:
+    """cos(phi/2), read as exactly 0 at phi = pi (tau = 0), where no
+    quantum light reaches the detector.
+
+    cos(pi/2) never rounds to zero in floats (it leaves 6.1e-17), so
+    phi = pi is caught within 4 ulp of it rather than by equality.
+    """
+    half = np.cos(0.5 * phi)
+    return np.where(np.abs(half) <= 4.0 * math.ulp(1.0), 0.0, half)
+
+
 def regime_parameter(config: HolometerConfig) -> float:
     """Coherent-to-quantum photon ratio k at the detected port.
 
     k = mu(1-tau)/(tau*lambda); 0 when no coherent light reaches the
-    detector, +inf when no quantum light does.  1-tau is evaluated as
-    sin^2(phi/2), which stays accurate for phases far below the double
-    rounding step of cos^2.
+    detector, +inf when no quantum light does (at phi = pi, as
+    half_angle_cos reads it).  1-tau is evaluated as sin^2(phi/2), which
+    stays accurate for phases far below the double rounding step of cos^2.
     """
-    half = 0.5 * config.phi0_1
-    coherent = config.mu * np.sin(half) ** 2
-    quantum = np.cos(half) ** 2 * config.lam
+    coherent = config.mu * np.sin(0.5 * config.phi0_1) ** 2
+    quantum = half_angle_cos(config.phi0_1) ** 2 * config.lam
     if config.input_kind is InputKind.COHERENT_ONLY:
         quantum = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

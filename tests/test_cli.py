@@ -95,6 +95,15 @@ def test_nrf_scan_writes_deterministic_csv(tmp_path):
         assert float(row["nrf_plus"]) > 0.0
 
 
+def test_nrf_scan_lambda_sweep_writes_lambda_once(tmp_path):
+    # the swept variable is the lambda column itself, not a second copy
+    out = tmp_path / "lambda.csv"
+    assert run(["nrf-scan", "--variable", "lambda", "--grid", "0.5,2", "--out", str(out)]) == 0
+    comments, columns, rows = read_csv(out)
+    assert comments[-1] == "# columns: lambda,nrf_minus,nrf_plus,regime_k"
+    assert [float(row["lambda"]) for row in rows] == [0.5, 2.0]
+
+
 def test_nrf_scan_figure_point_value(tmp_path):
     out = tmp_path / "point.csv"
     assert run([
@@ -461,14 +470,39 @@ def test_usage_errors_exit_one():
     assert run_usage_error([]) == 1
 
 
-def test_grid_and_sample_caps_are_usage_errors(capsys):
+def test_grid_and_sample_caps_are_usage_errors(monkeypatch, capsys):
     # one past each cap is rejected while parsing, before any allocation
+    monkeypatch.setattr(cli, "run_crosscheck", lambda **_: pytest.fail("configurations drawn"))
+    assert run_usage_error(["oracle-check", "--n-configs", str(cli.MAX_GRID_POINTS + 1)]) == 1
+    assert f"at most {cli.MAX_GRID_POINTS}" in capsys.readouterr().err
     too_many = f"0.1:0.9:{cli.MAX_GRID_POINTS + 1}"
     assert run_usage_error(["nrf-scan", "--grid", too_many]) == 1
     assert f"at most {cli.MAX_GRID_POINTS}" in capsys.readouterr().err
     assert run_usage_error(["uncertainty-scan", "--grid", too_many]) == 1
     assert run_usage_error(["mc-estimate", "--n-samples", str(cli.MAX_SAMPLES + 1)]) == 1
     assert f"at most {cli.MAX_SAMPLES}" in capsys.readouterr().err
+
+
+FLOATS = [0.1, -0.0, 5e-324, 1e300, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("column, cells", [
+    (np.array(FLOATS), [repr(float(x)) for x in FLOATS]),
+    (FLOATS, [repr(float(x)) for x in FLOATS]),
+    (np.arange(-1, 2), ["-1", "0", "1"]),
+    (["pass", "centered[1,3]", ""], ["pass", '"centered[1,3]"', ""]),
+    (2.5, ["2.5"] * 3),
+    ("a,b", ['"a,b"'] * 3),
+], ids=["float-array", "float-list", "int", "str", "float-scalar", "str-scalar"])
+def test_write_csv_formats_whole_columns(tmp_path, column, cells):
+    # floats round-trip through repr, other cells are text quoted as RFC
+    # 4180 asks, and a scalar repeats on every row
+    out = tmp_path / "table.csv"
+    cli._write_csv(str(out), "test", ["note"], {"row": np.arange(len(cells)), "value": column})
+    assert out.read_text().splitlines() == [
+        "# holonoise test", "# note", "# columns: row,value",
+        *(f"{row},{cell}" for row, cell in enumerate(cells)),
+    ]
 
 
 @pytest.mark.parametrize("module", ["holonoise", "holonoise.cli"])
@@ -600,6 +634,30 @@ def test_mc_estimate_reports_an_estimator_without_phase_response(capsys):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("holonoise mc-estimate: the estimator mean has no mixed phase response")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--estimator", "quadrature-product"],
+    ["--estimator", "difference-squared", "--kind", "CoherentOnly"],
+])
+def test_mc_estimate_refuses_phi0_pi_without_phase_response(capsys, argv):
+    # at phi_0 = pi only the rounding residue of cos(pi/2) would respond
+    assert run(["mc-estimate", *argv, "--phi0", repr(math.pi), "--n-samples", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no mixed phase response" in captured.err
+
+
+@pytest.mark.parametrize("estimator", ["difference-squared", "sum-squared"])
+def test_mc_estimate_recovers_twin_beams_at_phi0_pi(tmp_path, estimator):
+    # the twin-beam pair term still responds where the coherent terms vanish
+    out = tmp_path / "mc.csv"
+    assert run(["mc-estimate", "--estimator", estimator, "--phi0", repr(math.pi),
+                "--epsilons", "0,1e-6", "--n-samples", "2000", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    for row in rows:
+        assert abs(float(row["pull"])) < 6.0
+        assert float(row["std_error"]) < 1e-6
 
 
 def test_mc_estimate_sum_estimator_defaults_to_its_phase(capsys):

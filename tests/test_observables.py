@@ -270,6 +270,8 @@ def test_regime_parameter_counts_photon_ratio():
     assert regime_parameter(config) == pytest.approx(expected, rel=1e-12)
     assert regime_parameter(make(input_kind="CoherentOnly", lam=0.0)) == math.inf
     assert regime_parameter(make(mu=0.0)) == 0.0
+    # cos(pi/2) leaves a 6.1e-17 residue; phi_0 = pi still reads +inf
+    assert regime_parameter(make(phi0_1=math.pi, phi0_2=math.pi)) == math.inf
 
 
 def test_regime_parameter_survives_tiny_phases():
