@@ -9,9 +9,12 @@ and ``wrote`` lines are dropped, since they change from run to run and
 with DIR.  The commands are the five figure scans of
 run_figure_scans.py, ``nrf-scan`` and ``uncertainty-scan`` on their
 default grids for each sweep variable, ``mc-estimate`` for each
-estimator, and ``oracle-check`` on 100 configurations at the default
-seed, at seeds 1000 and 1003, and with the broken convention.  A full
-run takes about three seconds on a 2-core x86-64 host.
+estimator, ``mc-estimate`` for the quadrature-product and difference
+estimators at sample counts on both edges of the 8 192-offset blocks in
+which estimation.estimator_mean_curve evaluates its surface, and
+``oracle-check`` on 100 configurations at the default seed, at seeds
+1000 and 1003, and with the broken convention.  A full run takes about
+four seconds on a 2-core x86-64 host.
 
 The script imports holonoise from the src/ of its own checkout.  To
 compare two checkouts, copy it into the other one's scripts/ as well:
@@ -35,6 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from run_figure_scans import SCANS, cli  # noqa: E402 - puts src/ on the path
 
 _ORACLE = ["oracle-check", "--n-configs", "100"]
+_MC_NOISE = ["--sigma2", "3e-6", "--epsilons", "0,-1e-7,2e-7,5e-7,1e-6,3e-6", "--seed", "5"]
 
 COMMANDS: dict[str, list[str]] = {
     **{Path(name).stem: argv for name, argv in SCANS.items()},
@@ -42,6 +46,8 @@ COMMANDS: dict[str, list[str]] = {
     **{f"uncertainty-scan_{v}": ["uncertainty-scan", "--variable", v] for v in cli.SWEEP_VARIABLES},
     **{f"mc-estimate_{e}": ["mc-estimate", "--estimator", e]
        for e in ("difference-squared", "sum-squared", "quadrature-product")},
+    **{f"mc-estimate_{e}_n{n}": ["mc-estimate", "--estimator", e, "--n-samples", str(n), *_MC_NOISE]
+       for e in ("quadrature-product", "difference-squared") for n in (8191, 8192, 8193, 100001)},
     "oracle-check": _ORACLE,
     "oracle-check_seed1000": _ORACLE + ["--seed", "1000"],
     "oracle-check_seed1003": _ORACLE + ["--seed", "1003"],

@@ -20,6 +20,7 @@ from .estimation import (
     PsiPairingError,
     SingularConfigurationError,
     classical_benchmark,
+    estimator_mean_curve,
     estimator_mixed_derivative,
     u0,
     u0_asymptotic,
@@ -101,6 +102,7 @@ __all__ = [
     "U0_ASYMPTOTIC_BRANCHES",
     "classical_benchmark",
     "estimator_mixed_derivative",
+    "estimator_mean_curve",
     "SingularConfigurationError",
     "PsiPairingError",
     # phase-noise Monte Carlo

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -76,13 +75,21 @@ class CrosscheckReport:
     their engine-versus-oracle comparisons, position for position."""
 
     coincidence: float  # two-photon coincidence under the active convention
-    coincidence_ok: bool
     configs: tuple[HolometerConfig, ...]
     comparisons: tuple[MomentComparison, ...]
-    field_worst: Mapping[str, float]  # per-moment max relative deviation
     rtol: float
     convention: str
     runtime_seconds: float
+
+    @property
+    def coincidence_ok(self) -> bool:
+        return self.coincidence < _COINCIDENCE_NULL_TOL
+
+    @property
+    def field_worst(self) -> dict[str, float]:
+        """Per-moment max relative deviation over the configurations."""
+        rows = self.comparisons
+        return {name: max(row.relative[name] for row in rows) for name in rows[0].relative}
 
     @property
     def n_failed(self) -> int:
@@ -131,8 +138,6 @@ def run_crosscheck(
         raise ValueError("need at least one configuration")
     start = time.perf_counter()
     coincidence = two_photon_coincidence(convention)
-    coincidence_ok = coincidence < _COINCIDENCE_NULL_TOL
-
     rng = np.random.default_rng(seed)
     configs = tuple(sample_guardrail_config(rng) for _ in range(n_configs))
     comparisons = tuple(
@@ -141,13 +146,8 @@ def run_crosscheck(
     )
     return CrosscheckReport(
         coincidence=coincidence,
-        coincidence_ok=coincidence_ok,
         configs=configs,
         comparisons=comparisons,
-        field_worst={
-            name: max(comparison.relative[name] for comparison in comparisons)
-            for name in comparisons[0].relative
-        },
         rtol=rtol,
         convention=convention,
         runtime_seconds=time.perf_counter() - start,

@@ -123,9 +123,6 @@ def _coherent_vector(mu: float, psi: float, cut: int) -> np.ndarray:
 def _squeezed_vector(lam: float, chi: float, cut: int) -> np.ndarray:
     """Squeezed vacuum with the quadrature at angle chi squeezed."""
     vec = np.zeros(cut, dtype=complex)
-    if lam == 0.0:
-        vec[0] = 1.0
-        return vec
     r = math.asinh(math.sqrt(lam))
     z = math.tanh(r) * np.exp(1j * (2.0 * chi - math.pi))
     lg = _log_factorials(cut)
@@ -137,10 +134,6 @@ def _squeezed_vector(lam: float, chi: float, cut: int) -> np.ndarray:
 
 def _twb_weights(lam: float, theta: float, cut: int) -> np.ndarray:
     """Pair-correlation amplitudes c_m of a two-mode squeezed vacuum."""
-    if lam == 0.0:
-        out = np.zeros(cut, dtype=complex)
-        out[0] = 1.0
-        return out
     x = math.sqrt(lam / (1.0 + lam)) * np.exp(1j * theta)
     return x ** np.arange(cut) / math.sqrt(1.0 + lam)
 

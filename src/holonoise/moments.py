@@ -77,10 +77,13 @@ class QuadratureMoments:
 class MomentComparison:
     """Result of a field-by-field comparison of two moment carriers."""
 
-    ok: bool
     worst_margin: float  # |a-b| / allowance, max over fields; <= 1 means ok
     worst_field: str
     relative: Mapping[str, float]  # per field, |a-b| / max(|a|,|b|) above its floor
+
+    @property
+    def ok(self) -> bool:
+        return self.worst_margin <= 1.0
 
     @property
     def max_relative(self) -> float:
@@ -157,4 +160,4 @@ def compare_moments(
             worst_margin = margin
             worst_field = name
         relative[name] = _relative_deviation(x, y, floor)
-    return MomentComparison(worst_margin <= 1.0, worst_margin, worst_field, relative)
+    return MomentComparison(worst_margin, worst_field, relative)

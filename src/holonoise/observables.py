@@ -135,11 +135,12 @@ def closed_form_quadrature(config: HolometerConfig) -> dict[str, Any]:
     stacked configuration.  Before loss, in the notation of
     closed_form_moments,
 
-        <Y_i>      = sqrt(2 mu) sin(chi - psi) s_i
+        <Y_i>      = sqrt(2 mu) s_i
         Var(Y_i)   = 1/2 + (lam_n - A cos 2(chi_sq - chi)) c_i^2
         Cov(Y1,Y2) = A cos(theta - 2 chi) c_1 c_2   (twin beam)
 
-    where the A term of the variance is present for squeezed input only.
+    where the A term of the variance is present for squeezed input only;
+    the mean's factor sin(chi - psi) is 1 on the signal quadrature.
     """
     chi = config.signal_quadrature_angle
     c1, s1, c2, s2 = _half_angles(config)
@@ -148,7 +149,7 @@ def closed_form_quadrature(config: HolometerConfig) -> dict[str, Any]:
     pair = np.sqrt(lam * (1.0 + lam))
 
     def port(c: Any, s: Any, eta: float) -> tuple[Any, Any]:
-        mean = np.sqrt(2.0 * eta * config.mu) * np.sin(chi - config.psi) * s
+        mean = np.sqrt(2.0 * eta * config.mu) * s
         if kind is InputKind.COHERENT_ONLY:
             return mean, np.full_like(c, 0.5 * eta + (1.0 - eta) / 2.0)
         weight = lam

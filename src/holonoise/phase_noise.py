@@ -11,22 +11,20 @@ distribution, and the injected covariance is recovered from the
 parallel/perpendicular mean difference divided by the estimator's mixed
 phase derivative.
 
-recover_covariance takes the noise as (sigma2, epsilon) and a seed.  It
-draws one set of standard normals from default_rng(seed), which both
-runs share (common random numbers), and runs two steps per
-configuration: sample_phase_offsets scales the normals by the SVD
-covariance factor, the stream of numpy's
-multivariate_normal(method="svd"), and mc_expectation averages the
-real-valued closed-form mean surface over the offsets.  It evaluates the
-surface in blocks of offset rows into one preallocated array, so each
-evaluation's temporaries stay small and cache-resident instead of being
-allocated afresh at the full sample count, and takes the mean and
-standard deviation over the whole array; the result is bit for bit that
-of one evaluation over all offsets.  At epsilon = 0 the perpendicular
-run would repeat the parallel one, so its result is reused rather than
-recomputed.  The estimator's centering constants and its phase
-response, the divisor of the recovery, come from estimation; an
-estimator without a phase response at the working point raises
+This module keeps the noise model; estimation owns the estimator: its
+centered <C> surface, its phase response and the symmetric-point rule.
+The noise is a plain (sigma2, epsilon) pair under one rule (sigma2
+finite and >= 0, epsilon finite with |epsilon| <= sigma2) that every
+routine taking noise applies.  recover_covariance draws one set of
+standard normals from default_rng(seed), which both runs share (common
+random numbers), and runs two steps per configuration:
+sample_phase_offsets scales the normals by the SVD covariance factor,
+the stream of numpy's multivariate_normal(method="svd"), and
+mc_expectation takes the mean and standard error of
+estimation.estimator_mean_curve over the offsets.  At epsilon = 0 the
+perpendicular run would repeat the parallel one, so its result is
+reused.  An estimator without a phase response at the working point
+(estimation.estimator_mixed_derivative, the recovery's divisor) raises
 SingularConfigurationError there before any sample is drawn.
 
 The module also evaluates the second-order expansion of the total
@@ -79,16 +77,10 @@ _PHASE_FLOOR = 1e-3
 _STENCIL = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], float)
 # Gauss-Hermite nodes per decorrelated axis in direct_variance
 _GH_ORDER = 9
-# offset rows per closed-form surface evaluation in mc_expectation, 64 KiB
-# per float64 temporary; on a 2-core x86-64 host, 8 192 and 16 384 rows
-# time within 5% of each other, and 2 048 rows, 32 768 rows or one
-# evaluation over 1e5 rows 10-40% slower
-_MC_BLOCK = 8_192
 
 
-def _check_noise(config: HolometerConfig, sigma2: float, epsilon: float) -> None:
-    """The noise is a bivariate normal of marginal variance sigma2 and
-    covariance epsilon about a symmetric working point."""
+def _check_noise(sigma2: float, epsilon: float) -> None:
+    """The one noise rule: sigma2 finite and >= 0, |epsilon| <= sigma2."""
     if not (math.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
     if not math.isfinite(epsilon):
@@ -98,7 +90,6 @@ def _check_noise(config: HolometerConfig, sigma2: float, epsilon: float) -> None
             f"|epsilon| = {abs(epsilon)!r} exceeds the marginal variance "
             f"sigma2 = {sigma2!r}; the covariance matrix would not be positive"
         )
-    estimation._require_symmetric(config, "the phase-noise model")
 
 
 def sample_phase_offsets(sigma2: float, epsilon: float, normals: np.ndarray) -> np.ndarray:
@@ -113,22 +104,9 @@ def sample_phase_offsets(sigma2: float, epsilon: float, normals: np.ndarray) -> 
 def mc_expectation(
     config: HolometerConfig, spec: EstimatorSpec, offsets: np.ndarray
 ) -> tuple[float, float]:
-    """Sample mean and standard error of <C> over the offset samples.
-
-    Per-sample expectations come from the real-valued closed-form mean
-    surface, centered at the working point, evaluated _MC_BLOCK rows of
-    offsets at a time into one array.
-    The surface is element-wise and numpy's pairwise mean and std run
-    over that whole array, so the result is bit for bit that of one
-    evaluation over all offsets, independent of the block length.
-    """
-    phi0 = config.phi0_1
-    values = np.empty(len(offsets))
-    for start in range(0, len(offsets), _MC_BLOCK):
-        part = offsets[start:start + _MC_BLOCK]
-        values[start:start + len(part)] = estimation._centered_mean_curve(
-            config, spec, phi0 + part[:, 0], phi0 + part[:, 1]
-        )
+    """Sample mean and standard error of <C> over the offset samples, from
+    one estimation.estimator_mean_curve evaluation at the offsets."""
+    values = estimation.estimator_mean_curve(config, spec, offsets[:, 0], offsets[:, 1])
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
@@ -148,25 +126,27 @@ def recover_covariance(
     standard normals of default_rng(seed).  The standard error combines
     the two run errors as independent.  At epsilon = 0 the runs coincide:
     the parallel result is reused and epsilon_hat is exactly +0.0.
-    Raises SingularConfigurationError where the estimator has no phase
-    response (estimation.estimator_mixed_derivative).
+    Raises where the working point is not symmetric or the estimator has
+    no phase response there (estimation.estimator_mixed_derivative), and
+    OverflowError where the standard error overflows float64.
     """
-    _check_noise(config, sigma2, epsilon)
+    _check_noise(sigma2, epsilon)
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
     denominator = estimation.estimator_mixed_derivative(config, spec)
-    normals = np.random.default_rng(seed).standard_normal((int(n_samples), 2))
-    mean_par, se_par = mc_expectation(config, spec, sample_phase_offsets(sigma2, epsilon, normals))
+    draw = np.random.default_rng(seed).standard_normal((int(n_samples), 2))
+    mean_par, se_par = mc_expectation(config, spec, sample_phase_offsets(sigma2, epsilon, draw))
     if epsilon == 0.0:
         mean_perp, se_perp = mean_par, se_par
     else:
-        mean_perp, se_perp = mc_expectation(
-            config, spec, sample_phase_offsets(sigma2, 0.0, normals)
-        )
+        mean_perp, se_perp = mc_expectation(config, spec, sample_phase_offsets(sigma2, 0.0, draw))
     difference = mean_par - mean_perp
     # equal means recover +0.0, never the -0.0 of a negative response
     epsilon_hat = difference / denominator if difference else 0.0
-    return epsilon_hat, math.hypot(se_par, se_perp) / abs(denominator)
+    standard_error = math.hypot(se_par, se_perp) / abs(denominator)
+    if not math.isfinite(standard_error):
+        raise OverflowError("the Monte-Carlo standard error overflows float64 (mu too large)")
+    return epsilon_hat, standard_error
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +173,11 @@ class VarianceExpansion:
     var_zero: float
 
     def predict(self, sigma2: float, epsilon: float) -> float:
-        if not (math.isfinite(sigma2) and 0.0 <= sigma2 <= MAX_EXPANSION_SIGMA2):
+        _check_noise(sigma2, epsilon)
+        if sigma2 > MAX_EXPANSION_SIGMA2:
             raise ValueError(
                 f"the second-order expansion is valid for 0 <= sigma2 <= {MAX_EXPANSION_SIGMA2}"
             )
-        if not (math.isfinite(epsilon) and abs(epsilon) <= sigma2):
-            raise ValueError("epsilon must be finite with |epsilon| <= sigma2")
         return self.var_zero + (self.a_11 + self.a_22) * sigma2 + self.a_12 * epsilon
 
 
@@ -208,7 +187,7 @@ def variance_expansion(config: HolometerConfig, spec: EstimatorSpec) -> Variance
     depend on the noise, which ``predict`` takes.  Raises
     UndefinedResultError where roundoff leaves a negative var_zero, as
     estimation.u0 does on the same Var[C]."""
-    phi0 = estimation._require_symmetric(config, "the variance expansion")
+    phi0 = estimation.require_symmetric(config, "the variance expansion")
     # one stacked engine call over the 17-point stencil: the working
     # point, then _STENCIL at each Richardson step
     steps = np.array([step * max(abs(phi0), _PHASE_FLOOR) for step in _RELATIVE_STEPS])
@@ -251,8 +230,8 @@ def direct_variance(
     stacked engine call over all nodes.  Raises UndefinedResultError
     where roundoff leaves a negative result.
     """
-    _check_noise(config, sigma2, epsilon)
-    phi0 = config.phi0_1
+    _check_noise(sigma2, epsilon)
+    phi0 = estimation.require_symmetric(config, "the phase-noise model")
     nodes, weights = np.polynomial.hermite_e.hermegauss(_GH_ORDER)
     weights = weights / math.sqrt(2.0 * math.pi)
     scale_u = math.sqrt(max(sigma2 + epsilon, 0.0))

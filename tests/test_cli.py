@@ -324,7 +324,8 @@ def test_sweep_input_errors_still_stop_the_scan(tmp_path, capsys):
     assert run(["uncertainty-scan", "--variable", "eta", "--grid", "0.5,1.5,0.9",
                 "--out", str(out)]) == 1
     assert "eta must lie in [0, 1], got 1.5" in capsys.readouterr().err
-    # the dark fringe has no classical benchmark, and no light no NRF
+    # phi_0 = pi, where all of the coherent light reaches the detector
+    # with no phase response, has no classical benchmark; no light, no NRF
     assert run(["uncertainty-scan", "--variable", "phi0", "--grid", "1,3.141592653589793",
                 "--out", str(out)]) == 1
     assert "classical benchmark diverges" in capsys.readouterr().err
@@ -669,6 +670,30 @@ def test_mc_estimate_sum_estimator_defaults_to_its_phase(capsys):
     printed = capsys.readouterr().out
     assert '"psi": 0.0' in printed
     assert '"input_kind": "TWB"' in printed
+
+
+@pytest.mark.parametrize("estimator", ["quadrature-product", "difference-squared", "sum-squared"])
+def test_mc_estimate_names_an_overflow_far_outside_the_domain(tmp_path, capsys, estimator):
+    # mu = 1e300 overflows float64: an error naming it, no inf or nan cells
+    out = tmp_path / "mc.csv"
+    assert run(["mc-estimate", "--estimator", estimator, "--mu", "1e300",
+                "--n-samples", "1000", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the error is the last line, after any numpy overflow warnings
+    line = captured.err.splitlines()[-1]
+    assert line.startswith("holonoise mc-estimate: the ")
+    assert "overflows float64" in line
+    assert not out.exists()
+
+
+def test_uncertainty_scan_names_an_overflow_far_outside_the_domain(tmp_path, capsys):
+    out = tmp_path / "u.csv"
+    assert run(["uncertainty-scan", "--mu", "1e300", "--out", str(out)]) == 1
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert line.startswith("holonoise uncertainty-scan: the mixed phase derivative")
+    assert "overflows float64" in line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("estimator", ["quadrature-product", "difference-squared"])

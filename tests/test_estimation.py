@@ -14,6 +14,7 @@ from holonoise.estimation import (
     classical_benchmark,
     estimator_center,
     estimator_mean_and_square,
+    estimator_mean_curve,
     estimator_mixed_derivative,
     u0,
     u0_asymptotic,
@@ -94,6 +95,17 @@ def test_classical_benchmark_rejects_degenerate_points():
         classical_benchmark(make(eta=0.0))
     with pytest.raises(OverflowError):
         classical_benchmark(make(phi0_1=math.pi, phi0_2=math.pi))
+
+
+def test_phi0_pi_sends_all_coherent_and_no_quantum_light_to_the_detector():
+    # <N> = eta (mu sin^2(phi_0/2) + lam cos^2(phi_0/2)): at phi_0 = pi the
+    # detector sees only the coherent light, whose signal there has no
+    # phase response, so the classical benchmark diverges
+    config = make(mu=1e4, lam=2.0, eta=0.8, phi0_1=math.pi, phi0_2=math.pi)
+    assert closed_form_moments(config)["mean_1"] == pytest.approx(0.8 * 1e4, rel=1e-15)
+    assert closed_form_moments(config.replace(mu=0.0))["mean_1"] == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(OverflowError, match="all of the coherent light reaches the detector"):
+        classical_benchmark(config)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +235,16 @@ def test_negative_estimator_variance_raises_and_reads_nan_on_a_stack(mu, lam):
     assert stack[0] == u0(config.replace(eta=0.95), DIFF) and np.isnan(stack[1])
 
 
+@pytest.mark.parametrize("spec", [DIFF, SUM], ids=["difference", "sum"])
+def test_an_overflowing_phase_response_raises_on_a_stack_too(spec):
+    # at mu = 1e300 (mu - lam)^2 overflows float64: that is no singular
+    # member to read as nan, and no bare "Numerical result out of range"
+    for config in (make(mu=1e300, psi=0.0), make(mu=1e300, psi=0.0, phi0_1=[0.01, 0.1],
+                                                  phi0_2=[0.01, 0.1])):
+        with pytest.raises(OverflowError, match="mixed phase derivative overflows float64"):
+            estimator_mixed_derivative(config, spec)
+
+
 def test_non_finite_phase_response_raises():
     # at lam = 1e200 the pair amplitude overflows to inf, and at phi_0 = 0
     # its quadrature term is inf * 0 = nan
@@ -238,9 +260,9 @@ def test_non_finite_phase_response_raises():
 
 def test_mean_curve_matches_engine_moments():
     config = make(mu=1e4, lam=2.0)
-    phis = np.array([config.phi0_1, config.phi0_1 * 1.5, config.phi0_1 * 0.5])
-    curve = estimation._centered_mean_curve(config, DIFF, phis, phis)
-    for value, phi in zip(curve, phis, strict=True):
+    offsets = np.array([0.0, config.phi0_1 * 0.5, -config.phi0_1 * 0.5])
+    curve = estimator_mean_curve(config, DIFF, offsets, offsets)
+    for value, phi in zip(curve, config.phi0_1 + offsets, strict=True):
         moments = readout_moments(config.replace(phi0_1=phi, phi0_2=phi), max_order=2)
         variance = moments.var_1 + moments.var_2 - 2.0 * moments.cov
         assert value == pytest.approx(variance, rel=1e-8)
@@ -250,10 +272,10 @@ def test_mean_and_square_consistent_with_curve():
     config = make(mu=1e4, lam=2.0)
     for spec, cfg in ((DIFF, config), (QUAD, config.replace(input_kind="TwoSqueezed"))):
         mean, square = estimator_mean_and_square(cfg, spec, cfg.phi0_1 * 1.2, cfg.phi0_2 * 1.2)
-        curve = estimation._centered_mean_curve(
-            cfg, spec, np.array([cfg.phi0_1 * 1.2]), np.array([cfg.phi0_2 * 1.2])
+        [curve] = estimator_mean_curve(
+            cfg, spec, np.array([cfg.phi0_1 * 0.2]), np.array([cfg.phi0_2 * 0.2])
         )
-        assert mean == pytest.approx(float(curve[0]), rel=1e-8)
+        assert mean == pytest.approx(curve, rel=1e-8)
         assert square >= mean**2
 
 

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from holonoise import estimation, phase_noise
+from holonoise import estimation, observables, phase_noise
 from holonoise.config import HolometerConfig
 from holonoise.observables import UndefinedResultError
 from holonoise.estimation import (
     EstimatorSpec,
     SingularConfigurationError,
     estimator_mean_and_square,
+    estimator_mean_curve,
     u0,
 )
 from holonoise.phase_noise import (
@@ -81,26 +82,27 @@ def test_sample_statistics_track_the_model():
 def test_mc_expectation_at_zero_noise_is_the_working_point_mean():
     offsets = sample_phase_offsets(0.0, 0.0, normals(0, 2_000))
     mean, se = mc_expectation(DESK, QUAD, offsets)
-    exact = float(estimation._centered_mean_curve(DESK, QUAD, DESK.phi0_1, DESK.phi0_2))
+    [exact] = estimator_mean_curve(DESK, QUAD, np.zeros(1), np.zeros(1))
     assert mean == exact
     assert se == 0.0
 
 
-BLOCK = phase_noise._MC_BLOCK
+BLOCK = estimation._CURVE_BLOCK
 
 
 @pytest.mark.parametrize("n_samples", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 100_000])
 @pytest.mark.parametrize("spec", [QUAD, DIFF], ids=["quadrature", "difference"])
-def test_mc_expectation_is_independent_of_its_blocks(spec, n_samples):
+def test_mc_expectation_is_independent_of_its_blocks(monkeypatch, spec, n_samples):
     # the reference: one surface evaluation over every offset, then the
     # same whole-array reductions
     config = DESK if spec is QUAD else TWB_DESK
     offsets = sample_phase_offsets(1e-5, 3e-6, normals(17, n_samples))
-    values = estimation._centered_mean_curve(
-        config, spec, config.phi0_1 + offsets[:, 0], config.phi0_1 + offsets[:, 1]
-    )
-    want = (float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_samples)))
-    assert mc_expectation(config, spec, offsets) == want
+    got = mc_expectation(config, spec, offsets)
+    blocked = estimator_mean_curve(config, spec, offsets[:, 0], offsets[:, 1])
+    monkeypatch.setattr(estimation, "_CURVE_BLOCK", n_samples)
+    values = estimator_mean_curve(config, spec, offsets[:, 0], offsets[:, 1])
+    assert blocked.tobytes() == values.tobytes()
+    assert got == (float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +139,23 @@ def _count_calls(monkeypatch, owner, name):
 
 
 @pytest.mark.parametrize("spec", [QUAD, SUM], ids=["quadrature", "sum"])
-def test_mc_expectation_leaves_the_centre_to_each_block_surface(monkeypatch, spec):
-    # three blocks of offsets, three surfaces, each centred by itself at
-    # the working point; mc_expectation computes no centre of its own
+def test_mc_expectation_centres_its_three_blocks_once(monkeypatch, spec):
+    # three blocks of offsets, one surface call and one centre at the
+    # working point; each block evaluates the closed form once
     config = DESK if spec is QUAD else TWB_DESK.replace(psi=0.0)
     offsets = sample_phase_offsets(1e-5, 3e-6, normals(3, 2 * BLOCK + 3))
-    surfaces = _count_calls(monkeypatch, estimation, "_centered_mean_curve")
+    surfaces = _count_calls(monkeypatch, estimation, "estimator_mean_curve")
     centers = _count_calls(monkeypatch, estimation, "estimator_center")
+    closed_form = "closed_form_quadrature" if spec is QUAD else "closed_form_moments"
+    evaluations = _count_calls(monkeypatch, observables, closed_form)
     mc_expectation(config, spec, offsets)
-    assert (len(surfaces), len(centers)) == (3, 3)
+    assert (len(surfaces), len(centers), len(evaluations)) == (1, 1, 1 + 3)
 
 
 @pytest.mark.parametrize("spec", [QUAD, DIFF], ids=["quadrature", "difference"])
 def test_recovery_at_zero_covariance_evaluates_the_surface_once(monkeypatch, spec):
     config = DESK if spec is QUAD else TWB_DESK
-    surfaces = _count_calls(monkeypatch, estimation, "_centered_mean_curve")
+    surfaces = _count_calls(monkeypatch, estimation, "estimator_mean_curve")
     centers = _count_calls(monkeypatch, estimation, "estimator_center")
     draws = _count_calls(monkeypatch, np.random, "default_rng")
     offsets = _count_calls(monkeypatch, phase_noise, "sample_phase_offsets")
