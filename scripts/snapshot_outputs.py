@@ -8,7 +8,9 @@ DIR/<name>.txt with its exit code as the last line.  The ``runtime:``
 and ``wrote`` lines are dropped, since they change from run to run and
 with DIR.  The commands are the five figure scans of
 run_figure_scans.py, ``nrf-scan`` and ``uncertainty-scan`` on their
-default grids for each sweep variable, ``mc-estimate`` for each
+default grids for each sweep variable, ``uncertainty-scan`` at phi0 =
+0.01 for mu = 1e40 and 1e80, far above the documented domain, where
+its ratio columns must not drift, ``mc-estimate`` for each
 estimator, ``mc-estimate`` for the quadrature-product and difference
 estimators at sample counts on both edges of the 8 192-offset blocks in
 which estimation.estimator_mean_curve evaluates its surface, and
@@ -44,6 +46,8 @@ COMMANDS: dict[str, list[str]] = {
     **{Path(name).stem: argv for name, argv in SCANS.items()},
     **{f"nrf-scan_{v}": ["nrf-scan", "--variable", v] for v in cli.SWEEP_VARIABLES},
     **{f"uncertainty-scan_{v}": ["uncertainty-scan", "--variable", v] for v in cli.SWEEP_VARIABLES},
+    **{f"uncertainty-scan_mu{mu}": ["uncertainty-scan", "--grid", "0.01", "--mu", mu]
+       for mu in ("1e40", "1e80")},
     **{f"mc-estimate_{e}": ["mc-estimate", "--estimator", e]
        for e in ("difference-squared", "sum-squared", "quadrature-product")},
     **{f"mc-estimate_{e}_n{n}": ["mc-estimate", "--estimator", e, "--n-samples", str(n), *_MC_NOISE]

@@ -16,23 +16,24 @@ working point (phi_0, phi_0).  Three estimator kinds are supported:
 The photon-noise-only (zero-order) uncertainty of the recovered
 covariance is
 
-    U0 = sqrt(2 Var[C]) / |d^2 <C> / dphi_1 dphi_2|,
+    U0 = sqrt(2 Var[C]) / |d^2 <C> / dphi_1 dphi_2|.
 
-with Var[C] = <C^2> - <C>^2 at the working point read from
-estimator_mean_and_square, the engine surface the phase-noise layer
-averages.  Its photon-number cumulants scale like mu rather than its
-powers, so it survives coherent energies of mu ~ 1e12 in double
-precision.  The mixed derivative is exact: every estimator mean is a
-sum of separable products of half-angle sines and cosines of the two
-phases.  estimator_mixed_derivative is the one estimator phase response:
-u0 and the Monte-Carlo covariance recovery (phase_noise) both divide by
-it, and it raises SingularConfigurationError where it vanishes or is
-pure cancellation of its terms.  Only the two estimator surfaces
-evaluate away from the working point, each centered (estimator_center)
-once per call at the working point of ``config``:
-estimator_mean_and_square at phases, and estimator_mean_curve, the
-closed-form <C> that phase_noise averages, at phase offsets.
-require_symmetric is the one symmetric-point rule.
+At the working point each center is the mean it subtracts, so
+estimator_variance, the Var[C] of u0 and of the phase-noise variance
+expansion, takes no center: V1 V2 + Cov^2 of the closed-form
+quadratures (Isserlis), or mu4 - mu2^2 of N1 + sign N2 from one
+fourth-order engine readout, whose cumulants scale like mu.  The mixed
+derivative is exact: every estimator mean is a sum of separable
+products of half-angle sines and cosines of the two phases.
+estimator_mixed_derivative is the one estimator phase response: u0 and
+the Monte-Carlo covariance recovery (phase_noise) both divide by it,
+and it raises SingularConfigurationError where it vanishes or is pure
+cancellation of its terms.  Only the two estimator surfaces evaluate
+away from the working point, each centered (estimator_center) once per
+call at the working point of ``config``: estimator_mean_and_square at
+phases, and estimator_mean_curve, the closed-form <C> that phase_noise
+averages, at phase offsets.  The quadrature product reads only the
+closed forms.  require_symmetric is the one symmetric-point rule.
 
 Every function here but estimator_mean_curve also takes a stacked
 configuration (config.py) and then returns arrays over its stack.
@@ -67,6 +68,7 @@ __all__ = [
     "estimator_center",
     "estimator_mean_curve",
     "estimator_mean_and_square",
+    "estimator_variance",
     "u0",
     "u0_asymptotic",
     "U0_ASYMPTOTIC_BRANCHES",
@@ -321,39 +323,31 @@ def estimator_mean_curve(
 def estimator_mean_and_square(
     config: HolometerConfig, spec: EstimatorSpec, phi_1: Any, phi_2: Any
 ) -> tuple[Any, Any]:
-    """Engine-exact (<C>, <C^2>) at one phase pair, as floats, or over
-    phase arrays of one shape, as arrays from one stacked engine call.
+    """Exact (<C>, <C^2>) at one phase pair, as floats, or over phase
+    arrays of one shape, as arrays from one stacked evaluation.
 
-    For the squared photocurrent kinds the fourth-order centered table
-    supplies <C^2> = mu4 + 4 d mu3 + 6 d^2 mu2 + d^4 with d the offset
-    of the (un)centered combination from its frozen center; for the
-    quadrature product the Gaussian identity
-    E[(Y1-c1)^2 (Y2-c2)^2] = (V1+d1^2)(V2+d2^2) + 2 Cov^2 + 4 Cov d1 d2
-    closes at second order.  Centers are those of the working point of
-    ``config``.
+    For the squared photocurrent kinds the engine's fourth-order
+    centered table supplies <C^2> = mu4 + 4 d mu3 + 6 d^2 mu2 + d^4 with
+    d the offset of the (un)centered combination from its frozen center;
+    for the quadrature product closed_form_quadrature, the route of its
+    center, and the Gaussian identity E[(Y1-c1)^2 (Y2-c2)^2] =
+    (V1+d1^2)(V2+d2^2) + 2 Cov^2 + 4 Cov d1 d2 close at second order.
+    Centers are those of the working point of ``config``.
     """
     center = estimator_center(config, spec)
     point = config.replace(phi0_1=phi_1, phi0_2=phi_2)
     if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
-        q = holometer.quadrature_readout(point)
-        d1, d2 = q.mean_1 - center[0], q.mean_2 - center[1]
-        mean = q.cov + d1 * d2
-        square = (
-            (q.var_1 + d1 * d1) * (q.var_2 + d2 * d2)
-            + 2.0 * q.cov * q.cov
-            + 4.0 * q.cov * d1 * d2
-        )
-        return mean, square
+        q = observables.closed_form_quadrature(point)
+        var_1, var_2, cov = q["var_1"], q["var_2"], q["cov"]
+        d1, d2 = q["mean_1"] - center[0], q["mean_2"] - center[1]
+        square = (var_1 + d1 * d1) * (var_2 + d2 * d2) + 2.0 * cov * cov + 4.0 * cov * d1 * d2
+        return point.per_row(cov + d1 * d2), point.per_row(square)
     sign = _PHOTOCURRENT_SIGN[spec.kind]
     c0 = 0.0 if not center else center[0]
     m = holometer.readout_moments(point, max_order=4)
-    mu2 = m.signed_sum_moment(sign, 2)
-    mu3 = m.signed_sum_moment(sign, 3)
-    mu4 = m.signed_sum_moment(sign, 4)
+    mu2, mu3, mu4 = (m.signed_sum_moment(sign, order) for order in (2, 3, 4))
     d = m.mean_1 + sign * m.mean_2 - c0
-    mean = mu2 + d * d
-    square = mu4 + 4.0 * d * mu3 + 6.0 * d * d * mu2 + d ** 4
-    return mean, square
+    return mu2 + d * d, mu4 + 4.0 * d * mu3 + 6.0 * d * d * mu2 + d ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +355,37 @@ def estimator_mean_and_square(
 # ---------------------------------------------------------------------------
 
 
+def estimator_variance(config: HolometerConfig, spec: EstimatorSpec) -> float:
+    """Var[C] at the symmetric working point, with no center (module
+    docstring); UndefinedResultError where roundoff leaves it negative,
+    as for twin beams at eta = 1, and nan for such stack members."""
+    phi0 = require_symmetric(config, "the estimator variance")
+    if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
+        q = observables.closed_form_quadrature(config)
+        variance = q["var_1"] * q["var_2"] + q["cov"] * q["cov"]
+    else:
+        sign = _PHOTOCURRENT_SIGN[spec.kind]
+        m = holometer.readout_moments(config, max_order=4)
+        mu2 = m.signed_sum_moment(sign, 2)
+        variance = m.signed_sum_moment(sign, 4) - mu2 * mu2
+    negative = variance < 0.0
+    if not config.shape and negative:
+        raise UndefinedResultError(f"Var[C] = {float(variance):.3e} at phi_0 = {phi0!r} is "
+                                   "negative; roundoff in <C^2> exceeds it")
+    return config.per_row(np.where(negative, np.nan, variance))
+
+
 def u0(config: HolometerConfig, spec: EstimatorSpec) -> float:
     """Photon-noise-limited uncertainty of the covariance estimate,
-    sqrt(2 Var[C]) / |d^2 <C> / dphi_1 dphi_2|.
+    sqrt(2 estimator_variance) / |estimator_mixed_derivative|; divide by
+    classical_benchmark for the ratio to coherent light.
 
-    Numerator: Var[C] = <C^2> - <C>^2 at the working point, from one
-    estimator_mean_and_square call (the surface the phase-noise layer
-    reads).  Denominator: estimator_mixed_derivative, which raises
-    SingularConfigurationError where the estimator has no phase
-    response.  Divide by classical_benchmark for the ratio to coherent
-    light.
-
-    Raises UndefinedResultError where roundoff in <C^2> leaves a
-    negative Var[C], as for twin beams at eta = 1.  A stack gives an
-    array from one engine readout; its members without a phase
-    response, with a negative Var[C] or off the psi pairing
-    (off_pairing) read nan.
+    A single configuration raises PsiPairingError off the psi pairing,
+    then the derivative's errors (an OverflowError before any engine
+    readout), then those of estimator_variance.  Members of a stack
+    without a phase response, with a negative Var[C] or off the psi
+    pairing (off_pairing) read nan.
     """
-    phi0 = require_symmetric(config, "the zero-order uncertainty")
     off = off_pairing(config, spec)
     if not config.shape and off:
         target = _PHOTOCURRENT_SIGN[spec.kind]
@@ -387,17 +394,8 @@ def u0(config: HolometerConfig, spec: EstimatorSpec) -> float:
             f"(psi = {'pi/2' if target < 0 else '0'}); got psi = {config.psi!r}. "
             "The photon cross covariance then has the wrong sign for this readout."
         )
-    mean, square = estimator_mean_and_square(config, spec, phi0, phi0)
-    variance = square - mean * mean
-    negative = variance < 0.0
-    if not config.shape and negative:
-        raise UndefinedResultError(
-            f"the estimator variance Var[C] = <C^2> - <C>^2 = {variance:.3e} is negative "
-            f"at phi_0 = {phi0!r}; roundoff in <C^2> exceeds it"
-        )
-    value = np.sqrt(2.0 * np.where(negative, np.nan, variance)) / np.abs(
-        estimator_mixed_derivative(config, spec)
-    )
+    derivative = estimator_mixed_derivative(config, spec)
+    value = np.sqrt(2.0 * estimator_variance(config, spec)) / np.abs(derivative)
     return config.per_row(np.where(off, np.nan, value))
 
 

@@ -37,12 +37,13 @@ with A_kk = q_kk/2 - h_0 h_kk and A_12 = q_12 - 2 h_0 h_12, where h and
 q are the <C> and <C^2> surfaces and subscripts denote phase
 derivatives at the working point; the law of total variance
 Var_x = E_x[q] - (E_x[h])^2 expanded to second order gives exactly
-these coefficients.  The <C^2> surface comes from the engine's
-fourth-order moments and has no closed form, so its second partials,
-and those of <C>, are taken by central finite differences with
-Richardson extrapolation.  Direct Gauss-Hermite integration on the
-45-degree decorrelated axes cross-checks the prediction, evaluating the
-engine surfaces as one stacked call over all nodes
+these coefficients.  Var[C]_0 is estimation.estimator_variance.  For
+the squared photocurrents the <C^2> surface comes from the engine's
+fourth-order moments and has no closed form, so the second partials of
+both surfaces are taken by central finite differences with Richardson
+extrapolation.  Direct Gauss-Hermite integration on the 45-degree
+decorrelated axes cross-checks the prediction, evaluating the surfaces
+as one stacked call over all nodes
 (estimation.estimator_mean_and_square), never one call per phase point.
 """
 from __future__ import annotations
@@ -107,7 +108,9 @@ def mc_expectation(
     """Sample mean and standard error of <C> over the offset samples, from
     one estimation.estimator_mean_curve evaluation at the offsets."""
     values = estimation.estimator_mean_curve(config, spec, offsets[:, 0], offsets[:, 1])
-    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
+    # an overflowing surface is recover_covariance's OverflowError, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
 def recover_covariance(
@@ -184,18 +187,19 @@ class VarianceExpansion:
 def variance_expansion(config: HolometerConfig, spec: EstimatorSpec) -> VarianceExpansion:
     """Expansion coefficients of Var_x[C] around the working point, which
     must be symmetric (equal phases and efficiencies); they do not
-    depend on the noise, which ``predict`` takes.  Raises
-    UndefinedResultError where roundoff leaves a negative var_zero, as
-    estimation.u0 does on the same Var[C]."""
+    depend on the noise, which ``predict`` takes.  var_zero is
+    estimation.estimator_variance, which raises UndefinedResultError
+    where roundoff leaves it negative."""
     phi0 = estimation.require_symmetric(config, "the variance expansion")
-    # one stacked engine call over the 17-point stencil: the working
-    # point, then _STENCIL at each Richardson step
+    var_zero = estimation.estimator_variance(config, spec)
+    # one stacked surface evaluation over the 17-point stencil: the
+    # working point, then _STENCIL at each Richardson step
     steps = np.array([step * max(abs(phi0), _PHASE_FLOOR) for step in _RELATIVE_STEPS])
     offsets = np.concatenate([np.zeros((1, 2)), (steps[:, None, None] * _STENCIL).reshape(-1, 2)])
     surfaces = np.array(estimation.estimator_mean_and_square(
         config, spec, phi0 + offsets[:, 0], phi0 + offsets[:, 1]
     ))
-    (h0, q0), base = surfaces[:, 0], surfaces[:, :1]
+    h0, base = surfaces[0, 0], surfaces[:, :1]
     f = surfaces[:, 1:].reshape(2, len(steps), len(_STENCIL))  # [h or q, step, point]
     square = steps * steps
     rho2 = (steps[0] / steps[1]) ** 2
@@ -207,10 +211,6 @@ def variance_expansion(config: HolometerConfig, spec: EstimatorSpec) -> Variance
             (f[..., 4] - f[..., 5] - f[..., 6] + f[..., 7]) / (4.0 * square),
         )
     )
-    var_zero = float(q0 - h0 * h0)
-    if var_zero < 0.0:
-        raise UndefinedResultError(f"Var[C] = {var_zero:.3e} at phi_0 = {phi0!r} is negative; "
-                                   "roundoff in <C^2> exceeds it")
     return VarianceExpansion(
         a_11=float(0.5 * q11 - h0 * h11),
         a_22=float(0.5 * q22 - h0 * h22),

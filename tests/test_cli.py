@@ -355,8 +355,8 @@ def test_scans_make_a_fixed_number_of_engine_calls(monkeypatch, tmp_path, points
     nrf_calls = _count_calls(monkeypatch, cli, ("nrf",))
     grid = f"1e-6:1e-1:{points}:log"
     assert run(["uncertainty-scan", "--grid", grid, "--out", str(tmp_path / "u.csv")]) == 0
-    assert sorted(readouts) == [("quadrature_readout", None),
-                                ("readout_moments", 4), ("readout_moments", 4)]
+    # the two squared photocurrents; the quadrature product reads closed forms
+    assert readouts == [("readout_moments", 4), ("readout_moments", 4)]
     assert run(["nrf-scan", "--grid", f"0.1:0.9:{points}", "--out", str(tmp_path / "n.csv")]) == 0
     assert nrf_calls == [("nrf", None)] * 2
 
@@ -694,6 +694,41 @@ def test_uncertainty_scan_names_an_overflow_far_outside_the_domain(tmp_path, cap
     assert line.startswith("holonoise uncertainty-scan: the mixed phase derivative")
     assert "overflows float64" in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["uncertainty-scan"],
+    *(["mc-estimate", "--estimator", estimator, "--n-samples", "1000"]
+      for estimator in ("difference-squared", "sum-squared", "quadrature-product")),
+], ids=["uncertainty-scan", "difference-squared", "sum-squared", "quadrature-product"])
+def test_an_overflowing_run_prints_only_its_error(argv):
+    # in a fresh interpreter, where numpy's RuntimeWarnings reach stderr
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-m", "holonoise", *argv, "--mu", "1e300"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith(f"holonoise {argv[0]}: ")
+
+
+def test_uncertainty_scan_ratios_do_not_drift_far_above_the_domain(tmp_path):
+    # each ratio is scale-free once the coherent light dominates, so an ulp
+    # offset between a centre and the mean it subtracts, squared by Var[C],
+    # would show here as a wrong ratio with no flag
+    def row(mu):
+        out = tmp_path / f"u_{mu}.csv"
+        assert run(["uncertainty-scan", "--grid", "0.01", "--mu", mu, "--out", str(out)]) == 0
+        (only,) = read_csv(out)[2]
+        assert only["flag"] == ""
+        return only
+
+    reference = row("1e20")
+    for mu in ("1e40", "1e80"):
+        far = row(mu)
+        for name in ("ratio_sq", "ratio_twb", "ratio_twb_sum"):
+            assert float(far[name]) == pytest.approx(float(reference[name]), rel=1e-10, abs=0.0), \
+                (mu, name)
 
 
 @pytest.mark.parametrize("estimator", ["quadrature-product", "difference-squared"])

@@ -1,13 +1,21 @@
 """The detected state and both engine readouts are physical over the
-documented domain: the property the production path does not re-check."""
+documented domain: the property the production path does not re-check.
+At its symmetric points the centre-free Var[C] and the stacked u0 agree
+with their references."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holonoise.config import STACK_FIELDS, HolometerConfig
+from holonoise.estimation import (
+    EstimatorKind, EstimatorSpec, PsiPairingError, SingularConfigurationError, estimator_variance,
+    u0,
+)
 from holonoise.holometer import propagate, quadrature_readout, readout_moments
+from holonoise.observables import UndefinedResultError
 from physicality import obeys_uncertainty_principle, violated_second_moments
 
 
@@ -68,3 +76,48 @@ def test_second_moment_check_flags_broken_moments():
     assert violated_second_moments(2.0, 2.0, 1.0) == []
     assert len(violated_second_moments(-1.0, 1.0, 0.0)) == 1
     assert len(violated_second_moments(2.0, 2.0, np.array([1.0, 2.5]))) == 1
+
+
+def symmetric(config: HolometerConfig) -> HolometerConfig:
+    """The drawn configuration at a symmetric working point."""
+    return config.replace(phi0_2=config.phi0_1, eta_2=None)
+
+
+# the coherent phase each squared photocurrent pairs with on twin beams
+PAIRED_PSI = {EstimatorKind.TWB_DIFFERENCE_SQUARED: math.pi / 2.0,
+              EstimatorKind.TWB_SUM_SQUARED: 0.0}
+
+
+def members(stack: HolometerConfig):
+    """(index, single configuration) for each member of a stack."""
+    for index in np.ndindex(stack.shape):
+        yield index, stack.replace(**{name: float(getattr(stack, name)[index])
+                                      for name in STACK_FIELDS if np.ndim(getattr(stack, name))})
+
+
+@settings(derandomize=True, deadline=None)
+@given(config=configs().map(symmetric))
+def test_quadrature_variance_equals_the_engine_reference(config):
+    # Isserlis: Var[(Y1 - y1)(Y2 - y2)] = V1 V2 + Cov^2 of the engine quadratures
+    q = quadrature_readout(config)
+    want = q.var_1 * q.var_2 + q.cov * q.cov
+    got = estimator_variance(config, EstimatorSpec(kind=EstimatorKind.QUADRATURE_PRODUCT))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@settings(derandomize=True, deadline=None)
+@given(config=configs().map(symmetric))
+def test_stacked_u0_equals_the_per_member_calls(config):
+    stack = config if config.shape else config.replace(mu=np.array([config.mu]))
+    for kind in EstimatorKind:
+        spec = EstimatorSpec(kind=kind)
+        cases = [stack] if kind not in PAIRED_PSI else [stack, stack.replace(psi=PAIRED_PSI[kind])]
+        for case in cases:
+            stacked = u0(case, spec)
+            for index, single in members(case):
+                try:
+                    want = u0(single, spec)
+                except (PsiPairingError, SingularConfigurationError, UndefinedResultError):
+                    assert math.isnan(stacked[index]), (kind, index)
+                else:
+                    assert stacked[index] == pytest.approx(want, rel=1e-12, abs=0.0), (kind, index)

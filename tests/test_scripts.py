@@ -57,7 +57,7 @@ def test_snapshot_outputs_commands_parse_and_one_runs(tmp_path):
     parser = script.cli._parser()
     for argv in script.COMMANDS.values():
         parser.parse_args(argv + ["--out", str(tmp_path / "unused.csv")])
-    assert len(script.COMMANDS) == 30
+    assert len(script.COMMANDS) == 32
     # the "wrote" line is dropped and the exit code appended
     argv = ["nrf-scan", "--grid", "0.5", "--lambdas", "1"]
     assert script.snapshot("nrf", argv, tmp_path) == 0
