@@ -14,7 +14,10 @@ covariance recovery (quadrature product at the mc-estimate defaults,
 epsilon = 1e-6, 1e5 samples), the truncated-Fock oracle and its
 beam-splitter transform alone on the largest arm block of the oracle's
 envelope, the oracle's joint photon-number distribution there and its
-quadrature moments at low occupancy, and, end to end through the CLI
+quadrature moments at low occupancy, the oracle over the 100
+configurations oracle-check draws at its default seed (one batched call)
+and one stacked engine readout per input kind over them, and, end to end
+through the CLI
 in-process, the four figure sweeps of run_figure_scans.py, the phi0
 sweep at the grid cap, oracle-check over 100 configurations at seed
 1000 and mc-estimate for each estimator at its default flags.
@@ -53,6 +56,7 @@ import numpy as np
 
 from holonoise import cli
 from holonoise.config import HolometerConfig
+from holonoise.crosscheck import DEFAULT_SEED, _engine_moments, sample_guardrail_config
 from holonoise.estimation import EstimatorSpec, estimator_mixed_derivative, u0
 from holonoise.fock_oracle import (
     _arm_block, _bs_pair_transform, fock_joint_pmf, fock_quadrature_moments, oracle_moments,
@@ -217,6 +221,14 @@ def main() -> int:
     rows.append(clock("beam-splitter transform, one arm block (edge twb)",
                       lambda: _bs_pair_transform(edge_block, EDGE.phi0_1), max(1, repeat // 10),
                       {"config": EDGE.to_dict(), "block_shape": list(edge_block.shape)}))
+    # the configurations oracle-check draws at its default seed
+    rng = np.random.default_rng(DEFAULT_SEED)
+    drawn = tuple(sample_guardrail_config(rng) for _ in range(3 if args.quick else 100))
+    guardrail = {"seed": DEFAULT_SEED, "configs": len(drawn)}
+    rows.append(clock(f"oracle over the {len(drawn)} default-seed configurations",
+                      lambda: oracle_moments(drawn), max(1, repeat // 10), guardrail))
+    rows.append(clock("one stacked engine readout over them",
+                      lambda: _engine_moments(drawn), max(1, repeat // 5), guardrail))
     sweeps = {name.removesuffix(".csv"): argv for name, argv in SCANS.items()
               if argv[0] in ("nrf-scan", "uncertainty-scan")}
     sweeps["uncertainty_vs_phi0 at the grid cap"] = CAP_SCAN

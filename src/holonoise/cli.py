@@ -48,7 +48,7 @@ from . import estimation, phase_noise
 from .config import HolometerConfig, InputKind
 from .crosscheck import DEFAULT_SEED, run_crosscheck
 from .estimation import EstimatorKind, EstimatorSpec, SingularConfigurationError
-from .fock_oracle import CutoffError
+from .fock_oracle import CutoffError, port_cutoffs
 from .observables import nrf, regime_parameter
 
 __all__ = ["entrypoint", "main"]
@@ -355,14 +355,18 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
     def readout(cfg: HolometerConfig, kind: str, label: str) -> tuple[np.ndarray, list[str]]:
         """u0 over the grid, and the flag of each row where it is nan: off
         the readout's psi pairing (a psi sweep), without phase response,
-        or else with a negative computed Var[C]."""
+        with a negative computed Var[C], or else overflowing float64."""
         spec = EstimatorSpec(kind=kind)
         value = estimation.u0(cfg, spec)
-        flag = np.where(np.isnan(value), f"negative_variance:{label}", "")
-        flag = np.where(np.isnan(estimation.estimator_mixed_derivative(cfg, spec)),
-                        f"singular:{label}", flag)
-        return value, np.where(estimation.off_pairing(cfg, spec), f"psi_mismatch:{label}",
-                               flag).tolist()
+        off = estimation.off_pairing(cfg, spec)
+        singular = np.isnan(estimation.estimator_mixed_derivative(cfg, spec))
+        flag = np.where(singular, f"singular:{label}", "")
+        undefined = np.isnan(value) & ~(singular | off)
+        if undefined.any():  # rare: only then is Var[C] read again
+            negative = np.isnan(estimation.estimator_variance(cfg, spec))
+            flag = np.where(undefined, np.where(negative, f"negative_variance:{label}",
+                                                f"overflow:{label}"), flag)
+        return value, np.where(off, f"psi_mismatch:{label}", flag).tolist()
 
     u_twb, flag_twb = readout(twb, "TwbDifferenceSquared", "twb")
     u_sq, flag_sq = readout(sq, "QuadratureProduct", "sq")
@@ -382,8 +386,9 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
         "asym_twb_plateau": asymptote("TWB_B"),
         "asym_twb_deep_quantum": asymptote("TWB_A_large_lambda"),
         "asym_twb_deep_quantum_small_lam": asymptote("TWB_A_small_lambda"),
-        "flag": [";".join(filter(None, row)) for row in zip(flag_twb, flag_sq, flag_sum)],
     }
+    columns["flag"] = _uncertainty_flags(columns, grid.shape, {"twb": flag_twb, "sq": flag_sq,
+                                                               "twb_sum": flag_sum})
     _write_csv(
         args.out,
         "uncertainty-scan",
@@ -392,6 +397,26 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
         columns,
     )
     return 0
+
+
+def _uncertainty_flags(columns: Mapping[str, object], shape: tuple[int, ...],
+                       readouts: Mapping[str, list[str]]) -> list[str]:
+    """Each row's flag: the readout flags, then ``nonfinite:<column>``
+    for every other non-finite uncertainty cell (u0, u_cl, ratio).  A
+    flagged readout accounts for its own u0 and ratio cells; regime_k
+    and the asymptotes are limit forms, infinite or nan by their
+    formulas."""
+    flags = [";".join(filter(None, row)) for row in zip(*readouts.values())]
+    names = [name for name in columns if name.startswith(("u0_", "u_cl", "ratio_"))]
+    faulty = ~np.isfinite(np.column_stack([np.broadcast_to(columns[name], shape)
+                                           for name in names]))
+    for row in np.nonzero(faulty.any(axis=1))[0]:
+        accounted = {f"{prefix}_{label}" for label, flag in readouts.items() if flag[row]
+                     for prefix in ("u0", "ratio")}
+        extra = [f"nonfinite:{name}" for name, bad in zip(names, faulty[row])
+                 if bad and name not in accounted]
+        flags[row] = ";".join(filter(None, [flags[row], *extra]))
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +441,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         )
     if args.out:
         configs, comparisons = report.configs, report.comparisons
+        cutoffs = [port_cutoffs(config) for config in configs]
         columns = {
             "index": np.arange(len(configs)),
             "kind": [config.input_kind.value for config in configs],
@@ -424,6 +450,9 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             "tau": [config.tau_1 for config in configs],
             "eta": [config.eta for config in configs],
             "psi": [config.psi for config in configs],
+            # the oracle's truncation: pair index, squeezed port or 1; coherent port
+            "quantum_cutoff": [cutoff[0] for cutoff in cutoffs],
+            "coherent_cutoff": [cutoff[1] for cutoff in cutoffs],
             "max_relative": [comparison.max_relative for comparison in comparisons],
             "worst_margin": [comparison.worst_margin for comparison in comparisons],
             "worst_field": [comparison.worst_field for comparison in comparisons],

@@ -23,7 +23,7 @@ import numpy as np
 __all__ = ["InputKind", "HolometerConfig", "STACK_FIELDS"]
 
 # the fields that may hold an array over a stack of configurations
-STACK_FIELDS = ("mu", "psi", "lam", "eta", "phi0_1", "phi0_2")
+STACK_FIELDS = ("mu", "psi", "lam", "eta", "phi0_1", "phi0_2", "theta", "theta_xi")
 
 
 def _everywhere(flags: Any) -> bool:
@@ -91,7 +91,7 @@ class HolometerConfig:
         shapes = set()
         for name in STACK_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, (int, float)):  # np.float64 included
+            if value is None or isinstance(value, (int, float)):  # np.float64 included
                 continue
             value = np.array(value, dtype=float)
             if value.ndim:

@@ -38,10 +38,10 @@ closed forms.  require_symmetric is the one symmetric-point rule.
 Every function here but estimator_mean_curve also takes a stacked
 configuration (config.py) and then returns arrays over its stack.
 Where a single configuration raises SingularConfigurationError,
-PsiPairingError or UndefinedResultError, a stack member reads nan
-instead; off_pairing and a nan estimator_mixed_derivative tell the u0
-cases apart.  The other errors stop a stack as they stop a single
-configuration.
+PsiPairingError or UndefinedResultError, or u0 or classical_benchmark
+overflow float64, a stack member reads nan instead; off_pairing and a
+nan estimator_mixed_derivative tell the u0 cases apart.  The other
+errors stop a stack as they stop a single configuration.
 """
 from __future__ import annotations
 
@@ -142,6 +142,16 @@ def off_pairing(config: HolometerConfig, spec: EstimatorSpec) -> Any:
     return np.abs(np.cos(2.0 * config.psi) - target) > 1e-6
 
 
+def _finite_or_nan(config: HolometerConfig, value: Any, what: str) -> Any:
+    """``value`` per row, with its infinite members read as nan; an
+    infinite single configuration is an OverflowError."""
+    infinite = np.isinf(value)
+    if not config.shape and infinite:
+        raise OverflowError(f"{what} overflows float64 at phi_0 = {config.phi0_1!r}, "
+                            f"eta = {config.eta!r}, mu = {config.mu!r}")
+    return config.per_row(np.where(infinite, np.nan, value))
+
+
 # ---------------------------------------------------------------------------
 # classical benchmark
 # ---------------------------------------------------------------------------
@@ -153,6 +163,9 @@ def classical_benchmark(config: HolometerConfig) -> float:
     This is the photon-noise floor of the same covariance estimation
     performed with coherent light alone at equal detected energy.  A
     stack with one member out of the domain raises, as that member would.
+    Where the benchmark overflows float64 (a subnormal eta mu, say), a
+    single configuration raises OverflowError and a stack member reads
+    nan.
     """
     phi0 = require_symmetric(config, "the classical benchmark")
     if np.any(np.less_equal(config.mu, 0.0) | np.less_equal(config.eta, 0.0)):
@@ -163,7 +176,9 @@ def classical_benchmark(config: HolometerConfig) -> float:
             "at phi_0 = pi all of the coherent light reaches the detector and its "
             "signal has no phase response; the classical benchmark diverges"
         )
-    return config.per_row(np.sqrt(2.0) / (config.eta * config.mu * transmitted))
+    with np.errstate(over="ignore", divide="ignore"):
+        value = np.sqrt(2.0) / (config.eta * config.mu * transmitted)
+    return _finite_or_nan(config, value, "the classical benchmark")
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +397,10 @@ def u0(config: HolometerConfig, spec: EstimatorSpec) -> float:
 
     A single configuration raises PsiPairingError off the psi pairing,
     then the derivative's errors (an OverflowError before any engine
-    readout), then those of estimator_variance.  Members of a stack
-    without a phase response, with a negative Var[C] or off the psi
-    pairing (off_pairing) read nan.
+    readout), then those of estimator_variance, then OverflowError where
+    the quotient overflows float64 (a subnormal derivative).  Members of
+    a stack without a phase response, with a negative Var[C], off the
+    psi pairing (off_pairing) or overflowing read nan.
     """
     off = off_pairing(config, spec)
     if not config.shape and off:
@@ -395,8 +411,9 @@ def u0(config: HolometerConfig, spec: EstimatorSpec) -> float:
             "The photon cross covariance then has the wrong sign for this readout."
         )
     derivative = estimator_mixed_derivative(config, spec)
-    value = np.sqrt(2.0 * estimator_variance(config, spec)) / np.abs(derivative)
-    return config.per_row(np.where(off, np.nan, value))
+    with np.errstate(over="ignore"):
+        value = np.sqrt(2.0 * estimator_variance(config, spec)) / np.abs(derivative)
+    return _finite_or_nan(config, np.where(off, np.nan, value), "u0")
 
 
 # ---------------------------------------------------------------------------

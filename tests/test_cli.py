@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holonoise import cli, estimation, holometer
+from holonoise import cli, crosscheck, estimation, fock_oracle, holometer
 from holonoise.config import STACK_FIELDS, HolometerConfig
 from holonoise.estimation import EstimatorSpec, PsiPairingError, SingularConfigurationError
 from holonoise.moments import CENTERED_KEYS
@@ -159,6 +159,24 @@ def test_uncertainty_scan_flags_singular_rows(tmp_path):
     assert len(rows) == 1
     assert "singular" in rows[0]["flag"]
     assert rows[0]["u0_twb"] == "nan"
+
+
+def test_uncertainty_scan_names_every_non_finite_cell(tmp_path):
+    # at a subnormal efficiency the squeezed u0 and the classical
+    # benchmark overflow float64: they read nan, and the flag names them
+    out = tmp_path / "overflow.csv"
+    assert run(["uncertainty-scan", "--eta", "1e-310", "--mu", "1e-3", "--grid", "0.5",
+                "--out", str(out)]) == 0
+    _, columns, [row] = read_csv(out)
+    assert row["u0_sq"] == row["u_cl"] == "nan"
+    named = row["flag"].split(";")
+    assert "overflow:sq" in named and "nonfinite:u_cl" in named
+    for name in ("u0_twb", "u0_sq", "u0_twb_sum", "u_cl", "ratio_twb", "ratio_sq",
+                 "ratio_twb_sum"):
+        if not math.isfinite(float(row[name])):
+            readout = name.split("_", 1)[1] if name.startswith(("u0_", "ratio_")) else None
+            assert f"nonfinite:{name}" in named or any(
+                flag.split(":")[1] == readout for flag in named), name
 
 
 def test_uncertainty_scan_takes_no_input_kind(tmp_path, capsys):
@@ -531,9 +549,14 @@ def test_oracle_check_passes_and_writes_csv(tmp_path, capsys):
     out = tmp_path / "oracle.csv"
     assert run(["oracle-check", "--n-configs", "3", "--out", str(out)]) == 0
     _, columns, rows = read_csv(out)
-    assert columns == ["index", "kind", "mu", "lambda", "tau", "eta", "psi",
-                       "max_relative", "worst_margin", "worst_field", "verdict"]
+    assert columns == ["index", "kind", "mu", "lambda", "tau", "eta", "psi", "quantum_cutoff",
+                       "coherent_cutoff", "max_relative", "worst_margin", "worst_field", "verdict"]
     assert len(rows) == 3
+    # the oracle's truncation of each row's ports, as the oracle chose it
+    configs = crosscheck.run_crosscheck(n_configs=3).configs
+    assert [(int(row["quantum_cutoff"]), int(row["coherent_cutoff"])) for row in rows] == [
+        fock_oracle.port_cutoffs(config) for config in configs]
+    assert all(1 < int(row["coherent_cutoff"]) <= 160 for row in rows)
     assert {row["verdict"] for row in rows} == {"pass"}
     assert [int(row["index"]) for row in rows] == [0, 1, 2]
     # the margin is |engine - oracle| over the allowance of the field that

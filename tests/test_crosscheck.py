@@ -67,12 +67,13 @@ def test_run_crosscheck_argument_guards():
 
 
 def test_a_nan_centred_entry_reads_inf_and_fails(monkeypatch):
-    # the per-field table must not read a nan deviation as agreement
+    # the per-field table must not read a nan deviation as agreement;
+    # run_crosscheck reads the oracle once, for all its configurations
     oracle = crosscheck.oracle_moments
 
-    def poisoned(config, **kwargs):
-        moments = oracle(config, **kwargs)
-        return replace(moments, centered={**moments.centered, (1, 3): math.nan})
+    def poisoned(configs, **kwargs):
+        return tuple(replace(moments, centered={**moments.centered, (1, 3): math.nan})
+                     for moments in oracle(configs, **kwargs))
 
     monkeypatch.setattr(crosscheck, "oracle_moments", poisoned)
     report = run_crosscheck(n_configs=1, seed=DEFAULT_SEED)

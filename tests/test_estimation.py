@@ -245,6 +245,21 @@ def test_an_overflowing_phase_response_raises_on_a_stack_too(spec):
             estimator_mixed_derivative(config, spec)
 
 
+def test_an_overflowing_uncertainty_raises_and_reads_nan_on_a_stack():
+    # a subnormal efficiency leaves the squeezed readout's mixed derivative
+    # subnormal, above its roundoff test: sqrt(2 Var[C]) over it and the
+    # classical benchmark overflow float64
+    config = make(mu=1e-3, eta=1e-310, phi0_1=0.5, phi0_2=0.5, input_kind="TwoSqueezed")
+    with pytest.raises(OverflowError, match="u0 overflows float64"):
+        u0(config, QUAD)
+    with pytest.raises(OverflowError, match="classical benchmark overflows float64"):
+        classical_benchmark(config)
+    stack = config.replace(eta=np.array([1e-310, 0.9]))
+    for got, want in ((u0(stack, QUAD), u0(config.replace(eta=0.9), QUAD)),
+                      (classical_benchmark(stack), classical_benchmark(config.replace(eta=0.9)))):
+        assert np.isnan(got[0]) and got[1] == want
+
+
 def test_non_finite_phase_response_raises():
     # at lam = 1e200 the pair amplitude overflows to inf, and at phi_0 = 0
     # its quadrature term is inf * 0 = nan

@@ -6,6 +6,7 @@ import pytest
 import fock_reference as reference
 from holonoise import fock_oracle
 from holonoise.config import HolometerConfig, InputKind
+from holonoise.crosscheck import DEFAULT_SEED, sample_guardrail_config
 from holonoise.fock_oracle import (
     CutoffError,
     _bs_pair_transform,
@@ -15,7 +16,7 @@ from holonoise.fock_oracle import (
     two_photon_coincidence,
 )
 from holonoise.holometer import quadrature_readout, readout_moments
-from holonoise.moments import compare_moments
+from holonoise.moments import CENTERED_KEYS, compare_moments
 
 
 def make(**overrides):
@@ -129,18 +130,24 @@ def test_pair_transform_matches_reference_on_non_decaying_blocks(shape):
     assert np.max(np.abs(_bs_pair_transform(block, 0.9) - expected)) < 1e-13
 
 
+def counted_recurrence(monkeypatch):
+    """The phases of every recurrence run, one list per run."""
+    runs = []
+    recurrence = fock_oracle._sector_bands
+
+    def counted(phis, *args):
+        runs.append(list(phis))
+        return recurrence(phis, *args)
+
+    monkeypatch.setattr(fock_oracle, "_sector_bands", counted)
+    return runs
+
+
 @pytest.mark.parametrize("phi0_2, phases", [(0.7, [0.7]), (1.9, [0.7, 1.9])])
-def test_each_distinct_phase_is_transformed_once(monkeypatch, phi0_2, phases):
-    calls = []
-    recurrence = fock_oracle._real_pair_transform
-
-    def counted(block, phi, *args):
-        calls.append(phi)
-        return recurrence(block, phi, *args)
-
-    monkeypatch.setattr(fock_oracle, "_real_pair_transform", counted)
+def test_each_distinct_phase_is_one_batch_member(monkeypatch, phi0_2, phases):
+    runs = counted_recurrence(monkeypatch)
     fock_joint_pmf(make(phi0_1=0.7, phi0_2=phi0_2))
-    assert calls == phases
+    assert runs == [phases]
 
 
 def test_two_photon_coincidence_null_for_unitary_conventions():
@@ -300,3 +307,87 @@ def test_engine_agrees_on_default_config():
     config = make()
     result = compare_moments(readout_moments(config), oracle_moments(config))
     assert result.ok, (result.worst_field, result.max_relative)
+
+
+# ---------------------------------------------------------------------------
+# the whole configuration set in one batch
+# ---------------------------------------------------------------------------
+
+EDGE = make(mu=4.0, lam=1.0, theta=0.9, psi=1.7, phi0_1=0.9, phi0_2=2.1)
+
+
+def drawn(seed, n=100):
+    rng = np.random.default_rng(seed)
+    return [sample_guardrail_config(rng) for _ in range(n)]
+
+
+def assert_same_moments(batched, single, rtol=1e-13):
+    """Every moment within rtol of the larger value, or of the moment's
+    scale sd1^p sd2^q for entries that are zero but for roundoff."""
+    sd1, sd2 = math.sqrt(single.var_1), math.sqrt(single.var_2)
+    for name in ("mean_1", "mean_2", "var_1", "var_2", "cov"):
+        a, b = getattr(batched, name), getattr(single, name)
+        assert abs(a - b) <= rtol * max(abs(a), abs(b), sd1 * sd2), name
+    for p, q in CENTERED_KEYS:
+        a, b = batched.centered[(p, q)], single.centered[(p, q)]
+        assert abs(a - b) <= rtol * max(abs(a), abs(b), sd1**p * sd2**q), (p, q)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1000, 1003])
+def test_batched_moments_equal_the_single_configuration_calls(seed):
+    # every input kind, unequal phases and the envelope-edge twin-beam
+    # block run alongside the drawn set
+    configs = drawn(seed) + [
+        EDGE,
+        make(input_kind="TwoSqueezed", lam=1.0, phi0_1=0.4, phi0_2=2.6),
+        make(input_kind="CoherentOnly", lam=0.0, mu=4.0, phi0_1=2.2, phi0_2=0.3),
+    ]
+    assert {config.input_kind for config in configs} == set(InputKind)
+    batched = oracle_moments(configs)
+    assert isinstance(batched, tuple) and len(batched) == len(configs)
+    for config, moments in zip(configs, batched):
+        assert_same_moments(moments, oracle_moments(config))
+
+
+def test_port_cutoffs_at_the_envelope_edge():
+    # the (49, 26, 49) twin-beam block the batched runs above include
+    assert fock_oracle.port_cutoffs(EDGE) == (49, 26)
+    assert fock_oracle.port_cutoffs(make(input_kind="CoherentOnly", lam=0.0))[0] == 1
+
+
+def test_the_default_set_runs_one_recurrence_per_chunk(monkeypatch):
+    # each phase is one batch member, and the hundred configurations
+    # share fewer than half as many recurrence runs, one per chunk
+    runs = counted_recurrence(monkeypatch)
+    configs = drawn(DEFAULT_SEED)
+    oracle_moments(configs)
+    assert sorted(phi for run in runs for phi in run) == sorted(c.phi0_1 for c in configs)
+    assert len(runs) < len(configs) / 2
+    assert max(map(len, runs)) > 5
+
+
+def test_a_mass_drift_inside_a_batch_names_its_configuration(monkeypatch):
+    twb_weights = fock_oracle._twb_weights
+    monkeypatch.setattr(fock_oracle, "_twb_weights",
+                        lambda lam, *args: (0.9 if lam == 0.3 else 1.0) * twb_weights(lam, *args))
+    with pytest.raises(CutoffError, match="configuration 1: joint distribution mass"):
+        oracle_moments([make(), make(mu=0.8, lam=0.3), make(lam=0.5)])
+
+
+def test_a_negative_entry_inside_a_batch_names_its_configuration(monkeypatch):
+    # the second configuration's detected distribution moves 1e-6 of mass
+    # onto its vacuum entry from its last one, which turns negative
+    grams = fock_oracle._squeezed_grams
+
+    def skewed(chunk, convention):
+        for key, gram in grams(chunk, convention):
+            if key[0] == 1:
+                gram = gram.copy()
+                gram[-1] -= 1e-6
+                gram[0] += 1e-6
+            yield key, gram
+
+    monkeypatch.setattr(fock_oracle, "_squeezed_grams", skewed)
+    squeezed = [make(input_kind="TwoSqueezed", lam=lam) for lam in (0.2, 0.5, 0.8)]
+    with pytest.raises(CutoffError, match="configuration 1: joint distribution has negative entry"):
+        oracle_moments(squeezed)

@@ -94,6 +94,27 @@ def test_stacked_readouts_equal_the_per_point_calls(config):
             assert _close(mean[i, j], single_mean) and _close(square[i, j], single_square)
 
 
+@pytest.mark.parametrize("name, kind", [("theta", "TWB"), ("theta_xi", "TwoSqueezed")])
+def test_a_stack_over_the_input_phases_equals_the_per_member_calls(name, kind):
+    # theta and theta_xi are stack fields too: oracle-check reads the
+    # engine once per input kind over configurations with their own phases
+    phases = np.array([0.0, 1.1, 2.9, 4.4, 6.0])
+    config = make(input_kind=kind, mu=3.0, lam=0.8, psi=0.4, phi0_1=0.7, phi0_2=0.7)
+    stack = config.replace(**{name: phases, "mu": np.linspace(0.5, 3.5, len(phases))})
+    assert stack.shape == (len(phases),)
+    moments, quadratures = readout_moments(stack), quadrature_readout(stack)
+    for i, phase in enumerate(phases):
+        point = config.replace(**{name: float(phase), "mu": float(stack.mu[i])})
+        single, single_q = readout_moments(point), quadrature_readout(point)
+        for field in ("mean_1", "mean_2", "var_1", "var_2", "cov"):
+            assert _close(getattr(moments, field)[i], getattr(single, field)), field
+            assert _close(getattr(quadratures, field)[i], getattr(single_q, field)), field
+        for key, value in single.centered.items():
+            assert _close(moments.centered[key][i], value), key
+    # the phase moves the readouts, so the stack is no constant
+    assert np.ptp(moments.cov if kind == "TWB" else moments.var_1) > 1e-3
+
+
 def test_propagate_keeps_detected_pair_over_a_phase_stack():
     # one detected pair per configuration: a stack over the phases holds,
     # member by member, the state of each phase pair alone

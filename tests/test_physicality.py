@@ -44,7 +44,7 @@ def configs(draw) -> HolometerConfig:
     values = {
         name: draw(FIELDS[name]) if size == 0
         else np.array(draw(st.lists(FIELDS[name], min_size=size, max_size=size)))
-        for name in STACK_FIELDS
+        for name in FIELDS
     }
     return HolometerConfig(
         input_kind=draw(st.sampled_from(["TWB", "TwoSqueezed", "CoherentOnly"])),
@@ -117,7 +117,8 @@ def test_stacked_u0_equals_the_per_member_calls(config):
             for index, single in members(case):
                 try:
                     want = u0(single, spec)
-                except (PsiPairingError, SingularConfigurationError, UndefinedResultError):
+                except (PsiPairingError, SingularConfigurationError, UndefinedResultError,
+                        OverflowError):
                     assert math.isnan(stacked[index]), (kind, index)
                 else:
                     assert stacked[index] == pytest.approx(want, rel=1e-12, abs=0.0), (kind, index)
