@@ -15,8 +15,10 @@ epsilon = 1e-6, 1e5 samples), the truncated-Fock oracle and its
 beam-splitter transform alone on the largest arm block of the oracle's
 envelope, the oracle's joint photon-number distribution there and its
 quadrature moments at low occupancy, the oracle over the 100
-configurations oracle-check draws at its default seed (one batched call)
-and one stacked engine readout per input kind over them, and, end to end
+configurations oracle-check draws at its default seed (one batched call),
+its stages (inputs and cutoffs, the recurrence with the arms' Grams, the
+joint distributions and the moment readout) and one stacked engine
+readout per input kind over them, and, end to end
 through the CLI
 in-process, the four figure sweeps of run_figure_scans.py, the phi0
 sweep at the grid cap, oracle-check over 100 configurations at seed
@@ -37,6 +39,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -59,7 +62,8 @@ from holonoise.config import HolometerConfig
 from holonoise.crosscheck import DEFAULT_SEED, _engine_moments, sample_guardrail_config
 from holonoise.estimation import EstimatorSpec, estimator_mixed_derivative, u0
 from holonoise.fock_oracle import (
-    _arm_block, _bs_pair_transform, fock_joint_pmf, fock_quadrature_moments, oracle_moments,
+    _arm_block, _arm_grams, _bs_pair_transform, _checked_pmf, _factorial_moments, _joint_pmfs,
+    _port_magnitudes, _readouts, fock_joint_pmf, fock_quadrature_moments, oracle_moments,
 )
 from holonoise.holometer import propagate, quadrature_readout, readout_moments
 from holonoise.observables import closed_form_moments
@@ -227,6 +231,26 @@ def main() -> int:
     guardrail = {"seed": DEFAULT_SEED, "configs": len(drawn)}
     rows.append(clock(f"oracle over the {len(drawn)} default-seed configurations",
                       lambda: oracle_moments(drawn), max(1, repeat // 10), guardrail))
+    # its stages: the set-built inputs and cutoffs; the recurrence with
+    # the arms' Grams (inputs included); the joint distributions and the
+    # readout, each from the stored output of the stage before
+    rows.append(clock("  its inputs and cutoffs", lambda: _port_magnitudes(drawn),
+                      max(1, repeat // 5), guardrail))
+    rows.append(clock("  its recurrence with the Grams",
+                      lambda: collections.deque(_arm_grams(drawn, "i"), maxlen=0),
+                      max(1, repeat // 10), guardrail))
+    stored = []  # one array as both Grams where the phases are equal, as the oracle passes them
+    for index, kernel, gram1, gram2 in _arm_grams(drawn, "i"):
+        first = gram1.copy()
+        stored.append((index, kernel, first, first if gram2 is gram1 else gram2.copy()))
+    rows.append(clock("  its joint distributions",
+                      lambda: [_checked_pmf(*grams, "i") for grams in stored],
+                      max(1, repeat // 10), guardrail))
+    pmfs = [pmf for _, pmf in sorted(_joint_pmfs(drawn, "i"), key=lambda item: item[0])]
+    etas = np.array([config.eta_pair for config in drawn])
+    rows.append(clock("  its moment readout",
+                      lambda: _readouts(np.array([_factorial_moments(pmf) for pmf in pmfs]), etas),
+                      max(1, repeat // 5), guardrail))
     rows.append(clock("one stacked engine readout over them",
                       lambda: _engine_moments(drawn), max(1, repeat // 5), guardrail))
     sweeps = {name.removesuffix(".csv"): argv for name, argv in SCANS.items()

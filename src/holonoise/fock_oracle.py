@@ -26,23 +26,33 @@ amplitudes complex, but the output phase i^(-p) drops out of its Gram.
 Detection loss scales the joint falling-factorial moments by eta per
 order, which is exact for binomial loss.
 
-One recurrence serves a whole set of configurations.  Each arm is a
-batch member with its own phase (unequal phases give two members), and
-the members of one input kind are sorted by sector reach
-n_a + n_b - 2, so sector s runs on the prefix of members that reach it.
-Members are cut into chunks in that order, one recurrence run each, a
-chunk holding at most _CHUNK_FLOATS floats (1 MiB): the recurrence's
-frames and sums, and for twin-beam and coherent-only input, whose Grams
-are products taken after the last sector, every sector's band.
-Squeezed input accumulates its Gram sector by sector and keeps no
-bands.  Arms, Grams and joint distributions are then formed one member
-at a time, in blocks of _ROWS detected rows.  A single configuration,
-a general amplitude block (_bs_pair_transform) and the quadrature route
-are batches of one.  At the default seed and at seeds 1000-1004, one
-``oracle-check --n-configs 100`` makes 43-49 recurrence runs and
-2 339-2 699 sector steps (one run and about 50 steps per configuration
-before), and its allocations peak at 3.9-4.9 MiB (3.1-3.9 MiB with one
-configuration at a time).
+One pass serves a whole set of configurations.  The input magnitudes
+and cutoffs are built for the set at once, one (configurations x
+_PROBE) array and one cumulative tail per port and input kind.  The
+coherent phase e^{i psi n} and the pair phase e^{i theta m} reach the
+joint distribution only through the kernel angle (and psi through the
+squeezed column), so no complex coherent or pair amplitudes are formed
+for it.  Each arm is a batch member with its own phase (unequal phases
+give two members), and the members of one input kind are sorted by
+sector reach n_a + n_b - 2, so sector s runs on the prefix of members
+that reach it.  Members are cut into chunks in that order, one
+recurrence run each, a chunk holding at most _CHUNK_FLOATS floats
+(1 MiB): the recurrence's frames and sums, and for twin-beam and
+coherent-only input, whose Grams are products taken after the last
+sector, every sector's band.  Squeezed input accumulates its Gram
+sector by sector and keeps no bands.  Twin-beam arms and Grams are then
+formed one member at a time, in blocks of _ROWS detected rows, and each
+joint distribution in one product: over the packed pair triangle when
+the two phases are equal (every configuration oracle-check draws), the
+full pair square otherwise.  The moments of the whole set are read out
+together, one stacked 5 x 5 product per step.  A single configuration,
+a general amplitude block (_bs_pair_transform), port_cutoffs and the
+quadrature route are batches of one.  At the default seed and at seeds
+1000-1004, one ``oracle-check --n-configs 100`` makes 43-49 recurrence
+runs and 2 339-2 699 sector steps, and the oracle's allocations peak at
+3.5-4.4 MiB under tracemalloc (3.9-4.9 MiB with a distribution formed
+in blocks of _ROWS rows and the kernels of the whole set kept; the
+packed temporary of the (49, 26) envelope-edge block is 0.7 MB).
 
 Mode layout, fixed throughout: each arm pairs a quantum port with the
 coherent port of the same readout.  The detected output of each readout
@@ -83,7 +93,7 @@ _WEIGHT_POWER = 4  # moments up to fourth order are requested downstream
 _TAIL_WEIGHTS = (1.0 + np.arange(_PROBE, dtype=float)) ** _WEIGHT_POWER
 # floats one chunk of batch members holds (module docstring): 1 MiB
 _CHUNK_FLOATS = 1 << 17
-# detected rows per block of an arm and of a joint distribution
+# detected rows per block of a twin-beam arm
 _ROWS = 16
 
 _CONVENTIONS = ("i", "real-symmetric")
@@ -98,34 +108,27 @@ class CutoffError(RuntimeError):
 # input amplitudes and the cutoff rule
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    out = np.zeros(n)
-    if n > 1:
-        out[1:] = np.cumsum(np.log(np.arange(1, n, dtype=float)))
-    return out
+_LOG_FACTORIALS = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, _PROBE)))])
 
 
-def _auto_cutoff(pmf: np.ndarray, label: str) -> int:
-    """Smallest cutoff whose moment-weighted tail of the photon-number
-    distribution ``pmf`` is negligible.
+def _truncated(magnitudes: np.ndarray, label: str, positions: Sequence[int]) -> list[np.ndarray]:
+    """Each row of ``magnitudes``, one port of the configuration at each
+    of ``positions`` built at a probe length, cut at the smallest cutoff
+    whose moment-weighted tail of the photon-number distribution
+    |amplitude|^2 is negligible.
 
     The weight (1 + n)^4 makes the criterion track the worst moment the
-    package reports rather than bare probability mass."""
-    weighted = pmf * _TAIL_WEIGHTS[: len(pmf)]
-    total = weighted.sum()
-    tail = np.cumsum(weighted[::-1])[::-1]  # tail[c] = sum_{n >= c}
-    ok = np.nonzero(tail <= _TAIL_TOL * total)[0]
-    if len(ok) == 0 or ok[0] > _CUTOFF_CAP:
-        raise CutoffError(
-            f"{label}: needs cutoff beyond {_CUTOFF_CAP} for weighted tail {_TAIL_TOL}"
-        )
-    return max(int(ok[0]), 1)
-
-
-def _truncated(amplitudes: np.ndarray, label: str) -> np.ndarray:
-    """Amplitudes built at a probe length, cut at the automatic cutoff of
-    their photon-number distribution |amplitude|^2."""
-    return amplitudes[: _auto_cutoff(np.abs(amplitudes) ** 2, label)]
+    package reports rather than bare probability mass.  One cumulative
+    tail serves every row."""
+    weighted = magnitudes**2 * _TAIL_WEIGHTS[: magnitudes.shape[1]]
+    tail = np.cumsum(weighted[:, ::-1], axis=1)[:, ::-1]  # tail[j, c] = sum_{n >= c}
+    ok = tail <= _TAIL_TOL * weighted.sum(axis=1, keepdims=True)
+    first = ok.argmax(axis=1)
+    beyond = np.nonzero(~ok.any(axis=1) | (first > _CUTOFF_CAP))[0]
+    if len(beyond):
+        raise CutoffError(f"configuration {positions[beyond[0]]}: {label} needs cutoff beyond "
+                          f"{_CUTOFF_CAP} for weighted tail {_TAIL_TOL}")
+    return [row[:cut].copy() for row, cut in zip(magnitudes, np.maximum(first, 1))]
 
 
 def _check_envelope(config: HolometerConfig) -> None:
@@ -139,62 +142,92 @@ def _check_envelope(config: HolometerConfig) -> None:
         )
 
 
-def _coherent_vector(mu: float, psi: float, cut: int) -> np.ndarray:
-    if mu == 0.0:
-        vec = np.zeros(cut, dtype=complex)
-        vec[0] = 1.0
-        return vec
-    n = np.arange(cut, dtype=float)
-    mag = np.exp(-0.5 * mu + 0.5 * n * math.log(mu) - 0.5 * _log_factorials(cut))
-    return mag * np.exp(1j * psi * n)
+# Each builder takes one mean occupancy per row and returns the moduli of
+# the port's photon-number amplitudes, n < length.  Their phases are
+# linear in n: e^{i psi n} (coherent), e^{i theta m} (pair weights) and
+# e^{i (2 chi - pi) k} at m = 2k (squeezed, chi its squeezed quadrature).
 
 
-def _squeezed_vector(lam: float, chi: float, cut: int) -> np.ndarray:
-    """Squeezed vacuum with the quadrature at angle chi squeezed."""
-    r = math.asinh(math.sqrt(lam))
-    k = np.arange((cut + 1) // 2)
-    lg = _log_factorials(cut)
-    mag = np.exp(0.5 * lg[2 * k] - lg[k] - k * math.log(2.0)) * math.tanh(r) ** k
-    vec = np.zeros(cut, dtype=complex)
-    vec[::2] = mag * np.exp(1j * (2.0 * chi - math.pi) * k)
-    return vec / math.sqrt(math.cosh(r))
+def _coherent_magnitudes(mu: np.ndarray, length: int) -> np.ndarray:
+    n = np.arange(length, dtype=float)
+    dark = mu == 0.0
+    log_mu = np.log(np.where(dark, 1.0, mu))[:, None]
+    mag = np.exp(-0.5 * mu[:, None] + 0.5 * n * log_mu - 0.5 * _LOG_FACTORIALS[:length])
+    mag[dark] = n == 0.0
+    return mag
 
 
-def _twb_weights(lam: float, theta: float, cut: int) -> np.ndarray:
-    """Pair-correlation amplitudes c_m of a two-mode squeezed vacuum."""
-    x = math.sqrt(lam / (1.0 + lam)) * np.exp(1j * theta)
-    return x ** np.arange(cut) / math.sqrt(1.0 + lam)
+def _squeezed_magnitudes(lam: np.ndarray, length: int) -> np.ndarray:
+    r = np.arcsinh(np.sqrt(lam))[:, None]
+    k = np.arange((length + 1) // 2)
+    lg = _LOG_FACTORIALS
+    mag = np.zeros((len(lam), length))
+    mag[:, ::2] = np.exp(0.5 * lg[2 * k] - lg[k] - k * math.log(2.0)) * np.tanh(r) ** k
+    return mag / np.sqrt(np.cosh(r))
 
 
-def _arm_inputs(config: HolometerConfig) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Pair weights, quantum-port amplitudes and coherent-port amplitudes
-    of the arms, each at its automatic cutoff.  The quantum amplitudes
-    are None for pair-diagonal input, where arm r starts as |r> (twin
-    beams; coherent-only input is the one pair index r = 0)."""
-    _check_envelope(config)
-    coh = _truncated(_coherent_vector(config.mu, config.psi, _PROBE), "coherent port")
-    if config.input_kind is InputKind.TWB:
-        weights = _truncated(_twb_weights(config.lam, config.theta, _PROBE), "pair-correlated port")
-        return weights, None, coh
-    if config.input_kind is InputKind.TWO_SQUEEZED:
-        squeezed = _squeezed_vector(config.lam, config.squeezed_quadrature_angle, _PROBE)
-        return np.ones(1, dtype=complex), _truncated(squeezed, "squeezed port"), coh
-    return np.ones(1, dtype=complex), None, coh
+def _twb_weights(lam: np.ndarray, length: int) -> np.ndarray:
+    """Moduli of the pair-correlation amplitudes c_m of a two-mode
+    squeezed vacuum."""
+    ratio = np.sqrt(lam / (1.0 + lam))[:, None]
+    return ratio ** np.arange(length) / np.sqrt(1.0 + lam)[:, None]
+
+
+def _port_magnitudes(
+    configs: Sequence[HolometerConfig],
+) -> tuple[list[np.ndarray], list[np.ndarray | None], list[np.ndarray]]:
+    """Pair-weight moduli, quantum-port magnitudes and coherent-port
+    magnitudes of each configuration, each at its automatic cutoff.  The
+    quantum magnitudes are None for pair-diagonal input, where arm r
+    starts as |r> (twin beams; coherent-only and squeezed input have the
+    one pair index r = 0).
+
+    Each port is built for the whole set at once, a (configurations x
+    _PROBE) array per input kind with one cumulative tail."""
+    for config in configs:
+        _check_envelope(config)
+
+    mu = np.array([config.mu for config in configs], dtype=float)
+    lam = np.array([config.lam for config in configs], dtype=float)
+    twb, squeezed = ([i for i, config in enumerate(configs) if config.input_kind is kind]
+                     for kind in (InputKind.TWB, InputKind.TWO_SQUEEZED))
+    coherent = _truncated(_coherent_magnitudes(mu, _PROBE), "coherent port", range(len(configs)))
+    pairs: list[np.ndarray] = [np.ones(1)] * len(configs)
+    quantum: list[np.ndarray | None] = [None] * len(configs)
+    for i, row in zip(twb, _truncated(_twb_weights(lam[twb], _PROBE), "pair-correlated port", twb)):
+        pairs[i] = row
+    for i, row in zip(squeezed, _truncated(_squeezed_magnitudes(lam[squeezed], _PROBE),
+                                           "squeezed port", squeezed)):
+        quantum[i] = row
+    return pairs, quantum, coherent
 
 
 def port_cutoffs(config: HolometerConfig) -> tuple[int, int]:
     """The oracle's (quantum-port, coherent-port) lengths for ``config``:
     the pair-index cutoff for twin beams, the squeezed-port cutoff for
     squeezed input and 1 for coherent-only input."""
-    weights, quantum, coh = _arm_inputs(config)
-    return len(weights if quantum is None else quantum), len(coh)
+    [pairs], [quantum], [coherent] = _port_magnitudes([config])
+    return len(pairs if quantum is None else quantum), len(coherent)
+
+
+def _phased(
+    config: HolometerConfig, pairs: np.ndarray, quantum: np.ndarray | None, coherent: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The complex amplitudes behind the magnitudes of one configuration:
+    pair weights, quantum-port amplitudes (None for pair-diagonal input)
+    and coherent-port amplitudes."""
+    weights = pairs * np.exp(1j * config.theta * np.arange(len(pairs)))
+    if quantum is not None:
+        turn = 2.0 * config.squeezed_quadrature_angle - math.pi  # per squeezed pair k = m / 2
+        quantum = quantum * np.exp(0.5j * turn * np.arange(len(quantum)))
+    return weights, quantum, coherent * np.exp(1j * config.psi * np.arange(len(coherent)))
 
 
 def _arm_block(config: HolometerConfig) -> tuple[np.ndarray, np.ndarray]:
     """Pair weights and the dense complex input block (quantum, coherent,
     pair index) that both arms share, each pair index unweighted; the
     quadrature route transforms it whole."""
-    weights, quantum, coh = _arm_inputs(config)
+    weights, quantum, coh = _phased(config, *(port[0] for port in _port_magnitudes([config])))
     q_vecs = np.eye(len(weights), dtype=complex) if quantum is None else quantum[None, :]
     return weights, q_vecs.T[:, None, :] * coh[None, :, None]
 
@@ -421,14 +454,25 @@ def two_photon_coincidence(convention: str = "i") -> float:
 # p = (K o G1) . G2^T over the flattened pair axes.  "real-symmetric" has
 # no i^(r-p) factor, so its kernel angle is theta - 2 psi.  The real arm
 # is the band itself, R_s[p, r] |b_{s-r}|, with no product against the
-# input block.
+# input block.  With equal phases G1 = G2 = G, and K and G are symmetric
+# in (r, r'), so the sum runs over the packed triangle r <= r' with
+# weight 1 on the diagonal and 2 off it; arm r reaches sectors r to
+# r + n_b - 1 only, so G[r, r'] is an exact zero for r' >= r + n_b and
+# the triangle is cut to that band.  Scaling each packed column by
+# the root of its weighted kernel's modulus, the columns of positive
+# kernel first, makes p = P+ . P+^T - P- . P-^T: one packed
+# (detected x n(n+1)/2) array, two products of a matrix with its own
+# transpose (half the multiplications of a general product), and p
+# exactly symmetric.
 #
 # Squeezed input is rank one, and its kernel is 1.  Its arm is
 # sum_m R_s[p, m] i^m a_m |b_{s-m}| e^{i psi (s-m)}: the phase e^{i psi s}
 # and the output phase i^(-p) drop out of the Gram sum |.|^2 over the
 # discarded port, so the real band meets the complex column
 # i^m e^{-i psi m} a_m |b_{s-m}| ("real-symmetric" without i^m), and
-# the Gram accumulates sector by sector.
+# the Gram accumulates sector by sector.  With a_m = |a_m| e^{i (2 chi - pi) k}
+# at m = 2k the column's phase is e^{i (2 chi - 2 psi) k} under "i" and
+# e^{i (2 chi - pi - 2 psi) k} under "real-symmetric".
 
 
 def _pair_diagonal_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, np.ndarray]]:
@@ -503,38 +547,38 @@ def _squeezed_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, np.nd
         yield member[1], gram[j, : member[0] + 1]
 
 
-def _joint_pmfs(
+def _arm_grams(
     configs: Sequence[HolometerConfig], convention: str,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(index, joint distribution before loss) for every configuration,
-    in the order the chunks finish them.
+) -> Iterator[tuple[int, tuple[np.ndarray, float, int] | None, np.ndarray, np.ndarray]]:
+    """(index, pair kernel, Gram of arm 1, Gram of arm 2) for every
+    configuration, in the order the chunks finish them; the kernel is
+    the pair moduli, the kernel angle and the coherent cutoff (None for
+    rank-one input), and equal phases give one array as both Grams.
 
     Every arm is one batch member, two for unequal phases.  The members
     of each input kind are sorted by sector reach and run chunk by
-    chunk (module docstring); a configuration's distribution is formed
-    as soon as both of its arms' Grams exist."""
+    chunk (module docstring); a configuration is yielded as soon as both
+    of its arms' Grams exist, and its Grams may be overwritten once
+    the next one is asked for."""
+    pairs, quantum, coherent = _port_magnitudes(configs)
+    shift = 0.0 if convention == "i" else math.pi  # "real-symmetric" lacks the i^m phases
     groups: dict[InputKind, list] = {}
-    kernels: dict[int, np.ndarray | None] = {}
+    kernels: dict[int, tuple[np.ndarray, float, int] | None] = {}
     for index, config in enumerate(configs):
-        weights, quantum, coh = _arm_inputs(config)
-        if quantum is None:
+        if quantum[index] is None:
             # pair-diagonal: the phase per unit of r - r', derived above
-            turn = config.theta - 2.0 * config.psi + (math.pi if convention == "i" else 0.0)
-            pairs = np.arange(len(weights))
-            moduli = np.abs(weights)
-            kernels[index] = np.outer(moduli, moduli) * np.cos(np.subtract.outer(pairs, pairs) * turn)
-            length, arm_input = len(weights), len(weights)
+            turn = config.theta - 2.0 * config.psi + (math.pi - shift)
+            kernels[index] = pairs[index], turn, len(coherent[index])
+            length = arm_input = len(pairs[index])
         else:
             kernels[index] = None
-            m = np.arange(len(quantum))
-            arm_input = quantum * np.exp(-1j * config.psi * m)
-            if convention == "i":
-                arm_input *= _I_POWERS[m % 4]
-            length = len(quantum)
+            turn = 2.0 * (config.squeezed_quadrature_angle - config.psi) - shift
+            length = len(quantum[index])
+            arm_input = quantum[index] * np.exp(0.5j * turn * np.arange(length))
         phases = (config.phi0_1,) if config.phi0_2 == config.phi0_1 else (config.phi0_1, config.phi0_2)
         # a member: (reach, key, phi, pair count or column amplitudes, |b|)
         groups.setdefault(config.input_kind, []).extend(
-            (length + len(coh) - 2, (index, arm), phi, arm_input, np.abs(coh))
+            (length + len(coherent[index]) - 2, (index, arm), phi, arm_input, coherent[index])
             for arm, phi in enumerate(phases))
 
     waiting: dict[int, np.ndarray] = {}
@@ -549,24 +593,62 @@ def _joint_pmfs(
                     waiting[index] = gram.copy()
                     continue
                 other = waiting.pop(index, gram)
-                gram1, gram2 = (other, gram) if arm else (gram, other)
-                yield index, _checked_pmf(index, kernels[index], gram1, gram2, convention)
+                yield (index, kernels[index]) + ((other, gram) if arm else (gram, other))
+
+
+def _joint_pmfs(
+    configs: Sequence[HolometerConfig], convention: str,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(index, joint distribution before loss) for every configuration,
+    in the order the chunks finish them."""
+    for index, kernel, gram1, gram2 in _arm_grams(configs, convention):
+        yield index, _checked_pmf(index, kernel, gram1, gram2, convention)
+
+
+@functools.lru_cache(maxsize=None)  # one entry per pair count, at most _CUTOFF_CAP
+def _packed_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triangle r <= r' of an (n, n) pair block, diagonal by
+    diagonal (the n entries r = r' first), so that a band
+    r' - r < b is a prefix: r, r' and the flat position r n + r';
+    read-only."""
+    r, r2 = np.triu_indices(n)
+    order = np.argsort(r2 - r, kind="stable")
+    out = r[order], r2[order], (r * n + r2)[order]
+    for array in out:
+        array.flags.writeable = False
+    return out
 
 
 def _checked_pmf(
-    index: int, kernel: np.ndarray | None, gram1: np.ndarray, gram2: np.ndarray, convention: str,
+    index: int, kernel: tuple[np.ndarray, float, int] | None, gram1: np.ndarray,
+    gram2: np.ndarray, convention: str,
 ) -> np.ndarray:
-    """p = (K o G1) . G2^T, normalized; under the unitary convention a
-    mass drift or a negative entry is a CutoffError naming the
-    configuration's position."""
+    """p = (K o G1) . G2^T, normalized, with K the pair kernel of the
+    moduli |c_r| and kernel angle in ``kernel`` (None: rank one, K = 1);
+    one array passed as both Grams (equal phases) takes the packed
+    triangle, cut to the band the coherent cutoff leaves nonzero (the
+    comment above).  Under the unitary convention a mass drift or a
+    negative entry is a CutoffError naming the configuration's
+    position."""
     if kernel is None:
         pmf = np.multiply.outer(gram1, gram2)
+    elif gram1 is gram2:
+        moduli, turn, band = kernel
+        n, b = len(moduli), min(band, len(moduli))
+        r, r2, flat = (array[: b * n - b * (b - 1) // 2] for array in _packed_pairs(n))
+        packed_kernel = moduli[r] * moduli[r2] * np.cos((r - r2) * turn)
+        packed_kernel[n:] *= 2.0  # the weight off the diagonal
+        negative = packed_kernel < 0.0
+        order = np.argsort(negative, kind="stable")
+        plus = len(order) - np.count_nonzero(negative)
+        packed = gram1.reshape(len(gram1), -1)[:, flat[order]]
+        packed *= np.sqrt(np.abs(packed_kernel[order]))
+        pmf = packed[:, :plus] @ packed[:, :plus].T - packed[:, plus:] @ packed[:, plus:].T
     else:
-        pmf = np.empty((len(gram1), len(gram2)))
-        right = gram2.reshape(len(gram2), -1).T
-        for lo in range(0, len(gram1), _ROWS):
-            rows = gram1[lo : lo + _ROWS]
-            pmf[lo : lo + _ROWS] = (kernel * rows).reshape(len(rows), -1) @ right
+        moduli, turn, _ = kernel
+        pairs = np.arange(len(moduli))
+        full = np.outer(moduli, moduli) * np.cos(np.subtract.outer(pairs, pairs) * turn)
+        pmf = (full * gram1).reshape(len(gram1), -1) @ gram2.reshape(len(gram2), -1).T
     total = pmf.sum()
     if convention != "real-symmetric":
         if abs(total - 1.0) > 1e-9:
@@ -599,43 +681,44 @@ _STIRLING = np.array(
 )
 
 
-def _falling_factorial_matrix(length: int) -> np.ndarray:
-    n = np.arange(length, dtype=float)
-    ff = np.ones((5, length))
-    for j in range(1, 5):
-        ff[j] = ff[j - 1] * (n - (j - 1))
-    return ff
+# n (n-1) ... (n-j+1) for j <= 4 and every detected photon number
+# n < n_a + n_b - 1, read-only; a distribution of length L reads [:, :L]
+_FALLING = np.ones((5, 2 * _CUTOFF_CAP))
+_FALLING[1:] = np.cumprod(np.arange(2.0 * _CUTOFF_CAP) - np.arange(4.0)[:, None], axis=0)
+_FALLING.flags.writeable = False
+_BINOMIAL = np.array([[math.comb(p, i) for i in range(5)] for p in range(5)], dtype=float)
+_BINOMIAL_POWERS = np.maximum(np.subtract.outer(np.arange(5), np.arange(5)), 0)  # p - i, i <= p
+_ORDERS = np.arange(5.0)
+_CENTERED_P, _CENTERED_Q = (list(axis) for axis in zip(*CENTERED_KEYS))
 
 
-def _centered_from_raw(raw: np.ndarray) -> dict[tuple[int, int], float]:
-    m1, m2 = raw[1, 0], raw[0, 1]
-    u1 = np.zeros((5, 5))
-    u2 = np.zeros((5, 5))
-    for p in range(5):
-        for i in range(p + 1):
-            u1[p, i] = math.comb(p, i) * (-m1) ** (p - i)
-            u2[p, i] = math.comb(p, i) * (-m2) ** (p - i)
-    cen = u1 @ raw @ u2.T
-    return {(p, q): float(cen[p, q]) for p, q in CENTERED_KEYS}
+def _factorial_moments(pmf: np.ndarray) -> np.ndarray:
+    """Joint falling-factorial moments <N1^(j) N2^(k)>, j, k <= 4, of a
+    joint distribution."""
+    return _FALLING[:, : pmf.shape[0]] @ pmf @ _FALLING[:, : pmf.shape[1]].T
 
 
-def _pmf_to_readout(pmf: np.ndarray, eta_pair: tuple[float, float]) -> ReadoutMoments:
-    # loss scales joint falling-factorial moments by eta^order
-    eta1, eta2 = eta_pair
-    ff1 = _falling_factorial_matrix(pmf.shape[0])
-    ff2 = _falling_factorial_matrix(pmf.shape[1])
-    fact = ff1 @ pmf @ ff2.T
-    fact *= np.multiply.outer(eta1 ** np.arange(5.0), eta2 ** np.arange(5.0))
-    raw = _STIRLING @ fact @ _STIRLING.T
-    cen = _centered_from_raw(raw)
-    return ReadoutMoments(
-        mean_1=float(raw[1, 0]),
-        mean_2=float(raw[0, 1]),
-        var_1=cen[(2, 0)],
-        var_2=cen[(0, 2)],
-        cov=cen[(1, 1)],
-        centered=cen,
-    )
+def _readouts(factorial: np.ndarray, etas: np.ndarray) -> list[ReadoutMoments]:
+    """Moments of every configuration of a set from its (configurations,
+    5, 5) factorial moments before loss and (configurations, 2)
+    efficiencies, as whole-set array work.
+
+    Loss scales the joint falling-factorial moments by eta^order; the
+    Stirling numbers turn them raw, and the centering matrices
+    U[p, i] = C(p, i) (-mean)^(p - i) centre them."""
+    loss = (etas[:, 0, None] ** _ORDERS)[:, :, None] * (etas[:, 1, None] ** _ORDERS)[:, None, :]
+    raw = _STIRLING @ (factorial * loss) @ _STIRLING.T
+    means = raw[:, [1, 0], [0, 1]]
+    u1, u2 = (_BINOMIAL * (-means[:, port, None, None]) ** _BINOMIAL_POWERS for port in (0, 1))
+    centered = (u1 @ raw @ u2.swapaxes(1, 2))[:, _CENTERED_P, _CENTERED_Q]
+    moments = []
+    for (mean_1, mean_2), row in zip(means.tolist(), centered.tolist()):
+        table = dict(zip(CENTERED_KEYS, row))
+        moments.append(ReadoutMoments(
+            mean_1=mean_1, mean_2=mean_2, var_1=table[(2, 0)], var_2=table[(0, 2)],
+            cov=table[(1, 1)], centered=table,
+        ))
+    return moments
 
 
 def oracle_moments(
@@ -650,9 +733,10 @@ def oracle_moments(
     arms (module docstring)."""
     single = isinstance(configs, HolometerConfig)
     batch = [configs] if single else list(configs)
-    moments: list[ReadoutMoments | None] = [None] * len(batch)
+    factorial = np.empty((len(batch), 5, 5))
     for index, pmf in _joint_pmfs(batch, convention):
-        moments[index] = _pmf_to_readout(pmf, batch[index].eta_pair)
+        factorial[index] = _factorial_moments(pmf)
+    moments = _readouts(factorial, np.array([config.eta_pair for config in batch], dtype=float))
     return moments[0] if single else tuple(moments)
 
 

@@ -26,6 +26,8 @@ CENTERED_KEYS: tuple[tuple[int, int], ...] = tuple(
 )
 
 _ABS_FLOOR = 1e-13  # absolute part of every comparison floor
+# margins within this relative distance of the largest tie for worst field
+_TIE_RTOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -145,19 +147,26 @@ def compare_moments(
     A field whose margin is not finite (a nan or infinite entry) fails
     the comparison with ``worst_margin = max_relative = inf``; an
     ``rtol`` that is negative or not finite is a ValueError.
+
+    ``worst_field`` is the first field, in the order mean_1, mean_2,
+    var_1, var_2, cov, then ``centered`` in CENTERED_KEYS order, whose
+    margin is at least 0.99 ``worst_margin`` ("none" when every margin
+    is zero).  Mirror fields of the two ports and aliases (var_1 and
+    centered[2,0], cov and centered[1,1]) carry the same deviation up to
+    roundoff at symmetric configurations, and a fourth-order centred
+    deviation carries roundoff of up to about 1e-3 of itself, so this
+    rule keeps such a tie from being decided by the last bits.
     """
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ValueError(f"rtol must be finite and non-negative, got {rtol!r}")
 
-    worst_margin = 0.0
-    worst_field = "none"
+    margins: dict[str, float] = {}
     relative: dict[str, float] = {}
     for name, x, y, floor in _comparison_entries(a, b):
         margin = abs(x - y) / (rtol * max(abs(x), abs(y)) + floor)
-        if not math.isfinite(margin):
-            margin = math.inf
-        if margin > worst_margin:
-            worst_margin = margin
-            worst_field = name
+        margins[name] = margin if math.isfinite(margin) else math.inf
         relative[name] = _relative_deviation(x, y, floor)
+    worst_margin = max(margins.values())
+    worst_field = "none" if worst_margin == 0.0 else next(
+        name for name, margin in margins.items() if margin >= (1.0 - _TIE_RTOL) * worst_margin)
     return MomentComparison(worst_margin, worst_field, relative)

@@ -36,18 +36,18 @@ def ports(config: HolometerConfig, cutoff: int | None = None) -> tuple[np.ndarra
     """Quantum-port amplitudes over (port 1, port 2) and the coherent-port
     vector shared by both readouts.  ``cutoff`` pins every mode's cutoff;
     by default each port takes the oracle's automatic one."""
-    length = cutoff or fo._CUTOFF_CAP + 257
-
-    def cut(amplitudes: np.ndarray, label: str) -> np.ndarray:
-        return amplitudes if cutoff else fo._truncated(amplitudes, label)
-
-    coherent = cut(fo._coherent_vector(config.mu, config.psi, length), "coherent port")
+    if cutoff:
+        kind = config.input_kind
+        at = np.array([config.lam])
+        pairs = fo._twb_weights(at, cutoff)[0] if kind is InputKind.TWB else np.ones(1)
+        quantum = fo._squeezed_magnitudes(at, cutoff)[0] if kind is InputKind.TWO_SQUEEZED else None
+        magnitudes = pairs, quantum, fo._coherent_magnitudes(np.array([config.mu]), cutoff)[0]
+    else:
+        magnitudes = (port[0] for port in fo._port_magnitudes([config]))
+    weights, sq, coherent = fo._phased(config, *magnitudes)
     if config.input_kind is InputKind.TWB:
-        pairs = cut(fo._twb_weights(config.lam, config.theta, length), "pair port")
-        return np.diag(pairs), coherent
+        return np.diag(weights), coherent
     if config.input_kind is InputKind.TWO_SQUEEZED:
-        sq = fo._squeezed_vector(config.lam, config.squeezed_quadrature_angle, length)
-        sq = cut(sq, "squeezed port")
         return np.multiply.outer(sq, sq), coherent
     return np.ones((1, 1), dtype=complex), coherent
 

@@ -16,7 +16,7 @@ from holonoise.fock_oracle import (
     two_photon_coincidence,
 )
 from holonoise.holometer import quadrature_readout, readout_moments
-from holonoise.moments import CENTERED_KEYS, compare_moments
+from holonoise.moments import CENTERED_KEYS, ReadoutMoments, compare_moments
 
 
 def make(**overrides):
@@ -367,9 +367,11 @@ def test_the_default_set_runs_one_recurrence_per_chunk(monkeypatch):
 
 
 def test_a_mass_drift_inside_a_batch_names_its_configuration(monkeypatch):
+    # the pair weights are built for the set at once, one row per configuration
     twb_weights = fock_oracle._twb_weights
     monkeypatch.setattr(fock_oracle, "_twb_weights",
-                        lambda lam, *args: (0.9 if lam == 0.3 else 1.0) * twb_weights(lam, *args))
+                        lambda lam, *args: np.where(lam == 0.3, 0.9, 1.0)[:, None]
+                        * twb_weights(lam, *args))
     with pytest.raises(CutoffError, match="configuration 1: joint distribution mass"):
         oracle_moments([make(), make(mu=0.8, lam=0.3), make(lam=0.5)])
 
@@ -391,3 +393,101 @@ def test_a_negative_entry_inside_a_batch_names_its_configuration(monkeypatch):
     squeezed = [make(input_kind="TwoSqueezed", lam=lam) for lam in (0.2, 0.5, 0.8)]
     with pytest.raises(CutoffError, match="configuration 1: joint distribution has negative entry"):
         oracle_moments(squeezed)
+
+
+def test_a_negative_entry_of_a_packed_distribution_names_its_configuration(monkeypatch):
+    # the second configuration's Gram rows G[0] + 2 G[1] and -G[1] keep
+    # the distribution's mass and turn p(0, 1) into -p(0, 1) - 2 p(1, 1)
+    grams = fock_oracle._pair_diagonal_grams
+
+    def skewed(chunk, convention):
+        for key, gram in grams(chunk, convention):
+            if key[0] == 1:
+                gram = gram.copy()
+                gram[0] += 2.0 * gram[1]
+                gram[1] *= -1.0
+            yield key, gram
+
+    monkeypatch.setattr(fock_oracle, "_pair_diagonal_grams", skewed)
+    with pytest.raises(CutoffError, match="configuration 1: joint distribution has negative entry"):
+        oracle_moments([make(), make(mu=0.8, lam=0.3), make(lam=0.5)])
+
+
+# ---------------------------------------------------------------------------
+# the packed product, the set-built inputs and the stacked readout
+# ---------------------------------------------------------------------------
+
+EDGE_EQUAL = EDGE.replace(phi0_2=EDGE.phi0_1)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1000, 1003])
+def test_packed_distributions_are_symmetric_and_equal_the_general_product(monkeypatch, seed):
+    # an equal-phase configuration passes one Gram array as both arms and
+    # takes the packed triangle; a copy of it takes the general product
+    checked = fock_oracle._checked_pmf
+    packed = []
+
+    def both(index, kernel, gram1, gram2, convention):
+        pmf = checked(index, kernel, gram1, gram2, convention)
+        if kernel is not None and gram1 is gram2:
+            general = checked(index, kernel, gram1, gram2.copy(), convention)
+            packed.append((gram1.shape, np.max(np.abs(pmf - general))))
+        return pmf
+
+    monkeypatch.setattr(fock_oracle, "_checked_pmf", both)
+    configs = drawn(seed) + [EDGE_EQUAL]
+    pmfs = dict(fock_oracle._joint_pmfs(configs, "i"))
+    assert len(pmfs) == len(configs)
+    for pmf in pmfs.values():
+        assert np.array_equal(pmf, pmf.T)
+    assert (74, 49, 49) in [shape for shape, _ in packed]  # the (49, 26, 49) edge block
+    assert len(packed) > 50
+    assert max(difference for _, difference in packed) < 1e-13
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1000, 1003])
+def test_set_built_inputs_equal_the_one_configuration_builds(seed):
+    configs = drawn(seed) + [EDGE, make(mu=0.0, lam=0.5), make(mu=0.0, input_kind="TwoSqueezed")]
+    pairs, quantum, coherent = fock_oracle._port_magnitudes(configs)
+    for i, config in enumerate(configs):
+        [one_pairs], [one_quantum], [one_coherent] = fock_oracle._port_magnitudes([config])
+        assert np.array_equal(pairs[i], one_pairs) and np.array_equal(coherent[i], one_coherent)
+        assert (quantum[i] is None) == (one_quantum is None)
+        if quantum[i] is not None:
+            assert np.array_equal(quantum[i], one_quantum)
+        cutoff = len(pairs[i] if quantum[i] is None else quantum[i]), len(coherent[i])
+        assert cutoff == fock_oracle.port_cutoffs(config)
+    assert fock_oracle.port_cutoffs(configs[-2]) == (fock_oracle.port_cutoffs(make(lam=0.5))[0], 1)
+
+
+def looped_readout(pmf, eta_pair):
+    """The moment readout one configuration at a time, with the centering
+    matrices built entry by entry: the reference for the stacked one."""
+    def falling(length):
+        n = np.arange(length, dtype=float)
+        ff = np.ones((5, length))
+        for j in range(1, 5):
+            ff[j] = ff[j - 1] * (n - (j - 1))
+        return ff
+
+    eta1, eta2 = eta_pair
+    fact = falling(pmf.shape[0]) @ pmf @ falling(pmf.shape[1]).T
+    fact *= np.multiply.outer(eta1 ** np.arange(5.0), eta2 ** np.arange(5.0))
+    raw = fock_oracle._STIRLING @ fact @ fock_oracle._STIRLING.T
+    u1, u2 = np.zeros((5, 5)), np.zeros((5, 5))
+    for p in range(5):
+        for i in range(p + 1):
+            u1[p, i] = math.comb(p, i) * (-raw[1, 0]) ** (p - i)
+            u2[p, i] = math.comb(p, i) * (-raw[0, 1]) ** (p - i)
+    cen = u1 @ raw @ u2.T
+    centered = {(p, q): float(cen[p, q]) for p, q in CENTERED_KEYS}
+    return ReadoutMoments(mean_1=float(raw[1, 0]), mean_2=float(raw[0, 1]), var_1=centered[(2, 0)],
+                          var_2=centered[(0, 2)], cov=centered[(1, 1)], centered=centered)
+
+
+def test_stacked_readout_equals_the_looped_formula():
+    configs = drawn(DEFAULT_SEED) + [EDGE, make(eta=0.65, eta_2=0.4)]
+    pmfs = dict(fock_oracle._joint_pmfs(configs, "i"))
+    stacked = oracle_moments(configs)
+    for index, config in enumerate(configs):
+        assert_same_moments(stacked[index], looped_readout(pmfs[index], config.eta_pair), rtol=1e-14)

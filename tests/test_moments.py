@@ -110,3 +110,29 @@ def test_compare_rejects_a_tolerance_that_passes_anything(name, value):
     far = make(cov=0.0, centered=full_table({(1, 1): 0.0}))
     with pytest.raises(ValueError, match=name):
         compare_moments(make(centered=full_table()), far, **{name: value})
+
+
+
+@pytest.mark.parametrize("first, mirror", [("mean_1", "mean_2"), ("cov", (1, 1)), ((1, 3), (3, 1))],
+                         ids=["means", "cov-alias", "fourth-order"])
+def test_worst_field_is_not_decided_by_one_ulp_of_a_mirror_field(first, mirror):
+    # both fields of a mirror or alias pair deviate by 1e-6, which ties
+    # their margins; one ulp more or less on the later field leaves the
+    # earlier one named
+    table = full_table({(1, 3): 4.0, (3, 1): 4.0})
+    reference = make(centered=table)
+
+    def moved(ulp_towards):
+        fields = dict(mean_1=3.0, mean_2=3.0, var_1=2.0, var_2=2.0, cov=1.0)
+        centered = dict(table)
+        for name in (first, mirror):
+            (centered if isinstance(name, tuple) else fields)[name] += 1e-6
+        if ulp_towards is not None:
+            where = centered if isinstance(mirror, tuple) else fields
+            where[mirror] = math.nextafter(where[mirror], ulp_towards)
+        return ReadoutMoments(**fields, centered=centered)
+
+    label = f"centered[{first[0]},{first[1]}]" if isinstance(first, tuple) else first
+    for ulp_towards in (None, math.inf, -math.inf):
+        result = compare_moments(reference, moved(ulp_towards))
+        assert (result.ok, result.worst_field) == (False, label)
