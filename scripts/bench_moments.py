@@ -17,8 +17,9 @@ envelope, the oracle's joint photon-number distribution there and its
 quadrature moments at low occupancy, the oracle over the 100
 configurations oracle-check draws at its default seed (one batched call),
 its stages (inputs and cutoffs, the recurrence with the arms' Grams, the
-joint distributions and the moment readout) and one stacked engine
-readout per input kind over them, and, end to end
+joint distributions and the moment readout), one stacked engine
+readout per input kind over them, the one stacked engine/oracle
+comparison and the set's cutoffs in one call, and, end to end
 through the CLI
 in-process, the four figure sweeps of run_figure_scans.py, the phi0
 sweep at the grid cap, oracle-check over 100 configurations at seed
@@ -64,8 +65,10 @@ from holonoise.estimation import EstimatorSpec, estimator_mixed_derivative, u0
 from holonoise.fock_oracle import (
     _arm_block, _arm_grams, _bs_pair_transform, _checked_pmf, _factorial_moments, _joint_pmfs,
     _port_magnitudes, _readouts, fock_joint_pmf, fock_quadrature_moments, oracle_moments,
+    port_cutoffs,
 )
 from holonoise.holometer import propagate, quadrature_readout, readout_moments
+from holonoise.moments import compare_moments
 from holonoise.observables import closed_form_moments
 from holonoise.phase_noise import (
     direct_variance, mc_expectation, recover_covariance, sample_phase_offsets,
@@ -253,6 +256,11 @@ def main() -> int:
                       max(1, repeat // 5), guardrail))
     rows.append(clock("one stacked engine readout over them",
                       lambda: _engine_moments(drawn), max(1, repeat // 5), guardrail))
+    engine, oracle = _engine_moments(drawn), oracle_moments(drawn)
+    rows.append(clock("  the engine/oracle comparison over them",
+                      lambda: compare_moments(engine, oracle), repeat, guardrail))
+    rows.append(clock("  their cutoffs in one set call",
+                      lambda: port_cutoffs(drawn), max(1, repeat // 5), guardrail))
     sweeps = {name.removesuffix(".csv"): argv for name, argv in SCANS.items()
               if argv[0] in ("nrf-scan", "uncertainty-scan")}
     sweeps["uncertainty_vs_phi0 at the grid cap"] = CAP_SCAN

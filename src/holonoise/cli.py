@@ -440,8 +440,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             + ("it did" if not report.ok else "IT DID NOT")
         )
     if args.out:
-        configs, comparisons = report.configs, report.comparisons
-        cutoffs = [port_cutoffs(config) for config in configs]
+        configs, comparison = report.configs, report.comparison
+        quantum_cutoff, coherent_cutoff = port_cutoffs(configs)
         columns = {
             "index": np.arange(len(configs)),
             "kind": [config.input_kind.value for config in configs],
@@ -451,12 +451,12 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             "eta": [config.eta for config in configs],
             "psi": [config.psi for config in configs],
             # the oracle's truncation: pair index, squeezed port or 1; coherent port
-            "quantum_cutoff": [cutoff[0] for cutoff in cutoffs],
-            "coherent_cutoff": [cutoff[1] for cutoff in cutoffs],
-            "max_relative": [comparison.max_relative for comparison in comparisons],
-            "worst_margin": [comparison.worst_margin for comparison in comparisons],
-            "worst_field": [comparison.worst_field for comparison in comparisons],
-            "verdict": ["pass" if comparison.ok else "fail" for comparison in comparisons],
+            "quantum_cutoff": quantum_cutoff,
+            "coherent_cutoff": coherent_cutoff,
+            "max_relative": comparison.max_relative,
+            "worst_margin": comparison.worst_margin,
+            "worst_field": comparison.worst_field,
+            "verdict": np.where(comparison.ok, "pass", "fail"),
         }
         _write_csv(
             args.out,

@@ -25,7 +25,7 @@ from .fock_oracle import (
     two_photon_coincidence,
 )
 from .holometer import readout_moments
-from .moments import MomentComparison, ReadoutMoments, compare_moments
+from .moments import CENTERED_KEYS, MomentComparison, ReadoutMoments, compare_moments
 
 __all__ = [
     "CrosscheckReport",
@@ -69,11 +69,13 @@ def sample_guardrail_config(rng: np.random.Generator) -> HolometerConfig:
     )
 
 
-def _engine_moments(configs: tuple[HolometerConfig, ...]) -> list[ReadoutMoments]:
-    """Engine moments of each configuration, from one stacked readout
-    per input kind, for configurations with one efficiency (eta_2 None)
-    as sample_guardrail_config draws them."""
-    moments: list[ReadoutMoments] = [None] * len(configs)  # type: ignore[list-item]
+def _engine_moments(configs: tuple[HolometerConfig, ...]) -> ReadoutMoments:
+    """Engine moments over the set, arrays in set order, from one stacked
+    readout per input kind, for configurations with one efficiency
+    (eta_2 None) as sample_guardrail_config draws them."""
+    fields = {name: np.empty(len(configs))
+              for name in ("mean_1", "mean_2", "var_1", "var_2", "cov")}
+    centered = {key: np.empty(len(configs)) for key in CENTERED_KEYS}
     for kind in InputKind:
         at = [i for i, config in enumerate(configs) if config.input_kind is kind]
         if not at:
@@ -85,23 +87,21 @@ def _engine_moments(configs: tuple[HolometerConfig, ...]) -> list[ReadoutMoments
             theta_xi=np.array([configs[i].theta_xi_effective for i in at]),
         )
         m = readout_moments(stack)
-        for row, i in enumerate(at):
-            moments[i] = ReadoutMoments(
-                mean_1=float(m.mean_1[row]), mean_2=float(m.mean_2[row]),
-                var_1=float(m.var_1[row]), var_2=float(m.var_2[row]), cov=float(m.cov[row]),
-                centered={key: float(value[row]) for key, value in m.centered.items()},
-            )
-    return moments
+        for name, values in fields.items():
+            values[at] = getattr(m, name)
+        for key, values in centered.items():
+            values[at] = m.centered[key]
+    return ReadoutMoments(**fields, centered=centered)
 
 
 @dataclass(frozen=True)
 class CrosscheckReport:
     """Outcome of the full validation run: the drawn configurations and
-    their engine-versus-oracle comparisons, position for position."""
+    the engine-versus-oracle comparison over them, arrays in set order."""
 
     coincidence: float  # two-photon coincidence under the active convention
     configs: tuple[HolometerConfig, ...]
-    comparisons: tuple[MomentComparison, ...]
+    comparison: MomentComparison
     rtol: float
     convention: str
     runtime_seconds: float
@@ -113,12 +113,11 @@ class CrosscheckReport:
     @property
     def field_worst(self) -> dict[str, float]:
         """Per-moment max relative deviation over the configurations."""
-        rows = self.comparisons
-        return {name: max(row.relative[name] for row in rows) for name in rows[0].relative}
+        return {name: float(values.max()) for name, values in self.comparison.relative.items()}
 
     @property
     def n_failed(self) -> int:
-        return sum(1 for comparison in self.comparisons if not comparison.ok)
+        return int(np.count_nonzero(~self.comparison.ok))
 
     @property
     def ok(self) -> bool:
@@ -153,8 +152,8 @@ def run_crosscheck(
 ) -> CrosscheckReport:
     """Draw ``n_configs`` random configurations and compare every joint
     photon-number moment up to fourth order between the two routes,
-    each read once over the whole set: the engine over one stack per
-    input kind, the oracle in one batched call.
+    each read once over the whole set (the engine over one stack per
+    input kind, the oracle in one batched call) and compared once.
 
     ``convention`` selects the oracle's beam-splitter phase convention;
     passing the deliberately broken "real-symmetric" one makes both the
@@ -167,15 +166,12 @@ def run_crosscheck(
     coincidence = two_photon_coincidence(convention)
     rng = np.random.default_rng(seed)
     configs = tuple(sample_guardrail_config(rng) for _ in range(n_configs))
-    oracle = oracle_moments(configs, convention=convention)
-    comparisons = tuple(
-        compare_moments(engine, fock, rtol=rtol)
-        for engine, fock in zip(_engine_moments(configs), oracle, strict=True)
-    )
+    comparison = compare_moments(_engine_moments(configs),
+                                 oracle_moments(configs, convention=convention), rtol=rtol)
     return CrosscheckReport(
         coincidence=coincidence,
         configs=configs,
-        comparisons=comparisons,
+        comparison=comparison,
         rtol=rtol,
         convention=convention,
         runtime_seconds=time.perf_counter() - start,

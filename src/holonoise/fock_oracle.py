@@ -42,17 +42,18 @@ coherent-only input, whose Grams are products taken after the last
 sector, every sector's band.  Squeezed input accumulates its Gram
 sector by sector and keeps no bands.  Twin-beam arms and Grams are then
 formed one member at a time, in blocks of _ROWS detected rows, and each
-joint distribution in one product: over the packed pair triangle when
-the two phases are equal (every configuration oracle-check draws), the
-full pair square otherwise.  The moments of the whole set are read out
-together, one stacked 5 x 5 product per step.  A single configuration,
-a general amplitude block (_bs_pair_transform), port_cutoffs and the
-quadrature route are batches of one.  At the default seed and at seeds
-1000-1004, one ``oracle-check --n-configs 100`` makes 43-49 recurrence
-runs and 2 339-2 699 sector steps, and the oracle's allocations peak at
-3.5-4.4 MiB under tracemalloc (3.9-4.9 MiB with a distribution formed
-in blocks of _ROWS rows and the kernels of the whole set kept; the
-packed temporary of the (49, 26) envelope-edge block is 0.7 MB).
+joint distribution in one product over the packed pair triangle, one
+factor times its own transpose when the two phases are equal (every
+configuration oracle-check draws).  The moments of the whole set are
+read out together, one stacked 5 x 5 product per step, into one carrier
+of arrays over the set.  A single configuration, a general amplitude
+block (_bs_pair_transform) and the quadrature route are batches of
+one.  At the default seed and at seeds 1000-1004, one ``oracle-check
+--n-configs 100`` makes 43-49 recurrence runs and 2 339-2 699 sector
+steps, and the oracle's allocations peak at 3.5-4.4 MiB under
+tracemalloc (3.9-4.9 MiB with a distribution formed in blocks of _ROWS
+rows and the kernels of the whole set kept; the packed temporary of
+the (49, 26) envelope-edge block is 0.7 MB).
 
 Mode layout, fixed throughout: each arm pairs a quantum port with the
 coherent port of the same readout.  The detected output of each readout
@@ -202,12 +203,19 @@ def _port_magnitudes(
     return pairs, quantum, coherent
 
 
-def port_cutoffs(config: HolometerConfig) -> tuple[int, int]:
-    """The oracle's (quantum-port, coherent-port) lengths for ``config``:
-    the pair-index cutoff for twin beams, the squeezed-port cutoff for
-    squeezed input and 1 for coherent-only input."""
-    [pairs], [quantum], [coherent] = _port_magnitudes([config])
-    return len(pairs if quantum is None else quantum), len(coherent)
+def port_cutoffs(
+    configs: HolometerConfig | Sequence[HolometerConfig],
+) -> tuple[int, int] | tuple[np.ndarray, np.ndarray]:
+    """The oracle's (quantum-port, coherent-port) lengths: the pair-index
+    cutoff for twin beams, the squeezed-port cutoff for squeezed input
+    and 1 for coherent-only input.  Takes one configuration, or a
+    sequence of them and returns two integer arrays over it, from one
+    set-built pass."""
+    single = isinstance(configs, HolometerConfig)
+    pairs, quantum, coherent = _port_magnitudes([configs] if single else configs)
+    lengths = np.array([(len(pair if port is None else port), len(coh))
+                        for pair, port, coh in zip(pairs, quantum, coherent)])
+    return tuple(lengths[0].tolist()) if single else (lengths[:, 0], lengths[:, 1])
 
 
 def _phased(
@@ -423,12 +431,14 @@ def two_photon_coincidence(convention: str = "i") -> float:
     coincidence must vanish; the deliberately broken "real-symmetric"
     convention leaves it at 1/2.  Used as a negative control on the
     beam-splitter phase convention.
+
+    The output amplitudes of |1, 1> are column k = 1 of sector 2, the
+    recurrence's last: R_2[p, 1] = Q_2[p, 1] rows_2[p], and the phases
+    i^(1-p) of "i" drop out of the probabilities.
     """
-    block = np.zeros((2, 2, 1), dtype=complex)
-    block[1, 1, 0] = 1.0
-    out = _bs_pair_transform(block, math.pi / 2.0, convention)
-    pmf = np.abs(out[:, :, 0]) ** 2
-    return float(pmf[1, 1] / pmf.sum())
+    *_, (_, _, band) = _sector_bands([math.pi / 2.0], convention, np.array([2]), np.array([2]))
+    pmf = (band[0, :, 1] * _row_scales(2)[2]) ** 2
+    return float(pmf[1] / pmf.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +464,16 @@ def two_photon_coincidence(convention: str = "i") -> float:
 # p = (K o G1) . G2^T over the flattened pair axes.  "real-symmetric" has
 # no i^(r-p) factor, so its kernel angle is theta - 2 psi.  The real arm
 # is the band itself, R_s[p, r] |b_{s-r}|, with no product against the
-# input block.  With equal phases G1 = G2 = G, and K and G are symmetric
-# in (r, r'), so the sum runs over the packed triangle r <= r' with
-# weight 1 on the diagonal and 2 off it; arm r reaches sectors r to
-# r + n_b - 1 only, so G[r, r'] is an exact zero for r' >= r + n_b and
-# the triangle is cut to that band.  Scaling each packed column by
-# the root of its weighted kernel's modulus, the columns of positive
-# kernel first, makes p = P+ . P+^T - P- . P-^T: one packed
-# (detected x n(n+1)/2) array, two products of a matrix with its own
-# transpose (half the multiplications of a general product), and p
-# exactly symmetric.
+# input block.  K, G1 and G2 are symmetric in (r, r'), so the sum runs
+# over the packed triangle r <= r' with weight 1 on the diagonal and 2
+# off it; arm r reaches sectors r to r + n_b - 1 only, so G[r, r'] is an
+# exact zero for r' >= r + n_b and the triangle is cut to that band.
+# Scaling each packed column by the root of its weighted kernel's
+# modulus, the columns of positive kernel first, makes
+# p = P1+ . P2+^T - P1- . P2-^T with (detected x n(n+1)/2) arrays P1, P2.
+# With equal phases P1 = P2: one packed array, two products of a matrix
+# with its own transpose (half the multiplications of a general
+# product), and p exactly symmetric.
 #
 # Squeezed input is rank one, and its kernel is 1.  Its arm is
 # sum_m R_s[p, m] i^m a_m |b_{s-m}| e^{i psi (s-m)}: the phase e^{i psi s}
@@ -624,15 +634,15 @@ def _checked_pmf(
     gram2: np.ndarray, convention: str,
 ) -> np.ndarray:
     """p = (K o G1) . G2^T, normalized, with K the pair kernel of the
-    moduli |c_r| and kernel angle in ``kernel`` (None: rank one, K = 1);
-    one array passed as both Grams (equal phases) takes the packed
-    triangle, cut to the band the coherent cutoff leaves nonzero (the
-    comment above).  Under the unitary convention a mass drift or a
-    negative entry is a CutoffError naming the configuration's
-    position."""
+    moduli |c_r| and kernel angle in ``kernel`` (None: rank one, K = 1),
+    over the packed triangle cut to the band the coherent cutoff leaves
+    nonzero (the comment above); one array passed as both Grams (equal
+    phases) is one packed factor, multiplied by its own transpose.
+    Under the unitary convention a mass drift or a negative entry is a
+    CutoffError naming the configuration's position."""
     if kernel is None:
         pmf = np.multiply.outer(gram1, gram2)
-    elif gram1 is gram2:
+    else:
         moduli, turn, band = kernel
         n, b = len(moduli), min(band, len(moduli))
         r, r2, flat = (array[: b * n - b * (b - 1) // 2] for array in _packed_pairs(n))
@@ -641,14 +651,11 @@ def _checked_pmf(
         negative = packed_kernel < 0.0
         order = np.argsort(negative, kind="stable")
         plus = len(order) - np.count_nonzero(negative)
-        packed = gram1.reshape(len(gram1), -1)[:, flat[order]]
-        packed *= np.sqrt(np.abs(packed_kernel[order]))
-        pmf = packed[:, :plus] @ packed[:, :plus].T - packed[:, plus:] @ packed[:, plus:].T
-    else:
-        moduli, turn, _ = kernel
-        pairs = np.arange(len(moduli))
-        full = np.outer(moduli, moduli) * np.cos(np.subtract.outer(pairs, pairs) * turn)
-        pmf = (full * gram1).reshape(len(gram1), -1) @ gram2.reshape(len(gram2), -1).T
+        columns, roots = flat[order], np.sqrt(np.abs(packed_kernel[order]))
+        first = gram1.reshape(len(gram1), -1)[:, columns]
+        first *= roots  # in place: a second temporary costs 5% of this stage
+        second = first if gram2 is gram1 else gram2.reshape(len(gram2), -1)[:, columns] * roots
+        pmf = first[:, :plus] @ second[:, :plus].T - first[:, plus:] @ second[:, plus:].T
     total = pmf.sum()
     if convention != "real-symmetric":
         if abs(total - 1.0) > 1e-9:
@@ -698,10 +705,11 @@ def _factorial_moments(pmf: np.ndarray) -> np.ndarray:
     return _FALLING[:, : pmf.shape[0]] @ pmf @ _FALLING[:, : pmf.shape[1]].T
 
 
-def _readouts(factorial: np.ndarray, etas: np.ndarray) -> list[ReadoutMoments]:
-    """Moments of every configuration of a set from its (configurations,
-    5, 5) factorial moments before loss and (configurations, 2)
-    efficiencies, as whole-set array work.
+def _readouts(factorial: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """Means and centered moments of every configuration of a set, rows
+    mean_1, mean_2 and CENTERED_KEYS by (configurations,) columns, from
+    its (configurations, 5, 5) factorial moments before loss and
+    (configurations, 2) efficiencies, as whole-set array work.
 
     Loss scales the joint falling-factorial moments by eta^order; the
     Stirling numbers turn them raw, and the centering matrices
@@ -711,33 +719,29 @@ def _readouts(factorial: np.ndarray, etas: np.ndarray) -> list[ReadoutMoments]:
     means = raw[:, [1, 0], [0, 1]]
     u1, u2 = (_BINOMIAL * (-means[:, port, None, None]) ** _BINOMIAL_POWERS for port in (0, 1))
     centered = (u1 @ raw @ u2.swapaxes(1, 2))[:, _CENTERED_P, _CENTERED_Q]
-    moments = []
-    for (mean_1, mean_2), row in zip(means.tolist(), centered.tolist()):
-        table = dict(zip(CENTERED_KEYS, row))
-        moments.append(ReadoutMoments(
-            mean_1=mean_1, mean_2=mean_2, var_1=table[(2, 0)], var_2=table[(0, 2)],
-            cov=table[(1, 1)], centered=table,
-        ))
-    return moments
+    return np.concatenate([means.T, centered.T])
 
 
 def oracle_moments(
     configs: HolometerConfig | Sequence[HolometerConfig], *, convention: str = "i",
-) -> ReadoutMoments | tuple[ReadoutMoments, ...]:
+) -> ReadoutMoments:
     """Joint photon-number moments of the two readouts, loss included.
 
     End-to-end truncated-Fock reference: builds the input, applies both
     beam splitters, traces to the detected pair and applies the
-    detection loss.  Takes one configuration, or a sequence of them and
-    returns their moments in order from one recurrence per chunk of
-    arms (module docstring)."""
+    detection loss.  Takes one configuration and gives floats, or a
+    sequence of them and gives arrays over it in set order, from one
+    recurrence per chunk of arms (module docstring)."""
     single = isinstance(configs, HolometerConfig)
     batch = [configs] if single else list(configs)
     factorial = np.empty((len(batch), 5, 5))
     for index, pmf in _joint_pmfs(batch, convention):
         factorial[index] = _factorial_moments(pmf)
-    moments = _readouts(factorial, np.array([config.eta_pair for config in batch], dtype=float))
-    return moments[0] if single else tuple(moments)
+    values = _readouts(factorial, np.array([config.eta_pair for config in batch], dtype=float))
+    mean_1, mean_2, *table = values[:, 0].tolist() if single else values
+    centered = dict(zip(CENTERED_KEYS, table))
+    return ReadoutMoments(mean_1=mean_1, mean_2=mean_2, var_1=centered[(2, 0)],
+                          var_2=centered[(0, 2)], cov=centered[(1, 1)], centered=centered)
 
 
 def fock_quadrature_moments(config: HolometerConfig) -> QuadratureMoments:

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 __all__ = [
     "ReadoutMoments",
     "QuadratureMoments",
@@ -38,10 +40,10 @@ class ReadoutMoments:
     ``None`` when only second-order moments were computed (the engine
     readout at max_order=2).  Second-order entries duplicate
     var_1/var_2/cov so the table can be consumed uniformly.  Every value
-    is a float for a single configuration, or an array over a stack;
-    compare_moments takes single points.  Both routes write every key of
-    CENTERED_KEYS; the carrier itself checks nothing, and the tests pin
-    the physical bounds (non-negative variances, Cauchy-Schwarz).
+    is a float for a single configuration, or an array over a stack or
+    set, and compare_moments takes either.  Both routes write every key
+    of CENTERED_KEYS; the carrier itself checks nothing, and the tests
+    pin the physical bounds (non-negative variances, Cauchy-Schwarz).
     """
 
     mean_1: float
@@ -77,7 +79,8 @@ class QuadratureMoments:
 
 @dataclass(frozen=True)
 class MomentComparison:
-    """Result of a field-by-field comparison of two moment carriers."""
+    """Result of a field-by-field comparison of two moment carriers:
+    floats and a str for single configurations, arrays over a set."""
 
     worst_margin: float  # |a-b| / allowance, max over fields; <= 1 means ok
     worst_field: str
@@ -89,43 +92,32 @@ class MomentComparison:
 
     @property
     def max_relative(self) -> float:
-        return max(self.relative.values())
+        values = np.array(list(self.relative.values()))
+        return values.max(axis=0) if values.ndim > 1 else float(values.max())
 
 
 def _comparison_entries(
     a: "ReadoutMoments | QuadratureMoments",
     b: "ReadoutMoments | QuadratureMoments",
-) -> list[tuple[str, float, float, float]]:
-    """(field name, value in a, value in b, absolute floor) for every
-    moment the two carriers share, including the centered table when
-    both sides have one.  The floors follow the rule documented on
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Field names and (fields, ...) arrays of the values in a, the
+    values in b and the absolute floors, for every moment the two
+    carriers share, including the centered table when both sides have
+    one.  The floors follow the rule documented on
     :func:`compare_moments`."""
-    sd1 = math.sqrt(max(a.var_1, b.var_1, 0.0))
-    sd2 = math.sqrt(max(a.var_2, b.var_2, 0.0))
-    entries: list[tuple[str, float, float, float]] = [
-        ("mean_1", a.mean_1, b.mean_1, _ABS_FLOOR),
-        ("mean_2", a.mean_2, b.mean_2, _ABS_FLOOR),
-        ("var_1", a.var_1, b.var_1, _ABS_FLOOR),
-        ("var_2", a.var_2, b.var_2, _ABS_FLOOR),
-        ("cov", a.cov, b.cov, _ABS_FLOOR + 1e-11 * sd1 * sd2),
-    ]
+    sd1 = np.sqrt(np.maximum(np.maximum(a.var_1, b.var_1), 0.0))
+    sd2 = np.sqrt(np.maximum(np.maximum(a.var_2, b.var_2), 0.0))
+    names = ["mean_1", "mean_2", "var_1", "var_2", "cov"]
+    x, y = ([getattr(carrier, name) for name in names] for carrier in (a, b))
+    floors = [_ABS_FLOOR] * 4 + [_ABS_FLOOR + 1e-11 * sd1 * sd2]
     table_a, table_b = getattr(a, "centered", None), getattr(b, "centered", None)
     if table_a is not None and table_b is not None:
         for p, q in CENTERED_KEYS:
-            floor = _ABS_FLOOR + 1e-11 * sd1**p * sd2**q
-            entries.append((f"centered[{p},{q}]", table_a[(p, q)], table_b[(p, q)], floor))
-    return entries
-
-
-def _relative_deviation(x: float, y: float, floor: float) -> float:
-    """|x - y| / max(|x|, |y|) where that scale is above ``floor``, else 0;
-    ``inf`` where the deviation is not finite (a nan or infinite entry),
-    so a broken entry can never read as agreement."""
-    deviation = abs(x - y)
-    if not math.isfinite(deviation):
-        return math.inf
-    denom = max(abs(x), abs(y))
-    return deviation / denom if denom > floor else 0.0
+            names.append(f"centered[{p},{q}]")
+            x.append(table_a[(p, q)])
+            y.append(table_b[(p, q)])
+            floors.append(_ABS_FLOOR + 1e-11 * sd1**p * sd2**q)
+    return names, *(np.array(np.broadcast_arrays(*rows)) for rows in (x, y, floors))
 
 
 def compare_moments(
@@ -134,7 +126,8 @@ def compare_moments(
     rtol: float = 1e-8,
 ) -> MomentComparison:
     """Compare two moment sets at a relative tolerance with a scale-aware
-    absolute floor, in one pass over the shared fields.
+    absolute floor, in one pass over the shared fields: as whole-array
+    work over a set when the carriers hold arrays, giving arrays over it.
 
     For the order-(p, q) centered entry the floor is
     ``1e-13 + 1e-11 * sd1^p * sd2^q``, so every allowance is positive
@@ -160,13 +153,19 @@ def compare_moments(
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ValueError(f"rtol must be finite and non-negative, got {rtol!r}")
 
-    margins: dict[str, float] = {}
-    relative: dict[str, float] = {}
-    for name, x, y, floor in _comparison_entries(a, b):
-        margin = abs(x - y) / (rtol * max(abs(x), abs(y)) + floor)
-        margins[name] = margin if math.isfinite(margin) else math.inf
-        relative[name] = _relative_deviation(x, y, floor)
-    worst_margin = max(margins.values())
-    worst_field = "none" if worst_margin == 0.0 else next(
-        name for name, margin in margins.items() if margin >= (1.0 - _TIE_RTOL) * worst_margin)
-    return MomentComparison(worst_margin, worst_field, relative)
+    names, x, y, floor = _comparison_entries(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deviation = np.abs(x - y)
+        scale = np.maximum(np.abs(x), np.abs(y))
+        margins = deviation / (rtol * scale + floor)
+        relative = np.where(scale > floor, deviation / scale, 0.0)
+    # a nan or infinite entry can never read as agreement
+    margins[~np.isfinite(margins)] = np.inf
+    relative[~np.isfinite(deviation)] = np.inf
+    worst_margin = margins.max(axis=0)
+    tied = margins >= (1.0 - _TIE_RTOL) * worst_margin
+    worst_field = np.where(worst_margin == 0.0, "none", np.array(names)[tied.argmax(axis=0)])
+    if worst_margin.ndim == 0:  # a single pair of carriers: floats and a str
+        return MomentComparison(float(worst_margin), str(worst_field),
+                                dict(zip(names, relative.tolist())))
+    return MomentComparison(worst_margin, worst_field, dict(zip(names, relative)))

@@ -136,3 +136,13 @@ def thinned_moments(pmf: np.ndarray, eta_pair: tuple[float, float]) -> ReadoutMo
         cov=centered[(1, 1)],
         centered=centered,
     )
+
+
+def member(moments: ReadoutMoments, index: int) -> ReadoutMoments:
+    """The single-configuration carrier, floats, at one position of a
+    carrier over a set."""
+    return ReadoutMoments(
+        **{name: float(getattr(moments, name)[index])
+           for name in ("mean_1", "mean_2", "var_1", "var_2", "cov")},
+        centered={key: float(values[index]) for key, values in moments.centered.items()},
+    )

@@ -4,14 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from holonoise import crosscheck
+import fock_reference as reference
+from holonoise import crosscheck, fock_oracle, gaussian_engine, moments
 from holonoise.config import InputKind
 from holonoise.crosscheck import (
     DEFAULT_SEED,
     run_crosscheck,
     sample_guardrail_config,
 )
-from holonoise.moments import CENTERED_KEYS
+from holonoise.moments import CENTERED_KEYS, compare_moments
 
 
 def test_small_crosscheck_passes_and_aggregates():
@@ -19,7 +20,7 @@ def test_small_crosscheck_passes_and_aggregates():
     assert report.ok
     assert report.coincidence_ok
     assert report.n_failed == 0
-    assert len(report.configs) == len(report.comparisons) == 6
+    assert len(report.configs) == len(report.comparison.worst_margin) == 6
     assert report.max_relative < report.rtol
     assert report.field_worst
     assert all(len(lines) > 0 for lines in [report.summary_lines()])
@@ -29,9 +30,9 @@ def test_field_worst_is_the_maximum_of_the_per_field_deviations():
     report = run_crosscheck(n_configs=6, seed=DEFAULT_SEED)
     assert len(report.field_worst) == 5 + len(CENTERED_KEYS)
     for name, worst in report.field_worst.items():
-        assert worst == max(comparison.relative[name] for comparison in report.comparisons)
+        assert worst == max(report.comparison.relative[name])
     assert report.max_relative == max(report.field_worst.values())
-    assert report.max_relative == max(c.max_relative for c in report.comparisons)
+    assert report.max_relative == max(report.comparison.max_relative)
 
 
 def test_broken_convention_is_caught():
@@ -39,7 +40,7 @@ def test_broken_convention_is_caught():
     assert not report.ok
     assert not report.coincidence_ok
     assert report.coincidence == pytest.approx(0.5, abs=1e-9)
-    assert report.n_failed == len(report.comparisons)
+    assert report.n_failed == len(report.configs)
 
 
 def test_sampled_configs_stay_inside_the_guardrail_domain():
@@ -72,8 +73,9 @@ def test_a_nan_centred_entry_reads_inf_and_fails(monkeypatch):
     oracle = crosscheck.oracle_moments
 
     def poisoned(configs, **kwargs):
-        return tuple(replace(moments, centered={**moments.centered, (1, 3): math.nan})
-                     for moments in oracle(configs, **kwargs))
+        fock = oracle(configs, **kwargs)
+        nan = np.full(len(configs), math.nan)
+        return replace(fock, centered={**fock.centered, (1, 3): nan})
 
     monkeypatch.setattr(crosscheck, "oracle_moments", poisoned)
     report = run_crosscheck(n_configs=1, seed=DEFAULT_SEED)
@@ -81,3 +83,86 @@ def test_a_nan_centred_entry_reads_inf_and_fails(monkeypatch):
     assert report.field_worst["centered[1,3]"] == math.inf
     [line] = [line for line in report.summary_lines() if "centered[1,3]" in line]
     assert line.endswith("FAIL")
+
+
+def test_a_nan_entry_of_one_member_fails_that_member_only(monkeypatch):
+    oracle = crosscheck.oracle_moments
+
+    def poisoned(configs, **kwargs):
+        fock = oracle(configs, **kwargs)
+        entry = fock.centered[(1, 3)].copy()
+        entry[1] = math.nan
+        return replace(fock, centered={**fock.centered, (1, 3): entry})
+
+    monkeypatch.setattr(crosscheck, "oracle_moments", poisoned)
+    comparison = run_crosscheck(n_configs=3, seed=DEFAULT_SEED).comparison
+    assert comparison.ok.tolist() == [True, False, True]
+    assert comparison.worst_margin[1] == comparison.max_relative[1] == math.inf
+    assert comparison.worst_field[1] == "centered[1,3]"
+    assert comparison.relative["centered[1,3]"][1] == math.inf
+    assert np.all(np.isfinite(comparison.max_relative[[0, 2]]))
+
+
+def test_a_run_compares_once_and_builds_no_per_configuration_carrier(monkeypatch):
+    # counts the carriers each module builds, the comparison's included
+    built = {"compare_moments": 0, "ReadoutMoments": 0, "MomentComparison": 0}
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            built[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(crosscheck, "compare_moments",
+                        counted("compare_moments", crosscheck.compare_moments))
+    monkeypatch.setattr(moments, "MomentComparison",
+                        counted("MomentComparison", moments.MomentComparison))
+    for module in (crosscheck, fock_oracle, gaussian_engine):
+        monkeypatch.setattr(module, "ReadoutMoments",
+                            counted("ReadoutMoments", module.ReadoutMoments))
+    report = run_crosscheck(n_configs=20, seed=DEFAULT_SEED)
+    assert report.comparison.worst_margin.shape == (20,)
+    # one engine readout per input kind, the engine's set carrier and the oracle's
+    assert built == {"compare_moments": 1, "ReadoutMoments": len(InputKind) + 2,
+                     "MomentComparison": 1}
+
+
+def scalar_comparison(a, b, rtol=1e-8):
+    """The documented comparison rule one field at a time in Python
+    floats: the reference for the whole-array comparison."""
+    sd1, sd2 = (math.sqrt(max(getattr(a, name), getattr(b, name), 0.0))
+                for name in ("var_1", "var_2"))
+    entries = [(name, getattr(a, name), getattr(b, name), 1e-13)
+               for name in ("mean_1", "mean_2", "var_1", "var_2")]
+    entries.append(("cov", a.cov, b.cov, 1e-13 + 1e-11 * sd1 * sd2))
+    entries += [(f"centered[{p},{q}]", a.centered[(p, q)], b.centered[(p, q)],
+                 1e-13 + 1e-11 * sd1**p * sd2**q) for p, q in CENTERED_KEYS]
+    margins, relative = {}, {}
+    for name, x, y, floor in entries:
+        margin = abs(x - y) / (rtol * max(abs(x), abs(y)) + floor)
+        margins[name] = margin if math.isfinite(margin) else math.inf
+        deviation, scale = abs(x - y), max(abs(x), abs(y))
+        relative[name] = (math.inf if not math.isfinite(deviation)
+                          else deviation / scale if scale > floor else 0.0)
+    worst = max(margins.values())
+    field = "none" if worst == 0.0 else next(
+        name for name, margin in margins.items() if margin >= 0.99 * worst)
+    return worst, field, relative
+
+
+@pytest.mark.parametrize("convention", ["i", "real-symmetric"])
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1000, 1003])
+def test_the_stacked_comparison_equals_the_scalar_one_bit_for_bit(seed, convention):
+    rng = np.random.default_rng(seed)
+    configs = tuple(sample_guardrail_config(rng) for _ in range(100))
+    engine = crosscheck._engine_moments(configs)
+    oracle = fock_oracle.oracle_moments(configs, convention=convention)
+    stacked = compare_moments(engine, oracle)
+    for index in range(len(configs)):
+        a, b = reference.member(engine, index), reference.member(oracle, index)
+        single = compare_moments(a, b)
+        relative = {name: values[index] for name, values in stacked.relative.items()}
+        assert (single.worst_margin, single.worst_field, single.relative) == (
+            stacked.worst_margin[index], stacked.worst_field[index], relative)
+        assert (single.ok, single.max_relative) == (stacked.ok[index], stacked.max_relative[index])
+        assert scalar_comparison(a, b) == (single.worst_margin, single.worst_field, single.relative)

@@ -344,9 +344,11 @@ def test_batched_moments_equal_the_single_configuration_calls(seed):
     ]
     assert {config.input_kind for config in configs} == set(InputKind)
     batched = oracle_moments(configs)
-    assert isinstance(batched, tuple) and len(batched) == len(configs)
-    for config, moments in zip(configs, batched):
-        assert_same_moments(moments, oracle_moments(config))
+    assert batched.mean_1.shape == batched.centered[(1, 3)].shape == (len(configs),)
+    for index, config in enumerate(configs):
+        single = oracle_moments(config)
+        assert {type(single.cov)} == set(map(type, single.centered.values())) == {float}
+        assert_same_moments(reference.member(batched, index), single)
 
 
 def test_port_cutoffs_at_the_envelope_edge():
@@ -422,8 +424,9 @@ EDGE_EQUAL = EDGE.replace(phi0_2=EDGE.phi0_1)
 
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1000, 1003])
 def test_packed_distributions_are_symmetric_and_equal_the_general_product(monkeypatch, seed):
-    # an equal-phase configuration passes one Gram array as both arms and
-    # takes the packed triangle; a copy of it takes the general product
+    # an equal-phase configuration passes one Gram array as both arms,
+    # one packed factor times its own transpose; a copy of it takes the
+    # product of two packed factors, as unequal phases do
     checked = fock_oracle._checked_pmf
     packed = []
 
@@ -457,6 +460,9 @@ def test_set_built_inputs_equal_the_one_configuration_builds(seed):
             assert np.array_equal(quantum[i], one_quantum)
         cutoff = len(pairs[i] if quantum[i] is None else quantum[i]), len(coherent[i])
         assert cutoff == fock_oracle.port_cutoffs(config)
+    # the set form reads the same cutoffs from one set-built pass
+    set_cutoffs = np.column_stack(fock_oracle.port_cutoffs(configs))
+    assert set_cutoffs.tolist() == [list(fock_oracle.port_cutoffs(config)) for config in configs]
     assert fock_oracle.port_cutoffs(configs[-2]) == (fock_oracle.port_cutoffs(make(lam=0.5))[0], 1)
 
 
@@ -490,4 +496,5 @@ def test_stacked_readout_equals_the_looped_formula():
     pmfs = dict(fock_oracle._joint_pmfs(configs, "i"))
     stacked = oracle_moments(configs)
     for index, config in enumerate(configs):
-        assert_same_moments(stacked[index], looped_readout(pmfs[index], config.eta_pair), rtol=1e-14)
+        assert_same_moments(reference.member(stacked, index),
+                            looped_readout(pmfs[index], config.eta_pair), rtol=1e-14)
