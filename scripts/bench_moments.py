@@ -9,9 +9,9 @@ build), one stacked fourth-order readout over 1 000 phase pairs, the
 exact mixed phase derivative, one zero-order uncertainty evaluation and
 one variance expansion per estimator kind, the Gauss-Hermite
 phase-noise variance, the Monte-Carlo
-expectation over 1e5 phase offsets per estimator kind and one
-covariance recovery (quadrature product at the mc-estimate defaults,
-epsilon = 1e-6, 1e5 samples), the truncated-Fock oracle and its
+expectation of both runs over 1e5 normals and one covariance recovery
+per estimator kind (at the mc-estimate defaults, epsilon = 1e-6, 1e5
+samples), the truncated-Fock oracle and its
 beam-splitter transform alone on the largest arm block of the oracle's
 envelope, the oracle's joint photon-number distribution there and its
 quadrature moments at low occupancy, the oracle over the 100
@@ -71,8 +71,7 @@ from holonoise.holometer import propagate, quadrature_readout, readout_moments
 from holonoise.moments import compare_moments
 from holonoise.observables import closed_form_moments
 from holonoise.phase_noise import (
-    direct_variance, mc_expectation, recover_covariance, sample_phase_offsets,
-    variance_expansion,
+    direct_variance, mc_expectation, recover_covariance, variance_expansion,
 )
 from run_figure_scans import SCANS
 
@@ -197,22 +196,21 @@ def main() -> int:
                       {**bright, "estimator": diff.kind.value, "sigma2": 1e-5, "epsilon": 0.0}))
     # the mc-estimate defaults of each estimator: twin beams for the photon
     # readouts (the sum one at psi = 0), squeezed input for the product
-    offsets = sample_phase_offsets(1e-5, 1e-6, np.random.default_rng(0).standard_normal(
-        (samples_n, 2)))
+    normals = np.random.default_rng(0).standard_normal((samples_n, 2))
     desk_twb = DESK.replace(input_kind="TWB")
     for label, config, spec in (("difference readout", desk_twb, diff),
                                 ("sum readout", desk_twb.replace(psi=0.0), plus),
                                 ("quadrature product", DESK, quad)):
-        rows.append(clock(f"mc_expectation {count(samples_n)} offsets, {label}",
-                          lambda config=config, spec=spec: mc_expectation(config, spec, offsets),
-                          max(1, repeat // 10),
-                          {"config": config.to_dict(), "estimator": spec.kind.value,
-                           "sigma2": 1e-5, "epsilon": 1e-6, "samples": samples_n, "seed": 0}))
-    rows.append(clock(f"recover_covariance, quadrature product, {count(samples_n)} samples",
-                      lambda: recover_covariance(DESK, quad, 1e-5, 1e-6, samples_n, 0),
-                      max(1, repeat // 10),
-                      {"config": DESK.to_dict(), "estimator": quad.kind.value, "sigma2": 1e-5,
-                       "epsilon": 1e-6, "samples": samples_n, "seed": 0}))
+        noise = {"config": config.to_dict(), "estimator": spec.kind.value, "sigma2": 1e-5,
+                 "epsilon": 1e-6, "samples": samples_n, "seed": 0}
+        rows.append(clock(f"mc_expectation {count(samples_n)} normals, both runs, {label}",
+                          lambda config=config, spec=spec: mc_expectation(
+                              config, spec, 1e-5, (1e-6, 0.0), normals),
+                          max(1, repeat // 10), noise))
+        rows.append(clock(f"recover_covariance, {label}, {count(samples_n)} samples",
+                          lambda config=config, spec=spec: recover_covariance(
+                              config, spec, 1e-5, 1e-6, samples_n, 0),
+                          max(1, repeat // 10), noise))
     # the oracle walks a truncated number basis, so it only runs at low
     # occupancy; this is the guardrail-domain cost, not the bright one
     rows.append(clock("fock oracle end-to-end, order 4 (dim)",

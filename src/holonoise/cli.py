@@ -48,7 +48,7 @@ from . import estimation, phase_noise
 from .config import HolometerConfig, InputKind
 from .crosscheck import DEFAULT_SEED, run_crosscheck
 from .estimation import EstimatorKind, EstimatorSpec, SingularConfigurationError
-from .fock_oracle import CutoffError, port_cutoffs
+from .fock_oracle import CutoffError
 from .observables import nrf, regime_parameter
 
 __all__ = ["entrypoint", "main"]
@@ -441,7 +441,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         )
     if args.out:
         configs, comparison = report.configs, report.comparison
-        quantum_cutoff, coherent_cutoff = port_cutoffs(configs)
+        quantum_cutoff, coherent_cutoff = report.cutoffs
         columns = {
             "index": np.arange(len(configs)),
             "kind": [config.input_kind.value for config in configs],

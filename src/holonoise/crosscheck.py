@@ -21,7 +21,7 @@ from .config import HolometerConfig, InputKind
 from .fock_oracle import (
     MAX_MEAN_COHERENT,
     MAX_MEAN_QUANTUM,
-    oracle_moments,
+    _oracle_set,
     two_photon_coincidence,
 )
 from .holometer import readout_moments
@@ -102,6 +102,8 @@ class CrosscheckReport:
     coincidence: float  # two-photon coincidence under the active convention
     configs: tuple[HolometerConfig, ...]
     comparison: MomentComparison
+    # the oracle's (quantum-port, coherent-port) lengths, fock_oracle.port_cutoffs
+    cutoffs: tuple[np.ndarray, np.ndarray]
     rtol: float
     convention: str
     runtime_seconds: float
@@ -166,12 +168,13 @@ def run_crosscheck(
     coincidence = two_photon_coincidence(convention)
     rng = np.random.default_rng(seed)
     configs = tuple(sample_guardrail_config(rng) for _ in range(n_configs))
-    comparison = compare_moments(_engine_moments(configs),
-                                 oracle_moments(configs, convention=convention), rtol=rtol)
+    oracle, cutoffs = _oracle_set(configs, convention)
+    comparison = compare_moments(_engine_moments(configs), oracle, rtol=rtol)
     return CrosscheckReport(
         coincidence=coincidence,
         configs=configs,
         comparison=comparison,
+        cutoffs=cutoffs,
         rtol=rtol,
         convention=convention,
         runtime_seconds=time.perf_counter() - start,

@@ -32,8 +32,9 @@ cancellation of its terms.  Only the two estimator surfaces evaluate
 away from the working point, each centered (estimator_center) once per
 call at the working point of ``config``: estimator_mean_and_square at
 phases, and estimator_mean_curve, the closed-form <C> that phase_noise
-averages, at phase offsets.  The quadrature product reads only the
-closed forms.  require_symmetric is the one symmetric-point rule.
+averages, as a function of the half-angle cosines and sines of the
+phases.  The quadrature product reads only the closed forms.
+require_symmetric is the one symmetric-point rule.
 
 Every function here but estimator_mean_curve also takes a stacked
 configuration (config.py) and then returns arrays over its stack.
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -278,13 +279,6 @@ def estimator_mixed_derivative(config: HolometerConfig, spec: EstimatorSpec) -> 
 # estimator mean / second-moment surfaces
 # ---------------------------------------------------------------------------
 
-# offset rows per closed-form evaluation in estimator_mean_curve, 64 KiB
-# per float64 temporary; on a 2-core x86-64 host, 8 192 and 16 384 rows
-# time within 5% of each other, and 2 048 rows, 32 768 rows or one
-# evaluation over 1e5 rows 10-40% slower
-_CURVE_BLOCK = 8_192
-
-
 def estimator_center(config: HolometerConfig, spec: EstimatorSpec) -> tuple[float, ...]:
     """Working-point centering constants of the estimator.
 
@@ -303,36 +297,40 @@ def estimator_center(config: HolometerConfig, spec: EstimatorSpec) -> tuple[floa
     return (config.per_row(qvals["mean_1"]), config.per_row(qvals["mean_2"]))
 
 
-def estimator_mean_curve(
-    config: HolometerConfig, spec: EstimatorSpec, delta_1: np.ndarray, delta_2: np.ndarray
-) -> np.ndarray:
-    """Closed-form <C> at phase offsets (delta_1, delta_2) from the
-    working point of ``config`` (arrays of one length), centered there
-    once per call.  Exact for all kinds (Gaussian statistics); the
-    engine reproduces it pointwise.  It is evaluated _CURVE_BLOCK
-    offsets at a time into one array; being element-wise, its values
-    do not depend on the block length.
+def estimator_mean_curve(config: HolometerConfig, spec: EstimatorSpec) -> Callable[..., np.ndarray]:
+    """Closed-form <C> away from the working point of ``config``, as a
+    function curve(c1, s1, c2, s2, out) of the half-angle cosines and
+    sines of the two phases.  The estimator is centred here, once, and
+    the closed form's coefficients folded once; each call writes <C>
+    into ``out`` and returns it.  The four arguments are distinct arrays
+    of out's shape, which the call overwrites.  Exact for all kinds
+    (Gaussian statistics); the engine reproduces it pointwise.
     """
     center = estimator_center(config, spec)
     sign = _PHOTOCURRENT_SIGN.get(spec.kind)
+    at = observables._quadrature_moments_at if sign is None else observables._photon_moments_at
+    moments = at(config)
     c0 = center[0] if spec.kind is EstimatorKind.TWB_SUM_SQUARED else 0.0
 
-    def block(point: HolometerConfig) -> np.ndarray:
-        # a function, so that a block's temporaries are freed before the next
-        if sign is None:
-            q = observables.closed_form_quadrature(point)
-            return q["cov"] + (q["mean_1"] - center[0]) * (q["mean_2"] - center[1])
-        vals = observables.closed_form_moments(point)
-        offset = vals["mean_1"] + sign * vals["mean_2"] - c0
-        return vals["var_1"] + vals["var_2"] + 2.0 * sign * vals["cov"] + offset * offset
+    def curve(c1: np.ndarray, s1: np.ndarray, c2: np.ndarray, s2: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+        mean_1, mean_2, var_1, var_2, cov = moments(c1, s1, c2, s2)
+        if sign is None:  # cov + (mean_1 - y1)(mean_2 - y2)
+            mean_1 -= center[0]
+            mean_2 -= center[1]
+            mean_1 *= mean_2
+            return np.add(cov, mean_1, out=out)
+        # var_1 + var_2 + 2 sign cov + offset^2, offset = mean_1 + sign mean_2 - c0
+        mean_2 *= sign
+        mean_1 += mean_2
+        mean_1 -= c0
+        var_1 += var_2
+        cov *= 2.0 * sign
+        var_1 += cov
+        mean_1 *= mean_1
+        return np.add(var_1, mean_1, out=out)
 
-    values = np.empty(len(delta_1))
-    for start in range(0, len(values), _CURVE_BLOCK):
-        rows = slice(start, start + _CURVE_BLOCK)
-        # replace validates each block's phases
-        values[rows] = block(config.replace(phi0_1=config.phi0_1 + delta_1[rows],
-                                            phi0_2=config.phi0_2 + delta_2[rows]))
-    return values
+    return curve
 
 
 def estimator_mean_and_square(

@@ -212,10 +212,15 @@ def port_cutoffs(
     sequence of them and returns two integer arrays over it, from one
     set-built pass."""
     single = isinstance(configs, HolometerConfig)
-    pairs, quantum, coherent = _port_magnitudes([configs] if single else configs)
+    quantum, coherent = _cutoffs(_port_magnitudes([configs] if single else configs))
+    return (int(quantum[0]), int(coherent[0])) if single else (quantum, coherent)
+
+
+def _cutoffs(magnitudes: tuple[list, list, list]) -> tuple[np.ndarray, np.ndarray]:
+    """port_cutoffs of a set, from its _port_magnitudes."""
     lengths = np.array([(len(pair if port is None else port), len(coh))
-                        for pair, port, coh in zip(pairs, quantum, coherent)])
-    return tuple(lengths[0].tolist()) if single else (lengths[:, 0], lengths[:, 1])
+                        for pair, port, coh in zip(*magnitudes)])
+    return lengths[:, 0], lengths[:, 1]
 
 
 def _phased(
@@ -559,6 +564,7 @@ def _squeezed_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, np.nd
 
 def _arm_grams(
     configs: Sequence[HolometerConfig], convention: str,
+    magnitudes: tuple[list, list, list] | None = None,
 ) -> Iterator[tuple[int, tuple[np.ndarray, float, int] | None, np.ndarray, np.ndarray]]:
     """(index, pair kernel, Gram of arm 1, Gram of arm 2) for every
     configuration, in the order the chunks finish them; the kernel is
@@ -569,8 +575,9 @@ def _arm_grams(
     of each input kind are sorted by sector reach and run chunk by
     chunk (module docstring); a configuration is yielded as soon as both
     of its arms' Grams exist, and its Grams may be overwritten once
-    the next one is asked for."""
-    pairs, quantum, coherent = _port_magnitudes(configs)
+    the next one is asked for.  ``magnitudes`` are the set's
+    _port_magnitudes, built here when not given."""
+    pairs, quantum, coherent = magnitudes or _port_magnitudes(configs)
     shift = 0.0 if convention == "i" else math.pi  # "real-symmetric" lacks the i^m phases
     groups: dict[InputKind, list] = {}
     kernels: dict[int, tuple[np.ndarray, float, int] | None] = {}
@@ -608,10 +615,11 @@ def _arm_grams(
 
 def _joint_pmfs(
     configs: Sequence[HolometerConfig], convention: str,
+    magnitudes: tuple[list, list, list] | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(index, joint distribution before loss) for every configuration,
-    in the order the chunks finish them."""
-    for index, kernel, gram1, gram2 in _arm_grams(configs, convention):
+    in the order the chunks finish them (magnitudes as for _arm_grams)."""
+    for index, kernel, gram1, gram2 in _arm_grams(configs, convention, magnitudes):
         yield index, _checked_pmf(index, kernel, gram1, gram2, convention)
 
 
@@ -732,16 +740,26 @@ def oracle_moments(
     detection loss.  Takes one configuration and gives floats, or a
     sequence of them and gives arrays over it in set order, from one
     recurrence per chunk of arms (module docstring)."""
+    return _oracle_set(configs, convention)[0]
+
+
+def _oracle_set(
+    configs: HolometerConfig | Sequence[HolometerConfig], convention: str,
+) -> tuple[ReadoutMoments, tuple[np.ndarray, np.ndarray]]:
+    """oracle_moments, and the port_cutoffs arrays of the same set, from
+    one build of its input magnitudes."""
     single = isinstance(configs, HolometerConfig)
     batch = [configs] if single else list(configs)
+    magnitudes = _port_magnitudes(batch)
     factorial = np.empty((len(batch), 5, 5))
-    for index, pmf in _joint_pmfs(batch, convention):
+    for index, pmf in _joint_pmfs(batch, convention, magnitudes):
         factorial[index] = _factorial_moments(pmf)
     values = _readouts(factorial, np.array([config.eta_pair for config in batch], dtype=float))
     mean_1, mean_2, *table = values[:, 0].tolist() if single else values
     centered = dict(zip(CENTERED_KEYS, table))
     return ReadoutMoments(mean_1=mean_1, mean_2=mean_2, var_1=centered[(2, 0)],
-                          var_2=centered[(0, 2)], cov=centered[(1, 1)], centered=centered)
+                          var_2=centered[(0, 2)], cov=centered[(1, 1)],
+                          centered=centered), _cutoffs(magnitudes)
 
 
 def fock_quadrature_moments(config: HolometerConfig) -> QuadratureMoments:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -96,6 +96,17 @@ class MomentComparison:
         return values.max(axis=0) if values.ndim > 1 else float(values.max())
 
 
+def _power(x: Any, n: int) -> Any:
+    """x^n by repeated multiplication, which rounds alike on a float and
+    on an array; numpy's ** does not (libm pow on a scalar, a SIMD loop
+    on an array), so a pair compared alone and inside a set could get
+    floors one ulp apart."""
+    result = 1.0
+    for _ in range(n):
+        result = result * x
+    return result
+
+
 def _comparison_entries(
     a: "ReadoutMoments | QuadratureMoments",
     b: "ReadoutMoments | QuadratureMoments",
@@ -116,7 +127,7 @@ def _comparison_entries(
             names.append(f"centered[{p},{q}]")
             x.append(table_a[(p, q)])
             y.append(table_b[(p, q)])
-            floors.append(_ABS_FLOOR + 1e-11 * sd1**p * sd2**q)
+            floors.append(_ABS_FLOOR + 1e-11 * _power(sd1, p) * _power(sd2, q))
     return names, *(np.array(np.broadcast_arrays(*rows)) for rows in (x, y, floors))
 
 

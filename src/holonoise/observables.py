@@ -29,8 +29,12 @@ every moment is a real polynomial in the half-angle cosines and sines,
 with coefficients folded from mu, lam, psi, theta and the quadrature
 angles.  closed_form_moments and closed_form_quadrature evaluate those
 real products directly, skipping the terms that vanish for the input
-kind; the Monte-Carlo layer calls them on configurations stacked over
-sampled phase pairs.  holometer.propagate writes the engine's detected
+kind.  Each is one function of the half-angle cosines and sines with
+the configuration's coefficients folded once (_photon_moments_at,
+_quadrature_moments_at): the closed forms feed it the configuration's
+own phases, and the Monte-Carlo estimator surface
+(estimation.estimator_mean_curve) feeds it sampled phases, block by
+block, in place.  holometer.propagate writes the engine's detected
 state from the same products, so the independent check of both is the
 truncated-Fock oracle, at 1e-8 relative.  The estimators' exact mixed
 phase derivatives live with the estimators
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -79,6 +83,18 @@ def _half_angles(config: HolometerConfig) -> tuple[Any, ...]:
     return np.cos(half_1), np.sin(half_1), np.cos(half_2), np.sin(half_2)
 
 
+_MOMENT_FIELDS = ("mean_1", "mean_2", "var_1", "var_2", "cov")
+
+
+def _at_half_angles(
+    moments: Callable[..., tuple[Any, ...]], config: HolometerConfig,
+) -> dict[str, Any]:
+    """The five moments at the configuration's own phases, as floats for
+    a single configuration."""
+    values = moments(*(np.asarray(part) for part in _half_angles(config)))
+    return {name: value[()] for name, value in zip(_MOMENT_FIELDS, values)}
+
+
 def closed_form_moments(config: HolometerConfig) -> dict[str, Any]:
     """Vectorized first/second photon-number moments after detection loss.
 
@@ -97,7 +113,17 @@ def closed_form_moments(config: HolometerConfig) -> dict[str, Any]:
     the module docstring in real arithmetic; terms that vanish for the
     input kind are never formed.
     """
-    c1, s1, c2, s2 = _half_angles(config)
+    return _at_half_angles(_photon_moments_at(config), config)
+
+
+def _photon_moments_at(config: HolometerConfig) -> Callable[..., tuple[Any, ...]]:
+    """closed_form_moments as a function of the half-angle cosines and
+    sines: moments(c1, s1, c2, s2) -> (mean_1, mean_2, var_1, var_2,
+    cov), with the coefficients of ``config`` folded once here.  Its four
+    arguments are distinct arrays of one shape, which it overwrites and
+    returns as the means and variances.  Every step is an in-place ufunc,
+    which rounds as the same step out of place would, so a block of
+    phases gets the bits of one evaluation over all of them."""
     eta_1, eta_2 = config.eta_pair
     kind, mu, lam = config.input_kind, config.mu, config.lam
     pair = np.sqrt(lam * (1.0 + lam))
@@ -105,24 +131,48 @@ def closed_form_moments(config: HolometerConfig) -> dict[str, Any]:
     if kind is InputKind.TWO_SQUEEZED:
         weight = weight + pair * np.cos(2.0 * (config.squeezed_quadrature_angle - config.psi))
         quartic = quartic + pair * pair
-
-    def port(c: Any, s: Any, eta: float) -> tuple[Any, Any]:
-        amp2 = mean = var = mu * s * s  # |m_i|^2
-        if kind is not InputKind.COHERENT_ONLY:
-            cc = c * c
-            mean = amp2 + lam * cc
-            var = amp2 * (1.0 + 2.0 * weight * cc) + cc * (lam + quartic * cc)
-        return eta * mean, eta * eta * var + eta * (1.0 - eta) * mean
-
-    mean_1, var_1 = port(c1, s1, eta_1)
-    mean_2, var_2 = port(c2, s2, eta_2)
+    twice_weight = 2.0 * weight
     if kind is InputKind.TWB:
-        pair_cc = pair * c1 * c2
-        kappa = np.cos(config.theta - 2.0 * config.psi)
-        cov = eta_1 * eta_2 * pair_cc * (pair_cc - 2.0 * mu * kappa * s1 * s2)
-    else:
-        cov = np.zeros_like(c1)
-    return {"mean_1": mean_1, "mean_2": mean_2, "var_1": var_1, "var_2": var_2, "cov": cov}
+        coupling = 2.0 * mu * np.cos(config.theta - 2.0 * config.psi)
+        loss = eta_1 * eta_2
+
+    def moments(c1: np.ndarray, s1: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> tuple[Any, ...]:
+        cov, amp2, spare = (np.empty_like(c1) for _ in range(3))
+        if kind is InputKind.TWB:
+            np.multiply(c1, pair, out=cov)
+            cov *= c2
+            np.multiply(s1, coupling, out=spare)
+            spare *= s2
+            np.subtract(cov, spare, out=spare)
+            cov *= loss
+            cov *= spare
+        else:
+            cov[...] = 0.0
+        # per port |m_i|^2 into amp2, then the mean into s and the variance into c
+        for c, s, eta in ((c1, s1, eta_1), (c2, s2, eta_2)):
+            np.multiply(s, mu, out=amp2)
+            amp2 *= s
+            if kind is InputKind.COHERENT_ONLY:
+                np.copyto(s, amp2)
+                np.copyto(c, amp2)
+            else:
+                c *= c
+                np.multiply(c, lam, out=s)
+                s += amp2
+                np.multiply(c, twice_weight, out=spare)
+                spare += 1.0
+                spare *= amp2
+                np.multiply(c, quartic, out=amp2)
+                amp2 += lam
+                c *= amp2
+                c += spare
+            c *= eta * eta
+            np.multiply(s, eta * (1.0 - eta), out=amp2)
+            c += amp2
+            s *= eta
+        return s1, s2, c1, c2, cov
+
+    return moments
 
 
 def closed_form_quadrature(config: HolometerConfig) -> dict[str, Any]:
@@ -142,28 +192,44 @@ def closed_form_quadrature(config: HolometerConfig) -> dict[str, Any]:
     where the A term of the variance is present for squeezed input only;
     the mean's factor sin(chi - psi) is 1 on the signal quadrature.
     """
+    return _at_half_angles(_quadrature_moments_at(config), config)
+
+
+def _quadrature_moments_at(config: HolometerConfig) -> Callable[..., tuple[Any, ...]]:
+    """closed_form_quadrature as a function of the half-angle cosines
+    and sines, as _photon_moments_at is closed_form_moments: the
+    coefficients are folded once, and moments(c1, s1, c2, s2) overwrites
+    its sine arguments with the means, in place."""
     chi = config.signal_quadrature_angle
-    c1, s1, c2, s2 = _half_angles(config)
     eta_1, eta_2 = config.eta_pair
     kind, lam = config.input_kind, config.lam
     pair = np.sqrt(lam * (1.0 + lam))
-
-    def port(c: Any, s: Any, eta: float) -> tuple[Any, Any]:
-        mean = np.sqrt(2.0 * eta * config.mu) * s
-        if kind is InputKind.COHERENT_ONLY:
-            return mean, np.full_like(c, 0.5 * eta + (1.0 - eta) / 2.0)
-        weight = lam
-        if kind is InputKind.TWO_SQUEEZED:
-            weight = weight - pair * np.cos(2.0 * (config.squeezed_quadrature_angle - chi))
-        return mean, eta * (0.5 + weight * c * c) + (1.0 - eta) / 2.0
-
-    mean_1, var_1 = port(c1, s1, eta_1)
-    mean_2, var_2 = port(c2, s2, eta_2)
+    weight = lam
+    if kind is InputKind.TWO_SQUEEZED:
+        weight = weight - pair * np.cos(2.0 * (config.squeezed_quadrature_angle - chi))
     if kind is InputKind.TWB:
-        cov = np.sqrt(eta_1 * eta_2) * pair * np.cos(config.theta - chi - chi) * c1 * c2
-    else:
-        cov = np.zeros_like(c1)
-    return {"mean_1": mean_1, "mean_2": mean_2, "var_1": var_1, "var_2": var_2, "cov": cov}
+        coupling = np.sqrt(eta_1 * eta_2) * pair * np.cos(config.theta - chi - chi)
+
+    def moments(c1: np.ndarray, s1: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> tuple[Any, ...]:
+        var_1, var_2, cov = (np.empty_like(c1) for _ in range(3))
+        if kind is InputKind.TWB:
+            np.multiply(c1, coupling, out=cov)
+            cov *= c2
+        else:
+            cov[...] = 0.0
+        for c, s, eta, var in ((c1, s1, eta_1, var_1), (c2, s2, eta_2, var_2)):
+            s *= np.sqrt(2.0 * eta * config.mu)
+            if kind is InputKind.COHERENT_ONLY:
+                var[...] = 0.5 * eta + (1.0 - eta) / 2.0
+                continue
+            np.multiply(c, weight, out=var)
+            var *= c
+            var += 0.5
+            var *= eta
+            var += (1.0 - eta) / 2.0
+        return s1, s2, var_1, var_2, cov
+
+    return moments
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,18 @@ The noise is a plain (sigma2, epsilon) pair under one rule (sigma2
 finite and >= 0, epsilon finite with |epsilon| <= sigma2) that every
 routine taking noise applies.  recover_covariance draws one set of
 standard normals from default_rng(seed), which both runs share (common
-random numbers), and runs two steps per configuration:
-sample_phase_offsets scales the normals by the SVD covariance factor,
-the stream of numpy's multivariate_normal(method="svd"), and
-mc_expectation takes the mean and standard error of
-estimation.estimator_mean_curve over the offsets.  At epsilon = 0 the
-perpendicular run would repeat the parallel one, so its result is
-reused.  An estimator without a phase response at the working point
+random numbers), and hands them to mc_expectation, one cache-blocked
+pass for both runs.  Per block of _CURVE_BLOCK normals it forms every
+run's phase offsets in one product with the runs' stacked SVD
+covariance factors (the stream of numpy's
+multivariate_normal(method="svd")), checks the phases finite once,
+takes their half-angle cosines and sines, and evaluates <C> in place
+through estimation.estimator_mean_curve, which centres the estimator
+and folds the closed form's coefficients once per pass; no
+configuration is built per block.  The means and standard errors are
+whole-array reductions per run.  At epsilon = 0 the perpendicular run
+would repeat the parallel one, so only one run is made.  An estimator
+without a phase response at the working point
 (estimation.estimator_mixed_derivative, the recovery's divisor) raises
 SingularConfigurationError there before any sample is drawn.
 
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -68,6 +74,11 @@ __all__ = [
 ]
 
 MIN_MC_SAMPLES = 1_000
+# normals per block of mc_expectation, 64 KiB per float64 row of a run;
+# on a 2-core x86-64 host a perfbench noise pass (minimum of six) timed
+# within 1% of 8 192 at 4 096 and 16 384 rows, 7% slower at 32 768 and
+# 24% slower at 2 048 rows or in one block of 1e5
+_CURVE_BLOCK = 8_192
 MAX_EXPANSION_SIGMA2 = 1e-4
 # finite-difference steps of the expansion: the two Richardson steps are
 # these fractions of max(|phi_0|, _PHASE_FLOOR)
@@ -93,24 +104,71 @@ def _check_noise(sigma2: float, epsilon: float) -> None:
         )
 
 
+def _offset_factors(sigma2: float, epsilons: Sequence[float]) -> np.ndarray:
+    """(2 k, 2) factor of k runs' phase offsets: row r is run r's
+    delta_phi_1 and row k + r its delta_phi_2 as combinations of the two
+    standard normals.  Each run's rows are the covariance factor u sqrt(s)
+    of the SVD u s v^T of [[sigma2, epsilon], [epsilon, sigma2]], the
+    factor numpy's multivariate_normal(method="svd") applies to the same
+    normals."""
+    factors = []
+    for epsilon in epsilons:
+        u, s, _ = np.linalg.svd(np.array([[sigma2, epsilon], [epsilon, sigma2]]))
+        factors.append(u * np.sqrt(np.abs(s)))
+    return np.stack(factors, axis=1).reshape(-1, 2)
+
+
 def sample_phase_offsets(sigma2: float, epsilon: float, normals: np.ndarray) -> np.ndarray:
-    """Phase offsets from standard normals of shape (n, 2): the normals
-    times the covariance factor u sqrt(s) of the SVD u s v^T of
-    [[sigma2, epsilon], [epsilon, sigma2]], the factor numpy's
-    multivariate_normal(method="svd") applies to the same normals."""
-    u, s, _ = np.linalg.svd(np.array([[sigma2, epsilon], [epsilon, sigma2]]))
-    return normals @ (u * np.sqrt(np.abs(s))).T
+    """Phase offsets of one run from standard normals of shape (n, 2):
+    the (n, 2) array mc_expectation forms block by block, the normals
+    times the covariance factor of _offset_factors."""
+    return normals @ _offset_factors(sigma2, (epsilon,)).T
 
 
 def mc_expectation(
-    config: HolometerConfig, spec: EstimatorSpec, offsets: np.ndarray
-) -> tuple[float, float]:
-    """Sample mean and standard error of <C> over the offset samples, from
-    one estimation.estimator_mean_curve evaluation at the offsets."""
-    values = estimation.estimator_mean_curve(config, spec, offsets[:, 0], offsets[:, 1])
+    config: HolometerConfig,
+    spec: EstimatorSpec,
+    sigma2: float,
+    epsilons: Sequence[float],
+    normals: np.ndarray,
+) -> list[tuple[float, float]]:
+    """Sample mean and standard error of <C> for each phase covariance
+    in ``epsilons`` (at marginal variance sigma2), all runs on the same
+    standard normals of shape (n, 2).
+
+    One pass over the normals, _CURVE_BLOCK rows at a time: one product
+    with the runs' stacked offset factors gives every run's phase
+    offsets, the phases are checked finite once, and the half-angle
+    cosines and sines feed estimation.estimator_mean_curve, centred once
+    per call, into one (runs, n) array of <C>.  Its mean and standard
+    error are whole-array reductions per run.
+    """
+    for epsilon in epsilons:
+        _check_noise(sigma2, epsilon)
+    runs, n = len(epsilons), len(normals)
+    factors = _offset_factors(sigma2, epsilons)
+    centre = np.repeat([config.phi0_1, config.phi0_2], runs)[:, None]
+    curve = estimation.estimator_mean_curve(config, spec)
+    values = np.empty((runs, n))
+    phases, cosines = np.empty((2, 2 * runs, min(_CURVE_BLOCK, n)))
+    for start in range(0, n, _CURVE_BLOCK):
+        stop = min(start + _CURVE_BLOCK, n)
+        # numpy takes a one-row product through its matrix-vector path,
+        # whose rounding differs from the matrix-matrix path of longer
+        # blocks: a one-row tail is the second row of a two-row product
+        first = max(min(start, stop - 2), 0)
+        block = np.matmul(factors, normals[first:stop].T, out=phases[:, :stop - first])
+        block = block[:, start - first:]
+        block += centre
+        if not np.isfinite(block).all():
+            raise ValueError("configuration parameters must be finite")
+        block *= 0.5
+        c = np.cos(block, out=cosines[:, :stop - start])
+        s = np.sin(block, out=block)
+        curve(c[:runs], s[:runs], c[runs:], s[runs:], out=values[:, start:stop])
     # an overflowing surface is recover_covariance's OverflowError, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
+        return [(float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(n))) for row in values]
 
 
 def recover_covariance(
@@ -126,23 +184,21 @@ def recover_covariance(
     epsilon_hat = (E_par[C] - E_perp[C]) / (d^2<C>/dphi_1 dphi_2), where
     the parallel run has covariance epsilon and the perpendicular run
     none, both at marginal variance sigma2 and on the same n_samples
-    standard normals of default_rng(seed).  The standard error combines
-    the two run errors as independent.  At epsilon = 0 the runs coincide:
-    the parallel result is reused and epsilon_hat is exactly +0.0.
-    Raises where the working point is not symmetric or the estimator has
-    no phase response there (estimation.estimator_mixed_derivative), and
-    OverflowError where the standard error overflows float64.
+    standard normals of default_rng(seed), in one mc_expectation pass.
+    The standard error combines the two run errors as independent.  At
+    epsilon = 0 the runs coincide: only the parallel run is made, and
+    epsilon_hat is exactly +0.0.  Raises where the working point is not
+    symmetric or the estimator has no phase response there
+    (estimation.estimator_mixed_derivative), and OverflowError where the
+    standard error overflows float64.
     """
     _check_noise(sigma2, epsilon)
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
     denominator = estimation.estimator_mixed_derivative(config, spec)
     draw = np.random.default_rng(seed).standard_normal((int(n_samples), 2))
-    mean_par, se_par = mc_expectation(config, spec, sample_phase_offsets(sigma2, epsilon, draw))
-    if epsilon == 0.0:
-        mean_perp, se_perp = mean_par, se_par
-    else:
-        mean_perp, se_perp = mc_expectation(config, spec, sample_phase_offsets(sigma2, 0.0, draw))
+    runs = mc_expectation(config, spec, sigma2, (epsilon, 0.0) if epsilon else (epsilon,), draw)
+    (mean_par, se_par), (mean_perp, se_perp) = runs[0], runs[-1]
     difference = mean_par - mean_perp
     # equal means recover +0.0, never the -0.0 of a negative response
     epsilon_hat = difference / denominator if difference else 0.0

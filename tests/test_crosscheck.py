@@ -70,14 +70,14 @@ def test_run_crosscheck_argument_guards():
 def test_a_nan_centred_entry_reads_inf_and_fails(monkeypatch):
     # the per-field table must not read a nan deviation as agreement;
     # run_crosscheck reads the oracle once, for all its configurations
-    oracle = crosscheck.oracle_moments
+    oracle = crosscheck._oracle_set
 
-    def poisoned(configs, **kwargs):
-        fock = oracle(configs, **kwargs)
+    def poisoned(configs, convention):
+        fock, cutoffs = oracle(configs, convention)
         nan = np.full(len(configs), math.nan)
-        return replace(fock, centered={**fock.centered, (1, 3): nan})
+        return replace(fock, centered={**fock.centered, (1, 3): nan}), cutoffs
 
-    monkeypatch.setattr(crosscheck, "oracle_moments", poisoned)
+    monkeypatch.setattr(crosscheck, "_oracle_set", poisoned)
     report = run_crosscheck(n_configs=1, seed=DEFAULT_SEED)
     assert report.n_failed == 1
     assert report.field_worst["centered[1,3]"] == math.inf
@@ -86,15 +86,15 @@ def test_a_nan_centred_entry_reads_inf_and_fails(monkeypatch):
 
 
 def test_a_nan_entry_of_one_member_fails_that_member_only(monkeypatch):
-    oracle = crosscheck.oracle_moments
+    oracle = crosscheck._oracle_set
 
-    def poisoned(configs, **kwargs):
-        fock = oracle(configs, **kwargs)
+    def poisoned(configs, convention):
+        fock, cutoffs = oracle(configs, convention)
         entry = fock.centered[(1, 3)].copy()
         entry[1] = math.nan
-        return replace(fock, centered={**fock.centered, (1, 3): entry})
+        return replace(fock, centered={**fock.centered, (1, 3): entry}), cutoffs
 
-    monkeypatch.setattr(crosscheck, "oracle_moments", poisoned)
+    monkeypatch.setattr(crosscheck, "_oracle_set", poisoned)
     comparison = run_crosscheck(n_configs=3, seed=DEFAULT_SEED).comparison
     assert comparison.ok.tolist() == [True, False, True]
     assert comparison.worst_margin[1] == comparison.max_relative[1] == math.inf
@@ -166,3 +166,10 @@ def test_the_stacked_comparison_equals_the_scalar_one_bit_for_bit(seed, conventi
             stacked.worst_margin[index], stacked.worst_field[index], relative)
         assert (single.ok, single.max_relative) == (stacked.ok[index], stacked.max_relative[index])
         assert scalar_comparison(a, b) == (single.worst_margin, single.worst_field, single.relative)
+
+
+def test_the_report_carries_the_cutoffs_the_oracle_used():
+    report = run_crosscheck(n_configs=20, seed=1000)
+    quantum, coherent = report.cutoffs
+    want = [fock_oracle.port_cutoffs(config) for config in report.configs]
+    assert np.column_stack([quantum, coherent]).tolist() == [list(pair) for pair in want]

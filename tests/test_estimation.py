@@ -273,10 +273,17 @@ def test_non_finite_phase_response_raises():
 # ---------------------------------------------------------------------------
 
 
+def mean_curve(config, spec, delta_1, delta_2):
+    """estimator_mean_curve at phase offsets from the working point."""
+    half_1, half_2 = (config.phi0_1 + delta_1) / 2.0, (config.phi0_2 + delta_2) / 2.0
+    return estimator_mean_curve(config, spec)(np.cos(half_1), np.sin(half_1), np.cos(half_2),
+                                              np.sin(half_2), out=np.empty(len(half_1)))
+
+
 def test_mean_curve_matches_engine_moments():
     config = make(mu=1e4, lam=2.0)
     offsets = np.array([0.0, config.phi0_1 * 0.5, -config.phi0_1 * 0.5])
-    curve = estimator_mean_curve(config, DIFF, offsets, offsets)
+    curve = mean_curve(config, DIFF, offsets, offsets)
     for value, phi in zip(curve, config.phi0_1 + offsets, strict=True):
         moments = readout_moments(config.replace(phi0_1=phi, phi0_2=phi), max_order=2)
         variance = moments.var_1 + moments.var_2 - 2.0 * moments.cov
@@ -287,9 +294,7 @@ def test_mean_and_square_consistent_with_curve():
     config = make(mu=1e4, lam=2.0)
     for spec, cfg in ((DIFF, config), (QUAD, config.replace(input_kind="TwoSqueezed"))):
         mean, square = estimator_mean_and_square(cfg, spec, cfg.phi0_1 * 1.2, cfg.phi0_2 * 1.2)
-        [curve] = estimator_mean_curve(
-            cfg, spec, np.array([cfg.phi0_1 * 0.2]), np.array([cfg.phi0_2 * 0.2])
-        )
+        [curve] = mean_curve(cfg, spec, np.array([cfg.phi0_1 * 0.2]), np.array([cfg.phi0_2 * 0.2]))
         assert mean == pytest.approx(curve, rel=1e-8)
         assert square >= mean**2
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from holonoise.moments import (
@@ -136,3 +137,30 @@ def test_worst_field_is_not_decided_by_one_ulp_of_a_mirror_field(first, mirror):
     for ulp_towards in (None, math.inf, -math.inf):
         result = compare_moments(reference, moved(ulp_towards))
         assert (result.ok, result.worst_field) == (False, label)
+
+
+def test_a_pair_alone_and_inside_a_set_gets_the_same_margins():
+    # floors of 1e-11 sd1^p sd2^q dominate entries that are nearly zero,
+    # so a floor one ulp apart shows in the margin's last bit
+    rng = np.random.default_rng(4)
+    n = 1_000
+    sd1, sd2 = 10.0 ** rng.uniform(-1.0, 3.0, (2, n))
+    zeros = {key: np.zeros(n) for key in CENTERED_KEYS}
+    deviation = {key: 1e-12 * rng.uniform(0.5, 2.0, n) * sd1**p * sd2**q
+                 for key, (p, q) in zip(CENTERED_KEYS, CENTERED_KEYS)}
+    a = ReadoutMoments(mean_1=np.ones(n), mean_2=np.ones(n), var_1=sd1 * sd1, var_2=sd2 * sd2,
+                       cov=np.zeros(n), centered=zeros)
+    b = ReadoutMoments(mean_1=np.ones(n), mean_2=np.ones(n), var_1=sd1 * sd1, var_2=sd2 * sd2,
+                       cov=np.zeros(n), centered=deviation)
+    stacked = compare_moments(a, b)
+
+    def member(carrier, index):
+        return ReadoutMoments(
+            *(float(getattr(carrier, name)[index])
+              for name in ("mean_1", "mean_2", "var_1", "var_2", "cov")),
+            centered={key: float(value[index]) for key, value in carrier.centered.items()})
+
+    for index in range(n):
+        single = compare_moments(member(a, index), member(b, index))
+        assert single.worst_margin == stacked.worst_margin[index]
+        assert single.relative == {name: values[index] for name, values in stacked.relative.items()}

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from holonoise import estimation, observables, phase_noise
+from holonoise import estimation, phase_noise
 from holonoise.config import HolometerConfig
-from holonoise.observables import UndefinedResultError
+from holonoise.observables import UndefinedResultError, closed_form_moments, closed_form_quadrature
 from holonoise.estimation import (
     EstimatorSpec,
     SingularConfigurationError,
+    estimator_center,
     estimator_mean_and_square,
     estimator_mean_curve,
     u0,
@@ -80,29 +81,87 @@ def test_sample_statistics_track_the_model():
 
 
 def test_mc_expectation_at_zero_noise_is_the_working_point_mean():
-    offsets = sample_phase_offsets(0.0, 0.0, normals(0, 2_000))
-    mean, se = mc_expectation(DESK, QUAD, offsets)
-    [exact] = estimator_mean_curve(DESK, QUAD, np.zeros(1), np.zeros(1))
+    [(mean, se)] = mc_expectation(DESK, QUAD, 0.0, (0.0,), normals(0, 2_000))
+    half = np.full(1, DESK.phi0_1 / 2.0)
+    [exact] = estimator_mean_curve(DESK, QUAD)(np.cos(half), np.sin(half), np.cos(half),
+                                               np.sin(half), out=np.empty(1))
     assert mean == exact
     assert se == 0.0
 
 
-BLOCK = estimation._CURVE_BLOCK
+BLOCK = phase_noise._CURVE_BLOCK
+SAMPLE_COUNTS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 100_000]
+KIND_CONFIGS = {"quadrature": (QUAD, DESK), "difference": (DIFF, TWB_DESK),
+                "sum": (SUM, TWB_DESK.replace(psi=0.0))}
 
 
-@pytest.mark.parametrize("n_samples", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 100_000])
+@pytest.mark.parametrize("n_samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("spec", [QUAD, DIFF], ids=["quadrature", "difference"])
 def test_mc_expectation_is_independent_of_its_blocks(monkeypatch, spec, n_samples):
-    # the reference: one surface evaluation over every offset, then the
-    # same whole-array reductions
+    # the same runs in one block over every normal
     config = DESK if spec is QUAD else TWB_DESK
-    offsets = sample_phase_offsets(1e-5, 3e-6, normals(17, n_samples))
-    got = mc_expectation(config, spec, offsets)
-    blocked = estimator_mean_curve(config, spec, offsets[:, 0], offsets[:, 1])
-    monkeypatch.setattr(estimation, "_CURVE_BLOCK", n_samples)
-    values = estimator_mean_curve(config, spec, offsets[:, 0], offsets[:, 1])
-    assert blocked.tobytes() == values.tobytes()
-    assert got == (float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_samples)))
+    draw = normals(17, n_samples)
+    blocked = mc_expectation(config, spec, 1e-5, (3e-6, 0.0), draw)
+    monkeypatch.setattr(phase_noise, "_CURVE_BLOCK", n_samples)
+    assert mc_expectation(config, spec, 1e-5, (3e-6, 0.0), draw) == blocked
+
+
+def reference_recovery(config, spec, sigma2, epsilon, n_samples, seed):
+    """recover_covariance from the public closed forms, each run one
+    stacked configuration over all of its offsets."""
+    draw = normals(seed, n_samples)
+    center = estimator_center(config, spec)
+    runs = []
+    for covariance in (epsilon, 0.0):
+        u, s, _ = np.linalg.svd(np.array([[sigma2, covariance], [covariance, sigma2]]))
+        offsets = draw @ (u * np.sqrt(np.abs(s))).T
+        point = config.replace(phi0_1=config.phi0_1 + offsets[:, 0],
+                               phi0_2=config.phi0_2 + offsets[:, 1])
+        if spec is QUAD:
+            q = closed_form_quadrature(point)
+            values = q["cov"] + (q["mean_1"] - center[0]) * (q["mean_2"] - center[1])
+        else:
+            sign = -1 if spec is DIFF else 1
+            m = closed_form_moments(point)
+            offset = m["mean_1"] + sign * m["mean_2"] - (center[0] if center else 0.0)
+            values = m["var_1"] + m["var_2"] + 2.0 * sign * m["cov"] + offset * offset
+        runs.append((float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_samples))))
+    (mean_par, se_par), (mean_perp, se_perp) = runs
+    denominator = estimation.estimator_mixed_derivative(config, spec)
+    difference = mean_par - mean_perp
+    return (difference / denominator if difference else 0.0,
+            math.hypot(se_par, se_perp) / abs(denominator))
+
+
+@pytest.mark.parametrize("n_samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize("kind", list(KIND_CONFIGS))
+def test_recovery_equals_the_stacked_closed_form_reference(kind, n_samples):
+    spec, config = KIND_CONFIGS[kind]
+    for epsilon in (2e-6, 0.0):
+        got = recover_covariance(config, spec, 1e-5, epsilon, n_samples, 23)
+        assert got == reference_recovery(config, spec, 1e-5, epsilon, n_samples, 23)
+
+
+def test_a_non_finite_offset_raises_the_configuration_error(monkeypatch):
+    draw = normals(3, 2 * BLOCK + 3)
+    draw[BLOCK + 5, 1] = math.inf
+    message = "configuration parameters must be finite"
+    # the error a configuration at that phase raises
+    with pytest.raises(ValueError, match=message):
+        DESK.replace(phi0_2=DESK.phi0_2 + math.inf)
+    with pytest.raises(ValueError, match=message):
+        mc_expectation(DESK, QUAD, 1e-5, (1e-6, 0.0), draw)
+
+    class Poisoned:
+        def __init__(self, seed):
+            pass
+
+        def standard_normal(self, shape):
+            return draw[:shape[0]]
+
+    monkeypatch.setattr(np.random, "default_rng", Poisoned)
+    with pytest.raises(ValueError, match=message):
+        recover_covariance(DESK, QUAD, 1e-5, 0.0, len(draw), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -140,42 +199,47 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("spec", [QUAD, SUM], ids=["quadrature", "sum"])
 def test_mc_expectation_centres_its_three_blocks_once(monkeypatch, spec):
-    # three blocks of offsets, one surface call and one centre at the
-    # working point; each block evaluates the closed form once
+    # three blocks of normals and two runs: one surface, centred once at
+    # the working point, and no draw of its own
     config = DESK if spec is QUAD else TWB_DESK.replace(psi=0.0)
-    offsets = sample_phase_offsets(1e-5, 3e-6, normals(3, 2 * BLOCK + 3))
+    draw = normals(3, 2 * BLOCK + 3)
     surfaces = _count_calls(monkeypatch, estimation, "estimator_mean_curve")
     centers = _count_calls(monkeypatch, estimation, "estimator_center")
-    closed_form = "closed_form_quadrature" if spec is QUAD else "closed_form_moments"
-    evaluations = _count_calls(monkeypatch, observables, closed_form)
-    mc_expectation(config, spec, offsets)
-    assert (len(surfaces), len(centers), len(evaluations)) == (1, 1, 1 + 3)
+    draws = _count_calls(monkeypatch, np.random, "default_rng")
+    runs = mc_expectation(config, spec, 1e-5, (3e-6, 0.0), draw)
+    assert len(runs) == 2
+    assert (len(surfaces), len(centers), len(draws)) == (1, 1, 0)
 
 
 @pytest.mark.parametrize("spec", [QUAD, DIFF], ids=["quadrature", "difference"])
 def test_recovery_at_zero_covariance_evaluates_the_surface_once(monkeypatch, spec):
+    # one normal draw per recovery, one centre per run of the kernel, and
+    # at epsilon = 0 one run only
     config = DESK if spec is QUAD else TWB_DESK
-    surfaces = _count_calls(monkeypatch, estimation, "estimator_mean_curve")
     centers = _count_calls(monkeypatch, estimation, "estimator_center")
     draws = _count_calls(monkeypatch, np.random, "default_rng")
-    offsets = _count_calls(monkeypatch, phase_noise, "sample_phase_offsets")
-    means = _count_calls(monkeypatch, phase_noise, "mc_expectation")
+    runs = []
+    kernel = phase_noise.mc_expectation
+
+    def counted(config, spec, sigma2, epsilons, draw):
+        runs.append(tuple(epsilons))
+        return kernel(config, spec, sigma2, epsilons, draw)
+
+    monkeypatch.setattr(phase_noise, "mc_expectation", counted)
     eps_hat, se = recover_covariance(config, spec, 1e-5, 0.0, 5_000, 8)
     assert eps_hat == 0.0
     assert se > 0.0
-    counts = (len(surfaces), len(centers), len(draws), len(offsets), len(means))
-    assert counts == (1, 1, 1, 1, 1)
-    # a nonzero covariance needs the second run, still on the same draw
+    assert (len(centers), len(draws), runs) == (1, 1, [(0.0,)])
+    # a nonzero covariance adds the perpendicular run to the same pass
     recover_covariance(config, spec, 1e-5, 1e-6, 5_000, 8)
-    counts = (len(surfaces), len(centers), len(draws), len(offsets), len(means))
-    assert counts == (3, 3, 2, 3, 3)
+    assert (len(centers), len(draws), runs) == (2, 2, [(0.0,), (1e-6, 0.0)])
 
 
 def test_recovery_equals_its_two_steps():
     sigma2, epsilon, n_samples, seed = 1e-5, 2e-6, 4_000, 21
     draw = normals(seed, n_samples)
-    mean_par, se_par = mc_expectation(DESK, QUAD, sample_phase_offsets(sigma2, epsilon, draw))
-    mean_perp, se_perp = mc_expectation(DESK, QUAD, sample_phase_offsets(sigma2, 0.0, draw))
+    (mean_par, se_par), (mean_perp, se_perp) = mc_expectation(
+        DESK, QUAD, sigma2, (epsilon, 0.0), draw)
     denominator = estimation.estimator_mixed_derivative(DESK, QUAD)
     eps_hat, se = recover_covariance(DESK, QUAD, sigma2, epsilon, n_samples, seed)
     assert eps_hat == (mean_par - mean_perp) / denominator
