@@ -9,9 +9,11 @@ build), one stacked fourth-order readout over 1 000 phase pairs, the
 exact mixed phase derivative, one zero-order uncertainty evaluation and
 one variance expansion per estimator kind, the Gauss-Hermite
 phase-noise variance, the Monte-Carlo
-expectation of both runs over 1e5 normals and one covariance recovery
-per estimator kind (at the mc-estimate defaults, epsilon = 1e-6, 1e5
-samples), the truncated-Fock oracle and its
+expectation of both runs over 1e5 normal pairs (their draws included)
+and one covariance recovery per estimator kind (at the mc-estimate
+defaults, epsilon = 1e-6, 1e5 samples), each recovery with the minor
+page faults of one call after the timed ones and the tracemalloc peak
+of another, the truncated-Fock oracle and its
 beam-splitter transform alone on the largest arm block of the oracle's
 envelope, the oracle's joint photon-number distribution there and its
 quadrature moments at low occupancy, the oracle over the 100
@@ -28,7 +30,8 @@ Regressions in the hot paths show up as numbers rather than as slow
 test suites.
 
 ``--json PATH`` also writes the record: per row the median and the
-minimum over the timed calls and the inputs, and for the run the git
+minimum over the timed calls and the inputs (and the page faults and
+peak where the row measures them), and for the run the git
 revision, the Python and numpy versions, the processor count and the
 BLAS thread variables.  ``--quick`` times one call per row on small
 inputs, to check that every row runs.
@@ -47,10 +50,12 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,7 +95,10 @@ CAP_SCAN = ["uncertainty-scan", "--variable", "phi0",
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def clock(label: str, fn, repeat: int, inputs: dict) -> dict:
+def clock(label: str, fn, repeat: int, inputs: dict, memory: bool = False) -> dict:
+    """Median and minimum wall time of ``repeat`` calls after one warm-up
+    call; with ``memory`` also the minor page faults of one more call and
+    the tracemalloc peak of another."""
     fn()  # warm up caches and allocations outside the timed calls
     times = []
     for _ in range(repeat):
@@ -98,9 +106,22 @@ def clock(label: str, fn, repeat: int, inputs: dict) -> dict:
         fn()
         times.append(time.perf_counter() - start)
     median = statistics.median(times)
-    print(f"{label:<52s} {1e3 * median:9.3f} ms/call")
-    return {"label": label, "repeat": repeat, "median_ms": 1e3 * median,
-            "min_ms": 1e3 * min(times), "inputs": inputs}
+    row = {"label": label, "repeat": repeat, "median_ms": 1e3 * median,
+           "min_ms": 1e3 * min(times), "inputs": inputs}
+    note = ""
+    if memory:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fn()
+        row["minor_page_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        tracemalloc.start()
+        try:
+            fn()
+            row["tracemalloc_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        note = f" [{row['minor_page_faults']} faults, {row['tracemalloc_peak_mib']:.2f} MiB peak]"
+    print(f"{label + note:<52s} {1e3 * median:9.3f} ms/call")
+    return row
 
 
 def count(n: int) -> str:
@@ -196,7 +217,6 @@ def main() -> int:
                       {**bright, "estimator": diff.kind.value, "sigma2": 1e-5, "epsilon": 0.0}))
     # the mc-estimate defaults of each estimator: twin beams for the photon
     # readouts (the sum one at psi = 0), squeezed input for the product
-    normals = np.random.default_rng(0).standard_normal((samples_n, 2))
     desk_twb = DESK.replace(input_kind="TWB")
     for label, config, spec in (("difference readout", desk_twb, diff),
                                 ("sum readout", desk_twb.replace(psi=0.0), plus),
@@ -205,12 +225,12 @@ def main() -> int:
                  "epsilon": 1e-6, "samples": samples_n, "seed": 0}
         rows.append(clock(f"mc_expectation {count(samples_n)} normals, both runs, {label}",
                           lambda config=config, spec=spec: mc_expectation(
-                              config, spec, 1e-5, (1e-6, 0.0), normals),
+                              config, spec, 1e-5, (1e-6, 0.0), samples_n, 0),
                           max(1, repeat // 10), noise))
         rows.append(clock(f"recover_covariance, {label}, {count(samples_n)} samples",
                           lambda config=config, spec=spec: recover_covariance(
                               config, spec, 1e-5, 1e-6, samples_n, 0),
-                          max(1, repeat // 10), noise))
+                          max(1, repeat // 10), noise, memory=True))
     # the oracle walks a truncated number basis, so it only runs at low
     # occupancy; this is the guardrail-domain cost, not the bright one
     rows.append(clock("fock oracle end-to-end, order 4 (dim)",

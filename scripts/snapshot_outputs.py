@@ -12,8 +12,9 @@ default grids for each sweep variable, ``uncertainty-scan`` at phi0 =
 0.01 for mu = 1e40 and 1e80, far above the documented domain, where
 its ratio columns must not drift, ``mc-estimate`` for each
 estimator, ``mc-estimate`` for the quadrature-product and difference
-estimators at sample counts on both edges of the 8 192-normal blocks in
-which phase_noise.mc_expectation evaluates its surface, and
+estimators at sample counts on both edges of the 8 192-pair blocks in
+which phase_noise.mc_expectation draws its normals and evaluates its
+surface, and
 ``oracle-check`` on 100 configurations at the default seed, at seeds
 1000 and 1003, and with the broken convention.  A full run takes about
 four seconds on a 2-core x86-64 host.

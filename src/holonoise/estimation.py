@@ -308,19 +308,20 @@ def estimator_mean_curve(config: HolometerConfig, spec: EstimatorSpec) -> Callab
     """
     center = estimator_center(config, spec)
     sign = _PHOTOCURRENT_SIGN.get(spec.kind)
-    at = observables._quadrature_moments_at if sign is None else observables._photon_moments_at
+    at = observables._quadrature_means_at if sign is None else observables._photon_moments_at
     moments = at(config)
     c0 = center[0] if spec.kind is EstimatorKind.TWB_SUM_SQUARED else 0.0
 
     def curve(c1: np.ndarray, s1: np.ndarray, c2: np.ndarray, s2: np.ndarray,
               out: np.ndarray) -> np.ndarray:
-        mean_1, mean_2, var_1, var_2, cov = moments(c1, s1, c2, s2)
         if sign is None:  # cov + (mean_1 - y1)(mean_2 - y2)
+            mean_1, mean_2, cov = moments(c1, s1, c2, s2)
             mean_1 -= center[0]
             mean_2 -= center[1]
             mean_1 *= mean_2
             return np.add(cov, mean_1, out=out)
         # var_1 + var_2 + 2 sign cov + offset^2, offset = mean_1 + sign mean_2 - c0
+        mean_1, mean_2, var_1, var_2, cov = moments(c1, s1, c2, s2)
         mean_2 *= sign
         mean_1 += mean_2
         mean_1 -= c0

@@ -30,11 +30,13 @@ with coefficients folded from mu, lam, psi, theta and the quadrature
 angles.  closed_form_moments and closed_form_quadrature evaluate those
 real products directly, skipping the terms that vanish for the input
 kind.  Each is one function of the half-angle cosines and sines with
-the configuration's coefficients folded once (_photon_moments_at,
-_quadrature_moments_at): the closed forms feed it the configuration's
-own phases, and the Monte-Carlo estimator surface
-(estimation.estimator_mean_curve) feeds it sampled phases, block by
-block, in place.  holometer.propagate writes the engine's detected
+the configuration's coefficients folded once (_photon_moments_at; the
+quadrature readout in two steps, _quadrature_means_at for the means and
+the covariance and _quadrature_variances_at for the variances): the
+closed forms feed it the configuration's own phases, and the
+Monte-Carlo estimator surface (estimation.estimator_mean_curve) feeds
+it sampled phases, block by block, in place, running only the steps
+that its <C> reads.  holometer.propagate writes the engine's detected
 state from the same products, so the independent check of both is the
 truncated-Fock oracle, at 1e-8 relative.  The estimators' exact mixed
 phase derivatives live with the estimators
@@ -192,33 +194,61 @@ def closed_form_quadrature(config: HolometerConfig) -> dict[str, Any]:
     where the A term of the variance is present for squeezed input only;
     the mean's factor sin(chi - psi) is 1 on the signal quadrature.
     """
-    return _at_half_angles(_quadrature_moments_at(config), config)
-
-
-def _quadrature_moments_at(config: HolometerConfig) -> Callable[..., tuple[Any, ...]]:
-    """closed_form_quadrature as a function of the half-angle cosines
-    and sines, as _photon_moments_at is closed_form_moments: the
-    coefficients are folded once, and moments(c1, s1, c2, s2) overwrites
-    its sine arguments with the means, in place."""
-    chi = config.signal_quadrature_angle
-    eta_1, eta_2 = config.eta_pair
-    kind, lam = config.input_kind, config.lam
-    pair = np.sqrt(lam * (1.0 + lam))
-    weight = lam
-    if kind is InputKind.TWO_SQUEEZED:
-        weight = weight - pair * np.cos(2.0 * (config.squeezed_quadrature_angle - chi))
-    if kind is InputKind.TWB:
-        coupling = np.sqrt(eta_1 * eta_2) * pair * np.cos(config.theta - chi - chi)
+    means_and_cov = _quadrature_means_at(config)
+    variances = _quadrature_variances_at(config)
 
     def moments(c1: np.ndarray, s1: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> tuple[Any, ...]:
-        var_1, var_2, cov = (np.empty_like(c1) for _ in range(3))
-        if kind is InputKind.TWB:
+        mean_1, mean_2, cov = means_and_cov(c1, s1, c2, s2)
+        return (mean_1, mean_2, *variances(c1, c2), cov)
+
+    return _at_half_angles(moments, config)
+
+
+def _quadrature_means_at(config: HolometerConfig) -> Callable[..., tuple[Any, ...]]:
+    """The means and the covariance of closed_form_quadrature as a
+    function of the half-angle cosines and sines, as _photon_moments_at
+    is closed_form_moments: the coefficients are folded once, and
+    means(c1, s1, c2, s2) -> (mean_1, mean_2, cov) overwrites its sine
+    arguments with the means, in place, and leaves the cosines."""
+    eta_1, eta_2 = config.eta_pair
+    twin = config.input_kind is InputKind.TWB
+    if twin:
+        chi = config.signal_quadrature_angle
+        pair = np.sqrt(config.lam * (1.0 + config.lam))
+        coupling = np.sqrt(eta_1 * eta_2) * pair * np.cos(config.theta - chi - chi)
+    amplitude_1, amplitude_2 = np.sqrt(2.0 * eta_1 * config.mu), np.sqrt(2.0 * eta_2 * config.mu)
+
+    def means(c1: np.ndarray, s1: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> tuple[Any, ...]:
+        cov = np.empty_like(c1)
+        if twin:
             np.multiply(c1, coupling, out=cov)
             cov *= c2
         else:
             cov[...] = 0.0
-        for c, s, eta, var in ((c1, s1, eta_1, var_1), (c2, s2, eta_2, var_2)):
-            s *= np.sqrt(2.0 * eta * config.mu)
+        s1 *= amplitude_1
+        s2 *= amplitude_2
+        return s1, s2, cov
+
+    return means
+
+
+def _quadrature_variances_at(config: HolometerConfig) -> Callable[..., tuple[Any, ...]]:
+    """The two variances of closed_form_quadrature as a function of the
+    half-angle cosines, variances(c1, c2) -> (var_1, var_2), with the
+    coefficients folded once; the cosines are left as they are.  The
+    Monte-Carlo <C> of the quadrature product reads no variance, so
+    only the closed form runs this step."""
+    eta_1, eta_2 = config.eta_pair
+    kind, lam = config.input_kind, config.lam
+    weight = lam
+    if kind is InputKind.TWO_SQUEEZED:
+        pair = np.sqrt(lam * (1.0 + lam))
+        weight = weight - pair * np.cos(2.0 * (config.squeezed_quadrature_angle
+                                               - config.signal_quadrature_angle))
+
+    def variances(c1: np.ndarray, c2: np.ndarray) -> tuple[Any, ...]:
+        var_1, var_2 = np.empty_like(c1), np.empty_like(c1)
+        for c, eta, var in ((c1, eta_1, var_1), (c2, eta_2, var_2)):
             if kind is InputKind.COHERENT_ONLY:
                 var[...] = 0.5 * eta + (1.0 - eta) / 2.0
                 continue
@@ -227,9 +257,9 @@ def _quadrature_moments_at(config: HolometerConfig) -> Callable[..., tuple[Any, 
             var += 0.5
             var *= eta
             var += (1.0 - eta) / 2.0
-        return s1, s2, var_1, var_2, cov
+        return var_1, var_2
 
-    return moments
+    return variances
 
 
 # ---------------------------------------------------------------------------

@@ -15,20 +15,22 @@ This module keeps the noise model; estimation owns the estimator: its
 centered <C> surface, its phase response and the symmetric-point rule.
 The noise is a plain (sigma2, epsilon) pair under one rule (sigma2
 finite and >= 0, epsilon finite with |epsilon| <= sigma2) that every
-routine taking noise applies.  recover_covariance draws one set of
-standard normals from default_rng(seed), which both runs share (common
-random numbers), and hands them to mc_expectation, one cache-blocked
-pass for both runs.  Per block of _CURVE_BLOCK normals it forms every
-run's phase offsets in one product with the runs' stacked SVD
-covariance factors (the stream of numpy's
-multivariate_normal(method="svd")), checks the phases finite once,
-takes their half-angle cosines and sines, and evaluates <C> in place
-through estimation.estimator_mean_curve, which centres the estimator
-and folds the closed form's coefficients once per pass; no
+routine taking noise applies.  recover_covariance hands its seed to
+mc_expectation, one cache-blocked pass for both runs, which share the
+standard normals of default_rng(seed) (common random numbers).  Per
+block of _CURVE_BLOCK normal pairs the kernel draws the block into one
+reused buffer (consecutive draws give the stream of one
+standard_normal((n, 2)) draw), forms every run's phase offsets in one
+product with the runs' stacked SVD covariance factors (the stream of
+numpy's multivariate_normal(method="svd")), checks the phases finite
+once, takes their half-angle cosines and sines, and evaluates <C> in
+place through estimation.estimator_mean_curve, which centres the
+estimator and folds the closed form's coefficients once per pass; no
 configuration is built per block.  The means and standard errors are
-whole-array reductions per run.  At epsilon = 0 the perpendicular run
-would repeat the parallel one, so only one run is made.  An estimator
-without a phase response at the working point
+reduced in place over the one (runs, n) array of <C>, the only
+allocation of a recovery that grows with n.  At epsilon = 0 the
+perpendicular run would repeat the parallel one, so only one run is
+made.  An estimator without a phase response at the working point
 (estimation.estimator_mixed_derivative, the recovery's divisor) raises
 SingularConfigurationError there before any sample is drawn.
 
@@ -74,10 +76,11 @@ __all__ = [
 ]
 
 MIN_MC_SAMPLES = 1_000
-# normals per block of mc_expectation, 64 KiB per float64 row of a run;
-# on a 2-core x86-64 host a perfbench noise pass (minimum of six) timed
-# within 1% of 8 192 at 4 096 and 16 384 rows, 7% slower at 32 768 and
-# 24% slower at 2 048 rows or in one block of 1e5
+# normal pairs per block of mc_expectation, drawn in the block, 64 KiB per
+# float64 row of a run; on a 2-core x86-64 host a perfbench noise pass
+# (median of 30, sizes interleaved) took 126.0 ms at 8 192 pairs, 132.1 ms
+# at 4 096 and 125.3 ms at 16 384, which a second run of 40 put 9% slower
+# (137.5 against 126.4 ms); 136.7 ms at 2 048 and 148.9 ms at 32 768
 _CURVE_BLOCK = 8_192
 MAX_EXPANSION_SIGMA2 = 1e-4
 # finite-difference steps of the expansion: the two Richardson steps are
@@ -125,50 +128,75 @@ def sample_phase_offsets(sigma2: float, epsilon: float, normals: np.ndarray) -> 
     return normals @ _offset_factors(sigma2, (epsilon,)).T
 
 
+def _check_sample_count(n_samples: int) -> None:
+    if n_samples < MIN_MC_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
+
+
 def mc_expectation(
     config: HolometerConfig,
     spec: EstimatorSpec,
     sigma2: float,
     epsilons: Sequence[float],
-    normals: np.ndarray,
+    n_samples: int,
+    seed: int | np.random.Generator,
 ) -> list[tuple[float, float]]:
     """Sample mean and standard error of <C> for each phase covariance
     in ``epsilons`` (at marginal variance sigma2), all runs on the same
-    standard normals of shape (n, 2).
+    n_samples standard normal pairs of default_rng(seed), the stream of
+    one standard_normal((n_samples, 2)) draw.
 
-    One pass over the normals, _CURVE_BLOCK rows at a time: one product
-    with the runs' stacked offset factors gives every run's phase
-    offsets, the phases are checked finite once, and the half-angle
-    cosines and sines feed estimation.estimator_mean_curve, centred once
-    per call, into one (runs, n) array of <C>.  Its mean and standard
-    error are whole-array reductions per run.
+    One pass, _CURVE_BLOCK pairs at a time: each block's normals are
+    drawn into one reused buffer, one product with the runs' stacked
+    offset factors gives every run's phase offsets, the phases are
+    checked finite once, and the half-angle cosines and sines feed
+    estimation.estimator_mean_curve, centred once per call, into one
+    (runs, n_samples) array of <C>.  Its means and standard errors are
+    reduced in place over that array, in the ufunc sequence of np.mean
+    and np.std(ddof=1), whose bits they are.  Raises ValueError for no
+    runs or fewer than MIN_MC_SAMPLES samples.
     """
+    if len(epsilons) == 0:
+        raise ValueError("epsilons must name at least one run")
     for epsilon in epsilons:
         _check_noise(sigma2, epsilon)
-    runs, n = len(epsilons), len(normals)
+    _check_sample_count(n_samples)
+    runs, n = len(epsilons), int(n_samples)
+    rng = np.random.default_rng(seed)
     factors = _offset_factors(sigma2, epsilons)
     centre = np.repeat([config.phi0_1, config.phi0_2], runs)[:, None]
     curve = estimation.estimator_mean_curve(config, spec)
     values = np.empty((runs, n))
-    phases, cosines = np.empty((2, 2 * runs, min(_CURVE_BLOCK, n)))
+    width = min(_CURVE_BLOCK, n)
+    normals = np.empty((width, 2))
+    phases, cosines = np.empty((2, 2 * runs, width))
     for start in range(0, n, _CURVE_BLOCK):
-        stop = min(start + _CURVE_BLOCK, n)
-        # numpy takes a one-row product through its matrix-vector path,
-        # whose rounding differs from the matrix-matrix path of longer
-        # blocks: a one-row tail is the second row of a two-row product
-        first = max(min(start, stop - 2), 0)
-        block = np.matmul(factors, normals[first:stop].T, out=phases[:, :stop - first])
-        block = block[:, start - first:]
+        size = min(_CURVE_BLOCK, n - start)
+        if size > 1:
+            rows = rng.standard_normal(out=normals[:size])
+        else:
+            # numpy takes a one-row product through its matrix-vector
+            # path, whose rounding differs from the matrix-matrix path of
+            # longer blocks: a one-row tail is the second row of a two-row
+            # product whose first is the previous block's last pair
+            normals[0] = normals[-1]
+            rng.standard_normal(out=normals[1])
+            rows = normals[:2]
+        block = np.matmul(factors, rows.T, out=phases[:, :len(rows)])[:, len(rows) - size:]
         block += centre
         if not np.isfinite(block).all():
             raise ValueError("configuration parameters must be finite")
         block *= 0.5
-        c = np.cos(block, out=cosines[:, :stop - start])
+        c = np.cos(block, out=cosines[:, :size])
         s = np.sin(block, out=block)
-        curve(c[:runs], s[:runs], c[runs:], s[runs:], out=values[:, start:stop])
+        curve(c[:runs], s[:runs], c[runs:], s[runs:], out=values[:, start:start + size])
     # an overflowing surface is recover_covariance's OverflowError, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return [(float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(n))) for row in values]
+        means = np.add.reduce(values, axis=1) / n
+        values -= means[:, None]
+        np.multiply(values, values, out=values)
+        errors = np.sqrt(np.add.reduce(values, axis=1) / (n - 1)) / math.sqrt(n)
+    return [(float(mean), float(error)) for mean, error in zip(means, errors)]
 
 
 def recover_covariance(
@@ -184,20 +212,20 @@ def recover_covariance(
     epsilon_hat = (E_par[C] - E_perp[C]) / (d^2<C>/dphi_1 dphi_2), where
     the parallel run has covariance epsilon and the perpendicular run
     none, both at marginal variance sigma2 and on the same n_samples
-    standard normals of default_rng(seed), in one mc_expectation pass.
-    The standard error combines the two run errors as independent.  At
-    epsilon = 0 the runs coincide: only the parallel run is made, and
-    epsilon_hat is exactly +0.0.  Raises where the working point is not
-    symmetric or the estimator has no phase response there
+    standard normal pairs of default_rng(seed), which mc_expectation
+    draws block by block in its one pass over both runs.  The standard
+    error combines the two run errors as independent.  At epsilon = 0
+    the runs coincide: only the parallel run is made, and epsilon_hat is
+    exactly +0.0.  Raises where the working point is not symmetric or
+    the estimator has no phase response there
     (estimation.estimator_mixed_derivative), and OverflowError where the
     standard error overflows float64.
     """
     _check_noise(sigma2, epsilon)
-    if n_samples < MIN_MC_SAMPLES:
-        raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
+    _check_sample_count(n_samples)
     denominator = estimation.estimator_mixed_derivative(config, spec)
-    draw = np.random.default_rng(seed).standard_normal((int(n_samples), 2))
-    runs = mc_expectation(config, spec, sigma2, (epsilon, 0.0) if epsilon else (epsilon,), draw)
+    runs = mc_expectation(config, spec, sigma2, (epsilon, 0.0) if epsilon else (epsilon,),
+                          n_samples, seed)
     (mean_par, se_par), (mean_perp, se_perp) = runs[0], runs[-1]
     difference = mean_par - mean_perp
     # equal means recover +0.0, never the -0.0 of a negative response

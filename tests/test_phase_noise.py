@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from holonoise import estimation, phase_noise
+from holonoise import estimation, observables, phase_noise
 from holonoise.config import HolometerConfig
 from holonoise.observables import UndefinedResultError, closed_form_moments, closed_form_quadrature
 from holonoise.estimation import (
@@ -81,7 +82,7 @@ def test_sample_statistics_track_the_model():
 
 
 def test_mc_expectation_at_zero_noise_is_the_working_point_mean():
-    [(mean, se)] = mc_expectation(DESK, QUAD, 0.0, (0.0,), normals(0, 2_000))
+    [(mean, se)] = mc_expectation(DESK, QUAD, 0.0, (0.0,), 2_000, 0)
     half = np.full(1, DESK.phi0_1 / 2.0)
     [exact] = estimator_mean_curve(DESK, QUAD)(np.cos(half), np.sin(half), np.cos(half),
                                                np.sin(half), out=np.empty(1))
@@ -98,12 +99,29 @@ KIND_CONFIGS = {"quadrature": (QUAD, DESK), "difference": (DIFF, TWB_DESK),
 @pytest.mark.parametrize("n_samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("spec", [QUAD, DIFF], ids=["quadrature", "difference"])
 def test_mc_expectation_is_independent_of_its_blocks(monkeypatch, spec, n_samples):
-    # the same runs in one block over every normal
+    # the same runs in one block, drawn as one standard_normal((n, 2))
     config = DESK if spec is QUAD else TWB_DESK
-    draw = normals(17, n_samples)
-    blocked = mc_expectation(config, spec, 1e-5, (3e-6, 0.0), draw)
+    blocked = mc_expectation(config, spec, 1e-5, (3e-6, 0.0), n_samples, 17)
     monkeypatch.setattr(phase_noise, "_CURVE_BLOCK", n_samples)
-    assert mc_expectation(config, spec, 1e-5, (3e-6, 0.0), draw) == blocked
+    assert mc_expectation(config, spec, 1e-5, (3e-6, 0.0), n_samples, 17) == blocked
+
+
+def test_mc_expectation_takes_a_seed_or_its_generator():
+    runs = mc_expectation(DESK, QUAD, 1e-5, (3e-6, 0.0), 2_000, 4)
+    assert mc_expectation(DESK, QUAD, 1e-5, (3e-6, 0.0), 2_000, np.random.default_rng(4)) == runs
+
+
+@pytest.mark.parametrize("n_samples", [0, 1, MIN_MC_SAMPLES - 1])
+def test_mc_expectation_refuses_too_few_samples(n_samples):
+    # one sample has no standard error and none has no mean: both would
+    # come out as nan
+    with pytest.raises(ValueError, match=f"at least {MIN_MC_SAMPLES}"):
+        mc_expectation(DESK, QUAD, 1e-5, (1e-6, 0.0), n_samples, 0)
+
+
+def test_mc_expectation_refuses_no_runs():
+    with pytest.raises(ValueError, match="at least one run"):
+        mc_expectation(DESK, QUAD, 1e-5, (), 2_000, 0)
 
 
 def reference_recovery(config, spec, sigma2, epsilon, n_samples, seed):
@@ -149,17 +167,22 @@ def test_a_non_finite_offset_raises_the_configuration_error(monkeypatch):
     # the error a configuration at that phase raises
     with pytest.raises(ValueError, match=message):
         DESK.replace(phi0_2=DESK.phi0_2 + math.inf)
-    with pytest.raises(ValueError, match=message):
-        mc_expectation(DESK, QUAD, 1e-5, (1e-6, 0.0), draw)
 
     class Poisoned:
-        def __init__(self, seed):
-            pass
+        """Serves ``draw`` in order to the kernel's per-block draws, as
+        a generator's consecutive draws serve its one stream."""
 
-        def standard_normal(self, shape):
-            return draw[:shape[0]]
+        def __init__(self, seed):
+            self.stream = draw.ravel()
+
+        def standard_normal(self, *, out):
+            out.flat[:] = self.stream[:out.size]
+            self.stream = self.stream[out.size:]
+            return out
 
     monkeypatch.setattr(np.random, "default_rng", Poisoned)
+    with pytest.raises(ValueError, match=message):
+        mc_expectation(DESK, QUAD, 1e-5, (1e-6, 0.0), len(draw), 0)
     with pytest.raises(ValueError, match=message):
         recover_covariance(DESK, QUAD, 1e-5, 0.0, len(draw), 0)
 
@@ -200,15 +223,34 @@ def _count_calls(monkeypatch, owner, name):
 @pytest.mark.parametrize("spec", [QUAD, SUM], ids=["quadrature", "sum"])
 def test_mc_expectation_centres_its_three_blocks_once(monkeypatch, spec):
     # three blocks of normals and two runs: one surface, centred once at
-    # the working point, and no draw of its own
+    # the working point, and one generator for all blocks
     config = DESK if spec is QUAD else TWB_DESK.replace(psi=0.0)
-    draw = normals(3, 2 * BLOCK + 3)
     surfaces = _count_calls(monkeypatch, estimation, "estimator_mean_curve")
     centers = _count_calls(monkeypatch, estimation, "estimator_center")
     draws = _count_calls(monkeypatch, np.random, "default_rng")
-    runs = mc_expectation(config, spec, 1e-5, (3e-6, 0.0), draw)
+    runs = mc_expectation(config, spec, 1e-5, (3e-6, 0.0), 2 * BLOCK + 3, 3)
     assert len(runs) == 2
-    assert (len(surfaces), len(centers), len(draws)) == (1, 1, 0)
+    assert (len(surfaces), len(centers), len(draws)) == (1, 1, 1)
+
+
+def test_the_quadrature_mean_curve_runs_no_variance_step(monkeypatch):
+    # the product's <C> reads the means and the covariance only: the
+    # variance step runs once, in the closed form of the centre
+    steps = []
+    variances_at = observables._quadrature_variances_at
+
+    def counted_at(config):
+        variances = variances_at(config)
+
+        def counted(c1, c2):
+            steps.append(c1.shape)
+            return variances(c1, c2)
+
+        return counted
+
+    monkeypatch.setattr(observables, "_quadrature_variances_at", counted_at)
+    mc_expectation(DESK, QUAD, 1e-5, (3e-6, 0.0), 2 * BLOCK + 3, 3)
+    assert steps == [()]
 
 
 @pytest.mark.parametrize("spec", [QUAD, DIFF], ids=["quadrature", "difference"])
@@ -221,9 +263,9 @@ def test_recovery_at_zero_covariance_evaluates_the_surface_once(monkeypatch, spe
     runs = []
     kernel = phase_noise.mc_expectation
 
-    def counted(config, spec, sigma2, epsilons, draw):
+    def counted(config, spec, sigma2, epsilons, n_samples, seed):
         runs.append(tuple(epsilons))
-        return kernel(config, spec, sigma2, epsilons, draw)
+        return kernel(config, spec, sigma2, epsilons, n_samples, seed)
 
     monkeypatch.setattr(phase_noise, "mc_expectation", counted)
     eps_hat, se = recover_covariance(config, spec, 1e-5, 0.0, 5_000, 8)
@@ -237,13 +279,29 @@ def test_recovery_at_zero_covariance_evaluates_the_surface_once(monkeypatch, spe
 
 def test_recovery_equals_its_two_steps():
     sigma2, epsilon, n_samples, seed = 1e-5, 2e-6, 4_000, 21
-    draw = normals(seed, n_samples)
     (mean_par, se_par), (mean_perp, se_perp) = mc_expectation(
-        DESK, QUAD, sigma2, (epsilon, 0.0), draw)
+        DESK, QUAD, sigma2, (epsilon, 0.0), n_samples, seed)
     denominator = estimation.estimator_mixed_derivative(DESK, QUAD)
     eps_hat, se = recover_covariance(DESK, QUAD, sigma2, epsilon, n_samples, seed)
     assert eps_hat == (mean_par - mean_perp) / denominator
     assert se == math.hypot(se_par, se_perp) / abs(denominator)
+
+
+def test_recovery_memory_grows_only_with_its_values_array():
+    # the one allocation of a recovery that grows with the sample count is
+    # the (runs, n) array of <C>: the normals are drawn block by block and
+    # the standard errors reduced in place
+    def peak(n_samples):
+        tracemalloc.start()
+        try:
+            recover_covariance(DESK, QUAD, 1e-5, 1e-6, n_samples, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    recover_covariance(DESK, QUAD, 1e-5, 1e-6, 2_000, 0)  # first-call work outside the trace
+    growth = peak(200_000) - peak(100_000)
+    assert growth <= 1.05 * 2 * 100_000 * 8
 
 
 def test_recovery_rejects_an_estimator_without_phase_response(monkeypatch):
