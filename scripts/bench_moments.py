@@ -13,10 +13,10 @@ expectation of both runs over 1e5 normal pairs (their draws included)
 and one covariance recovery per estimator kind (at the mc-estimate
 defaults, epsilon = 1e-6, 1e5 samples), each recovery with the minor
 page faults of one call after the timed ones and the tracemalloc peak
-of another, the truncated-Fock oracle and its
-beam-splitter transform alone on the largest arm block of the oracle's
-envelope, the oracle's joint photon-number distribution there and its
-quadrature moments at low occupancy, the oracle over the 100
+of another, the truncated-Fock oracle, its joint photon-number
+distribution at the edge of its envelope, its quadrature moments at low
+occupancy and at that edge (twin beams and squeezed input), the oracle
+over the 100
 configurations oracle-check draws at its default seed (one batched call),
 its stages (inputs and cutoffs, the recurrence with the arms' Grams, the
 joint distributions and the moment readout), one stacked engine
@@ -68,9 +68,8 @@ from holonoise.config import HolometerConfig
 from holonoise.crosscheck import DEFAULT_SEED, _engine_moments, sample_guardrail_config
 from holonoise.estimation import EstimatorSpec, estimator_mixed_derivative, u0
 from holonoise.fock_oracle import (
-    _arm_block, _arm_grams, _bs_pair_transform, _checked_pmf, _factorial_moments, _joint_pmfs,
-    _port_magnitudes, _readouts, fock_joint_pmf, fock_quadrature_moments, oracle_moments,
-    port_cutoffs,
+    _arm_grams, _checked_pmf, _factorial_moments, _joint_pmfs, _port_magnitudes, _readouts,
+    fock_joint_pmf, fock_quadrature_moments, oracle_moments, port_cutoffs,
 )
 from holonoise.holometer import propagate, quadrature_readout, readout_moments
 from holonoise.moments import compare_moments
@@ -89,6 +88,7 @@ DIM = HolometerConfig(mu=1.5, psi=math.pi / 2, lam=0.4, eta=0.9,
 # the oracle's envelope edge: mean coherent 4, mean pair occupancy 1
 EDGE = HolometerConfig(mu=4.0, psi=math.pi / 2, lam=1.0, eta=0.9,
                        phi0_1=0.8, phi0_2=0.8, input_kind="TWB")
+EDGE_SQ = EDGE.replace(input_kind="TwoSqueezed")
 # the largest grid a sweep accepts
 CAP_SCAN = ["uncertainty-scan", "--variable", "phi0",
             "--grid", f"1e-8:1e-1:{cli.MAX_GRID_POINTS}:log"]
@@ -242,10 +242,10 @@ def main() -> int:
     rows.append(clock("fock_quadrature_moments (dim)",
                       lambda: fock_quadrature_moments(DIM), max(1, repeat // 10),
                       {"config": DIM.to_dict()}))
-    _, edge_block = _arm_block(EDGE)
-    rows.append(clock("beam-splitter transform, one arm block (edge twb)",
-                      lambda: _bs_pair_transform(edge_block, EDGE.phi0_1), max(1, repeat // 10),
-                      {"config": EDGE.to_dict(), "block_shape": list(edge_block.shape)}))
+    for label, config in (("edge twb", EDGE), ("edge squeezed", EDGE_SQ)):
+        rows.append(clock(f"fock_quadrature_moments ({label})",
+                          lambda config=config: fock_quadrature_moments(config),
+                          max(1, repeat // 10), {"config": config.to_dict()}))
     # the configurations oracle-check draws at its default seed
     rng = np.random.default_rng(DEFAULT_SEED)
     drawn = tuple(sample_guardrail_config(rng) for _ in range(3 if args.quick else 100))

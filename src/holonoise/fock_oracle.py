@@ -21,10 +21,13 @@ diag(1, i) R^T diag(1, -i)), so its sector block is
 T_s[p, m] = i^(m-p) R_s[p, m] with R_s real.  Twin-beam and
 coherent-only inputs carry phases linear in photon number, which fold
 into a real kernel over the pair index; their arms, Grams and joint
-distribution are real arrays.  Squeezed input is rank one and keeps its
-amplitudes complex, but the output phase i^(-p) drops out of its Gram.
-Detection loss scales the joint falling-factorial moments by eta per
-order, which is exact for binomial loss.
+distribution are real arrays.  Squeezed input is rank one; the output
+phase i^(-p) drops out of its Gram, and its column amplitudes are
+carried as real and imaginary parts.  The quadrature moments read the
+same real arms: their phases fold into the same cosine kernel, so the
+module computes in real arithmetic throughout.  Detection loss scales
+the joint falling-factorial moments by eta per order, which is exact
+for binomial loss.
 
 One pass serves a whole set of configurations.  The input magnitudes
 and cutoffs are built for the set at once, one (configurations x
@@ -46,9 +49,10 @@ joint distribution in one product over the packed pair triangle, one
 factor times its own transpose when the two phases are equal (every
 configuration oracle-check draws).  The moments of the whole set are
 read out together, one stacked 5 x 5 product per step, into one carrier
-of arrays over the set.  A single configuration, a general amplitude
-block (_bs_pair_transform) and the quadrature route are batches of
-one.  At the default seed and at seeds 1000-1004, one ``oracle-check
+of arrays over the set.  A single configuration is a batch of one,
+and the quadrature route runs the recurrence on the one or two arms of
+one configuration, summing three real matrices over the sectors (the
+comment above fock_quadrature_moments).  At the default seed and at seeds 1000-1004, one ``oracle-check
 --n-configs 100`` makes 43-49 recurrence runs and 2 339-2 699 sector
 steps, and the oracle's allocations peak at 3.5-4.4 MiB under
 tracemalloc (3.9-4.9 MiB with a distribution formed in blocks of _ROWS
@@ -223,28 +227,6 @@ def _cutoffs(magnitudes: tuple[list, list, list]) -> tuple[np.ndarray, np.ndarra
     return lengths[:, 0], lengths[:, 1]
 
 
-def _phased(
-    config: HolometerConfig, pairs: np.ndarray, quantum: np.ndarray | None, coherent: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The complex amplitudes behind the magnitudes of one configuration:
-    pair weights, quantum-port amplitudes (None for pair-diagonal input)
-    and coherent-port amplitudes."""
-    weights = pairs * np.exp(1j * config.theta * np.arange(len(pairs)))
-    if quantum is not None:
-        turn = 2.0 * config.squeezed_quadrature_angle - math.pi  # per squeezed pair k = m / 2
-        quantum = quantum * np.exp(0.5j * turn * np.arange(len(quantum)))
-    return weights, quantum, coherent * np.exp(1j * config.psi * np.arange(len(coherent)))
-
-
-def _arm_block(config: HolometerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Pair weights and the dense complex input block (quantum, coherent,
-    pair index) that both arms share, each pair index unweighted; the
-    quadrature route transforms it whole."""
-    weights, quantum, coh = _phased(config, *(port[0] for port in _port_magnitudes([config])))
-    q_vecs = np.eye(len(weights), dtype=complex) if quantum is None else quantum[None, :]
-    return weights, q_vecs.T[:, None, :] * coh[None, :, None]
-
-
 # ---------------------------------------------------------------------------
 # beam splitter, sector by sector
 
@@ -387,47 +369,6 @@ def _chunks(members: list, keeps_bands: bool) -> Iterator[list]:
         start = stop
 
 
-# i^k for k mod 4, exact: multiplying by one swaps or negates parts
-_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
-
-
-def _bs_pair_transform(
-    block: np.ndarray,
-    phi: float,
-    convention: str = "i",
-) -> np.ndarray:
-    """Apply the beam splitter on a complex (n_a, n_b, batch) amplitude
-    block: sum_m T_s[p, m] block[m, s - m] into out[p, s - p], the
-    output axes reaching every sector n_a + n_b - 1 of the input.
-
-    Under the "i" convention the transformed mode a is
-    cos(phi/2) a + i sin(phi/2) b, the port that keeps mode a's content
-    at phi = 0.  The recurrence runs once, as a batch of one, on the
-    real and imaginary parts together (the complex block viewed as
-    reals); under "i" the input rows m are first multiplied by i^m and
-    the output rows p by i^(-p), which is T_s[p, m] = i^(m-p) R_s[p, m]."""
-    block = np.ascontiguousarray(block, dtype=complex)
-    phases = convention == "i"
-    if phases:
-        block = block * _I_POWERS[np.arange(block.shape[0]) % 4, None, None]
-    real = block.view(float)
-    na, nb, batch = real.shape
-    smax = na + nb - 2
-    out = np.zeros((smax + 1, smax + 1, batch))
-    # entry (p, s - p) of the output sits at s + p smax once flattened
-    targets = out.reshape(-1, batch)
-    roots, rows = _root_factorials(smax + 1), _row_scales(smax)
-    for s, _, band in _sector_bands([phi], convention, np.array([na]), np.array([nb])):
-        ks = np.arange(max(0, s - na + 1), min(s, nb - 1) + 1)
-        columns = real[s - ks, ks] * (roots[ks] * roots[s - ks])[:, None]
-        targets[s : s * (smax + 1) + 1 : max(smax, 1)] = (
-            rows[s, : s + 1, None] * (band[0][:, ks] @ columns))
-    out = out.view(complex)
-    if phases:
-        out *= _I_POWERS[-np.arange(out.shape[0]) % 4, None, None]
-    return out
-
-
 def two_photon_coincidence(convention: str = "i") -> float:
     """Coincidence probability for one photon in each port of a
     balanced beam splitter.
@@ -487,7 +428,9 @@ def two_photon_coincidence(convention: str = "i") -> float:
 # i^m e^{-i psi m} a_m |b_{s-m}| ("real-symmetric" without i^m), and
 # the Gram accumulates sector by sector.  With a_m = |a_m| e^{i (2 chi - pi) k}
 # at m = 2k the column's phase is e^{i (2 chi - 2 psi) k} under "i" and
-# e^{i (2 chi - pi - 2 psi) k} under "real-symmetric".
+# e^{i (2 chi - pi - 2 psi) k} under "real-symmetric".  The column is
+# carried as its real and imaginary parts, |a_m| times the cosine and
+# sine of that phase, so the band meets a real (n, 2) column.
 
 
 def _pair_diagonal_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, np.ndarray]]:
@@ -535,9 +478,10 @@ def _pair_diagonal_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, 
 
 def _squeezed_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, np.ndarray]]:
     """(key, Gram (detected,)) of each member of a chunk of squeezed
-    arms, members (reach, key, phi, complex column amplitudes, |b|),
-    accumulated over the sectors as sum |R_s . column|^2, with the
-    scaling of Q split between the column and the rows."""
+    arms, members (reach, key, phi, column amplitudes as (n, 2) real and
+    imaginary parts, |b|), accumulated over the sectors as
+    sum |R_s . column|^2, with the scaling of Q split between the column
+    and the rows."""
     na = np.array([len(member[3]) for member in chunk])
     nb = np.array([len(member[4]) for member in chunk])
     size, width = int(chunk[0][0]) + 1, int(nb.max()) + 1
@@ -549,8 +493,7 @@ def _squeezed_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, np.nd
     amplitudes = np.zeros((len(chunk), size + width, 2))
     for j, member in enumerate(chunk):
         magnitudes[j, : nb[j], 0] = roots[: nb[j]] * member[4]
-        amplitudes[j, width - 1 : width - 1 + na[j]] = (
-            roots[: na[j], None] * member[3].view(float).reshape(-1, 2))
+        amplitudes[j, width - 1 : width - 1 + na[j]] = roots[: na[j], None] * member[3]
     gram = np.zeros((len(chunk), size))
     for s, a, band in _sector_bands([member[2] for member in chunk], convention, na, nb):
         # column k meets amplitude m = s - k
@@ -591,7 +534,8 @@ def _arm_grams(
             kernels[index] = None
             turn = 2.0 * (config.squeezed_quadrature_angle - config.psi) - shift
             length = len(quantum[index])
-            arm_input = quantum[index] * np.exp(0.5j * turn * np.arange(length))
+            angle = 0.5 * turn * np.arange(length)
+            arm_input = quantum[index][:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
         phases = (config.phi0_1,) if config.phi0_2 == config.phi0_1 else (config.phi0_1, config.phi0_2)
         # a member: (reach, key, phi, pair count or column amplitudes, |b|)
         groups.setdefault(config.input_kind, []).extend(
@@ -762,49 +706,84 @@ def _oracle_set(
                           centered=centered), _cutoffs(magnitudes)
 
 
+# ---------------------------------------------------------------------------
+# quadrature readout
+
+# Both readouts measure the signal quadrature
+# x = (a e^{-i chi} + a+ e^{i chi}) / sqrt(2), chi = psi + pi/2.  Under
+# "i" the arm of input |m> (x) |coherent> is, at detected p and
+# discarded s - p, i^(m-p) e^{i psi (s-m)} A_s[p, m] with the real
+#   A_s[p, m] = R_s[p, m] |b_{s-m}|,
+# so between inputs m' and m, with f = e^{i (m-m') (pi/2 - psi)},
+#   <m'|a+ a|m> = f N[m', m],  <m'|a|m> e^{-i chi} = -f L[m', m],
+#   <m'|a^2|m> e^{-2 i chi} = f L2[m', m],
+# real sums over the sectors and the detected port:
+#   N = sum A_s[p, m'] p A_s[p, m],
+#   L = sum A_s[p, m'] sqrt(p+1) A_{s+1}[p+1, m],
+#   L2 = sum A_s[p, m'] sqrt((p+1)(p+2)) A_{s+2}[p+2, m].
+# The input phases complete f to the kernel of the joint distributions:
+# pair weights e^{i theta m} on both arms give
+#   K[m', m] = |c_m'| |c_m| cos((m - m') (theta + pi - 2 psi)),
+# squeezed amplitudes e^{i (chi_sq - pi/2) m} give
+#   K[m', m] = |a_m'| |a_m| cos((m - m') (chi_sq - psi)),
+# the real parts of the phased sums, N being symmetric.  A one-arm
+# moment of pair-diagonal input meets the other arm's Gram, the
+# identity, and reads W = diag K; rank-one input reads W = K, the other
+# arm's norm being 1:
+#   <x> = -sqrt(2) sum W o L,  <x^2> = sum W o (N + L2) + 1/2.
+# Twin beams correlate the arms through <m'|x|m> = -f (L + L^T)[m', m]
+# / sqrt(2) on each, so <x1 x2> = sum K o (L1 + L1^T) o L2, K and
+# L1 + L1^T being symmetric; product inputs have no covariance.
+
+
+def _arm_quadrature_sums(phis: Sequence[float], n_quantum: int, coherent: np.ndarray) -> np.ndarray:
+    """(3, arms, n_quantum, n_quantum): N, L and L2 above for the arm at
+    each of ``phis``, from one recurrence run on them as members.  Only
+    the last two sectors' arms are kept, and each product is added into
+    the window of inputs m that its two sectors reach."""
+    count, nb = len(phis), len(coherent)
+    roots, rows = _root_factorials(n_quantum + nb), _row_scales(n_quantum + nb - 2)
+    sums = np.zeros((3, count, n_quantum, n_quantum))
+    recent: list[tuple[slice, np.ndarray]] = []  # (window, A) of sectors s - 1 and s - 2
+    for s, _, band in _sector_bands(phis, "i", np.full(count, n_quantum), np.full(count, nb)):
+        window = slice(max(0, s - nb + 1), min(s, n_quantum - 1) + 1)
+        m = np.arange(window.start, window.stop)
+        k = s - m
+        arm = band[:, :, k] * (rows[s, : s + 1, None] * (roots[k] * roots[m] * coherent[k]))
+        p = np.arange(s + 1.0)
+        # sector s - d meets the rows p >= d of sector s
+        factors = (p, np.sqrt(p[1:]), np.sqrt(p[2:] * p[1:-1]))
+        for total, (before, earlier), factor in zip(sums, [(window, arm), *recent], factors):
+            total[:, before, window] += earlier.swapaxes(1, 2) @ (
+                factor[:, None] * arm[:, s + 1 - len(factor) :])
+        recent = [(window, arm), *recent[:1]]
+    return sums
+
+
 def fock_quadrature_moments(config: HolometerConfig) -> QuadratureMoments:
     """Means and covariance of the quadrature that carries the phase
-    signal, per detected port.
+    signal, per detected port, from the real sums N, L and L2 of each
+    arm (the comment above).
 
     Loss is applied analytically: means scale with sqrt(eta), variances
     mix with vacuum noise, the cross covariance scales with sqrt(eta1 eta2).
     """
-    chi = config.signal_quadrature_angle
-    weights, block = _arm_block(config)
-    cc = np.multiply.outer(weights, weights.conj())
-
-    def lower(arm: np.ndarray) -> np.ndarray:
-        # the detected port's annihilator, on axis 0
-        out = np.zeros_like(arm)
-        out[:-1] = arm[1:] * np.sqrt(np.arange(1.0, len(arm)))[:, None, None]
-        return out
-
-    def gram(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-        # <bra_M|ket_m> over the detected and discarded ports
-        return np.tensordot(bra.conj(), ket, axes=([0, 1], [0, 1]))
-
-    def grams(phi: float) -> tuple[np.ndarray, ...]:
-        arm = _bs_pair_transform(block, phi)  # (detected, discarded, rank)
-        a = lower(arm)
-        return gram(arm, arm), gram(arm, a), gram(arm, lower(a)), gram(a, a)
-
-    # both arms see the same input block, so equal phases share one transform
-    first = grams(config.phi0_1)
-    second = first if config.phi0_2 == config.phi0_1 else grams(config.phi0_2)
-    (g1_id, g1_a, g1_aa, g1_n), (g2_id, g2_a, g2_aa, g2_n) = first, second
-
-    def expval(ga: np.ndarray, gb: np.ndarray) -> complex:
-        return complex(np.einsum("mM,Mm,Mm->", cc, ga, gb))
-
-    d1 = expval(g1_a, g2_id)
-    d2 = expval(g1_id, g2_a)
-    mean1 = math.sqrt(2.0) * (d1 * np.exp(-1j * chi)).real
-    mean2 = math.sqrt(2.0) * (d2 * np.exp(-1j * chi)).real
-    x1_sq = (expval(g1_aa, g2_id) * np.exp(-2j * chi)).real + expval(g1_n, g2_id).real + 0.5
-    x2_sq = (expval(g1_id, g2_aa) * np.exp(-2j * chi)).real + expval(g1_id, g2_n).real + 0.5
-    both = (expval(g1_a, g2_a) * np.exp(-1j * (chi + chi))).real
-    cross = expval(g1_a.conj().T, g2_a).real  # the e^{i(chi - chi)} phase is 1
-    cov0 = both + cross - mean1 * mean2
+    pairs, quantum, coherent = (port[0] for port in _port_magnitudes([config]))
+    if quantum is None:  # pair-diagonal: arm r starts as |r>
+        moduli, turn = pairs, config.theta + math.pi - 2.0 * config.psi
+    else:
+        moduli, turn = quantum, config.squeezed_quadrature_angle - config.psi
+    m = np.arange(len(moduli))
+    kernel = np.multiply.outer(moduli, moduli) * np.cos(np.subtract.outer(m, m) * turn)
+    weight = np.diag(np.diag(kernel)) if quantum is None else kernel
+    phases = (config.phi0_1,) if config.phi0_2 == config.phi0_1 else (config.phi0_1, config.phi0_2)
+    # arms 1 and 2, one array twice for equal phases
+    number, lower, lower2 = _arm_quadrature_sums(phases, len(moduli), coherent)[:, [0, -1]]
+    mean1, mean2 = (-math.sqrt(2.0) * np.einsum("mn,jmn->j", weight, lower)).tolist()
+    x1_sq, x2_sq = (np.einsum("mn,jmn->j", weight, number + lower2) + 0.5).tolist()
+    cov0 = 0.0
+    if config.input_kind is InputKind.TWB:
+        cov0 = float(np.sum(kernel * (lower[0] + lower[0].T) * lower[1])) - mean1 * mean2
 
     eta1, eta2 = config.eta_pair
     return QuadratureMoments(

@@ -129,6 +129,9 @@ def sample_phase_offsets(sigma2: float, epsilon: float, normals: np.ndarray) -> 
 
 
 def _check_sample_count(n_samples: int) -> None:
+    # a float count would be truncated by int(), and inf or nan would fail there
+    if not isinstance(n_samples, (int, np.integer)):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
 
@@ -154,7 +157,8 @@ def mc_expectation(
     (runs, n_samples) array of <C>.  Its means and standard errors are
     reduced in place over that array, in the ufunc sequence of np.mean
     and np.std(ddof=1), whose bits they are.  Raises ValueError for no
-    runs or fewer than MIN_MC_SAMPLES samples.
+    runs, a sample count that is not an integer (Python or numpy) or
+    fewer than MIN_MC_SAMPLES samples.
     """
     if len(epsilons) == 0:
         raise ValueError("epsilons must name at least one run")

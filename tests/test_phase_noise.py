@@ -192,6 +192,22 @@ def test_a_non_finite_offset_raises_the_configuration_error(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n_samples", [1000.9, math.inf, math.nan, MIN_MC_SAMPLES - 1],
+                         ids=["fraction", "inf", "nan", "too-few"])
+def test_a_sample_count_must_be_an_integer_of_at_least_the_minimum(n_samples):
+    # 1000.9 was truncated to the 1 000-sample result, inf and nan failed
+    # inside int() with errors that named no argument
+    with pytest.raises(ValueError, match="n_samples"):
+        recover_covariance(DESK, QUAD, 1e-6, 1e-7, n_samples, 0)
+    with pytest.raises(ValueError, match="n_samples"):
+        mc_expectation(DESK, QUAD, 1e-6, (1e-7, 0.0), n_samples, 0)
+
+
+def test_a_numpy_integer_sample_count_is_a_count():
+    assert (recover_covariance(DESK, QUAD, 1e-6, 1e-7, np.int64(MIN_MC_SAMPLES), 0)
+            == recover_covariance(DESK, QUAD, 1e-6, 1e-7, MIN_MC_SAMPLES, 0))
+
+
 def test_recover_covariance_guards():
     with pytest.raises(ValueError, match=f"at least {MIN_MC_SAMPLES}"):
         recover_covariance(DESK, QUAD, 1e-6, 0.0, MIN_MC_SAMPLES - 1, 0)
