@@ -9,8 +9,9 @@ build), one stacked fourth-order readout over 1 000 phase pairs, the
 exact mixed phase derivative, one zero-order uncertainty evaluation and
 one variance expansion per estimator kind, the Gauss-Hermite
 phase-noise variance, the Monte-Carlo
-expectation of both runs over 1e5 normal pairs (their draws included)
-and one covariance recovery per estimator kind (at the mc-estimate
+expectation of both runs over 1e5 normal pairs (their draws included;
+for the quadrature product on squeezed input, whose surface reads no
+cosine, and on twin beams, whose surface does) and one covariance recovery per estimator kind (at the mc-estimate
 defaults, epsilon = 1e-6, 1e5 samples), each recovery with the minor
 page faults of one call after the timed ones and the tracemalloc peak
 of another, the truncated-Fock oracle, its joint photon-number
@@ -29,12 +30,19 @@ sweep at the grid cap, oracle-check over 100 configurations at seed
 Regressions in the hot paths show up as numbers rather than as slow
 test suites.
 
+Each row reports the median wall time and the median CPU time of the
+process per call.  The run opens and closes with the same drift probe,
+a fixed piece of numpy and Python work that runs no holonoise code:
+where the host slows down during a run, the two probe rows disagree,
+and rows of two runs compare only where each run's probes agree.
+
 ``--json PATH`` also writes the record: per row the median and the
-minimum over the timed calls and the inputs (and the page faults and
-peak where the row measures them), and for the run the git
-revision, the Python and numpy versions, the processor count and the
-BLAS thread variables.  ``--quick`` times one call per row on small
-inputs, to check that every row runs.
+minimum wall time and the median CPU time over the timed calls and
+the inputs (and the page faults and peak where the row measures
+them), and for the run the git revision, the Python and numpy
+versions, the processor count, the BLAS thread variables and the
+drift probe's start and end medians and their ratio.  ``--quick`` times
+one call per row on small inputs, to check that every row runs.
 
 Usage:
     python3 scripts/bench_moments.py [--repeat 50] [--json BENCH.json] [--quick]
@@ -96,18 +104,19 @@ BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def clock(label: str, fn, repeat: int, inputs: dict, memory: bool = False) -> dict:
-    """Median and minimum wall time of ``repeat`` calls after one warm-up
-    call; with ``memory`` also the minor page faults of one more call and
+    """Median and minimum wall time and median process CPU time of
+    ``repeat`` calls after one warm-up call; with ``memory`` also the minor page faults of one more call and
     the tracemalloc peak of another."""
     fn()  # warm up caches and allocations outside the timed calls
-    times = []
+    times, cpu_times = [], []
     for _ in range(repeat):
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.process_time()
         fn()
+        cpu_times.append(time.process_time() - cpu_start)
         times.append(time.perf_counter() - start)
-    median = statistics.median(times)
+    median, cpu_median = statistics.median(times), statistics.median(cpu_times)
     row = {"label": label, "repeat": repeat, "median_ms": 1e3 * median,
-           "min_ms": 1e3 * min(times), "inputs": inputs}
+           "min_ms": 1e3 * min(times), "cpu_median_ms": 1e3 * cpu_median, "inputs": inputs}
     note = ""
     if memory:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -120,8 +129,25 @@ def clock(label: str, fn, repeat: int, inputs: dict, memory: bool = False) -> di
         finally:
             tracemalloc.stop()
         note = f" [{row['minor_page_faults']} faults, {row['tracemalloc_peak_mib']:.2f} MiB peak]"
-    print(f"{label + note:<52s} {1e3 * median:9.3f} ms/call")
+    print(f"{label + note:<52s} {1e3 * cpu_median:9.3f} cpu {1e3 * median:9.3f} ms/call")
     return row
+
+
+# the drift probe's buffers, made once: a fresh 512 KiB array per call
+# would time the allocator's state (mmap or heap) rather than the host
+PROBE_IN = np.linspace(0.0, 1.0, 65_536)
+PROBE_OUT = np.empty_like(PROBE_IN)
+
+
+def drift_probe() -> None:
+    """Fixed host work, the same in every tree and run: the sines of
+    65 536 floats into a reused buffer and a 65 536-step Python loop."""
+    np.sin(PROBE_IN, out=PROBE_OUT)
+    sum(range(65_536))
+
+
+def probe_row(when: str, repeat: int) -> dict:
+    return clock(f"drift probe ({when})", drift_probe, repeat, {"work": drift_probe.__doc__})
 
 
 def count(n: int) -> str:
@@ -171,6 +197,7 @@ def main() -> int:
     bright = {"config": BRIGHT.to_dict()}
 
     rows = [
+        probe_row("start", repeat),
         clock("closed-form first/second moments (bright)",
               lambda: closed_form_moments(BRIGHT), repeat, bright),
     ]
@@ -216,7 +243,8 @@ def main() -> int:
                       lambda: direct_variance(BRIGHT, diff, 1e-5, 0.0), max(1, repeat // 10),
                       {**bright, "estimator": diff.kind.value, "sigma2": 1e-5, "epsilon": 0.0}))
     # the mc-estimate defaults of each estimator: twin beams for the photon
-    # readouts (the sum one at psi = 0), squeezed input for the product
+    # readouts (the sum one at psi = 0), squeezed input for the product,
+    # whose surface reads no cosine there
     desk_twb = DESK.replace(input_kind="TWB")
     for label, config, spec in (("difference readout", desk_twb, diff),
                                 ("sum readout", desk_twb.replace(psi=0.0), plus),
@@ -231,6 +259,11 @@ def main() -> int:
                           lambda config=config, spec=spec: recover_covariance(
                               config, spec, 1e-5, 1e-6, samples_n, 0),
                           max(1, repeat // 10), noise, memory=True))
+    # the product on twin beams, whose covariance reads the cosines too
+    rows.append(clock(f"mc_expectation {count(samples_n)} normals, both runs, "
+                      "quadrature product on twin beams",
+                      lambda: mc_expectation(desk_twb, quad, 1e-5, (1e-6, 0.0), samples_n, 0),
+                      max(1, repeat // 10), {**noise, "config": desk_twb.to_dict()}))
     # the oracle walks a truncated number basis, so it only runs at low
     # occupancy; this is the guardrail-domain cost, not the bright one
     rows.append(clock("fock oracle end-to-end, order 4 (dim)",
@@ -296,8 +329,10 @@ def main() -> int:
         argv += ["--n-samples", str(samples_n)] if args.quick else []
         rows.append(clock(f"mc-estimate {estimator}, in-process", scan(argv),
                           max(1, repeat // 10), {"argv": argv}))
+    rows.append(probe_row("end", repeat))
 
     if args.json:
+        start, end = rows[0]["median_ms"], rows[-1]["median_ms"]
         record = {
             "git_revision": git_revision(),
             "python": platform.python_version(),
@@ -305,6 +340,7 @@ def main() -> int:
             "nproc": os.cpu_count(),
             "blas_threads": {name: os.environ.get(name, "unset") for name in BLAS_VARIABLES},
             "quick": args.quick,
+            "drift_probe": {"start_ms": start, "end_ms": end, "end_over_start": end / start},
             "rows": rows,
         }
         Path(args.json).write_text(json.dumps(record, indent=1) + "\n")

@@ -359,13 +359,18 @@ def _cmd_uncertainty_scan(args: argparse.Namespace) -> int:
         spec = EstimatorSpec(kind=kind)
         value = estimation.u0(cfg, spec)
         off = estimation.off_pairing(cfg, spec)
-        singular = np.isnan(estimation.estimator_mixed_derivative(cfg, spec))
-        flag = np.where(singular, f"singular:{label}", "")
-        undefined = np.isnan(value) & ~(singular | off)
-        if undefined.any():  # rare: only then is Var[C] read again
-            negative = np.isnan(estimation.estimator_variance(cfg, spec))
-            flag = np.where(undefined, np.where(negative, f"negative_variance:{label}",
-                                                f"overflow:{label}"), flag)
+        flag = np.full(value.shape, "")
+        unexplained = np.isnan(value) & ~off
+        # rare: only then are the derivative and Var[C] read again (a
+        # member without phase response reads nan in u0)
+        if unexplained.any():
+            singular = np.isnan(estimation.estimator_mixed_derivative(cfg, spec))
+            flag = np.where(singular, f"singular:{label}", flag)
+            undefined = unexplained & ~singular
+            if undefined.any():
+                negative = np.isnan(estimation.estimator_variance(cfg, spec))
+                flag = np.where(undefined, np.where(negative, f"negative_variance:{label}",
+                                                    f"overflow:{label}"), flag)
         return value, np.where(off, f"psi_mismatch:{label}", flag).tolist()
 
     u_twb, flag_twb = readout(twb, "TwbDifferenceSquared", "twb")
@@ -485,6 +490,9 @@ _ESTIMATOR_CHOICES = {
     "sum-squared": EstimatorKind.TWB_SUM_SQUARED,
     "quadrature-product": EstimatorKind.QUADRATURE_PRODUCT,
 }
+# distinct injected covariances the linearity fit needs: a line through
+# two fits any recovery, and repeats of one value have no slope
+_MIN_FIT_VALUES = 3
 
 
 def _cmd_mc_estimate(args: argparse.Namespace) -> int:
@@ -511,7 +519,11 @@ def _cmd_mc_estimate(args: argparse.Namespace) -> int:
     summary: list[str] = []
     worst_pull = max(map(abs, pull.tolist()))
     summary.append(f"worst |pull| over {len(eps)} injected covariances: {worst_pull:.2f}")
-    if len(eps) >= 3:
+    distinct = len(set(eps.tolist()))
+    if distinct < _MIN_FIT_VALUES:
+        summary.append(f"linearity fit skipped: the injected covariances take {distinct} "
+                       f"distinct value(s), and a fit needs at least {_MIN_FIT_VALUES}")
+    else:
         design = np.column_stack([eps, np.ones_like(eps)])
         coef, _, _, _ = np.linalg.lstsq(design, hats, rcond=None)
         fitted = design @ coef

@@ -30,10 +30,13 @@ the Monte-Carlo covariance recovery (phase_noise) both divide by it,
 and it raises SingularConfigurationError where it vanishes or is pure
 cancellation of its terms.  Only the two estimator surfaces evaluate
 away from the working point, each centered (estimator_center) once per
-call at the working point of ``config``: estimator_mean_and_square at
-phases, and estimator_mean_curve, the closed-form <C> that phase_noise
-averages, as a function of the half-angle cosines and sines of the
-phases.  The quadrature product reads only the closed forms.
+call at the working point of ``config``: estimator_surfaces at phases
+(<C> and <C^2>, which estimator_mean_and_square returns, and the
+centre-free Var[C] of each phase pair from the same readout), and
+estimator_mean_curve, the closed-form <C> that phase_noise averages,
+as a function of the half-angle cosines and sines of the phases,
+saying whether it reads the cosines.  The quadrature product reads
+only the closed forms.
 require_symmetric is the one symmetric-point rule.
 
 Every function here but estimator_mean_curve also takes a stacked
@@ -69,6 +72,7 @@ __all__ = [
     "estimator_center",
     "estimator_mean_curve",
     "estimator_mean_and_square",
+    "estimator_surfaces",
     "estimator_variance",
     "u0",
     "u0_asymptotic",
@@ -303,8 +307,11 @@ def estimator_mean_curve(config: HolometerConfig, spec: EstimatorSpec) -> Callab
     sines of the two phases.  The estimator is centred here, once, and
     the closed form's coefficients folded once; each call writes <C>
     into ``out`` and returns it.  The four arguments are distinct arrays
-    of out's shape, which the call overwrites.  Exact for all kinds
-    (Gaussian statistics); the engine reproduces it pointwise.
+    of out's shape, which the call overwrites.  curve.reads_cosines says
+    whether it reads c1 and c2: every photocurrent surface does, and the
+    quadrature product only on twin beams, whose covariance they carry;
+    where it is False they may be None.  Exact for all kinds (Gaussian
+    statistics); the engine reproduces it pointwise.
     """
     center = estimator_center(config, spec)
     sign = _PHOTOCURRENT_SIGN.get(spec.kind)
@@ -331,6 +338,7 @@ def estimator_mean_curve(config: HolometerConfig, spec: EstimatorSpec) -> Callab
         mean_1 *= mean_1
         return np.add(var_1, mean_1, out=out)
 
+    curve.reads_cosines = sign is not None or moments.reads_cosines
     return curve
 
 
@@ -338,15 +346,28 @@ def estimator_mean_and_square(
     config: HolometerConfig, spec: EstimatorSpec, phi_1: Any, phi_2: Any
 ) -> tuple[Any, Any]:
     """Exact (<C>, <C^2>) at one phase pair, as floats, or over phase
-    arrays of one shape, as arrays from one stacked evaluation.
+    arrays of one shape, as arrays from one stacked evaluation: the
+    first two surfaces of estimator_surfaces."""
+    mean, square, _ = estimator_surfaces(config, spec, phi_1, phi_2)
+    return mean, square
 
+
+def estimator_surfaces(
+    config: HolometerConfig, spec: EstimatorSpec, phi_1: Any, phi_2: Any
+) -> tuple[Any, Any, Any]:
+    """Exact (<C>, <C^2>, Var[C]) at one phase pair, as floats, or over
+    phase arrays of one shape, as arrays from one stacked evaluation.
+
+    <C> and <C^2> take the centers of the working point of ``config``.
     For the squared photocurrent kinds the engine's fourth-order
     centered table supplies <C^2> = mu4 + 4 d mu3 + 6 d^2 mu2 + d^4 with
     d the offset of the (un)centered combination from its frozen center;
     for the quadrature product closed_form_quadrature, the route of its
     center, and the Gaussian identity E[(Y1-c1)^2 (Y2-c2)^2] =
     (V1+d1^2)(V2+d2^2) + 2 Cov^2 + 4 Cov d1 d2 close at second order.
-    Centers are those of the working point of ``config``.
+    Var[C] is the statistic of estimator_variance at each pair, with no
+    center, from the same readout and without its negative-variance
+    rule: at the working point it has estimator_variance's bits.
     """
     center = estimator_center(config, spec)
     point = config.replace(phi0_1=phi_1, phi0_2=phi_2)
@@ -355,18 +376,31 @@ def estimator_mean_and_square(
         var_1, var_2, cov = q["var_1"], q["var_2"], q["cov"]
         d1, d2 = q["mean_1"] - center[0], q["mean_2"] - center[1]
         square = (var_1 + d1 * d1) * (var_2 + d2 * d2) + 2.0 * cov * cov + 4.0 * cov * d1 * d2
-        return point.per_row(cov + d1 * d2), point.per_row(square)
+        return (point.per_row(cov + d1 * d2), point.per_row(square),
+                point.per_row(_centre_free_variance(spec, q)))
     sign = _PHOTOCURRENT_SIGN[spec.kind]
     c0 = 0.0 if not center else center[0]
     m = holometer.readout_moments(point, max_order=4)
     mu2, mu3, mu4 = (m.signed_sum_moment(sign, order) for order in (2, 3, 4))
     d = m.mean_1 + sign * m.mean_2 - c0
-    return mu2 + d * d, mu4 + 4.0 * d * mu3 + 6.0 * d * d * mu2 + d ** 4
+    return (mu2 + d * d, mu4 + 4.0 * d * mu3 + 6.0 * d * d * mu2 + d ** 4,
+            _centre_free_variance(spec, m))
 
 
 # ---------------------------------------------------------------------------
 # zero-order uncertainty
 # ---------------------------------------------------------------------------
+
+
+def _centre_free_variance(spec: EstimatorSpec, readout: Any) -> Any:
+    """Var[C] about the readout's own means: V1 V2 + Cov^2 of the
+    closed-form quadratures (a closed_form_quadrature dict), or mu4 -
+    mu2^2 of N1 + sign N2 (a fourth-order engine readout)."""
+    if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
+        return readout["var_1"] * readout["var_2"] + readout["cov"] * readout["cov"]
+    sign = _PHOTOCURRENT_SIGN[spec.kind]
+    mu2 = readout.signed_sum_moment(sign, 2)
+    return readout.signed_sum_moment(sign, 4) - mu2 * mu2
 
 
 def estimator_variance(config: HolometerConfig, spec: EstimatorSpec) -> float:
@@ -375,13 +409,10 @@ def estimator_variance(config: HolometerConfig, spec: EstimatorSpec) -> float:
     as for twin beams at eta = 1, and nan for such stack members."""
     phi0 = require_symmetric(config, "the estimator variance")
     if spec.kind is EstimatorKind.QUADRATURE_PRODUCT:
-        q = observables.closed_form_quadrature(config)
-        variance = q["var_1"] * q["var_2"] + q["cov"] * q["cov"]
+        readout = observables.closed_form_quadrature(config)
     else:
-        sign = _PHOTOCURRENT_SIGN[spec.kind]
-        m = holometer.readout_moments(config, max_order=4)
-        mu2 = m.signed_sum_moment(sign, 2)
-        variance = m.signed_sum_moment(sign, 4) - mu2 * mu2
+        readout = holometer.readout_moments(config, max_order=4)
+    variance = _centre_free_variance(spec, readout)
     negative = variance < 0.0
     if not config.shape and negative:
         raise UndefinedResultError(f"Var[C] = {float(variance):.3e} at phi_0 = {phi0!r} is "

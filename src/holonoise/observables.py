@@ -209,7 +209,9 @@ def _quadrature_means_at(config: HolometerConfig) -> Callable[..., tuple[Any, ..
     function of the half-angle cosines and sines, as _photon_moments_at
     is closed_form_moments: the coefficients are folded once, and
     means(c1, s1, c2, s2) -> (mean_1, mean_2, cov) overwrites its sine
-    arguments with the means, in place, and leaves the cosines."""
+    arguments with the means, in place, and leaves the cosines.  Only
+    the twin-beam covariance reads the cosines: means.reads_cosines
+    says so, and where it is False c1 and c2 may be None."""
     eta_1, eta_2 = config.eta_pair
     twin = config.input_kind is InputKind.TWB
     if twin:
@@ -219,7 +221,7 @@ def _quadrature_means_at(config: HolometerConfig) -> Callable[..., tuple[Any, ..
     amplitude_1, amplitude_2 = np.sqrt(2.0 * eta_1 * config.mu), np.sqrt(2.0 * eta_2 * config.mu)
 
     def means(c1: np.ndarray, s1: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> tuple[Any, ...]:
-        cov = np.empty_like(c1)
+        cov = np.empty_like(s1)
         if twin:
             np.multiply(c1, coupling, out=cov)
             cov *= c2
@@ -229,6 +231,7 @@ def _quadrature_means_at(config: HolometerConfig) -> Callable[..., tuple[Any, ..
         s2 *= amplitude_2
         return s1, s2, cov
 
+    means.reads_cosines = twin
     return means
 
 

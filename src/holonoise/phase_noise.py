@@ -17,15 +17,18 @@ The noise is a plain (sigma2, epsilon) pair under one rule (sigma2
 finite and >= 0, epsilon finite with |epsilon| <= sigma2) that every
 routine taking noise applies.  recover_covariance hands its seed to
 mc_expectation, one cache-blocked pass for both runs, which share the
-standard normals of default_rng(seed) (common random numbers).  Per
-block of _CURVE_BLOCK normal pairs the kernel draws the block into one
-reused buffer (consecutive draws give the stream of one
-standard_normal((n, 2)) draw), forms every run's phase offsets in one
-product with the runs' stacked SVD covariance factors (the stream of
-numpy's multivariate_normal(method="svd")), checks the phases finite
-once, takes their half-angle cosines and sines, and evaluates <C> in
-place through estimation.estimator_mean_curve, which centres the
-estimator and folds the closed form's coefficients once per pass; no
+standard normals of default_rng(seed) (common random numbers).  Once
+per call the kernel halves the runs' stacked SVD covariance factors
+(the factor of numpy's multivariate_normal(method="svd")) and the
+working point, an exact scaling, and checks them finite.  Per block of
+_CURVE_BLOCK normal pairs it draws the block into one reused buffer
+(consecutive draws give the stream of one standard_normal((n, 2))
+draw), checks the normals finite, forms every run's half-angle phases
+in one product with the halved factors, takes their sines, and their
+cosines only where the surface reads them (every photocurrent surface
+and the quadrature product on twin beams), and evaluates <C> in place
+through estimation.estimator_mean_curve, which centres the estimator
+and folds the closed form's coefficients once per pass; no
 configuration is built per block.  The means and standard errors are
 reduced in place over the one (runs, n) array of <C>, the only
 allocation of a recovery that grows with n.  At epsilon = 0 the
@@ -44,7 +47,9 @@ with A_kk = q_kk/2 - h_0 h_kk and A_12 = q_12 - 2 h_0 h_12, where h and
 q are the <C> and <C^2> surfaces and subscripts denote phase
 derivatives at the working point; the law of total variance
 Var_x = E_x[q] - (E_x[h])^2 expanded to second order gives exactly
-these coefficients.  Var[C]_0 is estimation.estimator_variance.  For
+these coefficients.  Var[C]_0 is estimation.estimator_variance, read
+from the working-point member of the stencil's one stacked evaluation
+(estimation.estimator_surfaces).  For
 the squared photocurrents the <C^2> surface comes from the engine's
 fourth-order moments and has no closed form, so the second partials of
 both surfaces are taken by central finite differences with Richardson
@@ -150,15 +155,18 @@ def mc_expectation(
     one standard_normal((n_samples, 2)) draw.
 
     One pass, _CURVE_BLOCK pairs at a time: each block's normals are
-    drawn into one reused buffer, one product with the runs' stacked
-    offset factors gives every run's phase offsets, the phases are
-    checked finite once, and the half-angle cosines and sines feed
+    drawn into one reused buffer and checked finite, one product with
+    the runs' stacked offset factors, halved once per call with the
+    working point, gives every run's half-angle phases, and their sines,
+    with their cosines where curve.reads_cosines, feed
     estimation.estimator_mean_curve, centred once per call, into one
     (runs, n_samples) array of <C>.  Its means and standard errors are
     reduced in place over that array, in the ufunc sequence of np.mean
     and np.std(ddof=1), whose bits they are.  Raises ValueError for no
     runs, a sample count that is not an integer (Python or numpy) or
-    fewer than MIN_MC_SAMPLES samples.
+    fewer than MIN_MC_SAMPLES samples, and "configuration parameters
+    must be finite" where a factor (an overflowing SVD), the working
+    point or a normal is not finite.
     """
     if len(epsilons) == 0:
         raise ValueError("epsilons must name at least one run")
@@ -167,13 +175,22 @@ def mc_expectation(
     _check_sample_count(n_samples)
     runs, n = len(epsilons), int(n_samples)
     rng = np.random.default_rng(seed)
-    factors = _offset_factors(sigma2, epsilons)
-    centre = np.repeat([config.phi0_1, config.phi0_2], runs)[:, None]
+    # the half angles: halving is exact, so folding the 0.5 into the
+    # factors and the centre leaves every half-angle phase its bits
+    factors = 0.5 * _offset_factors(sigma2, epsilons)
+    centre = 0.5 * np.repeat([config.phi0_1, config.phi0_2], runs)[:, None]
+    # finite factors (each at most sqrt of the largest float) times
+    # finite normals, plus a finite centre, cannot overflow: these checks
+    # and each block's normals are the whole phase check
+    if not (np.isfinite(factors).all() and np.isfinite(centre).all()):
+        raise ValueError("configuration parameters must be finite")
     curve = estimation.estimator_mean_curve(config, spec)
     values = np.empty((runs, n))
     width = min(_CURVE_BLOCK, n)
     normals = np.empty((width, 2))
-    phases, cosines = np.empty((2, 2 * runs, width))
+    halves = np.empty((2 * runs, width))
+    cosines = np.empty((2 * runs, width)) if curve.reads_cosines else None
+    c1 = c2 = None
     for start in range(0, n, _CURVE_BLOCK):
         size = min(_CURVE_BLOCK, n - start)
         if size > 1:
@@ -186,14 +203,15 @@ def mc_expectation(
             normals[0] = normals[-1]
             rng.standard_normal(out=normals[1])
             rows = normals[:2]
-        block = np.matmul(factors, rows.T, out=phases[:, :len(rows)])[:, len(rows) - size:]
-        block += centre
-        if not np.isfinite(block).all():
+        if not np.isfinite(rows).all():
             raise ValueError("configuration parameters must be finite")
-        block *= 0.5
-        c = np.cos(block, out=cosines[:, :size])
+        block = np.matmul(factors, rows.T, out=halves[:, :len(rows)])[:, len(rows) - size:]
+        block += centre
+        if cosines is not None:
+            c = np.cos(block, out=cosines[:, :size])
+            c1, c2 = c[:runs], c[runs:]
         s = np.sin(block, out=block)
-        curve(c[:runs], s[:runs], c[runs:], s[runs:], out=values[:, start:start + size])
+        curve(c1, s[:runs], c2, s[runs:], out=values[:, start:start + size])
     # an overflowing surface is recover_covariance's OverflowError, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         means = np.add.reduce(values, axis=1) / n
@@ -276,17 +294,22 @@ def variance_expansion(config: HolometerConfig, spec: EstimatorSpec) -> Variance
     """Expansion coefficients of Var_x[C] around the working point, which
     must be symmetric (equal phases and efficiencies); they do not
     depend on the noise, which ``predict`` takes.  var_zero is
-    estimation.estimator_variance, which raises UndefinedResultError
-    where roundoff leaves it negative."""
+    estimation.estimator_variance, read from the working-point member of
+    the stencil's one stacked evaluation, and under its rule an
+    UndefinedResultError where roundoff leaves it negative."""
     phi0 = estimation.require_symmetric(config, "the variance expansion")
-    var_zero = estimation.estimator_variance(config, spec)
     # one stacked surface evaluation over the 17-point stencil: the
     # working point, then _STENCIL at each Richardson step
     steps = np.array([step * max(abs(phi0), _PHASE_FLOOR) for step in _RELATIVE_STEPS])
     offsets = np.concatenate([np.zeros((1, 2)), (steps[:, None, None] * _STENCIL).reshape(-1, 2)])
-    surfaces = np.array(estimation.estimator_mean_and_square(
+    *surfaces, variances = estimation.estimator_surfaces(
         config, spec, phi0 + offsets[:, 0], phi0 + offsets[:, 1]
-    ))
+    )
+    var_zero = float(variances[0])
+    if var_zero < 0.0:
+        raise UndefinedResultError(f"Var[C] = {var_zero:.3e} at phi_0 = {phi0!r} is "
+                                   "negative; roundoff in <C^2> exceeds it")
+    surfaces = np.array(surfaces)
     h0, base = surfaces[0, 0], surfaces[:, :1]
     f = surfaces[:, 1:].reshape(2, len(steps), len(_STENCIL))  # [h or q, step, point]
     square = steps * steps

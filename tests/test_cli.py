@@ -161,6 +161,28 @@ def test_uncertainty_scan_flags_singular_rows(tmp_path):
     assert rows[0]["u0_twb"] == "nan"
 
 
+def test_uncertainty_scan_reads_the_derivative_again_only_for_nan_cells(tmp_path, monkeypatch):
+    # u0 evaluates the derivative of each readout; a finite grid needs no
+    # second reading, a grid with a singular row does
+    calls = []
+    derivative = estimation.estimator_mixed_derivative
+
+    def counted(config, spec):
+        calls.append(spec.kind)
+        return derivative(config, spec)
+
+    monkeypatch.setattr(estimation, "estimator_mixed_derivative", counted)
+    assert run(["uncertainty-scan", "--variable", "phi0", "--grid", "1e-3:1e-1:3:log",
+                "--out", str(tmp_path / "u.csv")]) == 0
+    assert len(calls) == 3
+    calls.clear()
+    assert run(["uncertainty-scan", "--variable", "phi0", "--grid", "0,1e-2",
+                "--lam", "0", "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(calls) > 3
+    _, _, rows = read_csv(tmp_path / "s.csv")
+    assert "singular" in rows[0]["flag"] and rows[1]["flag"] == ""
+
+
 def test_uncertainty_scan_names_every_non_finite_cell(tmp_path):
     # at a subnormal efficiency the squeezed u0 and the classical
     # benchmark overflow float64: they read nan, and the flag names them
@@ -632,6 +654,22 @@ def test_mc_estimate_small_run(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "worst |pull|" in printed
     assert "expansion" in printed
+
+
+@pytest.mark.parametrize("epsilons, distinct", [("0,0,0", 1), ("1e-6,1e-6,1e-6", 1),
+                                                ("0,1e-7,0", 2), ("0,1e-7,1e-6", 3)])
+def test_mc_estimate_fits_only_three_distinct_covariances(tmp_path, capsys, epsilons, distinct):
+    # three entries of one value printed "slope 0.0000, R^2 nan" (or R^2 0),
+    # a fit of a line through no spread of injected values
+    assert run([
+        "mc-estimate", "--estimator", "quadrature-product", "--epsilons", epsilons,
+        "--n-samples", "1000", "--out", str(tmp_path / "mc.csv"),
+    ]) == 0
+    printed = capsys.readouterr().out
+    skipped = f"linearity fit skipped: the injected covariances take {distinct} distinct"
+    assert (skipped in printed) == (distinct < 3)
+    assert ("linearity of recovered vs injected: slope" in printed) == (distinct >= 3)
+    assert "nan" not in printed
 
 
 def test_mc_estimate_difference_reads_positive_zero_at_zero_covariance(tmp_path):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holonoise import estimation, observables, phase_noise
+from holonoise import estimation, holometer, observables, phase_noise
 from holonoise.config import HolometerConfig
 from holonoise.observables import UndefinedResultError, closed_form_moments, closed_form_quadrature
 from holonoise.estimation import (
@@ -92,8 +92,12 @@ def test_mc_expectation_at_zero_noise_is_the_working_point_mean():
 
 BLOCK = phase_noise._CURVE_BLOCK
 SAMPLE_COUNTS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 100_000]
+COHERENT_DESK = DESK.replace(input_kind="CoherentOnly", lam=0.0)
+# the product on twin beams reads the sampled cosines, on squeezed or
+# coherent-only input it does not
 KIND_CONFIGS = {"quadrature": (QUAD, DESK), "difference": (DIFF, TWB_DESK),
-                "sum": (SUM, TWB_DESK.replace(psi=0.0))}
+                "sum": (SUM, TWB_DESK.replace(psi=0.0)),
+                "quadrature-twb": (QUAD, TWB_DESK), "quadrature-coherent": (QUAD, COHERENT_DESK)}
 
 
 @pytest.mark.parametrize("n_samples", SAMPLE_COUNTS)
@@ -161,8 +165,6 @@ def test_recovery_equals_the_stacked_closed_form_reference(kind, n_samples):
 
 
 def test_a_non_finite_offset_raises_the_configuration_error(monkeypatch):
-    draw = normals(3, 2 * BLOCK + 3)
-    draw[BLOCK + 5, 1] = math.inf
     message = "configuration parameters must be finite"
     # the error a configuration at that phase raises
     with pytest.raises(ValueError, match=message):
@@ -180,11 +182,47 @@ def test_a_non_finite_offset_raises_the_configuration_error(monkeypatch):
             self.stream = self.stream[out.size:]
             return out
 
+    # a non-finite normal in a middle block, and in a one-row tail
+    draws = [normals(3, 2 * BLOCK + 3), normals(3, 2 * BLOCK + 1)]
+    draws[0][BLOCK + 5, 1] = math.inf
+    draws[1][2 * BLOCK, 1] = math.nan
     monkeypatch.setattr(np.random, "default_rng", Poisoned)
+    for draw in draws:
+        with pytest.raises(ValueError, match=message):
+            mc_expectation(DESK, QUAD, 1e-5, (1e-6, 0.0), len(draw), 0)
+        with pytest.raises(ValueError, match=message):
+            recover_covariance(DESK, QUAD, 1e-5, 0.0, len(draw), 0)
+
+
+def test_an_overflowing_offset_factor_raises_the_configuration_error():
+    # at sigma2 = epsilon = 1.7e308 the SVD factor of the parallel run is
+    # -inf, though the noise passes the noise rule and every normal is finite
+    message = "configuration parameters must be finite"
     with pytest.raises(ValueError, match=message):
-        mc_expectation(DESK, QUAD, 1e-5, (1e-6, 0.0), len(draw), 0)
+        mc_expectation(DESK, QUAD, 1.7e308, (1.7e308, 0.0), 2_000, 0)
     with pytest.raises(ValueError, match=message):
-        recover_covariance(DESK, QUAD, 1e-5, 0.0, len(draw), 0)
+        recover_covariance(DESK, QUAD, 1.7e308, 1.7e308, 2_000, 0)
+
+
+@pytest.mark.parametrize("kind, sampled", [
+    ("quadrature", 0), ("quadrature-coherent", 0), ("quadrature-twb", 3), ("difference", 3),
+])
+def test_the_kernel_takes_cosines_only_where_the_surface_reads_them(monkeypatch, kind, sampled):
+    # one cosine per block of sampled half angles, none where <C> reads
+    # only the sines (the product on squeezed or coherent-only input)
+    spec, config = KIND_CONFIGS[kind]
+    assert estimator_mean_curve(config, spec).reads_cosines == bool(sampled)
+    blocks = []
+    cos = np.cos
+
+    def counted(x, *args, **kwargs):
+        if np.shape(x)[-1:] in ((BLOCK,), (3,)):
+            blocks.append(np.shape(x))
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counted)
+    mc_expectation(config, spec, 1e-5, (3e-6, 0.0), 2 * BLOCK + 3, 3)
+    assert len(blocks) == sampled
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +420,19 @@ def test_expansion_symmetry_and_zero_order():
         derivative = estimation.estimator_mixed_derivative(config, spec)
         numerator_var = 0.5 * (u0(config, spec) * derivative) ** 2
         assert expansion.var_zero == pytest.approx(numerator_var, rel=1e-12)
+
+
+@pytest.mark.parametrize("mu, phi0", [(1e3, 0.1), (3e12, 1e-8), (1e6, 0.2)])
+@pytest.mark.parametrize("kind", ["quadrature", "difference", "sum", "quadrature-twb"])
+def test_expansion_reads_the_working_point_once(monkeypatch, kind, mu, phi0):
+    # var_zero is the working-point member of the stencil's one readout,
+    # with the bits of estimator_variance's own readout there
+    spec, config = KIND_CONFIGS[kind]
+    config = config.replace(mu=mu, phi0_1=phi0, phi0_2=phi0)
+    want = estimation.estimator_variance(config, spec)
+    readouts = _count_calls(monkeypatch, holometer, "readout_moments")
+    assert variance_expansion(config, spec).var_zero == want
+    assert len(readouts) == (0 if spec is QUAD else 1)
 
 
 def test_expansion_predicts_direct_variance():
