@@ -19,8 +19,9 @@ distribution at the edge of its envelope, its quadrature moments at low
 occupancy and at that edge (twin beams and squeezed input), the oracle
 over the 100
 configurations oracle-check draws at its default seed (one batched call),
-its stages (inputs and cutoffs, the recurrence with the arms' Grams, the
-joint distributions and the moment readout), one stacked engine
+its stages (inputs and cutoffs, the displacement tables and binomial
+splits of its chunks, the arms' Grams from those tables, the joint
+distributions and the moment readout), one stacked engine
 readout per input kind over them, the one stacked engine/oracle
 comparison and the set's cutoffs in one call, and, end to end
 through the CLI
@@ -44,8 +45,15 @@ versions, the processor count, the BLAS thread variables and the
 drift probe's start and end medians and their ratio.  ``--quick`` times
 one call per row on small inputs, to check that every row runs.
 
+``--rounds N`` runs the whole row list N times, one round after
+another, and keeps each row's median over the rounds (the median of its
+per-round medians, the least minimum), with every round's medians in
+the record.  A slow phase of the host in the middle of a run moves the
+rows it falls on in one round only, where both drift probes can miss
+it.
+
 Usage:
-    python3 scripts/bench_moments.py [--repeat 50] [--json BENCH.json] [--quick]
+    python3 scripts/bench_moments.py [--repeat 50] [--rounds 1] [--json BENCH.json] [--quick]
 """
 
 from __future__ import annotations
@@ -76,7 +84,8 @@ from holonoise.config import HolometerConfig
 from holonoise.crosscheck import DEFAULT_SEED, _engine_moments, sample_guardrail_config
 from holonoise.estimation import EstimatorSpec, estimator_mixed_derivative, u0
 from holonoise.fock_oracle import (
-    _arm_grams, _checked_pmf, _factorial_moments, _joint_pmfs, _port_magnitudes, _readouts,
+    _arm_grams, _checked_pmf, _chunk_tables, _factorial_moments, _joint_pmfs,
+    _pair_diagonal_grams, _port_magnitudes, _readouts, _set_chunks, _squeezed_grams,
     fock_joint_pmf, fock_quadrature_moments, oracle_moments, port_cutoffs,
 )
 from holonoise.holometer import propagate, quadrature_readout, readout_moments
@@ -146,8 +155,25 @@ def drift_probe() -> None:
     sum(range(65_536))
 
 
-def probe_row(when: str, repeat: int) -> dict:
-    return clock(f"drift probe ({when})", drift_probe, repeat, {"work": drift_probe.__doc__})
+def probe_row(when: str, repeat: int) -> tuple:
+    return f"drift probe ({when})", drift_probe, repeat, {"work": drift_probe.__doc__}
+
+
+def merged(rounds: list[list[dict]]) -> list[dict]:
+    """Each row's median over the rounds: the median of its per-round
+    medians (CPU time, page faults and peak alike), the least minimum,
+    and every round's wall and CPU medians."""
+    rows = []
+    for per_round in zip(*rounds):
+        row = dict(per_round[0], rounds=len(per_round))
+        for key in ("median_ms", "cpu_median_ms", "minor_page_faults", "tracemalloc_peak_mib"):
+            if key in row:
+                row[key] = statistics.median(r[key] for r in per_round)
+        row["min_ms"] = min(r["min_ms"] for r in per_round)
+        row["round_medians_ms"] = [r["median_ms"] for r in per_round]
+        row["round_cpu_medians_ms"] = [r["cpu_median_ms"] for r in per_round]
+        rows.append(row)
+    return rows
 
 
 def count(n: int) -> str:
@@ -182,10 +208,17 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=50, help="timed calls per row")
     parser.add_argument("--json", metavar="PATH", help="also write the record to PATH")
+    parser.add_argument("--rounds", type=int, default=1,
+                        help="passes over the row list; each row keeps its median over them")
     parser.add_argument("--quick", action="store_true",
                         help="one timed call per row, on small inputs")
     args = parser.parse_args()
     repeat = 1 if args.quick else max(1, args.repeat)
+    specs: list[tuple] = []  # (label, call, repeat, inputs[, memory]) per row, in order
+
+    def add(label: str, fn, calls: int, inputs: dict, memory: bool = False) -> None:
+        specs.append((label, fn, calls, inputs, memory))
+
     wide_n, pairs_n, samples_n = (1000, 10, 1000) if args.quick else (100_000, 1000, 100_000)
 
     diff = EstimatorSpec(kind="TwbDifferenceSquared")
@@ -196,52 +229,50 @@ def main() -> int:
     bright_sq = BRIGHT.replace(input_kind="TwoSqueezed")
     bright = {"config": BRIGHT.to_dict()}
 
-    rows = [
-        probe_row("start", repeat),
-        clock("closed-form first/second moments (bright)",
-              lambda: closed_form_moments(BRIGHT), repeat, bright),
-    ]
+    add(*probe_row("start", repeat))
+    add("closed-form first/second moments (bright)",
+lambda: closed_form_moments(BRIGHT), repeat, bright)
     wide = BRIGHT.phi0_1 + 3e-3 * np.random.default_rng(1).standard_normal((2, wide_n))
     bright_wide = BRIGHT.replace(phi0_1=wide[0], phi0_2=wide[1])
-    rows.append(clock(f"closed_form_moments over {count(wide_n)} phase pairs (bright)",
-                      lambda: closed_form_moments(bright_wide),
-                      max(1, repeat // 5), {**bright, "phase_pairs": wide_n, "sigma": 3e-3}))
-    rows.append(clock("detected two-mode state, propagate (bright)",
-                      lambda: propagate(BRIGHT), repeat, bright))
+    add(f"closed_form_moments over {count(wide_n)} phase pairs (bright)",
+        lambda: closed_form_moments(bright_wide),
+        max(1, repeat // 5), {**bright, "phase_pairs": wide_n, "sigma": 3e-3})
+    add("detected two-mode state, propagate (bright)",
+        lambda: propagate(BRIGHT), repeat, bright)
     phases = BRIGHT.phi0_1 + 1e-3 * np.random.default_rng(0).standard_normal((2, pairs_n))
     bright_pairs = BRIGHT.replace(phi0_1=phases[0], phi0_2=phases[1])
     pairs = {**bright, "phase_pairs": pairs_n, "sigma": 1e-3}
-    rows.append(clock(f"propagate over {count(pairs_n)} states (bright)",
-                      lambda: propagate(bright_pairs), max(1, repeat // 10), pairs))
-    rows.append(clock("state + cumulant photon moments, order 2 (bright)",
-                      lambda: readout_moments(BRIGHT, max_order=2), repeat, bright))
-    rows.append(clock("state + cumulant photon moments, order 4 (bright)",
-                      lambda: readout_moments(BRIGHT, max_order=4), repeat, bright))
-    rows.append(clock("state + quadrature readout (bright)",
-                      lambda: quadrature_readout(BRIGHT), repeat, bright))
-    rows.append(clock(f"order-4 readout over {count(pairs_n)} phase pairs (bright)",
-                      lambda: readout_moments(bright_pairs, max_order=4),
-                      max(1, repeat // 10), pairs))
-    rows.append(clock("estimator_mixed_derivative (bright)",
-                      lambda: estimator_mixed_derivative(BRIGHT, diff), repeat,
-                      {**bright, "estimator": diff.kind.value}))
+    add(f"propagate over {count(pairs_n)} states (bright)",
+        lambda: propagate(bright_pairs), max(1, repeat // 10), pairs)
+    add("state + cumulant photon moments, order 2 (bright)",
+        lambda: readout_moments(BRIGHT, max_order=2), repeat, bright)
+    add("state + cumulant photon moments, order 4 (bright)",
+        lambda: readout_moments(BRIGHT, max_order=4), repeat, bright)
+    add("state + quadrature readout (bright)",
+        lambda: quadrature_readout(BRIGHT), repeat, bright)
+    add(f"order-4 readout over {count(pairs_n)} phase pairs (bright)",
+        lambda: readout_moments(bright_pairs, max_order=4),
+        max(1, repeat // 10), pairs)
+    add("estimator_mixed_derivative (bright)",
+        lambda: estimator_mixed_derivative(BRIGHT, diff), repeat,
+        {**bright, "estimator": diff.kind.value})
     for label, config, spec in (("difference readout", BRIGHT, diff),
                                 ("sum readout", bright_sum, plus),
                                 ("quadrature product", bright_sq, quad)):
-        rows.append(clock(f"zero-order uncertainty, {label} (bright)",
-                          lambda config=config, spec=spec: u0(config, spec),
-                          max(1, repeat // 5),
-                          {"config": config.to_dict(), "estimator": spec.kind.value}))
+        add(f"zero-order uncertainty, {label} (bright)",
+            lambda config=config, spec=spec: u0(config, spec),
+            max(1, repeat // 5),
+            {"config": config.to_dict(), "estimator": spec.kind.value})
     for label, config, spec in (("difference readout", BRIGHT, diff),
                                 ("sum readout", bright_sum, plus),
                                 ("quadrature product", bright_sq, quad)):
-        rows.append(clock(f"variance_expansion, {label} (bright)",
-                          lambda config=config, spec=spec: variance_expansion(config, spec),
-                          max(1, repeat // 5),
-                          {"config": config.to_dict(), "estimator": spec.kind.value}))
-    rows.append(clock("direct_variance GH-9, difference (bright)",
-                      lambda: direct_variance(BRIGHT, diff, 1e-5, 0.0), max(1, repeat // 10),
-                      {**bright, "estimator": diff.kind.value, "sigma2": 1e-5, "epsilon": 0.0}))
+        add(f"variance_expansion, {label} (bright)",
+            lambda config=config, spec=spec: variance_expansion(config, spec),
+            max(1, repeat // 5),
+            {"config": config.to_dict(), "estimator": spec.kind.value})
+    add("direct_variance GH-9, difference (bright)",
+        lambda: direct_variance(BRIGHT, diff, 1e-5, 0.0), max(1, repeat // 10),
+        {**bright, "estimator": diff.kind.value, "sigma2": 1e-5, "epsilon": 0.0})
     # the mc-estimate defaults of each estimator: twin beams for the photon
     # readouts (the sum one at psi = 0), squeezed input for the product,
     # whose surface reads no cosine there
@@ -251,85 +282,105 @@ def main() -> int:
                                 ("quadrature product", DESK, quad)):
         noise = {"config": config.to_dict(), "estimator": spec.kind.value, "sigma2": 1e-5,
                  "epsilon": 1e-6, "samples": samples_n, "seed": 0}
-        rows.append(clock(f"mc_expectation {count(samples_n)} normals, both runs, {label}",
-                          lambda config=config, spec=spec: mc_expectation(
-                              config, spec, 1e-5, (1e-6, 0.0), samples_n, 0),
-                          max(1, repeat // 10), noise))
-        rows.append(clock(f"recover_covariance, {label}, {count(samples_n)} samples",
-                          lambda config=config, spec=spec: recover_covariance(
-                              config, spec, 1e-5, 1e-6, samples_n, 0),
-                          max(1, repeat // 10), noise, memory=True))
+        add(f"mc_expectation {count(samples_n)} normals, both runs, {label}",
+            lambda config=config, spec=spec: mc_expectation(
+                config, spec, 1e-5, (1e-6, 0.0), samples_n, 0),
+            max(1, repeat // 10), noise)
+        add(f"recover_covariance, {label}, {count(samples_n)} samples",
+            lambda config=config, spec=spec: recover_covariance(
+                config, spec, 1e-5, 1e-6, samples_n, 0),
+            max(1, repeat // 10), noise, memory=True)
     # the product on twin beams, whose covariance reads the cosines too
-    rows.append(clock(f"mc_expectation {count(samples_n)} normals, both runs, "
-                      "quadrature product on twin beams",
-                      lambda: mc_expectation(desk_twb, quad, 1e-5, (1e-6, 0.0), samples_n, 0),
-                      max(1, repeat // 10), {**noise, "config": desk_twb.to_dict()}))
+    add(f"mc_expectation {count(samples_n)} normals, both runs, "
+        "quadrature product on twin beams",
+        lambda: mc_expectation(desk_twb, quad, 1e-5, (1e-6, 0.0), samples_n, 0),
+        max(1, repeat // 10), {**noise, "config": desk_twb.to_dict()})
     # the oracle walks a truncated number basis, so it only runs at low
     # occupancy; this is the guardrail-domain cost, not the bright one
-    rows.append(clock("fock oracle end-to-end, order 4 (dim)",
-                      lambda: oracle_moments(DIM), max(1, repeat // 10),
-                      {"config": DIM.to_dict()}))
-    rows.append(clock("fock_joint_pmf (edge twb)",
-                      lambda: fock_joint_pmf(EDGE), max(1, repeat // 10),
-                      {"config": EDGE.to_dict()}))
-    rows.append(clock("fock_quadrature_moments (dim)",
-                      lambda: fock_quadrature_moments(DIM), max(1, repeat // 10),
-                      {"config": DIM.to_dict()}))
+    add("fock oracle end-to-end, order 4 (dim)",
+        lambda: oracle_moments(DIM), max(1, repeat // 10),
+        {"config": DIM.to_dict()})
+    add("fock_joint_pmf (edge twb)",
+        lambda: fock_joint_pmf(EDGE), max(1, repeat // 10),
+        {"config": EDGE.to_dict()})
+    add("fock_quadrature_moments (dim)",
+        lambda: fock_quadrature_moments(DIM), max(1, repeat // 10),
+        {"config": DIM.to_dict()})
     for label, config in (("edge twb", EDGE), ("edge squeezed", EDGE_SQ)):
-        rows.append(clock(f"fock_quadrature_moments ({label})",
-                          lambda config=config: fock_quadrature_moments(config),
-                          max(1, repeat // 10), {"config": config.to_dict()}))
+        add(f"fock_quadrature_moments ({label})",
+            lambda config=config: fock_quadrature_moments(config),
+            max(1, repeat // 10), {"config": config.to_dict()})
     # the configurations oracle-check draws at its default seed
     rng = np.random.default_rng(DEFAULT_SEED)
     drawn = tuple(sample_guardrail_config(rng) for _ in range(3 if args.quick else 100))
     guardrail = {"seed": DEFAULT_SEED, "configs": len(drawn)}
-    rows.append(clock(f"oracle over the {len(drawn)} default-seed configurations",
-                      lambda: oracle_moments(drawn), max(1, repeat // 10), guardrail))
-    # its stages: the set-built inputs and cutoffs; the recurrence with
-    # the arms' Grams (inputs included); the joint distributions and the
-    # readout, each from the stored output of the stage before
-    rows.append(clock("  its inputs and cutoffs", lambda: _port_magnitudes(drawn),
-                      max(1, repeat // 5), guardrail))
-    rows.append(clock("  its recurrence with the Grams",
-                      lambda: collections.deque(_arm_grams(drawn, "i"), maxlen=0),
-                      max(1, repeat // 10), guardrail))
+    add(f"oracle over the {len(drawn)} default-seed configurations",
+        lambda: oracle_moments(drawn), max(1, repeat // 10), guardrail)
+    # its stages, each from the stored output of the stage before: the
+    # set-built inputs and cutoffs; the displacement tables and binomial
+    # splits of its chunks; the arms' Grams; the joint distributions; the
+    # readout
+    add("  its inputs and cutoffs", lambda: _port_magnitudes(drawn), max(1, repeat // 5), guardrail)
+    _, chunks = _set_chunks(drawn, "i", _port_magnitudes(drawn))
+    add(f"  the tables of its {len(chunks)} chunks",
+        lambda: [_chunk_tables(chunk, squeezed) for squeezed, chunk in chunks],
+        max(1, repeat // 10), guardrail)
+    tables = [_chunk_tables(chunk, squeezed) for squeezed, chunk in chunks]
+
+    def arm_grams() -> None:
+        for (squeezed, chunk), table in zip(chunks, tables):
+            collections.deque((_squeezed_grams if squeezed else _pair_diagonal_grams)(chunk, table),
+                              maxlen=0)
+
+    add("  its Grams from those tables", arm_grams, max(1, repeat // 10), guardrail)
     stored = []  # one array as both Grams where the phases are equal, as the oracle passes them
     for index, kernel, gram1, gram2 in _arm_grams(drawn, "i"):
         first = gram1.copy()
         stored.append((index, kernel, first, first if gram2 is gram1 else gram2.copy()))
-    rows.append(clock("  its joint distributions",
-                      lambda: [_checked_pmf(*grams, "i") for grams in stored],
-                      max(1, repeat // 10), guardrail))
+    add("  its joint distributions",
+        lambda: [_checked_pmf(*grams, "i") for grams in stored],
+        max(1, repeat // 10), guardrail)
     pmfs = [pmf for _, pmf in sorted(_joint_pmfs(drawn, "i"), key=lambda item: item[0])]
     etas = np.array([config.eta_pair for config in drawn])
-    rows.append(clock("  its moment readout",
-                      lambda: _readouts(np.array([_factorial_moments(pmf) for pmf in pmfs]), etas),
-                      max(1, repeat // 5), guardrail))
-    rows.append(clock("one stacked engine readout over them",
-                      lambda: _engine_moments(drawn), max(1, repeat // 5), guardrail))
+    add("  its moment readout",
+        lambda: _readouts(np.array([_factorial_moments(pmf) for pmf in pmfs]), etas),
+        max(1, repeat // 5), guardrail)
+    add("one stacked engine readout over them",
+        lambda: _engine_moments(drawn), max(1, repeat // 5), guardrail)
     engine, oracle = _engine_moments(drawn), oracle_moments(drawn)
-    rows.append(clock("  the engine/oracle comparison over them",
-                      lambda: compare_moments(engine, oracle), repeat, guardrail))
-    rows.append(clock("  their cutoffs in one set call",
-                      lambda: port_cutoffs(drawn), max(1, repeat // 5), guardrail))
+    add("  the engine/oracle comparison over them",
+        lambda: compare_moments(engine, oracle), repeat, guardrail)
+    add("  their cutoffs in one set call",
+        lambda: port_cutoffs(drawn), max(1, repeat // 5), guardrail)
     sweeps = {name.removesuffix(".csv"): argv for name, argv in SCANS.items()
               if argv[0] in ("nrf-scan", "uncertainty-scan")}
     sweeps["uncertainty_vs_phi0 at the grid cap"] = CAP_SCAN
     for name, argv in sweeps.items():
         argv = with_points(argv, 3) if args.quick else argv
-        rows.append(clock(f"scan {name}, in-process", scan(argv), max(1, repeat // 10),
-                          {"argv": argv}))
+        add(f"scan {name}, in-process", scan(argv), max(1, repeat // 10),
+            {"argv": argv})
     # seed 1000 fails one configuration by Fock truncation, so exit 2 is
     # the expected verdict there
     argv = ["oracle-check", "--n-configs", "2" if args.quick else "100", "--seed", "1000"]
-    rows.append(clock(f"oracle-check --n-configs {argv[2]} --seed 1000, in-process",
-                      scan(argv, verdicts=(0, 2)), max(1, repeat // 10), {"argv": argv}))
+    add(f"oracle-check --n-configs {argv[2]} --seed 1000, in-process",
+        scan(argv, verdicts=(0, 2)), max(1, repeat // 10), {"argv": argv})
     for estimator in ("difference-squared", "sum-squared", "quadrature-product"):
         argv = ["mc-estimate", "--estimator", estimator]
         argv += ["--n-samples", str(samples_n)] if args.quick else []
-        rows.append(clock(f"mc-estimate {estimator}, in-process", scan(argv),
-                          max(1, repeat // 10), {"argv": argv}))
-    rows.append(probe_row("end", repeat))
+        add(f"mc-estimate {estimator}, in-process", scan(argv),
+            max(1, repeat // 10), {"argv": argv})
+    add(*probe_row("end", repeat))
+
+    rounds = []
+    for number in range(max(1, args.rounds)):
+        if args.rounds > 1:
+            print(f"-- round {number + 1} of {args.rounds}")
+        rounds.append([clock(*spec) for spec in specs])
+    rows = rounds[0] if len(rounds) == 1 else merged(rounds)
+    if len(rounds) > 1:
+        print(f"-- median over {len(rounds)} rounds")
+        for row in rows:
+            print(f"{row['label']:<52s} {row['cpu_median_ms']:9.3f} cpu {row['median_ms']:9.3f} ms/call")
 
     if args.json:
         start, end = rows[0]["median_ms"], rows[-1]["median_ms"]
@@ -340,6 +391,7 @@ def main() -> int:
             "nproc": os.cpu_count(),
             "blas_threads": {name: os.environ.get(name, "unset") for name in BLAS_VARIABLES},
             "quick": args.quick,
+            "rounds": len(rounds),
             "drift_probe": {"start_ms": start, "end_ms": end, "end_over_start": end / start},
             "rows": rows,
         }

@@ -1,11 +1,11 @@
 """Truncated Fock-space reference implementation.
 
 Everything here is deliberately independent of the Gaussian engine: the
-input states are written out as photon-number amplitudes, the readout
-beam splitters act sector by sector through a one-photon recurrence
-(Risbo, J. Geodesy 70, 383 (1996)), and moments come from the joint
-photon-number distribution.  Agreement between this route and the
-covariance-matrix route is the main correctness check of the package.
+input states are written out as photon-number amplitudes, each readout
+beam splitter is applied in the photon-number basis, and moments come
+from the joint photon-number distribution.  Agreement between this
+route and the covariance-matrix route is the main correctness check of
+the package.
 
 Every supported input factorizes across the two interferometers up to a
 single sum over the pair-correlation index (rank one for independent
@@ -14,7 +14,19 @@ splitter acts on one arm, a (quantum port, coherent port) product state
 per pair index, and the joint distribution of the detected pair is a
 contraction of the two arms' Grams over their discarded ports.
 
-The recurrence is real.  The beam splitter's mode matrix
+Under the unitary "i" convention the beam splitter turns the coherent
+port into two displacements, one per output port, and the discarded
+one drops out of every Gram.  So the coherent photons enter only
+through the displacement matrix elements <n|D(x)|q> (Cahill and
+Glauber, Phys. Rev. 177, 1857 (1969)), built by one scaled Laguerre
+recurrence, and the quantum photons through a binomial split against
+vacuum (the comment above _laguerre_table); the coherent port is exact
+there, and its cutoff only sizes the detected range.  The deliberately
+non-unitary "real-symmetric" convention has no such factorization, and
+its arms run a one-photon sector recurrence (Risbo, J. Geodesy 70, 383
+(1996)), as do the coincidence null and the quadrature moments.
+
+Everything is real.  The beam splitter's mode matrix
 M = [[c, i s], [i s, c]] (c, s the cosine and sine of phi/2) is
 diag(1, -i) R diag(1, i) with R = [[c, s], [-s, c]] (equally
 diag(1, i) R^T diag(1, -i)), so its sector block is
@@ -37,27 +49,26 @@ joint distribution only through the kernel angle (and psi through the
 squeezed column), so no complex coherent or pair amplitudes are formed
 for it.  Each arm is a batch member with its own phase (unequal phases
 give two members), and the members of one input kind are sorted by
-sector reach n_a + n_b - 2, so sector s runs on the prefix of members
-that reach it.  Members are cut into chunks in that order, one
-recurrence run each, a chunk holding at most _CHUNK_FLOATS floats
-(1 MiB): the recurrence's frames and sums, and for twin-beam and
-coherent-only input, whose Grams are products taken after the last
-sector, every sector's band.  Squeezed input accumulates its Gram
-sector by sector and keeps no bands.  Twin-beam arms and Grams are then
-formed one member at a time, in blocks of _ROWS detected rows, and each
-joint distribution in one product over the packed pair triangle, one
-factor times its own transpose when the two phases are equal (every
+sector reach n_a + n_b - 2 (the detected range less one).  Members are
+cut into chunks in that order, a chunk holding at most _CHUNK_FLOATS
+floats (1 MiB).  Under "i" a chunk is one displacement recurrence over
+its members, with its tables and binomial splits; twin-beam and
+coherent-only Grams are then formed one member at a time, in blocks of
+_ROWS detected rows, and squeezed Grams in one product per photon-number
+parity for the chunk.  Under "real-symmetric" a chunk is one sector
+recurrence run, which keeps every sector's band for twin-beam and
+coherent-only input and accumulates squeezed Grams sector by sector.
+Each joint distribution is one product over the packed pair triangle,
+one factor times its own transpose when the two phases are equal (every
 configuration oracle-check draws).  The moments of the whole set are
 read out together, one stacked 5 x 5 product per step, into one carrier
 of arrays over the set.  A single configuration is a batch of one,
-and the quadrature route runs the recurrence on the one or two arms of
-one configuration, summing three real matrices over the sectors (the
-comment above fock_quadrature_moments).  At the default seed and at seeds 1000-1004, one ``oracle-check
---n-configs 100`` makes 43-49 recurrence runs and 2 339-2 699 sector
-steps, and the oracle's allocations peak at 3.5-4.4 MiB under
-tracemalloc (3.9-4.9 MiB with a distribution formed in blocks of _ROWS
-rows and the kernels of the whole set kept; the packed temporary of
-the (49, 26) envelope-edge block is 0.7 MB).
+and the quadrature route runs the sector recurrence on the one or two
+arms of one configuration, summing three real matrices over the sectors
+(the comment above fock_quadrature_moments).  At the default seed and
+at seeds 1000-1004, one ``oracle-check --n-configs 100`` makes 13-25
+chunks and 710-1 623 table-recurrence steps, and the oracle's
+allocations peak at 3.3-3.5 MiB under tracemalloc.
 
 Mode layout, fixed throughout: each arm pairs a quantum port with the
 coherent port of the same readout.  The detected output of each readout
@@ -69,7 +80,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -350,23 +361,25 @@ def _sector_bands(
         yield s, a, new
 
 
-def _chunks(members: list, keeps_bands: bool) -> Iterator[list]:
+def _chunks(members: list, floats: Callable[[list], int]) -> Iterator[list]:
     """Consecutive runs of reach-sorted members (reach, key, phi, quantum,
-    |b|) that hold at most _CHUNK_FLOATS floats: the recurrence's two
-    frames and two sums per member, and every sector's band as well when
-    the Grams follow the last sector.  A member larger than that is a
-    chunk of its own."""
+    |b|, mu) whose arrays, ``floats(run)`` of them, fit in _CHUNK_FLOATS
+    (_band_floats for the sector recurrence, _table_floats under "i").
+    A member larger than that is a chunk of its own."""
     start = 0
     while start < len(members):
         stop = start + 1
-        while stop < len(members):
-            run = members[start : stop + 1]
-            size, width = run[0][0] + 1, max(len(member[4]) for member in run) + 1
-            if len(run) * size * width * (4 + (size if keeps_bands else 0)) > _CHUNK_FLOATS:
-                break
+        while stop < len(members) and floats(members[start : stop + 1]) <= _CHUNK_FLOATS:
             stop += 1
         yield members[start:stop]
         start = stop
+
+
+def _band_floats(run: list, keeps_bands: bool) -> int:
+    """The recurrence's two frames and two sums per member, and every
+    sector's band as well when the Grams follow the last sector."""
+    size, width = run[0][0] + 1, max(len(member[4]) for member in run) + 1
+    return len(run) * size * width * (4 + (size if keeps_bands else 0))
 
 
 def two_photon_coincidence(convention: str = "i") -> float:
@@ -385,6 +398,105 @@ def two_photon_coincidence(convention: str = "i") -> float:
     *_, (_, _, band) = _sector_bands([math.pi / 2.0], convention, np.array([2]), np.array([2]))
     pmf = (band[0, :, 1] * _row_scales(2)[2]) ** 2
     return float(pmf[1] / pmf.sum())
+
+
+# ---------------------------------------------------------------------------
+# displacement matrix elements and the binomial split
+
+# Under "i" a beam splitter maps a coherent input to a product of
+# displacements, U D_coh(beta) U^-1 = D_det(i s beta) D_disc(c beta), so
+# an arm of (quantum port) x |beta> leaves it as D_det(i s beta) D_disc(c beta)
+# applied to the quantum port split against vacuum,
+#   U |m, 0> = sum_j B_m(j) i^j |m - j, j>,  B_m(j) = sqrt(C(m, j)) c^(m-j) s^j,
+# j photons sent to the discarded port.  D_disc is unitary and drops out
+# of every Gram over the discarded port, so the coherent photons enter
+# only through the matrix elements of D_det, which have the closed form
+# of Cahill and Glauber (Phys. Rev. 177, 1857 (1969)): for real x and
+# n >= q,
+#   <n|D(x)|q> = e^(-x^2/2) sqrt(q!/n!) x^(n-q) L_q^(n-q)(x^2),
+# and (-1)^(q-n) the same with n and q swapped for n < q.  Along a
+# diagonal a = n - q write g_k = <k + a|D(x)|k> = c_k L_k^(a)(x^2).  The
+# three-term Laguerre recurrence in the degree rounds 2k + 1 + a - x^2
+# once per step, and at small x those errors feed a second solution that
+# grows like log k on the diagonal a = 0 (2e-13 at x^2 = 1e-6, k = 199).
+# So it is carried as a first-order pair, with
+# e_(k+1) = c_k (L_(k+1)^(a) - L_k^(a)):
+#   e_(k+1) = (sqrt(k (k + a)) e_k - x^2 g_k) / (k + 1),
+#   g_(k+1) = sqrt((k + 1)/(k + 1 + a)) (g_k + e_(k+1)),
+# from g_0 = e^(-x^2/2) x^a / sqrt(a!), a running product over a, and
+# e_1 = (a - x^2) g_0.  At small x every sum adds terms of one sign, so
+# the pair stays within 1e-15 of 50-digit values, and at x = 0 it is the
+# identity exactly.  Every g is a matrix element of a unitary, at most 1
+# in modulus, so nothing overflows.  The prefactors are running products
+# rather than exp(log-factorial) sums, which lose about 1e-13 near
+# x^2 = 1e-6.
+
+
+@functools.lru_cache(maxsize=4)
+def _laguerre_table(size: int) -> np.ndarray:
+    k, a = np.arange(size, dtype=float)[:, None], np.arange(size, dtype=float)
+    table = np.stack([np.sqrt(k * (k + a)) / (k + 1.0), np.sqrt((k + 1.0) / (k + 1.0 + a))])
+    table.flags.writeable = False
+    return table
+
+
+def _laguerre_steps(rows: int, width: int) -> np.ndarray:
+    """sqrt(k (k + a)) / (k + 1) and sqrt((k + 1)/(k + 1 + a)) at [k, a],
+    k < rows and a < width, the weights of the pair above; tables are
+    built in sizes of 64 and kept."""
+    return _laguerre_table(-(-max(rows, width) // 64) * 64)[:, :rows, :width]
+
+
+def _displacement_tables(x: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """g[j, k, a] = <k + a|D(x_j)|k> for k < rows and a < width, one
+    recurrence over the members (the comment above)."""
+    weights = _laguerre_steps(rows, width)
+    square = x * x
+    tables = np.empty((len(x), rows, width))
+    first = np.empty((len(x), width))
+    first[:, 0] = np.exp(-0.5 * square)
+    first[:, 1:] = x[:, None] / np.sqrt(np.arange(1.0, width))
+    np.cumprod(first, axis=1, out=tables[:, 0])
+    steps = (np.arange(width, dtype=float) - square[:, None]) * tables[:, 0]  # e_1
+    drifts = square[:, None] / np.arange(1.0, rows + 1.0)  # x^2 / (k + 1)
+    for k in range(rows - 1):
+        if k:
+            steps *= weights[0, k]
+            steps -= drifts[:, k, None] * tables[:, k]
+        np.add(tables[:, k], steps, out=tables[:, k + 1])
+        tables[:, k + 1] *= weights[1, k]
+    return tables
+
+
+def _matrix_elements(tables: np.ndarray, detected: int, columns: int) -> np.ndarray:
+    """d[..., n, q] = <n|D(x)|q> for n < detected and q < columns, read
+    from displacement tables that reach k = min(n, q) and a = |n - q|."""
+    n, q = np.arange(detected)[:, None], np.arange(columns)
+    gap = n - q
+    elements = tables.reshape(tables.shape[:-2] + (-1,))[
+        ..., np.minimum(n, q) * tables.shape[-1] + np.abs(gap)]
+    elements *= np.where((gap < 0) & (gap % 2 == 1), -1.0, 1.0)
+    return elements
+
+
+@functools.lru_cache(maxsize=4)
+def _root_binomial_table(size: int) -> np.ndarray:
+    table = np.zeros((size, size))
+    for m in range(size):
+        table[m, : m + 1] = [float(math.comb(m, j)) for j in range(m + 1)]
+    table = np.sqrt(table)
+    table.flags.writeable = False
+    return table
+
+
+def _binomial_splits(first: np.ndarray, second: np.ndarray, size: int) -> np.ndarray:
+    """split[j, m, i] = sqrt(C(m, i)) first_j^(m-i) second_j^i for
+    m, i < size (zero for i > m), from the binomials rounded once; with
+    (first, second) = (cos, sin) of phi/2 it is B_m(i) above."""
+    roots = _root_binomial_table(-(-size // 64) * 64)[:size, :size]
+    index = np.arange(size)
+    rests = (first[:, None] ** index)[:, np.maximum(index[:, None] - index, 0)]
+    return roots * rests * (second[:, None] ** index)[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +522,28 @@ def two_photon_coincidence(convention: str = "i") -> float:
 # p = (K o G1) . G2^T over the flattened pair axes.  "real-symmetric" has
 # no i^(r-p) factor, so its kernel angle is theta - 2 psi.  The real arm
 # is the band itself, R_s[p, r] |b_{s-r}|, with no product against the
-# input block.  K, G1 and G2 are symmetric in (r, r'), so the sum runs
-# over the packed triangle r <= r' with weight 1 on the diagonal and 2
-# off it; arm r reaches sectors r to r + n_b - 1 only, so G[r, r'] is an
-# exact zero for r' >= r + n_b and the triangle is cut to that band.
+# input block.
+#
+# The displacement route ("i", the comment above _laguerre_table) gives
+# the same kernel.  The detected displacement is i s beta =
+# x e^{i (psi + pi/2)} with x = s sqrt(mu), so arm r is, at detected n
+# and discarded j,
+#   i^j e^{i (psi + pi/2) (n - r + j)} d[n, r - j] B_r(j),
+# d[n, q] = <n|D(x)|q>, real, and its Gram over the discarded port is
+# e^{-i (r-r') (psi + pi/2)} G[n][r, r'] with
+#   G[n] = V[n] V[n]^T,  V[n, r, j] = d[n, r - j] B_r(j).
+# The phases collect into e^{i (r-r') (theta - pi - 2 psi)}, the kernel
+# angle above less 2 pi per unit of r - r'.  (G is the recurrence's
+# times (-1)^(r-r'), a sign both arms carry.)
+#
+# K, G1 and G2 are symmetric in (r, r'), so the sum runs over the packed
+# triangle r <= r' with weight 1 on the diagonal and 2 off it.  With a
+# coherent port cut at n_b, arm r reaches sectors r to r + n_b - 1 only,
+# so G[r, r'] is an exact zero for r' >= r + n_b and the triangle is cut
+# to that band.  The displacement route's exact coherent port leaves a
+# product of two coherent tails there; the cut moves no distribution of
+# the envelope by more than about 1e-16 (against a dense reference with a
+# coherent tail below 1e-17).
 # Scaling each packed column by the root of its weighted kernel's
 # modulus, the columns of positive kernel first, makes
 # p = P1+ . P2+^T - P1- . P2-^T with (detected x n(n+1)/2) arrays P1, P2.
@@ -430,10 +560,102 @@ def two_photon_coincidence(convention: str = "i") -> float:
 # at m = 2k the column's phase is e^{i (2 chi - 2 psi) k} under "i" and
 # e^{i (2 chi - pi - 2 psi) k} under "real-symmetric".  The column is
 # carried as its real and imaginary parts, |a_m| times the cosine and
-# sine of that phase, so the band meets a real (n, 2) column.
+# sine of that phase, so the band meets a real (n, 2) column.  Under the
+# displacement route the amplitude at detected n and discarded j is
+# sum_m a_m e^{-i (psi + pi/2) m} B_m(j) d[n, m - j] times a phase of
+# (n, j) alone, and a_m e^{-i (psi + pi/2) m} is (-1)^m times the "i"
+# column, which is the column itself on the even photon numbers of a
+# squeezed vacuum; so G[n] = sum_j |sum_q d[n, q] column_(q+j) B_(q+j)(j)|^2.
 
 
-def _pair_diagonal_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, np.ndarray]]:
+def _table_floats(run: list, squeezed: bool) -> int:
+    """Floats a run of members holds under "i": per member and table
+    entry the displacement table, the matrix elements read from it and
+    the index of that gather, and the binomial splits; for squeezed arms
+    also the skewed column weights and the products of both parities."""
+    size = max(len(member[3]) if squeezed else member[3] for member in run)
+    detected = run[0][0] + 1
+    return len(run) * size * ((5 * detected + 4 * size) if squeezed else (3 * detected + size))
+
+
+def _chunk_tables(chunk: list, squeezed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of a chunk of members under "i": the displacement
+    matrix elements d[j, n, q] = <n|D(x_j)|q>, x = sin(phi/2) sqrt(mu)
+    (the factorization comment above), for n below the chunk's detected
+    rows and q below its quantum-port length, and the binomial splits,
+    B_m(i) at [j, m, i] for pair-diagonal arms and B_m(m - i) for
+    squeezed ones."""
+    size = max(len(member[3]) if squeezed else member[3] for member in chunk)
+    detected = chunk[0][0] + 1
+    half = 0.5 * np.array([member[2] for member in chunk])
+    cos, sin = np.cos(half), np.sin(half)
+    tables = _displacement_tables(sin * np.sqrt([member[5] for member in chunk]), size, detected)
+    splits = _binomial_splits(sin, cos, size) if squeezed else _binomial_splits(cos, sin, size)
+    return _matrix_elements(tables, detected, size), splits
+
+
+def _pair_diagonal_grams(
+    chunk: list, tables: tuple[np.ndarray, np.ndarray],
+) -> Iterator[tuple[tuple, np.ndarray]]:
+    """(key, Gram (detected, pair, pair)) of each member of a chunk of
+    pair-diagonal arms under "i", members (reach, key, phi, pair count,
+    |b|, mu), from the chunk's _chunk_tables: G[n] = V[n] V[n]^T with
+    V[n, r, j] = d[n, r - j] B_r(j), one batched product per _ROWS
+    detected rows.  Coherent-only input is one pair index."""
+    elements, splits = tables
+    detected, size = elements.shape[1:]
+    arm_buffer = np.empty(_ROWS * size * size)
+    gram_buffer = np.empty(detected * size * size)
+    for j, member in enumerate(chunk):
+        rows_total, n = int(member[0]) + 1, int(member[3])
+        # padded[p, n - 1 + q] = d[p, q], zero for q < 0, so that
+        # skewed[p, r, i] = d[p, r - i] is a strided view
+        padded = np.zeros((rows_total, 2 * n - 1))
+        padded[:, n - 1 :] = elements[j, :rows_total, :n]
+        at = padded.strides
+        skewed = as_strided(padded[:, n - 1 :], (rows_total, n, n), (at[0], at[1], -at[1]))
+        split = splits[j, :n, :n]
+        gram = gram_buffer[: rows_total * n * n].reshape(rows_total, n, n)
+        for lo in range(0, rows_total, _ROWS):
+            rows = min(_ROWS, rows_total - lo)
+            arm = arm_buffer[: rows * n * n].reshape(rows, n, n)
+            np.multiply(skewed[lo : lo + rows], split, out=arm)
+            np.matmul(arm, arm.swapaxes(1, 2), out=gram[lo : lo + rows])
+        yield member[1], gram
+
+
+def _squeezed_grams(
+    chunk: list, tables: tuple[np.ndarray, np.ndarray],
+) -> Iterator[tuple[tuple, np.ndarray]]:
+    """(key, Gram (detected,)) of each member of a chunk of squeezed arms
+    under "i", members (reach, key, phi, column amplitudes as (n, 2) real
+    and imaginary parts, |b|, mu), from the chunk's _chunk_tables:
+      G[n] = sum_i |sum_q d[n, q] column_(q+i) B_(q+i)(i)|^2.
+    A squeezed vacuum holds even photon numbers only, so column_(q+i)
+    vanishes unless q and i share their parity: one batched product per
+    parity for the chunk."""
+    elements, splits = tables
+    size = elements.shape[2]
+    # weights[j, m, q] = column_m B_m(m - q), zero from m = the member's
+    # cutoff on, so that skewed[j, q, i] = weights[j, q + i, q] is
+    # column_(q+i) B_(q+i)(i)
+    weights = np.zeros((len(chunk), 2 * size, size, 2))
+    for j, member in enumerate(chunk):
+        weights[j, : len(member[3])] = member[3][:, None, :]
+    weights[:, :size] *= splits[..., None]
+    at = weights.strides
+    skewed = as_strided(weights, (len(chunk), size, size, 2), (at[0], at[1] + at[2], at[1], at[3]))
+    gram = np.zeros(elements.shape[:2])
+    for parity in (0, 1):
+        block = skewed[:, parity::2, parity::2]
+        products = elements[:, :, parity::2] @ block.reshape(
+            len(chunk), block.shape[1], 2 * block.shape[2])
+        gram += np.einsum("jnc,jnc->jn", products, products)
+    for j, member in enumerate(chunk):
+        yield member[1], gram[j, : member[0] + 1]
+
+
+def _pair_diagonal_band_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, np.ndarray]]:
     """(key, Gram (detected, pair, pair)) of each member of a chunk of
     pair-diagonal arms, members (reach, key, phi, pair count, |b|).
 
@@ -476,7 +698,7 @@ def _pair_diagonal_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, 
         yield member[1], gram
 
 
-def _squeezed_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, np.ndarray]]:
+def _squeezed_band_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, np.ndarray]]:
     """(key, Gram (detected,)) of each member of a chunk of squeezed
     arms, members (reach, key, phi, column amplitudes as (n, 2) real and
     imaginary parts, |b|), accumulated over the sectors as
@@ -505,20 +727,15 @@ def _squeezed_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, np.nd
         yield member[1], gram[j, : member[0] + 1]
 
 
-def _arm_grams(
+def _set_chunks(
     configs: Sequence[HolometerConfig], convention: str,
     magnitudes: tuple[list, list, list] | None = None,
-) -> Iterator[tuple[int, tuple[np.ndarray, float, int] | None, np.ndarray, np.ndarray]]:
-    """(index, pair kernel, Gram of arm 1, Gram of arm 2) for every
-    configuration, in the order the chunks finish them; the kernel is
-    the pair moduli, the kernel angle and the coherent cutoff (None for
-    rank-one input), and equal phases give one array as both Grams.
-
-    Every arm is one batch member, two for unequal phases.  The members
-    of each input kind are sorted by sector reach and run chunk by
-    chunk (module docstring); a configuration is yielded as soon as both
-    of its arms' Grams exist, and its Grams may be overwritten once
-    the next one is asked for.  ``magnitudes`` are the set's
+) -> tuple[dict[int, tuple[np.ndarray, float, int] | None], list[tuple[bool, list]]]:
+    """The pair kernel of every configuration (the pair moduli, the
+    kernel angle and the coherent cutoff; None for rank-one input) and
+    its arms as batch members, one per distinct phase, cut into chunks:
+    (squeezed, chunk) per chunk, each input kind's members sorted by
+    sector reach (module docstring).  ``magnitudes`` are the set's
     _port_magnitudes, built here when not given."""
     pairs, quantum, coherent = magnitudes or _port_magnitudes(configs)
     shift = 0.0 if convention == "i" else math.pi  # "real-symmetric" lacks the i^m phases
@@ -537,24 +754,50 @@ def _arm_grams(
             angle = 0.5 * turn * np.arange(length)
             arm_input = quantum[index][:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
         phases = (config.phi0_1,) if config.phi0_2 == config.phi0_1 else (config.phi0_1, config.phi0_2)
-        # a member: (reach, key, phi, pair count or column amplitudes, |b|)
+        # a member: (reach, key, phi, pair count or column amplitudes, |b|, mu)
         groups.setdefault(config.input_kind, []).extend(
-            (length + len(coherent[index]) - 2, (index, arm), phi, arm_input, coherent[index])
+            (length + len(coherent[index]) - 2, (index, arm), phi, arm_input, coherent[index],
+             config.mu)
             for arm, phi in enumerate(phases))
-
-    waiting: dict[int, np.ndarray] = {}
+    chunks = []
     for kind, members in groups.items():
         members.sort(key=lambda member: -member[0])
         squeezed = kind is InputKind.TWO_SQUEEZED
-        run = _squeezed_grams if squeezed else _pair_diagonal_grams
-        for chunk in _chunks(members, keeps_bands=not squeezed):
-            for (index, arm), gram in run(chunk, convention):
-                config = configs[index]
-                if config.phi0_2 != config.phi0_1 and index not in waiting:
-                    waiting[index] = gram.copy()
-                    continue
-                other = waiting.pop(index, gram)
-                yield (index, kernels[index]) + ((other, gram) if arm else (gram, other))
+        if convention == "i":
+            floats = functools.partial(_table_floats, squeezed=squeezed)
+        else:
+            floats = functools.partial(_band_floats, keeps_bands=not squeezed)
+        chunks += [(squeezed, chunk) for chunk in _chunks(members, floats)]
+    return kernels, chunks
+
+
+def _arm_grams(
+    configs: Sequence[HolometerConfig], convention: str,
+    magnitudes: tuple[list, list, list] | None = None,
+) -> Iterator[tuple[int, tuple[np.ndarray, float, int] | None, np.ndarray, np.ndarray]]:
+    """(index, pair kernel, Gram of arm 1, Gram of arm 2) for every
+    configuration, in the order the chunks of _set_chunks finish them;
+    equal phases give one array as both Grams.  A configuration is
+    yielded as soon as both of its arms' Grams exist, and its Grams may
+    be overwritten once the next one is asked for.  Under "i" each
+    chunk reads its _chunk_tables; "real-symmetric" runs the sector
+    recurrence."""
+    kernels, chunks = _set_chunks(configs, convention, magnitudes)
+    waiting: dict[int, np.ndarray] = {}
+    for squeezed, chunk in chunks:
+        if convention == "i":
+            grams = (_squeezed_grams if squeezed else _pair_diagonal_grams)(
+                chunk, _chunk_tables(chunk, squeezed))
+        else:
+            grams = (_squeezed_band_grams if squeezed else _pair_diagonal_band_grams)(
+                chunk, convention)
+        for (index, arm), gram in grams:
+            config = configs[index]
+            if config.phi0_2 != config.phi0_1 and index not in waiting:
+                waiting[index] = gram.copy()
+                continue
+            other = waiting.pop(index, gram)
+            yield (index, kernels[index]) + ((other, gram) if arm else (gram, other))
 
 
 def _joint_pmfs(

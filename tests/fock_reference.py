@@ -12,7 +12,11 @@ binomial thinning of the joint distribution, and the moments are
 centred sums over the thinned distribution.
 
 Only the input amplitudes and the cutoff rule come from the oracle;
-they have closed-form tests of their own.
+they have closed-form tests of their own.  Under the "i" convention the
+oracle's coherent port is exact (it enters through displacement matrix
+elements), so comparisons with that route build this module's coherent
+port to a weighted tail below DEEP_TAIL (``coherent_tail``) rather than
+at the oracle's cutoff.
 
 The module also keeps the complex arm route that the tests check the
 oracle's real recurrence against: the phased input amplitudes
@@ -38,6 +42,29 @@ from holonoise.moments import CENTERED_KEYS, ReadoutMoments
 # trailing slices below this probability change no double-precision
 # moment, so dropping them keeps the dense tensors small at no cost
 _TRIM_TOL = 1e-30
+# a coherent port this deep is exact to double precision in every
+# joint distribution of the envelope
+DEEP_TAIL = 1e-17
+
+
+def _coherent_port(mu: float, tail: float) -> np.ndarray:
+    """Coherent-port magnitudes cut at the smallest length whose
+    (1 + n)^4-weighted tail, the oracle's rule, is below ``tail`` of the
+    weighted total."""
+    magnitudes = fo._coherent_magnitudes(np.array([mu]), fo._PROBE)[0]
+    weighted = magnitudes**2 * fo._TAIL_WEIGHTS
+    tails = np.cumsum(weighted[::-1])[::-1]
+    return magnitudes[: max(int(np.argmax(tails < tail * weighted.sum())), 1)]
+
+
+def _magnitudes(config: HolometerConfig, coherent_tail: float | None) -> list:
+    """The oracle's pair, quantum and coherent magnitudes of one
+    configuration, the coherent port rebuilt to ``coherent_tail`` when
+    one is given."""
+    magnitudes = [port[0] for port in fo._port_magnitudes([config])]
+    if coherent_tail is not None:
+        magnitudes[2] = _coherent_port(config.mu, coherent_tail)
+    return magnitudes
 
 
 def _phased(
@@ -53,11 +80,13 @@ def _phased(
     return weights, quantum, coherent * np.exp(1j * config.psi * np.arange(len(coherent)))
 
 
-def _arm_block(config: HolometerConfig) -> tuple[np.ndarray, np.ndarray]:
+def _arm_block(
+    config: HolometerConfig, coherent_tail: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Pair weights and the dense complex input block (quantum, coherent,
     pair index) that both arms share, each pair index unweighted; the
     quadrature route transforms it whole."""
-    weights, quantum, coh = _phased(config, *(port[0] for port in fo._port_magnitudes([config])))
+    weights, quantum, coh = _phased(config, *_magnitudes(config, coherent_tail))
     q_vecs = np.eye(len(weights), dtype=complex) if quantum is None else quantum[None, :]
     return weights, q_vecs.T[:, None, :] * coh[None, :, None]
 
@@ -103,10 +132,13 @@ def _bs_pair_transform(
     return out
 
 
-def ports(config: HolometerConfig, cutoff: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def ports(
+    config: HolometerConfig, cutoff: int | None = None, coherent_tail: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Quantum-port amplitudes over (port 1, port 2) and the coherent-port
     vector shared by both readouts.  ``cutoff`` pins every mode's cutoff;
-    by default each port takes the oracle's automatic one."""
+    by default each port takes the oracle's automatic one, and the
+    coherent port the tail ``coherent_tail`` when one is given."""
     if cutoff:
         kind = config.input_kind
         at = np.array([config.lam])
@@ -114,7 +146,7 @@ def ports(config: HolometerConfig, cutoff: int | None = None) -> tuple[np.ndarra
         quantum = fo._squeezed_magnitudes(at, cutoff)[0] if kind is InputKind.TWO_SQUEEZED else None
         magnitudes = pairs, quantum, fo._coherent_magnitudes(np.array([config.mu]), cutoff)[0]
     else:
-        magnitudes = (port[0] for port in fo._port_magnitudes([config]))
+        magnitudes = _magnitudes(config, coherent_tail)
     weights, sq, coherent = _phased(config, *magnitudes)
     if config.input_kind is InputKind.TWB:
         return np.diag(weights), coherent
@@ -123,9 +155,11 @@ def ports(config: HolometerConfig, cutoff: int | None = None) -> tuple[np.ndarra
     return np.ones((1, 1), dtype=complex), coherent
 
 
-def input_state(config: HolometerConfig, cutoff: int | None = None) -> np.ndarray:
+def input_state(
+    config: HolometerConfig, cutoff: int | None = None, coherent_tail: float | None = None,
+) -> np.ndarray:
     """Four-mode input amplitudes in the module's mode layout."""
-    quantum, coherent = ports(config, cutoff)
+    quantum, coherent = ports(config, cutoff, coherent_tail)
     return np.multiply.outer(np.multiply.outer(quantum, coherent), coherent)
 
 
@@ -169,10 +203,12 @@ def trim(amp: np.ndarray) -> np.ndarray:
     return amp[tuple(keep)]
 
 
-def detected_pmf(config: HolometerConfig, cutoff: int | None = None) -> np.ndarray:
+def detected_pmf(
+    config: HolometerConfig, cutoff: int | None = None, coherent_tail: float | None = None,
+) -> np.ndarray:
     """Joint photon-number distribution of the two detected ports before
     loss, normalized as the oracle normalizes it."""
-    amp = trim(input_state(config, cutoff))
+    amp = trim(input_state(config, cutoff, coherent_tail))
     amp = trim(beam_splitter(amp, 0, 2, config.phi0_1))
     amp = trim(beam_splitter(amp, 1, 3, config.phi0_2))
     pmf = (np.abs(amp) ** 2).sum(axis=(2, 3))

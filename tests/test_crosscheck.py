@@ -43,6 +43,21 @@ def test_broken_convention_is_caught():
     assert report.n_failed == len(report.configs)
 
 
+def test_the_broken_convention_fails_every_quantum_input_and_only_those():
+    # coherent-only input carries no quantum photons, so the two
+    # conventions agree on it; every twin-beam and squeezed
+    # configuration of the default set must fail
+    report = run_crosscheck(100, DEFAULT_SEED, convention="real-symmetric")
+    assert report.coincidence == pytest.approx(0.5, abs=1e-9)
+    ok = np.asarray(report.comparison.ok)
+    counts = {}
+    for kind in InputKind:
+        members = np.array([config.input_kind is kind for config in report.configs])
+        counts[kind] = int(members.sum())
+        assert ok[members].all() if kind is InputKind.COHERENT_ONLY else not ok[members].any(), kind
+    assert counts == {InputKind.TWB: 58, InputKind.TWO_SQUEEZED: 34, InputKind.COHERENT_ONLY: 8}
+
+
 def test_sampled_configs_stay_inside_the_guardrail_domain():
     rng = np.random.default_rng(123)
     kinds = set()
@@ -135,8 +150,11 @@ def scalar_comparison(a, b, rtol=1e-8):
     entries = [(name, getattr(a, name), getattr(b, name), 1e-13)
                for name in ("mean_1", "mean_2", "var_1", "var_2")]
     entries.append(("cov", a.cov, b.cov, 1e-13 + 1e-11 * sd1 * sd2))
+    # powers by repeated multiplication, as the rule rounds them on a
+    # float and on an array alike (libm pow can differ by one ulp)
     entries += [(f"centered[{p},{q}]", a.centered[(p, q)], b.centered[(p, q)],
-                 1e-13 + 1e-11 * sd1**p * sd2**q) for p, q in CENTERED_KEYS]
+                 1e-13 + 1e-11 * math.prod([sd1] * p) * math.prod([sd2] * q))
+                for p, q in CENTERED_KEYS]
     margins, relative = {}, {}
     for name, x, y, floor in entries:
         margin = abs(x - y) / (rtol * max(abs(x), abs(y)) + floor)

@@ -131,7 +131,7 @@ def test_pair_transform_matches_reference_on_non_decaying_blocks(shape):
 
 
 def counted_recurrence(monkeypatch):
-    """The phases of every recurrence run, one list per run."""
+    """The phases of every sector-recurrence run, one list per run."""
     runs = []
     recurrence = fock_oracle._sector_bands
 
@@ -143,11 +143,40 @@ def counted_recurrence(monkeypatch):
     return runs
 
 
+def counted_chunks(monkeypatch):
+    """The phases of the members of every chunk of "i" Grams, one list
+    per chunk."""
+    chunks = []
+    for name in ("_pair_diagonal_grams", "_squeezed_grams"):
+        def counted(chunk, tables, grams=getattr(fock_oracle, name)):
+            chunks.append([member[2] for member in chunk])
+            return grams(chunk, tables)
+
+        monkeypatch.setattr(fock_oracle, name, counted)
+    return chunks
+
+
 @pytest.mark.parametrize("phi0_2, phases", [(0.7, [0.7]), (1.9, [0.7, 1.9])])
 def test_each_distinct_phase_is_one_batch_member(monkeypatch, phi0_2, phases):
-    runs = counted_recurrence(monkeypatch)
+    chunks = counted_chunks(monkeypatch)
     fock_joint_pmf(make(phi0_1=0.7, phi0_2=phi0_2))
-    assert runs == [phases]
+    assert chunks == [phases]
+
+
+def test_the_unitary_route_runs_no_sector_recurrence(monkeypatch):
+    # "i" reads displacement tables; the coincidence null, the quadrature
+    # route and the broken convention keep the sector recurrence
+    runs = counted_recurrence(monkeypatch)
+    configs = [make(), make(input_kind="TwoSqueezed"), make(input_kind="CoherentOnly", phi0_2=1.3)]
+    oracle_moments(configs)
+    for config in configs:
+        fock_joint_pmf(config)
+    assert runs == []
+    for call in (lambda: two_photon_coincidence("i"), lambda: fock_quadrature_moments(make()),
+                 lambda: fock_joint_pmf(make(), convention="real-symmetric")):
+        call()
+        assert runs, call
+        runs.clear()
 
 
 def test_two_photon_coincidence_null_for_unitary_conventions():
@@ -172,7 +201,7 @@ def test_schmidt_and_dense_routes_agree():
     for phi0_2 in (0.7, 2.1):
         config = make(phi0_2=phi0_2)
         schmidt = fock_joint_pmf(config)
-        dense = reference.detected_pmf(config)
+        dense = reference.detected_pmf(config, coherent_tail=reference.DEEP_TAIL)
         r = min(schmidt.shape[0], dense.shape[0])
         c = min(schmidt.shape[1], dense.shape[1])
         assert np.max(np.abs(schmidt[:r, :c] - dense[:r, :c])) < 1e-13, phi0_2
@@ -197,7 +226,8 @@ PHASE_GRID = [
 @pytest.mark.parametrize("theta, psi", PHASE_GRID)
 def test_twin_beam_phases_fold_into_the_kernel(theta, psi, phi0_2):
     config = make(mu=0.8, lam=0.3, theta=theta, psi=psi, phi0_2=phi0_2)
-    assert padded_difference(fock_joint_pmf(config), reference.detected_pmf(config)) < 1e-13
+    dense = reference.detected_pmf(config, coherent_tail=reference.DEEP_TAIL)
+    assert padded_difference(fock_joint_pmf(config), dense) < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -207,13 +237,16 @@ def test_twin_beam_phases_fold_into_the_kernel(theta, psi, phi0_2):
     ids=["envelope-edge", "coherent-only"],
 )
 def test_pair_diagonal_pmf_matches_dense_reference(config):
-    assert padded_difference(fock_joint_pmf(config), reference.detected_pmf(config)) < 1e-13
+    dense = reference.detected_pmf(config, coherent_tail=reference.DEEP_TAIL)
+    assert padded_difference(fock_joint_pmf(config), dense) < 1e-13
 
 
 def complex_arm_pmf(config, convention):
     # p(n1, n2) = sum_{m m'} c_m conj(c_m') W1[n1, m, m'] W2[n2, m, m'] on
-    # the complex arms, normalized as fock_joint_pmf normalizes
-    weights, block = reference._arm_block(config)
+    # the complex arms, normalized as fock_joint_pmf normalizes; the "i"
+    # route's coherent port is exact, so the reference's is built deep
+    weights, block = reference._arm_block(
+        config, reference.DEEP_TAIL if convention == "i" else None)
     arms = (_bs_pair_transform(block, phi, convention) for phi in (config.phi0_1, config.phi0_2))
     w1, w2 = (np.einsum("nkm,nkM->nmM", arm, arm.conj()) for arm in arms)
     pmf = np.einsum("m,M,nmM,NmM->nN", weights, weights.conj(), w1, w2).real
@@ -230,7 +263,59 @@ def complex_arm_pmf(config, convention):
 def test_real_route_matches_complex_arm_contraction(config, convention):
     expected = complex_arm_pmf(config, convention)
     got = fock_joint_pmf(config, convention=convention)
-    assert np.max(np.abs(got - expected)) < 1e-12 * np.max(expected)
+    assert padded_difference(got, expected) < 1e-12 * np.max(expected)
+
+
+# ---------------------------------------------------------------------------
+# displacement matrix elements
+# ---------------------------------------------------------------------------
+
+SIZE = 200
+# every fifth photon number and the last, 41 x 41 entries per x^2: the
+# diagonals, small counts and the far corners alike
+GRID = list(range(0, SIZE, 5)) + [SIZE - 1]
+
+
+@pytest.mark.parametrize("square", [0.0, 1e-6, 1e-2, 1.0, 4.0])
+def test_displacement_matrix_elements_match_the_laguerre_closed_form(square):
+    # <n|D(x)|q> = e^(-x^2/2) sqrt(q!/n!) x^(n-q) L_q^(n-q)(x^2) for n >= q,
+    # and (-1)^(q-n) the same with n and q swapped, in 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    x = math.sqrt(square)
+    tables = fock_oracle._displacement_tables(np.array([x]), SIZE, SIZE)
+    elements = fock_oracle._matrix_elements(tables, SIZE, SIZE)[0]
+    with mpmath.workdps(50):
+        t = mpmath.mpf(x) ** 2
+        for n in GRID:
+            for q in GRID:
+                low, high = min(n, q), max(n, q)
+                exact = (mpmath.exp(-t / 2) * mpmath.sqrt(mpmath.factorial(low) / mpmath.factorial(high))
+                         * mpmath.mpf(x) ** (high - low)
+                         * mpmath.laguerre(low, high - low, t, zeroprec=400))
+                sign = (-1) ** (q - n) if n < q else 1
+                assert abs(sign * float(exact) - elements[n, q]) <= 1e-14, (n, q)
+    # the columns of a unitary: their mass over n < 200 for q < 40
+    assert np.max(np.abs((elements[:, :40] ** 2).sum(axis=0) - 1.0)) <= 1e-13
+
+
+# the zero branches of the tables: x = 0 (phi0 = 0), cos(phi/2) = 0
+# (phi0 = pi), a dark coherent port, two phases far apart, and a
+# quantum port in vacuum (one photon number, no odd parity)
+TABLE_EDGES = {
+    "phi0-zero": dict(phi0_1=0.0, phi0_2=0.0),
+    "phi0-pi": dict(phi0_1=math.pi, phi0_2=math.pi),
+    "dark": dict(mu=0.0),
+    "unequal-phases": dict(phi0_1=0.3, phi0_2=2.9),
+    "quantum-vacuum": dict(lam=0.0),
+}
+
+
+@pytest.mark.parametrize("kind", ["TWB", "TwoSqueezed", "CoherentOnly"])
+@pytest.mark.parametrize("edge", list(TABLE_EDGES))
+def test_the_oracle_meets_the_engine_at_the_edges_of_its_tables(kind, edge):
+    config = make(input_kind=kind, **TABLE_EDGES[edge])
+    result = compare_moments(readout_moments(config), oracle_moments(config), rtol=1e-8)
+    assert result.ok, (result.worst_field, result.max_relative)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +357,8 @@ def test_lossy_twin_beam_difference_fourth_moment():
 
 def test_state_level_moments_match_config_level():
     config = make()
-    via_state = reference.thinned_moments(reference.detected_pmf(config), config.eta_pair)
+    via_state = reference.thinned_moments(
+        reference.detected_pmf(config, coherent_tail=reference.DEEP_TAIL), config.eta_pair)
     via_config = oracle_moments(config)
     result = compare_moments(via_state, via_config, rtol=1e-10)
     assert result.ok, (result.worst_field, result.max_relative)
@@ -373,13 +459,14 @@ def test_port_cutoffs_at_the_envelope_edge():
 
 def test_the_default_set_runs_one_recurrence_per_chunk(monkeypatch):
     # each phase is one batch member, and the hundred configurations
-    # share fewer than half as many recurrence runs, one per chunk
-    runs = counted_recurrence(monkeypatch)
+    # share fewer than half as many chunks, one displacement-table
+    # recurrence each
+    chunks = counted_chunks(monkeypatch)
     configs = drawn(DEFAULT_SEED)
     oracle_moments(configs)
-    assert sorted(phi for run in runs for phi in run) == sorted(c.phi0_1 for c in configs)
-    assert len(runs) < len(configs) / 2
-    assert max(map(len, runs)) > 5
+    assert sorted(phi for chunk in chunks for phi in chunk) == sorted(c.phi0_1 for c in configs)
+    assert len(chunks) < len(configs) / 2
+    assert max(map(len, chunks)) > 5
 
 
 def test_a_mass_drift_inside_a_batch_names_its_configuration(monkeypatch):
@@ -397,8 +484,8 @@ def test_a_negative_entry_inside_a_batch_names_its_configuration(monkeypatch):
     # onto its vacuum entry from its last one, which turns negative
     grams = fock_oracle._squeezed_grams
 
-    def skewed(chunk, convention):
-        for key, gram in grams(chunk, convention):
+    def skewed(chunk, tables):
+        for key, gram in grams(chunk, tables):
             if key[0] == 1:
                 gram = gram.copy()
                 gram[-1] -= 1e-6
@@ -416,8 +503,8 @@ def test_a_negative_entry_of_a_packed_distribution_names_its_configuration(monke
     # the distribution's mass and turn p(0, 1) into -p(0, 1) - 2 p(1, 1)
     grams = fock_oracle._pair_diagonal_grams
 
-    def skewed(chunk, convention):
-        for key, gram in grams(chunk, convention):
+    def skewed(chunk, tables):
+        for key, gram in grams(chunk, tables):
             if key[0] == 1:
                 gram = gram.copy()
                 gram[0] += 2.0 * gram[1]

@@ -32,6 +32,32 @@ def test_bench_moments_runs_every_row_once(tmp_path):
     assert len(scans) == 5
 
 
+def test_bench_moments_keeps_each_rows_median_over_its_rounds(tmp_path):
+    record_path = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_moments.py"), "--quick", "--rounds", "3",
+         "--json", str(record_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    headers = [line for line in done.stdout.splitlines() if line.startswith("-- ")]
+    assert headers == ["-- round 1 of 3", "-- round 2 of 3", "-- round 3 of 3",
+                       "-- median over 3 rounds"]
+    record = json.loads(record_path.read_text())
+    assert record["rounds"] == 3
+    for row in record["rows"]:
+        rounds = sorted(row["round_medians_ms"])
+        assert len(rounds) == 3 and row["median_ms"] == rounds[1]
+        assert sorted(row["round_cpu_medians_ms"])[1] == row["cpu_median_ms"]
+    labels = [row["label"].strip() for row in record["rows"]]
+    # the oracle's stages: inputs, tables, Grams, distributions, readout
+    at = labels.index("its inputs and cutoffs")
+    assert labels[at + 1].startswith("the tables of its ")
+    assert labels[at + 2 : at + 5] == ["its Grams from those tables", "its joint distributions",
+                                       "its moment readout"]
+
+
 def test_size_report_totals_its_module_rows():
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "size_report.py")],
