@@ -338,7 +338,7 @@ lambda: closed_form_moments(BRIGHT), repeat, bright)
         first = gram1.copy()
         stored.append((index, kernel, first, first if gram2 is gram1 else gram2.copy()))
     add("  its joint distributions",
-        lambda: [_checked_pmf(*grams, "i") for grams in stored],
+        lambda: [_checked_pmf(*grams) for grams in stored],
         max(1, repeat // 10), guardrail)
     pmfs = [pmf for _, pmf in sorted(_joint_pmfs(drawn, "i"), key=lambda item: item[0])]
     etas = np.array([config.eta_pair for config in drawn])

@@ -14,32 +14,32 @@ splitter acts on one arm, a (quantum port, coherent port) product state
 per pair index, and the joint distribution of the detected pair is a
 contraction of the two arms' Grams over their discarded ports.
 
-Under the unitary "i" convention the beam splitter turns the coherent
-port into two displacements, one per output port, and the discarded
-one drops out of every Gram.  So the coherent photons enter only
-through the displacement matrix elements <n|D(x)|q> (Cahill and
+The beam splitter's mode matrix is the unitary [[c, i s], [i s, c]] (c,
+s the cosine and sine of phi/2, the "i" convention).  It turns the
+coherent port into two displacements, one per output port, and the
+discarded one drops out of every Gram.  So the coherent photons enter
+only through the displacement matrix elements <n|D(x)|q> (Cahill and
 Glauber, Phys. Rev. 177, 1857 (1969)), built by one scaled Laguerre
 recurrence, and the quantum photons through a binomial split against
 vacuum (the comment above _laguerre_table); the coherent port is exact
 there, and its cutoff only sizes the detected range.  The deliberately
-non-unitary "real-symmetric" convention has no such factorization, and
-its arms run a one-photon sector recurrence (Risbo, J. Geodesy 70, 383
-(1996)), as do the coincidence null and the quadrature moments.
+broken "real-symmetric" convention, a loud negative control, runs the
+same tables with the pair-kernel and squeezed-column angles shifted by
+pi: a phase i^(-m) on m quantum photons, which mis-phases the quantum
+light against the coherent light.  Coherent-only input has no quantum
+photons and comes out unchanged.  The two-photon coincidence null is a
+permanent of the mode matrix, the non-unitary [[c, s], [s, c]] under
+"real-symmetric".
 
-Everything is real.  The beam splitter's mode matrix
-M = [[c, i s], [i s, c]] (c, s the cosine and sine of phi/2) is
-diag(1, -i) R diag(1, i) with R = [[c, s], [-s, c]] (equally
-diag(1, i) R^T diag(1, -i)), so its sector block is
-T_s[p, m] = i^(m-p) R_s[p, m] with R_s real.  Twin-beam and
-coherent-only inputs carry phases linear in photon number, which fold
-into a real kernel over the pair index; their arms, Grams and joint
-distribution are real arrays.  Squeezed input is rank one; the output
-phase i^(-p) drops out of its Gram, and its column amplitudes are
-carried as real and imaginary parts.  The quadrature moments read the
-same real arms: their phases fold into the same cosine kernel, so the
-module computes in real arithmetic throughout.  Detection loss scales
-the joint falling-factorial moments by eta per order, which is exact
-for binomial loss.
+Everything is real.  Twin-beam and coherent-only inputs carry phases
+linear in photon number, which fold into a real kernel over the pair
+index; their arms, Grams and joint distribution are real arrays.
+Squeezed input is rank one, and its column amplitudes are carried as
+real and imaginary parts.  The quadrature moments read the same real
+arms, their phases folded into the same cosine kernel, so the module
+computes in real arithmetic throughout.  Detection loss scales the
+joint falling-factorial moments by eta per order, which is exact for
+binomial loss.
 
 One pass serves a whole set of configurations.  The input magnitudes
 and cutoffs are built for the set at once, one (configurations x
@@ -49,26 +49,23 @@ joint distribution only through the kernel angle (and psi through the
 squeezed column), so no complex coherent or pair amplitudes are formed
 for it.  Each arm is a batch member with its own phase (unequal phases
 give two members), and the members of one input kind are sorted by
-sector reach n_a + n_b - 2 (the detected range less one).  Members are
-cut into chunks in that order, a chunk holding at most _CHUNK_FLOATS
-floats (1 MiB).  Under "i" a chunk is one displacement recurrence over
-its members, with its tables and binomial splits; twin-beam and
-coherent-only Grams are then formed one member at a time, in blocks of
-_ROWS detected rows, and squeezed Grams in one product per photon-number
-parity for the chunk.  Under "real-symmetric" a chunk is one sector
-recurrence run, which keeps every sector's band for twin-beam and
-coherent-only input and accumulates squeezed Grams sector by sector.
+reach n_a + n_b - 2 (the detected range less one).  Members are cut
+into chunks in that order, a chunk holding at most _CHUNK_FLOATS floats
+(1 MiB).  A chunk is one displacement recurrence over its members, with
+its tables and binomial splits; twin-beam and coherent-only Grams are
+then formed one member at a time, in blocks of _ROWS detected rows, and
+squeezed Grams in one product per photon-number parity for the chunk.
 Each joint distribution is one product over the packed pair triangle,
 one factor times its own transpose when the two phases are equal (every
 configuration oracle-check draws).  The moments of the whole set are
 read out together, one stacked 5 x 5 product per step, into one carrier
-of arrays over the set.  A single configuration is a batch of one,
-and the quadrature route runs the sector recurrence on the one or two
-arms of one configuration, summing three real matrices over the sectors
+of arrays over the set.  A single configuration is a batch of one, and
+the quadrature route reads the chunk tables of the one or two arms of
+one configuration, summing three real matrices over the detected port
 (the comment above fock_quadrature_moments).  At the default seed and
 at seeds 1000-1004, one ``oracle-check --n-configs 100`` makes 13-25
-chunks and 710-1 623 table-recurrence steps, and the oracle's
-allocations peak at 3.3-3.5 MiB under tracemalloc.
+chunks and 710-1 623 table-recurrence steps, under either convention,
+and the oracle's allocations peak at 3.3-3.5 MiB under tracemalloc.
 
 Mode layout, fixed throughout: each arm pairs a quantum port with the
 coherent port of the same readout.  The detected output of each readout
@@ -80,7 +77,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -239,147 +236,15 @@ def _cutoffs(magnitudes: tuple[list, list, list]) -> tuple[np.ndarray, np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# beam splitter, sector by sector
-
-# The two-mode transform conserves total photon number, so on each
-# sector s = m + n it is a small dense block T_s[p, m] = <p, s-p|U|m, s-m>.
-# Blocks are built sector by sector from the one-photon step
-#   |m, s-m> = (sqrt(m) a+ |m-1, s-m> + sqrt(s-m) b+ |m, s-m-1>) / s
-# with U a+ U^-1 = alpha a+ + beta b+ and U b+ U^-1 = gamma a+ + delta b+,
-# the SU(2) recurrence of Risbo (J. Geodesy 70, 383 (1996)).  Every
-# column is built from unit columns of the sector below with weights of
-# modulus at most one, so each step adds rounding of order one ulp of
-# the block's scale and the sectors stay unitary to about 1e-15 up to
-# s = 240; expanding the products (alpha a+ + beta b+)^m
-# (gamma a+ + delta b+)^n term by term instead cancels away every digit
-# by s ~ 160.  The step is a polynomial identity and needs no unitarity,
-# so the non-unitary convention goes through it too.
-#
-# The recurrence runs in real arithmetic.  The "i" convention's mode
-# matrix [[c, i s], [i s, c]] (c = cos(phi/2), s = sin(phi/2)) is
-# diag(1, -i) R diag(1, i) with R = [[c, s], [-s, c]] real: substituting
-# b'+ = i b+ turns (c a+ + i s b+)^m (i s a+ + c b+)^n into
-# (-i)^n (c a+ + s b'+)^m (-s a+ + c b'+)^n, and each a+^p b'+^(s-p) is
-# i^(s-p) a+^p b+^(s-p), so with n = s - m
-#   T_s[p, m] = i^(m-p) R_s[p, m],
-# R_s the block of (alpha, beta, gamma, delta) = (c, s, -s, c).  The
-# "real-symmetric" convention is real already, (c, s, s, c).
-#
-# Columns are indexed by the coherent-port number k = s - m of the
-# input, so every sector's band lies in 0 <= k < n_b whatever n_a is.
-# The step's square roots are a rescaling: with
-#   Q_s[p, k] = R_s[p, k] sqrt(C(s, p) C(s, k)) / 2^s,
-# C the binomial coefficient, column k of sector s takes columns k and
-# k - 1 of sector s - 1 with constant weights,
-#   2 Q_s[p, k] = c (Q[p-1, k] + Q[p, k-1]) + s (Q[p, k] +/- Q[p-1, k-1]),
-# Q = Q_{s-1} zero outside 0 <= p < s and m = s - k >= 0.  Each term is
-# the normalized step's term times one positive number, the scale of
-# Q_s[p, k], which bounds the scales of its four sources; so the
-# rounding stays of order one ulp of the scale per step, as in the
-# normalized form, and |Q| <= 1 under "i".  The four reads Q[p - i, k - j],
-# i, j in {0, 1}, are one strided view of a zero-framed (row, column)
-# block per member, so a step is a few whole-array operations over the
-# members that reach the sector.  Callers undo the scaling:
-# R_s[p, k] = Q_s[p, k] rows_s[p] sqrt(k! m!) with
-# rows_s[p] = 2^s sqrt(p! (s-p)!) / s!.
+# the beam-splitter convention
 
 
-def _root_factorials(n: int) -> np.ndarray:
-    """sqrt(j!) for j < n, as a running product (finite for n <= 300)."""
-    out = np.ones(n)
-    out[1:] = np.cumprod(np.sqrt(np.arange(1.0, n)))
-    return out
-
-
-@functools.lru_cache(maxsize=4)
-def _row_table(size: int) -> np.ndarray:
-    roots = _root_factorials(size)
-    s, p = np.ogrid[:size, :size]
-    inside = p <= s
-    rest = roots[np.where(inside, s - p, 0)]
-    return np.where(inside, 2.0**s * (roots[p] / roots[s]) * (rest / roots[s]), 0.0)
-
-
-def _row_scales(smax: int) -> np.ndarray:
-    """rows[s, p] = 2^s sqrt(p! (s-p)!) / s! for s, p <= smax (zero for
-    p > s), the row part of R / Q; tables are built in sizes of 64 and
-    kept."""
-    return _row_table(-(-(smax + 1) // 64) * 64)[: smax + 1, : smax + 1]
-
-
-def _sector_bands(
-    phis: Sequence[float], convention: str, na: np.ndarray, nb: np.ndarray,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The recurrence of the convention on a batch of members, one phase
-    each, sorted by sector reach na + nb - 2 (descending), in the scaled
-    form Q above.
-
-    Yields (s, active, band) for s = 0 .. the first member's reach:
-    band[j, p, k] = Q_s[p, s - k] of member j < active (the members
-    that reach s) for p <= s and 0 <= k < max(nb), zero where k > s,
-    plus one zero column.  The band is exact for every such k, also on
-    columns m = s - k a member's own block does not reach, so callers
-    weight by their own amplitudes (zero past their cutoffs).  A band is
-    overwritten two steps later."""
+def _broken(convention: str) -> bool:
+    """Whether ``convention`` is the broken "real-symmetric" one; any
+    name outside _CONVENTIONS is a ValueError."""
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown beam-splitter convention {convention!r}")
-    # (alpha, beta, gamma, delta) = (c, s, sign s, c): "i" is i^(m - p)
-    # times the rotation, "real-symmetric" is not unitary, kept as a loud
-    # negative control
-    half = 0.5 * np.asarray(phis, dtype=float)
-    cos, sin, sign = np.cos(half), np.sin(half), -1.0 if convention == "i" else 1.0
-    count = len(na)
-    reach = na + nb - 2
-    smax = int(reach[0])
-    width = int(nb.max()) + 1  # k = 0 .. max(nb) - 1 and a zero column
-    rows = smax + 3  # p = -1 .. smax + 1
-    active = np.searchsorted(-reach, -np.arange(smax + 1), side="right")
-    # two frames, each behind one leading zero; reads[i, j] views a
-    # frame at Q[p - i, k - j] (the row above p = 0 is zero, and so is
-    # the zero column of the row above, read at k = 0)
-    block = rows * width
-    flat = [np.zeros(1 + count * block) for _ in range(2)]
-    frames = [f[1:].reshape(count, rows, width) for f in flat]
-    unit = flat[0].itemsize
-    reads = [as_strided(f[1 + width :], (2, 2, count, smax + 1, width),
-                        (-width * unit, -unit, block * unit, width * unit, unit)) for f in flat]
-    sums = np.empty((2, count, smax + 1, width))
-    # the weights of the [alpha/delta, beta/gamma] sums, halved
-    weights = 0.5 * np.array([cos, sin])[:, :, None, None]
-    frames[0][:, 1, 0] = 1.0  # sector 0: the vacuum
-    yield 0, count, frames[0][:, 1:2]
-    for s in range(1, smax + 1):
-        a = int(active[s])
-        read = reads[(s - 1) % 2][:, :, :a, : s + 1]
-        pair = sums[:, :a, : s + 1]
-        np.add(read[1, 0], read[0, 1], out=pair[0])
-        (np.add if sign > 0 else np.subtract)(read[0, 0], read[1, 1], out=pair[1])
-        pair *= weights[:, :a]
-        new = frames[s % 2][:a, 1 : s + 2]
-        np.add(pair[0], pair[1], out=new)
-        new[:, :, -1] = 0.0  # the zero column took column k - 1
-        yield s, a, new
-
-
-def _chunks(members: list, floats: Callable[[list], int]) -> Iterator[list]:
-    """Consecutive runs of reach-sorted members (reach, key, phi, quantum,
-    |b|, mu) whose arrays, ``floats(run)`` of them, fit in _CHUNK_FLOATS
-    (_band_floats for the sector recurrence, _table_floats under "i").
-    A member larger than that is a chunk of its own."""
-    start = 0
-    while start < len(members):
-        stop = start + 1
-        while stop < len(members) and floats(members[start : stop + 1]) <= _CHUNK_FLOATS:
-            stop += 1
-        yield members[start:stop]
-        start = stop
-
-
-def _band_floats(run: list, keeps_bands: bool) -> int:
-    """The recurrence's two frames and two sums per member, and every
-    sector's band as well when the Grams follow the last sector."""
-    size, width = run[0][0] + 1, max(len(member[4]) for member in run) + 1
-    return len(run) * size * width * (4 + (size if keeps_bands else 0))
+    return convention == "real-symmetric"
 
 
 def two_photon_coincidence(convention: str = "i") -> float:
@@ -391,21 +256,29 @@ def two_photon_coincidence(convention: str = "i") -> float:
     convention leaves it at 1/2.  Used as a negative control on the
     beam-splitter phase convention.
 
-    The output amplitudes of |1, 1> are column k = 1 of sector 2, the
-    recurrence's last: R_2[p, 1] = Q_2[p, 1] rows_2[p], and the phases
-    i^(1-p) of "i" drop out of the probabilities.
+    The output amplitudes of |1, 1> are permanents of the mode matrix M
+    (Hong, Ou and Mandel, PRL 59, 2044 (1987); Scheel,
+    arXiv:quant-ph/0406127): perm M = M11 M22 + M12 M21 for |1, 1>, and
+    the permanent with one row repeated, over sqrt(2), for |2, 0> and
+    |0, 2>.  The "i" matrix [[c, i s], [i s, c]] (c, s the cosine and
+    sine of phi/2) is diag(1, -i) R diag(1, i) with the real
+    R = [[c, s], [-s, c]], whose phases drop out of every probability,
+    so R stands in for it; "real-symmetric" is [[c, s], [s, c]], which is
+    not unitary.
     """
-    *_, (_, _, band) = _sector_bands([math.pi / 2.0], convention, np.array([2]), np.array([2]))
-    pmf = (band[0, :, 1] * _row_scales(2)[2]) ** 2
-    return float(pmf[1] / pmf.sum())
+    c, s = math.cos(0.25 * math.pi), math.sin(0.25 * math.pi)
+    lower = s if _broken(convention) else -s  # M21
+    amplitudes = (math.sqrt(2.0) * c * s, c * c + s * lower, math.sqrt(2.0) * lower * c)
+    probabilities = [amplitude * amplitude for amplitude in amplitudes]
+    return probabilities[1] / sum(probabilities)
 
 
 # ---------------------------------------------------------------------------
 # displacement matrix elements and the binomial split
 
-# Under "i" a beam splitter maps a coherent input to a product of
-# displacements, U D_coh(beta) U^-1 = D_det(i s beta) D_disc(c beta), so
-# an arm of (quantum port) x |beta> leaves it as D_det(i s beta) D_disc(c beta)
+# A beam splitter maps a coherent input to a product of displacements,
+# U D_coh(beta) U^-1 = D_det(i s beta) D_disc(c beta), so an arm of
+# (quantum port) x |beta> leaves it as D_det(i s beta) D_disc(c beta)
 # applied to the quantum port split against vacuum,
 #   U |m, 0> = sum_j B_m(j) i^j |m - j, j>,  B_m(j) = sqrt(C(m, j)) c^(m-j) s^j,
 # j photons sent to the discarded port.  D_disc is unitary and drops out
@@ -511,39 +384,28 @@ def _binomial_splits(first: np.ndarray, second: np.ndarray, size: int) -> np.nda
 # Twin-beam and coherent-only input is pair-diagonal: arm r starts as
 # |r> (x) |coherent>, and both c_r = |c_r| e^{i theta r} and the coherent
 # amplitudes |b_k| e^{i psi k} carry phases linear in photon number.
-# Under "i" the transformed arm r is, at detected p and discarded p',
-#   i^(r-p) e^{i psi (p+p'-r)} R_{p+p'}[p, r] |b_{p+p'-r}|,
-# so its Gram over the discarded port, W[n][r, r'], is the real Gram G of
-# the arm run on magnitudes times e^{i (r-r') (pi/2 - psi)}.  With
-# p(n1, n2) = sum_{r r'} c_r conj(c_r') W1[n1][r, r'] W2[n2][r, r'] the
-# phases collect into e^{i (r-r') (theta + pi - 2 psi)}, and G being
+# The detected displacement is i s beta = x e^{i (psi + pi/2)} with
+# x = s sqrt(mu) (the comment above _laguerre_table), so arm r is, at
+# detected n and discarded j,
+#   i^j e^{i (psi + pi/2) (n - r + j)} d[n, r - j] B_r(j),
+# d[n, q] = <n|D(x)|q>, real, and its Gram over the discarded port,
+# W[n][r, r'], is e^{-i (r-r') (psi + pi/2)} G[n][r, r'] with the real
+#   G[n] = V[n] V[n]^T,  V[n, r, j] = d[n, r - j] B_r(j).
+# With p(n1, n2) = sum_{r r'} c_r conj(c_r') W1[n1][r, r'] W2[n2][r, r']
+# the phases collect into e^{i (r-r') (theta - pi - 2 psi)}, and G being
 # symmetric leaves the real kernel
 #   K[r, r'] = |c_r| |c_r'| cos((r - r') (theta + pi - 2 psi)),
-# p = (K o G1) . G2^T over the flattened pair axes.  "real-symmetric" has
-# no i^(r-p) factor, so its kernel angle is theta - 2 psi.  The real arm
-# is the band itself, R_s[p, r] |b_{s-r}|, with no product against the
-# input block.
-#
-# The displacement route ("i", the comment above _laguerre_table) gives
-# the same kernel.  The detected displacement is i s beta =
-# x e^{i (psi + pi/2)} with x = s sqrt(mu), so arm r is, at detected n
-# and discarded j,
-#   i^j e^{i (psi + pi/2) (n - r + j)} d[n, r - j] B_r(j),
-# d[n, q] = <n|D(x)|q>, real, and its Gram over the discarded port is
-# e^{-i (r-r') (psi + pi/2)} G[n][r, r'] with
-#   G[n] = V[n] V[n]^T,  V[n, r, j] = d[n, r - j] B_r(j).
-# The phases collect into e^{i (r-r') (theta - pi - 2 psi)}, the kernel
-# angle above less 2 pi per unit of r - r'.  (G is the recurrence's
-# times (-1)^(r-r'), a sign both arms carry.)
+# p = (K o G1) . G2^T over the flattened pair axes.  The broken
+# "real-symmetric" convention shifts the kernel angle by pi, to
+# theta - 2 psi: a phase i^(-r) on the r quantum photons of each arm.
 #
 # K, G1 and G2 are symmetric in (r, r'), so the sum runs over the packed
-# triangle r <= r' with weight 1 on the diagonal and 2 off it.  With a
-# coherent port cut at n_b, arm r reaches sectors r to r + n_b - 1 only,
-# so G[r, r'] is an exact zero for r' >= r + n_b and the triangle is cut
-# to that band.  The displacement route's exact coherent port leaves a
-# product of two coherent tails there; the cut moves no distribution of
-# the envelope by more than about 1e-16 (against a dense reference with a
-# coherent tail below 1e-17).
+# triangle r <= r' with weight 1 on the diagonal and 2 off it.  A
+# coherent port cut at n_b would leave G[r, r'] an exact zero for
+# r' >= r + n_b, and the triangle is cut to that band; the exact
+# coherent port leaves a product of two coherent tails there, and the
+# cut moves no distribution of the envelope by more than about 1e-16
+# (against a dense reference with a coherent tail below 1e-17).
 # Scaling each packed column by the root of its weighted kernel's
 # modulus, the columns of positive kernel first, makes
 # p = P1+ . P2+^T - P1- . P2-^T with (detected x n(n+1)/2) arrays P1, P2.
@@ -551,38 +413,46 @@ def _binomial_splits(first: np.ndarray, second: np.ndarray, size: int) -> np.nda
 # with its own transpose (half the multiplications of a general
 # product), and p exactly symmetric.
 #
-# Squeezed input is rank one, and its kernel is 1.  Its arm is
-# sum_m R_s[p, m] i^m a_m |b_{s-m}| e^{i psi (s-m)}: the phase e^{i psi s}
-# and the output phase i^(-p) drop out of the Gram sum |.|^2 over the
-# discarded port, so the real band meets the complex column
-# i^m e^{-i psi m} a_m |b_{s-m}| ("real-symmetric" without i^m), and
-# the Gram accumulates sector by sector.  With a_m = |a_m| e^{i (2 chi - pi) k}
-# at m = 2k the column's phase is e^{i (2 chi - 2 psi) k} under "i" and
-# e^{i (2 chi - pi - 2 psi) k} under "real-symmetric".  The column is
-# carried as its real and imaginary parts, |a_m| times the cosine and
-# sine of that phase, so the band meets a real (n, 2) column.  Under the
-# displacement route the amplitude at detected n and discarded j is
-# sum_m a_m e^{-i (psi + pi/2) m} B_m(j) d[n, m - j] times a phase of
-# (n, j) alone, and a_m e^{-i (psi + pi/2) m} is (-1)^m times the "i"
-# column, which is the column itself on the even photon numbers of a
-# squeezed vacuum; so G[n] = sum_j |sum_q d[n, q] column_(q+j) B_(q+j)(j)|^2.
+# Squeezed input is rank one, and its kernel is 1.  Its amplitude at
+# detected n and discarded j is sum_m a_m e^{-i (psi + pi/2) m} B_m(j)
+# d[n, m - j] times a phase of (n, j) alone, which drops out of the Gram
+# sum |.|^2 over the discarded port.  With a_m = |a_m| e^{i (2 chi - pi) k}
+# at m = 2k, a_m e^{-i (psi + pi/2) m} is the column
+# |a_m| e^{i (chi - psi) m} on the even photon numbers of a squeezed
+# vacuum, carried as its real and imaginary parts, so
+#   G[n] = sum_j |A[n, j]|^2,  A[n, j] = sum_q d[n, q] column_(q+j) B_(q+j)(j).
+# "real-symmetric" turns the column by i^(-m).
 
 
 def _table_floats(run: list, squeezed: bool) -> int:
-    """Floats a run of members holds under "i": per member and table
-    entry the displacement table, the matrix elements read from it and
-    the index of that gather, and the binomial splits; for squeezed arms
-    also the skewed column weights and the products of both parities."""
+    """Floats a run of members holds: per member and table entry the
+    displacement table, the matrix elements read from it and the index
+    of that gather, and the binomial splits; for squeezed arms also the
+    skewed column weights and the products of both parities."""
     size = max(len(member[3]) if squeezed else member[3] for member in run)
     detected = run[0][0] + 1
     return len(run) * size * ((5 * detected + 4 * size) if squeezed else (3 * detected + size))
 
 
+def _chunks(members: list, squeezed: bool) -> Iterator[list]:
+    """Consecutive runs of reach-sorted members (reach, key, phi, quantum,
+    |b|, mu) whose _table_floats fit in _CHUNK_FLOATS.  A member larger
+    than that is a chunk of its own."""
+    start = 0
+    while start < len(members):
+        stop = start + 1
+        while stop < len(members) and _table_floats(members[start : stop + 1],
+                                                    squeezed) <= _CHUNK_FLOATS:
+            stop += 1
+        yield members[start:stop]
+        start = stop
+
+
 def _chunk_tables(chunk: list, squeezed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The tables of a chunk of members under "i": the displacement
-    matrix elements d[j, n, q] = <n|D(x_j)|q>, x = sin(phi/2) sqrt(mu)
-    (the factorization comment above), for n below the chunk's detected
-    rows and q below its quantum-port length, and the binomial splits,
+    """The tables of a chunk of members: the displacement matrix
+    elements d[j, n, q] = <n|D(x_j)|q>, x = sin(phi/2) sqrt(mu) (the
+    factorization comment above), for n below the chunk's detected rows
+    and q below its quantum-port length, and the binomial splits,
     B_m(i) at [j, m, i] for pair-diagonal arms and B_m(m - i) for
     squeezed ones."""
     size = max(len(member[3]) if squeezed else member[3] for member in chunk)
@@ -594,12 +464,22 @@ def _chunk_tables(chunk: list, squeezed: bool) -> tuple[np.ndarray, np.ndarray]:
     return _matrix_elements(tables, detected, size), splits
 
 
+def _skewed(elements: np.ndarray) -> np.ndarray:
+    """skewed[p, r, i] = d[p, r - i] (zero for i > r) from one member's
+    (rows, n) matrix elements d[p, q], a strided view of a padded copy."""
+    rows, n = elements.shape
+    padded = np.zeros((rows, 2 * n - 1))
+    padded[:, n - 1 :] = elements
+    at = padded.strides
+    return as_strided(padded[:, n - 1 :], (rows, n, n), (at[0], at[1], -at[1]))
+
+
 def _pair_diagonal_grams(
     chunk: list, tables: tuple[np.ndarray, np.ndarray],
 ) -> Iterator[tuple[tuple, np.ndarray]]:
     """(key, Gram (detected, pair, pair)) of each member of a chunk of
-    pair-diagonal arms under "i", members (reach, key, phi, pair count,
-    |b|, mu), from the chunk's _chunk_tables: G[n] = V[n] V[n]^T with
+    pair-diagonal arms, members (reach, key, phi, pair count, |b|, mu),
+    from the chunk's _chunk_tables: G[n] = V[n] V[n]^T with
     V[n, r, j] = d[n, r - j] B_r(j), one batched product per _ROWS
     detected rows.  Coherent-only input is one pair index."""
     elements, splits = tables
@@ -608,12 +488,7 @@ def _pair_diagonal_grams(
     gram_buffer = np.empty(detected * size * size)
     for j, member in enumerate(chunk):
         rows_total, n = int(member[0]) + 1, int(member[3])
-        # padded[p, n - 1 + q] = d[p, q], zero for q < 0, so that
-        # skewed[p, r, i] = d[p, r - i] is a strided view
-        padded = np.zeros((rows_total, 2 * n - 1))
-        padded[:, n - 1 :] = elements[j, :rows_total, :n]
-        at = padded.strides
-        skewed = as_strided(padded[:, n - 1 :], (rows_total, n, n), (at[0], at[1], -at[1]))
+        skewed = _skewed(elements[j, :rows_total, :n])
         split = splits[j, :n, :n]
         gram = gram_buffer[: rows_total * n * n].reshape(rows_total, n, n)
         for lo in range(0, rows_total, _ROWS):
@@ -624,16 +499,15 @@ def _pair_diagonal_grams(
         yield member[1], gram
 
 
-def _squeezed_grams(
+def _squeezed_amplitudes(
     chunk: list, tables: tuple[np.ndarray, np.ndarray],
-) -> Iterator[tuple[tuple, np.ndarray]]:
-    """(key, Gram (detected,)) of each member of a chunk of squeezed arms
-    under "i", members (reach, key, phi, column amplitudes as (n, 2) real
-    and imaginary parts, |b|, mu), from the chunk's _chunk_tables:
-      G[n] = sum_i |sum_q d[n, q] column_(q+i) B_(q+i)(i)|^2.
-    A squeezed vacuum holds even photon numbers only, so column_(q+i)
-    vanishes unless q and i share their parity: one batched product per
-    parity for the chunk."""
+) -> Iterator[np.ndarray]:
+    """A[j, n, (i, part)] above of a chunk of squeezed arms, members
+    (reach, key, phi, column amplitudes as (n, 2) real and imaginary
+    parts, |b|, mu), from the chunk's _chunk_tables, for the i of one
+    photon-number parity at a time.  A squeezed vacuum holds even photon
+    numbers only, so column_(q+i) vanishes unless q and i share their
+    parity: one batched product per parity for the chunk."""
     elements, splits = tables
     size = elements.shape[2]
     # weights[j, m, q] = column_m B_m(m - q), zero from m = the member's
@@ -645,84 +519,20 @@ def _squeezed_grams(
     weights[:, :size] *= splits[..., None]
     at = weights.strides
     skewed = as_strided(weights, (len(chunk), size, size, 2), (at[0], at[1] + at[2], at[1], at[3]))
-    gram = np.zeros(elements.shape[:2])
     for parity in (0, 1):
         block = skewed[:, parity::2, parity::2]
-        products = elements[:, :, parity::2] @ block.reshape(
+        yield elements[:, :, parity::2] @ block.reshape(
             len(chunk), block.shape[1], 2 * block.shape[2])
+
+
+def _squeezed_grams(
+    chunk: list, tables: tuple[np.ndarray, np.ndarray],
+) -> Iterator[tuple[tuple, np.ndarray]]:
+    """(key, Gram (detected,)) of each member of a chunk of squeezed arms,
+    G[n] = sum over both parities of |A[n]|^2 (_squeezed_amplitudes)."""
+    gram = np.zeros(tables[0].shape[:2])
+    for products in _squeezed_amplitudes(chunk, tables):
         gram += np.einsum("jnc,jnc->jn", products, products)
-    for j, member in enumerate(chunk):
-        yield member[1], gram[j, : member[0] + 1]
-
-
-def _pair_diagonal_band_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, np.ndarray]]:
-    """(key, Gram (detected, pair, pair)) of each member of a chunk of
-    pair-diagonal arms, members (reach, key, phi, pair count, |b|).
-
-    The chunk keeps every sector's band with its row scale applied,
-    store[j, s, p, k] = R_s[p, s - k] / sqrt(k! (s-k)!).  A member's arm,
-    arm[p, r, r + k] = store[j, r + k, p, k] sqrt(r! k!) |b_k| and zero
-    off that band, is then one strided product per _ROWS detected rows,
-    and its Gram one batched product."""
-    na = np.array([member[3] for member in chunk])
-    nb = np.array([len(member[4]) for member in chunk])
-    size, n_pairs, n_coherent = int(chunk[0][0]) + 1, int(na.max()), int(nb.max())
-    scales = _row_scales(size - 1)[:, :, None]
-    store = np.zeros((len(chunk), size, size, n_coherent + 1))
-    for s, a, band in _sector_bands([member[2] for member in chunk], convention, na, nb):
-        np.multiply(band, scales[s, : s + 1], out=store[:a, s, : s + 1])
-    roots = _root_factorials(n_pairs + n_coherent)
-    # one layout for every member: rows of n_pairs + n_coherent - 1
-    # sectors, so that the band r <= s < r + n_coherent of every pair
-    # index fits, is cleared and is all that is ever written
-    arm = np.zeros((_ROWS, n_pairs, n_pairs + n_coherent - 1))
-    step = arm.strides
-    band_of = as_strided(arm, (_ROWS, n_pairs, n_coherent), (step[0], step[1] + step[2], step[2]))
-    # skewed[j, p, r, k] = store[j, r + k, p, k]; each member reads only
-    # its own corner, r + k <= its reach
-    at = store.strides
-    skewed = as_strided(store, (len(chunk), size, n_pairs, n_coherent),
-                        (at[0], at[2], at[1], at[1] + at[3]))
-    gram_buffer = np.empty(size * n_pairs * n_pairs)
-    for j, member in enumerate(chunk):
-        detected, pairs, coherent = int(member[0]) + 1, int(na[j]), int(nb[j])
-        weights = np.multiply.outer(roots[:pairs], roots[:coherent] * member[4])
-        bands = skewed[j, :detected, :pairs, :coherent]
-        gram = gram_buffer[: detected * pairs * pairs].reshape(detected, pairs, pairs)
-        for lo in range(0, detected, _ROWS):
-            rows = min(_ROWS, detected - lo)
-            band_of[:rows].fill(0.0)
-            np.multiply(bands[lo : lo + rows], weights, out=band_of[:rows, :pairs, :coherent])
-            block = arm[:rows, :pairs, lo:detected]  # zero below sector s = p
-            np.matmul(block, block.swapaxes(1, 2), out=gram[lo : lo + rows])
-        yield member[1], gram
-
-
-def _squeezed_band_grams(chunk: list, convention: str) -> Iterator[tuple[tuple, np.ndarray]]:
-    """(key, Gram (detected,)) of each member of a chunk of squeezed
-    arms, members (reach, key, phi, column amplitudes as (n, 2) real and
-    imaginary parts, |b|), accumulated over the sectors as
-    sum |R_s . column|^2, with the scaling of Q split between the column
-    and the rows."""
-    na = np.array([len(member[3]) for member in chunk])
-    nb = np.array([len(member[4]) for member in chunk])
-    size, width = int(chunk[0][0]) + 1, int(nb.max()) + 1
-    roots = _root_factorials(size + width)
-    scales = _row_scales(size - 1)[:, :, None]
-    magnitudes = np.zeros((len(chunk), width, 1))
-    # amplitudes[j, m + width - 1] = sqrt(m!) column amplitude m, zero for
-    # m < 0 and past the member's cutoff
-    amplitudes = np.zeros((len(chunk), size + width, 2))
-    for j, member in enumerate(chunk):
-        magnitudes[j, : nb[j], 0] = roots[: nb[j]] * member[4]
-        amplitudes[j, width - 1 : width - 1 + na[j]] = roots[: na[j], None] * member[3]
-    gram = np.zeros((len(chunk), size))
-    for s, a, band in _sector_bands([member[2] for member in chunk], convention, na, nb):
-        # column k meets amplitude m = s - k
-        column = amplitudes[:a, s : s + width][:, ::-1] * magnitudes[:a]
-        out = np.matmul(band, column)
-        out *= scales[s, : s + 1]
-        gram[:a, : s + 1] += np.einsum("jpc,jpc->jp", out, out)
     for j, member in enumerate(chunk):
         yield member[1], gram[j, : member[0] + 1]
 
@@ -735,10 +545,10 @@ def _set_chunks(
     kernel angle and the coherent cutoff; None for rank-one input) and
     its arms as batch members, one per distinct phase, cut into chunks:
     (squeezed, chunk) per chunk, each input kind's members sorted by
-    sector reach (module docstring).  ``magnitudes`` are the set's
+    reach (module docstring).  ``magnitudes`` are the set's
     _port_magnitudes, built here when not given."""
+    shift = math.pi if _broken(convention) else 0.0
     pairs, quantum, coherent = magnitudes or _port_magnitudes(configs)
-    shift = 0.0 if convention == "i" else math.pi  # "real-symmetric" lacks the i^m phases
     groups: dict[InputKind, list] = {}
     kernels: dict[int, tuple[np.ndarray, float, int] | None] = {}
     for index, config in enumerate(configs):
@@ -763,11 +573,7 @@ def _set_chunks(
     for kind, members in groups.items():
         members.sort(key=lambda member: -member[0])
         squeezed = kind is InputKind.TWO_SQUEEZED
-        if convention == "i":
-            floats = functools.partial(_table_floats, squeezed=squeezed)
-        else:
-            floats = functools.partial(_band_floats, keeps_bands=not squeezed)
-        chunks += [(squeezed, chunk) for chunk in _chunks(members, floats)]
+        chunks += [(squeezed, chunk) for chunk in _chunks(members, squeezed)]
     return kernels, chunks
 
 
@@ -776,21 +582,16 @@ def _arm_grams(
     magnitudes: tuple[list, list, list] | None = None,
 ) -> Iterator[tuple[int, tuple[np.ndarray, float, int] | None, np.ndarray, np.ndarray]]:
     """(index, pair kernel, Gram of arm 1, Gram of arm 2) for every
-    configuration, in the order the chunks of _set_chunks finish them;
-    equal phases give one array as both Grams.  A configuration is
-    yielded as soon as both of its arms' Grams exist, and its Grams may
-    be overwritten once the next one is asked for.  Under "i" each
-    chunk reads its _chunk_tables; "real-symmetric" runs the sector
-    recurrence."""
+    configuration, in the order the chunks of _set_chunks finish them,
+    each chunk from its _chunk_tables; equal phases give one array as
+    both Grams.  A configuration is yielded as soon as both of its arms'
+    Grams exist, and its Grams may be overwritten once the next one is
+    asked for."""
     kernels, chunks = _set_chunks(configs, convention, magnitudes)
     waiting: dict[int, np.ndarray] = {}
     for squeezed, chunk in chunks:
-        if convention == "i":
-            grams = (_squeezed_grams if squeezed else _pair_diagonal_grams)(
-                chunk, _chunk_tables(chunk, squeezed))
-        else:
-            grams = (_squeezed_band_grams if squeezed else _pair_diagonal_band_grams)(
-                chunk, convention)
+        grams = (_squeezed_grams if squeezed else _pair_diagonal_grams)(
+            chunk, _chunk_tables(chunk, squeezed))
         for (index, arm), gram in grams:
             config = configs[index]
             if config.phi0_2 != config.phi0_1 and index not in waiting:
@@ -807,7 +608,7 @@ def _joint_pmfs(
     """(index, joint distribution before loss) for every configuration,
     in the order the chunks finish them (magnitudes as for _arm_grams)."""
     for index, kernel, gram1, gram2 in _arm_grams(configs, convention, magnitudes):
-        yield index, _checked_pmf(index, kernel, gram1, gram2, convention)
+        yield index, _checked_pmf(index, kernel, gram1, gram2)
 
 
 @functools.lru_cache(maxsize=None)  # one entry per pair count, at most _CUTOFF_CAP
@@ -826,15 +627,15 @@ def _packed_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _checked_pmf(
     index: int, kernel: tuple[np.ndarray, float, int] | None, gram1: np.ndarray,
-    gram2: np.ndarray, convention: str,
+    gram2: np.ndarray,
 ) -> np.ndarray:
     """p = (K o G1) . G2^T, normalized, with K the pair kernel of the
     moduli |c_r| and kernel angle in ``kernel`` (None: rank one, K = 1),
     over the packed triangle cut to the band the coherent cutoff leaves
     nonzero (the comment above); one array passed as both Grams (equal
-    phases) is one packed factor, multiplied by its own transpose.
-    Under the unitary convention a mass drift or a negative entry is a
-    CutoffError naming the configuration's position."""
+    phases) is one packed factor, multiplied by its own transpose.  A
+    mass drift or a negative entry is a CutoffError naming the
+    configuration's position."""
     if kernel is None:
         pmf = np.multiply.outer(gram1, gram2)
     else:
@@ -852,12 +653,11 @@ def _checked_pmf(
         second = first if gram2 is gram1 else gram2.reshape(len(gram2), -1)[:, columns] * roots
         pmf = first[:, :plus] @ second[:, :plus].T - first[:, plus:] @ second[:, plus:].T
     total = pmf.sum()
-    if convention != "real-symmetric":
-        if abs(total - 1.0) > 1e-9:
-            raise CutoffError(f"configuration {index}: joint distribution mass {total} drifted from 1")
-        if pmf.min() < -1e-12:
-            raise CutoffError(f"configuration {index}: joint distribution has negative entry "
-                              f"{pmf.min()}")
+    if abs(total - 1.0) > 1e-9:
+        raise CutoffError(f"configuration {index}: joint distribution mass {total} drifted from 1")
+    if pmf.min() < -1e-12:
+        raise CutoffError(f"configuration {index}: joint distribution has negative entry "
+                          f"{pmf.min()}")
     return np.clip(pmf, 0.0, None) / total
 
 
@@ -926,7 +726,7 @@ def oracle_moments(
     beam splitters, traces to the detected pair and applies the
     detection loss.  Takes one configuration and gives floats, or a
     sequence of them and gives arrays over it in set order, from one
-    recurrence per chunk of arms (module docstring)."""
+    table recurrence per chunk of arms (module docstring)."""
     return _oracle_set(configs, convention)[0]
 
 
@@ -953,76 +753,71 @@ def _oracle_set(
 # quadrature readout
 
 # Both readouts measure the signal quadrature
-# x = (a e^{-i chi} + a+ e^{i chi}) / sqrt(2), chi = psi + pi/2.  Under
-# "i" the arm of input |m> (x) |coherent> is, at detected p and
-# discarded s - p, i^(m-p) e^{i psi (s-m)} A_s[p, m] with the real
-#   A_s[p, m] = R_s[p, m] |b_{s-m}|,
-# so between inputs m' and m, with f = e^{i (m-m') (pi/2 - psi)},
-#   <m'|a+ a|m> = f N[m', m],  <m'|a|m> e^{-i chi} = -f L[m', m],
-#   <m'|a^2|m> e^{-2 i chi} = f L2[m', m],
-# real sums over the sectors and the detected port:
-#   N = sum A_s[p, m'] p A_s[p, m],
-#   L = sum A_s[p, m'] sqrt(p+1) A_{s+1}[p+1, m],
-#   L2 = sum A_s[p, m'] sqrt((p+1)(p+2)) A_{s+2}[p+2, m].
-# The input phases complete f to the kernel of the joint distributions:
-# pair weights e^{i theta m} on both arms give
-#   K[m', m] = |c_m'| |c_m| cos((m - m') (theta + pi - 2 psi)),
-# squeezed amplitudes e^{i (chi_sq - pi/2) m} give
-#   K[m', m] = |a_m'| |a_m| cos((m - m') (chi_sq - psi)),
-# the real parts of the phased sums, N being symmetric.  A one-arm
-# moment of pair-diagonal input meets the other arm's Gram, the
-# identity, and reads W = diag K; rank-one input reads W = K, the other
-# arm's norm being 1:
-#   <x> = -sqrt(2) sum W o L,  <x^2> = sum W o (N + L2) + 1/2.
-# Twin beams correlate the arms through <m'|x|m> = -f (L + L^T)[m', m]
-# / sqrt(2) on each, so <x1 x2> = sum K o (L1 + L1^T) o L2, K and
-# L1 + L1^T being symmetric; product inputs have no covariance.
+# x = (a e^{-i chi} + a+ e^{i chi}) / sqrt(2), chi = psi + pi/2, the
+# phase of the detected displacement.  The arms above carry
+# e^{i chi n} at detected n, which cancels against e^{-i chi} in every
+# lowered sum, so between pair-diagonal inputs r' and r
+#   <r'|a+ a|r> = f N[r', r],  <r'|a|r> e^{-i chi} = f L[r', r],
+#   <r'|a^2|r> e^{-2 i chi} = f L2[r', r],  f = e^{-i chi (r - r')},
+# with real sums over the detected and discarded ports:
+#   N = sum_n n V[n] V[n]^T,  L = sum_n sqrt(n+1) V[n] V[n+1]^T,
+#   L2 = sum_n sqrt((n+1)(n+2)) V[n] V[n+2]^T.
+# A one-arm moment meets the other arm's Gram, the identity, and reads
+# the diagonal, where f = 1, weighted by W = diag K:
+#   <x> = sqrt(2) sum W o L,  <x^2> = sum W o (N + L2) + 1/2.
+# Twin beams correlate the arms through <r'|x|r> = f (L + L^T)[r', r]
+# / sqrt(2) on each; the two f complete the pair weights' phases to the
+# kernel K of the joint distributions, so <x1 x2> = sum K o (L1 + L1^T)
+# o L2, K and L1 + L1^T being symmetric; product inputs have no
+# covariance.  Squeezed input is rank one, W = 1, and its input phases
+# sit in the column of A[n, j] (the factorization comment above): N, L
+# and L2 are the same sums over one input, the real parts of
+# sum_j conj(A[n, j]) A[n + k, j] read as dot products of the real and
+# imaginary parts.
 
 
-def _arm_quadrature_sums(phis: Sequence[float], n_quantum: int, coherent: np.ndarray) -> np.ndarray:
-    """(3, arms, n_quantum, n_quantum): N, L and L2 above for the arm at
-    each of ``phis``, from one recurrence run on them as members.  Only
-    the last two sectors' arms are kept, and each product is added into
-    the window of inputs m that its two sectors reach."""
-    count, nb = len(phis), len(coherent)
-    roots, rows = _root_factorials(n_quantum + nb), _row_scales(n_quantum + nb - 2)
-    sums = np.zeros((3, count, n_quantum, n_quantum))
-    recent: list[tuple[slice, np.ndarray]] = []  # (window, A) of sectors s - 1 and s - 2
-    for s, _, band in _sector_bands(phis, "i", np.full(count, n_quantum), np.full(count, nb)):
-        window = slice(max(0, s - nb + 1), min(s, n_quantum - 1) + 1)
-        m = np.arange(window.start, window.stop)
-        k = s - m
-        arm = band[:, :, k] * (rows[s, : s + 1, None] * (roots[k] * roots[m] * coherent[k]))
-        p = np.arange(s + 1.0)
-        # sector s - d meets the rows p >= d of sector s
-        factors = (p, np.sqrt(p[1:]), np.sqrt(p[2:] * p[1:-1]))
-        for total, (before, earlier), factor in zip(sums, [(window, arm), *recent], factors):
-            total[:, before, window] += earlier.swapaxes(1, 2) @ (
-                factor[:, None] * arm[:, s + 1 - len(factor) :])
-        recent = [(window, arm), *recent[:1]]
-    return sums
+def _quadrature_sums(arm: np.ndarray) -> np.ndarray:
+    """(3, inputs, inputs): N, L and L2 above of an arm[n, r, j] over
+    detected n, inputs r and discarded columns j."""
+    n = np.arange(len(arm), dtype=float)
+    weights = (n, np.sqrt(n[1:]), np.sqrt(n[1:-1] * n[2:]))
+    return np.stack([np.tensordot(weight[:, None, None] * arm[: len(weight)], arm[shift:],
+                                  axes=([0, 2], [0, 2]))
+                     for shift, weight in enumerate(weights)])
 
 
 def fock_quadrature_moments(config: HolometerConfig) -> QuadratureMoments:
     """Means and covariance of the quadrature that carries the phase
     signal, per detected port, from the real sums N, L and L2 of each
-    arm (the comment above).
+    arm, read from the chunk tables of the joint distributions (the
+    comment above).
 
     Loss is applied analytically: means scale with sqrt(eta), variances
     mix with vacuum noise, the cross covariance scales with sqrt(eta1 eta2).
     """
-    pairs, quantum, coherent = (port[0] for port in _port_magnitudes([config]))
-    if quantum is None:  # pair-diagonal: arm r starts as |r>
-        moduli, turn = pairs, config.theta + math.pi - 2.0 * config.psi
-    else:
-        moduli, turn = quantum, config.squeezed_quadrature_angle - config.psi
-    m = np.arange(len(moduli))
-    kernel = np.multiply.outer(moduli, moduli) * np.cos(np.subtract.outer(m, m) * turn)
-    weight = np.diag(np.diag(kernel)) if quantum is None else kernel
-    phases = (config.phi0_1,) if config.phi0_2 == config.phi0_1 else (config.phi0_1, config.phi0_2)
+    kernels, chunks = _set_chunks([config], "i")
+    sums = {}
+    for squeezed, chunk in chunks:
+        tables = _chunk_tables(chunk, squeezed)
+        if squeezed:  # one input, its columns (j, part) from both parities
+            parts = list(_squeezed_amplitudes(chunk, tables))
+            arms = [np.concatenate([part[j] for part in parts], axis=1)[:, None]
+                    for j in range(len(chunk))]
+        else:
+            elements, splits = tables
+            arms = [_skewed(elements[j]) * splits[j] for j in range(len(chunk))]
+        for member, arm in zip(chunk, arms):
+            sums[member[1][1]] = _quadrature_sums(arm)
     # arms 1 and 2, one array twice for equal phases
-    number, lower, lower2 = _arm_quadrature_sums(phases, len(moduli), coherent)[:, [0, -1]]
-    mean1, mean2 = (-math.sqrt(2.0) * np.einsum("mn,jmn->j", weight, lower)).tolist()
+    number, lower, lower2 = np.stack([sums[0], sums.get(1, sums[0])], axis=1)
+    if kernels[0] is None:
+        kernel = weight = np.ones((1, 1))
+    else:
+        moduli, turn, _ = kernels[0]
+        m = np.arange(len(moduli))
+        kernel = np.multiply.outer(moduli, moduli) * np.cos(np.subtract.outer(m, m) * turn)
+        weight = np.diag(np.diag(kernel))
+    mean1, mean2 = (math.sqrt(2.0) * np.einsum("mn,jmn->j", weight, lower)).tolist()
     x1_sq, x2_sq = (np.einsum("mn,jmn->j", weight, number + lower2) + 0.5).tolist()
     cov0 = 0.0
     if config.input_kind is InputKind.TWB:

@@ -1,30 +1,29 @@
 """Dense four-mode truncated-Fock reference for the oracle's tests.
 
 ``holonoise.fock_oracle`` factorizes every input across the two
-interferometers and builds each beam splitter by a one-photon sector
-recurrence.  This module does neither.  It keeps the full four-mode
-amplitude tensor, and it applies a beam splitter on each
+interferometers and builds each arm from displacement matrix elements
+and a binomial split.  This module does neither.  It keeps the
+four-mode amplitude tensor, and it applies a beam splitter on each
 total-photon-number sector s = m + n as the SU(2) rotation
 exp(i phi/2 (a+ b + a b+)) (Campos, Saleh and Teich, PRA 40, 1371
 (1989)), exponentiated through the eigen-decomposition of the
-(s+1) x (s+1) tridiagonal generator.  Detection loss is explicit
-binomial thinning of the joint distribution, and the moments are
-centred sums over the thinned distribution.
+(s+1) x (s+1) tridiagonal generator.  ``detected_pmf`` runs the two
+beam splitters one pair of sectors at a time, so it never holds a
+transformed four-mode tensor.  Detection loss is explicit binomial
+thinning of the joint distribution, and the moments are centred sums
+over the thinned distribution.
 
 Only the input amplitudes and the cutoff rule come from the oracle;
-they have closed-form tests of their own.  Under the "i" convention the
-oracle's coherent port is exact (it enters through displacement matrix
-elements), so comparisons with that route build this module's coherent
-port to a weighted tail below DEEP_TAIL (``coherent_tail``) rather than
-at the oracle's cutoff.
+they have closed-form tests of their own.  The oracle's coherent port
+is exact (it enters through displacement matrix elements), so
+comparisons with it build this module's coherent port to a weighted
+tail below DEEP_TAIL (``coherent_tail``) rather than at the oracle's
+cutoff.
 
-The module also keeps the complex arm route that the tests check the
-oracle's real recurrence against: the phased input amplitudes
-(``_phased``), the dense complex input block both arms share
-(``_arm_block``) and the beam splitter on such a block
-(``_bs_pair_transform``), which runs the oracle's own recurrence
-(``fock_oracle._sector_bands``) on the block's real and imaginary parts
-and applies the phases i^(m-p) of the "i" convention around it.
+The module also keeps the complex arm route that the tests contract
+the oracle's real arms against: the phased input amplitudes
+(``_phased``) and the dense complex input block both arms share
+(``_arm_block``), which ``sector_beam_splitter`` transforms whole.
 
 Mode layout: 0 and 1 are the quantum ports feeding readout 1 and 2,
 2 and 3 the corresponding coherent ports.
@@ -91,47 +90,6 @@ def _arm_block(
     return weights, q_vecs.T[:, None, :] * coh[None, :, None]
 
 
-# i^k for k mod 4, exact: multiplying by one swaps or negates parts
-_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
-
-
-def _bs_pair_transform(
-    block: np.ndarray,
-    phi: float,
-    convention: str = "i",
-) -> np.ndarray:
-    """Apply the beam splitter on a complex (n_a, n_b, batch) amplitude
-    block: sum_m T_s[p, m] block[m, s - m] into out[p, s - p], the
-    output axes reaching every sector n_a + n_b - 1 of the input.
-
-    Under the "i" convention the transformed mode a is
-    cos(phi/2) a + i sin(phi/2) b, the port that keeps mode a's content
-    at phi = 0.  The recurrence runs once, as a batch of one, on the
-    real and imaginary parts together (the complex block viewed as
-    reals); under "i" the input rows m are first multiplied by i^m and
-    the output rows p by i^(-p), which is T_s[p, m] = i^(m-p) R_s[p, m]."""
-    block = np.ascontiguousarray(block, dtype=complex)
-    phases = convention == "i"
-    if phases:
-        block = block * _I_POWERS[np.arange(block.shape[0]) % 4, None, None]
-    real = block.view(float)
-    na, nb, batch = real.shape
-    smax = na + nb - 2
-    out = np.zeros((smax + 1, smax + 1, batch))
-    # entry (p, s - p) of the output sits at s + p smax once flattened
-    targets = out.reshape(-1, batch)
-    roots, rows = fo._root_factorials(smax + 1), fo._row_scales(smax)
-    for s, _, band in fo._sector_bands([phi], convention, np.array([na]), np.array([nb])):
-        ks = np.arange(max(0, s - na + 1), min(s, nb - 1) + 1)
-        columns = real[s - ks, ks] * (roots[ks] * roots[s - ks])[:, None]
-        targets[s : s * (smax + 1) + 1 : max(smax, 1)] = (
-            rows[s, : s + 1, None] * (band[0][:, ks] @ columns))
-    out = out.view(complex)
-    if phases:
-        out *= _I_POWERS[-np.arange(out.shape[0]) % 4, None, None]
-    return out
-
-
 def ports(
     config: HolometerConfig, cutoff: int | None = None, coherent_tail: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -163,6 +121,15 @@ def input_state(
     return np.multiply.outer(np.multiply.outer(quantum, coherent), coherent)
 
 
+def _rotation(s: int, phi: float) -> np.ndarray:
+    """exp(i phi/2 (a+ b + a b+)) on sector s, over |m, s - m>, m <= s."""
+    # a+ b takes |m, s - m> to sqrt((m + 1)(s - m)) |m + 1, s - m - 1>
+    m = np.arange(s)
+    generator = np.diag(np.sqrt((m + 1.0) * (s - m)), -1)
+    w, v = np.linalg.eigh(generator + generator.T)
+    return (v * np.exp(0.5j * phi * w)) @ v.T
+
+
 def sector_beam_splitter(block: np.ndarray, phi: float) -> np.ndarray:
     """exp(i phi/2 (a+ b + a b+)) on an (n_a, n_b, batch) amplitude block.
 
@@ -171,24 +138,10 @@ def sector_beam_splitter(block: np.ndarray, phi: float) -> np.ndarray:
     smax = na + nb - 2
     out = np.zeros((smax + 1, smax + 1, batch), dtype=complex)
     for s in range(smax + 1):
-        # a+ b takes |m, s - m> to sqrt((m + 1)(s - m)) |m + 1, s - m - 1>
-        m = np.arange(s)
-        generator = np.diag(np.sqrt((m + 1.0) * (s - m)), -1)
-        w, v = np.linalg.eigh(generator + generator.T)
-        rotation = (v * np.exp(0.5j * phi * w)) @ v.T
         ms = np.arange(max(0, s - nb + 1), min(na - 1, s) + 1)
         ps = np.arange(s + 1)
-        out[ps, s - ps] = rotation[:, ms] @ block[ms, s - ms]
+        out[ps, s - ps] = _rotation(s, phi)[:, ms] @ block[ms, s - ms]
     return out
-
-
-def beam_splitter(amp: np.ndarray, mode_a: int, mode_b: int, phi: float) -> np.ndarray:
-    """The sector beam splitter on two modes of a dense state; the
-    transformed ``mode_a`` is the detected port."""
-    moved = np.moveaxis(amp, (mode_a, mode_b), (0, 1))
-    rest = moved.shape[2:]
-    out = sector_beam_splitter(moved.reshape(moved.shape[:2] + (-1,)), phi)
-    return np.moveaxis(out.reshape(out.shape[:2] + rest), (0, 1), (mode_a, mode_b))
 
 
 def trim(amp: np.ndarray) -> np.ndarray:
@@ -207,11 +160,28 @@ def detected_pmf(
     config: HolometerConfig, cutoff: int | None = None, coherent_tail: float | None = None,
 ) -> np.ndarray:
     """Joint photon-number distribution of the two detected ports before
-    loss, normalized as the oracle normalizes it."""
-    amp = trim(input_state(config, cutoff, coherent_tail))
-    amp = trim(beam_splitter(amp, 0, 2, config.phi0_1))
-    amp = trim(beam_splitter(amp, 1, 3, config.phi0_2))
-    pmf = (np.abs(amp) ** 2).sum(axis=(2, 3))
+    loss, normalized as the oracle normalizes it.
+
+    The beam splitters run one sector at a time: each sector s1 of the
+    first readout, over every quantum port of the second, meets each
+    sector s2 of the second, and the pair adds the probabilities of its
+    (detected n1, detected n2) outputs, whose discarded counts s1 - n1
+    and s2 - n2 are fixed.  So no array holds more than one sector of the
+    first beam splitter's output."""
+    amp = trim(input_state(config, cutoff, coherent_tail)).transpose(0, 2, 1, 3)
+    # (quantum 1, coherent 1, quantum 2, coherent 2)
+    na1, nb1, na2, nb2 = amp.shape
+    second = [_rotation(s, config.phi0_2) for s in range(na2 + nb2 - 1)]
+    pmf = np.zeros((na1 + nb1 - 1, na2 + nb2 - 1))
+    for s1 in range(na1 + nb1 - 1):
+        m1 = np.arange(max(0, s1 - nb1 + 1), min(na1 - 1, s1) + 1)
+        # (quantum 2, coherent 2, detected 1)
+        first = np.tensordot(_rotation(s1, config.phi0_1)[:, m1], amp[m1, s1 - m1],
+                             axes=1).transpose(1, 2, 0)
+        for s2, rotation in enumerate(second):
+            m2 = np.arange(max(0, s2 - nb2 + 1), min(na2 - 1, s2) + 1)
+            out = np.tensordot(rotation[:, m2], first[m2, s2 - m2], axes=1)  # (n2, n1)
+            pmf[: s1 + 1, : s2 + 1] += np.abs(out.T) ** 2
     return pmf / pmf.sum()
 
 

@@ -6,8 +6,7 @@ import pytest
 import fock_reference as reference
 from holonoise import fock_oracle
 from holonoise.config import HolometerConfig, InputKind
-from holonoise.crosscheck import DEFAULT_SEED, sample_guardrail_config
-from fock_reference import _bs_pair_transform
+from holonoise.crosscheck import DEFAULT_SEED, run_crosscheck, sample_guardrail_config
 from holonoise.fock_oracle import (
     CutoffError,
     fock_joint_pmf,
@@ -82,77 +81,17 @@ def test_joint_pmf_rejects_mass_drift(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-# the oracle's arm blocks: (quantum port, coherent port, pair index),
-# each pair index unweighted as the oracle transforms it
-ARM_CONFIGS = [
-    make(),
-    make(input_kind="TwoSqueezed", phi0_1=2.5),
-    make(input_kind="CoherentOnly"),
-    make(mu=0.8, lam=0.3),
-    make(mu=4.0, lam=1.0, phi0_1=0.9, phi0_2=2.1),
-]
-
-
-def arm_block(config):
-    quantum, coherent = reference.ports(config)
-    if config.input_kind is InputKind.TWB:
-        quantum = np.eye(len(quantum))
-    return np.multiply.outer(quantum, coherent).transpose(0, 2, 1)
-
-
-def test_beam_splitter_preserves_norm():
-    block = arm_block(make())
-    out = _bs_pair_transform(block, 0.9)
-    assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(block), rel=1e-12)
-
-
-@pytest.mark.parametrize(
-    "config", ARM_CONFIGS, ids=["twb", "squeezed", "coherent", "twb-dim", "twb-edge"]
-)
-def test_sector_beam_splitter_matches_pair_transform(config):
-    block = arm_block(config)
-    for phi in (config.phi0_1, config.phi0_2):
-        expected = reference.sector_beam_splitter(block, phi)
-        assert np.max(np.abs(_bs_pair_transform(block, phi) - expected)) < 1e-13
-
-
-@pytest.mark.parametrize(
-    "shape", [(40, 40), (80, 80), (120, 120), (4, 120), (120, 4)],
-    ids=["n40", "n80", "n120", "narrow-a", "narrow-b"],
-)
-def test_pair_transform_matches_reference_on_non_decaying_blocks(shape):
-    # random normalized amplitudes that do not decay along either axis:
-    # every sector up to n_a + n_b - 2 carries weight
-    rng = np.random.default_rng(sum(shape))
-    block = rng.standard_normal(shape + (2,)) + 1j * rng.standard_normal(shape + (2,))
-    block /= np.linalg.norm(block)
-    expected = reference.sector_beam_splitter(block, 0.9)
-    assert np.max(np.abs(_bs_pair_transform(block, 0.9) - expected)) < 1e-13
-
-
-def counted_recurrence(monkeypatch):
-    """The phases of every sector-recurrence run, one list per run."""
-    runs = []
-    recurrence = fock_oracle._sector_bands
-
-    def counted(phis, *args):
-        runs.append(list(phis))
-        return recurrence(phis, *args)
-
-    monkeypatch.setattr(fock_oracle, "_sector_bands", counted)
-    return runs
-
-
 def counted_chunks(monkeypatch):
-    """The phases of the members of every chunk of "i" Grams, one list
-    per chunk."""
+    """The phases of the members of every chunk, one list per
+    _chunk_tables call."""
     chunks = []
-    for name in ("_pair_diagonal_grams", "_squeezed_grams"):
-        def counted(chunk, tables, grams=getattr(fock_oracle, name)):
-            chunks.append([member[2] for member in chunk])
-            return grams(chunk, tables)
+    tables = fock_oracle._chunk_tables
 
-        monkeypatch.setattr(fock_oracle, name, counted)
+    def counted(chunk, squeezed):
+        chunks.append([member[2] for member in chunk])
+        return tables(chunk, squeezed)
+
+    monkeypatch.setattr(fock_oracle, "_chunk_tables", counted)
     return chunks
 
 
@@ -163,27 +102,34 @@ def test_each_distinct_phase_is_one_batch_member(monkeypatch, phi0_2, phases):
     assert chunks == [phases]
 
 
-def test_the_unitary_route_runs_no_sector_recurrence(monkeypatch):
-    # "i" reads displacement tables; the coincidence null, the quadrature
-    # route and the broken convention keep the sector recurrence
-    runs = counted_recurrence(monkeypatch)
+def test_every_oracle_route_reads_the_chunk_tables(monkeypatch):
+    # one beam splitter: the moments, the broken control and the
+    # quadrature route all read displacement tables and binomial splits
+    chunks = counted_chunks(monkeypatch)
     configs = [make(), make(input_kind="TwoSqueezed"), make(input_kind="CoherentOnly", phi0_2=1.3)]
     oracle_moments(configs)
-    for config in configs:
-        fock_joint_pmf(config)
-    assert runs == []
-    for call in (lambda: two_photon_coincidence("i"), lambda: fock_quadrature_moments(make()),
-                 lambda: fock_joint_pmf(make(), convention="real-symmetric")):
+    assert sorted(phi for chunk in chunks for phi in chunk) == [0.7, 0.7, 0.7, 1.3]
+    for call, phases in ((lambda: fock_joint_pmf(make(), convention="real-symmetric"), [[0.7]]),
+                         (lambda: fock_quadrature_moments(configs[0]), [[0.7]]),
+                         (lambda: fock_quadrature_moments(configs[1]), [[0.7]]),
+                         (lambda: fock_quadrature_moments(configs[2]), [[0.7, 1.3]])):
+        chunks.clear()
         call()
-        assert runs, call
-        runs.clear()
+        assert chunks == phases
 
 
 def test_two_photon_coincidence_null_for_unitary_conventions():
     assert two_photon_coincidence("i") == pytest.approx(0.0, abs=1e-12)
     assert two_photon_coincidence("real-symmetric") == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        two_photon_coincidence("nonsense")
+    entry_points = (
+        two_photon_coincidence,
+        lambda convention: fock_joint_pmf(make(), convention=convention),
+        lambda convention: oracle_moments([make()], convention=convention),
+        lambda convention: run_crosscheck(2, convention=convention),
+    )
+    for call in entry_points:
+        with pytest.raises(ValueError, match="unknown beam-splitter convention 'nonsense'"):
+            call("nonsense")
 
 
 def test_unbalanced_coincidence_matches_closed_form():
@@ -191,7 +137,7 @@ def test_unbalanced_coincidence_matches_closed_form():
     block = np.zeros((2, 2, 1), dtype=complex)
     block[1, 1, 0] = 1.0
     for tau in (0.2, 0.35, 0.8):
-        out = _bs_pair_transform(block, 2.0 * math.acos(math.sqrt(tau)))
+        out = reference.sector_beam_splitter(block, 2.0 * math.acos(math.sqrt(tau)))
         pmf = np.abs(out[:, :, 0]) ** 2
         assert pmf[1, 1] / pmf.sum() == pytest.approx((1.0 - 2.0 * tau) ** 2, rel=1e-12)
 
@@ -241,13 +187,13 @@ def test_pair_diagonal_pmf_matches_dense_reference(config):
     assert padded_difference(fock_joint_pmf(config), dense) < 1e-13
 
 
-def complex_arm_pmf(config, convention):
+def complex_arm_pmf(config):
     # p(n1, n2) = sum_{m m'} c_m conj(c_m') W1[n1, m, m'] W2[n2, m, m'] on
-    # the complex arms, normalized as fock_joint_pmf normalizes; the "i"
-    # route's coherent port is exact, so the reference's is built deep
-    weights, block = reference._arm_block(
-        config, reference.DEEP_TAIL if convention == "i" else None)
-    arms = (_bs_pair_transform(block, phi, convention) for phi in (config.phi0_1, config.phi0_2))
+    # the reference's complex arms, normalized as fock_joint_pmf
+    # normalizes; the oracle's coherent port is exact, so the
+    # reference's is built deep
+    weights, block = reference._arm_block(config, reference.DEEP_TAIL)
+    arms = (reference.sector_beam_splitter(block, phi) for phi in (config.phi0_1, config.phi0_2))
     w1, w2 = (np.einsum("nkm,nkM->nmM", arm, arm.conj()) for arm in arms)
     pmf = np.einsum("m,M,nmM,NmM->nN", weights, weights.conj(), w1, w2).real
     return np.clip(pmf, 0.0, None) / pmf.sum()
@@ -261,7 +207,13 @@ def complex_arm_pmf(config, convention):
     ids=["twb", "twb-edge", "coherent"],
 )
 def test_real_route_matches_complex_arm_contraction(config, convention):
-    expected = complex_arm_pmf(config, convention)
+    # the broken convention shifts the kernel angle theta + pi - 2 psi by
+    # pi: the unitary route at theta + pi (coherent-only input has no
+    # pair phase, so it is unchanged)
+    if convention == "real-symmetric":
+        expected = complex_arm_pmf(config.replace(theta=config.theta + math.pi))
+    else:
+        expected = complex_arm_pmf(config)
     got = fock_joint_pmf(config, convention=convention)
     assert padded_difference(got, expected) < 1e-12 * np.max(expected)
 
@@ -396,7 +348,7 @@ def test_cutoff_override_converges():
          "coherent", "coherent-unequal-eta2", "twb-edge", "squeezed-edge"],
 )
 def test_quadrature_route_matches_engine(config):
-    # the worst margin over these is 3.2e-3 of the allowance (squeezed-edge)
+    # the worst margin over these is 1.5e-5 of the allowance (twb-unequal-phases)
     oracle = fock_quadrature_moments(config)
     engine = quadrature_readout(config)
     result = compare_moments(oracle, engine, rtol=1e-8)
@@ -531,10 +483,10 @@ def test_packed_distributions_are_symmetric_and_equal_the_general_product(monkey
     checked = fock_oracle._checked_pmf
     packed = []
 
-    def both(index, kernel, gram1, gram2, convention):
-        pmf = checked(index, kernel, gram1, gram2, convention)
+    def both(index, kernel, gram1, gram2):
+        pmf = checked(index, kernel, gram1, gram2)
         if kernel is not None and gram1 is gram2:
-            general = checked(index, kernel, gram1, gram2.copy(), convention)
+            general = checked(index, kernel, gram1, gram2.copy())
             packed.append((gram1.shape, np.max(np.abs(pmf - general))))
         return pmf
 

@@ -9,7 +9,7 @@ import holonoise
 
 PACKAGE = Path(holonoise.__file__).parent
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
-# the tests' complex arm route, which the oracle's real recurrence is
+# the tests' complex arm route, which the oracle's real arms are
 # checked against
 COMPLEX_REFERENCE = Path(__file__).parent / "fock_reference.py"
 
