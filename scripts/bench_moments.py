@@ -42,7 +42,10 @@ minimum wall time and the median CPU time over the timed calls and
 the inputs (and the page faults and peak where the row measures
 them), and for the run the git revision, the Python and numpy
 versions, the processor count, the BLAS thread variables and the
-drift probe's start and end medians and their ratio.  ``--quick`` times
+drift probe's start and end medians and their ratio.  The BLAS thread
+variables are set to 1 before numpy is imported, as the tests and
+perfbench do, unless the environment already sets them: on a two-core
+host a second BLAS thread makes every row slower.  ``--quick`` times
 one call per row on small inputs, to check that every row runs.
 
 ``--rounds N`` runs the whole row list N times, one round after
@@ -76,8 +79,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in BLAS_VARIABLES:
+    os.environ.setdefault(_name, "1")
 
-import numpy as np
+import numpy as np  # noqa: E402 - after the BLAS thread variables
 
 from holonoise import cli
 from holonoise.config import HolometerConfig
@@ -109,7 +115,6 @@ EDGE_SQ = EDGE.replace(input_kind="TwoSqueezed")
 # the largest grid a sweep accepts
 CAP_SCAN = ["uncertainty-scan", "--variable", "phi0",
             "--grid", f"1e-8:1e-1:{cli.MAX_GRID_POINTS}:log"]
-BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def clock(label: str, fn, repeat: int, inputs: dict, memory: bool = False) -> dict:
@@ -321,7 +326,8 @@ lambda: closed_form_moments(BRIGHT), repeat, bright)
     # splits of its chunks; the arms' Grams; the joint distributions; the
     # readout
     add("  its inputs and cutoffs", lambda: _port_magnitudes(drawn), max(1, repeat // 5), guardrail)
-    _, chunks = _set_chunks(drawn, "i", _port_magnitudes(drawn))
+    inputs = _port_magnitudes(drawn)
+    _, chunks = _set_chunks(drawn, inputs)
     add(f"  the tables of its {len(chunks)} chunks",
         lambda: [_chunk_tables(chunk, squeezed) for squeezed, chunk in chunks],
         max(1, repeat // 10), guardrail)
@@ -334,13 +340,13 @@ lambda: closed_form_moments(BRIGHT), repeat, bright)
 
     add("  its Grams from those tables", arm_grams, max(1, repeat // 10), guardrail)
     stored = []  # one array as both Grams where the phases are equal, as the oracle passes them
-    for index, kernel, gram1, gram2 in _arm_grams(drawn, "i"):
+    for index, kernel, gram1, gram2 in _arm_grams(drawn, inputs):
         first = gram1.copy()
         stored.append((index, kernel, first, first if gram2 is gram1 else gram2.copy()))
     add("  its joint distributions",
         lambda: [_checked_pmf(*grams) for grams in stored],
         max(1, repeat // 10), guardrail)
-    pmfs = [pmf for _, pmf in sorted(_joint_pmfs(drawn, "i"), key=lambda item: item[0])]
+    pmfs = [pmf for _, pmf in sorted(_joint_pmfs(drawn, inputs), key=lambda item: item[0])]
     etas = np.array([config.eta_pair for config in drawn])
     add("  its moment readout",
         lambda: _readouts(np.array([_factorial_moments(pmf) for pmf in pmfs]), etas),

@@ -13,7 +13,12 @@ Monte-Carlo harness that recovers an injected phase covariance from
 simulated runs.
 """
 from .config import HolometerConfig, InputKind
-from .crosscheck import CrosscheckReport, run_crosscheck, sample_guardrail_config
+from .crosscheck import (
+    CrosscheckReport,
+    run_crosscheck,
+    sample_guardrail_config,
+    two_photon_coincidence,
+)
 from .estimation import (
     EstimatorKind,
     EstimatorSpec,
@@ -31,7 +36,6 @@ from .fock_oracle import (
     fock_joint_pmf,
     fock_quadrature_moments,
     oracle_moments,
-    two_photon_coincidence,
 )
 from .holometer import propagate, quadrature_readout, readout_moments
 from .moments import (
@@ -78,7 +82,6 @@ __all__ = [
     "quadrature_readout",
     # truncated-Fock oracle route
     "CutoffError",
-    "two_photon_coincidence",
     "fock_joint_pmf",
     "oracle_moments",
     "fock_quadrature_moments",
@@ -86,6 +89,7 @@ __all__ = [
     "CrosscheckReport",
     "run_crosscheck",
     "sample_guardrail_config",
+    "two_photon_coincidence",
     # closed-form observables
     "closed_form_moments",
     "closed_form_quadrature",

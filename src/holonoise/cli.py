@@ -98,8 +98,11 @@ def _parse_grid(text: str) -> np.ndarray:
                 raise ValueError(f"unknown grid scale {scale!r}; expected 'linear' or 'log'")
             if scale == "log" and (lo <= 0.0 or hi <= 0.0):
                 raise ValueError("log grids need strictly positive endpoints")
+            values = [lo, hi, hi - lo]  # linspace steps by the span
         else:
             raise ValueError(f"grid {text!r} must be min:max:points[:linear|log]")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"grid {text!r} must span finite values")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if points > MAX_GRID_POINTS:

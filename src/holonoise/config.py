@@ -72,7 +72,8 @@ class HolometerConfig:
              benchmark need a symmetric working point and require None.
 
     The STACK_FIELDS may hold arrays of one shape (see the module
-    docstring); they are validated element by element.
+    docstring); they are validated element by element.  Every numeric
+    field must hold a number (only theta_xi and eta_2 may be None).
     """
 
     mu: float
@@ -89,9 +90,15 @@ class HolometerConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "input_kind", InputKind(self.input_kind))
         shapes = set()
-        for name in STACK_FIELDS:
+        for name in STACK_FIELDS + ("eta_2",):
             value = getattr(self, name)
-            if value is None or isinstance(value, (int, float)):  # np.float64 included
+            if value is None and name in ("theta_xi", "eta_2"):
+                continue
+            if isinstance(value, (int, float)) and not isinstance(value, bool):  # np.float64 too
+                continue
+            if np.asarray(value).dtype.kind not in "iuf":  # None, bools, strings, complex
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if name == "eta_2":
                 continue
             value = np.array(value, dtype=float)
             if value.ndim:

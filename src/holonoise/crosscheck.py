@@ -6,8 +6,17 @@ moment carrier: the engine works in phase space from the factorial
 cumulants of the detected Gaussian state, the oracle in a truncated
 photon-number basis.  Agreement of every joint moment up to fourth
 order over randomly drawn configurations is therefore a strong check on
-both.  A deliberately broken beam-splitter convention is wired in as a
-negative control so the check itself can be shown to have teeth.
+both.
+
+A deliberately broken beam-splitter convention is the negative control
+that shows the check has teeth.  The real-symmetric mode matrix
+[[c, s], [s, c]] differs from the oracle's unitary [[c, i s], [i s, c]]
+by a phase i^(-m) on the m quantum photons of each arm, a property of
+the input rather than of the oracle: the pair state sum_r c_r |r>|r>
+picks up (-1)^r (twin beams at theta + pi) and each squeezed vacuum
+(-1)^k on its 2k photons (squeezed input at theta_xi + pi).  So under
+"real-symmetric" the oracle reads that mis-phased set and the engine
+the drawn one; coherent-only input has no quantum photons.
 """
 from __future__ import annotations
 
@@ -18,12 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HolometerConfig, InputKind
-from .fock_oracle import (
-    MAX_MEAN_COHERENT,
-    MAX_MEAN_QUANTUM,
-    _oracle_set,
-    two_photon_coincidence,
-)
+from .fock_oracle import MAX_MEAN_COHERENT, MAX_MEAN_QUANTUM, _oracle_set
 from .holometer import readout_moments
 from .moments import CENTERED_KEYS, MomentComparison, ReadoutMoments, compare_moments
 
@@ -31,11 +35,13 @@ __all__ = [
     "CrosscheckReport",
     "sample_guardrail_config",
     "run_crosscheck",
+    "two_photon_coincidence",
     "DEFAULT_SEED",
 ]
 
 DEFAULT_SEED = 20240816
 _COINCIDENCE_NULL_TOL = 1e-12
+_CONVENTIONS = ("i", "real-symmetric")
 
 # how often each input kind is drawn; pair correlation gets the most
 # weight because it exercises the largest moment set
@@ -67,6 +73,45 @@ def sample_guardrail_config(rng: np.random.Generator) -> HolometerConfig:
         theta=rng.uniform(0.0, 2.0 * math.pi) if kind is InputKind.TWB else 0.0,
         theta_xi=rng.uniform(0.0, 2.0 * math.pi) if kind is InputKind.TWO_SQUEEZED else None,
     )
+
+
+def _broken(convention: str) -> bool:
+    """Whether ``convention`` is the broken "real-symmetric" one; any
+    name outside _CONVENTIONS is a ValueError."""
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"unknown beam-splitter convention {convention!r}")
+    return convention == "real-symmetric"
+
+
+def two_photon_coincidence(convention: str = "i") -> float:
+    """Coincidence probability for one photon in each port of a
+    balanced beam splitter: any unitary convention sends both photons out
+    the same side, so it must vanish; "real-symmetric" leaves it at 1/2.
+
+    The output amplitudes of |1, 1> are permanents of the mode matrix M
+    (Hong, Ou and Mandel, PRL 59, 2044 (1987); Scheel,
+    arXiv:quant-ph/0406127): perm M = M11 M22 + M12 M21 for |1, 1>, and
+    the permanent with one row repeated, over sqrt(2), for |2, 0> and
+    |0, 2>.  The "i" matrix [[c, i s], [i s, c]] (c, s the cosine and
+    sine of phi/2) is diag(1, -i) R diag(1, i) with the real
+    R = [[c, s], [-s, c]], whose phases drop out of every probability,
+    so R stands in for it; "real-symmetric" is [[c, s], [s, c]], which is
+    not unitary.
+    """
+    c, s = math.cos(0.25 * math.pi), math.sin(0.25 * math.pi)
+    lower = s if _broken(convention) else -s  # M21
+    amplitudes = (math.sqrt(2.0) * c * s, c * c + s * lower, math.sqrt(2.0) * lower * c)
+    probabilities = [amplitude * amplitude for amplitude in amplitudes]
+    return probabilities[1] / sum(probabilities)
+
+
+def _mis_phased(config: HolometerConfig) -> HolometerConfig:
+    """The input the broken convention amounts to (module docstring)."""
+    if config.input_kind is InputKind.TWB:
+        return config.replace(theta=config.theta + math.pi)
+    if config.input_kind is InputKind.TWO_SQUEEZED:
+        return config.replace(theta_xi=config.theta_xi_effective + math.pi)
+    return config
 
 
 def _engine_moments(configs: tuple[HolometerConfig, ...]) -> ReadoutMoments:
@@ -157,10 +202,10 @@ def run_crosscheck(
     each read once over the whole set (the engine over one stack per
     input kind, the oracle in one batched call) and compared once.
 
-    ``convention`` selects the oracle's beam-splitter phase convention;
-    passing the deliberately broken "real-symmetric" one makes both the
-    coincidence null and the moment comparison fail, which is the
-    intended negative control.
+    ``convention`` names the beam-splitter phase convention; the
+    deliberately broken "real-symmetric" one feeds the oracle the
+    mis-phased set (module docstring), so that both the coincidence null
+    and the moment comparison fail: the intended negative control.
     """
     if n_configs < 1:
         raise ValueError("need at least one configuration")
@@ -168,7 +213,8 @@ def run_crosscheck(
     coincidence = two_photon_coincidence(convention)
     rng = np.random.default_rng(seed)
     configs = tuple(sample_guardrail_config(rng) for _ in range(n_configs))
-    oracle, cutoffs = _oracle_set(configs, convention)
+    oracle, cutoffs = _oracle_set(tuple(map(_mis_phased, configs)) if _broken(convention)
+                                  else configs)
     comparison = compare_moments(_engine_moments(configs), oracle, rtol=rtol)
     return CrosscheckReport(
         coincidence=coincidence,

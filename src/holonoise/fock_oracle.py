@@ -22,14 +22,8 @@ only through the displacement matrix elements <n|D(x)|q> (Cahill and
 Glauber, Phys. Rev. 177, 1857 (1969)), built by one scaled Laguerre
 recurrence, and the quantum photons through a binomial split against
 vacuum (the comment above _laguerre_table); the coherent port is exact
-there, and its cutoff only sizes the detected range.  The deliberately
-broken "real-symmetric" convention, a loud negative control, runs the
-same tables with the pair-kernel and squeezed-column angles shifted by
-pi: a phase i^(-m) on m quantum photons, which mis-phases the quantum
-light against the coherent light.  Coherent-only input has no quantum
-photons and comes out unchanged.  The two-photon coincidence null is a
-permanent of the mode matrix, the non-unitary [[c, s], [s, c]] under
-"real-symmetric".
+there, and its cutoff only sizes the detected range.  There is no other
+beam splitter: crosscheck's negative control is mis-phased input.
 
 Everything is real.  Twin-beam and coherent-only inputs carry phases
 linear in photon number, which fold into a real kernel over the pair
@@ -61,11 +55,11 @@ configuration oracle-check draws).  The moments of the whole set are
 read out together, one stacked 5 x 5 product per step, into one carrier
 of arrays over the set.  A single configuration is a batch of one, and
 the quadrature route reads the chunk tables of the one or two arms of
-one configuration, summing three real matrices over the detected port
+one configuration, summing three real sums over the detected port
 (the comment above fock_quadrature_moments).  At the default seed and
 at seeds 1000-1004, one ``oracle-check --n-configs 100`` makes 13-25
-chunks and 710-1 623 table-recurrence steps, under either convention,
-and the oracle's allocations peak at 3.3-3.5 MiB under tracemalloc.
+chunks and 710-1 623 table-recurrence steps, mis-phased or not, and
+the oracle's allocations peak at 3.3-3.5 MiB under tracemalloc.
 
 Mode layout, fixed throughout: each arm pairs a quantum port with the
 coherent port of the same readout.  The detected output of each readout
@@ -87,7 +81,6 @@ from .moments import CENTERED_KEYS, QuadratureMoments, ReadoutMoments
 
 __all__ = [
     "CutoffError",
-    "two_photon_coincidence",
     "oracle_moments",
     "port_cutoffs",
     "fock_joint_pmf",
@@ -109,8 +102,6 @@ _CHUNK_FLOATS = 1 << 17
 # detected rows per block of a twin-beam arm
 _ROWS = 16
 
-_CONVENTIONS = ("i", "real-symmetric")
-
 
 class CutoffError(RuntimeError):
     """Raised when a requested computation cannot be represented at the
@@ -124,11 +115,11 @@ class CutoffError(RuntimeError):
 _LOG_FACTORIALS = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, _PROBE)))])
 
 
-def _truncated(magnitudes: np.ndarray, label: str, positions: Sequence[int]) -> list[np.ndarray]:
-    """Each row of ``magnitudes``, one port of the configuration at each
-    of ``positions`` built at a probe length, cut at the smallest cutoff
-    whose moment-weighted tail of the photon-number distribution
-    |amplitude|^2 is negligible.
+def _cutoffs_of(magnitudes: np.ndarray, label: str, positions: Sequence[int]) -> np.ndarray:
+    """The cutoff of each row of ``magnitudes``, one port of the
+    configuration at each of ``positions`` built at a probe length: the
+    smallest length whose moment-weighted tail of the photon-number
+    distribution |amplitude|^2 is negligible.
 
     The weight (1 + n)^4 makes the criterion track the worst moment the
     package reports rather than bare probability mass.  One cumulative
@@ -141,7 +132,7 @@ def _truncated(magnitudes: np.ndarray, label: str, positions: Sequence[int]) -> 
     if len(beyond):
         raise CutoffError(f"configuration {positions[beyond[0]]}: {label} needs cutoff beyond "
                           f"{_CUTOFF_CAP} for weighted tail {_TAIL_TOL}")
-    return [row[:cut].copy() for row, cut in zip(magnitudes, np.maximum(first, 1))]
+    return np.maximum(first, 1)
 
 
 def _check_envelope(config: HolometerConfig) -> None:
@@ -188,9 +179,10 @@ def _twb_weights(lam: np.ndarray, length: int) -> np.ndarray:
 
 def _port_magnitudes(
     configs: Sequence[HolometerConfig],
-) -> tuple[list[np.ndarray], list[np.ndarray | None], list[np.ndarray]]:
-    """Pair-weight moduli, quantum-port magnitudes and coherent-port
-    magnitudes of each configuration, each at its automatic cutoff.  The
+) -> tuple[list[np.ndarray], list[np.ndarray | None], tuple[np.ndarray, np.ndarray]]:
+    """Pair-weight moduli and quantum-port magnitudes of each
+    configuration, each at its automatic cutoff, and the set's
+    port_cutoffs (the exact coherent port keeps only its cutoff).  The
     quantum magnitudes are None for pair-diagonal input, where arm r
     starts as |r> (twin beams; coherent-only and squeezed input have the
     one pair index r = 0).
@@ -202,17 +194,20 @@ def _port_magnitudes(
 
     mu = np.array([config.mu for config in configs], dtype=float)
     lam = np.array([config.lam for config in configs], dtype=float)
-    twb, squeezed = ([i for i, config in enumerate(configs) if config.input_kind is kind]
-                     for kind in (InputKind.TWB, InputKind.TWO_SQUEEZED))
-    coherent = _truncated(_coherent_magnitudes(mu, _PROBE), "coherent port", range(len(configs)))
+    coherent_cutoffs = _cutoffs_of(_coherent_magnitudes(mu, _PROBE), "coherent port",
+                                   range(len(configs)))
+    quantum_cutoffs = np.ones(len(configs), dtype=int)
     pairs: list[np.ndarray] = [np.ones(1)] * len(configs)
     quantum: list[np.ndarray | None] = [None] * len(configs)
-    for i, row in zip(twb, _truncated(_twb_weights(lam[twb], _PROBE), "pair-correlated port", twb)):
-        pairs[i] = row
-    for i, row in zip(squeezed, _truncated(_squeezed_magnitudes(lam[squeezed], _PROBE),
-                                           "squeezed port", squeezed)):
-        quantum[i] = row
-    return pairs, quantum, coherent
+    for kind, build, label, rows in (
+            (InputKind.TWB, _twb_weights, "pair-correlated port", pairs),
+            (InputKind.TWO_SQUEEZED, _squeezed_magnitudes, "squeezed port", quantum)):
+        at = [i for i, config in enumerate(configs) if config.input_kind is kind]
+        magnitudes = build(lam[at], _PROBE)
+        quantum_cutoffs[at] = _cutoffs_of(magnitudes, label, at)
+        for i, row in zip(at, magnitudes):
+            rows[i] = row[: quantum_cutoffs[i]].copy()  # frees the probe-length array
+    return pairs, quantum, (quantum_cutoffs, coherent_cutoffs)
 
 
 def port_cutoffs(
@@ -224,53 +219,8 @@ def port_cutoffs(
     sequence of them and returns two integer arrays over it, from one
     set-built pass."""
     single = isinstance(configs, HolometerConfig)
-    quantum, coherent = _cutoffs(_port_magnitudes([configs] if single else configs))
+    quantum, coherent = _port_magnitudes([configs] if single else configs)[2]
     return (int(quantum[0]), int(coherent[0])) if single else (quantum, coherent)
-
-
-def _cutoffs(magnitudes: tuple[list, list, list]) -> tuple[np.ndarray, np.ndarray]:
-    """port_cutoffs of a set, from its _port_magnitudes."""
-    lengths = np.array([(len(pair if port is None else port), len(coh))
-                        for pair, port, coh in zip(*magnitudes)])
-    return lengths[:, 0], lengths[:, 1]
-
-
-# ---------------------------------------------------------------------------
-# the beam-splitter convention
-
-
-def _broken(convention: str) -> bool:
-    """Whether ``convention`` is the broken "real-symmetric" one; any
-    name outside _CONVENTIONS is a ValueError."""
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown beam-splitter convention {convention!r}")
-    return convention == "real-symmetric"
-
-
-def two_photon_coincidence(convention: str = "i") -> float:
-    """Coincidence probability for one photon in each port of a
-    balanced beam splitter.
-
-    Any unitary convention sends both photons out the same side, so the
-    coincidence must vanish; the deliberately broken "real-symmetric"
-    convention leaves it at 1/2.  Used as a negative control on the
-    beam-splitter phase convention.
-
-    The output amplitudes of |1, 1> are permanents of the mode matrix M
-    (Hong, Ou and Mandel, PRL 59, 2044 (1987); Scheel,
-    arXiv:quant-ph/0406127): perm M = M11 M22 + M12 M21 for |1, 1>, and
-    the permanent with one row repeated, over sqrt(2), for |2, 0> and
-    |0, 2>.  The "i" matrix [[c, i s], [i s, c]] (c, s the cosine and
-    sine of phi/2) is diag(1, -i) R diag(1, i) with the real
-    R = [[c, s], [-s, c]], whose phases drop out of every probability,
-    so R stands in for it; "real-symmetric" is [[c, s], [s, c]], which is
-    not unitary.
-    """
-    c, s = math.cos(0.25 * math.pi), math.sin(0.25 * math.pi)
-    lower = s if _broken(convention) else -s  # M21
-    amplitudes = (math.sqrt(2.0) * c * s, c * c + s * lower, math.sqrt(2.0) * lower * c)
-    probabilities = [amplitude * amplitude for amplitude in amplitudes]
-    return probabilities[1] / sum(probabilities)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +291,14 @@ def _displacement_tables(x: np.ndarray, rows: int, width: int) -> np.ndarray:
     return tables
 
 
-def _matrix_elements(tables: np.ndarray, detected: int, columns: int) -> np.ndarray:
-    """d[..., n, q] = <n|D(x)|q> for n < detected and q < columns, read
-    from displacement tables that reach k = min(n, q) and a = |n - q|."""
-    n, q = np.arange(detected)[:, None], np.arange(columns)
+def _matrix_elements(tables: np.ndarray) -> np.ndarray:
+    """d[..., n, q] = <n|D(x)|q> for n below the tables' width and q
+    below their rows, read from displacement tables g[..., k, a] that are
+    at least as wide as they are long."""
+    rows, width = tables.shape[-2:]
+    n, q = np.arange(width)[:, None], np.arange(rows)
     gap = n - q
-    elements = tables.reshape(tables.shape[:-2] + (-1,))[
-        ..., np.minimum(n, q) * tables.shape[-1] + np.abs(gap)]
+    elements = tables.reshape(tables.shape[:-2] + (-1,))[..., np.minimum(n, q) * width + np.abs(gap)]
     elements *= np.where((gap < 0) & (gap % 2 == 1), -1.0, 1.0)
     return elements
 
@@ -395,9 +346,7 @@ def _binomial_splits(first: np.ndarray, second: np.ndarray, size: int) -> np.nda
 # the phases collect into e^{i (r-r') (theta - pi - 2 psi)}, and G being
 # symmetric leaves the real kernel
 #   K[r, r'] = |c_r| |c_r'| cos((r - r') (theta + pi - 2 psi)),
-# p = (K o G1) . G2^T over the flattened pair axes.  The broken
-# "real-symmetric" convention shifts the kernel angle by pi, to
-# theta - 2 psi: a phase i^(-r) on the r quantum photons of each arm.
+# p = (K o G1) . G2^T over the flattened pair axes.
 #
 # K, G1 and G2 are symmetric in (r, r'), so the sum runs over the packed
 # triangle r <= r' with weight 1 on the diagonal and 2 off it.  A
@@ -421,7 +370,6 @@ def _binomial_splits(first: np.ndarray, second: np.ndarray, size: int) -> np.nda
 # |a_m| e^{i (chi - psi) m} on the even photon numbers of a squeezed
 # vacuum, carried as its real and imaginary parts, so
 #   G[n] = sum_j |A[n, j]|^2,  A[n, j] = sum_q d[n, q] column_(q+j) B_(q+j)(j).
-# "real-symmetric" turns the column by i^(-m).
 
 
 def _table_floats(run: list, squeezed: bool) -> int:
@@ -436,7 +384,7 @@ def _table_floats(run: list, squeezed: bool) -> int:
 
 def _chunks(members: list, squeezed: bool) -> Iterator[list]:
     """Consecutive runs of reach-sorted members (reach, key, phi, quantum,
-    |b|, mu) whose _table_floats fit in _CHUNK_FLOATS.  A member larger
+    mu) whose _table_floats fit in _CHUNK_FLOATS.  A member larger
     than that is a chunk of its own."""
     start = 0
     while start < len(members):
@@ -459,9 +407,9 @@ def _chunk_tables(chunk: list, squeezed: bool) -> tuple[np.ndarray, np.ndarray]:
     detected = chunk[0][0] + 1
     half = 0.5 * np.array([member[2] for member in chunk])
     cos, sin = np.cos(half), np.sin(half)
-    tables = _displacement_tables(sin * np.sqrt([member[5] for member in chunk]), size, detected)
+    tables = _displacement_tables(sin * np.sqrt([member[4] for member in chunk]), size, detected)
     splits = _binomial_splits(sin, cos, size) if squeezed else _binomial_splits(cos, sin, size)
-    return _matrix_elements(tables, detected, size), splits
+    return _matrix_elements(tables), splits
 
 
 def _skewed(elements: np.ndarray) -> np.ndarray:
@@ -478,7 +426,7 @@ def _pair_diagonal_grams(
     chunk: list, tables: tuple[np.ndarray, np.ndarray],
 ) -> Iterator[tuple[tuple, np.ndarray]]:
     """(key, Gram (detected, pair, pair)) of each member of a chunk of
-    pair-diagonal arms, members (reach, key, phi, pair count, |b|, mu),
+    pair-diagonal arms, members (reach, key, phi, pair count, mu),
     from the chunk's _chunk_tables: G[n] = V[n] V[n]^T with
     V[n, r, j] = d[n, r - j] B_r(j), one batched product per _ROWS
     detected rows.  Coherent-only input is one pair index."""
@@ -504,7 +452,7 @@ def _squeezed_amplitudes(
 ) -> Iterator[np.ndarray]:
     """A[j, n, (i, part)] above of a chunk of squeezed arms, members
     (reach, key, phi, column amplitudes as (n, 2) real and imaginary
-    parts, |b|, mu), from the chunk's _chunk_tables, for the i of one
+    parts, mu), from the chunk's _chunk_tables, for the i of one
     photon-number parity at a time.  A squeezed vacuum holds even photon
     numbers only, so column_(q+i) vanishes unless q and i share their
     parity: one batched product per parity for the chunk."""
@@ -538,36 +486,33 @@ def _squeezed_grams(
 
 
 def _set_chunks(
-    configs: Sequence[HolometerConfig], convention: str,
-    magnitudes: tuple[list, list, list] | None = None,
+    configs: Sequence[HolometerConfig], inputs: tuple[list, list, tuple],
 ) -> tuple[dict[int, tuple[np.ndarray, float, int] | None], list[tuple[bool, list]]]:
     """The pair kernel of every configuration (the pair moduli, the
     kernel angle and the coherent cutoff; None for rank-one input) and
     its arms as batch members, one per distinct phase, cut into chunks:
     (squeezed, chunk) per chunk, each input kind's members sorted by
-    reach (module docstring).  ``magnitudes`` are the set's
-    _port_magnitudes, built here when not given."""
-    shift = math.pi if _broken(convention) else 0.0
-    pairs, quantum, coherent = magnitudes or _port_magnitudes(configs)
+    reach (module docstring); ``inputs`` are the set's _port_magnitudes."""
+    pairs, quantum, (_, coherent_cutoffs) = inputs
+    coherent = coherent_cutoffs.tolist()
     groups: dict[InputKind, list] = {}
     kernels: dict[int, tuple[np.ndarray, float, int] | None] = {}
     for index, config in enumerate(configs):
         if quantum[index] is None:
             # pair-diagonal: the phase per unit of r - r', derived above
-            turn = config.theta - 2.0 * config.psi + (math.pi - shift)
-            kernels[index] = pairs[index], turn, len(coherent[index])
+            turn = config.theta - 2.0 * config.psi + math.pi
+            kernels[index] = pairs[index], turn, coherent[index]
             length = arm_input = len(pairs[index])
         else:
             kernels[index] = None
-            turn = 2.0 * (config.squeezed_quadrature_angle - config.psi) - shift
+            turn = 2.0 * (config.squeezed_quadrature_angle - config.psi)
             length = len(quantum[index])
             angle = 0.5 * turn * np.arange(length)
             arm_input = quantum[index][:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
         phases = (config.phi0_1,) if config.phi0_2 == config.phi0_1 else (config.phi0_1, config.phi0_2)
-        # a member: (reach, key, phi, pair count or column amplitudes, |b|, mu)
+        # a member: (reach, key, phi, pair count or column amplitudes, mu)
         groups.setdefault(config.input_kind, []).extend(
-            (length + len(coherent[index]) - 2, (index, arm), phi, arm_input, coherent[index],
-             config.mu)
+            (length + coherent[index] - 2, (index, arm), phi, arm_input, config.mu)
             for arm, phi in enumerate(phases))
     chunks = []
     for kind, members in groups.items():
@@ -578,8 +523,7 @@ def _set_chunks(
 
 
 def _arm_grams(
-    configs: Sequence[HolometerConfig], convention: str,
-    magnitudes: tuple[list, list, list] | None = None,
+    configs: Sequence[HolometerConfig], inputs: tuple[list, list, tuple],
 ) -> Iterator[tuple[int, tuple[np.ndarray, float, int] | None, np.ndarray, np.ndarray]]:
     """(index, pair kernel, Gram of arm 1, Gram of arm 2) for every
     configuration, in the order the chunks of _set_chunks finish them,
@@ -587,7 +531,7 @@ def _arm_grams(
     both Grams.  A configuration is yielded as soon as both of its arms'
     Grams exist, and its Grams may be overwritten once the next one is
     asked for."""
-    kernels, chunks = _set_chunks(configs, convention, magnitudes)
+    kernels, chunks = _set_chunks(configs, inputs)
     waiting: dict[int, np.ndarray] = {}
     for squeezed, chunk in chunks:
         grams = (_squeezed_grams if squeezed else _pair_diagonal_grams)(
@@ -602,12 +546,11 @@ def _arm_grams(
 
 
 def _joint_pmfs(
-    configs: Sequence[HolometerConfig], convention: str,
-    magnitudes: tuple[list, list, list] | None = None,
+    configs: Sequence[HolometerConfig], inputs: tuple[list, list, tuple],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(index, joint distribution before loss) for every configuration,
-    in the order the chunks finish them (magnitudes as for _arm_grams)."""
-    for index, kernel, gram1, gram2 in _arm_grams(configs, convention, magnitudes):
+    in the order the chunks finish them (inputs as for _set_chunks)."""
+    for index, kernel, gram1, gram2 in _arm_grams(configs, inputs):
         yield index, _checked_pmf(index, kernel, gram1, gram2)
 
 
@@ -661,10 +604,10 @@ def _checked_pmf(
     return np.clip(pmf, 0.0, None) / total
 
 
-def fock_joint_pmf(config: HolometerConfig, *, convention: str = "i") -> np.ndarray:
+def fock_joint_pmf(config: HolometerConfig) -> np.ndarray:
     """Joint photon-number distribution of the two detected ports before
     detection loss."""
-    [(_, pmf)] = _joint_pmfs([config], convention)
+    [(_, pmf)] = _joint_pmfs([config], _port_magnitudes([config]))
     return pmf
 
 
@@ -717,9 +660,7 @@ def _readouts(factorial: np.ndarray, etas: np.ndarray) -> np.ndarray:
     return np.concatenate([means.T, centered.T])
 
 
-def oracle_moments(
-    configs: HolometerConfig | Sequence[HolometerConfig], *, convention: str = "i",
-) -> ReadoutMoments:
+def oracle_moments(configs: HolometerConfig | Sequence[HolometerConfig]) -> ReadoutMoments:
     """Joint photon-number moments of the two readouts, loss included.
 
     End-to-end truncated-Fock reference: builds the input, applies both
@@ -727,26 +668,26 @@ def oracle_moments(
     detection loss.  Takes one configuration and gives floats, or a
     sequence of them and gives arrays over it in set order, from one
     table recurrence per chunk of arms (module docstring)."""
-    return _oracle_set(configs, convention)[0]
+    return _oracle_set(configs)[0]
 
 
 def _oracle_set(
-    configs: HolometerConfig | Sequence[HolometerConfig], convention: str,
+    configs: HolometerConfig | Sequence[HolometerConfig],
 ) -> tuple[ReadoutMoments, tuple[np.ndarray, np.ndarray]]:
     """oracle_moments, and the port_cutoffs arrays of the same set, from
-    one build of its input magnitudes."""
+    one build of its inputs."""
     single = isinstance(configs, HolometerConfig)
     batch = [configs] if single else list(configs)
-    magnitudes = _port_magnitudes(batch)
+    inputs = _port_magnitudes(batch)
     factorial = np.empty((len(batch), 5, 5))
-    for index, pmf in _joint_pmfs(batch, convention, magnitudes):
+    for index, pmf in _joint_pmfs(batch, inputs):
         factorial[index] = _factorial_moments(pmf)
     values = _readouts(factorial, np.array([config.eta_pair for config in batch], dtype=float))
     mean_1, mean_2, *table = values[:, 0].tolist() if single else values
     centered = dict(zip(CENTERED_KEYS, table))
     return ReadoutMoments(mean_1=mean_1, mean_2=mean_2, var_1=centered[(2, 0)],
                           var_2=centered[(0, 2)], cov=centered[(1, 1)],
-                          centered=centered), _cutoffs(magnitudes)
+                          centered=centered), inputs[2]
 
 
 # ---------------------------------------------------------------------------
@@ -763,39 +704,40 @@ def _oracle_set(
 #   N = sum_n n V[n] V[n]^T,  L = sum_n sqrt(n+1) V[n] V[n+1]^T,
 #   L2 = sum_n sqrt((n+1)(n+2)) V[n] V[n+2]^T.
 # A one-arm moment meets the other arm's Gram, the identity, and reads
-# the diagonal, where f = 1, weighted by W = diag K:
-#   <x> = sqrt(2) sum W o L,  <x^2> = sum W o (N + L2) + 1/2.
+# the diagonal, where f = 1, weighted by w = diag K = |c_r|^2:
+#   <x> = sqrt(2) w . diag L,  <x^2> = w . diag (N + L2) + 1/2,
+# so only the diagonals of N and L2 are formed.
 # Twin beams correlate the arms through <r'|x|r> = f (L + L^T)[r', r]
 # / sqrt(2) on each; the two f complete the pair weights' phases to the
 # kernel K of the joint distributions, so <x1 x2> = sum K o (L1 + L1^T)
 # o L2, K and L1 + L1^T being symmetric; product inputs have no
-# covariance.  Squeezed input is rank one, W = 1, and its input phases
+# covariance.  Squeezed input is rank one, w = 1, and its input phases
 # sit in the column of A[n, j] (the factorization comment above): N, L
 # and L2 are the same sums over one input, the real parts of
 # sum_j conj(A[n, j]) A[n + k, j] read as dot products of the real and
 # imaginary parts.
 
 
-def _quadrature_sums(arm: np.ndarray) -> np.ndarray:
-    """(3, inputs, inputs): N, L and L2 above of an arm[n, r, j] over
-    detected n, inputs r and discarded columns j."""
+def _quadrature_sums(arm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """diag (N + L2) (inputs,) and L (inputs, inputs) above of an
+    arm[n, r, j] over detected n, inputs r and discarded columns j."""
     n = np.arange(len(arm), dtype=float)
-    weights = (n, np.sqrt(n[1:]), np.sqrt(n[1:-1] * n[2:]))
-    return np.stack([np.tensordot(weight[:, None, None] * arm[: len(weight)], arm[shift:],
-                                  axes=([0, 2], [0, 2]))
-                     for shift, weight in enumerate(weights)])
+    square = (np.einsum("n,nrj,nrj->r", n, arm, arm)
+              + np.einsum("n,nrj,nrj->r", np.sqrt(n[1:-1] * n[2:]), arm[:-2], arm[2:]))
+    lower = np.tensordot(np.sqrt(n[1:])[:, None, None] * arm[:-1], arm[1:], axes=([0, 2], [0, 2]))
+    return square, lower
 
 
 def fock_quadrature_moments(config: HolometerConfig) -> QuadratureMoments:
     """Means and covariance of the quadrature that carries the phase
-    signal, per detected port, from the real sums N, L and L2 of each
-    arm, read from the chunk tables of the joint distributions (the
-    comment above).
+    signal, per detected port, from the real sums of each arm (the
+    diagonals of N and L2, and L), read from the chunk tables of the
+    joint distributions (the comment above).
 
     Loss is applied analytically: means scale with sqrt(eta), variances
     mix with vacuum noise, the cross covariance scales with sqrt(eta1 eta2).
     """
-    kernels, chunks = _set_chunks([config], "i")
+    kernels, chunks = _set_chunks([config], _port_magnitudes([config]))
     sums = {}
     for squeezed, chunk in chunks:
         tables = _chunk_tables(chunk, squeezed)
@@ -808,20 +750,17 @@ def fock_quadrature_moments(config: HolometerConfig) -> QuadratureMoments:
             arms = [_skewed(elements[j]) * splits[j] for j in range(len(chunk))]
         for member, arm in zip(chunk, arms):
             sums[member[1][1]] = _quadrature_sums(arm)
-    # arms 1 and 2, one array twice for equal phases
-    number, lower, lower2 = np.stack([sums[0], sums.get(1, sums[0])], axis=1)
-    if kernels[0] is None:
-        kernel = weight = np.ones((1, 1))
-    else:
-        moduli, turn, _ = kernels[0]
-        m = np.arange(len(moduli))
-        kernel = np.multiply.outer(moduli, moduli) * np.cos(np.subtract.outer(m, m) * turn)
-        weight = np.diag(np.diag(kernel))
-    mean1, mean2 = (math.sqrt(2.0) * np.einsum("mn,jmn->j", weight, lower)).tolist()
-    x1_sq, x2_sq = (np.einsum("mn,jmn->j", weight, number + lower2) + 0.5).tolist()
+    # arms 1 and 2, one pair of sums twice for equal phases
+    (square1, lower1), (square2, lower2) = sums[0], sums.get(1, sums[0])
+    moduli, turn, _ = kernels[0] or (np.ones(1), 0.0, 1)  # rank one: one pair index
+    weight = moduli * moduli
+    mean1, mean2 = (math.sqrt(2.0) * float(weight @ np.diag(lower)) for lower in (lower1, lower2))
+    x1_sq, x2_sq = (float(weight @ square) + 0.5 for square in (square1, square2))
     cov0 = 0.0
     if config.input_kind is InputKind.TWB:
-        cov0 = float(np.sum(kernel * (lower[0] + lower[0].T) * lower[1])) - mean1 * mean2
+        m = np.arange(len(moduli))
+        kernel = np.multiply.outer(moduli, moduli) * np.cos(np.subtract.outer(m, m) * turn)
+        cov0 = float(np.sum(kernel * (lower1 + lower1.T) * lower2)) - mean1 * mean2
 
     eta1, eta2 = config.eta_pair
     return QuadratureMoments(

@@ -57,13 +57,13 @@ def _coherent_port(mu: float, tail: float) -> np.ndarray:
 
 
 def _magnitudes(config: HolometerConfig, coherent_tail: float | None) -> list:
-    """The oracle's pair, quantum and coherent magnitudes of one
-    configuration, the coherent port rebuilt to ``coherent_tail`` when
-    one is given."""
-    magnitudes = [port[0] for port in fo._port_magnitudes([config])]
-    if coherent_tail is not None:
-        magnitudes[2] = _coherent_port(config.mu, coherent_tail)
-    return magnitudes
+    """The oracle's pair and quantum magnitudes of one configuration,
+    and its coherent magnitudes at the oracle's coherent cutoff, or to
+    ``coherent_tail`` when one is given."""
+    [pairs], [quantum], (_, [cutoff]) = fo._port_magnitudes([config])
+    coherent = (fo._coherent_magnitudes(np.array([config.mu]), cutoff)[0] if coherent_tail is None
+                else _coherent_port(config.mu, coherent_tail))
+    return [pairs, quantum, coherent]
 
 
 def _phased(

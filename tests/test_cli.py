@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -489,6 +490,31 @@ def test_handler_errors_return_one(tmp_path):
     missing = tmp_path / "missing.json"
     assert run(["nrf-scan", "--config", str(missing)]) == 1
     assert run(["mc-estimate", "--epsilons", "1e-3", "--sigma2", "1e-5"]) == 1
+
+
+@pytest.mark.parametrize("command", ["nrf-scan", "uncertainty-scan", "mc-estimate"])
+@pytest.mark.parametrize("fields, message", [
+    ({"eta": None}, "eta must be a number, got None"),
+    ({"eta_2": "0.5"}, "eta_2 must be a number, got '0.5'"),
+])
+def test_a_missing_or_non_numeric_config_value_is_a_one_line_error(
+        tmp_path, capsys, command, fields, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fields))
+    assert run([command, "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"holonoise {command}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["nrf-scan", "uncertainty-scan"])
+@pytest.mark.parametrize("grid", ["inf:1:3", "1e-3:inf:3:log", "nan,0.5", "-1e308:1e308:3"])
+def test_a_grid_that_is_not_finite_is_a_usage_error_with_no_warning(capsys, command, grid):
+    # the span too: linspace steps by it, and an infinite step warns
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_usage_error([command, f"--grid={grid}"]) == 1
+    assert caught == []
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"holonoise {command}: error: argument --grid: grid {grid!r} must span finite values")
 
 
 def test_nrf_scan_takes_lambda_from_its_lambdas_or_grid_only(capsys):

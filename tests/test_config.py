@@ -39,6 +39,24 @@ def test_rejects_out_of_range(overrides):
         make(**overrides)
 
 
+@pytest.mark.parametrize("name, value", [
+    *((name, None) for name in ("mu", "psi", "lam", "eta", "phi0_1", "phi0_2", "theta")),
+    ("eta", "0.5"), ("phi0_2", True), ("theta", 1j), ("mu", [0.5, "x"]),
+])
+def test_a_missing_or_non_numeric_field_is_refused_by_name(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be a number, got "):
+        make(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["theta_xi", "eta_2"])
+def test_the_optional_fields_take_none_or_a_number_only(name):
+    assert getattr(make(**{name: None}), name) is None
+    assert getattr(make(**{name: np.float64(0.5)}), name) == 0.5
+    for value in ("0.5", False, [0.5, "x"]):
+        with pytest.raises(ValueError, match=rf"^{name} must be a number, got "):
+            make(**{name: value})
+
+
 def test_stacked_fields_are_validated_element_by_element():
     with pytest.raises(ValueError, match=r"^eta must lie in \[0, 1\], got 1.5$"):
         make(eta=np.array([0.5, 1.5, 0.9]))

@@ -6,11 +6,13 @@ import pytest
 
 import fock_reference as reference
 from holonoise import crosscheck, fock_oracle, gaussian_engine, moments
-from holonoise.config import InputKind
+from holonoise.config import HolometerConfig, InputKind
 from holonoise.crosscheck import (
     DEFAULT_SEED,
+    _mis_phased,
     run_crosscheck,
     sample_guardrail_config,
+    two_photon_coincidence,
 )
 from holonoise.moments import CENTERED_KEYS, compare_moments
 
@@ -41,6 +43,45 @@ def test_broken_convention_is_caught():
     assert not report.coincidence_ok
     assert report.coincidence == pytest.approx(0.5, abs=1e-9)
     assert report.n_failed == len(report.configs)
+
+
+def test_two_photon_coincidence_null_for_unitary_conventions():
+    assert two_photon_coincidence("i") == pytest.approx(0.0, abs=1e-12)
+    assert two_photon_coincidence("real-symmetric") == pytest.approx(0.5, abs=1e-12)
+    for call in (two_photon_coincidence, lambda convention: run_crosscheck(2, convention=convention)):
+        with pytest.raises(ValueError, match="unknown beam-splitter convention 'nonsense'"):
+            call("nonsense")
+
+
+def test_the_broken_convention_is_a_phase_on_the_quantum_photons():
+    # i^(-m) on the m quantum photons of each arm: (-1)^r on the pair
+    # state, twin beams at theta + pi; (-1)^k on the 2k photons of each
+    # squeezed vacuum, squeezed input at its effective theta_xi + pi
+    base = dict(mu=1.5, psi=0.8, lam=0.4, eta=0.85, phi0_1=0.7, phi0_2=0.7)
+    twb = HolometerConfig(**base, input_kind="TWB", theta=0.4)
+    assert _mis_phased(twb) == twb.replace(theta=0.4 + math.pi)
+    for theta_xi in (None, 1.1):
+        squeezed = HolometerConfig(**base, input_kind="TwoSqueezed", theta_xi=theta_xi)
+        assert _mis_phased(squeezed) == squeezed.replace(
+            theta_xi=squeezed.theta_xi_effective + math.pi)
+    coherent = HolometerConfig(**base, input_kind="CoherentOnly")
+    assert _mis_phased(coherent) is coherent
+
+
+def test_the_broken_convention_feeds_the_oracle_the_mis_phased_set(monkeypatch):
+    # the engine and the report keep the drawn set
+    fed = []
+    oracle = crosscheck._oracle_set
+
+    def recorded(configs):
+        fed.append(configs)
+        return oracle(configs)
+
+    monkeypatch.setattr(crosscheck, "_oracle_set", recorded)
+    drawn = run_crosscheck(6, DEFAULT_SEED).configs
+    report = run_crosscheck(6, DEFAULT_SEED, convention="real-symmetric")
+    assert report.configs == fed[0] == drawn
+    assert fed[1] == tuple(map(_mis_phased, drawn)) != drawn
 
 
 def test_the_broken_convention_fails_every_quantum_input_and_only_those():
@@ -87,8 +128,8 @@ def test_a_nan_centred_entry_reads_inf_and_fails(monkeypatch):
     # run_crosscheck reads the oracle once, for all its configurations
     oracle = crosscheck._oracle_set
 
-    def poisoned(configs, convention):
-        fock, cutoffs = oracle(configs, convention)
+    def poisoned(configs):
+        fock, cutoffs = oracle(configs)
         nan = np.full(len(configs), math.nan)
         return replace(fock, centered={**fock.centered, (1, 3): nan}), cutoffs
 
@@ -103,8 +144,8 @@ def test_a_nan_centred_entry_reads_inf_and_fails(monkeypatch):
 def test_a_nan_entry_of_one_member_fails_that_member_only(monkeypatch):
     oracle = crosscheck._oracle_set
 
-    def poisoned(configs, convention):
-        fock, cutoffs = oracle(configs, convention)
+    def poisoned(configs):
+        fock, cutoffs = oracle(configs)
         entry = fock.centered[(1, 3)].copy()
         entry[1] = math.nan
         return replace(fock, centered={**fock.centered, (1, 3): entry}), cutoffs
@@ -174,7 +215,9 @@ def test_the_stacked_comparison_equals_the_scalar_one_bit_for_bit(seed, conventi
     rng = np.random.default_rng(seed)
     configs = tuple(sample_guardrail_config(rng) for _ in range(100))
     engine = crosscheck._engine_moments(configs)
-    oracle = fock_oracle.oracle_moments(configs, convention=convention)
+    # the oracle reads the input the convention feeds it
+    oracle = fock_oracle.oracle_moments(
+        tuple(map(_mis_phased, configs)) if convention == "real-symmetric" else configs)
     stacked = compare_moments(engine, oracle)
     for index in range(len(configs)):
         a, b = reference.member(engine, index), reference.member(oracle, index)

@@ -6,16 +6,16 @@ import pytest
 import fock_reference as reference
 from holonoise import fock_oracle
 from holonoise.config import HolometerConfig, InputKind
-from holonoise.crosscheck import DEFAULT_SEED, run_crosscheck, sample_guardrail_config
+from holonoise.crosscheck import DEFAULT_SEED, _mis_phased, sample_guardrail_config
 from holonoise.fock_oracle import (
     CutoffError,
     fock_joint_pmf,
     fock_quadrature_moments,
     oracle_moments,
-    two_photon_coincidence,
 )
 from holonoise.holometer import quadrature_readout, readout_moments
-from holonoise.moments import CENTERED_KEYS, ReadoutMoments, compare_moments
+from holonoise.moments import CENTERED_KEYS, QuadratureMoments, ReadoutMoments, compare_moments
+from holonoise.observables import closed_form_quadrature
 
 
 def make(**overrides):
@@ -103,33 +103,19 @@ def test_each_distinct_phase_is_one_batch_member(monkeypatch, phi0_2, phases):
 
 
 def test_every_oracle_route_reads_the_chunk_tables(monkeypatch):
-    # one beam splitter: the moments, the broken control and the
+    # one beam splitter: the moments, the mis-phased control and the
     # quadrature route all read displacement tables and binomial splits
     chunks = counted_chunks(monkeypatch)
     configs = [make(), make(input_kind="TwoSqueezed"), make(input_kind="CoherentOnly", phi0_2=1.3)]
     oracle_moments(configs)
     assert sorted(phi for chunk in chunks for phi in chunk) == [0.7, 0.7, 0.7, 1.3]
-    for call, phases in ((lambda: fock_joint_pmf(make(), convention="real-symmetric"), [[0.7]]),
+    for call, phases in ((lambda: fock_joint_pmf(_mis_phased(make())), [[0.7]]),
                          (lambda: fock_quadrature_moments(configs[0]), [[0.7]]),
                          (lambda: fock_quadrature_moments(configs[1]), [[0.7]]),
                          (lambda: fock_quadrature_moments(configs[2]), [[0.7, 1.3]])):
         chunks.clear()
         call()
         assert chunks == phases
-
-
-def test_two_photon_coincidence_null_for_unitary_conventions():
-    assert two_photon_coincidence("i") == pytest.approx(0.0, abs=1e-12)
-    assert two_photon_coincidence("real-symmetric") == pytest.approx(0.5, abs=1e-12)
-    entry_points = (
-        two_photon_coincidence,
-        lambda convention: fock_joint_pmf(make(), convention=convention),
-        lambda convention: oracle_moments([make()], convention=convention),
-        lambda convention: run_crosscheck(2, convention=convention),
-    )
-    for call in entry_points:
-        with pytest.raises(ValueError, match="unknown beam-splitter convention 'nonsense'"):
-            call("nonsense")
 
 
 def test_unbalanced_coincidence_matches_closed_form():
@@ -207,14 +193,13 @@ def complex_arm_pmf(config):
     ids=["twb", "twb-edge", "coherent"],
 )
 def test_real_route_matches_complex_arm_contraction(config, convention):
-    # the broken convention shifts the kernel angle theta + pi - 2 psi by
-    # pi: the unitary route at theta + pi (coherent-only input has no
-    # pair phase, so it is unchanged)
+    # the input each convention feeds the oracle: under "real-symmetric"
+    # the mis-phased one, twin beams at theta + pi (coherent-only input
+    # has no quantum photons, so it is unchanged)
     if convention == "real-symmetric":
-        expected = complex_arm_pmf(config.replace(theta=config.theta + math.pi))
-    else:
-        expected = complex_arm_pmf(config)
-    got = fock_joint_pmf(config, convention=convention)
+        config = _mis_phased(config)
+    got = fock_joint_pmf(config)
+    expected = complex_arm_pmf(config)
     assert padded_difference(got, expected) < 1e-12 * np.max(expected)
 
 
@@ -235,7 +220,7 @@ def test_displacement_matrix_elements_match_the_laguerre_closed_form(square):
     mpmath = pytest.importorskip("mpmath")
     x = math.sqrt(square)
     tables = fock_oracle._displacement_tables(np.array([x]), SIZE, SIZE)
-    elements = fock_oracle._matrix_elements(tables, SIZE, SIZE)[0]
+    elements = fock_oracle._matrix_elements(tables)[0]
     with mpmath.workdps(50):
         t = mpmath.mpf(x) ** 2
         for n in GRID:
@@ -353,6 +338,29 @@ def test_quadrature_route_matches_engine(config):
     engine = quadrature_readout(config)
     result = compare_moments(oracle, engine, rtol=1e-8)
     assert result.ok, (result.worst_field, result.max_relative)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [make(eta=0.8),
+     make(eta=0.8, theta=0.9, phi0_2=2.1),
+     make(mu=4.0, lam=1.0, theta=0.9, psi=1.7, phi0_1=0.9, phi0_2=2.1),
+     make(eta=0.8, input_kind="TwoSqueezed"),
+     make(eta=0.7, eta_2=0.5, input_kind="TwoSqueezed", theta_xi=1.1, phi0_2=2.1),
+     make(mu=1.0, lam=0.0, eta=0.8, input_kind="CoherentOnly"),
+     make(mu=1.0, lam=0.0, eta=0.6, eta_2=0.9, input_kind="CoherentOnly", phi0_2=1.3)],
+    ids=["twb", "twb-unequal-phases", "twb-edge", "squeezed", "squeezed-unequal-eta2",
+         "coherent", "coherent-unequal-eta2"],
+)
+def test_the_mis_phased_control_reaches_the_quadrature_route(config):
+    # the broken convention is an input, so the quadrature route sees it
+    # with no plumbing: quantum light moves off the closed form beyond
+    # rtol 1e-8, and coherent-only input, which has no quantum photons,
+    # stays on it
+    closed = QuadratureMoments(**closed_form_quadrature(config))
+    result = compare_moments(fock_quadrature_moments(_mis_phased(config)), closed, rtol=1e-8)
+    assert result.ok == (config.input_kind is InputKind.COHERENT_ONLY), (
+        result.worst_field, result.max_relative)
 
 
 def test_engine_agrees_on_default_config():
@@ -492,7 +500,7 @@ def test_packed_distributions_are_symmetric_and_equal_the_general_product(monkey
 
     monkeypatch.setattr(fock_oracle, "_checked_pmf", both)
     configs = drawn(seed) + [EDGE_EQUAL]
-    pmfs = dict(fock_oracle._joint_pmfs(configs, "i"))
+    pmfs = dict(fock_oracle._joint_pmfs(configs, fock_oracle._port_magnitudes(configs)))
     assert len(pmfs) == len(configs)
     for pmf in pmfs.values():
         assert np.array_equal(pmf, pmf.T)
@@ -504,15 +512,16 @@ def test_packed_distributions_are_symmetric_and_equal_the_general_product(monkey
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1000, 1003])
 def test_set_built_inputs_equal_the_one_configuration_builds(seed):
     configs = drawn(seed) + [EDGE, make(mu=0.0, lam=0.5), make(mu=0.0, input_kind="TwoSqueezed")]
-    pairs, quantum, coherent = fock_oracle._port_magnitudes(configs)
+    pairs, quantum, (quantum_cutoffs, coherent_cutoffs) = fock_oracle._port_magnitudes(configs)
     for i, config in enumerate(configs):
-        [one_pairs], [one_quantum], [one_coherent] = fock_oracle._port_magnitudes([config])
-        assert np.array_equal(pairs[i], one_pairs) and np.array_equal(coherent[i], one_coherent)
+        [one_pairs], [one_quantum], one_cutoffs = fock_oracle._port_magnitudes([config])
+        assert np.array_equal(pairs[i], one_pairs)
         assert (quantum[i] is None) == (one_quantum is None)
         if quantum[i] is not None:
             assert np.array_equal(quantum[i], one_quantum)
-        cutoff = len(pairs[i] if quantum[i] is None else quantum[i]), len(coherent[i])
-        assert cutoff == fock_oracle.port_cutoffs(config)
+        cutoff = len(pairs[i] if quantum[i] is None else quantum[i]), coherent_cutoffs[i]
+        assert cutoff == (quantum_cutoffs[i], coherent_cutoffs[i]) == fock_oracle.port_cutoffs(config)
+        assert [array.tolist() for array in one_cutoffs] == [[cutoff[0]], [cutoff[1]]]
     # the set form reads the same cutoffs from one set-built pass
     set_cutoffs = np.column_stack(fock_oracle.port_cutoffs(configs))
     assert set_cutoffs.tolist() == [list(fock_oracle.port_cutoffs(config)) for config in configs]
@@ -546,7 +555,7 @@ def looped_readout(pmf, eta_pair):
 
 def test_stacked_readout_equals_the_looped_formula():
     configs = drawn(DEFAULT_SEED) + [EDGE, make(eta=0.65, eta_2=0.4)]
-    pmfs = dict(fock_oracle._joint_pmfs(configs, "i"))
+    pmfs = dict(fock_oracle._joint_pmfs(configs, fock_oracle._port_magnitudes(configs)))
     stacked = oracle_moments(configs)
     for index, config in enumerate(configs):
         assert_same_moments(reference.member(stacked, index),

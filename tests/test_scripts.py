@@ -11,12 +11,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_bench_moments_runs_every_row_once(tmp_path):
+    # with no BLAS thread variable set, the script pins each to one thread
     record_path = tmp_path / "bench.json"
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_moments.py"), "--quick",
          "--json", str(record_path)],
         capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env={**{name: value for name, value in os.environ.items() if name not in blas},
+             "PYTHONPATH": str(ROOT / "src")},
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
@@ -26,6 +29,7 @@ def test_bench_moments_runs_every_row_once(tmp_path):
     assert len(record["rows"]) == len(lines)
     assert all(line.startswith(row["label"]) for row, line in zip(record["rows"], lines))
     assert {"git_revision", "python", "numpy", "nproc", "blas_threads"} <= set(record)
+    assert record["blas_threads"] == dict.fromkeys(blas, "1")
     for row in record["rows"]:
         assert row["repeat"] == 1 and row["min_ms"] <= row["median_ms"] and row["inputs"]
     scans = [row["inputs"]["argv"] for row in record["rows"] if row["label"].startswith("scan ")]
